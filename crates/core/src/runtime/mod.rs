@@ -865,8 +865,10 @@ fn balanced_scan_windowed<S: DocSource, W: Write, M: Metrics>(
         };
         match hop {
             BalancedHop::Exhausted { resume } => {
-                // Probe one byte past the window: refills the stream (the
-                // next window request reaches further) or confirms EOF.
+                // Release the hopped bytes, then probe one byte past the
+                // window: refills the stream (the next window request
+                // reaches further) or confirms EOF.
+                input.advance(resume.saturating_sub(lookback))?;
                 if input.byte(resume)?.is_none() {
                     m.scanned(resume.saturating_sub(acc) as u64);
                     return Err(CoreError::UnexpectedEof {

@@ -11,7 +11,7 @@
 //!   (one bounded copy; works on pipes),
 //! * [`PrefetchSource`] — the same window with refills prefetched by a
 //!   dedicated `smpx-io` thread (double-buffered handoff; I/O latency
-//!   hides behind scan time).
+//!   hides behind scan time). Both hold one `Window` (`window.rs`).
 //!
 //! The runtime algorithm itself is written once against the private
 //! [`SourceInput`] adapter, which pairs a [`DocSource`] with an output
@@ -39,6 +39,7 @@ mod mmap;
 mod prefetch;
 mod reader;
 mod slice;
+mod window;
 
 pub use mmap::MmapSource;
 pub use prefetch::PrefetchSource;
@@ -162,8 +163,14 @@ impl<S: DocSource + ?Sized> DocSource for Box<S> {
 /// range start bumped, so a source may drop everything below its guard
 /// without ever knowing about copy ranges. The guard is additionally
 /// clamped to the unflushed copy start, so unflushed bytes are never
-/// discardable — bounded memory falls out of the runtime advancing its
-/// cursor every loop iteration.
+/// discardable.
+///
+/// Bounded memory needs more than the runtime advancing its cursor once
+/// per token: a single search or balanced scan can cross any number of
+/// windows between two tokens. Every loop that extends the resident
+/// region therefore calls `advance` itself before it refills —
+/// [`find`](Self::find) here, the balanced scan in the runtime — and the
+/// window holds a chunk, the look-back and one tag, never a skip.
 pub(crate) struct SourceInput<S: DocSource, W: Write> {
     src: S,
     out: W,
@@ -187,7 +194,9 @@ impl<S: DocSource, W: Write> SourceInput<S, W> {
     /// First keyword occurrence at or after absolute position `from`:
     /// `(keyword index, start)`. Searches the full resident region and
     /// grows it on miss, re-scanning `longest - 1` overlap bytes so a
-    /// match straddling the old region end is not lost.
+    /// match straddling the old region end is not lost. Everything before
+    /// the next search origin is released ([`advance`](Self::advance))
+    /// before the region grows, so a skip of any length holds one window.
     pub fn find<Se: Searcher, M: Metrics>(
         &mut self,
         matcher: &Se,
@@ -197,22 +206,22 @@ impl<S: DocSource, W: Write> SourceInput<S, W> {
         let overlap = matcher.longest().max(1);
         let mut search_from = from.max(self.src.base());
         loop {
-            self.src.ensure(search_from)?;
             let base = self.src.base();
             let buf = self.src.resident();
-            let rel_from = search_from.saturating_sub(base);
-            if rel_from < buf.len() {
-                if let Some((kw, rel_start)) = matcher.search_in(buf, rel_from, m) {
+            let end = base + buf.len();
+            if search_from < end {
+                if let Some((kw, rel_start)) = matcher.search_in(buf, search_from - base, m) {
                     return Ok(Some((kw, base + rel_start)));
                 }
+                search_from = end.saturating_sub(overlap - 1).max(search_from);
             }
-            // No match in the resident region: extend it and retry from
-            // the boundary overlap.
-            let end = base + buf.len();
+            // Nothing at or after `search_from` in the resident region
+            // (or an initial jump carried it past the region): release
+            // what lies before it, extend the region and retry.
+            self.advance(search_from)?;
             if !self.src.grow()? {
                 return Ok(None);
             }
-            search_from = end.saturating_sub(overlap.saturating_sub(1)).max(search_from);
         }
     }
 
@@ -431,6 +440,27 @@ mod tests {
         assert_eq!(out, doc.as_bytes());
         // The window never had to hold the whole copy range.
         assert!(src.peak_io_bytes() < doc.len());
+    }
+
+    #[test]
+    fn reader_copy_range_flushes_incrementally_under_find() {
+        // The `find`-driven twin: a copy range of ten windows with no
+        // token inside. The search itself must flush and release what it
+        // has passed — no cursor walks the range for it.
+        let body = "y".repeat(160);
+        let doc = format!("<k>{body}</k>");
+        let mut s = reader_input(doc.as_bytes(), 16);
+        s.copy_on(0);
+        let hit = s.find(&bm(b"</k"), 3, &mut NoMetrics).unwrap();
+        assert_eq!(hit, Some((0, 163)));
+        assert!(s.emitted() >= 140, "flushed {} before the range closed", s.emitted());
+        assert_eq!(s.byte(doc.len() - 1).unwrap(), Some(b'>'));
+        s.copy_off(doc.len()).unwrap();
+        let (src, out, written) = s.finish().unwrap();
+        assert_eq!(written as usize, doc.len());
+        assert_eq!(out, doc.as_bytes());
+        // Two chunks: the window never grew.
+        assert_eq!(src.peak_io_bytes(), 32);
     }
 
     #[test]

@@ -16,10 +16,9 @@
 //! * the `smpx-io` thread parks on `space` until a free buffer exists,
 //!   fills it from the wrapped `Read` (retrying `EINTR`, like the sync
 //!   path), pushes it onto the `filled` queue and signals `avail`;
-//! * the consumer's `refill` parks on `avail` until a filled buffer
-//!   exists, splices it onto the resident window (after compacting below
-//!   the discard guard, exactly as [`ReaderSource::refill`] does), returns
-//!   the empty buffer to the `free` list and signals `space`.
+//! * the consumer's refill parks on `avail` until a filled buffer exists,
+//!   copies it into the free tail of the same [`Window`] the sync reader
+//!   reads into, returns the buffer to the `free` list and signals `space`.
 //!
 //! Output is byte-identical to the sync reader at every chunk size
 //! because the runtime is already chunk-invariant: the window contract
@@ -42,9 +41,9 @@
 //! reader.
 //!
 //! [`ReaderSource`]: super::ReaderSource
-//! [`ReaderSource::refill`]: super::ReaderSource
 
 use super::reader::read_full_io;
+use super::window::Window;
 use super::{DocSource, SourceKind};
 use crate::error::CoreError;
 use std::collections::VecDeque;
@@ -59,9 +58,10 @@ const SLOTS: usize = 2;
 
 /// Channel state shared between the consumer and the `smpx-io` thread.
 struct Chan {
-    /// Blocks read from the stream, oldest first.
-    filled: VecDeque<Vec<u8>>,
-    /// Recycled empty buffers the producer may fill.
+    /// Blocks read from the stream and their filled lengths, oldest first.
+    filled: VecDeque<(Vec<u8>, usize)>,
+    /// Recycled buffers the producer may fill; every slot buffer is
+    /// `chunk` bytes long for its whole life (zeroed once, at spawn).
     free: Vec<Vec<u8>>,
     /// A read error, delivered after all `filled` blocks drain.
     err: Option<std::io::Error>,
@@ -120,7 +120,7 @@ impl<R: Read> Feed<R> {
 /// A [`DocSource`] window over any `Read` whose refills are prefetched by
 /// a dedicated `smpx-io` thread (see the module docs for the handoff
 /// protocol). Byte-identical to [`ReaderSource`] at every chunk size;
-/// `grow()` is a buffer swap instead of a blocking read.
+/// `grow()` is a buffer copy instead of a blocking read.
 ///
 /// `R` is the wrapped reader type; the reader itself moves into the I/O
 /// thread at construction.
@@ -129,16 +129,7 @@ impl<R: Read> Feed<R> {
 pub struct PrefetchSource<R> {
     shared: Arc<Shared>,
     io_thread: Option<std::thread::JoinHandle<()>>,
-    /// Window bytes `[base, base + buf.len())` of the stream.
-    buf: Vec<u8>,
-    /// Absolute offset of `buf[0]`.
-    base: usize,
-    eof: bool,
-    chunk: usize,
-    /// Bytes before `guard` may be discarded.
-    guard: usize,
-    /// Peak window capacity; both slot buffers are added on report.
-    peak: usize,
+    win: Window,
     _reader: PhantomData<fn() -> R>,
 }
 
@@ -181,11 +172,12 @@ impl<R> PrefetchSource<R> {
     where
         R: Read + Send + 'static,
     {
-        let chunk = chunk.max(1);
+        let win = Window::new(chunk);
+        let chunk = win.chunk();
         let shared = Arc::new(Shared {
             chan: Mutex::new(Chan {
                 filled: VecDeque::with_capacity(SLOTS),
-                free: (0..SLOTS).map(|_| Vec::with_capacity(chunk)).collect(),
+                free: (0..SLOTS).map(|_| vec![0; chunk]).collect(),
                 err: None,
                 eof: false,
                 closed: false,
@@ -198,72 +190,42 @@ impl<R> PrefetchSource<R> {
             .name("smpx-io".into())
             .spawn(move || io_loop(feed, &io_shared, chunk))
             .expect("spawning the smpx-io thread");
-        PrefetchSource {
-            shared,
-            io_thread: Some(io_thread),
-            buf: Vec::with_capacity(chunk * 2),
-            base: 0,
-            eof: false,
-            chunk,
-            guard: 0,
-            peak: 0,
-            _reader: PhantomData,
-        }
+        PrefetchSource { shared, io_thread: Some(io_thread), win, _reader: PhantomData }
     }
+}
 
-    fn window_end(&self) -> usize {
-        self.base + self.buf.len()
-    }
-
-    /// Take the next prefetched block, compacting the window below the
-    /// guard first — the swap that replaces [`ReaderSource::refill`]'s
-    /// blocking read.
-    ///
-    /// [`ReaderSource::refill`]: super::ReaderSource
-    fn refill(&mut self) -> Result<(), CoreError> {
-        debug_assert!(self.chunk >= 1, "constructor clamps chunk to >= 1");
-        let keep_from = self.guard.min(self.window_end()).max(self.base);
-        let drop = keep_from - self.base;
-        if drop > 0 {
-            self.buf.drain(..drop);
-            self.base += drop;
+/// One refill: copy the next prefetched block into the window's free
+/// `tail`, where the sync reader blocks in `read`; 0 at end of stream.
+fn take_block(shared: &Shared, tail: &mut [u8]) -> Result<usize, CoreError> {
+    let mut st = shared.chan.lock().expect("smpx-io thread panicked");
+    loop {
+        if let Some((block, n)) = st.filled.pop_front() {
+            crate::obs::add(crate::obs::CounterId::PrefetchChunks, 1);
+            crate::obs::add(crate::obs::CounterId::PrefetchBytes, n as u64);
+            tail[..n].copy_from_slice(&block[..n]);
+            st.free.push(block);
+            shared.space.notify_one();
+            return Ok(n);
         }
-        let mut st = self.shared.chan.lock().expect("smpx-io thread panicked");
-        loop {
-            if let Some(block) = st.filled.pop_front() {
-                crate::obs::add(crate::obs::CounterId::PrefetchChunks, 1);
-                crate::obs::add(crate::obs::CounterId::PrefetchBytes, block.len() as u64);
-                self.buf.extend_from_slice(&block);
-                if st.free.len() < SLOTS {
-                    st.free.push(block);
-                }
-                self.shared.space.notify_one();
-                break;
-            }
-            // Blocks drain before the error: bytes read ahead of a
-            // failure are valid data, so the failure surfaces at the
-            // same offset as the sync path.
-            if let Some(e) = st.err.take() {
-                return Err(CoreError::Io(e));
-            }
-            if st.eof {
-                self.eof = true;
-                break;
-            }
-            // The producer has not caught up: this wait is exactly the
-            // I/O latency the double buffer failed to hide.
-            let wait = crate::obs::enabled().then(std::time::Instant::now);
-            st = self.shared.avail.wait(st).expect("smpx-io thread panicked");
-            if let Some(t0) = wait {
-                crate::obs::add_nanos(
-                    crate::obs::CounterId::PrefetchConsumerWaitNanos,
-                    t0.elapsed().as_nanos(),
-                );
-            }
+        // Blocks drain before the error: bytes read ahead of a failure
+        // are valid data, so the failure surfaces at the same offset as
+        // the sync path.
+        if let Some(e) = st.err.take() {
+            return Err(CoreError::Io(e));
         }
-        std::mem::drop(st);
-        self.peak = self.peak.max(self.buf.capacity());
-        Ok(())
+        if st.eof {
+            return Ok(0);
+        }
+        // The producer has not caught up: this wait is exactly the I/O
+        // latency the double buffer failed to hide.
+        let wait = crate::obs::enabled().then(std::time::Instant::now);
+        st = shared.avail.wait(st).expect("smpx-io thread panicked");
+        if let Some(t0) = wait {
+            crate::obs::add_nanos(
+                crate::obs::CounterId::PrefetchConsumerWaitNanos,
+                t0.elapsed().as_nanos(),
+            );
+        }
     }
 }
 
@@ -295,48 +257,38 @@ fn io_loop<R: Read>(mut feed: Feed<R>, shared: &Shared, chunk: usize) {
             let take = if pair { st.free.len() } else { 1 };
             st.free.drain(..take).collect()
         };
-        for b in &mut bufs {
-            b.clear();
-            b.resize(chunk, 0);
-        }
         let want = chunk * bufs.len();
         let res = feed.fill(&mut bufs);
         let mut st = shared.chan.lock().expect("consumer panicked");
         if st.closed {
             return;
         }
-        match res {
+        st.eof = match res {
             Ok(n) => {
                 let mut left = n;
-                for mut b in bufs {
-                    let keep = left.min(b.len());
-                    b.truncate(keep);
-                    left -= keep;
-                    if b.is_empty() {
+                for b in bufs {
+                    let len = left.min(chunk);
+                    left -= len;
+                    if len == 0 {
                         st.free.push(b);
                     } else {
-                        st.filled.push_back(b);
+                        st.filled.push_back((b, len));
                     }
                 }
-                if n < want {
-                    st.eof = true;
-                }
-                let done = st.eof;
-                drop(st);
-                shared.avail.notify_one();
-                if done {
-                    return;
-                }
+                n < want
             }
             Err(e) => {
                 // Partial bytes before a failed fill are discarded, same
-                // as the sync `read_full` path.
+                // as the sync reader's refill.
                 st.err = Some(e);
-                st.eof = true;
-                drop(st);
-                shared.avail.notify_one();
-                return;
+                true
             }
+        };
+        let done = st.eof;
+        drop(st);
+        shared.avail.notify_one();
+        if done {
+            return;
         }
     }
 }
@@ -362,34 +314,25 @@ impl<R> Drop for PrefetchSource<R> {
 
 impl<R> DocSource for PrefetchSource<R> {
     fn base(&self) -> usize {
-        self.base
+        self.win.base()
     }
 
     fn resident(&self) -> &[u8] {
-        &self.buf
+        self.win.resident()
     }
 
     fn ensure(&mut self, pos: usize) -> Result<bool, CoreError> {
-        while pos >= self.window_end() {
-            if self.eof {
-                return Ok(false);
-            }
-            self.refill()?;
-        }
-        Ok(true)
+        let shared = &*self.shared;
+        self.win.ensure(pos, &mut |tail| take_block(shared, tail))
     }
 
     fn grow(&mut self) -> Result<bool, CoreError> {
-        if self.eof {
-            return Ok(false);
-        }
-        let before = self.window_end();
-        self.refill()?;
-        Ok(self.window_end() > before)
+        let shared = &*self.shared;
+        self.win.grow(&mut |tail| take_block(shared, tail))
     }
 
     fn set_guard(&mut self, pos: usize) {
-        self.guard = self.guard.max(pos);
+        self.win.set_guard(pos);
     }
 
     fn len_hint(&self) -> Option<u64> {
@@ -400,10 +343,9 @@ impl<R> DocSource for PrefetchSource<R> {
     }
 
     fn peak_io_bytes(&self) -> usize {
-        // Honest accounting: the window plus BOTH prefetch slot buffers —
-        // double-buffering costs real memory and the `Mem` column must
-        // not hide it.
-        self.peak.max(self.buf.capacity()) + SLOTS * self.chunk
+        // Honest accounting: the window plus BOTH slot buffers — double
+        // buffering costs real memory and `Mem` must not hide it.
+        self.win.capacity() + SLOTS * self.win.chunk()
     }
 
     fn kind(&self) -> SourceKind {

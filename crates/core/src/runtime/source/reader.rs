@@ -1,82 +1,39 @@
 //! Chunked streaming window over any `io::Read`.
 
+use super::window::Window;
 use super::{DocSource, SourceKind};
 use crate::error::CoreError;
 use std::io::Read;
 
-/// The paper's single-pass streaming mode, refill-only: a pre-allocated
-/// buffer is filled in fixed-size chunks ("eight times the system page
-/// size" in the prototype, Sec. V) and compacted below the discard guard,
-/// so memory stays bounded by the window size.
+/// The paper's single-pass streaming mode: a [`Window`] refilled by one
+/// blocking `read` of a fixed-size chunk ("eight times the system page
+/// size" in the prototype, Sec. V) straight into its free tail, so memory
+/// stays bounded by the window size.
 ///
 /// This is the one backend that pays a copy per byte — and the one that
 /// works on pipes and sockets. Copy-range flushing is *not* its concern:
-/// the runtime adapter flushes before it raises the guard, so `refill`
+/// the runtime adapter flushes before it raises the guard, so a refill
 /// can drop everything below the guard unconditionally.
 pub struct ReaderSource<R: Read> {
     reader: R,
-    /// Window bytes `[base, base + buf.len())` of the stream.
-    buf: Vec<u8>,
-    /// Absolute offset of `buf\[0\]`.
-    base: usize,
-    eof: bool,
-    chunk: usize,
-    /// Bytes before `guard` may be discarded.
-    guard: usize,
-    /// Peak window capacity (memory reporting).
-    peak: usize,
+    win: Window,
 }
 
 impl<R: Read> ReaderSource<R> {
-    /// Stream `reader` through a window refilled `chunk` bytes at a time.
-    ///
-    /// Tiny chunks (down to a single byte) are honored: the refill and
-    /// overlap logic is chunk-size-independent, and the differential
-    /// chunk-boundary suite sweeps 1/2/lane±1 to exercise every
-    /// `window()` split.
+    /// Stream `reader` through a window refilled `chunk` bytes at a time
+    /// (any size down to a single byte).
     pub fn new(reader: R, chunk: usize) -> Self {
-        let chunk = chunk.max(1);
-        ReaderSource {
-            reader,
-            buf: Vec::with_capacity(chunk * 2),
-            base: 0,
-            eof: false,
-            chunk,
-            guard: 0,
-            peak: 0,
-        }
-    }
-
-    fn window_end(&self) -> usize {
-        self.base + self.buf.len()
-    }
-
-    /// Read one more chunk, compacting the window below the guard first.
-    fn refill(&mut self) -> Result<(), CoreError> {
-        debug_assert!(self.chunk >= 1, "constructor clamps chunk to >= 1");
-        let keep_from = self.guard.min(self.window_end()).max(self.base);
-        let drop = keep_from - self.base;
-        if drop > 0 {
-            self.buf.drain(..drop);
-            self.base += drop;
-        }
-        let old_len = self.buf.len();
-        self.buf.resize(old_len + self.chunk, 0);
-        let io_span = crate::obs::stage(crate::obs::StageId::IoWait);
-        let n = read_full(&mut self.reader, &mut self.buf[old_len..])?;
-        std::mem::drop(io_span);
-        crate::obs::add(crate::obs::CounterId::SourceReadBytes, n as u64);
-        self.buf.truncate(old_len + n);
-        if n == 0 {
-            self.eof = true;
-        }
-        self.peak = self.peak.max(self.buf.capacity());
-        Ok(())
+        ReaderSource { reader, win: Window::new(chunk) }
     }
 }
 
-fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, CoreError> {
-    read_full_io(r, buf).map_err(CoreError::Io)
+/// One refill: a full chunk, or less at the end of the stream.
+fn read_chunk<R: Read>(r: &mut R, tail: &mut [u8]) -> Result<usize, CoreError> {
+    let io_span = crate::obs::stage(crate::obs::StageId::IoWait);
+    let n = read_full_io(r, tail)?;
+    drop(io_span);
+    crate::obs::add(crate::obs::CounterId::SourceReadBytes, n as u64);
+    Ok(n)
 }
 
 /// Fill `buf` from `r`, looping over short reads; short only at EOF.
@@ -102,34 +59,25 @@ pub(super) fn read_full_io<R: Read>(r: &mut R, mut buf: &mut [u8]) -> std::io::R
 
 impl<R: Read> DocSource for ReaderSource<R> {
     fn base(&self) -> usize {
-        self.base
+        self.win.base()
     }
 
     fn resident(&self) -> &[u8] {
-        &self.buf
+        self.win.resident()
     }
 
     fn ensure(&mut self, pos: usize) -> Result<bool, CoreError> {
-        while pos >= self.window_end() {
-            if self.eof {
-                return Ok(false);
-            }
-            self.refill()?;
-        }
-        Ok(true)
+        let r = &mut self.reader;
+        self.win.ensure(pos, &mut |tail| read_chunk(r, tail))
     }
 
     fn grow(&mut self) -> Result<bool, CoreError> {
-        if self.eof {
-            return Ok(false);
-        }
-        let before = self.window_end();
-        self.refill()?;
-        Ok(self.window_end() > before)
+        let r = &mut self.reader;
+        self.win.grow(&mut |tail| read_chunk(r, tail))
     }
 
     fn set_guard(&mut self, pos: usize) {
-        self.guard = self.guard.max(pos);
+        self.win.set_guard(pos);
     }
 
     fn len_hint(&self) -> Option<u64> {
@@ -137,7 +85,7 @@ impl<R: Read> DocSource for ReaderSource<R> {
     }
 
     fn peak_io_bytes(&self) -> usize {
-        self.peak
+        self.win.capacity()
     }
 
     fn kind(&self) -> SourceKind {
@@ -174,6 +122,36 @@ mod tests {
         assert!(!s.grow().unwrap());
         assert_eq!(s.len_hint(), None);
         assert_eq!(s.kind(), SourceKind::Reader);
+    }
+
+    /// Counts the `read` calls that reach the wrapped reader.
+    struct Counting<R> {
+        inner: R,
+        reads: usize,
+    }
+
+    impl<R: Read> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            self.inner.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_short_fill_is_eof_and_costs_no_further_read() {
+        // `read_full_io` comes back short only after a `read` of 0, so a
+        // short fill already is the end of the stream: k full reads and
+        // the one that returns 0 for k * chunk bytes; k full reads, the
+        // partial one and its 0 for k * chunk + r. Never a refill after.
+        for (len, reads) in [(0usize, 1usize), (5, 2), (16, 2), (64, 5), (70, 6)] {
+            let doc = vec![b'x'; len];
+            let mut s = ReaderSource::new(Counting { inner: &doc[..], reads: 0 }, 16);
+            while s.grow().unwrap() {}
+            assert!(!s.grow().unwrap());
+            assert!(!s.ensure(len).unwrap());
+            assert_eq!(s.resident().len(), len);
+            assert_eq!(s.reader.reads, reads, "{len} bytes");
+        }
     }
 
     /// A reader that injects `ErrorKind::Interrupted` before every

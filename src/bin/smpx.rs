@@ -33,12 +33,14 @@
 //! batch through a single compiled automaton; their projected outputs are
 //! concatenated in argument order.
 //!
-//! Streamed deliveries *prefetch* by default where it pays: stdin/`-`
-//! always routes through the double-buffered `PrefetchSource` (a
-//! dedicated `smpx-io` thread reads the next chunk while the automaton
-//! scans the current one), and non-mmap file inputs of at least 1 MiB
-//! do too (vectored `readv` refills on 64-bit unix). `--prefetch` forces
-//! the prefetching reader for file inputs below the threshold;
+//! Streamed deliveries *prefetch* only where a read can block: stdin/`-`
+//! routes through the double-buffered `PrefetchSource` (a dedicated
+//! `smpx-io` thread reads the next chunk while the automaton scans the
+//! current one). File operands take the synchronous reader — a `read`
+//! from the page cache returns without waiting, and the handoff lost to
+//! it on every regular file measured (CHANGES, PR 12) — unless
+//! `--prefetch` asks for the prefetching reader (vectored `readv` refills
+//! on 64-bit unix; the flag for a FIFO or a slow device named as a file).
 //! `SMPX_PREFETCH=0` is the kill switch that forces every delivery back
 //! to the synchronous reader (output is byte-identical either way). In
 //! pooled batches each worker opens its own source, so at most
@@ -113,8 +115,8 @@ struct Args {
     output: Option<String>,
     stats: bool,
     mmap: bool,
-    /// Force the prefetching reader for file inputs below the default-on
-    /// threshold (stdin always prefetches; `SMPX_PREFETCH=0` overrides
+    /// Use the prefetching reader for file inputs, which take the sync
+    /// reader otherwise (stdin always prefetches; `SMPX_PREFETCH=0` overrides
     /// everything back to the sync reader).
     prefetch: bool,
     chunk: usize,
@@ -244,14 +246,9 @@ fn parse_args() -> Args {
     args
 }
 
-/// Non-mmap file inputs at least this large prefetch by default: below
-/// it the whole document fits in a window or two and the handoff cannot
-/// hide any latency worth its thread.
-const PREFETCH_MIN_BYTES: u64 = 1 << 20;
-
 /// `SMPX_PREFETCH=0` is the kill switch for the prefetching reader: every
-/// delivery that would prefetch (default-on stdin, large files,
-/// `--prefetch`) falls back to the synchronous [`ReaderSource`]. Output
+/// delivery that would prefetch (default-on stdin, `--prefetch`) falls
+/// back to the synchronous [`ReaderSource`]. Output
 /// is byte-identical either way — the switch exists so the sync path
 /// stays reachable in production and CI.
 fn prefetch_allowed() -> bool {
@@ -290,11 +287,7 @@ fn open_source(path: &str, args: &Args) -> Result<(Box<dyn DocSource + Send>, St
         Ok((Box::new(m), tag))
     } else {
         let f = std::fs::File::open(path)?;
-        // Default-on above the threshold (regular files only — a FIFO's
-        // metadata length is meaningless, but as a stream it still
-        // benefits, so `--prefetch` covers it explicitly).
-        let big = f.metadata().map(|m| m.is_file() && m.len() >= PREFETCH_MIN_BYTES);
-        if prefetch_allowed() && (args.prefetch || big.unwrap_or(false)) {
+        if args.prefetch && prefetch_allowed() {
             return Ok((Box::new(PrefetchSource::from_file(f, args.chunk)), prefetch_tag));
         }
         Ok((Box::new(ReaderSource::new(std::io::BufReader::new(f), args.chunk)), reader_tag))
@@ -317,6 +310,7 @@ fn stats_json_row(sink: &mut JsonSink, label: &str, source: &str, stats: &RunSta
         ("scan_pct", Value::F(stats.scanned_pct())),
         ("tokens_matched", Value::U(stats.tokens_matched)),
         ("false_matches", Value::U(stats.false_matches)),
+        ("io_window_bytes", Value::U(stats.io_window_bytes)),
         ("shards", Value::U(stats.shards)),
     ]);
 }

@@ -1,0 +1,103 @@
+//! The streamed window stays a window (ARCHITECTURE invariant 12): on the
+//! reader and the prefetch route, `io_window_bytes` is bounded by the chunk
+//! size, the vocabulary and the longest tag — never by the document
+//! length, the distance a search skips, or the size of a copied or opaque
+//! subtree — and the projection equals the `SliceSource` run.
+//!
+//! The window never holds more than twice the longest span the runtime
+//! kept live across a refill, and such a span is at most one chunk, the
+//! runtime's look-back (`max_kw_len + 8`) and one tag:
+//!
+//! ```text
+//! io_window_bytes <= 2 * (chunk + max_kw_len + 8 + longest tag)   (+ 2 * chunk of prefetch slots)
+//! ```
+
+use smpx_core::runtime::source::{DocSource, PrefetchSource, ReaderSource};
+use smpx_core::{Prefilter, RunStats};
+use smpx_datagen::{xmark, GenOptions};
+use smpx_dtd::Dtd;
+use smpx_paths::PathSet;
+use smpx_stringmatch::memscan;
+use std::io::Cursor;
+
+const CHUNKS: &[usize] = &[64, 4096, 32768];
+
+/// The longest `<…>` in `doc` (no attribute value here contains `>`).
+fn longest_tag(doc: &[u8]) -> usize {
+    let mut longest = 0;
+    let mut open = None;
+    for (i, &b) in doc.iter().enumerate() {
+        match b {
+            b'<' => open = Some(i),
+            b'>' => longest = longest.max(open.take().map_or(0, |o| i + 1 - o)),
+            _ => {}
+        }
+    }
+    longest
+}
+
+fn run<S: DocSource>(pf: &mut Prefilter, src: S) -> (Vec<u8>, RunStats) {
+    let mut out = Vec::new();
+    let stats = pf.filter_source(src, &mut out).expect("streamed run");
+    (out, stats)
+}
+
+/// Every route × chunk over `doc`, vectorized and scalar (the scalar
+/// balanced scan reaches the guard step through `find`).
+fn assert_bounded(label: &str, dtd: &str, paths: &[&str], doc: &[u8]) {
+    let dtd = Dtd::parse(dtd.as_bytes()).expect("dtd");
+    let mut pf = Prefilter::compile(&dtd, &PathSet::parse(paths).expect("paths")).expect("compile");
+    let span = pf.tables().max_kw_len + 8 + longest_tag(doc);
+    let env_accel = std::env::var_os("SMPX_NO_SIMD").is_none_or(|v| v != "1");
+    for accel in [true, false] {
+        memscan::force_accel(accel);
+        let (want, _) = pf.filter_to_vec(doc).expect("slice run");
+        assert!(!want.is_empty(), "{label}: the path set must select something");
+        for &chunk in CHUNKS {
+            let bound = (2 * (chunk + span)) as u64;
+            let (out, stats) = run(&mut pf, ReaderSource::new(doc, chunk));
+            assert!(out == want, "{label} accel {accel} reader/{chunk}: output diverged");
+            assert!(
+                stats.io_window_bytes <= bound,
+                "{label} accel {accel} reader/{chunk}: window {} > {bound}",
+                stats.io_window_bytes
+            );
+            let (out, stats) = run(&mut pf, PrefetchSource::new(Cursor::new(doc.to_vec()), chunk));
+            assert!(out == want, "{label} accel {accel} prefetch/{chunk}: output diverged");
+            let bound = bound + 2 * chunk as u64;
+            assert!(
+                stats.io_window_bytes <= bound,
+                "{label} accel {accel} prefetch/{chunk}: window {} > {bound}",
+                stats.io_window_bytes
+            );
+        }
+    }
+    memscan::force_accel(env_accel);
+}
+
+/// One test, so the process-global SIMD toggle is never raced.
+#[test]
+fn window_is_bounded_whatever_the_document_skip_or_copy_length() {
+    let doc = xmark::generate(GenOptions::sized(4 << 20).with_seed(12));
+    assert!(doc.len() >= 4 << 20);
+    // XM5: nearly the whole document is one skip after another.
+    let xm5 = ["/*", "/site/closed_auctions/closed_auction/price#"];
+    assert_bounded("skip-heavy", xmark::XMARK_DTD, &xm5, &doc);
+    // Copied subtrees of many windows each.
+    assert_bounded("copy-heavy", xmark::XMARK_DTD, &["/*", "/site/regions//item#"], &doc);
+
+    // A recursive element is opaque: its subtree is crossed by the balanced
+    // scan, here over `<`-free text of ten and more windows, once skipped
+    // and once inside an active copy range.
+    let rec_dtd = "<!DOCTYPE r [ <!ELEMENT r (x|t)*> <!ELEMENT x (#PCDATA|x)*> \
+                   <!ELEMENT t (#PCDATA)> ]>";
+    let text = "no markup for a long while ".repeat(14_000);
+    let mut rec = String::from("<r>");
+    for i in 0..3 {
+        rec += &format!("<x>{text}<x>{text}</x>{text}</x><t>keep {i}</t>");
+    }
+    rec += "</r>";
+    assert!(text.len() >= 10 * 32768);
+    assert_bounded("opaque-skip", rec_dtd, &["/*", "/r/t#"], rec.as_bytes());
+    assert_bounded("opaque-copy", rec_dtd, &["/*", "/r/x#"], rec.as_bytes());
+}
