@@ -13,12 +13,19 @@
 //! the one-pass side holds its per-document throughput as N grows while
 //! the N-pass loop's falls off linearly.
 //!
+//! `registry/compile/N={1,10,100}` times the static analysis itself —
+//! `QueryRegistry::compile` over N distinct root-to-element standing
+//! queries (the draw of `benchmark/`'s `xmark-multiquery` workload) — which
+//! the rows above keep out of their timed loops: a publish/subscribe
+//! registry recompiles on every subscription edit, so compile time per PR
+//! belongs in the same artifact.
+//!
 //! Default document size is 2 MiB (`SMPX_BENCH_KB` overrides; the CI
 //! bench-smoke job runs tiny sizes). Quiet-machine medians are committed
 //! as `BENCH_multiquery.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use smpx_bench::queries::{xmark_paths, XMARK_QUERIES};
+use smpx_bench::queries::{standing_path_sets, xmark_paths, XMARK_QUERIES};
 use smpx_core::{Prefilter, QueryId, QueryRegistry};
 use smpx_datagen::{xmark, GenOptions};
 use smpx_dtd::Dtd;
@@ -86,9 +93,25 @@ fn bench_multiquery(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_registry_compile(c: &mut Criterion) {
+    let dtd = Dtd::parse(xmark::XMARK_DTD.as_bytes()).unwrap();
+    let standing = standing_path_sets(&dtd, 100);
+    let mut g = c.benchmark_group("registry/compile");
+    for n in [1, 10, 100] {
+        let mut reg = QueryRegistry::new(dtd.clone());
+        for paths in &standing[..n] {
+            reg.add_paths(paths.clone());
+        }
+        g.bench_function(format!("N={n}"), |b| {
+            b.iter(|| reg.compile().unwrap().prefilter().tables().state_count())
+        });
+    }
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_multiquery
+    targets = bench_multiquery, bench_registry_compile
 }
 criterion_main!(benches);

@@ -9,6 +9,7 @@
 //!   path sets come from the `smpx_paths::extract` implementation of the
 //!   same extraction algorithm.
 
+use smpx_dtd::Dtd;
 use smpx_paths::extract::extract_from_text;
 use smpx_paths::PathSet;
 
@@ -158,6 +159,49 @@ pub fn medline_paths(q: &MedlineQuery) -> PathSet {
     extract_from_text(q.xpath).expect("Table II queries parse")
 }
 
+/// `n` distinct standing queries for a registry: root-to-element XPaths of
+/// `dtd` (a recursive DTD's walk stops at the first repeated element), the
+/// root's own excluded, in a fixed SplitMix64 draw whose first `k` are the
+/// same for every `n >= k`. The draw is the one `benchmark/`'s
+/// `xmark-multiquery` workload makes, so a compile row or a pinned table
+/// digest over these queries speaks about the same automaton.
+pub fn standing_queries(dtd: &Dtd, n: usize) -> Vec<String> {
+    fn walk(dtd: &Dtd, path: &mut Vec<String>, out: &mut Vec<String>) {
+        out.push(format!("/{}", path.join("/")));
+        let here = path.last().expect("path starts at the root").clone();
+        for child in dtd.effective_child_names(&here) {
+            if !path.iter().any(|p| p == child) {
+                path.push(child.to_string());
+                walk(dtd, path, out);
+                path.pop();
+            }
+        }
+    }
+    let mut all = Vec::new();
+    walk(dtd, &mut vec![dtd.root().to_string()], &mut all);
+    all.remove(0);
+    let mut state: u64 = 0x006d_756c_7469_7172;
+    for i in 0..n.min(all.len()) {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        let j = i + (z % (all.len() - i) as u64) as usize;
+        all.swap(i, j);
+    }
+    all.truncate(n);
+    all
+}
+
+/// Path sets of [`standing_queries`] (via the extraction algorithm).
+pub fn standing_path_sets(dtd: &Dtd, n: usize) -> Vec<PathSet> {
+    standing_queries(dtd, n)
+        .iter()
+        .map(|q| extract_from_text(q).expect("root-to-element paths parse"))
+        .collect()
+}
+
 /// Paper reference values for Table I (5 GB XMark): (id, ∅ shift size,
 /// initial-jump %, char-comparison %). Used to print side-by-side
 /// comparisons; absolute times are machine-bound and not compared.
@@ -210,6 +254,28 @@ mod tests {
         let a = xmark_paths(&XMARK_QUERIES[1]);
         let b = xmark_paths(&XMARK_QUERIES[2]);
         assert_eq!(a, b);
+    }
+
+    /// The draw is `benchmark/`'s `standing_queries(Dataset::Xmark, _)`:
+    /// same first entries, distinct, nested in `n`.
+    #[test]
+    fn standing_queries_are_the_benchmarks_draw() {
+        let dtd = Dtd::parse(smpx_datagen::xmark::XMARK_DTD.as_bytes()).unwrap();
+        let all = standing_queries(&dtd, 100);
+        assert_eq!(
+            all[..3],
+            [
+                "/site/closed_auctions/closed_auction/annotation/description/text",
+                "/site/regions/africa/item/mailbox/mail/text/bold",
+                "/site/categories",
+            ]
+        );
+        let mut uniq = all.clone();
+        uniq.sort();
+        uniq.dedup();
+        assert_eq!(uniq.len(), 100);
+        assert_eq!(standing_queries(&dtd, 10), all[..10]);
+        assert_eq!(standing_path_sets(&dtd, 100).len(), 100);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //!    annotations (`subgraph` module),
 //! 4. determinize and emit the `A`/`V`/`J`/`T` tables (`tables` module).
 
+mod classes;
 pub(crate) mod select;
 pub(crate) mod subgraph;
 pub(crate) mod tables;
@@ -18,9 +19,65 @@ pub use tables::{Action, Attribution, CompiledTables, Keyword, RtState};
 
 use crate::error::CoreError;
 use crate::idset::{QueryId, QueryIdSet};
+use classes::StateClasses;
 use smpx_dtd::{Dtd, DtdAutomaton, MinLen, StateId};
 use smpx_paths::{PathSet, Relevance};
-use std::collections::{BTreeMap, BTreeSet};
+
+/// A set of DTD-automaton states as a membership vector indexed by
+/// `StateId`: the selected set `S` and its relatives are probed once per
+/// transition followed, so membership is a load, and iteration is in
+/// ascending id like the ordered sets it replaces.
+#[derive(Debug, Clone)]
+pub(crate) struct StateSet {
+    member: Vec<bool>,
+}
+
+impl StateSet {
+    /// The empty set over an automaton of `states` states.
+    pub(crate) fn new(states: usize) -> StateSet {
+        StateSet { member: vec![false; states] }
+    }
+
+    /// Is `q` in the set?
+    pub(crate) fn contains(&self, q: StateId) -> bool {
+        self.member[q.0 as usize]
+    }
+
+    /// Add `q`.
+    pub(crate) fn insert(&mut self, q: StateId) {
+        self.member[q.0 as usize] = true;
+    }
+
+    /// Remove `q`.
+    pub(crate) fn remove(&mut self, q: StateId) {
+        self.member[q.0 as usize] = false;
+    }
+
+    /// Is the set empty?
+    pub(crate) fn is_empty(&self) -> bool {
+        !self.member.contains(&true)
+    }
+
+    /// The members in ascending order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = StateId> + '_ {
+        self.member.iter().enumerate().filter(|(_, &m)| m).map(|(i, _)| StateId(i as u32))
+    }
+}
+
+/// What one static analysis did, for the deterministic guards in the tests:
+/// a regression shows up as a count, not as a silent compile-time cliff.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CompileCounts {
+    /// Determinization passes the DFA-level hazard fixpoint took. The
+    /// per-label-group pre-analysis in state selection is designed to make
+    /// this exactly 1 (the fixpoint then verifies and finds nothing).
+    pub passes: usize,
+    /// Relevance steps (`RelConfig::descend` calls): one per element
+    /// instance of the DTD-automaton per relevance built — never a re-walk
+    /// of a branch.
+    pub relevance_steps: usize,
+}
 
 /// Run the full static analysis.
 ///
@@ -29,26 +86,31 @@ use std::collections::{BTreeMap, BTreeSet};
 /// depth-counting scans, and subtrees that projection paths could reach
 /// into are conservatively preserved whole.
 pub fn compile(dtd: &Dtd, paths: &PathSet) -> Result<CompiledTables, CoreError> {
-    compile_counted(dtd, paths).map(|(tables, _)| tables)
+    compile_with_counts(dtd, paths).map(|(tables, _)| tables)
 }
 
-/// [`compile`], also reporting how many determinization passes the
-/// DFA-level hazard fixpoint took. The per-label-group pre-analysis in
-/// state selection is designed to make this exactly 1 (the fixpoint then
-/// verifies and finds nothing) — the ambiguity tests pin that, so a
-/// regression in the pre-analysis shows up as a pass count, not as a
-/// silent compile-time cliff.
+/// [`compile`], also reporting the pass count of [`CompileCounts`] (the
+/// form `benchmark/` calls).
 #[doc(hidden)]
 pub fn compile_counted(dtd: &Dtd, paths: &PathSet) -> Result<(CompiledTables, usize), CoreError> {
+    compile_with_counts(dtd, paths).map(|(tables, counts)| (tables, counts.passes))
+}
+
+/// [`compile`], also reporting its [`CompileCounts`].
+#[doc(hidden)]
+pub fn compile_with_counts(
+    dtd: &Dtd,
+    paths: &PathSet,
+) -> Result<(CompiledTables, CompileCounts), CoreError> {
     if paths.is_empty() {
         return Err(CoreError::NoPaths);
     }
     let auto = DtdAutomaton::build_allow_recursion(dtd)?;
     let minlen = MinLen::compute_allow_recursion(dtd)?;
-    let rel = Relevance::new(paths);
-    let s = select::select_states(&auto, &rel);
-    let (tables, passes, _) = compile_from_selection(&auto, &minlen, &rel, s);
-    Ok((tables, passes))
+    let classes = StateClasses::build(&auto, &Relevance::new(paths));
+    let s = select::select_states(&auto, &classes);
+    let (tables, passes, _) = compile_from_selection(&auto, &minlen, &classes, s);
+    Ok((tables, CompileCounts { passes, relevance_steps: classes.steps }))
 }
 
 /// Contract, determinize and hazard-check a chosen state set: steps 3–4
@@ -70,43 +132,29 @@ pub fn compile_counted(dtd: &Dtd, paths: &PathSet) -> Result<(CompiledTables, us
 fn compile_from_selection(
     auto: &DtdAutomaton,
     minlen: &MinLen,
-    rel: &Relevance,
-    mut s: BTreeSet<StateId>,
+    classes: &StateClasses,
+    mut s: StateSet,
 ) -> (CompiledTables, usize, Vec<Vec<StateId>>) {
     let mut passes = 0usize;
+    let mut scan = select::HazardScan::new(auto);
+    let mut to_add: Vec<StateId> = Vec::new();
     loop {
         passes += 1;
         let sub = subgraph::build_subgraph(auto, minlen, &s);
-        let (tables, subsets) = tables::determinize_with_subsets(auto, rel, &sub);
-        let mut to_add: BTreeSet<StateId> = BTreeSet::new();
-        // The skipped-closure depends only on (member, S) and members recur
-        // across subsets; memoize it per fixpoint iteration.
-        let mut reach_memo: BTreeMap<StateId, BTreeSet<StateId>> = BTreeMap::new();
-        for (i, st) in tables.states.iter().enumerate() {
-            if st.keywords.is_empty() || st.balanced {
-                // Balanced states cross their subtree with a depth-counting
-                // scan instead of the frontier search.
-                continue;
-            }
-            let vocab: BTreeSet<(&str, bool)> =
-                st.keywords.iter().map(|k| (k.name.as_str(), k.close)).collect();
-            for &m in &subsets[i] {
-                let reach =
-                    reach_memo.entry(m).or_insert_with(|| select::reach_via_skipped(auto, m, &s));
-                for &r in reach.iter() {
-                    if s.contains(&r) {
-                        continue;
-                    }
-                    if vocab.contains(&(auto.elem_name(r), auto.is_close(r))) {
-                        select::add_stopover(auto, r, &s, &mut to_add);
-                    }
-                }
+        let (tables, subsets) = tables::determinize_with_subsets(auto, classes, &sub);
+        for (st, members) in tables.states.iter().zip(&subsets) {
+            // A merged state's frontier vocabulary is the labels of the
+            // in-S states its members reach: the same unit analysis as a
+            // label group of step (c). Balanced states cross their subtree
+            // with a depth-counting scan instead of the frontier search.
+            if !st.keywords.is_empty() && !st.balanced {
+                scan.hazards(auto, members, &s, &mut to_add);
             }
         }
         if to_add.is_empty() {
             return (tables, passes, subsets);
         }
-        s.extend(to_add);
+        to_add.drain(..).for_each(|q| s.insert(q));
     }
 }
 
@@ -135,45 +183,56 @@ fn compile_from_selection(
 ///    the hit class, so attributed entries coincide with the union run's
 ///    match events.
 pub(crate) fn compile_multi(dtd: &Dtd, queries: &[PathSet]) -> Result<CompiledTables, CoreError> {
+    compile_multi_with_counts(dtd, queries).map(|(tables, _)| tables)
+}
+
+/// [`Prefilter::compile_multi`](crate::Prefilter::compile_multi)'s tables,
+/// also reporting the [`CompileCounts`]: one state-class table per query
+/// and one for the union.
+#[doc(hidden)]
+pub fn compile_multi_with_counts(
+    dtd: &Dtd,
+    queries: &[PathSet],
+) -> Result<(CompiledTables, CompileCounts), CoreError> {
     if queries.is_empty() || queries.iter().any(PathSet::is_empty) {
         return Err(CoreError::NoPaths);
     }
     let auto = DtdAutomaton::build_allow_recursion(dtd)?;
     let minlen = MinLen::compute_allow_recursion(dtd)?;
+    let mut relevance_steps = 0;
 
-    // Per-query hit states, and the forced extras (dual pairs).
-    let mut hit_states: Vec<BTreeSet<StateId>> = Vec::with_capacity(queries.len());
-    let mut extra: BTreeSet<StateId> = BTreeSet::new();
-    for paths in queries {
-        let rel_q = Relevance::new(paths);
-        let s_q = select::select_states(&auto, &rel_q);
-        let hits: BTreeSet<StateId> = s_q
-            .iter()
-            .copied()
-            .filter(|&m| tables::member_action(&auto, &rel_q, m).indicates_match())
-            .collect();
-        for &m in &hits {
-            extra.insert(m);
-            extra.insert(auto.dual(m));
-        }
-        hit_states.push(hits);
-    }
-
-    let union = queries.iter().fold(PathSet::new(vec![]), |u, q| u.union(q));
-    let rel = Relevance::new(&union);
-    let s = select::select_states_with_extra(&auto, &rel, &extra);
-    let (mut tables, _, subsets) = compile_from_selection(&auto, &minlen, &rel, s);
-
-    let mut state_hits = vec![QueryIdSet::new(); tables.states.len()];
-    for (i, members) in subsets.iter().enumerate() {
-        for (qi, hits) in hit_states.iter().enumerate() {
-            if members.iter().any(|m| hits.contains(m)) {
-                state_hits[i].insert(QueryId(qi as u32));
-            }
+    // Per DTD-automaton state, the queries it is a hit state of (ascending),
+    // and the forced extras (dual pairs).
+    let mut hit_queries: Vec<Vec<QueryId>> = vec![Vec::new(); auto.state_count()];
+    let mut extra: Vec<StateId> = Vec::new();
+    for (qi, paths) in queries.iter().enumerate() {
+        let classes_q = StateClasses::build(&auto, &Relevance::new(paths));
+        relevance_steps += classes_q.steps;
+        let s_q = select::select_states(&auto, &classes_q);
+        for m in s_q.iter().filter(|&m| classes_q.action(m).indicates_match()) {
+            hit_queries[m.0 as usize].push(QueryId(qi as u32));
+            extra.extend([m, auto.dual(m)]);
         }
     }
+
+    let union = PathSet::union_of(queries);
+    let classes = StateClasses::build(&auto, &Relevance::new(&union));
+    relevance_steps += classes.steps;
+    let s = select::select_states_with_extra(&auto, &classes, &extra);
+    let (mut tables, passes, subsets) = compile_from_selection(&auto, &minlen, &classes, s);
+
+    let mut ids: Vec<QueryId> = Vec::new();
+    let state_hits = subsets
+        .iter()
+        .map(|members| {
+            ids.clear();
+            ids.extend(members.iter().flat_map(|m| &hit_queries[m.0 as usize]));
+            ids.sort_unstable();
+            ids.iter().copied().collect::<QueryIdSet>()
+        })
+        .collect();
     tables.attribution = Some(Attribution { n_queries: queries.len() as u32, state_hits });
-    Ok(tables)
+    Ok((tables, CompileCounts { passes, relevance_steps }))
 }
 
 #[cfg(test)]

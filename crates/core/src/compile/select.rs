@@ -30,13 +30,13 @@
 //! re-check in `compile()` (which remains as a verifying safety net and is
 //! pinned to find nothing by the one-pass compile assertions).
 
+use super::classes::StateClasses;
+use super::StateSet;
 use smpx_dtd::{DtdAutomaton, StateId};
-use smpx_paths::Relevance;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// The selected state set `S` (never contains `q0`).
-pub fn select_states(auto: &DtdAutomaton, rel: &Relevance) -> BTreeSet<StateId> {
-    select_states_with_extra(auto, rel, &BTreeSet::new())
+pub(crate) fn select_states(auto: &DtdAutomaton, classes: &StateClasses) -> StateSet {
+    select_states_with_extra(auto, classes, &[])
 }
 
 /// [`select_states`] with additional states forced into `S` after the
@@ -52,187 +52,152 @@ pub fn select_states(auto: &DtdAutomaton, rel: &Relevance) -> BTreeSet<StateId> 
 /// orientation guarantee for the grown `S`.
 pub(crate) fn select_states_with_extra(
     auto: &DtdAutomaton,
-    rel: &Relevance,
-    extra: &BTreeSet<StateId>,
-) -> BTreeSet<StateId> {
-    let mut s = step_a(auto, rel);
+    classes: &StateClasses,
+    extra: &[StateId],
+) -> StateSet {
+    // Step (a): relevant states.
+    let mut s = StateSet::new(auto.state_count());
+    for q in auto.states().skip(1).filter(|&q| classes.relevant(q)) {
+        s.insert(q);
+    }
     // Recursion extension: every opaque (recursive-element) state joins S
     // whenever anything is selected at all. An opaque subtree may contain
     // tags of any element it can reach, so scanning *over* an unvisited
     // opaque instance could be thrown off-track; visiting it costs one
     // balanced scan and restores the orientation guarantee.
     if !s.is_empty() {
-        for q in auto.states().skip(1) {
-            if auto.is_opaque(q) {
-                s.insert(q);
-            }
-        }
-    }
-    step_b(auto, rel, &mut s);
-    s.extend(extra.iter().copied());
-    step_c(auto, &mut s);
-    s
-}
-
-/// Step (a): relevant states.
-fn step_a(auto: &DtdAutomaton, rel: &Relevance) -> BTreeSet<StateId> {
-    let mut s = BTreeSet::new();
-    for q in auto.states().skip(1) {
-        let branch = auto.branch(q);
-        if rel.relevant_tag(&branch) {
+        for q in auto.states().skip(1).filter(|&q| auto.is_opaque(q)) {
             s.insert(q);
         }
     }
+    // Step (b): prune the interior of copy-on instances. A `#`-matched
+    // instance is relevant, hence selected, hence its whole interior goes —
+    // whichever of its ancestors is the outermost one.
+    for q in auto.states().skip(1).filter(|&q| classes.inside_copy_on(q)) {
+        s.remove(q);
+    }
+    for &q in extra {
+        s.insert(q);
+    }
+    step_c(auto, &mut s);
     s
-}
-
-/// Step (b): prune the interior of copy-on instances.
-fn step_b(auto: &DtdAutomaton, rel: &Relevance, s: &mut BTreeSet<StateId>) {
-    // Collect the open states of #-matched instances that are in S.
-    let copy_on_opens: Vec<StateId> =
-        s.iter().copied().filter(|&q| !auto.is_close(q) && rel.c2_leaf(&auto.branch(q))).collect();
-    for q in copy_on_opens {
-        // If q itself sits inside another copy-on instance it may already
-        // have been removed; skip it then.
-        if !s.contains(&q) {
-            continue;
-        }
-        remove_interior(auto, q, s);
-    }
-}
-
-/// Remove every state strictly inside the instance of open state `q` from
-/// `S` (descendant instances).
-fn remove_interior(auto: &DtdAutomaton, q: StateId, s: &mut BTreeSet<StateId>) {
-    let interior: Vec<StateId> = s
-        .iter()
-        .copied()
-        .filter(|&p| p != q && p != auto.dual(q) && has_ancestor_instance(auto, p, q))
-        .collect();
-    for p in interior {
-        s.remove(&p);
-    }
-}
-
-/// Is open state `anc` (an instance) a proper ancestor of `p`'s instance?
-fn has_ancestor_instance(auto: &DtdAutomaton, p: StateId, anc: StateId) -> bool {
-    let mut cur = auto.parent(p);
-    while let Some(c) = cur {
-        if c == anc {
-            return true;
-        }
-        cur = auto.parent(c);
-    }
-    false
 }
 
 /// Step (c), grouped: add orientation stopovers until fixpoint, analysing
 /// all same-labeled selected states as one unit (module docs).
 ///
-/// For every group — `q0` alone (determinization starts from `{q0}`),
-/// plus the selected states bucketed by `(name, close)` — the skipped
-/// closures of the members are united; the group's stop vocabulary is the
-/// labels of in-`S` states in that union, and any out-of-`S` state in the
-/// union carrying a stop label is a hazard whose enclosing instance gets
-/// a stopover. Singleton groups reproduce the paper's per-state step (c)
-/// exactly; multi-member groups additionally cover the vocabulary unions
-/// the subset construction can later create.
-fn step_c(auto: &DtdAutomaton, s: &mut BTreeSet<StateId>) {
+/// The units are `q0` alone (determinization starts from `{q0}`) and the
+/// selected states bucketed by token label; singleton groups reproduce the
+/// paper's per-state step (c) exactly, multi-member groups additionally
+/// cover the vocabulary unions the subset construction can later create.
+fn step_c(auto: &DtdAutomaton, s: &mut StateSet) {
+    let mut scan = HazardScan::new(auto);
+    let mut groups: Vec<Vec<StateId>> = vec![Vec::new(); auto.label_count()];
+    let mut to_add: Vec<StateId> = Vec::new();
     loop {
-        let mut groups: BTreeMap<Option<(String, bool)>, Vec<StateId>> = BTreeMap::new();
-        groups.insert(None, vec![StateId::Q0]);
-        for &q in s.iter() {
-            groups
-                .entry(Some((auto.elem_name(q).to_string(), auto.is_close(q))))
-                .or_default()
-                .push(q);
+        groups.iter_mut().for_each(Vec::clear);
+        for q in s.iter() {
+            groups[auto.label_id(q)].push(q);
         }
-        let mut to_add: BTreeSet<StateId> = BTreeSet::new();
-        for members in groups.values() {
-            // United closure through states not in S, over the group.
-            let mut reach: BTreeSet<StateId> = BTreeSet::new();
-            for &m in members {
-                reach.extend(reach_via_skipped(auto, m, s));
-            }
-            // Labels the runtime could scan for from any member: in-S
-            // states reached.
-            let stop_labels: BTreeSet<(String, bool)> = reach
-                .iter()
-                .filter(|&&r| s.contains(&r))
-                .map(|&r| (auto.elem_name(r).to_string(), auto.is_close(r)))
-                .collect();
-            if stop_labels.is_empty() {
-                continue;
-            }
-            // Hazards: out-of-S states with one of those labels.
-            for &r in &reach {
-                if s.contains(&r) {
-                    continue;
-                }
-                let lbl = (auto.elem_name(r).to_string(), auto.is_close(r));
-                if stop_labels.contains(&lbl) {
-                    add_stopover(auto, r, s, &mut to_add);
-                }
-            }
+        scan.hazards(auto, &[StateId::Q0], s, &mut to_add);
+        for members in groups.iter().filter(|g| !g.is_empty()) {
+            scan.hazards(auto, members, s, &mut to_add);
         }
         if to_add.is_empty() {
             return;
         }
-        s.extend(to_add);
+        to_add.drain(..).for_each(|q| {
+            s.insert(q);
+        });
     }
 }
 
-/// The orientation-stopover repair for hazard state `r`: select the dual
-/// pair of `r`'s enclosing instance (the runtime then stops over there and
-/// cannot stray into the hazard region). Shared by step (c) and the
-/// DFA-level fixpoint in `compile()`. Root-level states have no enclosing
-/// instance and need no repair: the root pair is in `S` whenever `S` is
-/// non-empty (prefix closure), so a root state is never a hazard.
-pub(crate) fn add_stopover(
-    auto: &DtdAutomaton,
-    r: StateId,
-    s: &BTreeSet<StateId>,
-    to_add: &mut BTreeSet<StateId>,
-) {
-    if let Some(parent_open) = auto.parent(r) {
-        if !s.contains(&parent_open) {
-            to_add.insert(parent_open);
-        }
-        let parent_close = auto.dual(parent_open);
-        if !s.contains(&parent_close) {
-            to_add.insert(parent_close);
-        }
-    }
+/// Scratch for the orientation analysis of one unit of states that the
+/// runtime treats as one (a label group, or the members of a determinized
+/// state): visit stamps per state and per label, reused from unit to unit
+/// so no analysis allocates or clears a set.
+pub(crate) struct HazardScan {
+    epoch: u32,
+    seen: Vec<u32>,
+    stop_label: Vec<u32>,
+    reach: Vec<StateId>,
+    stack: Vec<StateId>,
 }
 
-/// States reachable from `q` by a non-empty path whose intermediate states
-/// are all outside `S`. The returned set contains both the first in-`S`
-/// states reached (search stops there) and all skipped states passed
-/// through.
-pub fn reach_via_skipped(
-    auto: &DtdAutomaton,
-    q: StateId,
-    s: &BTreeSet<StateId>,
-) -> BTreeSet<StateId> {
-    let mut seen: BTreeSet<StateId> = BTreeSet::new();
-    let mut stack: Vec<StateId> = auto.transitions(q).to_vec();
-    while let Some(t) = stack.pop() {
-        if !seen.insert(t) {
-            continue;
+impl HazardScan {
+    pub(crate) fn new(auto: &DtdAutomaton) -> HazardScan {
+        HazardScan {
+            epoch: 0,
+            seen: vec![0; auto.state_count()],
+            stop_label: vec![0; auto.label_count()],
+            reach: Vec::new(),
+            stack: Vec::new(),
         }
-        if s.contains(&t) {
-            continue; // in-S states terminate the scan
-        }
-        stack.extend(auto.transitions(t).iter().copied());
     }
-    seen
+
+    /// The states reachable from a member of `members` by a non-empty path
+    /// whose intermediate states are all outside `S`: the first in-`S`
+    /// states reached (search stops there) and all skipped states passed
+    /// through, united over the members.
+    fn reach(&mut self, auto: &DtdAutomaton, members: &[StateId], s: &StateSet) -> &[StateId] {
+        self.epoch += 1;
+        self.reach.clear();
+        for &m in members {
+            self.stack.extend_from_slice(auto.transitions(m));
+            while let Some(t) = self.stack.pop() {
+                if std::mem::replace(&mut self.seen[t.0 as usize], self.epoch) == self.epoch {
+                    continue;
+                }
+                self.reach.push(t);
+                if !s.contains(t) {
+                    // In-S states terminate the scan; skipped ones pass it on.
+                    self.stack.extend_from_slice(auto.transitions(t));
+                }
+            }
+        }
+        &self.reach
+    }
+
+    /// The orientation hazards of one unit: the labels the runtime could
+    /// scan for from any member are those of the in-`S` states reached; an
+    /// out-of-`S` state reached that carries one of them would throw the
+    /// scan off-track. For each, the dual pair of its enclosing instance is
+    /// pushed onto `to_add` (the runtime then stops over there and cannot
+    /// stray into the hazard region). Root-level states have no enclosing
+    /// instance and need no repair: the root pair is in `S` whenever `S` is
+    /// non-empty (prefix closure), so a root state is never a hazard.
+    pub(crate) fn hazards(
+        &mut self,
+        auto: &DtdAutomaton,
+        members: &[StateId],
+        s: &StateSet,
+        to_add: &mut Vec<StateId>,
+    ) {
+        self.reach(auto, members, s);
+        let epoch = self.epoch;
+        for &r in self.reach.iter().filter(|&&r| s.contains(r)) {
+            self.stop_label[auto.label_id(r)] = epoch;
+        }
+        for &r in self.reach.iter().filter(|&&r| !s.contains(r)) {
+            if self.stop_label[auto.label_id(r)] != epoch {
+                continue;
+            }
+            if let Some(parent_open) = auto.parent(r) {
+                for q in [parent_open, auto.dual(parent_open)] {
+                    if !s.contains(q) {
+                        to_add.push(q);
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use smpx_dtd::Dtd;
-    use smpx_paths::PathSet;
+    use smpx_paths::{PathSet, Relevance};
 
     fn example2() -> (Dtd, DtdAutomaton) {
         let dtd = Dtd::parse(
@@ -243,10 +208,23 @@ mod tests {
         (dtd, auto)
     }
 
-    fn names_of(auto: &DtdAutomaton, s: &BTreeSet<StateId>) -> Vec<String> {
+    fn classes(auto: &DtdAutomaton, paths: &[&str]) -> StateClasses {
+        StateClasses::build(auto, &Relevance::new(&PathSet::parse(paths).unwrap()))
+    }
+
+    /// Step (a) alone: the relevant states.
+    fn step_a(auto: &DtdAutomaton, classes: &StateClasses) -> StateSet {
+        let mut s = StateSet::new(auto.state_count());
+        for q in auto.states().skip(1).filter(|&q| classes.relevant(q)) {
+            s.insert(q);
+        }
+        s
+    }
+
+    fn names_of(auto: &DtdAutomaton, s: &StateSet) -> Vec<String> {
         let mut v: Vec<String> = s
             .iter()
-            .map(|&q| {
+            .map(|q| {
                 format!(
                     "{}{}@{}",
                     if auto.is_close(q) { "/" } else { "" },
@@ -265,8 +243,7 @@ mod tests {
     #[test]
     fn example11_selection() {
         let (_, auto) = example2();
-        let rel = Relevance::new(&PathSet::parse(&["/*", "/a/b#"]).unwrap());
-        let s = select_states(&auto, &rel);
+        let s = select_states(&auto, &classes(&auto, &["/*", "/a/b#"]));
         let names = names_of(&auto, &s);
         assert_eq!(
             names,
@@ -286,8 +263,7 @@ mod tests {
     #[test]
     fn example12_selection() {
         let (_, auto) = example2();
-        let rel = Relevance::new(&PathSet::parse(&["/*", "//c#"]).unwrap());
-        let s = select_states(&auto, &rel);
+        let s = select_states(&auto, &classes(&auto, &["/*", "//c#"]));
         let names = names_of(&auto, &s);
         assert_eq!(names, vec!["/a@a", "/c@a.c", "a@a", "c@a.c"]);
     }
@@ -295,8 +271,7 @@ mod tests {
     #[test]
     fn step_a_alone_matches_example12_prepruning() {
         let (_, auto) = example2();
-        let rel = Relevance::new(&PathSet::parse(&["/*", "//c#"]).unwrap());
-        let s = step_a(&auto, &rel);
+        let s = step_a(&auto, &classes(&auto, &["/*", "//c#"]));
         // q0 excluded; a (C1 via /*... via prefix "/" of //c? "/" matches
         // the empty branch only; /* matches [a]), c states (C1), b-inside-c
         // states (C2). The b-under-a states are NOT relevant.
@@ -312,8 +287,7 @@ mod tests {
     #[test]
     fn no_stopover_when_all_same_label_selected() {
         let (_, auto) = example2();
-        let rel = Relevance::new(&PathSet::parse(&["/*", "//b#"]).unwrap());
-        let s = select_states(&auto, &rel);
+        let s = select_states(&auto, &classes(&auto, &["/*", "//b#"]));
         let names = names_of(&auto, &s);
         assert_eq!(
             names,
@@ -327,8 +301,7 @@ mod tests {
         let dtd =
             Dtd::parse(b"<!ELEMENT r (x*)> <!ELEMENT x (y*)> <!ELEMENT y (#PCDATA)>").unwrap();
         let auto = DtdAutomaton::build(&dtd).unwrap();
-        let rel = Relevance::new(&PathSet::parse(&["/*", "/r/x#", "//y#"]).unwrap());
-        let s = select_states(&auto, &rel);
+        let s = select_states(&auto, &classes(&auto, &["/*", "/r/x#", "//y#"]));
         let names = names_of(&auto, &s);
         // y is inside the copy-on x: pruned.
         assert_eq!(names, vec!["/r@r", "/x@r.x", "r@r", "x@r.x"]);
@@ -337,10 +310,10 @@ mod tests {
     #[test]
     fn reach_via_skipped_stops_at_s() {
         let (_, auto) = example2();
-        let rel = Relevance::new(&PathSet::parse(&["/*", "/a/b#"]).unwrap());
-        let s = step_a(&auto, &rel); // before step (c): c states not in S
+        let s = step_a(&auto, &classes(&auto, &["/*", "/a/b#"])); // before step (c): c states not in S
         let a_open = auto.transitions(StateId::Q0)[0];
-        let reach = reach_via_skipped(&auto, a_open, &s);
+        let mut scan = HazardScan::new(&auto);
+        let reach = scan.reach(&auto, &[a_open], &s);
         // From <a> we can reach <b> (in S, stop), </a> (in S, stop), <c>
         // (skipped) and through c: its b's and </c>.
         assert!(reach.len() >= 6);

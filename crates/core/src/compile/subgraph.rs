@@ -16,127 +16,133 @@
 //! cursor by `J[q]` before searching, so `J[q]` must lower-bound the
 //! distance to the next token of interest in every valid document.
 
+use super::StateSet;
 use smpx_dtd::{DtdAutomaton, MinLen, StateId};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// `D|S` with gap-annotated transitions.
 #[derive(Debug, Clone)]
 pub struct Subgraph {
-    /// Contracted transitions per source (`q0` and every state of `S`).
-    /// Targets are always in `S`; the `u32` is the minimal gap.
-    pub trans: BTreeMap<StateId, Vec<(StateId, u32)>>,
+    /// Contracted transitions per source (`q0` and every state of `S`;
+    /// empty elsewhere), indexed by `StateId` and sorted by target. Targets
+    /// are always in `S`; the `u32` is the minimal gap.
+    trans: Vec<Vec<(StateId, u32)>>,
     /// States after which the document may end without visiting another
     /// in-`S` state (Def. 4's final states; includes `q0` when the whole
     /// document may be skipped).
-    pub finals: BTreeSet<StateId>,
+    finals: StateSet,
+}
+
+impl Subgraph {
+    /// The contracted transitions leaving `q`.
+    pub fn trans(&self, q: StateId) -> &[(StateId, u32)] {
+        &self.trans[q.0 as usize]
+    }
+
+    /// May the document end after `q`?
+    pub fn is_final(&self, q: StateId) -> bool {
+        self.finals.contains(q)
+    }
 }
 
 /// Build `D|S` from the DTD-automaton, the minimal-length table and the
 /// selected set `S`.
-pub fn build_subgraph(auto: &DtdAutomaton, minlen: &MinLen, s: &BTreeSet<StateId>) -> Subgraph {
-    let mut trans: BTreeMap<StateId, Vec<(StateId, u32)>> = BTreeMap::new();
-    let mut finals: BTreeSet<StateId> = BTreeSet::new();
+pub fn build_subgraph(auto: &DtdAutomaton, minlen: &MinLen, s: &StateSet) -> Subgraph {
+    let n = auto.state_count();
+    let mut sub = Subgraph { trans: vec![Vec::new(); n], finals: StateSet::new(n) };
     let doc_final = auto.final_state();
-
-    let mut sources: Vec<StateId> = vec![StateId::Q0];
-    sources.extend(s.iter().copied());
-
-    for &q in &sources {
-        let (gaps, reaches_end) = dijkstra_gaps(auto, minlen, s, q, doc_final);
-        let mut out: Vec<(StateId, u32)> = gaps.into_iter().collect();
-        out.sort();
-        if !out.is_empty() {
-            trans.insert(q, out);
-        }
+    let mut gaps =
+        GapSearch { dist: vec![u64::MAX; n], touched: Vec::new(), heap: BinaryHeap::new() };
+    for q in std::iter::once(StateId::Q0).chain(s.iter()) {
+        let out = &mut sub.trans[q.0 as usize];
+        let reaches_end = gaps.from(auto, minlen, s, q, out);
+        out.sort_unstable();
         if q == doc_final || reaches_end {
-            finals.insert(q);
+            sub.finals.insert(q);
         }
     }
-    Subgraph { trans, finals }
+    sub
 }
 
-/// Single-source shortest gaps from `q` to each reachable in-`S` state,
-/// where path cost is the minimal serialization of skipped tokens.
-/// Also reports whether the document-final state is reachable via skipped
-/// states only (making `q` final in `D|S`).
-fn dijkstra_gaps(
-    auto: &DtdAutomaton,
-    minlen: &MinLen,
-    s: &BTreeSet<StateId>,
-    q: StateId,
-    doc_final: StateId,
-) -> (BTreeMap<StateId, u32>, bool) {
-    // dist over skipped (out-of-S) states; `best` over in-S targets.
-    let mut dist: BTreeMap<StateId, u64> = BTreeMap::new();
-    let mut best: BTreeMap<StateId, u32> = BTreeMap::new();
-    let mut reaches_end = q == doc_final && !s.contains(&doc_final);
-    let mut heap: BinaryHeap<Reverse<(u64, StateId)>> = BinaryHeap::new();
+/// Scratch of the per-source shortest-gap searches: tentative distances
+/// indexed by `StateId`, reset through the list of entries touched.
+struct GapSearch {
+    dist: Vec<u64>,
+    touched: Vec<StateId>,
+    heap: BinaryHeap<Reverse<(u64, StateId)>>,
+}
 
-    let relax = |u: Option<StateId>,
-                 base: u64,
-                 v: StateId,
-                 dist: &mut BTreeMap<StateId, u64>,
-                 best: &mut BTreeMap<StateId, u32>,
-                 heap: &mut BinaryHeap<Reverse<(u64, StateId)>>,
-                 reaches_end: &mut bool| {
-        if s.contains(&v) {
-            let g = base.min(u32::MAX as u64) as u32;
-            match best.get(&v) {
-                Some(&old) if old <= g => {}
-                _ => {
-                    best.insert(v, g);
+impl GapSearch {
+    /// Single-source shortest gaps from `q` to each reachable in-`S` state,
+    /// pushed onto `out`, where path cost is the minimal serialization of
+    /// skipped tokens. Returns whether the document-final state is
+    /// reachable via skipped states only (making `q` final in `D|S`).
+    fn from(
+        &mut self,
+        auto: &DtdAutomaton,
+        minlen: &MinLen,
+        s: &StateSet,
+        q: StateId,
+        out: &mut Vec<(StateId, u32)>,
+    ) -> bool {
+        let doc_final = auto.final_state();
+        let mut reaches_end = q == doc_final && !s.contains(doc_final);
+        // One distance table serves both kinds of node: a skipped state's
+        // entry is the cost up to and including its own token, an in-S
+        // target's is the gap before it (it is never expanded).
+        let mut relax = |this: &mut GapSearch, u: StateId, base: u64, v: StateId| {
+            let skipped = !s.contains(v);
+            let d = if skipped { base + skipped_token_cost(auto, minlen, u, v) } else { base };
+            reaches_end |= skipped && v == doc_final;
+            let old = &mut this.dist[v.0 as usize];
+            if d < *old {
+                if *old == u64::MAX {
+                    this.touched.push(v);
+                }
+                *old = d;
+                if skipped {
+                    this.heap.push(Reverse((d, v)));
                 }
             }
-            return;
+        };
+        for &t in auto.transitions(q) {
+            relax(self, q, 0, t);
         }
-        // v is skipped: charge its token.
-        let cost = skipped_token_cost(auto, minlen, u, v);
-        let nd = base + cost;
-        if v == doc_final {
-            *reaches_end = true;
-        }
-        match dist.get(&v) {
-            Some(&old) if old <= nd => {}
-            _ => {
-                dist.insert(v, nd);
-                heap.push(Reverse((nd, v)));
+        while let Some(Reverse((d, u))) = self.heap.pop() {
+            if self.dist[u.0 as usize] != d {
+                continue; // stale entry
+            }
+            for &v in auto.transitions(u) {
+                relax(self, u, d, v);
             }
         }
-    };
-
-    for &t in auto.transitions(q) {
-        relax(Some(q), 0, t, &mut dist, &mut best, &mut heap, &mut reaches_end);
-    }
-    while let Some(Reverse((d, u))) = heap.pop() {
-        if dist.get(&u) != Some(&d) {
-            continue; // stale entry
+        for v in self.touched.drain(..) {
+            let d = std::mem::replace(&mut self.dist[v.0 as usize], u64::MAX);
+            if s.contains(v) {
+                out.push((v, d.min(u32::MAX as u64) as u32));
+            }
         }
-        for &v in auto.transitions(u) {
-            relax(Some(u), d, v, &mut dist, &mut best, &mut heap, &mut reaches_end);
-        }
+        reaches_end
     }
-    (best, reaches_end)
 }
 
 /// Minimal characters the skipped token of state `v` adds to the gap, given
 /// it is entered from `u`.
-fn skipped_token_cost(auto: &DtdAutomaton, minlen: &MinLen, u: Option<StateId>, v: StateId) -> u64 {
+fn skipped_token_cost(auto: &DtdAutomaton, minlen: &MinLen, u: StateId, v: StateId) -> u64 {
     let name = auto.elem_name(v);
     if auto.is_close(v) {
         // Direct open→close of the same *skipped* instance: the pair can be
         // serialized as a bachelor tag; the close then costs only the
         // difference over the already-charged open tag (one character).
-        if let Some(u) = u {
-            if !auto.is_close(u) && auto.dual(u) == v && u != StateId::Q0 {
-                // `u` itself must be a skipped state for the pair rewrite
-                // to apply; when `u` is the matched source token its open
-                // tag is already in the document, so the close costs full.
-                // Sources are never passed as `u` here with dual `v` in
-                // skipped position unless u ∉ S — see relax() call sites.
-                if let Some(b) = minlen.bachelor(name) {
-                    return (b - minlen.open_tag(name)) as u64;
-                }
+        if !auto.is_close(u) && auto.dual(u) == v && u != StateId::Q0 {
+            // `u` itself must be a skipped state for the pair rewrite
+            // to apply; when `u` is the matched source token its open
+            // tag is already in the document, so the close costs full.
+            // Sources are never passed as `u` here with dual `v` in
+            // skipped position unless u ∉ S — see relax() call sites.
+            if let Some(b) = minlen.bachelor(name) {
+                return (b - minlen.open_tag(name)) as u64;
             }
         }
         minlen.close_tag(name) as u64
@@ -148,16 +154,17 @@ fn skipped_token_cost(auto: &DtdAutomaton, minlen: &MinLen, u: Option<StateId>, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::classes::StateClasses;
     use crate::compile::select::select_states;
     use smpx_dtd::Dtd;
     use smpx_paths::{PathSet, Relevance};
 
-    fn setup(dtd_text: &[u8], paths: &[&str]) -> (DtdAutomaton, MinLen, BTreeSet<StateId>) {
+    fn setup(dtd_text: &[u8], paths: &[&str]) -> (DtdAutomaton, MinLen, StateSet) {
         let dtd = Dtd::parse(dtd_text).unwrap();
         let auto = DtdAutomaton::build(&dtd).unwrap();
         let minlen = MinLen::compute(&dtd).unwrap();
         let rel = Relevance::new(&PathSet::parse(paths).unwrap());
-        let s = select_states(&auto, &rel);
+        let s = select_states(&auto, &StateClasses::build(&auto, &rel));
         (auto, minlen, s)
     }
 
@@ -178,7 +185,7 @@ mod tests {
         let (auto, minlen, s) = setup(EX2, &["/*", "/a/b#"]);
         let sub = build_subgraph(&auto, &minlen, &s);
         let c_open = find_state(&auto, &["a", "c"], false);
-        let c_trans = &sub.trans[&c_open];
+        let c_trans = sub.trans(c_open);
         // From <c> the only contracted transition goes to </c> with gap 4.
         assert_eq!(c_trans.len(), 1);
         let (tgt, gap) = c_trans[0];
@@ -188,11 +195,11 @@ mod tests {
 
         // From <a>: direct neighbours <b>, <c>, </a> — gap 0.
         let a_open = find_state(&auto, &["a"], false);
-        for &(_, gap) in &sub.trans[&a_open] {
+        for &(_, gap) in sub.trans(a_open) {
             assert_eq!(gap, 0);
         }
         // q0 → <a>: gap 0.
-        assert_eq!(sub.trans[&StateId::Q0], vec![(a_open, 0)]);
+        assert_eq!(sub.trans(StateId::Q0), [(a_open, 0)]);
     }
 
     /// Example 12 selection: from <c> we scan for </c> skipping one or two
@@ -202,7 +209,7 @@ mod tests {
         let (auto, minlen, s) = setup(EX2, &["/*", "//c#"]);
         let sub = build_subgraph(&auto, &minlen, &s);
         let c_open = find_state(&auto, &["a", "c"], false);
-        let (tgt, gap) = sub.trans[&c_open][0];
+        let (tgt, gap) = sub.trans(c_open)[0];
         assert!(auto.is_close(tgt));
         assert_eq!(gap, 4);
     }
@@ -224,7 +231,7 @@ mod tests {
         let (auto, minlen, s) = setup(dtd_text, &["/*", "//australia//description#"]);
         let sub = build_subgraph(&auto, &minlen, &s);
         let site_open = find_state(&auto, &["site"], false);
-        let trans = &sub.trans[&site_open];
+        let trans = sub.trans(site_open);
         let to_australia = trans
             .iter()
             .find(|&&(t, _)| auto.elem_name(t) == "australia" && !auto.is_close(t))
@@ -237,10 +244,10 @@ mod tests {
         let (auto, minlen, s) = setup(EX2, &["/*", "/a/b#"]);
         let sub = build_subgraph(&auto, &minlen, &s);
         let a_close = find_state(&auto, &["a"], true);
-        assert!(sub.finals.contains(&a_close));
+        assert!(sub.is_final(a_close));
         // <a> itself is not final: </a> is in S and must still be seen.
         let a_open = find_state(&auto, &["a"], false);
-        assert!(!sub.finals.contains(&a_open));
+        assert!(!sub.is_final(a_open));
     }
 
     #[test]
@@ -252,10 +259,10 @@ mod tests {
         let (auto, minlen, s) = setup(dtd_text, &["/r/x"]);
         let sub = build_subgraph(&auto, &minlen, &s);
         let x_close = find_state(&auto, &["r", "x"], true);
-        assert!(!sub.finals.contains(&x_close));
+        assert!(!sub.is_final(x_close));
         let r_close = find_state(&auto, &["r"], true);
-        assert!(s.contains(&r_close));
-        assert!(sub.finals.contains(&r_close));
+        assert!(s.contains(r_close));
+        assert!(sub.is_final(r_close));
     }
 
     #[test]
@@ -266,7 +273,7 @@ mod tests {
         let (auto, minlen, s) = setup(dtd_text, &["/zzz"]);
         assert!(s.is_empty());
         let sub = build_subgraph(&auto, &minlen, &s);
-        assert!(sub.finals.contains(&StateId::Q0));
+        assert!(sub.is_final(StateId::Q0));
     }
 
     #[test]
@@ -281,7 +288,8 @@ mod tests {
         let (auto, minlen, s) = setup(dtd_text, &["/r/g#"]);
         let sub = build_subgraph(&auto, &minlen, &s);
         let r_open = find_state(&auto, &["r"], false);
-        let to_g = sub.trans[&r_open]
+        let to_g = sub
+            .trans(r_open)
             .iter()
             .find(|&&(t, _)| auto.elem_name(t) == "g" && !auto.is_close(t))
             .unwrap();
@@ -297,7 +305,8 @@ mod tests {
         let (auto, minlen, s) = setup(dtd_text, &["/r/g#"]);
         let sub = build_subgraph(&auto, &minlen, &s);
         let r_open = find_state(&auto, &["r"], false);
-        let to_g = sub.trans[&r_open]
+        let to_g = sub
+            .trans(r_open)
             .iter()
             .find(|&&(t, _)| auto.elem_name(t) == "g" && !auto.is_close(t))
             .unwrap();

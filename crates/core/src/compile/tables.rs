@@ -18,11 +18,11 @@
 //! (Lemma 1), it only costs output size. The differential tests against the
 //! token-level oracle check that this conservatism rarely triggers.
 
+use super::classes::StateClasses;
 use super::subgraph::Subgraph;
 use crate::idset::QueryIdSet;
 use smpx_dtd::{DtdAutomaton, StateId};
-use smpx_paths::Relevance;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 /// The action `T[q]` performed when entering a state (paper Fig. 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,105 +169,86 @@ impl CompiledTables {
     }
 }
 
-/// Member-state action from relevance (paper Sec. IV, "Remaining lookup
-/// tables"). Also used by the multi-query compile to find each query's
-/// *hit states* — the member states whose action indicates a match under
-/// that query's own relevance.
-pub(crate) fn member_action(auto: &DtdAutomaton, rel: &Relevance, q: StateId) -> Action {
-    let branch = auto.branch(q);
-    let close = auto.is_close(q);
-    if rel.c2_leaf(&branch) {
-        return if close { Action::CopyOff } else { Action::CopyOn };
-    }
-    // Recursion extension: the prefilter cannot navigate inside an opaque
-    // subtree, so if any path could select nodes below it the whole
-    // subtree is conservatively preserved (projection-safety keeps more,
-    // never less).
-    if auto.is_opaque(q) && rel.may_match_below(&branch) {
-        return if close { Action::CopyOff } else { Action::CopyOn };
-    }
-    if rel.relevant_tag(&branch) {
-        let with_atts = !close && rel.c1_exact(&branch);
-        return Action::CopyTag { with_atts };
-    }
-    Action::Nop
-}
-
 /// Subset construction over `D|S`, producing the runtime tables along with
 /// each runtime-DFA state's member set — the compile driver re-checks
 /// orientation hazards on the merged states (see `compile()`), which the
 /// per-NFA-state step (c) cannot see when an ambiguous content model makes
 /// `D` nondeterministic.
+///
+/// Successor subsets are numbered in order of their token `(name, close)`,
+/// so the tables do not depend on the order the DTD declares its elements
+/// in. The grouping itself runs on dense label ids; a name is materialised
+/// once per emitted keyword.
 pub(crate) fn determinize_with_subsets(
     auto: &DtdAutomaton,
-    rel: &Relevance,
+    classes: &StateClasses,
     sub: &Subgraph,
 ) -> (CompiledTables, Vec<Vec<StateId>>) {
+    // Rank of each label id in `(name, close)` order.
+    let mut by_name: Vec<usize> = (0..auto.label_count()).collect();
+    by_name.sort_unstable_by_key(|&id| {
+        let token = auto.label_token(id);
+        (token.name, token.close)
+    });
+    let mut rank = vec![0; by_name.len()];
+    for (r, &id) in by_name.iter().enumerate() {
+        rank[id] = r;
+    }
+
     let mut subsets: Vec<Vec<StateId>> = vec![vec![StateId::Q0]];
-    let mut index: BTreeMap<Vec<StateId>, u32> = BTreeMap::new();
+    let mut index: HashMap<Vec<StateId>, u32> = HashMap::new();
     index.insert(subsets[0].clone(), 0);
     let mut states: Vec<RtState> = Vec::new();
-    let mut work = 0usize;
+    // Member transitions of the state at hand as (label rank, target).
+    let mut moves: Vec<(usize, StateId)> = Vec::new();
 
-    while work < subsets.len() {
-        let members = subsets[work].clone();
-        // Group member transitions by token label.
-        let mut by_label: BTreeMap<(String, bool), Vec<StateId>> = BTreeMap::new();
+    while states.len() < subsets.len() {
+        let members = std::mem::take(&mut subsets[states.len()]);
         let mut jump: Option<u32> = None;
-        let mut is_final = false;
+        moves.clear();
         for &m in &members {
-            if sub.finals.contains(&m) {
-                is_final = true;
-            }
-            if let Some(trans) = sub.trans.get(&m) {
-                for &(tgt, gap) in trans {
-                    jump = Some(jump.map_or(gap, |j| j.min(gap)));
-                    let lbl = (auto.elem_name(tgt).to_string(), auto.is_close(tgt));
-                    let entry = by_label.entry(lbl).or_default();
-                    if !entry.contains(&tgt) {
-                        entry.push(tgt);
-                    }
-                }
+            for &(tgt, gap) in sub.trans(m) {
+                jump = Some(jump.map_or(gap, |j| j.min(gap)));
+                moves.push((rank[auto.label_id(tgt)], tgt));
             }
         }
-        // Build keywords and successor subsets.
-        let mut keywords = Vec::with_capacity(by_label.len());
-        for ((name, close), mut targets) in by_label {
-            targets.sort();
-            targets.dedup();
-            let id = match index.get(&targets) {
-                Some(&i) => i,
-                None => {
-                    let i = subsets.len() as u32;
-                    index.insert(targets.clone(), i);
-                    subsets.push(targets);
-                    i
-                }
-            };
-            let mut bytes = Vec::with_capacity(name.len() + 2);
-            bytes.push(b'<');
-            if close {
-                bytes.push(b'/');
-            }
-            bytes.extend_from_slice(name.as_bytes());
-            keywords.push(Keyword { bytes, name, close, target: id });
-        }
-        keywords.sort_by(|a, b| a.bytes.cmp(&b.bytes));
+        moves.sort_unstable();
+        moves.dedup();
 
         // Label and action: homogeneity guarantees all members agree on the
         // label; actions are joined.
-        let label = members
-            .first()
-            .filter(|&&m| m != StateId::Q0)
-            .map(|&m| (auto.elem_name(m).to_string(), auto.is_close(m)));
-        let action = members
-            .iter()
-            .filter(|&&m| m != StateId::Q0)
-            .map(|&m| member_action(auto, rel, m))
-            .fold(Action::Nop, Action::join);
-        let balanced =
-            members.iter().any(|&m| m != StateId::Q0 && auto.is_opaque(m) && !auto.is_close(m));
+        let labeled = || members.iter().copied().filter(|&m| m != StateId::Q0);
+        let label = labeled().next().map(|m| (auto.elem_name(m).to_string(), auto.is_close(m)));
+        let action = labeled().map(|m| classes.action(m)).fold(Action::Nop, Action::join);
+        let balanced = labeled().any(|m| auto.is_opaque(m) && !auto.is_close(m));
+        let is_final = members.iter().any(|&m| sub.is_final(m));
 
+        // Keywords and successor subsets, one per run of equal labels.
+        let mut keywords = Vec::new();
+        for group in moves.chunk_by(|a, b| a.0 == b.0) {
+            let targets: Vec<StateId> = group.iter().map(|&(_, tgt)| tgt).collect();
+            let next = subsets.len() as u32;
+            let id = *index.entry(targets).or_insert_with_key(|targets| {
+                subsets.push(targets.clone());
+                next
+            });
+            let token = auto.label_token(by_name[group[0].0]);
+            let mut bytes = Vec::with_capacity(token.name.len() + 2);
+            bytes.push(b'<');
+            if token.close {
+                bytes.push(b'/');
+            }
+            bytes.extend_from_slice(token.name.as_bytes());
+            keywords.push(Keyword {
+                bytes,
+                name: token.name.to_string(),
+                close: token.close,
+                target: id,
+            });
+        }
+        keywords.sort_by(|a, b| a.bytes.cmp(&b.bytes));
+
+        subsets[states.len()] = members;
         states.push(RtState {
             label,
             keywords,
@@ -276,7 +257,6 @@ pub(crate) fn determinize_with_subsets(
             is_final,
             balanced,
         });
-        work += 1;
     }
 
     let max_kw_len =

@@ -130,6 +130,27 @@ impl DtdAutomaton {
         self.label(s).expect("q0 has no element").name
     }
 
+    /// Dense id of the tag token entering `s`: `element index · 2 + close`,
+    /// below [`label_count`](Self::label_count). Two states carry the same
+    /// token exactly when their ids are equal, so the static analysis can
+    /// group and compare labels without touching a name (panics on `q0`).
+    pub fn label_id(&self, s: StateId) -> usize {
+        let d = &self.states[s.idx()];
+        assert!(d.elem != u32::MAX, "q0 has no label");
+        d.elem as usize * 2 + d.close as usize
+    }
+
+    /// Number of distinct tag tokens (the exclusive bound of
+    /// [`label_id`](Self::label_id)).
+    pub fn label_count(&self) -> usize {
+        self.elem_names.len() * 2
+    }
+
+    /// The tag token with dense id `id`.
+    pub fn label_token(&self, id: usize) -> TagToken<'_> {
+        TagToken { name: &self.elem_names[id / 2], close: id % 2 == 1 }
+    }
+
     /// Is `s` a closing-tag state?
     pub fn is_close(&self, s: StateId) -> bool {
         self.states[s.idx()].close
@@ -140,7 +161,11 @@ impl DtdAutomaton {
         self.states[s.idx()].dual
     }
 
-    /// The open state of the enclosing element instance.
+    /// The open state of the enclosing element instance. An instance's
+    /// states are created before those of the instances it contains, so a
+    /// parent's id is always below its children's: one pass over
+    /// [`states`](Self::states) in order visits every instance after its
+    /// ancestors.
     pub fn parent(&self, s: StateId) -> Option<StateId> {
         self.states[s.idx()].parent
     }
@@ -419,6 +444,19 @@ mod tests {
             if !auto.is_close(s) {
                 assert_eq!(auto.parent(s), Some(a_open));
             }
+        }
+    }
+
+    #[test]
+    fn parents_precede_children_and_label_ids_are_dense() {
+        let auto = DtdAutomaton::build(&example2_dtd()).unwrap();
+        assert_eq!(auto.label_count(), 6); // a, b, c × open/close
+        for s in auto.states().skip(1) {
+            assert!(auto.parent(s).is_none_or(|p| p < s && !auto.is_close(p)));
+            let id = auto.label_id(s);
+            assert!(id < auto.label_count());
+            assert_eq!(auto.label_token(id), auto.label(s).unwrap());
+            assert_eq!(auto.label_id(auto.dual(s)), id ^ 1);
         }
     }
 

@@ -9,7 +9,8 @@
 //!   (Def. 3),
 //! * [`Relevance`] — the token/branch relevance conditions **C1**, **C2**,
 //!   **C3** of Def. 3, evaluated over *document branches* (label chains from
-//!   the root),
+//!   the root), and [`RelConfig`], the same conditions one step at a time
+//!   down an expansion tree,
 //! * [`xpath`] — an XPath-subset AST and parser covering the paper's
 //!   Table II queries (predicates, `contains`, `text()`, `and`/`or`),
 //! * [`extract`] — projection-path extraction from XPath expressions in the
@@ -27,6 +28,12 @@
 //! assert!(rel.relevant_tag(&["a", "c"]));
 //! assert!(rel.relevant_tag(&["a", "c", "b"]));   // C1 via //b#
 //! assert!(rel.relevant_text(&["a", "c", "b"]));  // C2: inside //b#
+//!
+//! // The same answers one step at a time down a tree of branches.
+//! let a = rel.root().descend("a");
+//! let c = a.descend("c");
+//! assert!(a.c3() && c.relevant_tag(&a));
+//! assert!(c.descend("b").c2());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -38,4 +45,4 @@ mod relevance;
 pub mod xpath;
 
 pub use model::{Axis, NameTest, ParsePathError, PathSet, ProjectionPath, Step};
-pub use relevance::Relevance;
+pub use relevance::{RelConfig, Relevance};

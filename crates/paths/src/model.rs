@@ -238,6 +238,13 @@ impl PathSet {
         out
     }
 
+    /// The union of any number of path sets in one pass, first occurrence
+    /// first — what folding [`union`](Self::union) over them yields,
+    /// without a copy of the growing set per operand.
+    pub fn union_of<'a>(sets: impl IntoIterator<Item = &'a PathSet>) -> PathSet {
+        PathSet::new(sets.into_iter().flat_map(|s| s.paths.iter().cloned()).collect())
+    }
+
     /// The prefix closure `P+` of Def. 3: `P` itself plus every proper
     /// prefix of every path (unflagged), deduplicated.
     pub fn plus_closure(&self) -> Vec<ProjectionPath> {
@@ -371,6 +378,17 @@ mod tests {
     fn pathset_dedups() {
         let ps = PathSet::parse(&["/a", "/a", "/b"]).unwrap();
         assert_eq!(ps.paths().len(), 2);
+    }
+
+    #[test]
+    fn union_of_equals_folded_union() {
+        let sets: Vec<PathSet> = [&["/a", "/b#"][..], &["/b#", "/c"], &["/a", "//d"]]
+            .iter()
+            .map(|t| PathSet::parse(t).unwrap())
+            .collect();
+        let folded = sets.iter().fold(PathSet::new(vec![]), |u, q| u.union(q));
+        assert_eq!(PathSet::union_of(&sets), folded);
+        assert_eq!(folded.to_string(), "/a, /b#, /c, //d");
     }
 
     #[test]

@@ -17,9 +17,31 @@
 //! Following the runtime's behaviour we apply C3 to tag tokens only: its
 //! `⟨t/⟩` substitution speaks about hypothetical sibling *tags*, and the SMP
 //! actions can only preserve text inside `copy on/off` regions (C2).
+//!
+//! # Two forms
+//!
+//! The predicates on [`Relevance`] that take a branch are the executable
+//! statement of Def. 3: each call runs every path's NFA over the whole
+//! branch. They are what the token-level oracle calls, and they stay as
+//! they are.
+//!
+//! The static analysis asks the same questions about *every* instance of an
+//! expansion tree, where a child's branch is its parent's plus one label.
+//! [`RelConfig`] is the form for that: the set of live NFA positions over
+//! all paths of `P+` after consuming a branch, as a bitset, plus the
+//! inherited "inside a `#`-selected instance" bit. [`Relevance::root`] is
+//! the configuration of the empty branch, [`RelConfig::descend`] takes one
+//! step, and every predicate is a mask test — `O(positions / 64)` per
+//! instance instead of a re-walk of the branch per path per prefix.
 
-use crate::model::{Axis, NameTest, PathSet, ProjectionPath};
+use crate::model::{Axis, NameTest, PathSet, ProjectionPath, Step};
 use std::collections::BTreeSet;
+
+/// Is `p`'s last step along `axis` with the literal name `t` — one of the
+/// two path forms C3 speaks about?
+fn ends_in(p: &ProjectionPath, axis: Axis, t: &str) -> bool {
+    p.last_step().is_some_and(|s| s.axis == axis && matches!(&s.test, NameTest::Name(n) if n == t))
+}
 
 /// Compiled relevance test for a path set.
 #[derive(Debug, Clone)]
@@ -31,6 +53,8 @@ pub struct Relevance {
     /// Concrete names appearing as the last step of any path in `P+`, the
     /// candidate `t`s of C3.
     c3_candidates: Vec<String>,
+    /// Position masks of the configuration form.
+    masks: Masks,
 }
 
 impl Relevance {
@@ -45,11 +69,9 @@ impl Relevance {
                 }
             }
         }
-        Relevance {
-            original: pset.paths().to_vec(),
-            plus,
-            c3_candidates: cands.into_iter().collect(),
-        }
+        let c3_candidates: Vec<String> = cands.into_iter().collect();
+        let masks = Masks::new(pset.paths(), &plus, &c3_candidates);
+        Relevance { original: pset.paths().to_vec(), plus, c3_candidates, masks }
     }
 
     /// The closure `P+` in deterministic order.
@@ -102,17 +124,9 @@ impl Relevance {
         let mut probe: Vec<&str> = parent.iter().map(|s| s.as_ref()).collect();
         for t in &self.c3_candidates {
             probe.push(t);
-            let child_form = self.plus.iter().any(|p| {
-                p.last_step()
-                    .is_some_and(|s| s.axis == Axis::Child && s.test == NameTest::Name(t.clone()))
-                    && p.matches(&probe)
-            });
-            let desc_form = child_form
-                && self.plus.iter().any(|p| {
-                    p.last_step().is_some_and(|s| {
-                        s.axis == Axis::Descendant && s.test == NameTest::Name(t.clone())
-                    }) && p.matches(&probe)
-                });
+            let form = |axis| self.plus.iter().any(|p| ends_in(p, axis, t) && p.matches(&probe));
+            let child_form = form(Axis::Child);
+            let desc_form = child_form && form(Axis::Descendant);
             probe.pop();
             if child_form && desc_form {
                 return true;
@@ -147,6 +161,191 @@ impl Relevance {
     /// fire one level down).
     pub fn may_match_below<S: AsRef<str>>(&self, branch: &[S]) -> bool {
         self.plus.iter().any(|p| path_live_below(p, branch))
+    }
+
+    /// The configuration of the empty branch (the virtual document root):
+    /// every path at its first step.
+    pub fn root(&self) -> RelConfig<'_> {
+        let live = self.masks.start.clone();
+        let in_subtree = intersects(&live, &self.masks.subtree);
+        RelConfig { masks: &self.masks, live, in_subtree }
+    }
+}
+
+/// The position masks behind [`RelConfig`]. Position `(p, i)` — "the first
+/// `i` steps of path `p` of `P+` are matched" — is bit `base(p) + i`, a
+/// path's positions contiguous, so one step of every path's NFA is a mask,
+/// a shift by one and an or.
+#[derive(Debug, Clone)]
+struct Masks {
+    /// `(p, 0)` of every path.
+    start: Vec<u64>,
+    /// `(p, len(p))`: the path selects the branch's leaf (C1).
+    accept: Vec<u64>,
+    /// The accepting positions of the complete, name-final paths of `P`.
+    exact: Vec<u64>,
+    /// The accepting positions of the `#`-flagged paths (C2 at the leaf).
+    subtree: Vec<u64>,
+    /// Positions whose next step is on the descendant axis: they survive a
+    /// label they do not consume.
+    stay: Vec<u64>,
+    /// Positions whose next step is `*`: what any label advances.
+    wildcard: Vec<u64>,
+    /// Per step name, sorted: the positions that label advances (the
+    /// wildcard ones included).
+    advance: Vec<(String, Vec<u64>)>,
+    /// Per C3 tag `t` with both forms in `P+`: the last-step positions of
+    /// the paths ending in `/t`, and of those ending in `//t`.
+    c3: Vec<(Vec<u64>, Vec<u64>)>,
+}
+
+fn set(mask: &mut [u64], bit: usize) {
+    mask[bit / 64] |= 1 << (bit % 64);
+}
+
+fn intersects(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).any(|(x, y)| x & y != 0)
+}
+
+impl Masks {
+    fn new(original: &[ProjectionPath], plus: &[ProjectionPath], c3_tags: &[String]) -> Masks {
+        let mut positions = 0;
+        let mut bases = Vec::with_capacity(plus.len());
+        for p in plus {
+            bases.push(positions);
+            positions += p.steps.len() + 1;
+        }
+        let zero = vec![0u64; positions.div_ceil(64)];
+        let mut m = Masks {
+            start: zero.clone(),
+            accept: zero.clone(),
+            exact: zero.clone(),
+            subtree: zero.clone(),
+            stay: zero.clone(),
+            wildcard: zero.clone(),
+            advance: Vec::new(),
+            c3: Vec::new(),
+        };
+        let mut named: Vec<(&str, usize)> = Vec::new();
+        // Per C3 candidate (sorted), its `/t` and `//t` last-step positions.
+        let mut forms = vec![(zero.clone(), zero.clone()); c3_tags.len()];
+        for (p, &base) in plus.iter().zip(&bases) {
+            let end = base + p.steps.len();
+            set(&mut m.start, base);
+            set(&mut m.accept, end);
+            if p.subtree {
+                set(&mut m.subtree, end);
+            }
+            if let Some(Step { axis, test: NameTest::Name(t) }) = p.last_step() {
+                if original.contains(p) {
+                    set(&mut m.exact, end);
+                }
+                let i = c3_tags.binary_search(t).expect("every final name is a candidate");
+                let (child, desc) = &mut forms[i];
+                set(if *axis == Axis::Child { child } else { desc }, end - 1);
+            }
+            for (i, step) in p.steps.iter().enumerate() {
+                if step.axis == Axis::Descendant {
+                    set(&mut m.stay, base + i);
+                }
+                match &step.test {
+                    NameTest::Wildcard => set(&mut m.wildcard, base + i),
+                    NameTest::Name(n) => named.push((n, base + i)),
+                }
+            }
+        }
+        named.sort_unstable();
+        for (name, bit) in named {
+            if m.advance.last().is_none_or(|(n, _)| n != name) {
+                m.advance.push((name.to_string(), m.wildcard.clone()));
+            }
+            set(&mut m.advance.last_mut().expect("just pushed").1, bit);
+        }
+        m.c3 = forms
+            .into_iter()
+            .filter(|(child, desc)| [child, desc].iter().all(|f| f.iter().any(|&w| w != 0)))
+            .collect();
+        m
+    }
+}
+
+/// Relevance in configuration form: which positions of the paths of `P+`
+/// are live after a document branch, and whether a node on the branch is
+/// `#`-selected. Obtained from [`Relevance::root`] and [`descend`]; a
+/// child's answers are one step from its parent's (module docs).
+///
+/// [`descend`]: RelConfig::descend
+#[derive(Debug, Clone)]
+pub struct RelConfig<'r> {
+    masks: &'r Masks,
+    live: Vec<u64>,
+    /// C2 is inherited: once a `#`-flagged path accepts, every branch
+    /// below stays inside that instance.
+    in_subtree: bool,
+}
+
+impl<'r> RelConfig<'r> {
+    /// The configuration of this branch extended by a child `label`.
+    pub fn descend(&self, label: &str) -> RelConfig<'r> {
+        let m = self.masks;
+        let advance = match m.advance.binary_search_by(|(n, _)| n.as_str().cmp(label)) {
+            Ok(i) => &m.advance[i].1,
+            Err(_) => &m.wildcard,
+        };
+        let mut live = Vec::with_capacity(self.live.len());
+        let mut carry = 0;
+        for ((&w, &stay), &adv) in self.live.iter().zip(&m.stay).zip(advance) {
+            let moved = w & adv;
+            live.push(w & stay | moved << 1 | carry);
+            carry = moved >> 63;
+        }
+        let in_subtree = self.in_subtree || intersects(&live, &m.subtree);
+        RelConfig { masks: m, live, in_subtree }
+    }
+
+    /// C1: the leaf of the branch is selected by a path in `P+`.
+    pub fn c1(&self) -> bool {
+        intersects(&self.live, &self.masks.accept)
+    }
+
+    /// C1 counting only the complete, name-final paths of `P`
+    /// ([`Relevance::c1_exact`]).
+    pub fn c1_exact(&self) -> bool {
+        intersects(&self.live, &self.masks.exact)
+    }
+
+    /// C2: some node on the branch is selected by a `#`-flagged path.
+    pub fn c2(&self) -> bool {
+        self.in_subtree
+    }
+
+    /// C2 at the leaf itself (drives `copy on`).
+    pub fn c2_leaf(&self) -> bool {
+        intersects(&self.live, &self.masks.subtree)
+    }
+
+    /// C3 for the tags whose *parent* branch this is
+    /// ([`Relevance::c3_parent`]). A question to the parent because it
+    /// speaks about a hypothetical sibling `t`: a path ending in `/t` or
+    /// `//t` selects `parent + [t]` exactly when its last-step position is
+    /// live here.
+    pub fn c3(&self) -> bool {
+        self.masks
+            .c3
+            .iter()
+            .any(|(child, desc)| intersects(&self.live, child) && intersects(&self.live, desc))
+    }
+
+    /// Def. 3 for a tag with this branch, given its parent's configuration
+    /// (C1 ∨ C2 ∨ C3).
+    pub fn relevant_tag(&self, parent: &RelConfig<'_>) -> bool {
+        self.c1() || self.c2() || parent.c3()
+    }
+
+    /// Could a path of `P+` select a node strictly below this branch
+    /// ([`Relevance::may_match_below`]): some path is live with a step left.
+    pub fn may_match_below(&self) -> bool {
+        self.live.iter().zip(&self.masks.accept).any(|(w, acc)| w & !acc != 0)
     }
 }
 

@@ -87,19 +87,21 @@
 //! document (`Prefilter::run_sharded`): the pool speculates from
 //! top-level record boundaries and the stitched projection is
 //! byte-identical to the sequential run. This engages automatically for
-//! one file of at least 8 MiB; `--shard-mb N` forces it with N-MiB shards
-//! (`--shard-mb 0` forces it with auto-sized shards). Stdin never shards
+//! one file of at least 8 MiB (`SMPX_SHARD_AUTO_MB` moves the threshold,
+//! `0` turns the automatic route off, exactly as for the library's batch
+//! entries); `--shard-mb N` forces it with N-MiB shards (`--shard-mb 0`
+//! forces it with auto-sized shards). Stdin never shards
 //! (a pipe has no known length and must stream).
 
 use smpx::bench::json::{JsonSink, Value};
 use smpx::core::obs::{self, MetricsTarget};
+use smpx::core::runtime::parallel::auto_shard_threshold;
 use smpx::core::runtime::source::{
     DocSource, MmapSource, PrefetchSource, ReaderSource, SourceKind,
 };
 use smpx::core::runtime::DEFAULT_CHUNK;
 use smpx::core::{
     CoreError, MultiVerdict, Pool, Prefilter, QueryId, QueryRegistry, RunStats, SharedPrefilter,
-    DEFAULT_AUTO_SHARD_BYTES,
 };
 use std::io::Write;
 use std::process::ExitCode;
@@ -639,7 +641,7 @@ fn run(args: Args) -> ExitCode {
     let paths: PathSet = if multi {
         // Union for display and state accounting; the compiled automaton
         // additionally carries per-query attribution.
-        query_sets.iter().fold(PathSet::new(vec![]), |u, q| u.union(q))
+        PathSet::union_of(&query_sets)
     } else if let Some(p) = query_sets.pop() {
         p
     } else {
@@ -741,7 +743,8 @@ fn run(args: Args) -> ExitCode {
     } else if args.inputs.len() == 1
         && args.inputs[0] != "-"
         && (args.shard_mb.is_some()
-            || (args.threads != 1 && sizes[0].is_some_and(|l| l >= DEFAULT_AUTO_SHARD_BYTES)))
+            || (args.threads != 1
+                && auto_shard_threshold().is_some_and(|thr| sizes[0].is_some_and(|l| l >= thr))))
     {
         // One file, many workers: shard *within* the document. Explicit
         // `--shard-mb` always routes here (0 = auto-sized shards); without

@@ -190,3 +190,46 @@ fn lifecycle_mode_works_pooled() {
         "<a><b>one</b></a><a><b>three</b></a><a><c><b>two</b></c></a><a><c><b>four</b></c></a>"
     );
 }
+
+/// `SMPX_SHARD_AUTO_MB` governs the CLI's one-file shard route exactly as
+/// it governs the library's batch entries: the CLI used to compare against
+/// the raw 8 MiB default and ignore the override, `=0` ("never auto-shard")
+/// included.
+#[test]
+fn shard_auto_mb_moves_and_disables_the_one_file_shard_route() {
+    let s = Scratch::new("shard-auto");
+    let doc = smpx_datagen::xmark::generate(smpx_datagen::GenOptions::sized(2 << 20));
+    std::fs::write(s.dir.join("site.dtd"), smpx_datagen::xmark::XMARK_DTD).expect("write dtd");
+    std::fs::write(s.dir.join("site.xml"), &doc).expect("write doc");
+    let run = |auto_mb: Option<&str>, threads: &str| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_smpx"));
+        cmd.env_remove("SMPX_SHARD_AUTO_MB");
+        if let Some(mb) = auto_mb {
+            cmd.env("SMPX_SHARD_AUTO_MB", mb);
+        }
+        let stats = s.path(&format!("stats-{}-{threads}.json", auto_mb.unwrap_or("unset")));
+        let out = cmd
+            .args(["--dtd", &s.path("site.dtd"), "--paths", "/*,/site/people/person/name#"])
+            .args(["--threads", threads, "--stats-json", &stats, &s.path("site.xml")])
+            .output()
+            .expect("run smpx");
+        assert!(out.status.success(), "stderr: {}", stderr_of(&out));
+        let rows = std::fs::read_to_string(&stats).expect("stats rows");
+        let row = rows.lines().next().expect("one row per file").to_string();
+        let shards: u64 = row
+            .split("\"shards\":")
+            .nth(1)
+            .and_then(|rest| rest.trim_end_matches('}').parse().ok())
+            .unwrap_or_else(|| panic!("no shards field in {row}"));
+        (out.stdout, shards)
+    };
+    let (sequential, shards) = run(None, "1");
+    assert_eq!(shards, 0);
+    assert!(!sequential.is_empty());
+    // 2 MiB is below the 8 MiB default: no sharding unless the knob says so.
+    assert_eq!(run(None, "2"), (sequential.clone(), 0));
+    let (sharded, shards) = run(Some("1"), "2");
+    assert!(shards > 0, "a 2 MiB file over a 1 MiB threshold must take the shard route");
+    assert_eq!(sharded, sequential);
+    assert_eq!(run(Some("0"), "2"), (sequential, 0));
+}

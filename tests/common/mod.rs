@@ -344,3 +344,116 @@ pub fn assert_valid(dtd: &Dtd, doc: &[u8]) {
         String::from_utf8_lossy(doc)
     );
 }
+
+/// The recursive DTD of `tests/recursion.rs`.
+#[allow(dead_code)]
+pub const REC_DTD: &str = r#"<!DOCTYPE a [
+    <!ELEMENT a (b|x)*>
+    <!ELEMENT b (#PCDATA)>
+    <!ELEMENT x (x?, b)>
+    <!ATTLIST x depth CDATA #IMPLIED>
+]>"#;
+
+/// One static-analysis case: a name, a DTD, and the queries' path sets
+/// (one set = a single-query compile, several = a registry compile).
+#[allow(dead_code)]
+pub struct AnalysisCase {
+    pub name: String,
+    pub dtd: Dtd,
+    pub queries: Vec<PathSet>,
+}
+
+/// The fixed (DTD, queries) pairs the compile-digest and the
+/// relevance-evaluator suites share: XMark × {XM5, XM13, XM7, XM14,
+/// standing queries N = 1, 10, 100}, MEDLINE × M1–M5, the protein DTD,
+/// the recursion DTDs of `tests/recursion.rs` and the three ambiguous
+/// content models of `compile::tests`.
+#[allow(dead_code)]
+pub fn analysis_cases() -> Vec<AnalysisCase> {
+    use smpx_bench::queries::{
+        medline_paths, standing_path_sets, xmark_paths, MEDLINE_QUERIES, XMARK_QUERIES,
+    };
+    let case = |name: &str, dtd: &Dtd, queries: Vec<PathSet>| AnalysisCase {
+        name: name.to_string(),
+        dtd: dtd.clone(),
+        queries,
+    };
+    let parse = |texts: &[&str]| PathSet::parse(texts).expect("case paths parse");
+    let mut out = Vec::new();
+
+    let xmark = Dtd::parse(smpx_datagen::xmark::XMARK_DTD.as_bytes()).expect("XMark DTD");
+    for id in ["XM5", "XM13", "XM7", "XM14"] {
+        let q = XMARK_QUERIES.iter().find(|q| q.id == id).expect("Table I query");
+        out.push(case(&format!("xmark/{id}"), &xmark, vec![xmark_paths(q)]));
+    }
+    for n in [1, 10, 100] {
+        out.push(case(&format!("xmark/standing-{n}"), &xmark, standing_path_sets(&xmark, n)));
+    }
+    let medline = Dtd::parse(smpx_datagen::medline::MEDLINE_DTD.as_bytes()).expect("MEDLINE DTD");
+    for q in MEDLINE_QUERIES {
+        out.push(case(&format!("medline/{}", q.id), &medline, vec![medline_paths(q)]));
+    }
+    let protein = Dtd::parse(smpx_datagen::protein::PROTEIN_DTD.as_bytes()).expect("protein DTD");
+    out.push(case(
+        "protein/multi",
+        &protein,
+        vec![parse(&["/*", "//reference//author#"]), parse(&["/*", "//organism/source#"])],
+    ));
+
+    let rec = Dtd::parse(REC_DTD.as_bytes()).expect("recursive DTD");
+    for (i, texts) in [&["/*", "/a/b#"][..], &["/*", "//b#"], &["/*", "/a/x"], &["/*", "//x//b"]]
+        .into_iter()
+        .enumerate()
+    {
+        out.push(case(&format!("rec-a/{i}"), &rec, vec![parse(texts)]));
+    }
+    let rec_r = Dtd::parse(b"<!ELEMENT r (x|t)*> <!ELEMENT x (x?) > <!ELEMENT t (#PCDATA)>")
+        .expect("recursive DTD");
+    out.push(case("rec-r/0", &rec_r, vec![parse(&["/*", "/r/t#"])]));
+    out.push(case("rec-r/multi", &rec_r, vec![parse(&["/*", "/r/t#"]), parse(&["/*", "//x"])]));
+    let rec_root =
+        Dtd::parse(b"<!ELEMENT x (x?, t)> <!ELEMENT t (#PCDATA)>").expect("recursive DTD");
+    out.push(case("rec-root/0", &rec_root, vec![parse(&["/*", "//t#"])]));
+    out.push(case("rec-root/1", &rec_root, vec![parse(&["/*"])]));
+    let parlist = Dtd::parse(
+        br#"<!DOCTYPE site [
+        <!ELEMENT site (item*)>
+        <!ELEMENT item (name, description)>
+        <!ELEMENT name (#PCDATA)>
+        <!ELEMENT description (text | parlist)*>
+        <!ELEMENT text (#PCDATA)>
+        <!ELEMENT parlist (listitem*)>
+        <!ELEMENT listitem (text | parlist)*>
+        ]>"#,
+    )
+    .expect("recursive DTD");
+    out.push(case(
+        "rec-parlist/0",
+        &parlist,
+        vec![parse(&["/*", "/site/item/name#", "/site/item/description#"])],
+    ));
+
+    let ambiguous: [(&[u8], &[&str]); 3] = [
+        (
+            b"<!ELEMENT a (item*, (item, y, cd), y)> <!ELEMENT item (#PCDATA)> \
+              <!ELEMENT y (#PCDATA)> <!ELEMENT cd (item*)>",
+            &["/*", "/a/item#"],
+        ),
+        (
+            b"<!ELEMENT a (item*, (item, y, cd), y)> <!ELEMENT item (#PCDATA)> \
+              <!ELEMENT y (item*)> <!ELEMENT cd (item*)>",
+            &["/*", "/a/item#"],
+        ),
+        (b"<!ELEMENT a (b?, b, c)> <!ELEMENT b (#PCDATA)> <!ELEMENT c (b*)>", &["/*", "/a/b#"]),
+    ];
+    for (i, (dtd_text, texts)) in ambiguous.iter().enumerate() {
+        let dtd = Dtd::parse(dtd_text).expect("ambiguous DTD");
+        out.push(case(&format!("ambiguous/{i}"), &dtd, vec![parse(texts)]));
+        out.push(case(
+            &format!("ambiguous/{i}-multi"),
+            &dtd,
+            vec![parse(texts), parse(&["/*", "//item"]), parse(&["/*", "//b#"])],
+        ));
+    }
+    out
+}
