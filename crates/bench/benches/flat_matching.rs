@@ -9,11 +9,16 @@
 //! vectorized skip-scan against the classic scalar loops (`*_scalar`
 //! entries call `find_at_scalar` directly); the committed
 //! `BENCH_baseline.json` (run under `SMPX_NO_SIMD=1`) vs `BENCH_simd.json`
-//! pair tracks the same comparison across process modes.
+//! pair tracks the same comparison across process modes. The `cw` group
+//! holds the two regimes of Commentz–Walter's candidate filter, `cw/sparse`
+//! and `cw/dense`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use smpx_bench::measure::bench_doc_bytes;
-use smpx_datagen::{xmark, GenOptions};
+use smpx_bench::queries::{medline_paths, standing_path_sets, MEDLINE_QUERIES};
+use smpx_core::{CompiledTables, Prefilter};
+use smpx_datagen::{medline, xmark, GenOptions};
+use smpx_dtd::Dtd;
 use smpx_stringmatch::{naive, AhoCorasick, BoyerMoore, CommentzWalter, Horspool, Kmp, NoMetrics};
 
 fn haystack() -> Vec<u8> {
@@ -136,6 +141,41 @@ fn bench_xmark_scan(c: &mut Criterion) {
     g.finish();
 }
 
+/// The largest frontier vocabulary of a compiled automaton (ties: the
+/// first state), as the matcher of that state is built.
+fn widest_vocabulary(tables: &CompiledTables) -> CommentzWalter {
+    let state = tables.states.iter().rev().max_by_key(|s| s.keywords.len()).expect("states");
+    let pats: Vec<&[u8]> = state.keywords.iter().map(|k| k.bytes.as_slice()).collect();
+    CommentzWalter::new(&pats)
+}
+
+fn bench_cw_regimes(c: &mut Criterion) {
+    // The two regimes of the candidate filter, driven as the runtime
+    // drives a state. Sparse: M1's vocabulary over MEDLINE, which two
+    // tokens of the document belong to — the far phase does all the work.
+    // Dense: the widest state of the N = 100 standing-query union over
+    // XMark, where the next token is a few dozen bytes away — the near
+    // phase's regime.
+    let mut g = c.benchmark_group("cw");
+    let dtd = Dtd::parse(medline::MEDLINE_DTD.as_bytes()).expect("MEDLINE DTD");
+    let m1 = Prefilter::compile(&dtd, &medline_paths(&MEDLINE_QUERIES[0])).expect("M1 compiles");
+    let hay = medline::generate(GenOptions::sized(bench_doc_bytes(1 << 20)));
+    g.throughput(Throughput::Bytes(hay.len() as u64));
+    g.bench_function("sparse", |b| {
+        let m = widest_vocabulary(m1.tables());
+        b.iter(|| count_cw(&m, &hay, false))
+    });
+    let dtd = Dtd::parse(xmark::XMARK_DTD.as_bytes()).expect("XMark DTD");
+    let union = Prefilter::compile_multi(&dtd, &standing_path_sets(&dtd, 100)).expect("compiles");
+    let hay = haystack();
+    g.throughput(Throughput::Bytes(hay.len() as u64));
+    g.bench_function("dense", |b| {
+        let m = widest_vocabulary(union.tables());
+        b.iter(|| count_cw(&m, &hay, false))
+    });
+    g.finish();
+}
+
 fn bench_keyword_length_sweep(c: &mut Criterion) {
     // Skipping pays off more with longer keywords: ∅ shift grows with the
     // pattern (the paper's MEDLINE-vs-XMark observation).
@@ -160,6 +200,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(15);
     targets = bench_single_keyword, bench_multi_keyword, bench_absent_alphabet,
-        bench_xmark_scan, bench_keyword_length_sweep
+        bench_xmark_scan, bench_cw_regimes, bench_keyword_length_sweep
 }
 criterion_main!(benches);

@@ -45,7 +45,7 @@ impl Searcher for CommentzWalter {
     }
 
     fn longest(&self) -> usize {
-        self.patterns().iter().map(Vec::len).max().unwrap_or(1)
+        self.max_len()
     }
 }
 
@@ -67,8 +67,10 @@ pub(crate) enum StateMatcher {
     /// Unary frontier vocabulary → Boyer–Moore (boxed: the shift tables
     /// are ~2 KiB and live per state).
     Bm(Box<BoyerMoore>),
-    /// Multi-keyword frontier vocabulary → Commentz–Walter.
-    Cw(Box<CommentzWalter>),
+    /// Multi-keyword frontier vocabulary → Commentz–Walter, and the
+    /// keyword indices longest first (ties by index): the order a false
+    /// match re-checks the vocabulary in.
+    Cw(Box<CommentzWalter>, Box<[u32]>),
 }
 
 impl StateMatcher {
@@ -79,7 +81,9 @@ impl StateMatcher {
             1 => StateMatcher::Bm(Box::new(BoyerMoore::new(&state.keywords[0].bytes))),
             _ => {
                 let pats: Vec<&[u8]> = state.keywords.iter().map(|k| k.bytes.as_slice()).collect();
-                StateMatcher::Cw(Box::new(CommentzWalter::new(&pats)))
+                let mut longest_first: Box<[u32]> = (0..pats.len() as u32).collect();
+                longest_first.sort_by_key(|&i| std::cmp::Reverse(pats[i as usize].len()));
+                StateMatcher::Cw(Box::new(CommentzWalter::new(&pats)), longest_first)
             }
         }
     }
@@ -95,7 +99,7 @@ impl StateMatcher {
         match self {
             StateMatcher::Empty => None,
             StateMatcher::Bm(bm) => bm.find_at(hay, from, m).map(|s| (0, s)),
-            StateMatcher::Cw(cw) => cw.find_at(hay, from, m).map(|mm| (mm.pattern, mm.start)),
+            StateMatcher::Cw(cw, _) => cw.find_at(hay, from, m).map(|mm| (mm.pattern, mm.start)),
         }
     }
 
@@ -105,7 +109,7 @@ impl StateMatcher {
         match self {
             StateMatcher::Empty => 1,
             StateMatcher::Bm(bm) => bm.pattern().len(),
-            StateMatcher::Cw(cw) => cw.min_len(),
+            StateMatcher::Cw(cw, _) => cw.min_len(),
         }
     }
 
@@ -116,7 +120,16 @@ impl StateMatcher {
         match self {
             StateMatcher::Empty => 1,
             StateMatcher::Bm(bm) => bm.pattern().len(),
-            StateMatcher::Cw(cw) => cw.patterns().iter().map(Vec::len).max().unwrap_or(1),
+            StateMatcher::Cw(cw, _) => cw.max_len(),
+        }
+    }
+
+    /// The keyword indices of the state's vocabulary, longest first (empty
+    /// unless the state has several keywords).
+    pub fn longest_first(&self) -> &[u32] {
+        match self {
+            StateMatcher::Cw(_, order) => order,
+            _ => &[],
         }
     }
 
@@ -128,7 +141,11 @@ impl StateMatcher {
         match self {
             StateMatcher::Empty => 0,
             StateMatcher::Bm(bm) => std::mem::size_of::<BoyerMoore>() + bm.heap_bytes(),
-            StateMatcher::Cw(cw) => std::mem::size_of::<CommentzWalter>() + cw.heap_bytes(),
+            StateMatcher::Cw(cw, longest_first) => {
+                std::mem::size_of::<CommentzWalter>()
+                    + cw.heap_bytes()
+                    + std::mem::size_of_val(&**longest_first)
+            }
         }
     }
 }
@@ -176,7 +193,7 @@ mod tests {
     #[test]
     fn multi_keyword_uses_cw_with_stable_indices() {
         let m = StateMatcher::build(&state(&["</a", "<b", "<c"]));
-        assert!(matches!(m, StateMatcher::Cw(_)));
+        assert!(matches!(m, StateMatcher::Cw(..)));
         assert_eq!(m.find_in(b"..<c>..</a>", 0, &mut NoMetrics), Some((2, 2)));
         assert_eq!(m.find_in(b"..<c>..</a>", 3, &mut NoMetrics), Some((0, 7)));
     }

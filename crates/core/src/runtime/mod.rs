@@ -443,20 +443,7 @@ impl Prefilter {
                 // Bachelor tag: perform the opening and the closing
                 // transition one after the other (paper Fig. 4).
                 let open_target = target;
-                let close_target = {
-                    let open_state = &self.tables.states[open_target as usize];
-                    let open_label = open_state.label.clone().expect("labeled state");
-                    open_state
-                        .keywords
-                        .iter()
-                        .find(|k| k.close && k.name == open_label.0)
-                        .map(|k| k.target)
-                        .ok_or(CoreError::UnexpectedToken {
-                            name: open_label.0.clone(),
-                            close: true,
-                            pos: start,
-                        })?
-                };
+                let close_target = self.close_target(open_target, start)?;
                 matchers::attribute_entry(&self.tables, open_target, &mut self.hits, stats);
                 matchers::attribute_entry(&self.tables, close_target, &mut self.hits, stats);
                 if self.multi {
@@ -476,20 +463,7 @@ impl Prefilter {
                     self.apply_action(input, target, start, end, false)?;
                 }
                 let (close_start, close_end) = self.balanced_scan(target, input, end, m, stats)?;
-                let close_target = {
-                    let open_state = &self.tables.states[target as usize];
-                    let open_label = open_state.label.clone().expect("labeled state");
-                    open_state
-                        .keywords
-                        .iter()
-                        .find(|k| k.close && k.name == open_label.0)
-                        .map(|k| k.target)
-                        .ok_or(CoreError::UnexpectedToken {
-                            name: open_label.0.clone(),
-                            close: true,
-                            pos: close_start,
-                        })?
-                };
+                let close_target = self.close_target(target, close_start)?;
                 matchers::attribute_entry(&self.tables, close_target, &mut self.hits, stats);
                 if self.multi {
                     self.apply_action_multi(input, close_target, close_start, close_end, true)?;
@@ -516,6 +490,20 @@ impl Prefilter {
         Ok(())
     }
 
+    /// The state the closing tag of `open_state`'s own element leads to:
+    /// `A[open_state, </name]`, for bachelor tags and balanced subtrees,
+    /// whose closing transition the runtime takes without searching.
+    fn close_target(&self, open_state: u32, pos: usize) -> Result<u32, CoreError> {
+        let state = &self.tables.states[open_state as usize];
+        let name = &state.label.as_ref().expect("labeled state").0;
+        state
+            .keywords
+            .iter()
+            .find(|k| k.close && k.name == *name)
+            .map(|k| k.target)
+            .ok_or_else(|| CoreError::UnexpectedToken { name: name.clone(), close: true, pos })
+    }
+
     /// Balanced depth-counting scan across an opaque (recursive-element)
     /// subtree: starting just past the opening tag (depth 1), find
     /// verified `<e` / `</e` tokens, counting depth up and down, until the
@@ -534,15 +522,11 @@ impl Prefilter {
         m: &mut M,
         stats: &mut RunStats,
     ) -> Result<(usize, usize), CoreError> {
-        let name = self.tables.states[open_state as usize]
-            .label
-            .as_ref()
-            .expect("balanced states are labeled")
-            .0
-            .clone();
+        let name: &str =
+            &self.tables.states[open_state as usize].label.as_ref().expect("labeled state").0;
         let lookback = self.tables.max_kw_len.max(name.len() + 2) + 8;
         if memscan::accel_enabled() {
-            return balanced_scan_windowed(&name, lookback, input, from, m, stats);
+            return balanced_scan_windowed(name, lookback, input, from, m, stats);
         }
         if self.balanced_matchers[open_state as usize].is_none() {
             let open_pat = format!("<{name}").into_bytes();
@@ -636,10 +620,10 @@ impl Prefilter {
         m: &mut M,
     ) -> Result<Option<usize>, CoreError> {
         let kws = &self.tables.states[q as usize].keywords;
-        let mut order: Vec<usize> = (0..kws.len()).filter(|&i| i != except).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(kws[i].bytes.len()));
-        for i in order {
-            if input.matches_at(start, &kws[i].bytes, m)? {
+        let matcher = self.matchers[q as usize].as_ref().expect("built by the search");
+        for &i in matcher.longest_first() {
+            let i = i as usize;
+            if i != except && input.matches_at(start, &kws[i].bytes, m)? {
                 m.cmp(1);
                 if let Some(c) = input.byte(start + kws[i].bytes.len())? {
                     if is_tag_name_end(c) {

@@ -16,8 +16,9 @@
 
 use crate::error::DtdError;
 use crate::glushkov::Glushkov;
-use crate::model::{ContentModel, Dtd, Regex};
+use crate::model::{ContentModel, Dtd};
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
 /// Hard cap on expansion size; beyond this the schema is pathological.
 const STATE_LIMIT: usize = 200_000;
@@ -85,9 +86,14 @@ impl DtdAutomaton {
     /// open→close transition; its interior is not modelled — the runtime
     /// crosses it with a balanced depth-counting scan over `<e`/`</e`.
     pub fn build_allow_recursion(dtd: &Dtd) -> Result<DtdAutomaton, DtdError> {
-        let recursive: BTreeSet<String> =
-            dtd.recursive_elements().into_iter().map(str::to_string).collect();
-        let mut b = Builder { dtd, recursive, elem_names: Vec::new(), states: Vec::new() };
+        let elems = dtd.elem_names().len();
+        let mut b = Builder {
+            dtd,
+            interned: vec![u32::MAX; elems],
+            wiring: vec![None; elems],
+            elem_names: Vec::new(),
+            states: Vec::new(),
+        };
         b.states.push(StateData {
             elem: u32::MAX,
             close: false,
@@ -96,7 +102,8 @@ impl DtdAutomaton {
             trans: Vec::new(),
             opaque: false,
         });
-        let (open_root, close_root) = b.expand(dtd.root(), None)?;
+        let root = dtd.elem_id(dtd.root()).expect("the root has an element id");
+        let (open_root, close_root) = b.expand(root, None)?;
         b.states[0].trans.push(open_root);
         Ok(DtdAutomaton { elem_names: b.elem_names, states: b.states, final_state: close_root })
     }
@@ -248,22 +255,61 @@ impl DtdAutomaton {
     }
 }
 
+/// How an element's content wires the instances of its children between
+/// its open and close state. Worked out once per element: every instance
+/// of the element is wired the same way.
+enum Wiring {
+    /// `EMPTY` / `(#PCDATA)`: open → close.
+    Leaf,
+    /// `(n1 | … | nk)*` (mixed content, `ANY`): the child element ids.
+    StarOfChoices(Vec<u32>),
+    /// Element content: the Glushkov automaton of the content model, and
+    /// the element id of each of its positions.
+    Positions(Glushkov, Vec<u32>),
+}
+
 struct Builder<'d> {
     dtd: &'d Dtd,
-    recursive: BTreeSet<String>,
+    /// Per `Dtd` element id, its index in `elem_names` (`u32::MAX` until
+    /// an instance is expanded: names are interned in expansion order).
+    interned: Vec<u32>,
+    /// Per `Dtd` element id, its content wiring once an instance needed it.
+    wiring: Vec<Option<Rc<Wiring>>>,
     elem_names: Vec<String>,
     states: Vec<StateData>,
 }
 
 impl<'d> Builder<'d> {
-    fn intern(&mut self, name: &str) -> u32 {
-        match self.elem_names.iter().position(|n| n == name) {
-            Some(i) => i as u32,
-            None => {
-                self.elem_names.push(name.to_string());
-                (self.elem_names.len() - 1) as u32
-            }
+    fn intern(&mut self, elem: u32) -> u32 {
+        let slot = &mut self.interned[elem as usize];
+        if *slot == u32::MAX {
+            *slot = self.elem_names.len() as u32;
+            self.elem_names.push(self.dtd.elem_name(elem).to_string());
         }
+        *slot
+    }
+
+    fn wiring(&mut self, elem: u32) -> Rc<Wiring> {
+        let dtd = self.dtd;
+        let id = |n: &String| dtd.elem_id(n).expect("content models mention known elements");
+        self.wiring[elem as usize]
+            .get_or_insert_with(|| {
+                Rc::new(match dtd.elem_decl(elem).map(|d| &d.content) {
+                    None | Some(ContentModel::Empty | ContentModel::Pcdata) => Wiring::Leaf,
+                    Some(ContentModel::Any) => {
+                        Wiring::StarOfChoices(dtd.elem_children(elem).to_vec())
+                    }
+                    Some(ContentModel::Mixed(names)) => {
+                        Wiring::StarOfChoices(names.iter().map(id).collect())
+                    }
+                    Some(ContentModel::Children(re)) => {
+                        let g = Glushkov::build(re);
+                        let elems = g.labels.iter().map(id).collect();
+                        Wiring::Positions(g, elems)
+                    }
+                })
+            })
+            .clone()
     }
 
     fn new_state(
@@ -281,14 +327,15 @@ impl<'d> Builder<'d> {
         Ok(id)
     }
 
-    /// Expand one element instance; returns its (open, close) states.
+    /// Expand one instance of element `elem` (a `Dtd` element id); returns
+    /// its (open, close) states.
     fn expand(
         &mut self,
-        elem: &str,
+        elem: u32,
         parent: Option<StateId>,
     ) -> Result<(StateId, StateId), DtdError> {
         let e = self.intern(elem);
-        let opaque = self.recursive.contains(elem);
+        let opaque = self.dtd.elem_is_recursive(elem);
         let open = self.new_state(e, false, parent, opaque)?;
         let close = self.new_state(e, true, parent, opaque)?;
         self.states[open.idx()].dual = close;
@@ -300,22 +347,12 @@ impl<'d> Builder<'d> {
             return Ok((open, close));
         }
 
-        let content = self.dtd.content(elem).clone();
-        match content {
-            ContentModel::Empty | ContentModel::Pcdata => {
-                self.states[open.idx()].trans.push(close);
+        match &*self.wiring(elem) {
+            Wiring::Leaf => self.states[open.idx()].trans.push(close),
+            Wiring::StarOfChoices(children) => {
+                self.expand_star_of_choices(children, open, close)?
             }
-            ContentModel::Any => {
-                let names: Vec<String> =
-                    self.dtd.effective_child_names(elem).into_iter().map(str::to_string).collect();
-                self.expand_star_of_choices(&names, open, close)?;
-            }
-            ContentModel::Mixed(names) => {
-                self.expand_star_of_choices(&names, open, close)?;
-            }
-            ContentModel::Children(re) => {
-                self.expand_regex(&re, elem, open, close)?;
-            }
+            Wiring::Positions(g, elems) => self.expand_positions(g, elems, open, close)?,
         }
         Ok((open, close))
     }
@@ -323,12 +360,12 @@ impl<'d> Builder<'d> {
     /// Wire `(n1 | … | nk)*` content between `open` and `close`.
     fn expand_star_of_choices(
         &mut self,
-        names: &[String],
+        children: &[u32],
         open: StateId,
         close: StateId,
     ) -> Result<(), DtdError> {
-        let mut child_states = Vec::with_capacity(names.len());
-        for n in names {
+        let mut child_states = Vec::with_capacity(children.len());
+        for &n in children {
             child_states.push(self.expand(n, Some(open))?);
         }
         self.states[open.idx()].trans.push(close);
@@ -344,19 +381,19 @@ impl<'d> Builder<'d> {
         Ok(())
     }
 
-    /// Wire element content `re` between `open` and `close` using the
-    /// Glushkov automaton of the content model.
-    fn expand_regex(
+    /// Wire element content between `open` and `close` along the Glushkov
+    /// automaton `g` of the content model, whose positions are instances
+    /// of the elements `elems`.
+    fn expand_positions(
         &mut self,
-        re: &Regex,
-        _elem: &str,
+        g: &Glushkov,
+        elems: &[u32],
         open: StateId,
         close: StateId,
     ) -> Result<(), DtdError> {
-        let g = Glushkov::build(re);
-        let mut pos_states = Vec::with_capacity(g.len());
-        for label in &g.labels {
-            pos_states.push(self.expand(label, Some(open))?);
+        let mut pos_states = Vec::with_capacity(elems.len());
+        for &elem in elems {
+            pos_states.push(self.expand(elem, Some(open))?);
         }
         for &f in &g.first {
             let target = pos_states[f].0;

@@ -20,14 +20,17 @@
 
 use crate::error::DtdError;
 use crate::model::{AttDefault, ContentModel, Dtd, Regex};
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
-/// Precomputed minimal lengths for every element of a DTD.
+/// Precomputed minimal lengths for every element of a DTD, indexed by the
+/// DTD's dense element ids.
 #[derive(Debug, Clone)]
 pub struct MinLen {
-    attr_min: BTreeMap<String, usize>,
-    content_min: BTreeMap<String, usize>,
-    can_be_empty: BTreeMap<String, bool>,
+    /// The DTD's element names in id (= name) order.
+    names: Arc<[String]>,
+    attr_min: Vec<usize>,
+    content_min: Vec<usize>,
+    can_be_empty: Vec<bool>,
 }
 
 impl MinLen {
@@ -46,48 +49,40 @@ impl MinLen {
     /// minimal content length of 0. All lengths remain valid *lower*
     /// bounds, which is the only property jump-offset safety needs.
     pub fn compute_allow_recursion(dtd: &Dtd) -> Result<MinLen, DtdError> {
+        let names = dtd.elem_names().clone();
+        let n = names.len() as u32;
         let mut ml = MinLen {
-            attr_min: BTreeMap::new(),
-            content_min: BTreeMap::new(),
-            can_be_empty: BTreeMap::new(),
+            attr_min: (0..n).map(|e| required_attrs_min(dtd, e)).collect(),
+            can_be_empty: (0..n)
+                .map(|e| dtd.elem_decl(e).is_none_or(|d| d.content.can_be_empty()))
+                .collect(),
+            content_min: Vec::new(),
+            names,
         };
-        // Declared elements plus everything they reference.
-        let mut names: Vec<String> = dtd.elements().map(|e| e.name.clone()).collect();
-        let mut i = 0;
-        while i < names.len() {
-            let children: Vec<String> =
-                dtd.effective_child_names(&names[i]).into_iter().map(str::to_string).collect();
-            for c in children {
-                if !names.contains(&c) {
-                    names.push(c);
-                }
-            }
-            i += 1;
+        // Recursive elements are pre-seeded with 0, which makes the
+        // memoized recursion well-founded (and conservative).
+        let mut memo: Vec<Option<usize>> =
+            (0..n).map(|e| dtd.elem_is_recursive(e).then_some(0)).collect();
+        for e in 0..n {
+            ml.content_min_memo(dtd, e, &mut memo);
         }
-        for n in &names {
-            ml.attr_min.insert(n.clone(), required_attrs_min(dtd, n));
-            ml.can_be_empty.insert(n.clone(), dtd.content(n).can_be_empty());
-        }
-        // Pre-seed recursive elements with 0 so the memoized recursion is
-        // well-founded (and conservative).
-        for e in dtd.recursive_elements() {
-            ml.content_min.insert(e.to_string(), 0);
-        }
-        for n in &names {
-            content_min_memo(dtd, n, &mut ml.content_min);
-        }
+        ml.content_min = memo.into_iter().map(|v| v.expect("filled above")).collect();
         Ok(ml)
+    }
+
+    fn id(&self, elem: &str) -> Option<usize> {
+        self.names.binary_search_by(|n| n.as_str().cmp(elem)).ok()
     }
 
     /// Minimal total characters of the `#REQUIRED` attributes of `elem`,
     /// including the separating spaces (e.g. ` category=""` = 12).
     pub fn attrs(&self, elem: &str) -> usize {
-        self.attr_min.get(elem).copied().unwrap_or(0)
+        self.id(elem).map_or(0, |e| self.attr_min[e])
     }
 
     /// Minimal characters of the content (between open and close tag).
     pub fn content_len(&self, elem: &str) -> usize {
-        self.content_min.get(elem).copied().unwrap_or(0)
+        self.id(elem).map_or(0, |e| self.content_min[e])
     }
 
     /// Minimal open tag `<elem …>` length.
@@ -102,7 +97,7 @@ impl MinLen {
 
     /// Minimal bachelor tag `<elem …/>` length, if the element may be empty.
     pub fn bachelor(&self, elem: &str) -> Option<usize> {
-        if self.can_be_empty.get(elem).copied().unwrap_or(true) {
+        if self.id(elem).is_none_or(|e| self.can_be_empty[e]) {
             Some(1 + elem.len() + self.attrs(elem) + 2)
         } else {
             None
@@ -118,54 +113,55 @@ impl MinLen {
             None => paired,
         }
     }
-}
 
-/// Memoized minimal content length of `elem` (acyclic by the recursion
-/// check, so plain recursion with a memo map terminates in O(schema size)).
-fn content_min_memo(dtd: &Dtd, elem: &str, memo: &mut BTreeMap<String, usize>) -> usize {
-    if let Some(&v) = memo.get(elem) {
-        return v;
-    }
-    let v = match dtd.content(elem) {
-        ContentModel::Empty | ContentModel::Pcdata | ContentModel::Any | ContentModel::Mixed(_) => {
-            0
+    /// Memoized minimal content length of element `e` (acyclic once the
+    /// recursive elements are seeded, so plain recursion with a memo table
+    /// terminates in O(schema size)).
+    fn content_min_memo(&self, dtd: &Dtd, e: u32, memo: &mut [Option<usize>]) -> usize {
+        if let Some(v) = memo[e as usize] {
+            return v;
         }
-        ContentModel::Children(re) => {
-            let re = re.clone();
-            regex_min_memo(dtd, &re, memo)
-        }
-    };
-    memo.insert(elem.to_string(), v);
-    v
-}
+        let v = match dtd.elem_decl(e).map(|d| &d.content) {
+            Some(ContentModel::Children(re)) => self.regex_min_memo(dtd, re, memo),
+            _ => 0,
+        };
+        memo[e as usize] = Some(v);
+        v
+    }
 
-fn regex_min_memo(dtd: &Dtd, re: &Regex, memo: &mut BTreeMap<String, usize>) -> usize {
-    match re {
-        Regex::Name(n) => elem_min_memo(dtd, n, memo),
-        Regex::Seq(parts) => parts.iter().map(|p| regex_min_memo(dtd, p, memo)).sum(),
-        Regex::Choice(parts) => {
-            parts.iter().map(|p| regex_min_memo(dtd, p, memo)).min().unwrap_or(0)
+    fn regex_min_memo(&self, dtd: &Dtd, re: &Regex, memo: &mut [Option<usize>]) -> usize {
+        match re {
+            Regex::Name(n) => {
+                let e = dtd.elem_id(n).expect("content models mention known elements");
+                self.elem_min_memo(dtd, e, memo)
+            }
+            Regex::Seq(parts) => parts.iter().map(|p| self.regex_min_memo(dtd, p, memo)).sum(),
+            Regex::Choice(parts) => {
+                parts.iter().map(|p| self.regex_min_memo(dtd, p, memo)).min().unwrap_or(0)
+            }
+            Regex::Opt(_) | Regex::Star(_) => 0,
+            Regex::Plus(inner) => self.regex_min_memo(dtd, inner, memo),
         }
-        Regex::Opt(_) | Regex::Star(_) => 0,
-        Regex::Plus(inner) => regex_min_memo(dtd, inner, memo),
+    }
+
+    /// Minimal length of a complete instance of element `e`.
+    fn elem_min_memo(&self, dtd: &Dtd, e: u32, memo: &mut [Option<usize>]) -> usize {
+        let name_len = dtd.elem_name(e).len();
+        let a = self.attr_min[e as usize];
+        let content = self.content_min_memo(dtd, e, memo);
+        let paired = (1 + name_len + a + 1) + content + (2 + name_len + 1);
+        if self.can_be_empty[e as usize] {
+            let bachelor = 1 + name_len + a + 2;
+            paired.min(bachelor)
+        } else {
+            paired
+        }
     }
 }
 
-/// Minimal length of a complete instance of `elem`.
-fn elem_min_memo(dtd: &Dtd, elem: &str, memo: &mut BTreeMap<String, usize>) -> usize {
-    let a = required_attrs_min(dtd, elem);
-    let content = content_min_memo(dtd, elem, memo);
-    let paired = (1 + elem.len() + a + 1) + content + (2 + elem.len() + 1);
-    if dtd.content(elem).can_be_empty() {
-        let bachelor = 1 + elem.len() + a + 2;
-        paired.min(bachelor)
-    } else {
-        paired
-    }
-}
-
-fn required_attrs_min(dtd: &Dtd, elem: &str) -> usize {
-    dtd.attrs(elem)
+fn required_attrs_min(dtd: &Dtd, elem: u32) -> usize {
+    dtd.elem_decl(elem)
+        .map_or(&[][..], |d| &d.attrs)
         .iter()
         .filter(|a| matches!(a.default, AttDefault::Required))
         .map(|a| {

@@ -1,7 +1,8 @@
 //! Schema model: element declarations, content models, attribute lists.
 
 use crate::error::DtdError;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// A regular expression over child element names (the body of an element
 /// content model).
@@ -35,16 +36,15 @@ impl Regex {
 
     /// All element names mentioned.
     pub fn names(&self) -> BTreeSet<&str> {
-        let mut out = BTreeSet::new();
+        let mut out = Vec::new();
         self.collect_names(&mut out);
-        out
+        out.into_iter().collect()
     }
 
-    fn collect_names<'a>(&'a self, out: &mut BTreeSet<&'a str>) {
+    /// Every mention of an element name, in order of appearance.
+    fn collect_names<'a>(&'a self, out: &mut Vec<&'a str>) {
         match self {
-            Regex::Name(n) => {
-                out.insert(n.as_str());
-            }
+            Regex::Name(n) => out.push(n),
             Regex::Seq(rs) | Regex::Choice(rs) => {
                 for r in rs {
                     r.collect_names(out);
@@ -89,10 +89,17 @@ impl ContentModel {
 
     /// The set of element names that may appear as direct children.
     pub fn child_names(&self) -> BTreeSet<&str> {
+        let mut out = Vec::new();
+        self.collect_child_names(&mut out);
+        out.into_iter().collect()
+    }
+
+    /// Every mention of a child element name, in order of appearance.
+    fn collect_child_names<'a>(&'a self, out: &mut Vec<&'a str>) {
         match self {
-            ContentModel::Empty | ContentModel::Pcdata | ContentModel::Any => BTreeSet::new(),
-            ContentModel::Mixed(ns) => ns.iter().map(String::as_str).collect(),
-            ContentModel::Children(r) => r.names(),
+            ContentModel::Empty | ContentModel::Pcdata | ContentModel::Any => {}
+            ContentModel::Mixed(ns) => out.extend(ns.iter().map(String::as_str)),
+            ContentModel::Children(r) => r.collect_names(out),
         }
     }
 }
@@ -133,27 +140,88 @@ pub struct ElementDecl {
 }
 
 /// A parsed DTD.
+///
+/// Every element name the DTD mentions — declared, or only referenced by a
+/// content model or as the root (such elements default to `(#PCDATA)`) —
+/// has a dense
+/// **element id**: its position in name order. The containment graph over
+/// those ids and its cycles are worked out once, at construction, and
+/// shared by everything built from the schema ([`DtdAutomaton`],
+/// [`MinLen`]).
+///
+/// [`DtdAutomaton`]: crate::DtdAutomaton
+/// [`MinLen`]: crate::MinLen
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dtd {
     root: String,
-    elements: BTreeMap<String, ElementDecl>,
+    /// The declarations, in name order.
+    elements: Vec<ElementDecl>,
+    /// Every element name mentioned, in name order; shared with the tables
+    /// computed from the schema.
+    names: Arc<[String]>,
+    /// Per element id, the index of its declaration in `elements`
+    /// (`u32::MAX`: referenced but not declared).
+    decl: Vec<u32>,
+    /// Per element id, the ids of the elements that may appear as direct
+    /// children (`ANY` resolved to all declared elements), ascending.
+    children: Vec<Vec<u32>>,
+    /// Per element id: can the element (transitively) contain itself?
+    recursive: Vec<bool>,
 }
 
 impl Dtd {
     /// Assemble a DTD from parts (used by the parser and by tests/property
     /// generators).
-    pub fn from_parts(root: String, decls: Vec<ElementDecl>) -> Result<Dtd, DtdError> {
+    pub fn from_parts(root: String, mut decls: Vec<ElementDecl>) -> Result<Dtd, DtdError> {
         if decls.is_empty() {
             return Err(DtdError::Empty);
         }
-        let mut elements = BTreeMap::new();
-        for d in decls {
-            let name = d.name.clone();
-            if elements.insert(name.clone(), d).is_some() {
-                return Err(DtdError::DuplicateElement(name));
+        decls.sort_by(|a, b| a.name.cmp(&b.name));
+        if let Some(w) = decls.windows(2).find(|w| w[0].name == w[1].name) {
+            return Err(DtdError::DuplicateElement(w[0].name.clone()));
+        }
+        // Every child mention of every declaration in one list, and each
+        // declaration's span of it.
+        let mut kids: Vec<&str> = Vec::new();
+        let mut spans = Vec::with_capacity(decls.len());
+        for d in &decls {
+            let start = kids.len();
+            d.content.collect_child_names(&mut kids);
+            spans.push(start..kids.len());
+        }
+        // The declared names are in order already; the few names only
+        // mentioned join them, and a stable sort merges the two runs.
+        let mut names: Vec<&str> = decls.iter().map(|d| d.name.as_str()).collect();
+        let mut ids: HashMap<&str, u32> = names.iter().map(|&n| (n, 0)).collect();
+        for n in std::iter::once(root.as_str()).chain(kids.iter().copied()) {
+            if ids.insert(n, 0).is_none() {
+                names.push(n);
             }
         }
-        Ok(Dtd { root, elements })
+        names.sort();
+        for (i, n) in names.iter().enumerate() {
+            ids.insert(n, i as u32);
+        }
+        let id = |n: &str| ids[n];
+        let declared: Vec<u32> = decls.iter().map(|d| id(&d.name)).collect();
+        let mut decl = vec![u32::MAX; names.len()];
+        let mut children = vec![Vec::new(); names.len()];
+        for (i, d) in decls.iter().enumerate() {
+            let e = declared[i] as usize;
+            decl[e] = i as u32;
+            children[e] = match &d.content {
+                ContentModel::Any => declared.clone(),
+                _ => {
+                    let mut of_d: Vec<u32> = kids[spans[i].clone()].iter().map(|n| id(n)).collect();
+                    of_d.sort_unstable();
+                    of_d.dedup();
+                    of_d
+                }
+            };
+        }
+        let recursive = on_cycles(&children);
+        let names = names.into_iter().map(str::to_string).collect();
+        Ok(Dtd { root, elements: decls, names, decl, children, recursive })
     }
 
     /// Parse DTD text: either a full `<!DOCTYPE name [ … ]>` or a bare
@@ -170,12 +238,15 @@ impl Dtd {
 
     /// All declared elements in name order.
     pub fn elements(&self) -> impl Iterator<Item = &ElementDecl> {
-        self.elements.values()
+        self.elements.iter()
     }
 
     /// Look up a declaration.
     pub fn get(&self, name: &str) -> Option<&ElementDecl> {
-        self.elements.get(name)
+        self.elements
+            .binary_search_by(|d| d.name.as_str().cmp(name))
+            .ok()
+            .map(|i| &self.elements[i])
     }
 
     /// Content model of `name`. Elements that are referenced but not
@@ -184,12 +255,12 @@ impl Dtd {
     /// #PCDATA content").
     pub fn content(&self, name: &str) -> &ContentModel {
         static PCDATA: ContentModel = ContentModel::Pcdata;
-        self.elements.get(name).map(|e| &e.content).unwrap_or(&PCDATA)
+        self.get(name).map(|e| &e.content).unwrap_or(&PCDATA)
     }
 
     /// Attribute definitions of `name` (empty for undeclared elements).
     pub fn attrs(&self, name: &str) -> &[AttDef] {
-        self.elements.get(name).map(|e| e.attrs.as_slice()).unwrap_or(&[])
+        self.get(name).map(|e| e.attrs.as_slice()).unwrap_or(&[])
     }
 
     /// Names of `#REQUIRED` attributes of `name`.
@@ -204,10 +275,40 @@ impl Dtd {
     /// resolving `ANY` to all declared elements (which is what `ANY` means
     /// for containment and recursion purposes).
     pub fn effective_child_names(&self, name: &str) -> BTreeSet<&str> {
-        match self.content(name) {
-            ContentModel::Any => self.elements.keys().map(String::as_str).collect(),
-            other => other.child_names(),
+        match self.elem_id(name) {
+            Some(e) => self.children[e as usize].iter().map(|&c| self.elem_name(c)).collect(),
+            None => BTreeSet::new(),
         }
+    }
+
+    /// Every element name the DTD mentions, in element-id order.
+    pub(crate) fn elem_names(&self) -> &Arc<[String]> {
+        &self.names
+    }
+
+    /// Dense id of element `name`, if the DTD mentions it.
+    pub(crate) fn elem_id(&self, name: &str) -> Option<u32> {
+        self.names.binary_search_by(|n| n.as_str().cmp(name)).ok().map(|i| i as u32)
+    }
+
+    /// Name of element `id`.
+    pub(crate) fn elem_name(&self, id: u32) -> &str {
+        &self.names[id as usize]
+    }
+
+    /// Declaration of element `id` (`None`: referenced but not declared).
+    pub(crate) fn elem_decl(&self, id: u32) -> Option<&ElementDecl> {
+        self.elements.get(self.decl[id as usize] as usize)
+    }
+
+    /// Ids of the elements that may appear as direct children of `id`.
+    pub(crate) fn elem_children(&self, id: u32) -> &[u32] {
+        &self.children[id as usize]
+    }
+
+    /// Can element `id` (transitively) contain itself?
+    pub(crate) fn elem_is_recursive(&self, id: u32) -> bool {
+        self.recursive[id as usize]
     }
 
     /// Is any element (transitively) able to contain itself?
@@ -219,71 +320,71 @@ impl Dtd {
     /// elements the recursion extension treats as *opaque* (their subtrees
     /// are navigated by balanced tag counting instead of automaton states).
     pub fn recursive_elements(&self) -> BTreeSet<&str> {
-        let names: Vec<&str> = self.elements.keys().map(String::as_str).collect();
-        let mut out = BTreeSet::new();
-        for &e in &names {
-            // DFS from e's children; e is recursive iff it reaches itself.
-            let mut seen: BTreeSet<&str> = BTreeSet::new();
-            let mut stack: Vec<&str> = self.effective_child_names(e).into_iter().collect();
-            let mut hit = false;
-            while let Some(c) = stack.pop() {
-                if c == e {
-                    hit = true;
-                    break;
-                }
-                if seen.insert(c) {
-                    stack.extend(self.effective_child_names(c));
-                }
-            }
-            if hit {
-                out.insert(e);
-            }
-        }
-        out
+        (0..self.names.len() as u32)
+            .filter(|&e| self.elem_is_recursive(e))
+            .map(|e| self.elem_name(e))
+            .collect()
     }
 
     /// Returns an element on a containment cycle, if one exists.
     pub fn find_cycle(&self) -> Option<&str> {
-        #[derive(Clone, Copy, PartialEq)]
-        enum Mark {
-            White,
-            Grey,
-            Black,
-        }
-        let names: Vec<&str> = self.elements.keys().map(String::as_str).collect();
-        let index: BTreeMap<&str, usize> = names.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-        let mut marks = vec![Mark::White; names.len()];
+        self.recursive.iter().position(|&r| r).map(|e| self.elem_name(e as u32))
+    }
+}
 
-        // Iterative DFS with a grey/black coloring.
-        for &start in &names {
-            if marks[index[start]] != Mark::White {
+/// Which nodes of a directed graph lie on a cycle (a self loop included):
+/// one pass of Tarjan's strongly-connected-components algorithm, iterative,
+/// over adjacency lists of dense node ids.
+fn on_cycles(adj: &[Vec<u32>]) -> Vec<bool> {
+    const UNSEEN: u32 = u32::MAX;
+    let n = adj.len();
+    let mut index = vec![UNSEEN; n];
+    let mut low = vec![0u32; n];
+    let mut on_stack = vec![false; n];
+    let mut stack: Vec<u32> = Vec::new();
+    let mut cyclic = vec![false; n];
+    let mut next = 0u32;
+    // (node, position in its adjacency list, its position on `stack`)
+    let mut work: Vec<(u32, usize, usize)> = Vec::new();
+    for start in 0..n as u32 {
+        if index[start as usize] != UNSEEN {
+            continue;
+        }
+        work.push((start, 0, stack.len()));
+        while let Some(&mut (v, ref mut at, first)) = work.last_mut() {
+            let vi = v as usize;
+            if *at == 0 {
+                index[vi] = next;
+                low[vi] = next;
+                next += 1;
+                stack.push(v);
+                on_stack[vi] = true;
+            }
+            if let Some(&w) = adj[vi].get(*at) {
+                *at += 1;
+                let wi = w as usize;
+                if index[wi] == UNSEEN {
+                    work.push((w, 0, stack.len()));
+                } else if on_stack[wi] {
+                    low[vi] = low[vi].min(index[wi]);
+                }
                 continue;
             }
-            let mut stack: Vec<(usize, bool)> = vec![(index[start], false)];
-            while let Some((v, processed)) = stack.pop() {
-                if processed {
-                    marks[v] = Mark::Black;
-                    continue;
-                }
-                if marks[v] == Mark::Black {
-                    continue;
-                }
-                marks[v] = Mark::Grey;
-                stack.push((v, true));
-                let children = self.effective_child_names(names[v]);
-                for c in children {
-                    if let Some(&ci) = index.get(c) {
-                        match marks[ci] {
-                            Mark::Grey => return Some(names[ci]),
-                            Mark::White => stack.push((ci, false)),
-                            Mark::Black => {}
-                        }
-                    }
+            work.pop();
+            if let Some(&(parent, ..)) = work.last() {
+                low[parent as usize] = low[parent as usize].min(low[vi]);
+            }
+            if low[vi] == index[vi] {
+                // `v` roots a component: itself and everything above it.
+                let alone = stack.len() - first == 1;
+                for w in stack.drain(first..) {
+                    on_stack[w as usize] = false;
+                    cyclic[w as usize] = !alone || adj[w as usize].contains(&w);
                 }
             }
         }
-        None
     }
+    cyclic
 }
 
 #[cfg(test)]
@@ -338,6 +439,57 @@ mod tests {
             Dtd::from_parts("a".into(), vec![decl("a", ContentModel::Mixed(vec!["a".into()]))])
                 .unwrap();
         assert!(dtd.is_recursive());
+    }
+
+    #[test]
+    fn recursive_elements_are_those_that_reach_themselves() {
+        // Every containment graph over five elements drawn from a fixed
+        // stream: the one-pass cycle marks must agree with a reachability
+        // search per element, element ids with name order, and an
+        // undeclared child (`ghost`) must get an id and no children.
+        let names = ["a", "b", "c", "d", "e"];
+        let mut state = 0x2008_0407_u64;
+        for _ in 0..400 {
+            let decls: Vec<ElementDecl> = names
+                .iter()
+                .map(|n| {
+                    state =
+                        state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    let mut kids: Vec<String> = names
+                        .iter()
+                        .enumerate()
+                        .filter(|(j, _)| state >> (20 + 2 * j) & 3 == 0)
+                        .map(|(_, k)| k.to_string())
+                        .collect();
+                    if state >> 40 & 7 == 0 {
+                        kids.push("ghost".into());
+                    }
+                    decl(n, ContentModel::Mixed(kids))
+                })
+                .collect();
+            let dtd = Dtd::from_parts("a".into(), decls).unwrap();
+            let reaches_itself = |e: &str| {
+                let mut seen = BTreeSet::new();
+                let mut stack: Vec<&str> = dtd.effective_child_names(e).into_iter().collect();
+                while let Some(c) = stack.pop() {
+                    if c == e {
+                        return true;
+                    }
+                    if seen.insert(c) {
+                        stack.extend(dtd.effective_child_names(c));
+                    }
+                }
+                false
+            };
+            let want: BTreeSet<&str> =
+                names.iter().copied().filter(|e| reaches_itself(e)).collect();
+            assert_eq!(dtd.recursive_elements(), want);
+            assert_eq!(dtd.is_recursive(), !want.is_empty());
+            assert!(dtd.elem_names().windows(2).all(|w| w[0] < w[1]));
+            if let Some(g) = dtd.elem_id("ghost") {
+                assert!(dtd.elem_decl(g).is_none() && dtd.elem_children(g).is_empty());
+            }
+        }
     }
 
     #[test]

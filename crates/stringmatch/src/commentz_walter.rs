@@ -31,22 +31,53 @@
 //! Both rules follow the classical Commentz–Walter construction; the
 //! property tests in `tests/proptest_matchers.rs` verify the full occurrence
 //! set against Aho–Corasick and naive oracles.
-
+//!
 //! # Vectorized fast path
 //!
-//! Occurrences can only start at positions holding some pattern's *first*
-//! byte. Whenever the vocabulary has at most three distinct first bytes —
-//! always true for SMP frontier vocabularies, where every keyword starts
-//! with `<` — the searcher vector-scans ([`crate::memscan`]) for those
-//! bytes (`find_byte`/[`find_byte2`](memscan::find_byte2)/
-//! [`find_byte3`](memscan::find_byte3)) before entering any trie:
-//! positions that cannot start a pattern are skipped without a single
-//! scalar comparison, with no shared-prefix assumption. Vocabularies with
-//! four or more distinct first bytes fall back to the classic windowed
-//! loop. `SMPX_NO_SIMD=1` (or
-//! [`memscan::force_accel`](crate::memscan::force_accel)) disables the
-//! fast path; [`CommentzWalter::find_at_scalar`] exposes the pure windowed
-//! loop directly.
+//! [`find_at`](CommentzWalter::find_at) does not slide windows. It walks
+//! the *candidate* alignments of a per-vocabulary
+//! [`memscan::Fingerprint`] in increasing order and verifies the keywords
+//! at each; [`find_at_scalar`](CommentzWalter::find_at_scalar) — the loop
+//! above — stays the specification and the `SMPX_NO_SIMD=1` leg, and
+//! `find_at ≡ find_at_scalar` (first by end, ties by pattern index,
+//! starts `>= from`) for arbitrary byte patterns.
+//!
+//! * **The filter.** At build time two byte offsets `o1 <= o2 < lmin` are
+//!   chosen for the whole vocabulary: the pair minimising
+//!   `Σ_k rank(k[o1]) · rank(k[o2])` under `memscan`'s XML byte-frequency
+//!   table, ties to the later offsets. When the keywords share their first
+//!   byte (the *anchor*: always `<` in SMP) it is tested as well, and the
+//!   offsets are chosen past it: for `{<Abstract, </Abstract}` the filter
+//!   is `<` with `Ab` or `/A` at `(1, 2)`. Alignment `i` is a candidate
+//!   when it holds the anchor and some keyword bucket admits both
+//!   `hay[i + o1]` and `hay[i + o2]`; the test is one compare and four
+//!   nibble-table lookups, whatever `|V|` is, so text and tags outside
+//!   `V[q]` never leave the vector unit.
+//! * **Near phase.** A search first states the filter at the next
+//!   `memscan`-`PEEK` (16) alignments one by one — the anchor compare
+//!   first, so in an SMP vocabulary this is a probe for `<` — before any
+//!   vector set-up. In dense markup the next token is a handful of bytes
+//!   away, which the vector loop cannot help and must not hurt.
+//! * **Far phase.** Past the probe, [`memscan::find_fingerprint`] tests
+//!   16/32 alignments per iteration against all keywords at once.
+//! * **Verification.** A candidate's two bytes are the key into a table
+//!   of `(key, pattern)` rows sorted by `(key, len, index)`: the rows of
+//!   one key are the keywords that can start there, shortest first, so
+//!   the first that compares equal is the smallest end at this start
+//!   (`<ab` before `<abc`, duplicates by index). There is no trie on
+//!   this path.
+//!
+//! The safety argument for the vector loads is the filter's: offsets stay
+//! below `lmin`, the loop runs while `i + 32 + o2 <= len`, and the scalar
+//! statement finishes the tail.
+//!
+//! **What the counters mean here.** Every alignment the filter passes
+//! over is booked once through [`Metrics::scanned`], near phase and far
+//! phase alike; [`Metrics::cmp`] counts verification bytes only;
+//! [`Metrics::shift`] is called once per candidate stop with the distance
+//! from the previous one. `Char Comp.` therefore counts a few bytes per
+//! *candidate* rather than per tag, and `∅ Shift` is the distance between
+//! candidates; the scalar leg keeps the paper's definitions.
 
 use crate::{memscan, Metrics, MultiMatch, NoMetrics};
 
@@ -69,28 +100,6 @@ impl Node {
     }
 }
 
-/// Node of the *forward* pattern trie forest used by the accelerated fast
-/// path (built only when the patterns have at most three distinct first
-/// bytes). Each first byte owns a root representing the state after
-/// consuming it.
-#[derive(Debug, Clone)]
-struct FwdNode {
-    /// Sorted outgoing edges (byte, target).
-    edges: Vec<(u8, u32)>,
-    /// Smallest index of a pattern ending at this node (`u32::MAX` none).
-    out: u32,
-}
-
-impl FwdNode {
-    fn new() -> FwdNode {
-        FwdNode { edges: Vec::new(), out: u32::MAX }
-    }
-
-    fn child(&self, b: u8) -> Option<u32> {
-        self.edges.binary_search_by_key(&b, |&(c, _)| c).ok().map(|i| self.edges[i].1)
-    }
-}
-
 /// A compiled Commentz–Walter searcher over a pattern set.
 #[derive(Debug, Clone)]
 pub struct CommentzWalter {
@@ -104,47 +113,28 @@ pub struct CommentzWalter {
     /// `d1[c]`: minimal distance ≥ 1 of byte `c` from the right end of any
     /// pattern, capped at `lmin`.
     d1: [u32; 256],
-    /// The distinct first bytes of the patterns, each paired with the root
-    /// of its forward trie in `fwd_nodes` — sorted by byte, at most three
-    /// entries (empty when the vocabulary has more distinct first bytes,
-    /// which disables the vectorized fast path). SMP frontier vocabularies
-    /// always collapse to the single entry `(b'<', _)`.
-    fwd_roots: Vec<(u8, u32)>,
-    /// `fwd_roots`' bytes unpacked by arity, so the hot candidate hop
-    /// dispatches once per call instead of walking a slice per peeked
-    /// byte. `None` disables the fast path (> 3 distinct first bytes).
-    first_needles: Option<FirstNeedles>,
-    /// Forward trie forest over the patterns minus their first byte (empty
-    /// unless `fwd_roots` is populated): the fast path verifies all
-    /// patterns starting with a given byte at a candidate with one walk,
-    /// comparing each haystack byte at most once.
-    fwd_nodes: Vec<FwdNode>,
+    /// The candidate filter of the accelerated path.
+    filter: memscan::Fingerprint,
+    /// Verification table of the accelerated path: one `(key, pattern)`
+    /// row per pattern, sorted by `(key, len, index)`, where `key` packs
+    /// the pattern's bytes at the filter's two offsets.
+    verify: Vec<(u16, u32)>,
 }
 
-/// The distinct pattern first bytes, unpacked for the candidate hop: the
-/// single-needle case (every SMP frontier vocabulary) must compile to the
-/// same one-compare peek loop a hard-coded byte would.
-#[derive(Debug, Clone, Copy)]
-enum FirstNeedles {
-    One(u8),
-    Two(u8, u8),
-    Three(u8, u8, u8),
-}
-
-/// Locate the next candidate-start byte for the fast path, via the
-/// `memscan::peek_find*` family: a short scalar peek covers the
-/// dense-markup common case (the next tag is a handful of bytes away)
-/// without paying the vector-call overhead, and the vector scan — one,
-/// two or three needles wide, matching the distinct first bytes of the
-/// vocabulary — takes over for long candidate-free text runs, where it
-/// shines.
-#[inline]
-fn next_first_byte(hay: &[u8], from: usize, needles: FirstNeedles) -> Option<usize> {
-    match needles {
-        FirstNeedles::One(a) => memscan::peek_find(hay, from, a),
-        FirstNeedles::Two(a, b) => memscan::peek_find2(hay, from, a, b),
-        FirstNeedles::Three(a, b, c) => memscan::peek_find3(hay, from, a, b, c),
-    }
+/// What the candidate filter of a built [`CommentzWalter`] decided.
+#[doc(hidden)]
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FilterChoice {
+    /// `|V|`: number of patterns.
+    pub keywords: usize,
+    /// Length of the shortest pattern.
+    pub lmin: usize,
+    /// The first byte the patterns share, if they do.
+    pub anchor: Option<u8>,
+    /// The two fingerprint offsets, `o1 <= o2 < lmin`.
+    pub offsets: (usize, usize),
+    /// Each pattern's bytes at the two offsets, in construction order.
+    pub bytes: Vec<(u8, u8)>,
 }
 
 impl CommentzWalter {
@@ -157,9 +147,6 @@ impl CommentzWalter {
         }
         let lmin = patterns.iter().map(|p| p.len()).min().unwrap();
         let lmax = patterns.iter().map(|p| p.len()).max().unwrap();
-        let mut firsts: Vec<u8> = patterns.iter().map(|p| p[0]).collect();
-        firsts.sort_unstable();
-        firsts.dedup();
 
         // Trie over reversed patterns.
         let mut nodes = vec![Node { gs: lmin as u32, tail: lmin as u32, ..Node::default() }];
@@ -230,43 +217,16 @@ impl CommentzWalter {
             }
         }
 
-        // Forward trie forest for the first-byte fast path: one root per
-        // distinct first byte, the vector scan covering up to three.
-        let mut fwd_nodes = Vec::new();
-        let mut fwd_roots: Vec<(u8, u32)> = Vec::new();
-        if firsts.len() <= 3 {
-            for &b in &firsts {
-                fwd_roots.push((b, fwd_nodes.len() as u32));
-                fwd_nodes.push(FwdNode::new());
-            }
-            for (idx, pat) in patterns.iter().enumerate() {
-                let mut cur = fwd_roots[fwd_roots.partition_point(|&(b, _)| b < pat[0])].1;
-                for &b in &pat[1..] {
-                    cur = match fwd_nodes[cur as usize].child(b) {
-                        Some(n) => n,
-                        None => {
-                            let n = fwd_nodes.len() as u32;
-                            fwd_nodes.push(FwdNode::new());
-                            let edges = &mut fwd_nodes[cur as usize].edges;
-                            let at = edges.partition_point(|&(c, _)| c < b);
-                            edges.insert(at, (b, n));
-                            n
-                        }
-                    };
-                }
-                let out = &mut fwd_nodes[cur as usize].out;
-                *out = (*out).min(idx as u32);
-            }
-        }
+        let filter = memscan::Fingerprint::new(&patterns);
+        let (o1, o2) = filter.offsets();
+        let mut verify: Vec<(u16, u32)> = patterns
+            .iter()
+            .enumerate()
+            .map(|(idx, p)| (u16::from_be_bytes([p[o1], p[o2]]), idx as u32))
+            .collect();
+        verify.sort_unstable_by_key(|&(key, idx)| (key, patterns[idx as usize].len(), idx));
 
-        let first_needles = match fwd_roots.as_slice() {
-            [(a, _)] => Some(FirstNeedles::One(*a)),
-            [(a, _), (b, _)] => Some(FirstNeedles::Two(*a, *b)),
-            [(a, _), (b, _), (c, _)] => Some(FirstNeedles::Three(*a, *b, *c)),
-            _ => None,
-        };
-
-        CommentzWalter { nodes, patterns, lmin, lmax, d1, fwd_roots, first_needles, fwd_nodes }
+        CommentzWalter { nodes, patterns, lmin, lmax, d1, filter, verify }
     }
 
     /// The pattern set, in construction order.
@@ -277,6 +237,11 @@ impl CommentzWalter {
     /// Length of the shortest pattern (the sliding-window size).
     pub fn min_len(&self) -> usize {
         self.lmin
+    }
+
+    /// Length of the longest pattern.
+    pub fn max_len(&self) -> usize {
+        self.lmax
     }
 
     /// First match by end position (ties: smallest pattern index),
@@ -292,8 +257,8 @@ impl CommentzWalter {
     /// keywords SMP uses (each containing exactly one `<`) occurrences can
     /// never overlap, so first-by-end coincides with first-by-start.
     ///
-    /// Uses the vectorized prefix fast path when all patterns share their
-    /// first byte, unless `SMPX_NO_SIMD=1` forces the pure windowed loop
+    /// Walks the filter's candidates (module docs, "Vectorized fast
+    /// path") unless `SMPX_NO_SIMD=1` forces the pure windowed loop
     /// ([`find_at_scalar`](Self::find_at_scalar)).
     pub fn find_at<M: Metrics>(&self, hay: &[u8], from: usize, m: &mut M) -> Option<MultiMatch> {
         if memscan::accel_enabled() {
@@ -303,91 +268,46 @@ impl CommentzWalter {
         }
     }
 
-    /// Accelerated search. Occurrences can only start at positions holding
-    /// one of the patterns' first bytes (just `<` for SMP vocabularies) —
-    /// so instead of sliding windows through the trie, hop from first byte
-    /// to first byte with the (up to three-needle) vector scan and verify
-    /// the patterns forward at each stop. The result is the global minimum
-    /// by `(end, pattern index)` among occurrences starting `>= from`,
-    /// which is exactly what the windowed loop computes: the window loop
-    /// returns the first *window* (= smallest end) with a detection and
-    /// breaks ties by pattern index.
+    /// Accelerated search: verify the filter's candidates in increasing
+    /// order of start. The shortest pattern occurring at a start is the
+    /// smallest end there, so the result is the minimum by `(end, pattern
+    /// index)` over the starts `>= from` — what the windowed loop
+    /// computes, which returns the first *window* (= smallest end) with a
+    /// detection and breaks ties by pattern index. A later start can only
+    /// beat the best end so far while `start + lmin <= end`, which bounds
+    /// the walk past the first hit to `lmax - lmin` alignments.
     fn find_at_accel<M: Metrics>(&self, hay: &[u8], from: usize, m: &mut M) -> Option<MultiMatch> {
         let lmin = self.lmin;
         if from >= hay.len() || hay.len() - from < lmin {
             return None;
         }
-        let Some(needles) = self.first_needles else {
-            // Four or more distinct first bytes: beyond the vector scan's
-            // needle budget, keep the windowed loop.
-            return self.find_at_scalar(hay, from, m);
-        };
         // Last position where even the shortest pattern still fits.
         let last_start = hay.len() - lmin;
+        let mut limit = last_start;
         let mut cursor = from;
         let mut best: Option<MultiMatch> = None;
-        loop {
-            if cursor > last_start {
-                break;
-            }
-            if let Some(bst) = best {
-                // Any later occurrence ends at `start + plen >= start +
-                // lmin`; once that exceeds the best end (ties included),
-                // the best can no longer be beaten.
-                if cursor + lmin > bst.end {
-                    break;
-                }
-            }
-            let Some(s) = next_first_byte(hay, cursor, needles) else {
-                m.scanned((hay.len() - cursor) as u64);
+        while cursor <= limit {
+            let Some(s) = self.next_candidate(hay, cursor, limit) else {
                 if best.is_none() {
+                    m.scanned((hay.len() - cursor) as u64);
                     m.shift((last_start + 1 - cursor) as u64);
+                } else {
+                    m.scanned((limit + 1 - cursor) as u64);
                 }
                 break;
             };
             m.scanned((s + 1 - cursor) as u64);
-            if s > last_start {
-                if best.is_none() {
-                    m.shift((last_start + 1 - cursor) as u64);
-                }
-                break;
-            }
-            if let Some(bst) = best {
-                if s + lmin > bst.end {
-                    break;
-                }
-            }
             if s > cursor {
                 m.shift((s - cursor) as u64);
             }
-            // One forward-trie walk verifies every pattern starting with
-            // `hay[s]` at `s`; each haystack byte is compared at most once
-            // (byte 0 selected this trie root, and the scan already
-            // confirmed and accounted for it). The shallowest accepting
-            // node is the smallest end at `s`; deeper matches only end
-            // later, so the walk can stop there.
-            let mut v = self.fwd_root(hay[s]);
-            let mut depth = 1usize;
-            loop {
-                let node = &self.fwd_nodes[v as usize];
-                if node.out != u32::MAX {
-                    let end = s + depth;
-                    let idx = node.out as usize;
-                    if best.is_none_or(|bst| (end, idx) < (bst.end, bst.pattern)) {
-                        best = Some(MultiMatch { pattern: idx, start: s, end });
-                    }
-                    break;
-                }
-                if s + depth >= hay.len() {
-                    break;
-                }
-                m.cmp(1);
-                match node.child(hay[s + depth]) {
-                    Some(n) => {
-                        v = n;
-                        depth += 1;
-                    }
-                    None => break,
+            if let Some(&(_, idx)) =
+                self.rows_at(hay, s).iter().find(|r| self.occurs_at(hay, s, r, m))
+            {
+                let idx = idx as usize;
+                let end = s + self.patterns[idx].len();
+                if best.is_none_or(|bst| (end, idx) < (bst.end, bst.pattern)) {
+                    best = Some(MultiMatch { pattern: idx, start: s, end });
+                    limit = limit.min(end - lmin);
                 }
             }
             cursor = s + 1;
@@ -395,17 +315,59 @@ impl CommentzWalter {
         best
     }
 
-    /// Root of the forward trie for first byte `b` (a scan stop is always
-    /// one of the ≤ 3 distinct first bytes, so the linear probe — one
-    /// compare for SMP vocabularies — always hits).
+    /// Smallest candidate alignment in `from..=limit`, for
+    /// `limit <= hay.len() - lmin`: the near phase probes
+    /// [`memscan::PEEK`] alignments one by one, the far phase hands the
+    /// rest to the vector kernel.
     #[inline]
-    fn fwd_root(&self, b: u8) -> u32 {
-        for &(fb, r) in &self.fwd_roots {
-            if fb == b {
-                return r;
-            }
+    fn next_candidate(&self, hay: &[u8], from: usize, limit: usize) -> Option<usize> {
+        // An alignment is tested by reading up to `o2 < lmin` bytes past
+        // it: cut the haystack so that none beyond `limit` is.
+        let hay = &hay[..limit + 1 + self.filter.offsets().1];
+        let near = (from + memscan::PEEK).min(limit + 1);
+        let probe = (from..near).find(|&i| self.filter.admits_at(hay, i));
+        if probe.is_some() || near > limit {
+            return probe;
         }
-        unreachable!("scan stops only on pattern first bytes")
+        memscan::find_fingerprint(hay, near, &self.filter)
+    }
+
+    /// The verification rows of candidate `s` (`s + lmin <= hay.len()`):
+    /// the patterns holding the candidate's two filter bytes, shortest
+    /// first.
+    #[inline]
+    fn rows_at(&self, hay: &[u8], s: usize) -> &[(u16, u32)] {
+        let (o1, o2) = self.filter.offsets();
+        let key = u16::from_be_bytes([hay[s + o1], hay[s + o2]]);
+        let lo = self.verify.partition_point(|&(k, _)| k < key);
+        let n = self.verify[lo..].iter().take_while(|&&(k, _)| k == key).count();
+        &self.verify[lo..lo + n]
+    }
+
+    /// Does the pattern of verification row `row` occur at `s`? Books the
+    /// bytes compared.
+    #[inline]
+    fn occurs_at<M: Metrics>(&self, hay: &[u8], s: usize, row: &(u16, u32), m: &mut M) -> bool {
+        let pat = &self.patterns[row.1 as usize];
+        let Some(window) = hay.get(s..s + pat.len()) else {
+            return false;
+        };
+        let same = window.iter().zip(pat).take_while(|(a, b)| a == b).count();
+        m.cmp((same + 1).min(pat.len()) as u64);
+        same == pat.len()
+    }
+
+    /// What the candidate filter decided for this pattern set.
+    #[doc(hidden)]
+    pub fn filter_choice(&self) -> FilterChoice {
+        let (o1, o2) = self.filter.offsets();
+        FilterChoice {
+            keywords: self.patterns.len(),
+            lmin: self.lmin,
+            anchor: self.filter.anchor(),
+            offsets: (o1, o2),
+            bytes: self.patterns.iter().map(|p| (p[o1], p[o2])).collect(),
+        }
     }
 
     /// The pure Commentz–Walter windowed loop without the vectorized
@@ -435,47 +397,62 @@ impl CommentzWalter {
         None
     }
 
-    /// All matches, sorted by (end, pattern index).
+    /// All matches, sorted by (end, pattern index). Rides the candidate
+    /// walk of [`find_at`](Self::find_at) unless `SMPX_NO_SIMD=1` forces
+    /// the windowed loop.
     pub fn find_iter<'h>(&'h self, hay: &'h [u8]) -> impl Iterator<Item = MultiMatch> + 'h {
         let lmin = self.lmin;
-        let span = self.lmax - lmin;
-        let accel = if memscan::accel_enabled() { self.first_needles } else { None };
+        let accel = memscan::accel_enabled();
         let mut pos = 0usize;
-        let mut known_first: Option<usize> = None;
+        // Matches found but not yet reported, sorted by descending (end,
+        // pattern). The windowed loop reports a window's batch whole; the
+        // candidate walk holds a match back until no later start can end
+        // before it: `horizon` is the smallest end still to come.
         let mut pending: Vec<MultiMatch> = Vec::new();
+        let mut horizon = if accel { 0 } else { usize::MAX };
         std::iter::from_fn(move || loop {
-            if let Some(mm) = pending.pop() {
-                return Some(mm);
+            if pending.last().is_some_and(|mm| mm.end < horizon) {
+                return pending.pop();
             }
             if hay.len() < lmin || pos > hay.len() - lmin {
-                return None;
-            }
-            if let Some(needles) = accel {
-                // Same fast-forward as `find_at`, minus the `from` floor.
-                let lo = pos.saturating_sub(span);
-                let lt = match known_first {
-                    Some(p) if p >= lo => p,
-                    _ => next_first_byte(hay, lo, needles)?,
-                };
-                known_first = Some(lt);
-                if lt > pos {
-                    if lt > hay.len() - lmin {
-                        return None;
-                    }
-                    pos = lt;
+                if horizon == usize::MAX {
+                    return None;
                 }
+                horizon = usize::MAX;
+                continue;
             }
-            let e = pos + lmin - 1;
-            let (all, shift) = self.scan_window_all(hay, e);
-            pending = all;
-            pending.sort_by_key(|mm| std::cmp::Reverse(mm.pattern));
-            pos += shift;
+            if accel {
+                // A whole-haystack scan has no near phase to pay for: it
+                // goes from candidate to candidate in the vector kernel.
+                let Some(s) = memscan::find_fingerprint(hay, pos, &self.filter) else {
+                    pos = hay.len();
+                    continue;
+                };
+                horizon = s + lmin;
+                for row in self.rows_at(hay, s) {
+                    if self.occurs_at(hay, s, row, &mut NoMetrics) {
+                        let idx = row.1 as usize;
+                        let end = s + self.patterns[idx].len();
+                        pending.push(MultiMatch { pattern: idx, start: s, end });
+                    }
+                }
+                pos = s + 1;
+            } else {
+                let e = pos + lmin - 1;
+                let (all, shift) = self.scan_window_all(hay, e);
+                pending = all;
+                pos += shift;
+            }
+            if pending.len() > 1 {
+                pending.sort_by_key(|mm| std::cmp::Reverse((mm.end, mm.pattern)));
+            }
         })
     }
 
     /// Exact heap bytes owned by the compiled searcher: the trie node
-    /// vector plus every node's edge/out vectors and the pattern copies.
-    /// The fixed-size `d1` table lives inline in the struct and is not
+    /// vector plus every node's edge/out vectors, the pattern copies and
+    /// the verification table.
+    /// The fixed-size `d1` and filter tables live inline in the struct and are not
     /// counted here (callers owning a `Box<CommentzWalter>` add
     /// `size_of::<CommentzWalter>()`).
     pub fn heap_bytes(&self) -> usize {
@@ -490,14 +467,8 @@ impl CommentzWalter {
                 .sum::<usize>();
         let patterns = self.patterns.capacity() * std::mem::size_of::<Vec<u8>>()
             + self.patterns.iter().map(|p| p.capacity()).sum::<usize>();
-        let fwd = self.fwd_nodes.capacity() * std::mem::size_of::<FwdNode>()
-            + self.fwd_roots.capacity() * std::mem::size_of::<(u8, u32)>()
-            + self
-                .fwd_nodes
-                .iter()
-                .map(|n| n.edges.capacity() * std::mem::size_of::<(u8, u32)>())
-                .sum::<usize>();
-        nodes + patterns + fwd
+        let verify = self.verify.capacity() * std::mem::size_of::<(u16, u32)>();
+        nodes + patterns + verify
     }
 
     /// Backward trie walk at window end `e`; returns the best reportable
@@ -662,9 +633,10 @@ mod tests {
 
     #[test]
     fn mixed_first_bytes_use_multi_needle_fast_path() {
-        // Two and three distinct first bytes: the accelerated path must
-        // agree with the windowed loop and the naive oracle (this is the
-        // non-SMP shape the shared-prefix assumption used to exclude).
+        // Two and three distinct first bytes: no shared byte for the near
+        // phase to probe for, so it states the filter at every alignment.
+        // The accelerated path must agree with the windowed loop and the
+        // naive oracle.
         let cases: Vec<(&[u8], Vec<&[u8]>)> = vec![
             (b"ushers say hershey", vec![b"he", b"she", b"hers"]),
             (b"abracadabra", vec![b"abra", b"cad"]),
@@ -686,8 +658,9 @@ mod tests {
     }
 
     #[test]
-    fn four_distinct_first_bytes_fall_back_to_windowed_loop() {
-        // Beyond the three-needle scan budget: still correct via fallback.
+    fn four_distinct_first_bytes_take_the_filter_too() {
+        // The filter looks at two offsets of the whole set, not at first
+        // bytes: any number of distinct ones takes the same path.
         let pats: Vec<&[u8]> = vec![b"ab", b"cd", b"ef", b"gh"];
         let hay = b"xxefxxabxxghxxcd";
         let cw = CommentzWalter::new(&pats);
@@ -702,8 +675,57 @@ mod tests {
     }
 
     #[test]
+    fn filter_looks_past_the_shared_first_byte() {
+        let pats: Vec<&[u8]> = vec![b"<Abstract", b"</Abstract"];
+        let choice = CommentzWalter::new(&pats).filter_choice();
+        assert_eq!((choice.keywords, choice.lmin, choice.anchor), (2, 9, Some(b'<')));
+        // `Ab` and `/A`: the capitals are the rare bytes of these tags.
+        assert_eq!(choice.offsets, (1, 2));
+        assert_eq!(choice.bytes, vec![(b'A', b'b'), (b'/', b'A')]);
+        // A single-byte pattern leaves one offset to look at.
+        let pats: Vec<&[u8]> = vec![b"<", b"ab"];
+        assert_eq!(CommentzWalter::new(&pats).filter_choice().offsets, (0, 0));
+    }
+
+    #[test]
+    fn nested_and_overlapping_occurrences_keep_first_by_end() {
+        // `bcd` and `cd` end inside `abcdef`, before it and together: the
+        // walk must go on past the first verified candidate while a later
+        // start can end sooner, and the tie on the end goes to the index.
+        let pats: Vec<&[u8]> = vec![b"abcdef", b"cd", b"bcd"];
+        let hay = b"xxabcdefxx";
+        let cw = CommentzWalter::new(&pats);
+        for from in 0..=hay.len() {
+            assert_eq!(
+                cw.find_at(hay, from, &mut NoMetrics),
+                cw.find_at_scalar(hay, from, &mut NoMetrics),
+                "from={from}"
+            );
+        }
+        assert_eq!(cw.find(hay), Some(MultiMatch { pattern: 1, start: 4, end: 6 }));
+        check_all(hay, &pats);
+    }
+
+    #[test]
+    fn candidate_walk_books_scanned_bytes_once() {
+        // 4 KiB of text, one keyword near the end: the filter passes every
+        // byte up to the candidate once, compares only the keyword, and
+        // stops once.
+        let mut hay = vec![b't'; 4096];
+        hay.extend_from_slice(b"<name>");
+        let pats: Vec<&[u8]> = vec![b"<description", b"<name", b"</item"];
+        let cw = CommentzWalter::new(&pats);
+        let mut c = Counters::default();
+        let hit = cw.find_at_accel(&hay, 0, &mut c).unwrap();
+        assert_eq!((hit.pattern, hit.start), (1, 4096));
+        assert_eq!(c.scanned, 4097);
+        assert_eq!(c.comparisons, 5);
+        assert_eq!((c.shifts, c.shift_total), (1, 4096));
+    }
+
+    #[test]
     fn single_byte_patterns_in_mixed_vocabulary() {
-        // A length-1 pattern puts an accepting node at a forest root.
+        // Patterns of length 1: both fingerprint offsets are 0.
         check_all(b"a<b<<c", &[b"<", b"ab"]);
         check_all(b"zzz", &[b"z", b"y"]);
     }

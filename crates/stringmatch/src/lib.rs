@@ -64,6 +64,8 @@ pub mod naive;
 pub use aho_corasick::AhoCorasick;
 pub use boyer_moore::BoyerMoore;
 pub use commentz_walter::CommentzWalter;
+#[doc(hidden)]
+pub use commentz_walter::FilterChoice;
 pub use horspool::Horspool;
 pub use kmp::Kmp;
 pub use metrics::{Counters, Metrics, NoMetrics};

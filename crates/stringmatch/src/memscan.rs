@@ -8,6 +8,9 @@
 //! (`memchr2/3`-style), and [`find_byte_offset_pair`] locates the next
 //! alignment at which two pattern bytes match at their respective offsets
 //! (rare byte search with offset confirmation, as in `memchr::memmem`).
+//! [`find_fingerprint`] is that filter for a whole keyword set: the next
+//! alignment at which some keyword's bytes at two shared offsets match,
+//! tested for all keywords at once ([`Fingerprint`]).
 //!
 //! On top of the raw scans, [`scan_tag_end_window`] drives the runtime's
 //! quote-aware search for a tag's closing `>`: it hops `>`-to-`>` and
@@ -34,8 +37,10 @@
 //!
 //! This is the only module in the crate that uses `unsafe`: the SSE2/AVX2
 //! loads. Every unsafe block reads 16/32 bytes from within a slice whose
-//! bounds have been checked immediately before the load; the pointers are
-//! unaligned-load (`loadu`) so no alignment invariant is required.
+//! bounds have been checked immediately before the load (for the
+//! fingerprint scan, which loads at two offsets past the alignment,
+//! `i + 32 + o2 <= len`); the pointers are unaligned-load (`loadu`) so no
+//! alignment invariant is required.
 
 #![allow(unsafe_code)]
 #![warn(unsafe_op_in_unsafe_fn)]
@@ -661,7 +666,7 @@ impl Default for TagScan {
 /// Length of the scalar peek the `peek_find*` family runs before paying
 /// for a vector call: in dense markup the next stop is usually a handful
 /// of bytes away, where vector setup costs more than it saves.
-const PEEK: usize = 16;
+pub(crate) const PEEK: usize = 16;
 
 /// Peek-then-hop single-needle scan: a [`PEEK`]-byte scalar peek before
 /// the [`find_byte`] vector scan.
@@ -876,6 +881,289 @@ pub fn rare_byte_pair(pat: &[u8]) -> Option<((u8, usize), (u8, usize))> {
     Some(((pat[best], best), (pat[second], second)))
 }
 
+// ---------------------------------------------------------------------------
+// Multi-keyword candidate fingerprint
+// ---------------------------------------------------------------------------
+
+/// Fingerprint offsets are searched among the first `FP_SPAN` bytes of the
+/// keywords: tag names are shorter, and the build stays `O(K · FP_SPAN²)`.
+const FP_SPAN: usize = 32;
+
+/// Number of keyword buckets: one bit of a table byte each.
+const FP_BUCKETS: usize = 8;
+
+/// A candidate filter for a whole keyword set: the multi-keyword analogue
+/// of [`rare_byte_pair`]. Two byte offsets `o1 <= o2` below the shortest
+/// keyword length are fixed at build time; every keyword contributes the
+/// byte pair it holds at those offsets to one of eight buckets, and an
+/// alignment `i` is a *candidate* when some bucket admits both
+/// `hay[i + o1]` and `hay[i + o2]`. A bucket's byte set at one offset is
+/// stored as a low-nibble and a high-nibble table of bucket bitmasks
+/// (`lo[b & 15] & hi[b >> 4]`), so the vector members test 16/32
+/// alignments against all keywords with four table shuffles, whatever the
+/// size of the set. When the keywords share their first byte — the
+/// **anchor**, always `<` in SMP vocabularies — a candidate must hold it
+/// too (one more compare in the vector, like the confirm byte of
+/// `rare_pair_find`), and both offsets are chosen past it: text between
+/// tags never stops the scan.
+///
+/// The filter has no false negatives: a keyword occurring at `i` puts its
+/// own bytes at the offsets, and its bucket admits them. False positives
+/// (nibble cross products, shared buckets past eight distinct pairs) are
+/// the verifier's business. [`Fingerprint::admits_at`] is the scalar
+/// statement of the predicate; [`find_fingerprint`] the scan.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Fingerprint {
+    /// The byte every keyword starts with, when they agree on one.
+    anchor: Option<u8>,
+    /// The two offsets, `off[0] <= off[1] < lmin` (equal only when there
+    /// is a single offset to choose from).
+    off: [u8; 2],
+    /// Bucket masks by low nibble of the byte at `off[0]` / `off[1]`.
+    lo: [[u8; 16]; 2],
+    /// Bucket masks by high nibble of the byte at `off[0]` / `off[1]`.
+    hi: [[u8; 16]; 2],
+}
+
+impl Fingerprint {
+    /// Choose the offsets for `patterns` and fill the bucket tables.
+    ///
+    /// The offset pair minimises `Σ_k rank(k[o1]) · rank(k[o2])` under the
+    /// XML byte-frequency table (the table [`rare_byte_pair`] ranks by) —
+    /// a keyword passes text at the rate of its two bytes together, and
+    /// the set passes at the sum over its keywords. Ties go to the later
+    /// offsets, as in `rare_byte_pair`; offset 0 is left to the anchor
+    /// when there is one. Panics on an empty set or an empty pattern.
+    pub fn new<P: AsRef<[u8]>>(patterns: &[P]) -> Fingerprint {
+        let byte = |p: &P, o: usize| p.as_ref()[o];
+        let lmin = patterns.iter().map(|p| p.as_ref().len()).min().expect("non-empty set");
+        assert!(lmin > 0, "fingerprint patterns must be non-empty");
+        let first = byte(&patterns[0], 0);
+        let anchor = Some(first).filter(|&b| patterns.iter().all(|p| byte(p, 0) == b));
+        // The offsets to choose from: all below `lmin`, minus the anchor's
+        // unless it is the only one.
+        let choices = (anchor.is_some() && lmin > 1) as usize..lmin.min(FP_SPAN);
+        let weight = |p: &P, o: usize| XML_BYTE_RANK[byte(p, o) as usize] as u64;
+        let mut best = (u64::MAX, choices.start, choices.start);
+        for o2 in choices.clone().rev() {
+            for o1 in (choices.start..o2).rev() {
+                let score: u64 = patterns.iter().map(|p| weight(p, o1) * weight(p, o2)).sum();
+                if score < best.0 {
+                    best = (score, o1, o2);
+                }
+            }
+        }
+        let (_, o1, o2) = best;
+        // Distinct pairs in sorted order take the buckets round robin, so
+        // sets of up to eight pairs keep one pair per bucket.
+        let mut pairs: Vec<(u8, u8)> =
+            patterns.iter().map(|p| (byte(p, o1), byte(p, o2))).collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut fp =
+            Fingerprint { anchor, off: [o1 as u8, o2 as u8], lo: [[0; 16]; 2], hi: [[0; 16]; 2] };
+        for (j, &(b1, b2)) in pairs.iter().enumerate() {
+            let bit = 1u8 << (j % FP_BUCKETS);
+            for (t, b) in [b1, b2].into_iter().enumerate() {
+                fp.lo[t][(b & 15) as usize] |= bit;
+                fp.hi[t][(b >> 4) as usize] |= bit;
+            }
+        }
+        fp
+    }
+
+    /// The byte every keyword starts with, when they agree on one.
+    #[inline]
+    pub fn anchor(&self) -> Option<u8> {
+        self.anchor
+    }
+
+    /// The two fingerprint offsets, `o1 <= o2`.
+    #[inline]
+    pub fn offsets(&self) -> (usize, usize) {
+        (self.off[0] as usize, self.off[1] as usize)
+    }
+
+    /// The bucket test on the two bytes an alignment holds at the offsets.
+    #[inline(always)]
+    fn admits(&self, b1: u8, b2: u8) -> bool {
+        self.lo[0][(b1 & 15) as usize]
+            & self.hi[0][(b1 >> 4) as usize]
+            & self.lo[1][(b2 & 15) as usize]
+            & self.hi[1][(b2 >> 4) as usize]
+            != 0
+    }
+
+    /// Is alignment `i` of `hay` a candidate? Alignments whose second
+    /// offset falls past the end never are.
+    #[inline(always)]
+    pub fn admits_at(&self, hay: &[u8], i: usize) -> bool {
+        let (o1, o2) = self.offsets();
+        i + o2 < hay.len()
+            && self.anchor.is_none_or(|a| hay[i] == a)
+            && self.admits(hay[i + o1], hay[i + o2])
+    }
+}
+
+/// First candidate alignment `i >= from` of `fp` in `hay`
+/// ([`Fingerprint::admits_at`]). Dispatches to the active [`ScanKind`].
+#[inline]
+pub fn find_fingerprint(hay: &[u8], from: usize, fp: &Fingerprint) -> Option<usize> {
+    match kind() {
+        ScanKind::Swar => find_fingerprint_swar(hay, from, fp),
+        #[cfg(target_arch = "x86_64")]
+        ScanKind::Sse2 => find_fingerprint_sse2(hay, from, fp),
+        #[cfg(target_arch = "x86_64")]
+        ScanKind::Avx2 => find_fingerprint_avx2(hay, from, fp),
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => find_fingerprint_swar(hay, from, fp),
+    }
+}
+
+/// One alignment at a time: the specification of the family and the tail
+/// of its vector members.
+pub fn find_fingerprint_scalar(hay: &[u8], from: usize, fp: &Fingerprint) -> Option<usize> {
+    let ends = hay.len().saturating_sub(fp.offsets().1);
+    (from..ends).find(|&i| fp.admits_at(hay, i))
+}
+
+/// Eight alignments per iteration. A table lookup has no word-at-a-time
+/// form; the anchor compare has (the zero-byte detector of
+/// [`find_byte_swar`]), so an anchored set looks up only the lanes that
+/// hold the anchor, and an unanchored one all eight. No `unsafe`.
+pub fn find_fingerprint_swar(hay: &[u8], from: usize, fp: &Fingerprint) -> Option<usize> {
+    let o2 = fp.offsets().1;
+    let mut i = from;
+    while i + 8 + o2 <= hay.len() {
+        // A set high bit per lane worth looking up. The detector may also
+        // flag the lane above an anchor lane (borrow): `admits_at` decides.
+        let mut lanes = match fp.anchor {
+            Some(a) => {
+                let word = u64::from_le_bytes(hay[i..i + 8].try_into().expect("8-byte chunk"));
+                zero_bytes(word ^ LO.wrapping_mul(a as u64))
+            }
+            None => HI,
+        };
+        while lanes != 0 {
+            let lane = (lanes.trailing_zeros() / 8) as usize;
+            if fp.admits_at(hay, i + lane) {
+                return Some(i + lane);
+            }
+            lanes &= lanes - 1;
+        }
+        i += 8;
+    }
+    find_fingerprint_scalar(hay, i, fp)
+}
+
+/// 16 alignments per iteration. The nibble lookup is `pshufb`, which is
+/// SSSE3, not SSE2: CPUs without it (none that has AVX2) take the SWAR
+/// member.
+#[cfg(target_arch = "x86_64")]
+pub fn find_fingerprint_sse2(hay: &[u8], from: usize, fp: &Fingerprint) -> Option<usize> {
+    #[target_feature(enable = "ssse3")]
+    unsafe fn imp(hay: &[u8], from: usize, fp: &Fingerprint) -> Option<usize> {
+        use std::arch::x86_64::*;
+        let (o1, o2) = fp.offsets();
+        let len = hay.len();
+        let mut i = from;
+        // SAFETY: the table loads read the four 16-byte arrays of `fp`.
+        // Every haystack load reads 16 bytes at `hay[i + o]` with
+        // `o <= o2` and `i + 16 + o2 <= len` checked by the loop
+        // condition; `loadu` has no alignment requirement.
+        unsafe {
+            let table = |t: &[u8; 16]| _mm_loadu_si128(t.as_ptr() as *const __m128i);
+            let (lo1, hi1) = (table(&fp.lo[0]), table(&fp.hi[0]));
+            let (lo2, hi2) = (table(&fp.lo[1]), table(&fp.hi[1]));
+            let nibble = _mm_set1_epi8(0x0f);
+            let anchor = _mm_set1_epi8(fp.anchor.unwrap_or(0) as i8);
+            // Without an anchor every lane passes the anchor test.
+            let unanchored = _mm_set1_epi8(if fp.anchor.is_none() { -1 } else { 0 });
+            while i + 16 + o2 <= len {
+                let v0 = _mm_loadu_si128(hay.as_ptr().add(i) as *const __m128i);
+                let v1 = _mm_loadu_si128(hay.as_ptr().add(i + o1) as *const __m128i);
+                let v2 = _mm_loadu_si128(hay.as_ptr().add(i + o2) as *const __m128i);
+                let m1 = _mm_and_si128(
+                    _mm_shuffle_epi8(lo1, _mm_and_si128(v1, nibble)),
+                    _mm_shuffle_epi8(hi1, _mm_and_si128(_mm_srli_epi16(v1, 4), nibble)),
+                );
+                let m2 = _mm_and_si128(
+                    _mm_shuffle_epi8(lo2, _mm_and_si128(v2, nibble)),
+                    _mm_shuffle_epi8(hi2, _mm_and_si128(_mm_srli_epi16(v2, 4), nibble)),
+                );
+                let anchored = _mm_or_si128(_mm_cmpeq_epi8(v0, anchor), unanchored);
+                let none = _mm_cmpeq_epi8(_mm_and_si128(m1, m2), _mm_setzero_si128());
+                let mask = _mm_movemask_epi8(_mm_andnot_si128(none, anchored)) as u32;
+                if mask != 0 {
+                    return Some(i + mask.trailing_zeros() as usize);
+                }
+                i += 16;
+            }
+        }
+        find_fingerprint_scalar(hay, i, fp)
+    }
+    if std::arch::is_x86_feature_detected!("ssse3") {
+        // SAFETY: SSSE3 was detected on the line above.
+        unsafe { imp(hay, from, fp) }
+    } else {
+        find_fingerprint_swar(hay, from, fp)
+    }
+}
+
+/// 32 alignments per iteration; callers must only dispatch here when AVX2
+/// was detected at runtime (enforced by [`kind`]/[`force_kind`]).
+#[cfg(target_arch = "x86_64")]
+pub fn find_fingerprint_avx2(hay: &[u8], from: usize, fp: &Fingerprint) -> Option<usize> {
+    #[target_feature(enable = "avx2")]
+    unsafe fn imp(hay: &[u8], from: usize, fp: &Fingerprint) -> Option<usize> {
+        use std::arch::x86_64::*;
+        let (o1, o2) = fp.offsets();
+        let len = hay.len();
+        let mut i = from;
+        // SAFETY: the table loads read the four 16-byte arrays of `fp`
+        // (broadcast to both lanes, which `vpshufb` indexes separately).
+        // Every haystack load reads 32 bytes at `hay[i + o]` with
+        // `o <= o2` and `i + 32 + o2 <= len` checked by the loop
+        // condition; `loadu` has no alignment requirement.
+        unsafe {
+            let table = |t: &[u8; 16]| {
+                _mm256_broadcastsi128_si256(_mm_loadu_si128(t.as_ptr() as *const __m128i))
+            };
+            let (lo1, hi1) = (table(&fp.lo[0]), table(&fp.hi[0]));
+            let (lo2, hi2) = (table(&fp.lo[1]), table(&fp.hi[1]));
+            let nibble = _mm256_set1_epi8(0x0f);
+            let anchor = _mm256_set1_epi8(fp.anchor.unwrap_or(0) as i8);
+            // Without an anchor every lane passes the anchor test.
+            let unanchored = _mm256_set1_epi8(if fp.anchor.is_none() { -1 } else { 0 });
+            while i + 32 + o2 <= len {
+                let v0 = _mm256_loadu_si256(hay.as_ptr().add(i) as *const __m256i);
+                let v1 = _mm256_loadu_si256(hay.as_ptr().add(i + o1) as *const __m256i);
+                let v2 = _mm256_loadu_si256(hay.as_ptr().add(i + o2) as *const __m256i);
+                let m1 = _mm256_and_si256(
+                    _mm256_shuffle_epi8(lo1, _mm256_and_si256(v1, nibble)),
+                    _mm256_shuffle_epi8(hi1, _mm256_and_si256(_mm256_srli_epi16(v1, 4), nibble)),
+                );
+                let m2 = _mm256_and_si256(
+                    _mm256_shuffle_epi8(lo2, _mm256_and_si256(v2, nibble)),
+                    _mm256_shuffle_epi8(hi2, _mm256_and_si256(_mm256_srli_epi16(v2, 4), nibble)),
+                );
+                let anchored = _mm256_or_si256(_mm256_cmpeq_epi8(v0, anchor), unanchored);
+                let none = _mm256_cmpeq_epi8(_mm256_and_si256(m1, m2), _mm256_setzero_si256());
+                let mask = _mm256_movemask_epi8(_mm256_andnot_si256(none, anchored)) as u32;
+                if mask != 0 {
+                    return Some(i + mask.trailing_zeros() as usize);
+                }
+                i += 32;
+            }
+        }
+        find_fingerprint_scalar(hay, i, fp)
+    }
+    // SAFETY: dispatch reaches this function only after
+    // `is_x86_feature_detected!("avx2")` succeeded (see `detect_kind` /
+    // `force_kind`), so the target-feature precondition holds.
+    unsafe { imp(hay, from, fp) }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -967,6 +1255,33 @@ mod tests {
         let ((r1, p1), (r2, p2)) = rare_byte_pair(pat).unwrap();
         assert_eq!(pat[p1], r1);
         assert_eq!(pat[p2], r2);
+    }
+
+    #[test]
+    fn fingerprint_offsets_follow_the_rank_table() {
+        // Capitals rank rarest: `Ab` / `/A` beats every pair with the `<`
+        // all tags share.
+        let fp = Fingerprint::new(&[&b"<Abstract"[..], b"</Abstract"]);
+        assert_eq!(fp.offsets(), (1, 2));
+        assert!(fp.admits(b'A', b'b') && fp.admits(b'/', b'A'));
+        assert!(!fp.admits(b'A', b'A') && !fp.admits(b'<', b'A'));
+        // Ties go to the later offsets; the shortest keyword bounds both.
+        assert_eq!(Fingerprint::new(&[&b"aaaa"[..], b"aaa"]).offsets(), (1, 2));
+        assert_eq!(Fingerprint::new(&[&b"<"[..], b"<abc"]).offsets(), (0, 0));
+    }
+
+    #[test]
+    fn fingerprint_scan_never_reads_past_the_second_offset() {
+        let fp = Fingerprint::new(&[&b"<ab"[..], b"</ab"]);
+        let (_, o2) = fp.offsets();
+        // The candidate's second byte is the last byte of the haystack.
+        let mut hay = vec![b'.'; 40];
+        hay.extend_from_slice(&b"</ab"[..=o2]);
+        assert_eq!(find_fingerprint(&hay, 0, &fp), Some(40));
+        assert_eq!(find_fingerprint(&hay[..hay.len() - 1], 0, &fp), None);
+        assert_eq!(find_fingerprint(&hay, 41, &fp), None);
+        assert_eq!(find_fingerprint(&hay, 1000, &fp), None);
+        assert_eq!(find_fingerprint(b"", 0, &fp), None);
     }
 
     fn all_impls2(hay: &[u8], from: usize, n1: u8, n2: u8) -> Vec<(&'static str, Option<usize>)> {

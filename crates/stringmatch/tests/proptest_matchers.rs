@@ -3,7 +3,65 @@
 //! alphabets that maximize pattern self-overlap.
 
 use proptest::prelude::*;
-use smpx_stringmatch::{naive, AhoCorasick, BoyerMoore, CommentzWalter, Horspool, Kmp, MultiMatch};
+use smpx_stringmatch::memscan::{self, ScanKind};
+use smpx_stringmatch::{
+    naive, AhoCorasick, BoyerMoore, CommentzWalter, Horspool, Kmp, MultiMatch, NoMetrics,
+};
+use std::sync::Mutex;
+
+/// Serializes the tests that force a process-global scan mode.
+static MODE: Mutex<()> = Mutex::new(());
+
+/// Tag names built to share prefixes (`ab` / `abc` / `abcd`), nibbles
+/// (`a`, `q` = 0x61, 0x71) and whole fingerprints, next to two real ones.
+const NAMES: [&str; 10] =
+    ["a", "ab", "abc", "abcd", "b", "q", "ba", "Abstract", "AbstractText", "i"];
+
+/// `<name` or `</name` for the `sel`-th (`< 20`) of the SMP keywords over
+/// `NAMES`.
+fn smp_keyword(sel: usize) -> Vec<u8> {
+    let name = NAMES[sel % NAMES.len()];
+    let open = if sel < NAMES.len() { "<" } else { "</" };
+    format!("{open}{name}").into_bytes()
+}
+
+/// An XML-looking haystack: tags over `NAMES` (all 20 keywords occur, so
+/// does every prefix-sharing neighbour of a chosen vocabulary) separated
+/// by text runs of 0..40 bytes, which walks the tags across the lane edges.
+fn smp_haystack() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec((0usize..20, 0usize..40, any::<bool>()), 0..14).prop_map(|tags| {
+        let mut hay = Vec::new();
+        for (sel, text, bachelor) in tags {
+            hay.extend_from_slice(&smp_keyword(sel));
+            hay.extend_from_slice(if bachelor { b"/>" } else { b" x='<'>" });
+            hay.extend(std::iter::repeat_n(b't', text));
+        }
+        hay
+    })
+}
+
+/// `find_at ≡ find_at_scalar` from every position, `find ≡` Aho–Corasick,
+/// `find_iter ≡` the naive occurrence set.
+fn check_against_oracles(hay: &[u8], pats: &[Vec<u8>]) -> Result<(), String> {
+    let refs: Vec<&[u8]> = pats.iter().map(|p| p.as_slice()).collect();
+    let cw = CommentzWalter::new(&refs);
+    for from in 0..=hay.len() + 1 {
+        prop_assert_eq!(
+            cw.find_at(hay, from, &mut NoMetrics),
+            cw.find_at_scalar(hay, from, &mut NoMetrics),
+            "from={} hay={:?} pats={:?}",
+            from,
+            String::from_utf8_lossy(hay),
+            pats
+        );
+    }
+    prop_assert_eq!(cw.find(hay), AhoCorasick::new(&refs).find(hay));
+    let got: Vec<MultiMatch> = cw.find_iter(hay).collect();
+    let mut want = naive::find_all_multi(hay, &refs);
+    want.sort_by_key(|m| (m.end, m.pattern));
+    prop_assert_eq!(got, want, "hay={:?} pats={:?}", String::from_utf8_lossy(hay), pats);
+    Ok(())
+}
 
 /// Small alphabets provoke overlapping occurrences and shift-table edge
 /// cases far more often than random bytes do.
@@ -99,6 +157,48 @@ proptest! {
     }
 
     #[test]
+    fn smp_vocabularies_agree_with_scalar_and_oracles(
+        hay in smp_haystack(),
+        sels in proptest::collection::vec(0usize..20, 2..13),
+    ) {
+        // K = 2..=12 keywords over ten names: open/close pairs of one
+        // name, `<ab` / `<abc` / `<abcd` chains, `lmin` 2 (`<a`) and 3,
+        // and past eight distinct fingerprints the buckets are shared.
+        let pats: Vec<Vec<u8>> = sels.iter().map(|&s| smp_keyword(s)).collect();
+        check_against_oracles(&hay, &pats)?;
+    }
+
+    #[test]
+    fn arbitrary_patterns_agree_with_scalar_and_oracles(
+        firsts in 1usize..6,
+        shapes in proptest::collection::vec(
+            (0usize..5, proptest::collection::vec(0usize..4, 0..5), any::<u8>()),
+            1..9,
+        ),
+        hay_sel in proptest::collection::vec(0usize..9, 0..200),
+    ) {
+        // 1..=5 distinct first bytes; tails over a four-letter alphabet
+        // (self-overlap, nested and suffix patterns) with, now and then,
+        // an arbitrary byte in last place.
+        let first = [b'<', b'a', b'/', 0x00, 0xf1];
+        let tail = [b'a', b'b', b'<', b'/'];
+        let pats: Vec<Vec<u8>> = shapes
+            .iter()
+            .map(|(f, rest, wild)| {
+                let mut p = vec![first[f % firsts]];
+                p.extend(rest.iter().map(|&t| tail[t]));
+                if wild.is_multiple_of(4) {
+                    p.push(*wild);
+                }
+                p
+            })
+            .collect();
+        let alphabet = [b'<', b'a', b'/', 0x00, 0xf1, b'b', b'<', b'a', pats[0][pats[0].len() - 1]];
+        let hay: Vec<u8> = hay_sel.iter().map(|&i| alphabet[i]).collect();
+        check_against_oracles(&hay, &pats)?;
+    }
+
+    #[test]
     fn xmlish_keywords_over_xmlish_haystacks(
         reps in 1usize..12,
         pats_sel in proptest::collection::vec(0usize..6, 1..4),
@@ -118,4 +218,55 @@ proptest! {
         let got: Vec<MultiMatch> = cw.find_iter(&hay).collect();
         prop_assert_eq!(got, naive::find_all_multi(&hay, &pats));
     }
+}
+
+/// A fixed corpus of vocabularies and haystacks, from a SplitMix64 stream.
+fn fixed_corpus() -> Vec<(Vec<u8>, Vec<Vec<u8>>)> {
+    let mut state = 0x5eed_u64;
+    let mut next = move |n: usize| {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % n as u64) as usize
+    };
+    (0..60u32)
+        .map(|case| {
+            let k = 2 + next(11);
+            let pats: Vec<Vec<u8>> = (0..k)
+                .map(|_| {
+                    if case.is_multiple_of(2) {
+                        smp_keyword(next(20))
+                    } else {
+                        (0..1 + next(4)).map(|_| b"ab</"[next(4)]).collect()
+                    }
+                })
+                .collect();
+            let mut hay = Vec::new();
+            for _ in 0..next(12) {
+                hay.extend_from_slice(&pats[next(k)]);
+                hay.extend_from_slice(&smp_keyword(next(20)));
+                hay.extend(std::iter::repeat_n(b'.', next(40)));
+            }
+            (hay, pats)
+        })
+        .collect()
+}
+
+/// The candidate walk under each [`ScanKind`] in turn — SWAR words, 16-
+/// and 32-byte vectors — with the accelerated path forced on, so the
+/// `SMPX_NO_SIMD=1` leg drives the kernels too.
+#[test]
+fn every_scan_kind_agrees_with_the_windowed_loop() {
+    let _guard = MODE.lock().unwrap();
+    let (kind, accel) = (memscan::kind(), memscan::accel_enabled());
+    memscan::force_accel(true);
+    for forced in [ScanKind::Swar, ScanKind::Sse2, ScanKind::Avx2] {
+        memscan::force_kind(forced);
+        for (hay, pats) in fixed_corpus() {
+            check_against_oracles(&hay, &pats).unwrap_or_else(|e| panic!("{forced:?}: {e}"));
+        }
+    }
+    memscan::force_kind(kind);
+    memscan::force_accel(accel);
 }

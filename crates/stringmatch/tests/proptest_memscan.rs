@@ -9,6 +9,7 @@
 //! the searchers' scalar dispatch path on top.
 
 use proptest::prelude::*;
+use smpx_stringmatch::memscan::Fingerprint;
 use smpx_stringmatch::{memscan, naive, BoyerMoore, CommentzWalter, Horspool, MultiMatch};
 
 /// Haystack lengths clustered around 0..64 and the 8/16/32-byte alignment
@@ -77,6 +78,63 @@ fn memscan_impls3(
         }
     }
     v
+}
+
+fn fingerprint_impls(
+    hay: &[u8],
+    from: usize,
+    fp: &Fingerprint,
+) -> Vec<(&'static str, Option<usize>)> {
+    let mut v = vec![("swar", memscan::find_fingerprint_swar(hay, from, fp))];
+    #[cfg(target_arch = "x86_64")]
+    {
+        v.push(("sse2", memscan::find_fingerprint_sse2(hay, from, fp)));
+        if std::arch::is_x86_feature_detected!("avx2") {
+            v.push(("avx2", memscan::find_fingerprint_avx2(hay, from, fp)));
+        }
+    }
+    v
+}
+
+/// One keyword of a vocabulary at every position of a keyword-free
+/// haystack, every haystack ending 0..=40 bytes after it: the keyword, its
+/// two fingerprint bytes and the vector loads (`i + 32 + o2 <= len`)
+/// straddle every 16/32-byte lane edge, and the tails are shorter than a
+/// vector plus the largest offset. Every member of the family must stop
+/// exactly where the scalar predicate does, and the searcher built on it
+/// must report the keyword.
+#[test]
+fn fingerprint_candidates_straddle_every_lane_edge() {
+    let vocabularies: [&[&[u8]]; 4] = [
+        &[b"<Abstract", b"</Abstract"],
+        &[b"<ab", b"<abc", b"<abcd", b"</ab"],
+        &[b"<a", b"</a"],
+        &[b"<DateCompleted", b"</MedlineCitation", b"<MedlineJournalInfo", b"</DateCompleted"],
+    ];
+    for pats in vocabularies {
+        let fp = Fingerprint::new(pats);
+        let cw = CommentzWalter::new(pats);
+        let longest = *pats.iter().max_by_key(|p| p.len()).unwrap();
+        for at in 0..70 {
+            for tail in 0..=40 {
+                let mut hay = vec![b'.'; at];
+                hay.extend_from_slice(longest);
+                hay.extend(std::iter::repeat_n(b'.', tail));
+                for from in [0, at.saturating_sub(1), at, at + 1] {
+                    let want = memscan::find_fingerprint_scalar(&hay, from, &fp);
+                    if from <= at {
+                        assert_eq!(want, Some(at), "a keyword is always a candidate");
+                    }
+                    for (name, got) in fingerprint_impls(&hay, from, &fp) {
+                        assert_eq!(got, want, "{name} at={at} tail={tail} from={from}");
+                    }
+                }
+                let hit = cw.find_at(&hay, 0, &mut smpx_stringmatch::NoMetrics);
+                assert_eq!(hit, cw.find_at_scalar(&hay, 0, &mut smpx_stringmatch::NoMetrics));
+                assert_eq!(hit.map(|m| m.start), Some(at), "at={at} tail={tail}");
+            }
+        }
+    }
 }
 
 /// Exhaustive needle-pair placement: for every haystack length around the
@@ -186,6 +244,42 @@ proptest! {
             let want = memscan::find_byte3_scalar(&hay, from, b'>', b'"', b'\'');
             for (name, got) in memscan_impls3(&hay, from, b'>', b'"', b'\'') {
                 prop_assert_eq!(got, want, "{} from={} hay={:?}", name, from, &hay);
+            }
+        }
+    }
+
+    #[test]
+    fn fingerprint_impls_agree_with_the_scalar_predicate(
+        pats in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..7), 1..13),
+        len in edge_len(),
+        extra in 0usize..40,
+        seed in 0u64..u64::MAX,
+    ) {
+        // Random tables: 1..=12 patterns of random bytes (so buckets and
+        // nibbles collide freely), over a haystack that draws half its
+        // bytes from the patterns and sweeps `from` over every position.
+        let fp = Fingerprint::new(&pats);
+        let (o1, o2) = fp.offsets();
+        let lmin = pats.iter().map(Vec::len).min().unwrap();
+        prop_assert!(o1 <= o2 && o2 < lmin);
+        let flat: Vec<u8> = pats.concat();
+        let hay: Vec<u8> = (0..len + extra)
+            .map(|i| {
+                let mix = seed.rotate_left((i % 64) as u32) ^ (i as u64).wrapping_mul(0x9e37);
+                if mix.is_multiple_of(2) { flat[(mix / 2) as usize % flat.len()] } else { (mix >> 8) as u8 }
+            })
+            .collect();
+        for from in 0..=hay.len() + 1 {
+            let want = (from..hay.len()).find(|&i| fp.admits_at(&hay, i));
+            prop_assert_eq!(memscan::find_fingerprint_scalar(&hay, from, &fp), want);
+            for (name, got) in fingerprint_impls(&hay, from, &fp) {
+                prop_assert_eq!(got, want, "{} from={} hay={:?} pats={:?}", name, from, &hay, &pats);
+            }
+        }
+        // No false negatives: wherever a pattern occurs, the filter stops.
+        for p in &pats {
+            for start in naive::find_all(&hay, p) {
+                prop_assert!(fp.admits_at(&hay, start), "pattern {:?} at {}", p, start);
             }
         }
     }

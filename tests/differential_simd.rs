@@ -11,13 +11,19 @@
 //! point is exercised: a window ending one byte into a tag, inside a
 //! quoted attribute value, between a `<` and its second byte, and so on.
 //!
+//! The benchmark's own queries (XM7, XM14, M1–M5, the N = 10 registry) run
+//! the same matrix at chunks {64, 65, 4096} on every counter no scan mode
+//! may move, and M1 over MEDLINE carries the engagement guard of the
+//! Commentz–Walter candidate filter.
+//!
 //! On `Char Comp.` accounting: the *scan layer* contributes identically
 //! in both modes — tag-end and balanced-scan traversal is routed through
 //! `bytes_scanned`, pinned byte-exactly by the `tag_scan_oracle` unit
 //! tests in `crates/core`. The *searchers* intentionally do not: the
 //! accelerated Boyer–Moore/Commentz–Walter report scan hops plus
-//! verification comparisons while the scalar loops report the classic
-//! per-alignment counts (see CHANGES.md, PR 2), so whole-run
+//! verification comparisons at candidates while the scalar loops report
+//! the classic per-alignment counts (see CHANGES.md, PR 2 and PR 17), so
+//! whole-run
 //! `chars_compared` equality across modes is not a meaningful invariant
 //! and is not asserted here.
 //!
@@ -26,9 +32,11 @@
 
 mod common;
 
-use common::{assert_valid, random_doc, random_dtd, random_paths, Rand, TempDoc};
-use smpx_core::runtime::source::{MmapSource, ReaderSource};
-use smpx_core::{Prefilter, RunStats};
+use common::{
+    analysis_cases, assert_valid, random_doc, random_dtd, random_paths, AnalysisCase, Rand, TempDoc,
+};
+use smpx_core::runtime::source::{DocSource, MmapSource, ReaderSource};
+use smpx_core::{Prefilter, RunStats, SliceSource};
 use smpx_dtd::Dtd;
 use smpx_paths::PathSet;
 use smpx_stringmatch::memscan;
@@ -350,5 +358,122 @@ fn run_batch_equals_sequential_runs() {
         .expect("mmap batch filter");
     for (i, ((out, stats), want)) in results.into_iter().zip(&sequential).enumerate() {
         assert_eq!(&Observed::new(out, &stats), want, "mmap batch doc {i} diverged");
+    }
+}
+
+// --------------------------------------------------------------------------
+// The benchmark's queries: every mode-independent counter, per source.
+// --------------------------------------------------------------------------
+
+/// Output, verdict and the six counters that no scan mode may move, one
+/// source's `io_window_bytes` included.
+#[derive(Debug, PartialEq)]
+struct Pinned {
+    out: Vec<u8>,
+    matched: Vec<u32>,
+    tokens_matched: u64,
+    false_matches: u64,
+    match_events: u64,
+    output_bytes: u64,
+    initial_jump_chars: u64,
+    io_window_bytes: u64,
+}
+
+fn pinned_run<S: DocSource>(pf: &mut Prefilter, src: S) -> (Pinned, RunStats) {
+    let (out, verdict, stats) = pf.run_multi(src, Vec::new()).expect("run");
+    let pinned = Pinned {
+        out,
+        matched: verdict.matched_ids().iter().map(|q| q.0).collect(),
+        tokens_matched: stats.tokens_matched,
+        false_matches: stats.false_matches,
+        match_events: stats.match_events,
+        output_bytes: stats.output_bytes,
+        initial_jump_chars: stats.initial_jump_chars,
+        io_window_bytes: stats.io_window_bytes,
+    };
+    (pinned, stats)
+}
+
+fn compile_case(case: &AnalysisCase) -> Prefilter {
+    if case.queries.len() > 1 {
+        Prefilter::compile_multi(&case.dtd, &case.queries).expect("compile multi")
+    } else {
+        Prefilter::compile(&case.dtd, &case.queries[0]).expect("compile")
+    }
+}
+
+fn generated(case: &AnalysisCase, bytes: usize) -> Vec<u8> {
+    let opts = smpx_datagen::GenOptions::sized(bytes);
+    if case.name.starts_with("medline") {
+        smpx_datagen::medline::generate(opts)
+    } else {
+        smpx_datagen::xmark::generate(opts)
+    }
+}
+
+#[test]
+fn benchmark_queries_agree_across_modes_on_every_source() {
+    // XM7 and XM14 sit in Commentz–Walter states, M1–M5 search long
+    // MEDLINE names, the N = 10 registry unions vocabularies. Chunks 64
+    // and 65 slide the refill edge through every tag of the document — a
+    // fingerprint byte on one side, the keyword's `<` on the other; 4096
+    // is a page.
+    let wanted = ["xmark/XM7", "xmark/XM14", "xmark/standing-10"];
+    for case in analysis_cases() {
+        if !wanted.contains(&case.name.as_str()) && !case.name.starts_with("medline/") {
+            continue;
+        }
+        let doc = generated(&case, 192 << 10);
+        let tmp = TempDoc::new(&doc);
+        let (accel, scalar) = with_both_modes(|_| {
+            let mut pf = compile_case(&case);
+            let mut cells = vec![
+                ("slice", pinned_run(&mut pf, SliceSource::new(&doc)).0),
+                ("mmap", pinned_run(&mut pf, MmapSource::open(tmp.path()).expect("map")).0),
+            ];
+            for chunk in [64, 65, 4096] {
+                cells.push(("reader", pinned_run(&mut pf, ReaderSource::new(&doc[..], chunk)).0));
+            }
+            cells
+        });
+        assert!(accel[0].1.tokens_matched > 0, "{}: the run must find tokens", case.name);
+        for (i, (a, s)) in accel.iter().zip(&scalar).enumerate() {
+            assert!(a == s, "{} cell {i} ({}): accelerated and scalar diverged", case.name, a.0);
+        }
+    }
+}
+
+#[test]
+fn candidate_filter_engages_on_medline() {
+    // The engagement guard: M1 enters one dominant state whose vocabulary
+    // almost no MEDLINE tag belongs to. If the accelerated search stopped
+    // at every tag again, `chars_compared` would read 9 % of the input, as
+    // it did before the filter; it must stay under 1 %. And every byte the
+    // filter passes is booked once: `bytes_scanned` exceeds the input only
+    // by the overlap a streamed search re-reads after each refill.
+    let _guard = mode_lock().lock().unwrap();
+    let env_accel = std::env::var_os("SMPX_NO_SIMD").is_none_or(|v| v != "1");
+    memscan::force_accel(true);
+    let case = analysis_cases().into_iter().find(|c| c.name == "medline/M1").expect("M1");
+    let doc = generated(&case, 1 << 20);
+    let input = doc.len() as u64;
+    let mut pf = compile_case(&case);
+    let overlap = pf.tables().max_kw_len as u64;
+    let (_, slice) = pinned_run(&mut pf, SliceSource::new(&doc));
+    let chunk = 4096;
+    let (_, streamed) = pinned_run(&mut pf, ReaderSource::new(&doc[..], chunk));
+    memscan::force_accel(env_accel);
+    for (stats, refills) in [(slice, 0), (streamed, input / chunk as u64 + 2)] {
+        assert!(
+            stats.chars_compared * 100 < input,
+            "chars_compared {} is 1 % of {input} or more: the filter is not engaged",
+            stats.chars_compared
+        );
+        assert!(
+            stats.bytes_scanned <= input + refills * overlap,
+            "bytes_scanned {} books bytes twice (input {input}, {refills} refills)",
+            stats.bytes_scanned
+        );
+        assert!(stats.bytes_scanned * 10 >= input * 9, "the filter passes the whole input");
     }
 }
