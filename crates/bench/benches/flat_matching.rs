@@ -9,9 +9,10 @@
 //! vectorized skip-scan against the classic scalar loops (`*_scalar`
 //! entries call `find_at_scalar` directly); the committed
 //! `BENCH_baseline.json` (run under `SMPX_NO_SIMD=1`) vs `BENCH_simd.json`
-//! pair tracks the same comparison across process modes. The `cw` group
-//! holds the two regimes of Commentz–Walter's candidate filter, `cw/sparse`
-//! and `cw/dense`.
+//! pair tracks the same comparison across process modes. The `cw` and `bm`
+//! groups hold the regimes of the candidate filter: `cw/sparse` and
+//! `cw/dense` for a multi-keyword state, `bm/common_byte` and
+//! `bm/rare_byte` for a single-keyword one.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use smpx_bench::measure::bench_doc_bytes;
@@ -19,6 +20,7 @@ use smpx_bench::queries::{medline_paths, standing_path_sets, MEDLINE_QUERIES};
 use smpx_core::{CompiledTables, Prefilter};
 use smpx_datagen::{medline, xmark, GenOptions};
 use smpx_dtd::Dtd;
+use smpx_stringmatch::memscan::TagUniverse;
 use smpx_stringmatch::{naive, AhoCorasick, BoyerMoore, CommentzWalter, Horspool, Kmp, NoMetrics};
 
 fn haystack() -> Vec<u8> {
@@ -176,6 +178,26 @@ fn bench_cw_regimes(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_bm_regimes(c: &mut Criterion) {
+    // A single-keyword state over XMark, built against the DTD's tags as
+    // the runtime builds it. Common byte: `</site` — every byte of it
+    // occurs in most tags of the document, which is what a scan for one
+    // rare byte stops at. Rare byte: `<closed_auctions` — its `_` alone
+    // skips nearly everything, the case a byte scan was already good at.
+    let dtd = Dtd::parse(xmark::XMARK_DTD.as_bytes()).expect("XMark DTD");
+    let universe = TagUniverse::of_elements(dtd.elem_names());
+    let hay = haystack();
+    let mut g = c.benchmark_group("bm");
+    g.throughput(Throughput::Bytes(hay.len() as u64));
+    for (regime, pat) in [("common_byte", &b"</site"[..]), ("rare_byte", b"<closed_auctions")] {
+        g.bench_function(regime, |b| {
+            let m = BoyerMoore::with_universe(pat, &universe);
+            b.iter(|| m.find(&hay).expect("present"))
+        });
+    }
+    g.finish();
+}
+
 fn bench_keyword_length_sweep(c: &mut Criterion) {
     // Skipping pays off more with longer keywords: ∅ shift grows with the
     // pattern (the paper's MEDLINE-vs-XMark observation).
@@ -200,6 +222,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(15);
     targets = bench_single_keyword, bench_multi_keyword, bench_absent_alphabet,
-        bench_xmark_scan, bench_cw_regimes, bench_keyword_length_sweep
+        bench_xmark_scan, bench_cw_regimes, bench_bm_regimes, bench_keyword_length_sweep
 }
 criterion_main!(benches);

@@ -109,7 +109,7 @@ pub fn compile_with_counts(
     let minlen = MinLen::compute_allow_recursion(dtd)?;
     let classes = StateClasses::build(&auto, &Relevance::new(paths));
     let s = select::select_states(&auto, &classes);
-    let (tables, passes, _) = compile_from_selection(&auto, &minlen, &classes, s);
+    let (tables, passes, _) = compile_from_selection(dtd, &auto, &minlen, &classes, s);
     Ok((tables, CompileCounts { passes, relevance_steps: classes.steps }))
 }
 
@@ -130,6 +130,7 @@ pub fn compile_with_counts(
 /// a handful of recompiles on ambiguous (non-1-unambiguous) content
 /// models. S only grows, so the fixpoint terminates either way.
 fn compile_from_selection(
+    dtd: &Dtd,
     auto: &DtdAutomaton,
     minlen: &MinLen,
     classes: &StateClasses,
@@ -141,8 +142,8 @@ fn compile_from_selection(
     loop {
         passes += 1;
         let sub = subgraph::build_subgraph(auto, minlen, &s);
-        let (tables, subsets) = tables::determinize_with_subsets(auto, classes, &sub);
-        for (st, members) in tables.states.iter().zip(&subsets) {
+        let (states, subsets) = tables::determinize_with_subsets(auto, classes, &sub);
+        for (st, members) in states.iter().zip(&subsets) {
             // A merged state's frontier vocabulary is the labels of the
             // in-S states its members reach: the same unit analysis as a
             // label group of step (c). Balanced states cross their subtree
@@ -152,7 +153,7 @@ fn compile_from_selection(
             }
         }
         if to_add.is_empty() {
-            return (tables, passes, subsets);
+            return (CompiledTables::new(states, dtd.elem_names()), passes, subsets);
         }
         to_add.drain(..).for_each(|q| s.insert(q));
     }
@@ -219,7 +220,7 @@ pub fn compile_multi_with_counts(
     let classes = StateClasses::build(&auto, &Relevance::new(&union));
     relevance_steps += classes.steps;
     let s = select::select_states_with_extra(&auto, &classes, &extra);
-    let (mut tables, passes, subsets) = compile_from_selection(&auto, &minlen, &classes, s);
+    let (mut tables, passes, subsets) = compile_from_selection(dtd, &auto, &minlen, &classes, s);
 
     let mut ids: Vec<QueryId> = Vec::new();
     let state_hits = subsets

@@ -22,7 +22,9 @@ use super::classes::StateClasses;
 use super::subgraph::Subgraph;
 use crate::idset::QueryIdSet;
 use smpx_dtd::{DtdAutomaton, StateId};
+use smpx_stringmatch::memscan::TagUniverse;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The action `T[q]` performed when entering a state (paper Fig. 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,9 +133,29 @@ pub struct CompiledTables {
     /// Multi-query attribution (`Some` exactly for registry-compiled
     /// automata; `None` keeps the single-query runtime path unchanged).
     pub attribution: Option<Attribution>,
+    /// Every element name the DTD mentions (the list `Dtd` shares): the
+    /// tags a document can hold besides the ones a state searches for.
+    pub elem_names: Arc<[String]>,
+    /// The `<name` / `</name` tokens of `elem_names` as the matcher builds
+    /// read them: each state's candidate filter is fitted against it.
+    pub universe: TagUniverse,
 }
 
 impl CompiledTables {
+    /// Package determinized states as single-query tables over a DTD
+    /// mentioning the elements `elem_names`.
+    pub(crate) fn new(states: Vec<RtState>, elem_names: &Arc<[String]>) -> CompiledTables {
+        let max_kw_len =
+            states.iter().flat_map(|s| s.keywords.iter().map(|k| k.bytes.len())).max().unwrap_or(1);
+        CompiledTables {
+            states,
+            max_kw_len,
+            attribution: None,
+            elem_names: elem_names.clone(),
+            universe: TagUniverse::of_elements(elem_names),
+        }
+    }
+
     /// Number of states whose frontier vocabulary needs Commentz–Walter
     /// (≥ 2 keywords).
     pub fn cw_states(&self) -> usize {
@@ -165,15 +187,15 @@ impl CompiledTables {
         if let Some(att) = &self.attribution {
             total += att.table_bytes();
         }
-        total
+        total + self.universe.heap_bytes()
     }
 }
 
-/// Subset construction over `D|S`, producing the runtime tables along with
-/// each runtime-DFA state's member set — the compile driver re-checks
-/// orientation hazards on the merged states (see `compile()`), which the
-/// per-NFA-state step (c) cannot see when an ambiguous content model makes
-/// `D` nondeterministic.
+/// Subset construction over `D|S`, producing the runtime-DFA states with
+/// their table rows along with each state's member set — the compile
+/// driver re-checks orientation hazards on the merged states (see
+/// `compile()`), which the per-NFA-state step (c) cannot see when an
+/// ambiguous content model makes `D` nondeterministic.
 ///
 /// Successor subsets are numbered in order of their token `(name, close)`,
 /// so the tables do not depend on the order the DTD declares its elements
@@ -183,7 +205,7 @@ pub(crate) fn determinize_with_subsets(
     auto: &DtdAutomaton,
     classes: &StateClasses,
     sub: &Subgraph,
-) -> (CompiledTables, Vec<Vec<StateId>>) {
+) -> (Vec<RtState>, Vec<Vec<StateId>>) {
     // Rank of each label id in `(name, close)` order.
     let mut by_name: Vec<usize> = (0..auto.label_count()).collect();
     by_name.sort_unstable_by_key(|&id| {
@@ -259,9 +281,7 @@ pub(crate) fn determinize_with_subsets(
         });
     }
 
-    let max_kw_len =
-        states.iter().flat_map(|s| s.keywords.iter().map(|k| k.bytes.len())).max().unwrap_or(1);
-    (CompiledTables { states, max_kw_len, attribution: None }, subsets)
+    (states, subsets)
 }
 
 #[cfg(test)]

@@ -9,7 +9,8 @@
 use crate::compile::{CompiledTables, RtState};
 use crate::idset::QueryIdSet;
 use crate::stats::RunStats;
-use smpx_stringmatch::{BoyerMoore, CommentzWalter, Metrics};
+use smpx_stringmatch::memscan::TagUniverse;
+use smpx_stringmatch::{BoyerMoore, CommentzWalter, FilterChoice, Metrics};
 
 /// Attribute one runtime state entry, right where a verified keyword hit
 /// fires its transition: count the match event if the entered state's
@@ -74,16 +75,22 @@ pub(crate) enum StateMatcher {
 }
 
 impl StateMatcher {
-    /// Build the matcher for a state's keyword list.
-    pub fn build(state: &RtState) -> StateMatcher {
+    /// Build the matcher for a state's keyword list, its candidate filter
+    /// fitted to `universe` — the tags of the DTD, which the state's
+    /// search has to pass over.
+    pub fn build(state: &RtState, universe: &TagUniverse) -> StateMatcher {
         match state.keywords.len() {
             0 => StateMatcher::Empty,
-            1 => StateMatcher::Bm(Box::new(BoyerMoore::new(&state.keywords[0].bytes))),
+            1 => StateMatcher::Bm(Box::new(BoyerMoore::with_universe(
+                &state.keywords[0].bytes,
+                universe,
+            ))),
             _ => {
                 let pats: Vec<&[u8]> = state.keywords.iter().map(|k| k.bytes.as_slice()).collect();
                 let mut longest_first: Box<[u32]> = (0..pats.len() as u32).collect();
                 longest_first.sort_by_key(|&i| std::cmp::Reverse(pats[i as usize].len()));
-                StateMatcher::Cw(Box::new(CommentzWalter::new(&pats)), longest_first)
+                let cw = CommentzWalter::with_universe(&pats, universe);
+                StateMatcher::Cw(Box::new(cw), longest_first)
             }
         }
     }
@@ -100,6 +107,16 @@ impl StateMatcher {
             StateMatcher::Empty => None,
             StateMatcher::Bm(bm) => bm.find_at(hay, from, m).map(|s| (0, s)),
             StateMatcher::Cw(cw, _) => cw.find_at(hay, from, m).map(|mm| (mm.pattern, mm.start)),
+        }
+    }
+
+    /// What the matcher's candidate filter decided against `universe`,
+    /// the one it was built with (`None`: nothing to search for).
+    pub fn filter_choice(&self, universe: &TagUniverse) -> Option<FilterChoice> {
+        match self {
+            StateMatcher::Empty => None,
+            StateMatcher::Bm(bm) => Some(bm.filter_choice(universe)),
+            StateMatcher::Cw(cw, _) => Some(cw.filter_choice(universe)),
         }
     }
 
@@ -156,6 +173,10 @@ mod tests {
     use crate::compile::{Action, Keyword, RtState};
     use smpx_stringmatch::NoMetrics;
 
+    fn build(kws: &[&str]) -> StateMatcher {
+        StateMatcher::build(&state(kws), &TagUniverse::default())
+    }
+
     fn state(kws: &[&str]) -> RtState {
         RtState {
             label: None,
@@ -178,13 +199,13 @@ mod tests {
 
     #[test]
     fn empty_state_never_matches() {
-        let m = StateMatcher::build(&state(&[]));
+        let m = build(&[]);
         assert!(m.find_in(b"<a><b>", 0, &mut NoMetrics).is_none());
     }
 
     #[test]
     fn single_keyword_uses_bm() {
-        let m = StateMatcher::build(&state(&["<item"]));
+        let m = build(&["<item"]);
         assert!(matches!(m, StateMatcher::Bm(_)));
         assert_eq!(m.find_in(b"xx<item y>", 0, &mut NoMetrics), Some((0, 2)));
         assert_eq!(m.find_in(b"xx<item y>", 3, &mut NoMetrics), None);
@@ -192,7 +213,7 @@ mod tests {
 
     #[test]
     fn multi_keyword_uses_cw_with_stable_indices() {
-        let m = StateMatcher::build(&state(&["</a", "<b", "<c"]));
+        let m = build(&["</a", "<b", "<c"]);
         assert!(matches!(m, StateMatcher::Cw(..)));
         assert_eq!(m.find_in(b"..<c>..</a>", 0, &mut NoMetrics), Some((2, 2)));
         assert_eq!(m.find_in(b"..<c>..</a>", 3, &mut NoMetrics), Some((0, 7)));
@@ -200,20 +221,20 @@ mod tests {
 
     #[test]
     fn min_and_max_len() {
-        let m = StateMatcher::build(&state(&["</a", "<longkeyword"]));
+        let m = build(&["</a", "<longkeyword"]);
         assert_eq!(m.min_len(), 3);
         assert_eq!(m.max_len(), 12);
-        let b = StateMatcher::build(&state(&["<item"]));
+        let b = build(&["<item"]);
         assert_eq!(b.min_len(), 5);
         assert_eq!(b.max_len(), 5);
-        assert_eq!(StateMatcher::build(&state(&[])).max_len(), 1);
+        assert_eq!(build(&[]).max_len(), 1);
     }
 
     #[test]
     fn memory_estimates_positive() {
-        assert!(StateMatcher::build(&state(&["<item"])).memory_bytes() > 256);
-        assert!(StateMatcher::build(&state(&["<a", "</a"])).memory_bytes() > 1024);
-        assert_eq!(StateMatcher::build(&state(&[])).memory_bytes(), 0);
+        assert!(build(&["<item"]).memory_bytes() > 256);
+        assert!(build(&["<a", "</a"]).memory_bytes() > 1024);
+        assert_eq!(build(&[]).memory_bytes(), 0);
     }
 
     #[test]
@@ -221,11 +242,11 @@ mod tests {
         // Computed from the live struct layout, not a per-node constant:
         // a bigger vocabulary must cost measurably more, and every matcher
         // costs at least its boxed struct.
-        let small = StateMatcher::build(&state(&["<a", "</a"]));
-        let big = StateMatcher::build(&state(&["<alpha", "</alpha", "<beta", "</beta"]));
+        let small = build(&["<a", "</a"]);
+        let big = build(&["<alpha", "</alpha", "<beta", "</beta"]);
         assert!(big.memory_bytes() > small.memory_bytes());
         assert!(small.memory_bytes() >= std::mem::size_of::<CommentzWalter>());
-        let bm = StateMatcher::build(&state(&["<item"]));
+        let bm = build(&["<item"]);
         assert!(bm.memory_bytes() >= std::mem::size_of::<BoyerMoore>());
     }
 }

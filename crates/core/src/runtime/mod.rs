@@ -235,10 +235,18 @@ impl Prefilter {
     pub fn precompile_matchers(&mut self) {
         for (i, slot) in self.matchers.iter_mut().enumerate() {
             if slot.is_none() {
-                *slot = Some(StateMatcher::build(&self.tables.states[i]));
+                *slot = Some(StateMatcher::build(&self.tables.states[i], &self.tables.universe));
                 self.matchers_built += 1;
             }
         }
+    }
+
+    /// What the candidate filter of state `q`'s matcher decided, building
+    /// the matcher as the run would (`None`: the state searches nothing).
+    #[doc(hidden)]
+    pub fn filter_choice(&mut self, q: u32) -> Option<smpx_stringmatch::FilterChoice> {
+        let tables = self.tables.clone();
+        self.matcher(q).filter_choice(&tables.universe)
     }
 
     /// Approximate heap bytes of tables plus all matchers built so far
@@ -381,7 +389,8 @@ impl Prefilter {
     fn matcher(&mut self, q: u32) -> &StateMatcher {
         let slot = &mut self.matchers[q as usize];
         if slot.is_none() {
-            *slot = Some(StateMatcher::build(&self.tables.states[q as usize]));
+            let tables = &self.tables;
+            *slot = Some(StateMatcher::build(&tables.states[q as usize], &tables.universe));
             self.matchers_built += 1;
         }
         slot.as_ref().expect("just built")
@@ -666,14 +675,7 @@ impl Prefilter {
                     input.emit_range(start, end)?;
                 } else {
                     let name = &state.label.as_ref().expect("labeled").0;
-                    let mut buf = Vec::with_capacity(name.len() + 3);
-                    buf.push(b'<');
-                    if close {
-                        buf.push(b'/');
-                    }
-                    buf.extend_from_slice(name.as_bytes());
-                    buf.push(b'>');
-                    input.emit_bytes(&buf)?;
+                    emit_bare_tag(input, if close { b"</" } else { b"<" }, name, b">")?;
                 }
             }
         }
@@ -709,11 +711,7 @@ impl Prefilter {
         if matches!(open_act, Action::CopyTag { .. }) || matches!(close_act, Action::CopyTag { .. })
         {
             let name = &self.tables.states[open_target as usize].label.as_ref().expect("labeled").0;
-            let mut buf = Vec::with_capacity(name.len() + 3);
-            buf.push(b'<');
-            buf.extend_from_slice(name.as_bytes());
-            buf.extend_from_slice(b"/>");
-            input.emit_bytes(&buf)?;
+            emit_bare_tag(input, b"<", name, b"/>")?;
         }
         Ok(())
     }
@@ -782,6 +780,19 @@ impl Prefilter {
         }
         self.apply_bachelor(input, open_target, close_target, start, end)
     }
+}
+
+/// Emit a reconstructed bare tag — `<name>`, `</name>` or `<name/>` —
+/// piece by piece: the sink buffers, so there is nothing to assemble.
+fn emit_bare_tag<S: DocSource, W: Write>(
+    input: &mut SourceInput<S, W>,
+    open: &[u8],
+    name: &str,
+    close: &[u8],
+) -> Result<(), CoreError> {
+    input.emit_bytes(open)?;
+    input.emit_bytes(name.as_bytes())?;
+    input.emit_bytes(close)
 }
 
 /// Outcome of one windowed hop of the accelerated balanced scan.

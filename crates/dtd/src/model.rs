@@ -281,8 +281,9 @@ impl Dtd {
         }
     }
 
-    /// Every element name the DTD mentions, in element-id order.
-    pub(crate) fn elem_names(&self) -> &Arc<[String]> {
+    /// Every element name the DTD mentions, in name order (shared, not
+    /// copied: the tables computed from the schema hold the same list).
+    pub fn elem_names(&self) -> &Arc<[String]> {
         &self.names
     }
 

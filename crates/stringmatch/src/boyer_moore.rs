@@ -7,16 +7,39 @@
 //! which is what allows the runtime to build them lazily per automaton state
 //! and reuse them for the rest of the run.
 //!
-//! On top of the classic shift loop sits a vectorized candidate filter
-//! ([`crate::memscan`]): the two rarest pattern bytes (under a static XML
-//! byte-frequency table) are located by a hardware byte scan, and the
-//! right-to-left verification plus shift tables run only at the alignments
-//! the scan proposes. `SMPX_NO_SIMD=1` (or
-//! [`memscan::force_accel`](crate::memscan::force_accel)) restores the
-//! classic loop, which [`BoyerMoore::find_at_scalar`] also exposes
-//! directly.
+//! # Vectorized fast path
+//!
+//! [`find_at`](BoyerMoore::find_at) does not slide the pattern. It walks
+//! the *candidate* alignments of the keyword's [`memscan::Fingerprint`] —
+//! the filter the multi-keyword searcher uses, for a set of one — and
+//! compares the pattern at each
+//! ([`find_at_scalar`](BoyerMoore::find_at_scalar), the loop above, stays
+//! the specification and the `SMPX_NO_SIMD=1` leg):
+//!
+//! * **The filter** is the pattern's first byte (the *anchor*, `<` in SMP)
+//!   and its bytes at two offsets past it, all three compared in the
+//!   vector unit: 16/32 alignments per iteration, and an alignment that
+//!   fails any of the three never leaves it. Three bytes to broadcast is
+//!   all the set-up there is, so a search enters the vector loop at once
+//!   (the multi-keyword walk probes the next 16 alignments one by one
+//!   before it loads its tables).
+//! * **The offsets** are the pair that the fewest *other* tags of the DTD
+//!   pass, when the searcher is built
+//!   [against the DTD's tag universe](BoyerMoore::with_universe):
+//!   `</site` is told from `</seller` and `<asia` at compile time, not at
+//!   every one of their occurrences. Among equals, and for
+//!   [`new`](BoyerMoore::new), the pair of rarest bytes under `memscan`'s
+//!   XML byte-frequency table.
+//!
+//! **What the counters mean here.** As in the multi-keyword walk: every
+//! alignment the filter passes over is booked once through
+//! [`Metrics::scanned`]; [`Metrics::cmp`] counts the bytes compared at a
+//! candidate (verification bytes only); [`Metrics::shift`] is called once
+//! per candidate stop with the distance from the previous one. The scalar
+//! leg keeps the paper's definitions.
 
-use crate::{memscan, Metrics, NoMetrics};
+use crate::memscan::{self, FilterChoice, Fingerprint, TagUniverse};
+use crate::{Metrics, NoMetrics};
 
 /// A compiled Boyer–Moore searcher for one pattern.
 #[derive(Debug, Clone)]
@@ -29,9 +52,8 @@ pub struct BoyerMoore {
     /// mismatch occurs at pattern index `j` (all of `pattern[j+1..]`
     /// matched).
     good_suffix: Vec<usize>,
-    /// The two rarest pattern bytes (rarest first) with their offsets, for
-    /// the vectorized candidate scan; `None` for single-byte patterns.
-    rare: Option<((u8, usize), (u8, usize))>,
+    /// The candidate filter of the accelerated path.
+    filter: Fingerprint,
 }
 
 impl BoyerMoore {
@@ -39,14 +61,20 @@ impl BoyerMoore {
     /// arises from the SMP static analysis and has no sensible occurrence
     /// semantics.
     pub fn new(pattern: &[u8]) -> Self {
+        BoyerMoore::with_universe(pattern, &TagUniverse::default())
+    }
+
+    /// Compile `pattern` with its candidate filter fitted to `universe`,
+    /// the tag tokens of the documents to be searched.
+    pub fn with_universe(pattern: &[u8], universe: &TagUniverse) -> Self {
         assert!(!pattern.is_empty(), "BoyerMoore pattern must be non-empty");
         let mut bad_char = [usize::MAX; 256];
         for (i, &b) in pattern.iter().enumerate() {
             bad_char[b as usize] = i;
         }
         let good_suffix = build_good_suffix(pattern);
-        let rare = memscan::rare_byte_pair(pattern);
-        BoyerMoore { pattern: pattern.to_vec(), bad_char, good_suffix, rare }
+        let filter = Fingerprint::with_universe(&[pattern], universe);
+        BoyerMoore { pattern: pattern.to_vec(), bad_char, good_suffix, filter }
     }
 
     /// The compiled pattern.
@@ -63,11 +91,12 @@ impl BoyerMoore {
     /// comparisons, shifts and vector-scanned bytes to `m`. Returns the
     /// absolute start offset.
     ///
-    /// Uses the vectorized rare-byte candidate scan unless `SMPX_NO_SIMD=1`
-    /// forces the classic loop ([`find_at_scalar`](Self::find_at_scalar)).
+    /// Walks the filter's candidates (module docs, "Vectorized fast path")
+    /// unless `SMPX_NO_SIMD=1` forces the classic loop
+    /// ([`find_at_scalar`](Self::find_at_scalar)).
     pub fn find_at<M: Metrics>(&self, hay: &[u8], from: usize, m: &mut M) -> Option<usize> {
         if memscan::accel_enabled() {
-            self.find_at_accel(hay, from, m)
+            memscan::candidate_find(hay, from, &self.pattern, &self.filter, m)
         } else {
             self.find_at_scalar(hay, from, m)
         }
@@ -109,17 +138,11 @@ impl BoyerMoore {
         None
     }
 
-    /// Vectorized path ([`memscan::rare_pair_find`]): jump between
-    /// candidate alignments proposed by the rare-byte scan, verify right to
-    /// left, shift by the classic tables on a verification mismatch. Only
-    /// alignments where the two rarest pattern bytes match are ever
-    /// verified, so agreement with the scalar loop is structural: both
-    /// visit candidate alignments left to right and the scan never skips
-    /// an alignment the full pattern could match.
-    fn find_at_accel<M: Metrics>(&self, hay: &[u8], from: usize, m: &mut M) -> Option<usize> {
-        memscan::rare_pair_find(hay, from, &self.pattern, self.rare, m, |hay, pos, j| {
-            self.bad_char_shift(j, hay[pos + j]).max(self.good_suffix[j])
-        })
+    /// What the candidate filter decided for this pattern against
+    /// `universe`, the one the searcher was built with.
+    #[doc(hidden)]
+    pub fn filter_choice(&self, universe: &TagUniverse) -> FilterChoice {
+        self.filter.choice(&[&self.pattern], universe)
     }
 
     /// All (possibly overlapping) occurrences.
@@ -133,8 +156,8 @@ impl BoyerMoore {
     }
 
     /// Exact heap bytes owned by the compiled searcher: the pattern copy
-    /// and the good-suffix table. The bad-character table lives inline in
-    /// the struct (callers owning a `Box<BoyerMoore>` add
+    /// and the good-suffix table. The bad-character table and the filter
+    /// live inline in the struct (callers owning a `Box<BoyerMoore>` add
     /// `size_of::<BoyerMoore>()`).
     pub fn heap_bytes(&self) -> usize {
         self.pattern.capacity() + self.good_suffix.capacity() * std::mem::size_of::<usize>()

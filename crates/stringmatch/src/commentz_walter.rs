@@ -43,21 +43,28 @@
 //! starts `>= from`) for arbitrary byte patterns.
 //!
 //! * **The filter.** At build time two byte offsets `o1 <= o2 < lmin` are
-//!   chosen for the whole vocabulary: the pair minimising
-//!   `Σ_k rank(k[o1]) · rank(k[o2])` under `memscan`'s XML byte-frequency
-//!   table, ties to the later offsets. When the keywords share their first
-//!   byte (the *anchor*: always `<` in SMP) it is tested as well, and the
-//!   offsets are chosen past it: for `{<Abstract, </Abstract}` the filter
-//!   is `<` with `Ab` or `/A` at `(1, 2)`. Alignment `i` is a candidate
+//!   chosen for the whole vocabulary: the pair that the fewest *foreign*
+//!   tags of the DTD pass — tokens of the [`memscan::TagUniverse`] the
+//!   searcher is [built against](CommentzWalter::with_universe) that no
+//!   keyword is a prefix of and that hold some keyword's byte at both
+//!   offsets — and among equals (all pairs, for [`new`](CommentzWalter::new))
+//!   the pair minimising `Σ_k rank(k[o1]) · rank(k[o2])` under `memscan`'s
+//!   XML byte-frequency table, ties to the later offsets. When the
+//!   keywords share their first byte (the *anchor*: always `<` in SMP) it
+//!   is tested as well, and the offsets are chosen past it: for
+//!   `{<Abstract, </Abstract}` with no universe the filter is `<` with
+//!   `Ab` or `/A` at `(1, 2)`. Alignment `i` is a candidate
 //!   when it holds the anchor and some keyword bucket admits both
 //!   `hay[i + o1]` and `hay[i + o2]`; the test is one compare and four
-//!   nibble-table lookups, whatever `|V|` is, so text and tags outside
-//!   `V[q]` never leave the vector unit.
+//!   nibble-table lookups, whatever `|V|` is (two exact compares when the
+//!   keywords agree on both bytes), so text and tags outside `V[q]` never
+//!   leave the vector unit.
 //! * **Near phase.** A search first states the filter at the next
 //!   `memscan`-`PEEK` (16) alignments one by one — the anchor compare
 //!   first, so in an SMP vocabulary this is a probe for `<` — before any
 //!   vector set-up. In dense markup the next token is a handful of bytes
-//!   away, which the vector loop cannot help and must not hurt.
+//!   away, which the vector loop cannot help and must not hurt. (A set
+//!   that takes the exact lane test has no tables to load and skips it.)
 //! * **Far phase.** Past the probe, [`memscan::find_fingerprint`] tests
 //!   16/32 alignments per iteration against all keywords at once.
 //! * **Verification.** A candidate's two bytes are the key into a table
@@ -79,7 +86,8 @@
 //! *candidate* rather than per tag, and `∅ Shift` is the distance between
 //! candidates; the scalar leg keeps the paper's definitions.
 
-use crate::{memscan, Metrics, MultiMatch, NoMetrics};
+use crate::memscan::{self, FilterChoice, TagUniverse};
+use crate::{Metrics, MultiMatch, NoMetrics};
 
 #[derive(Debug, Clone, Default)]
 struct Node {
@@ -121,25 +129,15 @@ pub struct CommentzWalter {
     verify: Vec<(u16, u32)>,
 }
 
-/// What the candidate filter of a built [`CommentzWalter`] decided.
-#[doc(hidden)]
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FilterChoice {
-    /// `|V|`: number of patterns.
-    pub keywords: usize,
-    /// Length of the shortest pattern.
-    pub lmin: usize,
-    /// The first byte the patterns share, if they do.
-    pub anchor: Option<u8>,
-    /// The two fingerprint offsets, `o1 <= o2 < lmin`.
-    pub offsets: (usize, usize),
-    /// Each pattern's bytes at the two offsets, in construction order.
-    pub bytes: Vec<(u8, u8)>,
-}
-
 impl CommentzWalter {
     /// Compile the pattern set. Panics if the set or any pattern is empty.
     pub fn new<P: AsRef<[u8]>>(patterns: &[P]) -> Self {
+        CommentzWalter::with_universe(patterns, &TagUniverse::default())
+    }
+
+    /// Compile the pattern set with its candidate filter fitted to
+    /// `universe`, the tag tokens of the documents to be searched.
+    pub fn with_universe<P: AsRef<[u8]>>(patterns: &[P], universe: &TagUniverse) -> Self {
         assert!(!patterns.is_empty(), "CommentzWalter needs at least one pattern");
         let patterns: Vec<Vec<u8>> = patterns.iter().map(|p| p.as_ref().to_vec()).collect();
         for p in &patterns {
@@ -217,7 +215,7 @@ impl CommentzWalter {
             }
         }
 
-        let filter = memscan::Fingerprint::new(&patterns);
+        let filter = memscan::Fingerprint::with_universe(&patterns, universe);
         let (o1, o2) = filter.offsets();
         let mut verify: Vec<(u16, u32)> = patterns
             .iter()
@@ -287,7 +285,7 @@ impl CommentzWalter {
         let mut cursor = from;
         let mut best: Option<MultiMatch> = None;
         while cursor <= limit {
-            let Some(s) = self.next_candidate(hay, cursor, limit) else {
+            let Some(s) = self.filter.next_candidate(hay, cursor, limit) else {
                 if best.is_none() {
                     m.scanned((hay.len() - cursor) as u64);
                     m.shift((last_start + 1 - cursor) as u64);
@@ -315,23 +313,6 @@ impl CommentzWalter {
         best
     }
 
-    /// Smallest candidate alignment in `from..=limit`, for
-    /// `limit <= hay.len() - lmin`: the near phase probes
-    /// [`memscan::PEEK`] alignments one by one, the far phase hands the
-    /// rest to the vector kernel.
-    #[inline]
-    fn next_candidate(&self, hay: &[u8], from: usize, limit: usize) -> Option<usize> {
-        // An alignment is tested by reading up to `o2 < lmin` bytes past
-        // it: cut the haystack so that none beyond `limit` is.
-        let hay = &hay[..limit + 1 + self.filter.offsets().1];
-        let near = (from + memscan::PEEK).min(limit + 1);
-        let probe = (from..near).find(|&i| self.filter.admits_at(hay, i));
-        if probe.is_some() || near > limit {
-            return probe;
-        }
-        memscan::find_fingerprint(hay, near, &self.filter)
-    }
-
     /// The verification rows of candidate `s` (`s + lmin <= hay.len()`):
     /// the patterns holding the candidate's two filter bytes, shortest
     /// first.
@@ -348,26 +329,14 @@ impl CommentzWalter {
     /// bytes compared.
     #[inline]
     fn occurs_at<M: Metrics>(&self, hay: &[u8], s: usize, row: &(u16, u32), m: &mut M) -> bool {
-        let pat = &self.patterns[row.1 as usize];
-        let Some(window) = hay.get(s..s + pat.len()) else {
-            return false;
-        };
-        let same = window.iter().zip(pat).take_while(|(a, b)| a == b).count();
-        m.cmp((same + 1).min(pat.len()) as u64);
-        same == pat.len()
+        memscan::occurs_at(hay, s, &self.patterns[row.1 as usize], m)
     }
 
-    /// What the candidate filter decided for this pattern set.
+    /// What the candidate filter decided for this pattern set against
+    /// `universe`, the one the searcher was built with.
     #[doc(hidden)]
-    pub fn filter_choice(&self) -> FilterChoice {
-        let (o1, o2) = self.filter.offsets();
-        FilterChoice {
-            keywords: self.patterns.len(),
-            lmin: self.lmin,
-            anchor: self.filter.anchor(),
-            offsets: (o1, o2),
-            bytes: self.patterns.iter().map(|p| (p[o1], p[o2])).collect(),
-        }
+    pub fn filter_choice(&self, universe: &TagUniverse) -> FilterChoice {
+        self.filter.choice(&self.patterns, universe)
     }
 
     /// The pure Commentz–Walter windowed loop without the vectorized
@@ -677,14 +646,15 @@ mod tests {
     #[test]
     fn filter_looks_past_the_shared_first_byte() {
         let pats: Vec<&[u8]> = vec![b"<Abstract", b"</Abstract"];
-        let choice = CommentzWalter::new(&pats).filter_choice();
+        let choice = CommentzWalter::new(&pats).filter_choice(&TagUniverse::default());
         assert_eq!((choice.keywords, choice.lmin, choice.anchor), (2, 9, Some(b'<')));
         // `Ab` and `/A`: the capitals are the rare bytes of these tags.
         assert_eq!(choice.offsets, (1, 2));
         assert_eq!(choice.bytes, vec![(b'A', b'b'), (b'/', b'A')]);
         // A single-byte pattern leaves one offset to look at.
         let pats: Vec<&[u8]> = vec![b"<", b"ab"];
-        assert_eq!(CommentzWalter::new(&pats).filter_choice().offsets, (0, 0));
+        let choice = CommentzWalter::new(&pats).filter_choice(&TagUniverse::default());
+        assert_eq!(choice.offsets, (0, 0));
     }
 
     #[test]

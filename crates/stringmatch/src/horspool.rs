@@ -5,8 +5,13 @@
 //! position. Included as an ablation point: the paper's shifts come mostly
 //! from the bad-character rule on XML inputs, so Horspool is expected to be
 //! close to full BM there (the `ablations` bench quantifies this).
+//!
+//! The accelerated [`find_at`](Horspool::find_at) is the candidate walk of
+//! the Boyer–Moore twin (see its module docs); the two differ in their
+//! scalar loops, [`find_at_scalar`](Horspool::find_at_scalar).
 
-use crate::{memscan, Metrics, NoMetrics};
+use crate::memscan::{self, Fingerprint, TagUniverse};
+use crate::{Metrics, NoMetrics};
 
 /// A compiled Horspool searcher for one pattern.
 #[derive(Debug, Clone)]
@@ -14,20 +19,27 @@ pub struct Horspool {
     pattern: Vec<u8>,
     /// Shift keyed by the haystack byte under the last pattern position.
     shift: [usize; 256],
-    /// Rare-byte pair for the vectorized candidate scan (rarest first).
-    rare: Option<((u8, usize), (u8, usize))>,
+    /// The candidate filter of the accelerated path.
+    filter: Fingerprint,
 }
 
 impl Horspool {
     /// Compile `pattern`. Panics on an empty pattern.
     pub fn new(pattern: &[u8]) -> Self {
+        Horspool::with_universe(pattern, &TagUniverse::default())
+    }
+
+    /// Compile `pattern` with its candidate filter fitted to `universe`,
+    /// the tag tokens of the documents to be searched.
+    pub fn with_universe(pattern: &[u8], universe: &TagUniverse) -> Self {
         assert!(!pattern.is_empty(), "Horspool pattern must be non-empty");
         let m = pattern.len();
         let mut shift = [m; 256];
         for (i, &b) in pattern.iter().enumerate().take(m - 1) {
             shift[b as usize] = m - 1 - i;
         }
-        Horspool { pattern: pattern.to_vec(), shift, rare: memscan::rare_byte_pair(pattern) }
+        let filter = Fingerprint::with_universe(&[pattern], universe);
+        Horspool { pattern: pattern.to_vec(), shift, filter }
     }
 
     /// The compiled pattern.
@@ -42,11 +54,12 @@ impl Horspool {
 
     /// Leftmost occurrence whose start is `>= from`.
     ///
-    /// Uses the vectorized rare-byte candidate scan unless `SMPX_NO_SIMD=1`
-    /// forces the classic loop ([`find_at_scalar`](Self::find_at_scalar)).
+    /// Walks the candidates of the pattern's filter unless
+    /// `SMPX_NO_SIMD=1` forces the classic loop
+    /// ([`find_at_scalar`](Self::find_at_scalar)).
     pub fn find_at<M: Metrics>(&self, hay: &[u8], from: usize, m: &mut M) -> Option<usize> {
         if memscan::accel_enabled() {
-            self.find_at_accel(hay, from, m)
+            memscan::candidate_find(hay, from, &self.pattern, &self.filter, m)
         } else {
             self.find_at_scalar(hay, from, m)
         }
@@ -79,17 +92,6 @@ impl Horspool {
             pos += s;
         }
         None
-    }
-
-    /// Vectorized path ([`memscan::rare_pair_find`]): rare-byte candidate
-    /// scan, right-to-left verify, bad-character shift on mismatch — the
-    /// same shared loop as the Boyer–Moore twin, differing only in the
-    /// shift rule.
-    fn find_at_accel<M: Metrics>(&self, hay: &[u8], from: usize, m: &mut M) -> Option<usize> {
-        let plen = self.pattern.len();
-        memscan::rare_pair_find(hay, from, &self.pattern, self.rare, m, |hay, pos, _| {
-            self.shift[hay[pos + plen - 1] as usize]
-        })
     }
 }
 

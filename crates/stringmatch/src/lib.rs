@@ -22,11 +22,13 @@
 //! imposing any cost on uninstrumented runs ([`NoMetrics`] is fully inlined
 //! away).
 //!
-//! The skipping searchers additionally jump between candidate alignments
-//! with a vectorized byte scan ([`memscan`]: portable SWAR plus
-//! SSE2/AVX2 on `x86_64`, selected at runtime). Bytes the vector unit
-//! consumes are reported through the separate [`Metrics::scanned`] counter
-//! so the paper's characters-inspected accounting stays honest. Set
+//! The skipping searchers additionally walk the candidate alignments of
+//! one vectorized filter ([`memscan::Fingerprint`]: the keywords' first
+//! byte and their bytes at two offsets, fitted to the tags of the DTD when
+//! a [`memscan::TagUniverse`] is given; portable SWAR plus SSE2/AVX2 on
+//! `x86_64`, selected at runtime). Bytes the vector unit consumes are
+//! reported through the separate [`Metrics::scanned`] counter so the
+//! paper's characters-inspected accounting stays honest. Set
 //! `SMPX_NO_SIMD=1` to force the classic scalar shift loops.
 //!
 //! # Example
@@ -64,10 +66,10 @@ pub mod naive;
 pub use aho_corasick::AhoCorasick;
 pub use boyer_moore::BoyerMoore;
 pub use commentz_walter::CommentzWalter;
-#[doc(hidden)]
-pub use commentz_walter::FilterChoice;
 pub use horspool::Horspool;
 pub use kmp::Kmp;
+#[doc(hidden)]
+pub use memscan::FilterChoice;
 pub use metrics::{Counters, Metrics, NoMetrics};
 
 /// An occurrence of one pattern of a multi-pattern searcher.

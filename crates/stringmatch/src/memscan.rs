@@ -5,12 +5,12 @@
 //! module turns the skip into a hardware scan: [`find_byte`] locates the
 //! next occurrence of a single byte (`memchr`-style), [`find_byte2`] /
 //! [`find_byte3`] the next occurrence of any of two / three needles
-//! (`memchr2/3`-style), and [`find_byte_offset_pair`] locates the next
-//! alignment at which two pattern bytes match at their respective offsets
-//! (rare byte search with offset confirmation, as in `memchr::memmem`).
-//! [`find_fingerprint`] is that filter for a whole keyword set: the next
-//! alignment at which some keyword's bytes at two shared offsets match,
-//! tested for all keywords at once ([`Fingerprint`]).
+//! (`memchr2/3`-style), and [`find_fingerprint`] the next *candidate*
+//! alignment of a keyword set — one keyword or many: an alignment that
+//! holds the set's first byte and some keyword's bytes at two shared
+//! offsets, all tested in the vector unit ([`Fingerprint`]). The offsets
+//! are fitted to the tags the documents can hold ([`TagUniverse`]), so
+//! that what stops the scan is the keywords and little else.
 //!
 //! On top of the raw scans, [`scan_tag_end_window`] drives the runtime's
 //! quote-aware search for a tag's closing `>`: it hops `>`-to-`>` and
@@ -40,11 +40,13 @@
 //! bounds have been checked immediately before the load (for the
 //! fingerprint scan, which loads at two offsets past the alignment,
 //! `i + 32 + o2 <= len`); the pointers are unaligned-load (`loadu`) so no
-//! alignment invariant is required.
+//! alignment invariant is required. The one prefetch hint takes an address
+//! formed with `wrapping_add` and dereferences nothing.
 
 #![allow(unsafe_code)]
 #![warn(unsafe_op_in_unsafe_fn)]
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Which scanning implementation the process is using.
@@ -196,132 +198,6 @@ pub fn find_byte3(hay: &[u8], from: usize, n1: u8, n2: u8, n3: u8) -> Option<usi
         ScanKind::Avx2 => find_byte3_avx2(hay, from, n1, n2, n3),
         #[cfg(not(target_arch = "x86_64"))]
         _ => find_byte3_swar(hay, from, n1, n2, n3),
-    }
-}
-
-/// First alignment `a >= from` with `hay[a + off1] == b1` and
-/// `hay[a + off2] == b2` (offsets distinct, in either order). This is the
-/// rare-byte candidate filter of `memchr::memmem`: the searchers pick `b1`
-/// as the rarest pattern byte (vector-scanned) and `b2` as the second
-/// rarest (scalar-confirmed), and verify the full pattern only at the
-/// alignments this returns. Alignments whose confirm position falls past
-/// the end of `hay` are never reported.
-#[inline]
-pub fn find_byte_offset_pair(
-    hay: &[u8],
-    from: usize,
-    b1: u8,
-    off1: usize,
-    b2: u8,
-    off2: usize,
-) -> Option<usize> {
-    debug_assert_ne!(off1, off2);
-    // Scan for b1 at absolute position from+off1 onward; confirm b2.
-    let mut at = from + off1;
-    loop {
-        let i = find_byte(hay, at, b1)?;
-        let a = i - off1;
-        let j = a + off2;
-        if j >= hay.len() {
-            // Only reachable when off2 > off1; later alignments only move
-            // the confirm position further out.
-            return None;
-        }
-        if hay[j] == b2 {
-            return Some(a);
-        }
-        at = i + 1;
-    }
-}
-
-/// Shared accelerated single-pattern search loop (Boyer–Moore and Horspool
-/// differ only in their mismatch shift): vector-scan for the rarest
-/// pattern byte, confirm the second rarest, verify right to left at the
-/// candidate, and shift by `shift_fn(hay, pos, mismatch_idx)` on a
-/// verification mismatch. [`find_byte_offset_pair`] is the public
-/// uninstrumented form of the candidate scan; this instrumented twin
-/// additionally attributes scanned bytes, comparisons and shifts to `m`.
-///
-/// `rare` is the [`rare_byte_pair`] of `pat` (`None` only for single-byte
-/// patterns, which reduce to a plain scan).
-pub(crate) fn rare_pair_find<M: crate::Metrics>(
-    hay: &[u8],
-    from: usize,
-    pat: &[u8],
-    rare: Option<((u8, usize), (u8, usize))>,
-    m: &mut M,
-    shift_fn: impl Fn(&[u8], usize, usize) -> usize,
-) -> Option<usize> {
-    let plen = pat.len();
-    if from >= hay.len() || hay.len() - from < plen {
-        return None;
-    }
-    let mut pos = from;
-    let last = hay.len() - plen;
-    let ((b1, o1), (b2, o2)) = match rare {
-        Some(pair) => pair,
-        None => {
-            // Single-byte pattern: the scan is the whole search.
-            return match find_byte(hay, pos, pat[0]) {
-                Some(i) => {
-                    m.scanned((i + 1 - pos) as u64);
-                    if i > pos {
-                        m.shift((i - pos) as u64);
-                    }
-                    Some(i)
-                }
-                None => {
-                    m.scanned((hay.len() - pos) as u64);
-                    m.shift((last + 1 - pos) as u64);
-                    None
-                }
-            };
-        }
-    };
-    // Next haystack position to vector-scan for the rare byte b1.
-    let mut scan_at = pos + o1;
-    loop {
-        let Some(i) = find_byte(hay, scan_at, b1) else {
-            m.scanned((hay.len() - scan_at.min(hay.len())) as u64);
-            m.shift((last + 1 - pos) as u64);
-            return None;
-        };
-        m.scanned((i + 1 - scan_at) as u64);
-        let cand = i - o1; // i >= scan_at >= pos + o1, so cand >= pos
-        if cand > last {
-            m.shift((last + 1 - pos) as u64);
-            return None;
-        }
-        // Confirm the second rare byte before full verification.
-        m.cmp(1);
-        if hay[cand + o2] != b2 {
-            scan_at = i + 1;
-            continue;
-        }
-        if cand > pos {
-            m.shift((cand - pos) as u64);
-            pos = cand;
-        }
-        // Verify right to left at the candidate alignment.
-        let mut j = plen;
-        while j > 0 {
-            m.cmp(1);
-            if hay[pos + j - 1] != pat[j - 1] {
-                break;
-            }
-            j -= 1;
-        }
-        if j == 0 {
-            return Some(pos);
-        }
-        let shift = shift_fn(hay, pos, j - 1);
-        m.shift(shift as u64);
-        pos += shift;
-        if pos > last {
-            return None;
-        }
-        // pos advanced past the old candidate, so this makes progress.
-        scan_at = pos + o1;
     }
 }
 
@@ -666,7 +542,7 @@ impl Default for TagScan {
 /// Length of the scalar peek the `peek_find*` family runs before paying
 /// for a vector call: in dense markup the next stop is usually a handful
 /// of bytes away, where vector setup costs more than it saves.
-pub(crate) const PEEK: usize = 16;
+const PEEK: usize = 16;
 
 /// Peek-then-hop single-needle scan: a [`PEEK`]-byte scalar peek before
 /// the [`find_byte`] vector scan.
@@ -807,9 +683,9 @@ pub fn scan_tag_end_window(win: &[u8], from: usize, st: &mut TagScan) -> Option<
 /// Relative frequency rank of each byte in XML documents; **lower is
 /// rarer**. Hand-built from the byte histograms of XMark and MEDLINE
 /// documents: markup punctuation and common English letters rank high,
-/// capitals, digits and exotic punctuation rank low. The searchers scan
-/// for a pattern's lowest-ranked byte so candidate alignments are as
-/// sparse as possible.
+/// capitals, digits and exotic punctuation rank low. A [`Fingerprint`]
+/// breaks ties between offset pairs towards the lowest-ranked bytes, and
+/// ranks by them alone when it has no [`TagUniverse`] to fit to.
 #[rustfmt::skip]
 const XML_BYTE_RANK: [u8; 256] = {
     let mut rank = [0u8; 256];
@@ -851,67 +727,159 @@ const XML_BYTE_RANK: [u8; 256] = {
     rank
 };
 
-/// The two rarest byte positions of `pat` under the XML frequency table,
-/// rarest first: `((rarest, offset), (second, offset))`, or `None` when
-/// the pattern is a single byte (scan for that byte alone). The rarest
-/// byte is the one worth vector-scanning for; the second confirms a
-/// candidate with one scalar load before full verification.
-///
-/// Ties prefer later offsets: a candidate confirmed further right rules
-/// out more alignments per verification failure.
-pub fn rare_byte_pair(pat: &[u8]) -> Option<((u8, usize), (u8, usize))> {
-    if pat.len() < 2 {
-        return None;
-    }
-    let rank = |b: u8| XML_BYTE_RANK[b as usize];
-    // Rarest byte.
-    let mut best = 0usize;
-    for i in 1..pat.len() {
-        if rank(pat[i]) <= rank(pat[best]) {
-            best = i;
-        }
-    }
-    // Second-rarest at a different offset.
-    let mut second = if best == 0 { 1 } else { 0 };
-    for i in 0..pat.len() {
-        if i != best && rank(pat[i]) <= rank(pat[second]) {
-            second = i;
-        }
-    }
-    Some(((pat[best], best), (pat[second], second)))
-}
-
 // ---------------------------------------------------------------------------
-// Multi-keyword candidate fingerprint
+// The tag universe of a DTD
 // ---------------------------------------------------------------------------
 
 /// Fingerprint offsets are searched among the first `FP_SPAN` bytes of the
 /// keywords: tag names are shorter, and the build stays `O(K · FP_SPAN²)`.
 const FP_SPAN: usize = 32;
 
+/// Everything a candidate filter has to tell its keywords from: the tag
+/// tokens (`<name`, `</name`) a DTD-valid document can hold. An XML
+/// stream is a string over this alphabet, and the static analysis knows it
+/// whole, so a [`Fingerprint`] built [against it](Fingerprint::with_universe)
+/// picks the offsets that the fewest *other* tags pass instead of guessing
+/// from byte frequencies.
+///
+/// Stored as one token bitset per `(offset, byte)` that occurs, for the
+/// offsets below `FP_SPAN`: scoring an offset pair for a keyword set
+/// is then an AND and a popcount, however many tokens there are. Built
+/// once per compiled automaton and shared by every matcher build. The
+/// default value is the empty universe, under which a fitted filter is the
+/// byte-rank filter.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TagUniverse {
+    /// Number of tokens; a token set is `tokens.div_ceil(64)` words.
+    tokens: usize,
+    /// Per offset and byte, the number of the token set in `sets` of the
+    /// tokens holding that byte there (`NO_SET`: none does).
+    set_of: Vec<[u16; 256]>,
+    /// The token sets, back to back.
+    sets: Vec<u64>,
+}
+
+/// [`TagUniverse::set_of`] of a byte no token holds at an offset.
+const NO_SET: u16 = u16::MAX;
+
+impl TagUniverse {
+    /// The universe of a DTD's elements: `<name` and `</name` for each.
+    pub fn of_elements<N: AsRef<str>>(names: &[N]) -> TagUniverse {
+        // Token `2e` opens element `e`, token `2e + 1` closes it.
+        let tokens = 2 * names.len();
+        let words = tokens.div_ceil(64);
+        let longest = names.iter().map(|n| n.as_ref().len() + 2).max().unwrap_or(0);
+        let mut set_of: Vec<[u16; 256]> = Vec::with_capacity(longest.min(FP_SPAN));
+        let mut sets: Vec<u64> = Vec::new();
+        for t in 0..tokens {
+            let bracket: &[u8] = if t % 2 == 0 { b"<" } else { b"</" };
+            let token = bracket.iter().copied().chain(names[t / 2].as_ref().bytes());
+            for (o, b) in token.take(FP_SPAN).enumerate() {
+                if o == set_of.len() {
+                    set_of.push([NO_SET; 256]);
+                }
+                let set = &mut set_of[o][b as usize];
+                if *set == NO_SET {
+                    *set = (sets.len() / words) as u16;
+                    sets.resize(sets.len() + words, 0);
+                }
+                sets[*set as usize * words + t / 64] |= 1 << (t % 64);
+            }
+        }
+        sets.shrink_to_fit();
+        TagUniverse { tokens, set_of, sets }
+    }
+
+    /// Heap bytes owned by the universe.
+    pub fn heap_bytes(&self) -> usize {
+        self.set_of.capacity() * std::mem::size_of::<[u16; 256]>()
+            + self.sets.capacity() * std::mem::size_of::<u64>()
+    }
+
+    /// Words per token set.
+    fn words(&self) -> usize {
+        self.tokens.div_ceil(64)
+    }
+
+    /// The tokens holding byte `b` at offset `o` (no words when none does).
+    fn holding(&self, o: usize, b: u8) -> &[u64] {
+        match self.set_of.get(o).map(|set_of| set_of[b as usize]) {
+            Some(set) if set != NO_SET => &self.sets[set as usize * self.words()..][..self.words()],
+            _ => &[],
+        }
+    }
+
+    /// Per offset of `offsets` (all below the shortest pattern's length),
+    /// the tokens holding some pattern's byte there: one token set each,
+    /// back to back.
+    fn holding_any<P: AsRef<[u8]>>(&self, patterns: &[P], offsets: Range<usize>) -> Vec<u64> {
+        let mut sets = vec![0u64; offsets.len() * self.words()];
+        for (o, set) in offsets.zip(sets.chunks_exact_mut(self.words().max(1))) {
+            // A wide vocabulary holds few distinct bytes at one offset.
+            let mut seen = [false; 256];
+            for b in patterns.iter().map(|p| p.as_ref()[o]) {
+                if !std::mem::replace(&mut seen[b as usize], true) {
+                    set.iter_mut().zip(self.holding(o, b)).for_each(|(s, h)| *s |= h);
+                }
+            }
+        }
+        sets
+    }
+
+    /// The tokens some pattern is a prefix of, as one token set.
+    fn extending<P: AsRef<[u8]>>(&self, patterns: &[P]) -> Vec<u64> {
+        let mut any = vec![0u64; self.words()];
+        let mut of_one = vec![0u64; self.words()];
+        for p in patterns {
+            of_one.fill(!0);
+            for (o, &b) in p.as_ref().iter().enumerate() {
+                let holding = self.holding(o, b);
+                if holding.is_empty() {
+                    of_one.fill(0);
+                    break;
+                }
+                of_one.iter_mut().zip(holding).for_each(|(s, h)| *s &= h);
+            }
+            any.iter_mut().zip(&of_one).for_each(|(s, p)| *s |= p);
+        }
+        any
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Keyword-set candidate fingerprint
+// ---------------------------------------------------------------------------
+
 /// Number of keyword buckets: one bit of a table byte each.
 const FP_BUCKETS: usize = 8;
 
-/// A candidate filter for a whole keyword set: the multi-keyword analogue
-/// of [`rare_byte_pair`]. Two byte offsets `o1 <= o2` below the shortest
-/// keyword length are fixed at build time; every keyword contributes the
-/// byte pair it holds at those offsets to one of eight buckets, and an
-/// alignment `i` is a *candidate* when some bucket admits both
-/// `hay[i + o1]` and `hay[i + o2]`. A bucket's byte set at one offset is
-/// stored as a low-nibble and a high-nibble table of bucket bitmasks
-/// (`lo[b & 15] & hi[b >> 4]`), so the vector members test 16/32
-/// alignments against all keywords with four table shuffles, whatever the
-/// size of the set. When the keywords share their first byte — the
-/// **anchor**, always `<` in SMP vocabularies — a candidate must hold it
-/// too (one more compare in the vector, like the confirm byte of
-/// `rare_pair_find`), and both offsets are chosen past it: text between
-/// tags never stops the scan.
+/// How far ahead of the block under test the AVX2 member prefetches.
+#[cfg(target_arch = "x86_64")]
+const PREFETCH: usize = 2048;
+
+/// The candidate filter of a keyword set, one keyword or many. Two byte
+/// offsets `o1 <= o2` below the shortest keyword length are fixed at build
+/// time; every keyword contributes the byte pair it holds at those offsets
+/// to one of eight buckets, and an alignment `i` is a *candidate* when
+/// some bucket admits both `hay[i + o1]` and `hay[i + o2]`. A bucket's
+/// byte set at one offset is stored as a low-nibble and a high-nibble
+/// table of bucket bitmasks (`lo[b & 15] & hi[b >> 4]`), so the vector
+/// members test 16/32 alignments against all keywords with four table
+/// shuffles, whatever the size of the set. When the keywords share their
+/// first byte — the **anchor**, always `<` in SMP vocabularies — a
+/// candidate must hold it too (one more compare in the vector), and both
+/// offsets are chosen past it: text between tags never stops the scan.
+///
+/// When the keywords also agree on the byte at each offset — always, for
+/// a single keyword — the lane test is **exact**: two byte compares in
+/// place of the four shuffles, admitting precisely those two bytes.
 ///
 /// The filter has no false negatives: a keyword occurring at `i` puts its
 /// own bytes at the offsets, and its bucket admits them. False positives
-/// (nibble cross products, shared buckets past eight distinct pairs) are
-/// the verifier's business. [`Fingerprint::admits_at`] is the scalar
-/// statement of the predicate; [`find_fingerprint`] the scan.
+/// (nibble cross products, shared buckets past eight distinct pairs, and
+/// other tags holding the same bytes) are the verifier's business.
+/// [`Fingerprint::admits_at`] is the scalar statement of the predicate;
+/// [`find_fingerprint`] the scan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fingerprint {
     /// The byte every keyword starts with, when they agree on one.
@@ -919,22 +887,56 @@ pub struct Fingerprint {
     /// The two offsets, `off[0] <= off[1] < lmin` (equal only when there
     /// is a single offset to choose from).
     off: [u8; 2],
+    /// The bytes at `off[0]` / `off[1]`, when the keywords agree on both.
+    exact: Option<[u8; 2]>,
     /// Bucket masks by low nibble of the byte at `off[0]` / `off[1]`.
     lo: [[u8; 16]; 2],
     /// Bucket masks by high nibble of the byte at `off[0]` / `off[1]`.
     hi: [[u8; 16]; 2],
 }
 
+/// What a built [`Fingerprint`] decided for its keyword set.
+#[doc(hidden)]
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FilterChoice {
+    /// `|V|`: number of patterns.
+    pub keywords: usize,
+    /// Length of the shortest pattern.
+    pub lmin: usize,
+    /// The first byte the patterns share, if they do.
+    pub anchor: Option<u8>,
+    /// The two fingerprint offsets, `o1 <= o2 < lmin`.
+    pub offsets: (usize, usize),
+    /// Each pattern's bytes at the two offsets, in construction order.
+    pub bytes: Vec<(u8, u8)>,
+    /// The predicted pass count: tokens of the universe the filter was
+    /// fitted to that are *foreign* — no pattern is a prefix of them —
+    /// and still hold some pattern's byte at each of the two offsets. A
+    /// byte past a token's end is `>`, `/` or white space, which no
+    /// pattern holds past the anchor, so a token shorter than an offset
+    /// is not admitted. 0 without a universe.
+    pub foreign_admitted: usize,
+}
+
 impl Fingerprint {
-    /// Choose the offsets for `patterns` and fill the bucket tables.
-    ///
-    /// The offset pair minimises `Σ_k rank(k[o1]) · rank(k[o2])` under the
-    /// XML byte-frequency table (the table [`rare_byte_pair`] ranks by) —
-    /// a keyword passes text at the rate of its two bytes together, and
-    /// the set passes at the sum over its keywords. Ties go to the later
-    /// offsets, as in `rare_byte_pair`; offset 0 is left to the anchor
-    /// when there is one. Panics on an empty set or an empty pattern.
+    /// The filter of `patterns` chosen by byte frequency alone:
+    /// [`with_universe`](Self::with_universe) over the empty universe.
     pub fn new<P: AsRef<[u8]>>(patterns: &[P]) -> Fingerprint {
+        Fingerprint::with_universe(patterns, &TagUniverse::default())
+    }
+
+    /// Choose the offsets for `patterns` against `universe` and fill the
+    /// bucket tables.
+    ///
+    /// The offset pair is the one that admits the fewest foreign tokens of
+    /// the universe ([`FilterChoice::foreign_admitted`]); among equals —
+    /// all pairs, over the empty universe — the one minimising
+    /// `Σ_k rank(k[o1]) · rank(k[o2])` under the XML byte-frequency table
+    /// (a keyword passes text at the rate of its two bytes together, and
+    /// the set passes at the sum over its keywords), and then the later
+    /// offsets. Offset 0 is left to the anchor when there is one. Panics
+    /// on an empty set or an empty pattern.
+    pub fn with_universe<P: AsRef<[u8]>>(patterns: &[P], universe: &TagUniverse) -> Fingerprint {
         let byte = |p: &P, o: usize| p.as_ref()[o];
         let lmin = patterns.iter().map(|p| p.as_ref().len()).min().expect("non-empty set");
         assert!(lmin > 0, "fingerprint patterns must be non-empty");
@@ -943,13 +945,26 @@ impl Fingerprint {
         // The offsets to choose from: all below `lmin`, minus the anchor's
         // unless it is the only one.
         let choices = (anchor.is_some() && lmin > 1) as usize..lmin.min(FP_SPAN);
+
+        // The tokens a pair admits: those holding some keyword's byte at
+        // both offsets. The ones a keyword is a prefix of — its own tag
+        // and the tags that extend its name — hold a keyword byte at
+        // every offset below `lmin`: they weigh the same on every pair
+        // and are left in here (`choice` reports the foreign ones).
+        let words = universe.words();
+        let holding = universe.holding_any(patterns, choices.clone());
+        let at = |o: usize| &holding[(o - choices.start) * words..][..words];
         let weight = |p: &P, o: usize| XML_BYTE_RANK[byte(p, o) as usize] as u64;
-        let mut best = (u64::MAX, choices.start, choices.start);
+        let mut best = ((u32::MAX, u64::MAX), choices.start, choices.start);
         for o2 in choices.clone().rev() {
             for o1 in (choices.start..o2).rev() {
-                let score: u64 = patterns.iter().map(|p| weight(p, o1) * weight(p, o2)).sum();
-                if score < best.0 {
-                    best = (score, o1, o2);
+                let admitted = at(o1).iter().zip(at(o2)).map(|(a, b)| (a & b).count_ones()).sum();
+                if admitted > best.0 .0 {
+                    continue;
+                }
+                let rank: u64 = patterns.iter().map(|p| weight(p, o1) * weight(p, o2)).sum();
+                if (admitted, rank) < best.0 {
+                    best = ((admitted, rank), o1, o2);
                 }
             }
         }
@@ -960,8 +975,13 @@ impl Fingerprint {
             patterns.iter().map(|p| (byte(p, o1), byte(p, o2))).collect();
         pairs.sort_unstable();
         pairs.dedup();
-        let mut fp =
-            Fingerprint { anchor, off: [o1 as u8, o2 as u8], lo: [[0; 16]; 2], hi: [[0; 16]; 2] };
+        let mut fp = Fingerprint {
+            anchor,
+            off: [o1 as u8, o2 as u8],
+            exact: if let [(b1, b2)] = pairs[..] { Some([b1, b2]) } else { None },
+            lo: [[0; 16]; 2],
+            hi: [[0; 16]; 2],
+        };
         for (j, &(b1, b2)) in pairs.iter().enumerate() {
             let bit = 1u8 << (j % FP_BUCKETS);
             for (t, b) in [b1, b2].into_iter().enumerate() {
@@ -984,14 +1004,40 @@ impl Fingerprint {
         (self.off[0] as usize, self.off[1] as usize)
     }
 
-    /// The bucket test on the two bytes an alignment holds at the offsets.
+    /// What the filter decided for `patterns` against `universe`, the two
+    /// it was built from.
+    #[doc(hidden)]
+    pub fn choice<P: AsRef<[u8]>>(&self, patterns: &[P], universe: &TagUniverse) -> FilterChoice {
+        let (o1, o2) = self.offsets();
+        let own = universe.extending(patterns);
+        let at1 = universe.holding_any(patterns, o1..o1 + 1);
+        let at2 = universe.holding_any(patterns, o2..o2 + 1);
+        let foreign =
+            at1.iter().zip(&at2).zip(&own).map(|((a, b), own)| (a & b & !own).count_ones());
+        FilterChoice {
+            keywords: patterns.len(),
+            lmin: patterns.iter().map(|p| p.as_ref().len()).min().unwrap_or(0),
+            anchor: self.anchor,
+            offsets: (o1, o2),
+            bytes: patterns.iter().map(|p| (p.as_ref()[o1], p.as_ref()[o2])).collect(),
+            foreign_admitted: foreign.sum::<u32>() as usize,
+        }
+    }
+
+    /// The lane test on the two bytes an alignment holds at the offsets:
+    /// the exact compares, or the bucket tables.
     #[inline(always)]
     fn admits(&self, b1: u8, b2: u8) -> bool {
-        self.lo[0][(b1 & 15) as usize]
-            & self.hi[0][(b1 >> 4) as usize]
-            & self.lo[1][(b2 & 15) as usize]
-            & self.hi[1][(b2 >> 4) as usize]
-            != 0
+        match self.exact {
+            Some([e1, e2]) => b1 == e1 && b2 == e2,
+            None => {
+                self.lo[0][(b1 & 15) as usize]
+                    & self.hi[0][(b1 >> 4) as usize]
+                    & self.lo[1][(b2 & 15) as usize]
+                    & self.hi[1][(b2 >> 4) as usize]
+                    != 0
+            }
+        }
     }
 
     /// Is alignment `i` of `hay` a candidate? Alignments whose second
@@ -1003,6 +1049,83 @@ impl Fingerprint {
             && self.anchor.is_none_or(|a| hay[i] == a)
             && self.admits(hay[i + o1], hay[i + o2])
     }
+
+    /// Smallest candidate alignment in `from..=limit`, for a `limit` at
+    /// which the shortest keyword still fits (`limit + lmin <= hay.len()`).
+    /// A table filter first states itself at the next [`PEEK`] alignments
+    /// one by one (the *near phase*: in dense markup the next token is a
+    /// handful of bytes away, where loading the tables into the vector
+    /// unit costs more than it saves) and hands the rest to
+    /// [`find_fingerprint`] (the *far phase*); an exact filter has three
+    /// bytes to broadcast and goes there at once.
+    #[inline]
+    pub fn next_candidate(&self, hay: &[u8], mut from: usize, limit: usize) -> Option<usize> {
+        // An alignment is tested by reading up to `o2 < lmin` bytes past
+        // it: cut the haystack so that none beyond `limit` is.
+        let hay = &hay[..limit + 1 + self.offsets().1];
+        if self.exact.is_none() {
+            let near = (from + PEEK).min(limit + 1);
+            let probe = (from..near).find(|&i| self.admits_at(hay, i));
+            if probe.is_some() || near > limit {
+                return probe;
+            }
+            from = near;
+        }
+        find_fingerprint(hay, from, self)
+    }
+}
+
+/// The accelerated single-keyword search, shared by Boyer–Moore and
+/// Horspool: walk the candidates of the keyword's filter `fp` in
+/// increasing order and compare `pat` at each — the walk of the
+/// multi-keyword searcher with nothing to choose between, so no
+/// verification table and no best-so-far. Returns the first occurrence
+/// starting at or after `from`.
+///
+/// Booked to `m` like the multi-keyword walk: every alignment the filter
+/// passes over once as `scanned`, the bytes compared at a candidate as
+/// `cmp`, one `shift` per candidate stop with the distance from the
+/// previous one.
+pub(crate) fn candidate_find<M: crate::Metrics>(
+    hay: &[u8],
+    from: usize,
+    pat: &[u8],
+    fp: &Fingerprint,
+    m: &mut M,
+) -> Option<usize> {
+    if from >= hay.len() || hay.len() - from < pat.len() {
+        return None;
+    }
+    let last = hay.len() - pat.len();
+    let mut cursor = from;
+    while cursor <= last {
+        let Some(s) = fp.next_candidate(hay, cursor, last) else {
+            m.scanned((hay.len() - cursor) as u64);
+            m.shift((last + 1 - cursor) as u64);
+            return None;
+        };
+        m.scanned((s + 1 - cursor) as u64);
+        if s > cursor {
+            m.shift((s - cursor) as u64);
+        }
+        if occurs_at(hay, s, pat, m) {
+            return Some(s);
+        }
+        cursor = s + 1;
+    }
+    None
+}
+
+/// Does `pat` occur at candidate `s` of `hay` (it may not fit)? Books the
+/// bytes compared: up to and including the first that differs.
+#[inline]
+pub(crate) fn occurs_at<M: crate::Metrics>(hay: &[u8], s: usize, pat: &[u8], m: &mut M) -> bool {
+    let Some(window) = hay.get(s..s + pat.len()) else {
+        return false;
+    };
+    let same = window.iter().zip(pat).take_while(|(a, b)| a == b).count();
+    m.cmp((same + 1).min(pat.len()) as u64);
+    same == pat.len()
 }
 
 /// First candidate alignment `i >= from` of `fp` in `hay`
@@ -1027,23 +1150,26 @@ pub fn find_fingerprint_scalar(hay: &[u8], from: usize, fp: &Fingerprint) -> Opt
     (from..ends).find(|&i| fp.admits_at(hay, i))
 }
 
-/// Eight alignments per iteration. A table lookup has no word-at-a-time
-/// form; the anchor compare has (the zero-byte detector of
-/// [`find_byte_swar`]), so an anchored set looks up only the lanes that
-/// hold the anchor, and an unanchored one all eight. No `unsafe`.
+/// Eight alignments per iteration. The byte compares — the anchor and the
+/// exact lane test — have a word-at-a-time form (the zero-byte detector of
+/// [`find_byte_swar`]); a table lookup has none. So only the lanes that
+/// pass the compares are looked at one by one: the anchor lanes of an
+/// anchored set, all eight of an unanchored table set. No `unsafe`.
 pub fn find_fingerprint_swar(hay: &[u8], from: usize, fp: &Fingerprint) -> Option<usize> {
-    let o2 = fp.offsets().1;
+    let (o1, o2) = fp.offsets();
+    // A set high bit per lane of the word at `at` holding `b`. The
+    // detector may also flag the lane above such a lane (borrow):
+    // `admits_at` decides.
+    let lanes_holding = |at: usize, b: u8| {
+        let word = u64::from_le_bytes(hay[at..at + 8].try_into().expect("8-byte chunk"));
+        zero_bytes(word ^ LO.wrapping_mul(b as u64))
+    };
     let mut i = from;
     while i + 8 + o2 <= hay.len() {
-        // A set high bit per lane worth looking up. The detector may also
-        // flag the lane above an anchor lane (borrow): `admits_at` decides.
-        let mut lanes = match fp.anchor {
-            Some(a) => {
-                let word = u64::from_le_bytes(hay[i..i + 8].try_into().expect("8-byte chunk"));
-                zero_bytes(word ^ LO.wrapping_mul(a as u64))
-            }
-            None => HI,
-        };
+        let mut lanes = fp.anchor.map_or(HI, |a| lanes_holding(i, a));
+        if let Some([e1, e2]) = fp.exact {
+            lanes &= lanes_holding(i + o1, e1) & lanes_holding(i + o2, e2);
+        }
         while lanes != 0 {
             let lane = (lanes.trailing_zeros() / 8) as usize;
             if fp.admits_at(hay, i + lane) {
@@ -1076,6 +1202,7 @@ pub fn find_fingerprint_sse2(hay: &[u8], from: usize, fp: &Fingerprint) -> Optio
             let (lo1, hi1) = (table(&fp.lo[0]), table(&fp.hi[0]));
             let (lo2, hi2) = (table(&fp.lo[1]), table(&fp.hi[1]));
             let nibble = _mm_set1_epi8(0x0f);
+            let exact = fp.exact.map(|[e1, e2]| (_mm_set1_epi8(e1 as i8), _mm_set1_epi8(e2 as i8)));
             let anchor = _mm_set1_epi8(fp.anchor.unwrap_or(0) as i8);
             // Without an anchor every lane passes the anchor test.
             let unanchored = _mm_set1_epi8(if fp.anchor.is_none() { -1 } else { 0 });
@@ -1083,17 +1210,26 @@ pub fn find_fingerprint_sse2(hay: &[u8], from: usize, fp: &Fingerprint) -> Optio
                 let v0 = _mm_loadu_si128(hay.as_ptr().add(i) as *const __m128i);
                 let v1 = _mm_loadu_si128(hay.as_ptr().add(i + o1) as *const __m128i);
                 let v2 = _mm_loadu_si128(hay.as_ptr().add(i + o2) as *const __m128i);
-                let m1 = _mm_and_si128(
-                    _mm_shuffle_epi8(lo1, _mm_and_si128(v1, nibble)),
-                    _mm_shuffle_epi8(hi1, _mm_and_si128(_mm_srli_epi16(v1, 4), nibble)),
-                );
-                let m2 = _mm_and_si128(
-                    _mm_shuffle_epi8(lo2, _mm_and_si128(v2, nibble)),
-                    _mm_shuffle_epi8(hi2, _mm_and_si128(_mm_srli_epi16(v2, 4), nibble)),
-                );
                 let anchored = _mm_or_si128(_mm_cmpeq_epi8(v0, anchor), unanchored);
-                let none = _mm_cmpeq_epi8(_mm_and_si128(m1, m2), _mm_setzero_si128());
-                let mask = _mm_movemask_epi8(_mm_andnot_si128(none, anchored)) as u32;
+                let hit = match exact {
+                    Some((e1, e2)) => _mm_and_si128(
+                        _mm_and_si128(_mm_cmpeq_epi8(v1, e1), _mm_cmpeq_epi8(v2, e2)),
+                        anchored,
+                    ),
+                    None => {
+                        let m1 = _mm_and_si128(
+                            _mm_shuffle_epi8(lo1, _mm_and_si128(v1, nibble)),
+                            _mm_shuffle_epi8(hi1, _mm_and_si128(_mm_srli_epi16(v1, 4), nibble)),
+                        );
+                        let m2 = _mm_and_si128(
+                            _mm_shuffle_epi8(lo2, _mm_and_si128(v2, nibble)),
+                            _mm_shuffle_epi8(hi2, _mm_and_si128(_mm_srli_epi16(v2, 4), nibble)),
+                        );
+                        let none = _mm_cmpeq_epi8(_mm_and_si128(m1, m2), _mm_setzero_si128());
+                        _mm_andnot_si128(none, anchored)
+                    }
+                };
+                let mask = _mm_movemask_epi8(hit) as u32;
                 if mask != 0 {
                     return Some(i + mask.trailing_zeros() as usize);
                 }
@@ -1124,7 +1260,8 @@ pub fn find_fingerprint_avx2(hay: &[u8], from: usize, fp: &Fingerprint) -> Optio
         // (broadcast to both lanes, which `vpshufb` indexes separately).
         // Every haystack load reads 32 bytes at `hay[i + o]` with
         // `o <= o2` and `i + 32 + o2 <= len` checked by the loop
-        // condition; `loadu` has no alignment requirement.
+        // condition; `loadu` has no alignment requirement. The prefetch
+        // address is computed with `wrapping_add` and never dereferenced.
         unsafe {
             let table = |t: &[u8; 16]| {
                 _mm256_broadcastsi128_si256(_mm_loadu_si128(t.as_ptr() as *const __m128i))
@@ -1132,24 +1269,46 @@ pub fn find_fingerprint_avx2(hay: &[u8], from: usize, fp: &Fingerprint) -> Optio
             let (lo1, hi1) = (table(&fp.lo[0]), table(&fp.hi[0]));
             let (lo2, hi2) = (table(&fp.lo[1]), table(&fp.hi[1]));
             let nibble = _mm256_set1_epi8(0x0f);
+            let exact =
+                fp.exact.map(|[e1, e2]| (_mm256_set1_epi8(e1 as i8), _mm256_set1_epi8(e2 as i8)));
             let anchor = _mm256_set1_epi8(fp.anchor.unwrap_or(0) as i8);
             // Without an anchor every lane passes the anchor test.
             let unanchored = _mm256_set1_epi8(if fp.anchor.is_none() { -1 } else { 0 });
             while i + 32 + o2 <= len {
+                // Three compares per block keep fewer cache lines in
+                // flight than a plain byte scan does: ask for the ones
+                // ahead (15 -> 22 GiB/s on a cache-resident document).
+                _mm_prefetch::<_MM_HINT_T0>(hay.as_ptr().wrapping_add(i + PREFETCH) as *const i8);
                 let v0 = _mm256_loadu_si256(hay.as_ptr().add(i) as *const __m256i);
                 let v1 = _mm256_loadu_si256(hay.as_ptr().add(i + o1) as *const __m256i);
                 let v2 = _mm256_loadu_si256(hay.as_ptr().add(i + o2) as *const __m256i);
-                let m1 = _mm256_and_si256(
-                    _mm256_shuffle_epi8(lo1, _mm256_and_si256(v1, nibble)),
-                    _mm256_shuffle_epi8(hi1, _mm256_and_si256(_mm256_srli_epi16(v1, 4), nibble)),
-                );
-                let m2 = _mm256_and_si256(
-                    _mm256_shuffle_epi8(lo2, _mm256_and_si256(v2, nibble)),
-                    _mm256_shuffle_epi8(hi2, _mm256_and_si256(_mm256_srli_epi16(v2, 4), nibble)),
-                );
                 let anchored = _mm256_or_si256(_mm256_cmpeq_epi8(v0, anchor), unanchored);
-                let none = _mm256_cmpeq_epi8(_mm256_and_si256(m1, m2), _mm256_setzero_si256());
-                let mask = _mm256_movemask_epi8(_mm256_andnot_si256(none, anchored)) as u32;
+                let hit = match exact {
+                    Some((e1, e2)) => _mm256_and_si256(
+                        _mm256_and_si256(_mm256_cmpeq_epi8(v1, e1), _mm256_cmpeq_epi8(v2, e2)),
+                        anchored,
+                    ),
+                    None => {
+                        let m1 = _mm256_and_si256(
+                            _mm256_shuffle_epi8(lo1, _mm256_and_si256(v1, nibble)),
+                            _mm256_shuffle_epi8(
+                                hi1,
+                                _mm256_and_si256(_mm256_srli_epi16(v1, 4), nibble),
+                            ),
+                        );
+                        let m2 = _mm256_and_si256(
+                            _mm256_shuffle_epi8(lo2, _mm256_and_si256(v2, nibble)),
+                            _mm256_shuffle_epi8(
+                                hi2,
+                                _mm256_and_si256(_mm256_srli_epi16(v2, 4), nibble),
+                            ),
+                        );
+                        let none =
+                            _mm256_cmpeq_epi8(_mm256_and_si256(m1, m2), _mm256_setzero_si256());
+                        _mm256_andnot_si256(none, anchored)
+                    }
+                };
+                let mask = _mm256_movemask_epi8(hit) as u32;
                 if mask != 0 {
                     return Some(i + mask.trailing_zeros() as usize);
                 }
@@ -1232,32 +1391,6 @@ mod tests {
     }
 
     #[test]
-    fn offset_pair_confirms_second_byte() {
-        //        0123456789
-        let hay = b"xIxxICxIC!";
-        // b1='I' at offset 0, b2='C' at offset 1 → alignment 4 then 7.
-        assert_eq!(find_byte_offset_pair(hay, 0, b'I', 0, b'C', 1), Some(4));
-        assert_eq!(find_byte_offset_pair(hay, 5, b'I', 0, b'C', 1), Some(7));
-        // Pair straddling the end is never reported.
-        assert_eq!(find_byte_offset_pair(b"xxI", 0, b'I', 0, b'C', 1), None);
-    }
-
-    #[test]
-    fn rare_pair_prefers_rare_bytes() {
-        // '_' (rank 40) and 'q' (rank 40) are much rarer than the vowels.
-        let ((b1, o1), (b2, o2)) = rare_byte_pair(b"sea_quest").unwrap();
-        assert_ne!(o1, o2);
-        let picked = [b1, b2];
-        assert!(picked.contains(&b'_') && picked.contains(&b'q'), "picked {picked:?}");
-        assert_eq!(rare_byte_pair(b"a"), None);
-        // Offsets always point at the byte they pair with.
-        let pat = b"<item";
-        let ((r1, p1), (r2, p2)) = rare_byte_pair(pat).unwrap();
-        assert_eq!(pat[p1], r1);
-        assert_eq!(pat[p2], r2);
-    }
-
-    #[test]
     fn fingerprint_offsets_follow_the_rank_table() {
         // Capitals rank rarest: `Ab` / `/A` beats every pair with the `<`
         // all tags share.
@@ -1268,6 +1401,63 @@ mod tests {
         // Ties go to the later offsets; the shortest keyword bounds both.
         assert_eq!(Fingerprint::new(&[&b"aaaa"[..], b"aaa"]).offsets(), (1, 2));
         assert_eq!(Fingerprint::new(&[&b"<"[..], b"<abc"]).offsets(), (0, 0));
+    }
+
+    #[test]
+    fn fitted_offsets_tell_a_keyword_from_the_other_tags() {
+        let names = ["site", "seller", "street", "asia", "city"];
+        let universe = TagUniverse::of_elements(&names);
+        // By rank `/s` are the rare bytes of `</site`: `</seller` and
+        // `</street` pass them too.
+        let keyword = [&b"</site"[..]];
+        let ranked = Fingerprint::new(&keyword);
+        assert_eq!(ranked.offsets(), (1, 2));
+        assert_eq!(ranked.choice(&keyword, &universe).foreign_admitted, 2);
+        // `s.t` at (2, 4) is held by no other tag (`<asia` holds `si` at
+        // (2, 3), `</city` `it` at (3, 4)); of the three such pairs it has
+        // the rarest bytes.
+        let fitted = Fingerprint::with_universe(&keyword, &universe);
+        assert_eq!(fitted.offsets(), (2, 4));
+        assert_eq!(fitted.choice(&keyword, &universe).foreign_admitted, 0);
+        assert!(fitted.admits_at(b"</site>", 0) && !fitted.admits_at(b"</street>", 0));
+    }
+
+    #[test]
+    fn tags_extending_a_keyword_are_not_foreign() {
+        let universe = TagUniverse::of_elements(&[
+            "name",
+            "namerica",
+            "MedlineCitation",
+            "MedlineCitationSet",
+        ]);
+        // `<namerica` holds every byte of `<name`: no pair can reject it,
+        // and it is not counted against any.
+        let keyword = [&b"<name"[..]];
+        let choice = Fingerprint::with_universe(&keyword, &universe).choice(&keyword, &universe);
+        assert_eq!(choice.foreign_admitted, 0);
+        // A keyword that extends another tag's name is told from it past
+        // that name's end ...
+        let keyword = [&b"</MedlineCitationSet"[..]];
+        let fp = Fingerprint::with_universe(&keyword, &universe);
+        assert!(fp.offsets().1 >= b"</MedlineCitation".len(), "offsets {:?}", fp.offsets());
+        assert_eq!(fp.choice(&keyword, &universe).foreign_admitted, 0);
+        // ... unless a shorter keyword keeps the offsets below it.
+        let keywords = [&b"</MedlineCitationSet"[..], b"<name"];
+        let fp = Fingerprint::with_universe(&keywords, &universe);
+        assert_eq!(fp.choice(&keywords, &universe).foreign_admitted, 1);
+    }
+
+    #[test]
+    fn keywords_agreeing_at_both_offsets_take_the_exact_lane_test() {
+        let exact = |pats: &[&[u8]]| Fingerprint::new(pats).exact;
+        assert_eq!(exact(&[b"</item"]), Some([b'/', b'm']));
+        assert_eq!(exact(&[b"<"]), Some([b'<', b'<']));
+        assert_eq!(exact(&[b"<Abstract", b"<AbstractText"]), Some([b'A', b'b']));
+        assert_eq!(exact(&[b"<Abstract", b"</Abstract"]), None);
+        // The exact test admits the two bytes and nothing else.
+        let fp = Fingerprint::new(&[&b"</item"[..]]);
+        assert_eq!(fp.offsets(), (1, 5));
+        assert!(fp.admits(b'/', b'm') && !fp.admits(b'/', b'n') && !fp.admits(b'm', b'/'));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! alphabets that maximize pattern self-overlap.
 
 use proptest::prelude::*;
-use smpx_stringmatch::memscan::{self, ScanKind};
+use smpx_stringmatch::memscan::{self, ScanKind, TagUniverse};
 use smpx_stringmatch::{
     naive, AhoCorasick, BoyerMoore, CommentzWalter, Horspool, Kmp, MultiMatch, NoMetrics,
 };
@@ -40,26 +40,74 @@ fn smp_haystack() -> impl Strategy<Value = Vec<u8>> {
     })
 }
 
-/// `find_at ≡ find_at_scalar` from every position, `find ≡` Aho–Corasick,
-/// `find_iter ≡` the naive occurrence set.
+/// `find_at ≡ find_at_scalar` from every position — whichever universe
+/// the filter was fitted to — `find ≡` Aho–Corasick, `find_iter ≡` the
+/// naive occurrence set.
 fn check_against_oracles(hay: &[u8], pats: &[Vec<u8>]) -> Result<(), String> {
     let refs: Vec<&[u8]> = pats.iter().map(|p| p.as_slice()).collect();
-    let cw = CommentzWalter::new(&refs);
-    for from in 0..=hay.len() + 1 {
-        prop_assert_eq!(
-            cw.find_at(hay, from, &mut NoMetrics),
-            cw.find_at_scalar(hay, from, &mut NoMetrics),
-            "from={} hay={:?} pats={:?}",
-            from,
-            String::from_utf8_lossy(hay),
-            pats
-        );
+    for (u, universe) in universes().iter().enumerate() {
+        let cw = CommentzWalter::with_universe(&refs, universe);
+        for from in 0..=hay.len() + 1 {
+            prop_assert_eq!(
+                cw.find_at(hay, from, &mut NoMetrics),
+                cw.find_at_scalar(hay, from, &mut NoMetrics),
+                "universe {} from={} hay={:?} pats={:?}",
+                u,
+                from,
+                String::from_utf8_lossy(hay),
+                pats
+            );
+        }
+        prop_assert_eq!(cw.find(hay), AhoCorasick::new(&refs).find(hay));
+        let got: Vec<MultiMatch> = cw.find_iter(hay).collect();
+        let mut want = naive::find_all_multi(hay, &refs);
+        want.sort_by_key(|m| (m.end, m.pattern));
+        prop_assert_eq!(got, want, "hay={:?} pats={:?}", String::from_utf8_lossy(hay), pats);
     }
-    prop_assert_eq!(cw.find(hay), AhoCorasick::new(&refs).find(hay));
-    let got: Vec<MultiMatch> = cw.find_iter(hay).collect();
-    let mut want = naive::find_all_multi(hay, &refs);
-    want.sort_by_key(|m| (m.end, m.pattern));
-    prop_assert_eq!(got, want, "hay={:?} pats={:?}", String::from_utf8_lossy(hay), pats);
+    Ok(())
+}
+
+/// Elements whose names extend one another: `</item` must stop at
+/// `</itemref` (the runtime's boundary check rejects it, no filter can),
+/// `</MedlineCitationSet` is told from `</MedlineCitation` only past the
+/// shorter name's end.
+const PREFIX_RELATED: [&str; 8] =
+    ["item", "itemref", "MedlineCitation", "MedlineCitationSet", "name", "namerica", "a", "ab"];
+
+/// The universes a single-keyword searcher is built against: none, the
+/// elements of [`smp_haystack`], and [`PREFIX_RELATED`].
+fn universes() -> [TagUniverse; 3] {
+    [
+        TagUniverse::default(),
+        TagUniverse::of_elements(&NAMES),
+        TagUniverse::of_elements(&PREFIX_RELATED),
+    ]
+}
+
+/// Boyer–Moore and Horspool over `pat`, built with and without a universe:
+/// `find_at ≡ find_at_scalar ≡` naive from every position.
+fn check_single_keyword(hay: &[u8], pat: &[u8]) -> Result<(), String> {
+    for (u, universe) in universes().iter().enumerate() {
+        let bm = BoyerMoore::with_universe(pat, universe);
+        let hs = Horspool::with_universe(pat, universe);
+        for from in 0..=hay.len() + 1 {
+            let want = naive::find_at(hay, pat, from, &mut NoMetrics);
+            let at = format!(
+                "universe {u} from={from} hay={:?} pat={:?}",
+                String::from_utf8_lossy(hay),
+                String::from_utf8_lossy(pat)
+            );
+            prop_assert_eq!(bm.find_at(hay, from, &mut NoMetrics), want, "bm {}", at);
+            prop_assert_eq!(bm.find_at_scalar(hay, from, &mut NoMetrics), want, "bm scalar {}", at);
+            prop_assert_eq!(hs.find_at(hay, from, &mut NoMetrics), want, "horspool {}", at);
+            prop_assert_eq!(
+                hs.find_at_scalar(hay, from, &mut NoMetrics),
+                want,
+                "horspool scalar {}",
+                at
+            );
+        }
+    }
     Ok(())
 }
 
@@ -169,6 +217,36 @@ proptest! {
     }
 
     #[test]
+    fn smp_single_keywords_agree_with_scalar_and_naive(
+        hay in smp_haystack(),
+        sel in 0usize..20,
+    ) {
+        // One keyword over a haystack in which it, the tags that extend
+        // it (`<ab` for `<a`) and the tags it extends all occur.
+        check_single_keyword(&hay, &smp_keyword(sel))?;
+    }
+
+    #[test]
+    fn arbitrary_single_patterns_agree_with_scalar_and_naive(
+        shape in 0usize..4,
+        bytes in proptest::collection::vec(0usize..5, 1..7),
+        hay_sel in proptest::collection::vec(0usize..5, 0..160),
+    ) {
+        // Length 1 (both filter offsets are 0), length 2 (one offset past
+        // the anchor), a repeated byte (every alignment of a run is a
+        // candidate) and free patterns, over a five-letter alphabet.
+        let alphabet = [b'<', b'a', b'/', 0x00, 0xf1];
+        let pat: Vec<u8> = match shape {
+            0 => vec![alphabet[bytes[0]]],
+            1 => vec![alphabet[bytes[0]], alphabet[bytes[bytes.len() - 1]]],
+            2 => vec![alphabet[bytes[0]]; bytes.len()],
+            _ => bytes.iter().map(|&b| alphabet[b]).collect(),
+        };
+        let hay: Vec<u8> = hay_sel.iter().map(|&i| alphabet[i]).collect();
+        check_single_keyword(&hay, &pat)?;
+    }
+
+    #[test]
     fn arbitrary_patterns_agree_with_scalar_and_oracles(
         firsts in 1usize..6,
         shapes in proptest::collection::vec(
@@ -253,9 +331,25 @@ fn fixed_corpus() -> Vec<(Vec<u8>, Vec<Vec<u8>>)> {
         .collect()
 }
 
+/// Every tag over [`PREFIX_RELATED`], in an order that puts each name next
+/// to the one extending it, with text runs that walk them over the lane
+/// edges.
+fn prefix_related_haystack() -> Vec<u8> {
+    let mut hay = Vec::new();
+    for (i, name) in PREFIX_RELATED.iter().chain(PREFIX_RELATED.iter().rev()).enumerate() {
+        hay.extend_from_slice(format!("<{name} id='{i}'>").as_bytes());
+        hay.extend(std::iter::repeat_n(b't', i * 5 % 37));
+        hay.extend_from_slice(format!("</{name}>").as_bytes());
+    }
+    hay
+}
+
 /// The candidate walk under each [`ScanKind`] in turn — SWAR words, 16-
 /// and 32-byte vectors — with the accelerated path forced on, so the
-/// `SMPX_NO_SIMD=1` leg drives the kernels too.
+/// `SMPX_NO_SIMD=1` leg drives the kernels too: the multi-keyword walk
+/// over the fixed corpus, and the single-keyword walk over its first
+/// keywords and over every tag of the prefix-related elements, with and
+/// without a universe.
 #[test]
 fn every_scan_kind_agrees_with_the_windowed_loop() {
     let _guard = MODE.lock().unwrap();
@@ -265,6 +359,14 @@ fn every_scan_kind_agrees_with_the_windowed_loop() {
         memscan::force_kind(forced);
         for (hay, pats) in fixed_corpus() {
             check_against_oracles(&hay, &pats).unwrap_or_else(|e| panic!("{forced:?}: {e}"));
+            check_single_keyword(&hay, &pats[0]).unwrap_or_else(|e| panic!("{forced:?}: {e}"));
+        }
+        let hay = prefix_related_haystack();
+        for name in PREFIX_RELATED {
+            for open in ["<", "</"] {
+                check_single_keyword(&hay, format!("{open}{name}").as_bytes())
+                    .unwrap_or_else(|e| panic!("{forced:?}: {e}"));
+            }
         }
     }
     memscan::force_kind(kind);

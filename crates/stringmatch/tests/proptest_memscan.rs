@@ -102,14 +102,21 @@ fn fingerprint_impls(
 /// straddle every 16/32-byte lane edge, and the tails are shorter than a
 /// vector plus the largest offset. Every member of the family must stop
 /// exactly where the scalar predicate does, and the searcher built on it
-/// must report the keyword.
+/// must report the keyword. The last four vocabularies take the exact
+/// lane test: single keywords with two offsets, one offset past the
+/// anchor (`<a`: both are 1) and none (`<`: both are 0), and two keywords
+/// that agree below `lmin`.
 #[test]
 fn fingerprint_candidates_straddle_every_lane_edge() {
-    let vocabularies: [&[&[u8]]; 4] = [
+    let vocabularies: [&[&[u8]]; 8] = [
         &[b"<Abstract", b"</Abstract"],
         &[b"<ab", b"<abc", b"<abcd", b"</ab"],
         &[b"<a", b"</a"],
         &[b"<DateCompleted", b"</MedlineCitation", b"<MedlineJournalInfo", b"</DateCompleted"],
+        &[b"</closed_auction"],
+        &[b"<a"],
+        &[b"<"],
+        &[b"<Abstract", b"<AbstractText"],
     ];
     for pats in vocabularies {
         let fp = Fingerprint::new(pats);
@@ -132,6 +139,11 @@ fn fingerprint_candidates_straddle_every_lane_edge() {
                 let hit = cw.find_at(&hay, 0, &mut smpx_stringmatch::NoMetrics);
                 assert_eq!(hit, cw.find_at_scalar(&hay, 0, &mut smpx_stringmatch::NoMetrics));
                 assert_eq!(hit.map(|m| m.start), Some(at), "at={at} tail={tail}");
+                if let [keyword] = pats {
+                    let bm = BoyerMoore::new(keyword);
+                    let hit = bm.find_at(&hay, 0, &mut smpx_stringmatch::NoMetrics);
+                    assert_eq!(hit, Some(at), "bm at={at} tail={tail}");
+                }
             }
         }
     }
@@ -280,6 +292,44 @@ proptest! {
         for p in &pats {
             for start in naive::find_all(&hay, p) {
                 prop_assert!(fp.admits_at(&hay, start), "pattern {:?} at {}", p, start);
+            }
+        }
+    }
+
+    #[test]
+    fn exact_lane_test_impls_agree_with_the_scalar_predicate(
+        pat in proptest::collection::vec(0usize..6, 1..7),
+        extension in proptest::collection::vec(0usize..6, 0..3),
+        len in edge_len(),
+        extra in 0usize..40,
+        seed in 0u64..u64::MAX,
+    ) {
+        // A single keyword of 1..=6 bytes (one offset to choose from at
+        // lengths 1 and 2, two from 3 on), alone or with a keyword that
+        // extends it: the set agrees on the byte at both offsets, so the
+        // lane test is the exact one — anchor and two byte compares — and
+        // admits an alignment iff it holds those three bytes.
+        let alphabet = [b'<', b'/', b'a', b'b', 0x00, 0xe1];
+        let pat: Vec<u8> = pat.iter().map(|&b| alphabet[b]).collect();
+        let mut longer = pat.clone();
+        longer.extend(extension.iter().map(|&b| alphabet[b]));
+        let pats = if extension.is_empty() { vec![pat.clone()] } else { vec![pat.clone(), longer] };
+        let fp = Fingerprint::new(&pats);
+        let (o1, o2) = fp.offsets();
+        prop_assert!(o1 <= o2 && o2 < pat.len());
+        prop_assert_eq!(o1 == o2, pat.len() <= 2, "offsets {:?} of {:?}", (o1, o2), &pat);
+        let hay: Vec<u8> = (0..len + extra)
+            .map(|i| {
+                let mix = seed.rotate_left((i % 64) as u32) ^ (i as u64).wrapping_mul(0x9e37);
+                if mix.is_multiple_of(3) { pat[(mix / 3) as usize % pat.len()] } else { alphabet[(mix >> 8) as usize % 6] }
+            })
+            .collect();
+        for from in 0..=hay.len() + 1 {
+            let want = (from..hay.len().saturating_sub(o2))
+                .find(|&i| hay[i] == pat[0] && hay[i + o1] == pat[o1] && hay[i + o2] == pat[o2]);
+            prop_assert_eq!(memscan::find_fingerprint_scalar(&hay, from, &fp), want);
+            for (name, got) in fingerprint_impls(&hay, from, &fp) {
+                prop_assert_eq!(got, want, "{} from={} hay={:?} pats={:?}", name, from, &hay, &pats);
             }
         }
     }

@@ -296,6 +296,26 @@ fn open_source(path: &str, args: &Args) -> Result<(Box<dyn DocSource + Send>, St
     }
 }
 
+/// Capacity of the output buffer. A copied subtree range is hundreds of
+/// bytes to a few KiB, so the default 8 KiB went to the kernel every
+/// dozen ranges; this holds a hundred or more of them per `write`.
+const SINK_BUFFER: usize = 64 << 10;
+
+/// Open the run's one output writer — `-o FILE`, else stdout — reporting
+/// a file that cannot be created.
+fn open_sink(output: Option<&str>) -> Option<Box<dyn Write>> {
+    let Some(path) = output else {
+        return Some(Box::new(std::io::BufWriter::with_capacity(SINK_BUFFER, std::io::stdout())));
+    };
+    match std::fs::File::create(path) {
+        Ok(f) => Some(Box::new(std::io::BufWriter::with_capacity(SINK_BUFFER, f))),
+        Err(e) => {
+            eprintln!("smpx: cannot create {path}: {e}");
+            None
+        }
+    }
+}
+
 /// One `--stats-json` record: the machine-readable twin of a
 /// `print_stats` line (same per-file and total rows, JSON-lines shape).
 fn stats_json_row(sink: &mut JsonSink, label: &str, source: &str, stats: &RunStats) {
@@ -453,15 +473,8 @@ fn run_lifecycle(args: &Args, dtd: Dtd, query_sets: Vec<PathSet>) -> ExitCode {
             t.bm_states()
         );
     }
-    let mut out: Box<dyn Write> = match &args.output {
-        Some(p) => match std::fs::File::create(p) {
-            Ok(f) => Box::new(std::io::BufWriter::new(f)),
-            Err(e) => {
-                eprintln!("smpx: cannot create {p}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => Box::new(std::io::BufWriter::new(std::io::stdout())),
+    let Some(mut out) = open_sink(args.output.as_deref()) else {
+        return ExitCode::FAILURE;
     };
     let mut total = RunStats::default();
     let mut rows = 0usize;
@@ -685,15 +698,8 @@ fn run(args: Args) -> ExitCode {
     }
 
     // One output writer; inputs concatenate into it in order.
-    let mut out: Box<dyn Write> = match &args.output {
-        Some(p) => match std::fs::File::create(p) {
-            Ok(f) => Box::new(std::io::BufWriter::new(f)),
-            Err(e) => {
-                eprintln!("smpx: cannot create {p}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => Box::new(std::io::BufWriter::new(std::io::stdout())),
+    let Some(mut out) = open_sink(args.output.as_deref()) else {
+        return ExitCode::FAILURE;
     };
 
     // Validate every input up front (early, well-labeled failure before

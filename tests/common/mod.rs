@@ -363,6 +363,25 @@ pub struct AnalysisCase {
     pub queries: Vec<PathSet>,
 }
 
+/// The two subtree-copy commands of the benchmark's `xmark-copy`
+/// workload, over the XMark DTD. Kept out of [`analysis_cases`], whose
+/// list the compile digests pin.
+#[allow(dead_code)]
+pub fn copy_cases() -> Vec<AnalysisCase> {
+    let xmark = Dtd::parse(smpx_datagen::xmark::XMARK_DTD.as_bytes()).expect("XMark DTD");
+    [
+        ("copy/items", &["/*", "/site/regions//item#"][..]),
+        ("copy/items-people", &["/*", "/site/regions//item#", "/site/people/person#"]),
+    ]
+    .into_iter()
+    .map(|(name, paths)| AnalysisCase {
+        name: name.to_string(),
+        dtd: xmark.clone(),
+        queries: vec![PathSet::parse(paths).expect("copy paths parse")],
+    })
+    .collect()
+}
+
 /// The fixed (DTD, queries) pairs the compile-digest and the
 /// relevance-evaluator suites share: XMark × {XM5, XM13, XM7, XM14,
 /// standing queries N = 1, 10, 100}, MEDLINE × M1–M5, the protein DTD,

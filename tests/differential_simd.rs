@@ -11,10 +11,11 @@
 //! point is exercised: a window ending one byte into a tag, inside a
 //! quoted attribute value, between a `<` and its second byte, and so on.
 //!
-//! The benchmark's own queries (XM7, XM14, M1–M5, the N = 10 registry) run
-//! the same matrix at chunks {64, 65, 4096} on every counter no scan mode
-//! may move, and M1 over MEDLINE carries the engagement guard of the
-//! Commentz–Walter candidate filter.
+//! The benchmark's own queries (XM5, XM7, XM13, XM14, `xmark-copy`'s two
+//! path sets, M1–M5, the N = 10 registry) run the same matrix at chunks
+//! {64, 65, 4096} on every counter no scan mode may move; M1 over MEDLINE
+//! and XM13 over XMark carry the engagement guards of the candidate
+//! filter, multi-keyword and single-keyword.
 //!
 //! On `Char Comp.` accounting: the *scan layer* contributes identically
 //! in both modes — tag-end and balanced-scan traversal is routed through
@@ -22,8 +23,8 @@
 //! tests in `crates/core`. The *searchers* intentionally do not: the
 //! accelerated Boyer–Moore/Commentz–Walter report scan hops plus
 //! verification comparisons at candidates while the scalar loops report
-//! the classic per-alignment counts (see CHANGES.md, PR 2 and PR 17), so
-//! whole-run
+//! the classic per-alignment counts (see CHANGES.md, PRs 2, 17 and 18),
+//! so whole-run
 //! `chars_compared` equality across modes is not a meaningful invariant
 //! and is not asserted here.
 //!
@@ -33,7 +34,8 @@
 mod common;
 
 use common::{
-    analysis_cases, assert_valid, random_doc, random_dtd, random_paths, AnalysisCase, Rand, TempDoc,
+    analysis_cases, assert_valid, copy_cases, random_doc, random_dtd, random_paths, AnalysisCase,
+    Rand, TempDoc,
 };
 use smpx_core::runtime::source::{DocSource, MmapSource, ReaderSource};
 use smpx_core::{Prefilter, RunStats, SliceSource};
@@ -413,14 +415,18 @@ fn generated(case: &AnalysisCase, bytes: usize) -> Vec<u8> {
 
 #[test]
 fn benchmark_queries_agree_across_modes_on_every_source() {
-    // XM7 and XM14 sit in Commentz–Walter states, M1–M5 search long
+    // XM5, XM13 and the copy queries spend their bytes in single-keyword
+    // states, XM7 and XM14 in Commentz–Walter states, M1–M5 search long
     // MEDLINE names, the N = 10 registry unions vocabularies. Chunks 64
     // and 65 slide the refill edge through every tag of the document — a
     // fingerprint byte on one side, the keyword's `<` on the other; 4096
     // is a page.
-    let wanted = ["xmark/XM7", "xmark/XM14", "xmark/standing-10"];
-    for case in analysis_cases() {
-        if !wanted.contains(&case.name.as_str()) && !case.name.starts_with("medline/") {
+    let wanted = ["xmark/XM5", "xmark/XM13", "xmark/XM7", "xmark/XM14", "xmark/standing-10"];
+    for case in analysis_cases().into_iter().chain(copy_cases()) {
+        let benchmarked = wanted.contains(&case.name.as_str())
+            || case.name.starts_with("medline/")
+            || case.name.starts_with("copy/");
+        if !benchmarked {
             continue;
         }
         let doc = generated(&case, 192 << 10);
@@ -443,6 +449,25 @@ fn benchmark_queries_agree_across_modes_on_every_source() {
     }
 }
 
+/// Slice and streamed runs of `case` over `bytes` of its generated
+/// corpus with the accelerated path forced on: the stats of each, with
+/// the refills the streamed one took.
+fn engagement_runs(case_name: &str, bytes: usize) -> (u64, u64, [(RunStats, u64); 2]) {
+    let _guard = mode_lock().lock().unwrap();
+    let env_accel = std::env::var_os("SMPX_NO_SIMD").is_none_or(|v| v != "1");
+    memscan::force_accel(true);
+    let case = analysis_cases().into_iter().find(|c| c.name == case_name).expect("case");
+    let doc = generated(&case, bytes);
+    let input = doc.len() as u64;
+    let mut pf = compile_case(&case);
+    let overlap = pf.tables().max_kw_len as u64;
+    let (_, slice) = pinned_run(&mut pf, SliceSource::new(&doc));
+    let chunk = 4096;
+    let (_, streamed) = pinned_run(&mut pf, ReaderSource::new(&doc[..], chunk));
+    memscan::force_accel(env_accel);
+    (input, overlap, [(slice, 0), (streamed, input / chunk as u64 + 2)])
+}
+
 #[test]
 fn candidate_filter_engages_on_medline() {
     // The engagement guard: M1 enters one dominant state whose vocabulary
@@ -451,19 +476,8 @@ fn candidate_filter_engages_on_medline() {
     // it did before the filter; it must stay under 1 %. And every byte the
     // filter passes is booked once: `bytes_scanned` exceeds the input only
     // by the overlap a streamed search re-reads after each refill.
-    let _guard = mode_lock().lock().unwrap();
-    let env_accel = std::env::var_os("SMPX_NO_SIMD").is_none_or(|v| v != "1");
-    memscan::force_accel(true);
-    let case = analysis_cases().into_iter().find(|c| c.name == "medline/M1").expect("M1");
-    let doc = generated(&case, 1 << 20);
-    let input = doc.len() as u64;
-    let mut pf = compile_case(&case);
-    let overlap = pf.tables().max_kw_len as u64;
-    let (_, slice) = pinned_run(&mut pf, SliceSource::new(&doc));
-    let chunk = 4096;
-    let (_, streamed) = pinned_run(&mut pf, ReaderSource::new(&doc[..], chunk));
-    memscan::force_accel(env_accel);
-    for (stats, refills) in [(slice, 0), (streamed, input / chunk as u64 + 2)] {
+    let (input, overlap, runs) = engagement_runs("medline/M1", 1 << 20);
+    for (stats, refills) in runs {
         assert!(
             stats.chars_compared * 100 < input,
             "chars_compared {} is 1 % of {input} or more: the filter is not engaged",
@@ -475,5 +489,29 @@ fn candidate_filter_engages_on_medline() {
             stats.bytes_scanned
         );
         assert!(stats.bytes_scanned * 10 >= input * 9, "the filter passes the whole input");
+    }
+}
+
+#[test]
+fn candidate_filter_engages_on_single_keyword_states() {
+    // XM13 spends the document in three single-keyword searches — `</site`,
+    // `</regions`, `<australia` — whose bytes (`/`, `s`, `u`) every other
+    // tag holds somewhere. A byte scan for the rarest of them confirmed in
+    // scalar code stopped once per 27 bytes and read `chars_compared` at
+    // 3.7 % of the input; the filter fitted to the DTD's tags stops at the
+    // keywords, under 1 %.
+    let (input, overlap, runs) = engagement_runs("xmark/XM13", 1 << 20);
+    for (stats, refills) in runs {
+        assert!(stats.tokens_matched > 0, "XM13 must find its tokens");
+        assert!(
+            stats.chars_compared * 100 < input,
+            "chars_compared {} is 1 % of {input} or more: the filter is not engaged",
+            stats.chars_compared
+        );
+        assert!(
+            stats.bytes_scanned <= input + refills * overlap,
+            "bytes_scanned {} books bytes twice (input {input}, {refills} refills)",
+            stats.bytes_scanned
+        );
     }
 }
