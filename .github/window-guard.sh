@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # One 17 MiB skip (XML with nothing of interest before its last element)
-# through `smpx` as a file operand (sync reader) and through a pipe
-# (prefetching reader): every --stats-json row must report a window of at
-# most 256 KiB, whatever SMPX_NO_SIMD says.
+# through `smpx` as a file operand (sync reader), through a pipe
+# (prefetching reader) and under --mmap: every --stats-json row must report
+# a window of at most 256 KiB, whatever SMPX_NO_SIMD says. A real mapping
+# reports 0 — the counter is owned buffer; its resident pages are held by
+# tests/window_bound.rs and tests/mapped_residency.rs.
 set -eu
 cargo build --release --bin smpx
 dir=$(mktemp -d)
@@ -18,4 +20,6 @@ bounded() {
 smpx "$dir/skip.xml" 2>&1 > "$dir/out" | bounded
 grep -q '<b>x</b>' "$dir/out"
 cat "$dir/skip.xml" | smpx 2>&1 > "$dir/out" | bounded
+grep -q '<b>x</b>' "$dir/out"
+smpx --mmap "$dir/skip.xml" 2>&1 > "$dir/out" | bounded
 grep -q '<b>x</b>' "$dir/out"

@@ -38,6 +38,15 @@ use std::sync::Arc;
 /// to eight times the system page size", Sec. V).
 pub const DEFAULT_CHUNK: usize = 8 * 4096;
 
+/// The release step: no loop of the runtime crosses more than this many
+/// bytes without raising the discard guard — a keyword search is cut at
+/// absolute multiples of it ([`source`]), the balanced scan likewise — and
+/// a mapped source hands the pages behind the guard back once this many
+/// have accumulated ([`MmapSource`](source::MmapSource)). A power of two;
+/// 32 streaming chunks, so the `madvise` calls of a mapped run cost less
+/// than the one `munmap` of the whole document did.
+pub const RELEASE_STEP: usize = 32 * DEFAULT_CHUNK;
+
 /// Where a Fig. 4 run begins: the paper's `q := q0; c := 0` by default,
 /// or a mid-document `(state, cursor)` configuration for shard and
 /// repair runs ([`parallel::shard`]). `suppress_jump` skips the first
@@ -76,6 +85,8 @@ pub struct Prefilter {
     /// (registry runs only — the forced hit states let copy-on regions
     /// nest, which the single-query automaton never sees).
     copy_depth: usize,
+    /// [`RELEASE_STEP`], but for [`with_release_step`](Self::with_release_step).
+    step: usize,
 }
 
 impl Prefilter {
@@ -128,7 +139,20 @@ impl Prefilter {
             multi,
             hits: QueryIdSet::new(),
             copy_depth: 0,
+            step: RELEASE_STEP,
         }
+    }
+
+    /// Cut searches at absolute multiples of `step` (a power of two)
+    /// instead of [`RELEASE_STEP`]: what the step-boundary and residency
+    /// tests shrink to one page, paired with
+    /// [`MmapSource::map_with_step`](source::MmapSource::map_with_step).
+    /// Not a tuning knob — production runs take the constant.
+    #[doc(hidden)]
+    pub fn with_release_step(mut self, step: usize) -> Prefilter {
+        assert!(step.is_power_of_two(), "the release step is a power of two");
+        self.step = step;
+        self
     }
 
     /// Share the compiled automaton immutably for parallel execution.
@@ -374,7 +398,7 @@ impl Prefilter {
             RunStats { input_bytes: src.len_hint().unwrap_or(0), ..RunStats::default() };
         self.hits.clear();
         self.copy_depth = 0;
-        let mut input = SourceInput::new(src, writer);
+        let mut input = SourceInput::with_step(src, writer, self.step);
         self.run(&mut input, &mut counters, &mut stats, entry, trace)?;
         stats.chars_compared += counters.comparisons;
         stats.bytes_scanned = counters.scanned;
@@ -814,7 +838,7 @@ enum BalancedHop {
 /// [`scan_tag_end`]. Token-for-token equivalent to the Commentz–Walter
 /// loop in [`Prefilter::balanced_scan`]; hop-consumed bytes are reported
 /// as [`Metrics::scanned`], keyed to absolute offsets so the counts are
-/// independent of the streaming chunk size.
+/// independent of the streaming chunk size and of the step cuts.
 fn balanced_scan_windowed<S: DocSource, W: Write, M: Metrics>(
     name: &str,
     lookback: usize,
@@ -835,6 +859,7 @@ fn balanced_scan_windowed<S: DocSource, W: Write, M: Metrics>(
     loop {
         let hop = {
             let base = scan_at - 1;
+            let cut = input.next_cut(scan_at);
             let Some(win) = input.window(base)? else {
                 // The candidate position is at/past EOF: never closed.
                 m.scanned(base.saturating_sub(acc) as u64);
@@ -842,6 +867,10 @@ fn balanced_scan_windowed<S: DocSource, W: Write, M: Metrics>(
                     context: "balanced scan for a recursive element",
                 });
             };
+            // One hop ends at the next step cut at the latest: nothing
+            // below advances the guard until a tag verifies, and a mapped
+            // window is the whole rest of the document.
+            let win = &win[..win.len().min(cut - base)];
             let mut rel = scan_at - base;
             loop {
                 match memscan::peek_find2(win, rel, first, b'/') {

@@ -6,7 +6,8 @@
 //!
 //! * [`SliceSource`] — a borrowed `&[u8]` already in memory (zero-copy),
 //! * [`MmapSource`] — a file mapped with `mmap`/`madvise(SEQUENTIAL)` on
-//!   64-bit unix (zero-copy; a read-to-`Vec` fallback elsewhere),
+//!   64-bit unix (zero-copy, pages behind the guard handed back a step at
+//!   a time; small files and other platforms take one read into a `Vec`),
 //! * [`ReaderSource`] — the paper's chunked window over any `io::Read`
 //!   (one bounded copy; works on pipes),
 //! * [`PrefetchSource`] — the same window with refills prefetched by a
@@ -28,8 +29,9 @@
 //!   call may refill and *compact* the region, moving [`DocSource::base`],
 //!   so slices must be re-requested after such calls.
 //! * [`DocSource::set_guard`] raises the discard guard: bytes below it may
-//!   be dropped at the next refill and must never be requested again.
-//!   Fully-resident sources ignore it.
+//!   be dropped (at the next refill by the readers, as released pages by
+//!   a mapping) and must never be requested again. Sources that own or
+//!   borrow the whole document ignore it.
 //! * [`DocSource::grow`] delivers more bytes if the stream has any left —
 //!   a scan that exhausts the resident region calls it (directly or by
 //!   probing one byte past the region) to distinguish "window ended" from
@@ -88,8 +90,9 @@ impl std::fmt::Display for SourceKind {
 /// A pluggable document-byte delivery backend (see the module docs for the
 /// residency contract).
 ///
-/// The trait is object-safe: heterogeneous call sites (the CLI picking a
-/// backend per flag) can drive `Box<dyn DocSource>`.
+/// The trait is object-safe: heterogeneous call sites can drive
+/// `Box<dyn DocSource>` (the bench runners do; the CLI matches over an
+/// enum of its backends instead, so the per-token calls inline).
 pub trait DocSource {
     /// Absolute offset of the first resident byte.
     fn base(&self) -> usize;
@@ -106,9 +109,10 @@ pub trait DocSource {
     /// sources always return `Ok(false)`.
     fn grow(&mut self) -> Result<bool, CoreError>;
 
-    /// Raise the discard guard: bytes before `pos` may be dropped at the
-    /// next refill. Positions below the guard must never be requested
-    /// again. No-op for fully-resident sources.
+    /// Raise the discard guard: bytes before `pos` may be dropped — at
+    /// the next refill, or as pages a mapping hands back. Positions below
+    /// the guard must never be requested again. No-op for slices and
+    /// owned buffers.
     fn set_guard(&mut self, pos: usize);
 
     /// Total document length in bytes, when known up front (`None` for
@@ -126,32 +130,45 @@ pub trait DocSource {
     fn kind(&self) -> SourceKind;
 }
 
-impl<S: DocSource + ?Sized> DocSource for Box<S> {
-    fn base(&self) -> usize {
-        (**self).base()
-    }
-    fn resident(&self) -> &[u8] {
-        (**self).resident()
-    }
-    fn ensure(&mut self, pos: usize) -> Result<bool, CoreError> {
-        (**self).ensure(pos)
-    }
-    fn grow(&mut self) -> Result<bool, CoreError> {
-        (**self).grow()
-    }
-    fn set_guard(&mut self, pos: usize) {
-        (**self).set_guard(pos)
-    }
-    fn len_hint(&self) -> Option<u64> {
-        (**self).len_hint()
-    }
-    fn peak_io_bytes(&self) -> usize {
-        (**self).peak_io_bytes()
-    }
-    fn kind(&self) -> SourceKind {
-        (**self).kind()
-    }
+/// `Box<S>` and `&mut S` deliver what `S` does: the first for
+/// heterogeneous call sites, the second for a caller that wants its source
+/// back after the run (a run consumes the source it is given).
+macro_rules! forward_doc_source {
+    ($ptr:ty) => {
+        impl<S: DocSource + ?Sized> DocSource for $ptr {
+            #[inline]
+            fn base(&self) -> usize {
+                (**self).base()
+            }
+            #[inline]
+            fn resident(&self) -> &[u8] {
+                (**self).resident()
+            }
+            #[inline]
+            fn ensure(&mut self, pos: usize) -> Result<bool, CoreError> {
+                (**self).ensure(pos)
+            }
+            fn grow(&mut self) -> Result<bool, CoreError> {
+                (**self).grow()
+            }
+            #[inline]
+            fn set_guard(&mut self, pos: usize) {
+                (**self).set_guard(pos)
+            }
+            fn len_hint(&self) -> Option<u64> {
+                (**self).len_hint()
+            }
+            fn peak_io_bytes(&self) -> usize {
+                (**self).peak_io_bytes()
+            }
+            fn kind(&self) -> SourceKind {
+                (**self).kind()
+            }
+        }
+    };
 }
+forward_doc_source!(Box<S>);
+forward_doc_source!(&mut S);
 
 /// The runtime's view of one document: a [`DocSource`] for bytes in, a
 /// `Write` sink for projected bytes out, and the copy-range bookkeeping
@@ -166,22 +183,39 @@ impl<S: DocSource + ?Sized> DocSource for Box<S> {
 /// discardable.
 ///
 /// Bounded memory needs more than the runtime advancing its cursor once
-/// per token: a single search or balanced scan can cross any number of
-/// windows between two tokens. Every loop that extends the resident
-/// region therefore calls `advance` itself before it refills —
-/// [`find`](Self::find) here, the balanced scan in the runtime — and the
-/// window holds a chunk, the look-back and one tag, never a skip.
+/// per token: a single search or balanced scan can cross any distance
+/// between two tokens. Every loop that can therefore calls `advance`
+/// itself — before each refill *and* at every absolute multiple of the
+/// release step ([`RELEASE_STEP`](super::RELEASE_STEP)) it crosses —
+/// [`find`](Self::find) here, the balanced scan in the runtime. A streamed
+/// window then holds a chunk, the look-back and one tag, never a skip; a
+/// mapping sees its guard rise at least once per step and can hand the
+/// pages behind it back.
 pub(crate) struct SourceInput<S: DocSource, W: Write> {
     src: S,
     out: W,
     /// Unflushed start of the active copy range.
     copy_from: Option<usize>,
     written: u64,
+    /// The release step, a power of two.
+    step: usize,
 }
 
 impl<S: DocSource, W: Write> SourceInput<S, W> {
+    #[cfg(test)]
     pub fn new(src: S, out: W) -> Self {
-        SourceInput { src, out, copy_from: None, written: 0 }
+        Self::with_step(src, out, super::RELEASE_STEP)
+    }
+
+    pub fn with_step(src: S, out: W, step: usize) -> Self {
+        SourceInput { src, out, copy_from: None, written: 0, step }
+    }
+
+    /// The first absolute multiple of the release step above `pos`: where
+    /// a scan that is at `pos` stops to raise the guard.
+    #[inline]
+    pub fn next_cut(&self, pos: usize) -> usize {
+        (pos | (self.step - 1)) + 1
     }
 
     /// Flush the sink and return it together with the source and the
@@ -192,11 +226,15 @@ impl<S: DocSource, W: Write> SourceInput<S, W> {
     }
 
     /// First keyword occurrence at or after absolute position `from`:
-    /// `(keyword index, start)`. Searches the full resident region and
-    /// grows it on miss, re-scanning `longest - 1` overlap bytes so a
-    /// match straddling the old region end is not lost. Everything before
-    /// the next search origin is released ([`advance`](Self::advance))
-    /// before the region grows, so a skip of any length holds one window.
+    /// `(keyword index, start)`. One `search_in` call covers the resident
+    /// region up to the next step cut — for every source, at the same
+    /// absolute positions, so a slice and a mapping of one document count
+    /// the same comparisons and shifts — and on a miss re-scans
+    /// `longest - 1` overlap bytes, so a match straddling the old end is
+    /// not lost. Everything before the next search origin is released
+    /// ([`advance`](Self::advance)) before the search goes on or the
+    /// region grows, so a skip of any length holds one window, or one step
+    /// of mapped pages.
     pub fn find<Se: Searcher, M: Metrics>(
         &mut self,
         matcher: &Se,
@@ -209,17 +247,22 @@ impl<S: DocSource, W: Write> SourceInput<S, W> {
             let base = self.src.base();
             let buf = self.src.resident();
             let end = base + buf.len();
-            if search_from < end {
-                if let Some((kw, rel_start)) = matcher.search_in(buf, search_from - base, m) {
+            // A cut leaves the next search a whole step: it lies above
+            // the overlap the miss below steps back by.
+            let stop = end.min(self.next_cut(search_from + (overlap - 1)));
+            if search_from < stop {
+                let hay = &buf[..stop - base];
+                if let Some((kw, rel_start)) = matcher.search_in(hay, search_from - base, m) {
                     return Ok(Some((kw, base + rel_start)));
                 }
-                search_from = end.saturating_sub(overlap - 1).max(search_from);
+                search_from = stop.saturating_sub(overlap - 1).max(search_from);
             }
-            // Nothing at or after `search_from` in the resident region
-            // (or an initial jump carried it past the region): release
-            // what lies before it, extend the region and retry.
+            // Nothing at or after `search_from` below `stop` (or an
+            // initial jump carried it past the region): release what lies
+            // before it, then search on, extending the region when the
+            // miss ran to its end.
             self.advance(search_from)?;
-            if !self.src.grow()? {
+            if stop == end && !self.src.grow()? {
                 return Ok(None);
             }
         }

@@ -26,10 +26,14 @@
 //!
 //! Document delivery is pluggable (`smpx_core::runtime::source`): files
 //! stream through the paper's chunked window by default (`--chunk-kb`
-//! sizes it), `--mmap` maps them zero-copy instead, and stdin — either
-//! implicitly (no inputs) or as the explicit non-seekable `-` operand
-//! anywhere in the input list — always streams through a reader
-//! backend, even under `--mmap`. Several inputs are prefiltered as one
+//! sizes it), `--mmap` maps them zero-copy instead — handing the pages
+//! behind the scan back a step (1 MiB) at a time, so a mapped run costs
+//! about the reader's memory, not the document; files under 64 KiB are
+//! read rather than mapped and their `--stats` row says
+//! `mmap/read-fallback` — and stdin — either implicitly (no inputs) or as
+//! the explicit non-seekable `-` operand anywhere in the input list —
+//! always streams through a reader backend, even under `--mmap`. Several
+//! inputs are prefiltered as one
 //! batch through a single compiled automaton; their projected outputs are
 //! concatenated in argument order.
 //!
@@ -103,7 +107,8 @@ use smpx::core::runtime::DEFAULT_CHUNK;
 use smpx::core::{
     CoreError, MultiVerdict, Pool, Prefilter, QueryId, QueryRegistry, RunStats, SharedPrefilter,
 };
-use std::io::Write;
+use std::fs::File;
+use std::io::{BufWriter, Stdin, Write};
 use std::process::ExitCode;
 
 use smpx::dtd::Dtd;
@@ -122,6 +127,10 @@ struct Args {
     /// everything back to the sync reader).
     prefetch: bool,
     chunk: usize,
+    /// The `reader/32KiB` and `prefetch/32KiB` row tags, built once the
+    /// chunk size is known.
+    reader_tag: String,
+    prefetch_tag: String,
     threads: usize,
     shard_mb: Option<usize>,
     /// `--metrics <path|->`: enable the process-wide observability
@@ -169,6 +178,8 @@ fn parse_args() -> Args {
         mmap: false,
         prefetch: false,
         chunk: DEFAULT_CHUNK,
+        reader_tag: String::new(),
+        prefetch_tag: String::new(),
         threads: 1,
         shard_mb: None,
         metrics: None,
@@ -245,6 +256,9 @@ fn parse_args() -> Args {
         eprintln!("smpx: the stdin operand '-' may appear at most once");
         std::process::exit(2);
     }
+    let chunk_kb = args.chunk / 1024;
+    args.reader_tag = format!("{}/{}KiB", SourceKind::Reader, chunk_kb);
+    args.prefetch_tag = format!("{}/{}KiB", SourceKind::Prefetch, chunk_kb);
     args
 }
 
@@ -257,42 +271,127 @@ fn prefetch_allowed() -> bool {
     std::env::var("SMPX_PREFETCH").map_or(true, |v| v != "0")
 }
 
+/// Every delivery backend the flags can select, as one type: `DocSource`
+/// by `match`, so the runtime is compiled once against a concrete source
+/// and its per-token calls into it (`ensure`, `resident`, `set_guard`)
+/// inline — behind a `Box<dyn DocSource>` none of them did.
+enum Source {
+    Mapped(MmapSource),
+    File(ReaderSource<File>),
+    Stdin(ReaderSource<Stdin>),
+    FilePrefetch(PrefetchSource<File>),
+    StdinPrefetch(PrefetchSource<Stdin>),
+}
+
+macro_rules! each_source {
+    ($self:expr, $s:ident => $e:expr) => {
+        match $self {
+            Source::Mapped($s) => $e,
+            Source::File($s) => $e,
+            Source::Stdin($s) => $e,
+            Source::FilePrefetch($s) => $e,
+            Source::StdinPrefetch($s) => $e,
+        }
+    };
+}
+
+impl DocSource for Source {
+    #[inline]
+    fn base(&self) -> usize {
+        each_source!(self, s => s.base())
+    }
+    #[inline]
+    fn resident(&self) -> &[u8] {
+        each_source!(self, s => s.resident())
+    }
+    #[inline]
+    fn ensure(&mut self, pos: usize) -> Result<bool, CoreError> {
+        each_source!(self, s => s.ensure(pos))
+    }
+    fn grow(&mut self) -> Result<bool, CoreError> {
+        each_source!(self, s => s.grow())
+    }
+    #[inline]
+    fn set_guard(&mut self, pos: usize) {
+        each_source!(self, s => s.set_guard(pos))
+    }
+    fn len_hint(&self) -> Option<u64> {
+        each_source!(self, s => s.len_hint())
+    }
+    fn peak_io_bytes(&self) -> usize {
+        each_source!(self, s => s.peak_io_bytes())
+    }
+    fn kind(&self) -> SourceKind {
+        each_source!(self, s => s.kind())
+    }
+}
+
+/// How an input was delivered: the source tag of its `--stats` row.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Route {
+    Mmap,
+    /// `--mmap` on a file the backend reads instead: small, empty or
+    /// non-regular. The row says so.
+    MmapRead,
+    Reader,
+    Prefetch,
+}
+
+impl Args {
+    fn tag(&self, route: Route) -> &str {
+        match route {
+            Route::Mmap => SourceKind::Mmap.as_str(),
+            Route::MmapRead => "mmap/read-fallback",
+            Route::Reader => &self.reader_tag,
+            Route::Prefetch => &self.prefetch_tag,
+        }
+    }
+}
+
 /// Open one input through the backend the flags select. The non-seekable
 /// `-` operand always takes a reader backend over stdin — `--mmap` and
 /// slice paths cannot apply to a pipe, so it routes instead of erroring.
 /// At most one input is open per worker at any time (sources open right
 /// before their run), which also bounds the prefetch I/O threads by the
 /// pool width.
-fn open_source(path: &str, args: &Args) -> Result<(Box<dyn DocSource + Send>, String), CoreError> {
-    let chunk_kb = args.chunk / 1024;
-    let reader_tag = format!("{}/{}KiB", SourceKind::Reader, chunk_kb);
-    let prefetch_tag = format!("{}/{}KiB", SourceKind::Prefetch, chunk_kb);
+fn open_source(path: &str, args: &Args) -> Result<(Source, Route), CoreError> {
     if path == "-" {
         // `Stdin` handles chunked reads itself; workers never share one.
         // Pipes are exactly where overlapping read latency with scan time
         // pays, so stdin prefetches unless the kill switch says otherwise.
-        return if prefetch_allowed() {
-            Ok((Box::new(PrefetchSource::new(std::io::stdin(), args.chunk)), prefetch_tag))
+        let stdin = std::io::stdin();
+        return Ok(if prefetch_allowed() {
+            (Source::StdinPrefetch(PrefetchSource::new(stdin, args.chunk)), Route::Prefetch)
         } else {
-            Ok((Box::new(ReaderSource::new(std::io::stdin(), args.chunk)), reader_tag))
-        };
+            (Source::Stdin(ReaderSource::new(stdin, args.chunk)), Route::Reader)
+        });
     }
     if args.mmap {
         let m = MmapSource::open(path)?;
-        // Honest tag: empty and non-regular files take the read-to-Vec
-        // fallback inside the mmap backend.
-        let tag = if m.is_mapped() {
-            SourceKind::Mmap.as_str().to_string()
-        } else {
-            format!("{}/read-fallback", SourceKind::Mmap)
-        };
-        Ok((Box::new(m), tag))
+        let route = if m.is_mapped() { Route::Mmap } else { Route::MmapRead };
+        return Ok((Source::Mapped(m), route));
+    }
+    // The window reads whole chunks itself: no `BufReader` in between.
+    let f = File::open(path)?;
+    Ok(if args.prefetch && prefetch_allowed() {
+        (Source::FilePrefetch(PrefetchSource::from_file(f, args.chunk)), Route::Prefetch)
     } else {
-        let f = std::fs::File::open(path)?;
-        if args.prefetch && prefetch_allowed() {
-            return Ok((Box::new(PrefetchSource::from_file(f, args.chunk)), prefetch_tag));
-        }
-        Ok((Box::new(ReaderSource::new(std::io::BufReader::new(f), args.chunk)), reader_tag))
+        (Source::File(ReaderSource::new(f, args.chunk)), Route::Reader)
+    })
+}
+
+/// One document through the compiled automaton, with its verdict when the
+/// automaton is a registry.
+fn run_one<W: Write>(
+    pf: &mut Prefilter,
+    multi: bool,
+    src: Source,
+    out: W,
+) -> Result<(RunStats, Option<MultiVerdict>), CoreError> {
+    if multi {
+        pf.run_multi(src, out).map(|(_, v, s)| (s, Some(v)))
+    } else {
+        pf.filter_source(src, out).map(|s| (s, None))
     }
 }
 
@@ -301,18 +400,42 @@ fn open_source(path: &str, args: &Args) -> Result<(Box<dyn DocSource + Send>, St
 /// dozen ranges; this holds a hundred or more of them per `write`.
 const SINK_BUFFER: usize = 64 << 10;
 
-/// Open the run's one output writer — `-o FILE`, else stdout — reporting
-/// a file that cannot be created.
-fn open_sink(output: Option<&str>) -> Option<Box<dyn Write>> {
-    let Some(path) = output else {
-        return Some(Box::new(std::io::BufWriter::with_capacity(SINK_BUFFER, std::io::stdout())));
+/// The run's one output writer. The buffer is the concrete outer type, so
+/// an emit is a copy into it; only a full buffer goes through the `dyn`.
+type Sink = BufWriter<Box<dyn Write>>;
+
+/// Open the sink — `-o FILE`, else stdout — reporting a file that cannot
+/// be created.
+fn open_sink(output: Option<&str>) -> Option<Sink> {
+    let inner: Box<dyn Write> = match output {
+        None => Box::new(std::io::stdout()),
+        Some(path) => match File::create(path) {
+            Ok(f) => Box::new(f),
+            Err(e) => {
+                eprintln!("smpx: cannot create {path}: {e}");
+                return None;
+            }
+        },
     };
-    match std::fs::File::create(path) {
-        Ok(f) => Some(Box::new(std::io::BufWriter::with_capacity(SINK_BUFFER, f))),
-        Err(e) => {
-            eprintln!("smpx: cannot create {path}: {e}");
-            None
-        }
+    Some(BufWriter::with_capacity(SINK_BUFFER, inner))
+}
+
+/// The sink as the library sees it. A run flushes its sink when the
+/// document ends, which on one sink shared by a batch is a `write(2)` per
+/// input; the CLI owns the sink and flushes it once, checked, at exit.
+struct Unflushed<'a>(&'a mut Sink);
+
+impl Write for Unflushed<'_> {
+    #[inline]
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.write(buf)
+    }
+    #[inline]
+    fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
+        self.0.write_all(buf)
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
     }
 }
 
@@ -335,6 +458,18 @@ fn stats_json_row(sink: &mut JsonSink, label: &str, source: &str, stats: &RunSta
         ("io_window_bytes", Value::U(stats.io_window_bytes)),
         ("shards", Value::U(stats.shards)),
     ]);
+}
+
+/// The total row's tag comes from the rows themselves: a `-` operand
+/// inside an `--mmap` batch (or a small file among mapped ones) makes
+/// delivery mixed, and the total must say so rather than claim one backend.
+fn total_tag<'a, T>(args: &'a Args, rows: &[(String, Route, RunStats, T)]) -> &'a str {
+    let first = rows[0].1;
+    if rows.iter().all(|r| r.1 == first) {
+        args.tag(first)
+    } else {
+        "mixed"
+    }
 }
 
 fn print_stats(label: &str, source: &str, stats: &RunStats) {
@@ -389,8 +524,8 @@ fn lifecycle_flush(
             generation.id_width()
         );
     }
-    let mut batch: Vec<(Box<dyn DocSource + Send>, Vec<u8>)> = Vec::new();
-    let mut tags: Vec<String> = Vec::new();
+    let mut batch: Vec<(Source, Vec<u8>)> = Vec::new();
+    let mut routes: Vec<Route> = Vec::new();
     let mut sizes: Vec<Option<u64>> = Vec::new();
     for p in pending.iter() {
         sizes.push(if p == "-" {
@@ -404,11 +539,11 @@ fn lifecycle_flush(
                 }
             }
         });
-        let (src, tag) = open_source(p, args).map_err(|e| {
+        let (src, route) = open_source(p, args).map_err(|e| {
             eprintln!("smpx: cannot open {p}: {e}");
         })?;
         batch.push((src, Vec::new()));
-        tags.push(tag);
+        routes.push(route);
     }
     match shared.run_multi_batch_parallel(batch, args.threads) {
         Ok(done) => {
@@ -428,10 +563,10 @@ fn lifecycle_flush(
                     generation.gen_no()
                 );
                 if args.stats {
-                    print_stats(&pending[i], &tags[i], &stats);
+                    print_stats(&pending[i], args.tag(routes[i]), &stats);
                 }
                 if let Some(sink) = sink {
-                    stats_json_row(sink, &pending[i], &tags[i], &stats);
+                    stats_json_row(sink, &pending[i], args.tag(routes[i]), &stats);
                 }
                 total.accumulate(&stats);
                 *rows += 1;
@@ -722,25 +857,18 @@ fn run(args: Args) -> ExitCode {
         }
     }
 
-    let mut results: Vec<(String, String, RunStats, Option<MultiVerdict>)> = Vec::new();
+    let mut results: Vec<(String, Route, RunStats, Option<MultiVerdict>)> = Vec::new();
     if args.inputs.is_empty() {
         // Pure pipe mode: prefilter stdin through the streaming window
         // (prefetched by default; `SMPX_PREFETCH=0` falls back to the
         // sync reader — `open_source` owns that policy).
-        let (src, tag) = match open_source("-", &args) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("smpx: <stdin>: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let run = if multi {
-            pf.run_multi(src, &mut out).map(|(_, v, s)| (s, Some(v)))
-        } else {
-            pf.filter_source(src, &mut out).map(|s| (s, None))
-        };
+        let run = open_source("-", &args).and_then(|(src, route)| {
+            Ok((route, run_one(&mut pf, multi, src, Unflushed(&mut out))?))
+        });
         match run {
-            Ok((stats, verdict)) => results.push(("<stdin>".into(), tag, stats, verdict)),
+            Ok((route, (stats, verdict))) => {
+                results.push(("<stdin>".into(), route, stats, verdict))
+            }
             Err(e) => {
                 eprintln!("smpx: <stdin>: {e}");
                 return ExitCode::FAILURE;
@@ -759,7 +887,7 @@ fn run(args: Args) -> ExitCode {
         // byte-identical to the sequential run; a document with no safe
         // split point falls back to one sequential pass (shards stays 0).
         let p = args.inputs[0].clone();
-        let (src, tag) = match open_source(&p, &args) {
+        let (src, route) = match open_source(&p, &args) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("smpx: cannot open {p}: {e}");
@@ -767,11 +895,11 @@ fn run(args: Args) -> ExitCode {
             }
         };
         let shard_bytes = args.shard_mb.unwrap_or(0).saturating_mul(1 << 20);
+        let sink = Unflushed(&mut out);
         let run = if multi {
-            pf.run_sharded_multi(src, &mut out, args.threads, shard_bytes)
-                .map(|(_, v, s)| (s, Some(v)))
+            pf.run_sharded_multi(src, sink, args.threads, shard_bytes).map(|(_, v, s)| (s, Some(v)))
         } else {
-            pf.run_sharded(src, &mut out, args.threads, shard_bytes).map(|(_, s)| (s, None))
+            pf.run_sharded(src, sink, args.threads, shard_bytes).map(|(_, s)| (s, None))
         };
         match run {
             Ok((mut stats, verdict)) => {
@@ -794,7 +922,7 @@ fn run(args: Args) -> ExitCode {
                         eprintln!("smpx: {p}: no safe split, ran as one sequential pass");
                     }
                 }
-                results.push((p, tag, stats, verdict));
+                results.push((p, route, stats, verdict));
             }
             Err(e) => {
                 eprintln!("smpx: {p}: {e}");
@@ -807,25 +935,19 @@ fn run(args: Args) -> ExitCode {
         // mapping is ever open, so many-thousand-file batches stay under
         // any ulimit.
         for (p, size) in args.inputs.iter().zip(&sizes) {
-            let src = match open_source(p, &args) {
+            let (src, route) = match open_source(p, &args) {
                 Ok(s) => s,
                 Err(e) => {
                     eprintln!("smpx: cannot open {p}: {e}");
                     return ExitCode::FAILURE;
                 }
             };
-            let (src, tag) = src;
-            let run = if multi {
-                pf.run_multi(src, &mut out).map(|(_, v, s)| (s, Some(v)))
-            } else {
-                pf.filter_source(src, &mut out).map(|s| (s, None))
-            };
-            match run {
+            match run_one(&mut pf, multi, src, Unflushed(&mut out)) {
                 Ok((mut stats, verdict)) => {
                     if stats.input_bytes == 0 {
                         stats.input_bytes = size.unwrap_or(0);
                     }
-                    results.push((p.clone(), tag, stats, verdict));
+                    results.push((p.clone(), route, stats, verdict));
                 }
                 Err(e) => {
                     // Name the failing input: with a long batch the output
@@ -852,28 +974,23 @@ fn run(args: Args) -> ExitCode {
             tasks,
             |_| frozen.worker(),
             |wpf, (path, size)| -> Result<_, CoreError> {
-                let (src, tag) = open_source(&path, &args)?;
+                let (src, route) = open_source(&path, &args)?;
                 let mut buf = Vec::new();
-                let (mut stats, verdict) = if multi {
-                    let (_, v, s) = wpf.run_multi(src, &mut buf)?;
-                    (s, Some(v))
-                } else {
-                    (wpf.filter_source(src, &mut buf)?, None)
-                };
+                let (mut stats, verdict) = run_one(wpf, multi, src, &mut buf)?;
                 if stats.input_bytes == 0 {
                     stats.input_bytes = size.unwrap_or(0);
                 }
-                Ok((path, tag, buf, stats, verdict))
+                Ok((path, route, buf, stats, verdict))
             },
         );
         match run {
             Ok(ordered) => {
-                for (path, tag, buf, stats, verdict) in ordered {
+                for (path, route, buf, stats, verdict) in ordered {
                     if let Err(e) = out.write_all(&buf) {
                         eprintln!("smpx: {e}");
                         return ExitCode::FAILURE;
                     }
-                    results.push((path, tag, stats, verdict));
+                    results.push((path, route, stats, verdict));
                 }
             }
             Err((index, e)) => {
@@ -918,21 +1035,12 @@ fn run(args: Args) -> ExitCode {
         // per-file attribution and the sums are identical whatever the
         // completion order was.
         let mut total = RunStats::default();
-        for (label, tag, stats, _) in &results {
-            print_stats(label, tag, stats);
+        for (label, route, stats, _) in &results {
+            print_stats(label, args.tag(*route), stats);
             total.accumulate(stats);
         }
         if results.len() > 1 {
-            // The total's tag comes from the rows themselves: a `-`
-            // operand inside an `--mmap` batch makes delivery mixed, and
-            // the total row must say so rather than claim one backend.
-            let first = results[0].1.as_str();
-            let tag = if results.iter().all(|(_, t, _, _)| t == first) {
-                first.to_string()
-            } else {
-                "mixed".to_string()
-            };
-            print_stats("total", &tag, &total);
+            print_stats("total", total_tag(&args, &results), &total);
             // The workload size belongs on the total row: one shared pass
             // answered this many queries per document.
             eprintln!(
@@ -948,18 +1056,12 @@ fn run(args: Args) -> ExitCode {
     if let Some(path) = &args.stats_json {
         let mut sink = JsonSink::to_path(path.clone());
         let mut total = RunStats::default();
-        for (label, tag, stats, _) in &results {
-            stats_json_row(&mut sink, label, tag, stats);
+        for (label, route, stats, _) in &results {
+            stats_json_row(&mut sink, label, args.tag(*route), stats);
             total.accumulate(stats);
         }
         if results.len() > 1 {
-            let first = results[0].1.as_str();
-            let tag = if results.iter().all(|(_, t, _, _)| t == first) {
-                first.to_string()
-            } else {
-                "mixed".to_string()
-            };
-            stats_json_row(&mut sink, "total", &tag, &total);
+            stats_json_row(&mut sink, "total", total_tag(&args, &results), &total);
         }
         if let Err(e) = sink.flush() {
             eprintln!("smpx: --stats-json: {e}");

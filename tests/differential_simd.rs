@@ -38,6 +38,7 @@ use common::{
     Rand, TempDoc,
 };
 use smpx_core::runtime::source::{DocSource, MmapSource, ReaderSource};
+use smpx_core::runtime::RELEASE_STEP;
 use smpx_core::{Prefilter, RunStats, SliceSource};
 use smpx_dtd::Dtd;
 use smpx_paths::PathSet;
@@ -292,12 +293,15 @@ fn tag_traversal_bytes_are_scanned_not_compared_in_both_modes() {
 
 #[test]
 fn mmap_equals_slice_on_xmark_tempfile() {
-    // A realistic ~1 MiB XMark document on disk: the mapped run must be
-    // indistinguishable from the in-memory slice run, stats included —
-    // both are fully resident at base 0, so even the comparison and
-    // scan counters must agree byte-for-byte.
+    // A realistic XMark document of several release steps on disk: the
+    // mapped run must be indistinguishable from the in-memory slice run,
+    // stats included — both are addressable whole at base 0 and both are
+    // searched in the same step-sized cuts, so even the comparison and
+    // scan counters must agree byte-for-byte, although the mapping hands
+    // its pages back behind the guard as it goes.
     let _guard = mode_lock().lock().unwrap();
-    let doc = smpx_datagen::xmark::generate(smpx_datagen::GenOptions::sized(1024 * 1024));
+    let doc = smpx_datagen::xmark::generate(smpx_datagen::GenOptions::sized(7 * RELEASE_STEP / 2));
+    assert!(doc.len() > 3 * RELEASE_STEP);
     let dtd = Dtd::parse(smpx_datagen::xmark::XMARK_DTD.as_bytes()).expect("XMark DTD");
     let paths = PathSet::parse(&[
         "/*",

@@ -2,12 +2,20 @@
 //! direction 4b): a document cut short anywhere — inside a skip, inside an
 //! active copy range, inside a tag, inside an opaque subtree — ends in the
 //! same `Ok` projection or the same `CoreError` variant and context from
-//! `SliceSource`, `ReaderSource` and `PrefetchSource` at every chunk size.
+//! `SliceSource`, `ReaderSource` and `PrefetchSource` at every chunk size,
+//! and at the named cut points from a real mapping (`MmapSource`, one temp
+//! file per cut) as well.
 //! The streamed routes flush a copy range as the window moves on, so how
 //! many bytes reached the sink before an error may differ; which error
 //! surfaces may not.
 
-use smpx_core::runtime::source::{DocSource, PrefetchSource, ReaderSource, SliceSource};
+#[allow(dead_code)] // only `TempDoc`
+mod common;
+
+use common::TempDoc;
+use smpx_core::runtime::source::{
+    DocSource, MmapSource, PrefetchSource, ReaderSource, SliceSource,
+};
 use smpx_core::{CoreError, Prefilter};
 use smpx_dtd::Dtd;
 use smpx_paths::PathSet;
@@ -70,7 +78,15 @@ fn every_prefix_ends_the_same_way_on_every_path() {
         }
         // The named cases, so the sweep cannot pass by agreeing on nonsense.
         let at = |needle: &str| DOC.find(needle).expect(needle) + needle.len();
-        let cut_run = |pf: &mut Prefilter, cut| outcome(pf, SliceSource::new(&doc[..cut]));
+        let cut_run = |pf: &mut Prefilter, cut| {
+            let want = outcome(pf, SliceSource::new(&doc[..cut]));
+            // Mapped whatever its length: `open` would read a file this small.
+            let file = TempDoc::new(&doc[..cut]);
+            let mapped = MmapSource::map_with_step(file.path(), 4096).expect("map");
+            assert!(mapped.is_mapped() || !cfg!(all(unix, target_pointer_width = "64")));
+            assert_eq!(outcome(pf, mapped), want, "accel {accel} cut {cut} mmap");
+            want
+        };
         assert_eq!(cut_run(&mut pf, at("skipped te")), Ok(b"<a>".to_vec()), "inside a skip");
         assert_eq!(cut_run(&mut pf, at("copied <i>in")), eof("copying a subtree"));
         assert_eq!(cut_run(&mut pf, at("<b id=\"q>")), eof("scanning a quoted attribute value"));

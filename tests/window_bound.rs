@@ -11,8 +11,27 @@
 //! ```text
 //! io_window_bytes <= 2 * (chunk + max_kw_len + 8 + longest tag)   (+ 2 * chunk of prefetch slots)
 //! ```
+//!
+//! The mapped route owns no window (`io_window_bytes` stays 0) and is held
+//! to the same standard in mapped pages: a step behind the guard that has
+//! not been handed back yet, a step of search ahead of it, the look-back
+//! and one tag, whatever the step:
+//!
+//! ```text
+//! resident mapped bytes <= 2 * step + max_kw_len + 8 + longest tag
+//! ```
+//!
+//! `MmapSource::peak_resident_bytes` is the source's own account of the
+//! first term — what lay behind its guard whenever pages went back — and
+//! must be positive (pages did go back) and inside the whole bound;
+//! `tests/mapped_residency.rs` asks the kernel.
 
-use smpx_core::runtime::source::{DocSource, PrefetchSource, ReaderSource};
+#[allow(dead_code)] // only `TempDoc`
+mod common;
+
+use common::TempDoc;
+use smpx_core::runtime::source::{DocSource, MmapSource, PrefetchSource, ReaderSource};
+use smpx_core::runtime::RELEASE_STEP;
 use smpx_core::{Prefilter, RunStats};
 use smpx_datagen::{xmark, GenOptions};
 use smpx_dtd::Dtd;
@@ -21,6 +40,10 @@ use smpx_stringmatch::memscan;
 use std::io::Cursor;
 
 const CHUNKS: &[usize] = &[64, 4096, 32768];
+/// One page, two chunks, and what production runs with.
+const STEPS: &[usize] = &[4096, 65536, RELEASE_STEP];
+/// Pages go back whole: 4 KiB on x86-64, up to 64 KiB elsewhere.
+const PAGE: usize = if cfg!(target_arch = "x86_64") { 4096 } else { 65536 };
 
 /// The longest `<…>` in `doc` (no attribute value here contains `>`).
 fn longest_tag(doc: &[u8]) -> usize {
@@ -42,12 +65,15 @@ fn run<S: DocSource>(pf: &mut Prefilter, src: S) -> (Vec<u8>, RunStats) {
     (out, stats)
 }
 
-/// Every route × chunk over `doc`, vectorized and scalar (the scalar
-/// balanced scan reaches the guard step through `find`).
+/// Every route × chunk (or step) over `doc`, vectorized and scalar (the
+/// scalar balanced scan reaches the guard step through `find`).
 fn assert_bounded(label: &str, dtd: &str, paths: &[&str], doc: &[u8]) {
     let dtd = Dtd::parse(dtd.as_bytes()).expect("dtd");
-    let mut pf = Prefilter::compile(&dtd, &PathSet::parse(paths).expect("paths")).expect("compile");
+    let compile =
+        || Prefilter::compile(&dtd, &PathSet::parse(paths).expect("paths")).expect("compile");
+    let mut pf = compile();
     let span = pf.tables().max_kw_len + 8 + longest_tag(doc);
+    let file = TempDoc::new(doc);
     let env_accel = std::env::var_os("SMPX_NO_SIMD").is_none_or(|v| v != "1");
     for accel in [true, false] {
         memscan::force_accel(accel);
@@ -70,6 +96,21 @@ fn assert_bounded(label: &str, dtd: &str, paths: &[&str], doc: &[u8]) {
                 "{label} accel {accel} prefetch/{chunk}: window {} > {bound}",
                 stats.io_window_bytes
             );
+        }
+        for &step in STEPS {
+            let mut cut = compile().with_release_step(step);
+            let mut src = MmapSource::map_with_step(file.path(), step).expect("map");
+            let (out, stats) = run(&mut cut, &mut src);
+            assert!(out == want, "{label} accel {accel} mmap/{step}: output diverged");
+            if src.is_mapped() {
+                assert_eq!(stats.io_window_bytes, 0, "a mapping owns no buffer");
+                let (resident, bound) = (src.peak_resident_bytes(), 2 * step.max(PAGE) + span);
+                // Not zero: pages did go back (the account is sampled then).
+                assert!(
+                    0 < resident && resident <= bound,
+                    "{label} accel {accel} mmap/{step}: {resident} bytes resident, bound {bound}"
+                );
+            }
         }
     }
     memscan::force_accel(env_accel);
