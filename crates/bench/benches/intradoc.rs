@@ -48,7 +48,7 @@ fn bench_intradoc(c: &mut Criterion) {
     for &t in THREADS {
         let (out, stats) = pf.run_sharded(open(), Vec::new(), t, 0).unwrap();
         assert_eq!(out, seq_ref, "sharded (t={t}) must be byte-identical to sequential");
-        if t > 1 {
+        if smpx_core::Pool::new(t).threads() > 1 {
             assert!(stats.shards >= 2, "t={t}: document must actually split: {stats:?}");
         }
     }

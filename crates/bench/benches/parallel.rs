@@ -1,6 +1,6 @@
 //! Parallel batch-executor scaling: the same 4-shard on-disk XMark
 //! corpus, mapped zero-copy and prefiltered through one shared automaton,
-//! sequentially (`run_batch`) and across the work-stealing pool
+//! sequentially (`run_batch`) and across the pool
 //! (`run_batch_parallel`) at 1/2/4/8 workers.
 //!
 //! Every iteration opens the shards through the real `MmapSource` backend

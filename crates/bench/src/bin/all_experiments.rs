@@ -11,7 +11,7 @@ use smpx_bench::runners;
 
 fn main() {
     // SMPX_METRICS=<path|-> turns on the process-wide registry; the
-    // Delivery tables then populate their Stall/Steal columns and the
+    // Delivery tables then populate their Stall column and the
     // snapshot is dumped on exit.
     let metrics = smpx_core::obs::init_from_env();
     let mut sink = JsonSink::from_args();
@@ -50,7 +50,6 @@ fn main() {
                 ("char_pct", Value::F(r.stats.char_comp_pct())),
                 ("scan_pct", Value::F(r.stats.scanned_pct())),
                 ("stall_secs", r.stall_s.map_or(Value::Null, Value::F)),
-                ("steals", r.steals.map_or(Value::Null, Value::U)),
             ]);
         }
     }

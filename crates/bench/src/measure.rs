@@ -128,7 +128,7 @@ impl SourceMode {
     /// Read `SMPX_SOURCE`. An unrecognized value falls back to `Slice`
     /// **after one stderr warning** — a typo like `SMPX_SOURCE=mmpa`
     /// must not silently benchmark the wrong backend (same policy as
-    /// `SMPX_SHARD_AUTO_MB` and `SMPX_METRICS`).
+    /// `SMPX_METRICS`).
     pub fn from_env() -> SourceMode {
         match std::env::var("SMPX_SOURCE") {
             Ok(v) => SourceMode::parse(&v).unwrap_or_else(|()| {
@@ -149,7 +149,7 @@ impl SourceMode {
 /// Worker count for the parallel batch driver, from `SMPX_THREADS`:
 /// unset or `1` means the classic sequential path, `0` means the
 /// machine's available parallelism, anything else is the pool width.
-/// `runners::Delivery` routes its runs through the work-stealing executor
+/// `runners::Delivery` routes its runs through the pool
 /// when this exceeds 1 (and the tables grow a `Thr` column), so the CI
 /// leg that exports `SMPX_THREADS=4` drives the whole experiment suite —
 /// and the tier-1 tests that go through `Delivery` — over the pool.

@@ -31,17 +31,12 @@ use smpx_paths::PathSet;
 ///
 /// `SMPX_THREADS` additionally selects the *executor*: at the default of
 /// 1 the run takes the classic sequential `filter_source` path; above 1
-/// it goes through the work-stealing pool (`smpx_core::runtime::parallel`)
-/// as a one-document batch against the frozen automaton. A single
-/// document at or above the auto-shard threshold
-/// (`smpx_core::DEFAULT_AUTO_SHARD_BYTES`, `SMPX_SHARD_AUTO_MB`
-/// overrides) is split *within* the document across the pool
-/// (`Prefilter::run_sharded`) — the one-doc batch no longer clamps the
-/// pool to width 1, and the `Thr` column plus `threads` JSON field are
-/// honest about the width the run could actually use. Below the
-/// threshold a one-document batch still occupies one worker, and the
-/// `shards` JSON field records `0` so rows stay distinguishable. The
-/// observables are pinned byte-identical across executors either way.
+/// it goes through the pool (`smpx_core::runtime::parallel`) as a
+/// one-document batch against the frozen automaton — one worker's work,
+/// as for any one-document batch (a document is split across the pool
+/// only by `Prefilter::run_sharded`, which no table asks for), so the
+/// `shards` JSON field records `0`. The observables are pinned
+/// byte-identical across executors.
 pub struct Delivery<'a> {
     doc: &'a [u8],
     mode: SourceMode,
@@ -182,79 +177,46 @@ impl<'a> Delivery<'a> {
         self.pooled_mem.get()
     }
 
-    /// The same delivery as a one-document batch on the work-stealing
-    /// pool. Per-document output and stats are byte-identical to the
-    /// sequential path (the parallel equivalence suite pins this); the
-    /// peak worker memory is recorded for the `Mem` column, since the
-    /// workers — not the caller's `Prefilter` — own the matcher caches.
-    ///
-    /// A document at or above the auto-shard threshold routes through the
-    /// intra-document shard path instead, mirroring
-    /// `run_batch_parallel`'s one-doc heuristic — that run's calibration
-    /// and repair segments execute on `pf` itself, so its matcher caches
-    /// warm like a sequential run and the `Mem` fallback stays
-    /// meaningful.
-    fn filter_pooled(&self, pf: &mut Prefilter) -> (Vec<u8>, RunStats) {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let auto_shard = smpx_core::runtime::parallel::auto_shard_threshold()
-            .is_some_and(|thr| self.doc.len() as u64 >= thr);
-        if auto_shard {
-            let src: Box<dyn smpx_core::DocSource + Send> = match self.mode {
-                SourceMode::Slice => Box::new(SliceSource::new(self.doc)),
-                SourceMode::Mmap => {
-                    let path = self.file.as_ref().expect("mmap delivery has a file").path();
-                    Box::new(MmapSource::open(path).expect("map bench doc"))
-                }
-                SourceMode::Reader => {
-                    let path = self.file.as_ref().expect("reader delivery has a file").path();
-                    let file = std::fs::File::open(path).expect("open bench doc");
-                    Box::new(ReaderSource::new(std::io::BufReader::new(file), self.chunk))
-                }
-                SourceMode::Prefetch => {
-                    let path = self.file.as_ref().expect("prefetch delivery has a file").path();
-                    Box::new(PrefetchSource::open(path, self.chunk).expect("open bench doc"))
-                }
-            };
-            self.pooled_mem.set(None);
-            let (out, stats) =
-                pf.run_sharded(src, Vec::new(), self.threads, 0).expect("sharded filter");
-            return (out, stats);
-        }
-        let frozen = pf.freeze();
-        let peak_mem = AtomicUsize::new(0);
-        let run = |src: Box<dyn smpx_core::DocSource + Send>| {
-            smpx_core::Pool::new(self.threads)
-                .run(
-                    vec![src],
-                    |_| frozen.worker(),
-                    |wpf, src| -> Result<_, smpx_core::CoreError> {
-                        let mut out = Vec::new();
-                        let stats = wpf.filter_source(src, &mut out)?;
-                        peak_mem.fetch_max(wpf.memory_bytes(), Ordering::Relaxed);
-                        Ok((out, stats))
-                    },
-                )
-                .map_err(|(_, e)| e)
-        };
-        let mut results = match self.mode {
-            SourceMode::Slice => run(Box::new(SliceSource::new(self.doc))),
-            SourceMode::Mmap => {
-                let path = self.file.as_ref().expect("mmap delivery has a file").path();
-                run(Box::new(MmapSource::open(path).expect("map bench doc")))
-            }
+    /// The document through the selected backend, type-erased for the
+    /// pooled entries (the sequential path keeps concrete sources so its
+    /// per-token calls inline).
+    fn open(&self) -> Box<dyn smpx_core::DocSource + Send + '_> {
+        let path = || self.file.as_ref().expect("file-backed delivery has a file").path();
+        match self.mode {
+            SourceMode::Slice => Box::new(SliceSource::new(self.doc)),
+            SourceMode::Mmap => Box::new(MmapSource::open(path()).expect("map bench doc")),
             SourceMode::Reader => {
-                let path = self.file.as_ref().expect("reader delivery has a file").path();
-                let file = std::fs::File::open(path).expect("open bench doc");
-                run(Box::new(ReaderSource::new(std::io::BufReader::new(file), self.chunk)))
+                let file = std::fs::File::open(path()).expect("open bench doc");
+                Box::new(ReaderSource::new(std::io::BufReader::new(file), self.chunk))
             }
             SourceMode::Prefetch => {
-                let path = self.file.as_ref().expect("prefetch delivery has a file").path();
-                run(Box::new(PrefetchSource::open(path, self.chunk).expect("open bench doc")))
+                Box::new(PrefetchSource::open(path(), self.chunk).expect("open bench doc"))
             }
         }
-        .expect("pooled filter");
-        self.pooled_mem.set(Some(peak_mem.load(Ordering::Relaxed)));
-        results.pop().expect("one document in, one result out")
+    }
+
+    /// The same delivery as a one-document batch on the pool. Per-document
+    /// output and stats are byte-identical to the sequential path (the
+    /// parallel equivalence suite pins this); the peak worker memory is
+    /// recorded for the `Mem` column, since the workers — not the caller's
+    /// `Prefilter` — own the matcher caches.
+    fn filter_pooled(&self, pf: &mut Prefilter) -> (Vec<u8>, RunStats) {
+        let frozen = pf.freeze();
+        let mut results = smpx_core::Pool::new(self.threads)
+            .run(
+                vec![self.open()],
+                |_| frozen.worker(),
+                |wpf, src| -> Result<_, smpx_core::CoreError> {
+                    let mut out = Vec::new();
+                    let stats = wpf.filter_source(src, &mut out)?;
+                    Ok((out, stats, wpf.memory_bytes()))
+                },
+            )
+            .map_err(|(_, e)| e)
+            .expect("pooled filter");
+        let (out, stats, mem) = results.pop().expect("one document in, one result out");
+        self.pooled_mem.set(Some(mem));
+        (out, stats)
     }
 
     /// One multi-query registry pass through the selected backend and
@@ -262,31 +224,13 @@ impl<'a> Delivery<'a> {
     /// The benches' one-pass side of the one-pass-vs-N-passes comparison.
     pub fn filter_multi(&self, mpf: &mut MultiPrefilter) -> (Vec<u8>, MultiVerdict, RunStats) {
         self.pooled_mem.set(None);
-        let open = || -> Box<dyn smpx_core::DocSource + Send + '_> {
-            match self.mode {
-                SourceMode::Slice => Box::new(SliceSource::new(self.doc)),
-                SourceMode::Mmap => {
-                    let path = self.file.as_ref().expect("mmap delivery has a file").path();
-                    Box::new(MmapSource::open(path).expect("map bench doc"))
-                }
-                SourceMode::Reader => {
-                    let path = self.file.as_ref().expect("reader delivery has a file").path();
-                    let file = std::fs::File::open(path).expect("open bench doc");
-                    Box::new(ReaderSource::new(std::io::BufReader::new(file), self.chunk))
-                }
-                SourceMode::Prefetch => {
-                    let path = self.file.as_ref().expect("prefetch delivery has a file").path();
-                    Box::new(PrefetchSource::open(path, self.chunk).expect("open bench doc"))
-                }
-            }
-        };
         let (out, verdict, mut stats) = if self.threads > 1 {
-            mpf.run_batch_parallel(vec![(open(), Vec::new())], self.threads)
+            mpf.run_batch_parallel(vec![(self.open(), Vec::new())], self.threads)
                 .expect("pooled multi filter")
                 .pop()
                 .expect("one document in, one result out")
         } else {
-            mpf.run_multi(open(), Vec::new()).expect("multi filter")
+            mpf.run_multi(self.open(), Vec::new()).expect("multi filter")
         };
         if stats.input_bytes == 0 {
             stats.input_bytes = self.doc.len() as u64;
@@ -304,32 +248,14 @@ impl<'a> Delivery<'a> {
         shared: &smpx_core::SharedPrefilter,
     ) -> (Vec<u8>, MultiVerdict, RunStats) {
         self.pooled_mem.set(None);
-        let open = || -> Box<dyn smpx_core::DocSource + Send + '_> {
-            match self.mode {
-                SourceMode::Slice => Box::new(SliceSource::new(self.doc)),
-                SourceMode::Mmap => {
-                    let path = self.file.as_ref().expect("mmap delivery has a file").path();
-                    Box::new(MmapSource::open(path).expect("map bench doc"))
-                }
-                SourceMode::Reader => {
-                    let path = self.file.as_ref().expect("reader delivery has a file").path();
-                    let file = std::fs::File::open(path).expect("open bench doc");
-                    Box::new(ReaderSource::new(std::io::BufReader::new(file), self.chunk))
-                }
-                SourceMode::Prefetch => {
-                    let path = self.file.as_ref().expect("prefetch delivery has a file").path();
-                    Box::new(PrefetchSource::open(path, self.chunk).expect("open bench doc"))
-                }
-            }
-        };
         let (out, verdict, mut stats) = if self.threads > 1 {
             shared
-                .run_multi_batch_parallel(vec![(open(), Vec::new())], self.threads)
+                .run_multi_batch_parallel(vec![(self.open(), Vec::new())], self.threads)
                 .expect("pooled shared filter")
                 .pop()
                 .expect("one document in, one result out")
         } else {
-            shared.generation().run_multi(open(), Vec::new()).expect("shared filter")
+            shared.generation().run_multi(self.open(), Vec::new()).expect("shared filter")
         };
         if stats.input_bytes == 0 {
             stats.input_bytes = self.doc.len() as u64;
@@ -365,23 +291,17 @@ pub struct SmpRow {
     /// run added to the process counters; `None` when observability is
     /// off (`SMPX_METRICS` unset) — the table prints `-`.
     pub stall_s: Option<f64>,
-    /// Pool steals this row's run added to the process counters; `None`
-    /// when observability is off.
-    pub steals: Option<u64>,
 }
 
-/// Counter deltas around one timed run, read from the process-wide
-/// registry — only when observability is on, so the default bench path
-/// stays untouched.
-fn obs_marks() -> Option<(u64, u64)> {
+/// The prefetch stall counter before or after one timed run, read from
+/// the process-wide registry — only when observability is on, so the
+/// default bench path stays untouched.
+fn stall_nanos() -> Option<u64> {
     use smpx_core::obs::{self, CounterId};
     obs::enabled().then(|| {
         let g = obs::global();
-        (
-            g.counter(CounterId::PoolSteals),
-            g.counter(CounterId::PrefetchProducerStallNanos)
-                + g.counter(CounterId::PrefetchConsumerWaitNanos),
-        )
+        g.counter(CounterId::PrefetchProducerStallNanos)
+            + g.counter(CounterId::PrefetchConsumerWaitNanos)
     })
 }
 
@@ -399,14 +319,9 @@ pub fn smp_row(id: &str, dtd: &Dtd, paths: &PathSet, doc: &Delivery<'_>) -> SmpR
     } else {
         Prefilter::compile(dtd, paths).expect("compile")
     };
-    let marks = obs_marks();
+    let before = stall_nanos();
     let ((out, stats), timed) = time(|| doc.filter(&mut pf));
-    let (stall_s, steals) = match (marks, obs_marks()) {
-        (Some((s0, n0)), Some((s1, n1))) => {
-            (Some(n1.saturating_sub(n0) as f64 / 1e9), Some(s1.saturating_sub(s0)))
-        }
-        _ => (None, None),
-    };
+    let stall_s = before.zip(stall_nanos()).map(|(n0, n1)| n1.saturating_sub(n0) as f64 / 1e9);
     SmpRow {
         id: id.to_string(),
         proj_size: out.len() as u64,
@@ -427,13 +342,12 @@ pub fn smp_row(id: &str, dtd: &Dtd, paths: &PathSet, doc: &Delivery<'_>) -> SmpR
         queries,
         prefetch: doc.prefetch(),
         stall_s,
-        steals,
     }
 }
 
 fn print_smp_header() {
     println!(
-        "{:<6} {:>10} {:>9} {:>9} {:>9} {:>14} {:>8}({:>6}) {:>8}({:>6}) {:>8}({:>6}) {:>7} {:>13} {:>4} {:>4} {:>3} {:>8} {:>5}",
+        "{:<6} {:>10} {:>9} {:>9} {:>9} {:>14} {:>8}({:>6}) {:>8}({:>6}) {:>8}({:>6}) {:>7} {:>13} {:>4} {:>4} {:>3} {:>8}",
         "query",
         "Proj.Size",
         "Mem",
@@ -452,7 +366,6 @@ fn print_smp_header() {
         "Qrys",
         "Pf",
         "Stall[s]",
-        "Steal",
     );
 }
 
@@ -460,7 +373,7 @@ fn print_smp_row(r: &SmpRow, paper: Option<&(&str, f64, f64, f64)>) {
     let (p_shift, p_jump, p_char) =
         paper.map_or((f64::NAN, f64::NAN, f64::NAN), |p| (p.1, p.2, p.3));
     println!(
-        "{:<6} {:>10} {:>9} {:>9.3} {:>9.3} {:>7} ({:>2}+{:>3}) {:>8.2}({:>6.2}) {:>8.2}({:>6.2}) {:>8.2}({:>6.2}) {:>7.2} {:>13} {:>4} {:>4} {:>3} {:>8} {:>5}",
+        "{:<6} {:>10} {:>9} {:>9.3} {:>9.3} {:>7} ({:>2}+{:>3}) {:>8.2}({:>6.2}) {:>8.2}({:>6.2}) {:>8.2}({:>6.2}) {:>7.2} {:>13} {:>4} {:>4} {:>3} {:>8}",
         r.id,
         fmt_mb(r.proj_size),
         fmt_mb(r.mem_bytes as u64),
@@ -481,7 +394,6 @@ fn print_smp_row(r: &SmpRow, paper: Option<&(&str, f64, f64, f64)>) {
         r.queries,
         if r.prefetch { "yes" } else { "no" },
         r.stall_s.map_or_else(|| "-".to_string(), |s| format!("{s:.3}")),
-        r.steals.map_or_else(|| "-".to_string(), |n| n.to_string()),
     );
 }
 
@@ -883,7 +795,9 @@ mod tests {
         let paths = xmark_paths(q);
         let seq = Delivery::from_env(&doc, "pooled-eq-seq").with_threads(1);
         let par = Delivery::from_env(&doc, "pooled-eq-par").with_threads(4);
-        assert_eq!(par.threads(), 4);
+        // The pool is at most as wide as the machine; one CPU leaves the
+        // "pooled" delivery on the sequential path.
+        assert_eq!(par.threads(), smpx_core::Pool::new(4).threads());
         let mut pf_a = Prefilter::compile(&dtd, &paths).expect("compile");
         let mut pf_b = Prefilter::compile(&dtd, &paths).expect("compile");
         let (out_a, stats_a) = seq.filter(&mut pf_a);
@@ -894,8 +808,8 @@ mod tests {
         // sequential run built, and the column must say so.
         assert_eq!(seq.pooled_memory_bytes(), None);
         assert_eq!(
-            par.pooled_memory_bytes().expect("pooled run records worker memory"),
-            pf_a.memory_bytes(),
+            par.pooled_memory_bytes(),
+            (par.threads() > 1).then(|| pf_a.memory_bytes()),
             "peak worker memory must equal the sequential prefilter's"
         );
     }

@@ -56,7 +56,7 @@ pub use error::CoreError;
 pub use idset::{QueryId, QueryIdSet};
 pub use lifecycle::{Generation, SharedPrefilter};
 pub use registry::{MultiPrefilter, QueryRegistry};
-pub use runtime::parallel::{BatchError, FrozenPrefilter, Pool, DEFAULT_AUTO_SHARD_BYTES};
+pub use runtime::parallel::{BatchError, FrozenPrefilter, Pool};
 pub use runtime::source::{
     DocSource, MmapSource, PrefetchSource, ReaderSource, SliceSource, SourceKind,
 };

@@ -36,7 +36,7 @@
 
 use crate::error::CoreError;
 use crate::idset::{QueryId, QueryIdSet};
-use crate::runtime::parallel::{self, BatchError, FrozenPrefilter, Pool};
+use crate::runtime::parallel::{BatchError, FrozenPrefilter, Pool};
 use crate::runtime::source::DocSource;
 use crate::runtime::Prefilter;
 use crate::stats::{MultiVerdict, RunStats};
@@ -310,7 +310,7 @@ impl SharedPrefilter {
         Ok(self.generation())
     }
 
-    /// Batch entry through the work-stealing pool, resolving the
+    /// Batch entry through the pool, resolving the
     /// generation **once per document**: per-document `(sink, verdict,
     /// stats)` in input order, verdicts in stable external ids.
     ///
@@ -318,11 +318,9 @@ impl SharedPrefilter {
     /// after it; documents already running finish byte-identically on the
     /// generation they resolved (each task holds its generation's `Arc`).
     /// Workers keep their matcher caches warm while their generation is
-    /// unchanged and re-mint on the first document after a swap. A batch
-    /// of exactly one large document routes through the intra-document
-    /// shard path on a single resolved generation, exactly like
-    /// [`FrozenPrefilter::run_batch_parallel`]. Error semantics are the
-    /// pool's: first failure cancels, [`BatchError`] names the input.
+    /// unchanged and re-mint on the first document after a swap. Error
+    /// semantics are the pool's: first failure cancels, [`BatchError`]
+    /// names the input.
     pub fn run_multi_batch_parallel<S, W, I>(
         &self,
         batch: I,
@@ -333,20 +331,9 @@ impl SharedPrefilter {
         W: Write + Send,
         I: IntoIterator<Item = (S, W)>,
     {
-        let mut tasks: Vec<(S, W)> = batch.into_iter().collect();
-        if parallel::should_auto_shard(&tasks, threads) {
-            let generation = self.generation();
-            let (src, sink) = tasks.pop().expect("one task");
-            let (out, verdict, stats) = generation
-                .frozen()
-                .worker()
-                .run_sharded_multi(src, sink, threads, 0)
-                .map_err(|error| BatchError { index: 0, error })?;
-            return Ok(vec![(out, generation.remap_verdict(&verdict), stats)]);
-        }
         Pool::new(threads)
             .run(
-                tasks,
+                batch.into_iter().collect(),
                 |_| None::<(Arc<Generation>, Prefilter)>,
                 |cache, (src, sink)| {
                     let generation = self.generation();

@@ -7,8 +7,8 @@
 //! Prometheus exposition. Explicit off-values (`0`, `off`, `false`,
 //! `no`, empty) disable silently; bare on-values (`1`, `on`, `true`,
 //! `yes`) name no destination and are **rejected with one stderr
-//! warning** before falling back to disabled — the same
-//! no-silent-drop policy `SMPX_SHARD_AUTO_MB` established.
+//! warning** before falling back to disabled: an operator typo is never
+//! dropped silently.
 
 use std::io::Write;
 

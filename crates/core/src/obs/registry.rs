@@ -220,15 +220,15 @@ define_counters! {
         "Transitions into potential-match states.";
     RunShardSegments => "smpx_run_shard_segments_total", Count,
         "Stitched segments of intra-document sharded runs.";
-    // -- work-stealing pool --------------------------------------------
+    // -- ticket pool ---------------------------------------------------
     PoolTasks => "smpx_pool_tasks_total", Count,
         "Tasks executed by pool workers.";
     PoolSteals => "smpx_pool_steals_total", Count,
-        "Successful steals of a sibling deque's FIFO half.";
+        "Always 0: the ticket pool has nothing to steal (kept for the benchmark's parallel.steals row).";
     PoolParks => "smpx_pool_parks_total", Count,
-        "Times an empty-handed worker parked on the idle condvar.";
+        "Times a worker waited for a delivery to make room within the run-ahead bound.";
     PoolWakes => "smpx_pool_wakes_total", Count,
-        "Work-available wake broadcasts after a local requeue or steal.";
+        "Wake broadcasts of a delivery that made room for waiting workers.";
     PoolBusyNanos => "smpx_pool_busy_seconds_total", Nanos,
         "Wall-clock time pool workers spent executing tasks.";
     // -- prefetching reader --------------------------------------------
@@ -296,7 +296,7 @@ define_gauges! {
     PoolWorkers => "smpx_pool_workers", Count,
         "Worker width of the most recent pool run.";
     PoolQueueDepthPeak => "smpx_pool_queue_depth_peak", Count,
-        "Peak injector queue depth at batch submission (max-folded).";
+        "Peak results pending delivery (completed, not yet handed over) in any pool run (max-folded).";
     LifecycleGeneration => "smpx_lifecycle_generation", Count,
         "Generation number of the currently published lifecycle automaton.";
 }

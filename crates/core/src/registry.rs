@@ -136,7 +136,7 @@ impl MultiPrefilter {
         self.shared.freeze()
     }
 
-    /// Batch entry through the work-stealing pool: per-document
+    /// Batch entry through the pool: per-document
     /// `(sink, verdict, stats)` in input order; `threads == 0` uses the
     /// machine's available parallelism.
     pub fn run_batch_parallel<S, W, I>(

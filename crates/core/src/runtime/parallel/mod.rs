@@ -1,5 +1,4 @@
-//! Parallel prefiltering: a work-stealing batch executor over one shared
-//! automaton.
+//! Parallel prefiltering: a batch executor over one shared automaton.
 //!
 //! Prefiltering a corpus is embarrassingly parallel at the document
 //! level, and everything the documents need to share — the compiled
@@ -15,9 +14,14 @@
 //!   matcher construction simply happens once per worker instead of once
 //!   per process, and stays warm across every document that worker
 //!   draws.
-//! * [`Pool`] schedules the documents: per-worker deques with LIFO-local
-//!   / FIFO-steal discipline fed from a shared injector, first-error
-//!   cancellation with a clean drain, results pinned to input order.
+//! * [`Pool`] schedules the documents: tickets claimed in input order,
+//!   results delivered in input order with a bounded run-ahead,
+//!   first-error cancellation with a clean drain.
+//!
+//! One document is split across the pool only when the caller asks for
+//! it ([`Prefilter::run_sharded`], the CLI's `--shard-mb`): that route
+//! holds the whole document and every segment's output, and no batch
+//! entry takes it by itself. A one-document batch is a width-1 run.
 //!
 //! Equivalence with the sequential [`Prefilter::run_batch`] is exact:
 //! each document is processed by the same single-threaded Fig. 4 loop
@@ -27,7 +31,6 @@
 //! counter (sums and a max). The integration suite pins this across
 //! thread counts, backends and SIMD/scalar modes.
 
-mod deque;
 mod pool;
 pub(crate) mod shard;
 pub(crate) mod split;
@@ -82,14 +85,6 @@ impl FrozenPrefilter {
     /// [`BatchError`] names the failing input by its batch index with the
     /// underlying [`CoreError`]. Nothing is poisoned — the frozen handle
     /// can run further batches immediately.
-    /// A batch of exactly one large document would otherwise clamp the
-    /// pool to width 1 and spawn nothing; instead it routes through the
-    /// intra-document shard path ([`shard`]) whenever the document's
-    /// size hint reaches the auto-shard threshold —
-    /// [`DEFAULT_AUTO_SHARD_BYTES`], overridable via the
-    /// `SMPX_SHARD_AUTO_MB` environment variable (`0` disables the
-    /// heuristic). The returned stats record the effective split in
-    /// [`RunStats::shards`].
     pub fn run_batch_parallel<S, W, I>(
         &self,
         batch: I,
@@ -100,17 +95,12 @@ impl FrozenPrefilter {
         W: Write + Send,
         I: IntoIterator<Item = (S, W)>,
     {
-        let mut tasks: Vec<(S, W)> = batch.into_iter().collect();
-        if should_auto_shard(&tasks, threads) {
-            let (src, sink) = tasks.pop().expect("one task");
-            let (out, stats) = self
-                .worker()
-                .run_sharded(src, sink, threads, 0)
-                .map_err(|error| BatchError { index: 0, error })?;
-            return Ok(vec![(out, stats)]);
-        }
         Pool::new(threads)
-            .run(tasks, |_| self.worker(), |pf, (src, sink)| pf.filter_one(src, sink))
+            .run(
+                batch.into_iter().collect(),
+                |_| self.worker(),
+                |pf, (src, sink)| pf.filter_one(src, sink),
+            )
             .map_err(|(index, error)| BatchError { index, error })
     }
 
@@ -131,18 +121,9 @@ impl FrozenPrefilter {
         W: Write + Send,
         I: IntoIterator<Item = (S, W)>,
     {
-        let mut tasks: Vec<(S, W)> = batch.into_iter().collect();
-        if should_auto_shard(&tasks, threads) {
-            let (src, sink) = tasks.pop().expect("one task");
-            let (out, verdict, stats) = self
-                .worker()
-                .run_sharded_multi(src, sink, threads, 0)
-                .map_err(|error| BatchError { index: 0, error })?;
-            return Ok(vec![(out, verdict, stats)]);
-        }
         Pool::new(threads)
             .run(
-                tasks,
+                batch.into_iter().collect(),
                 |_| self.worker(),
                 |pf, (src, sink)| {
                     let (out, stats) = pf.filter_one(src, sink)?;
@@ -188,63 +169,6 @@ impl FrozenPrefilter {
     {
         self.worker().run_sharded_multi(src, writer, threads, shard_bytes)
     }
-}
-
-/// Default auto-shard threshold for one-document batches: documents at
-/// least this large route through the intra-document shard path when
-/// the pool has more than one worker (8 MiB; `SMPX_SHARD_AUTO_MB`
-/// overrides, `0` disables).
-pub const DEFAULT_AUTO_SHARD_BYTES: u64 = 8 << 20;
-
-/// The auto-shard threshold currently in effect — the
-/// `SMPX_SHARD_AUTO_MB` override when set (`0` disables and yields
-/// `None`), [`DEFAULT_AUTO_SHARD_BYTES`] otherwise. Exposed so callers
-/// that hand-roll their own one-document pool runs (the bench runners)
-/// can mirror [`run_batch_parallel`](FrozenPrefilter::run_batch_parallel)'s
-/// routing decision exactly.
-pub fn auto_shard_threshold() -> Option<u64> {
-    match std::env::var("SMPX_SHARD_AUTO_MB") {
-        Ok(v) => parse_auto_shard_mb(&v).unwrap_or_else(|()| {
-            // An operator typo ("8MB", "eight") must not silently become
-            // the default: warn once per process, then keep the default so
-            // a long-lived server still serves.
-            static WARN: std::sync::Once = std::sync::Once::new();
-            WARN.call_once(|| {
-                eprintln!(
-                    "smpx: warning: SMPX_SHARD_AUTO_MB={v:?} is not a number of MiB; \
-                     using the default ({} MiB)",
-                    DEFAULT_AUTO_SHARD_BYTES >> 20
-                );
-            });
-            Some(DEFAULT_AUTO_SHARD_BYTES)
-        }),
-        Err(_) => Some(DEFAULT_AUTO_SHARD_BYTES),
-    }
-}
-
-/// Parse an `SMPX_SHARD_AUTO_MB` value: `0` disables (`None`), any other
-/// number of MiB converts to bytes **saturating** at `u64::MAX` (a value
-/// like `2^50` used to wrap `mb << 20` into a tiny threshold that silently
-/// sharded everything), and non-numeric input is an error for the caller
-/// to surface rather than mask.
-pub(crate) fn parse_auto_shard_mb(raw: &str) -> Result<Option<u64>, ()> {
-    match raw.trim().parse::<u64>() {
-        Ok(0) => Ok(None),
-        Ok(mb) => Ok(Some(mb.saturating_mul(1 << 20))),
-        Err(_) => Err(()),
-    }
-}
-
-/// One-document batch, a pool wider than one, and a size hint at or
-/// above the threshold? (Hint-less sources — pipes — never auto-shard:
-/// the batch path will not buffer an unbounded stream unasked.)
-/// `pub(crate)` so the lifecycle batch entry mirrors this routing
-/// decision exactly.
-pub(crate) fn should_auto_shard<S: DocSource, W>(tasks: &[(S, W)], threads: usize) -> bool {
-    tasks.len() == 1
-        && Pool::new(threads).threads() > 1
-        && auto_shard_threshold()
-            .is_some_and(|thr| tasks[0].0.len_hint().is_some_and(|len| len >= thr))
 }
 
 /// A batch failure: which input failed, and how.
@@ -337,27 +261,6 @@ mod tests {
         let mut w = frozen.worker();
         let (out, _) = w.filter_to_vec(b"<a><b>k</b></a>").unwrap();
         assert_eq!(out, b"<a><b>k</b></a>".to_vec());
-    }
-
-    #[test]
-    fn parse_auto_shard_mb_handles_zero_huge_garbage_whitespace() {
-        // 0 disables the heuristic.
-        assert_eq!(parse_auto_shard_mb("0"), Ok(None));
-        assert_eq!(parse_auto_shard_mb(" 0\n"), Ok(None));
-        // Ordinary values convert MiB -> bytes.
-        assert_eq!(parse_auto_shard_mb("8"), Ok(Some(8 << 20)));
-        assert_eq!(parse_auto_shard_mb("  16\t"), Ok(Some(16 << 20)));
-        // Huge values saturate instead of wrapping to a tiny threshold.
-        assert_eq!(parse_auto_shard_mb(&(1u64 << 50).to_string()), Ok(Some(u64::MAX)));
-        assert_eq!(parse_auto_shard_mb(&u64::MAX.to_string()), Ok(Some(u64::MAX)));
-        // The old `mb << 20` wrapped this exact value to 0.
-        assert_eq!(parse_auto_shard_mb(&(1u64 << 44).to_string()), Ok(Some(u64::MAX)));
-        // Garbage and empty input are errors, not the silent default.
-        assert_eq!(parse_auto_shard_mb("8MB"), Err(()));
-        assert_eq!(parse_auto_shard_mb("eight"), Err(()));
-        assert_eq!(parse_auto_shard_mb(""), Err(()));
-        assert_eq!(parse_auto_shard_mb("   "), Err(()));
-        assert_eq!(parse_auto_shard_mb("-4"), Err(()));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Intra-document parallelism: speculative sharding of one document
-//! across the work-stealing pool.
+//! across the pool.
 //!
 //! The pool parallelizes across documents; this module splits *one*
 //! document. The protocol keeps the one-sided-error contract and makes
@@ -371,7 +371,7 @@ mod tests {
                 assert_eq!(stats.input_bytes, want_stats.input_bytes);
                 assert_eq!(stats.match_events, want_stats.match_events);
                 assert_eq!(stats.tokens_matched, want_stats.tokens_matched);
-                if threads > 1 && shard_bytes != 0 {
+                if Pool::new(threads).threads() > 1 && shard_bytes != 0 {
                     assert!(stats.shards >= 2, "threads={threads} sb={shard_bytes}: {stats:?}");
                 }
             }

@@ -101,7 +101,23 @@ impl MmapSource {
     /// 64 KiB (empty ones included: `mmap(len = 0)` is invalid) are read
     /// into memory instead: same semantics, one copy.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<MmapSource, CoreError> {
-        Self::open_inner(path.as_ref(), MAP_THRESHOLD, RELEASE_STEP)
+        Self::open_inner(path.as_ref(), MAP_THRESHOLD, RELEASE_STEP, Vec::new())
+    }
+
+    /// Become [`open`](Self::open)`(path)`, reading a file that is not
+    /// worth a mapping into the buffer the last such file left behind: a
+    /// batch worker that runs its documents through `&mut` of one source
+    /// allocates one buffer, not one per small document. The previous
+    /// document's mapping, if it had one, is unmapped first. After an
+    /// error the source is an empty document.
+    pub fn reopen<P: AsRef<Path>>(&mut self, path: P) -> Result<(), CoreError> {
+        let buf = match std::mem::replace(&mut self.backing, Backing::Owned(Vec::new())) {
+            Backing::Owned(buf) => buf,
+            #[cfg(all(unix, target_pointer_width = "64"))]
+            Backing::Map(_) => Vec::new(),
+        };
+        *self = Self::open_inner(path.as_ref(), MAP_THRESHOLD, RELEASE_STEP, buf)?;
+        Ok(())
     }
 
     /// Map `path` whatever its length (empty and non-regular files still
@@ -112,11 +128,18 @@ impl MmapSource {
     #[doc(hidden)]
     pub fn map_with_step<P: AsRef<Path>>(path: P, step: usize) -> Result<MmapSource, CoreError> {
         assert!(step.is_power_of_two(), "the release step is a power of two");
-        Self::open_inner(path.as_ref(), 1, step)
+        Self::open_inner(path.as_ref(), 1, step, Vec::new())
     }
 
-    fn open_inner(path: &Path, map_from: u64, step: usize) -> Result<MmapSource, CoreError> {
-        let backing = Self::backing(path, map_from)?;
+    /// `buf` is what a file that is read is read into (its contents are
+    /// dropped, its capacity kept).
+    fn open_inner(
+        path: &Path,
+        map_from: u64,
+        step: usize,
+        buf: Vec<u8>,
+    ) -> Result<MmapSource, CoreError> {
+        let backing = Self::backing(path, map_from, buf)?;
         let (step, release_at) = match &backing {
             // Pages go back whole: a step is at least one of them.
             #[cfg(all(unix, target_pointer_width = "64"))]
@@ -129,11 +152,11 @@ impl MmapSource {
     }
 
     #[cfg(all(unix, target_pointer_width = "64"))]
-    fn backing(path: &Path, map_from: u64) -> Result<Backing, CoreError> {
+    fn backing(path: &Path, map_from: u64, mut buf: Vec<u8>) -> Result<Backing, CoreError> {
         use std::io::Read as _;
         let mut file = std::fs::File::open(path)?;
         let meta = file.metadata()?;
-        let mut buf = Vec::new();
+        buf.clear();
         if !meta.is_file() {
             file.read_to_end(&mut buf)?;
         } else if meta.len() < map_from {
@@ -148,8 +171,11 @@ impl MmapSource {
     }
 
     #[cfg(not(all(unix, target_pointer_width = "64")))]
-    fn backing(path: &Path, _map_from: u64) -> Result<Backing, CoreError> {
-        Ok(Backing::Owned(std::fs::read(path)?))
+    fn backing(path: &Path, _map_from: u64, mut buf: Vec<u8>) -> Result<Backing, CoreError> {
+        use std::io::Read as _;
+        buf.clear();
+        std::fs::File::open(path)?.read_to_end(&mut buf)?;
+        Ok(Backing::Owned(buf))
     }
 
     /// The full document bytes.
@@ -416,6 +442,37 @@ mod tests {
         assert!(src.ensure(payload.len() - 1).unwrap());
         assert!(!src.ensure(payload.len()).unwrap());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn reopen_is_open_and_small_files_share_one_buffer() {
+        let write = |tag: &str, payload: &[u8]| {
+            let path = temp_path(tag);
+            std::fs::File::create(&path).unwrap().write_all(payload).unwrap();
+            path
+        };
+        let small_a = b"<a><b>first</b></a>".repeat(400);
+        let small_b = b"<a><b>2nd</b></a>".repeat(100);
+        let large = b"<a><b>mapped</b></a>".repeat(5000);
+        let paths = [write("re-a", &small_a), write("re-b", &small_b), write("re-large", &large)];
+        let mut src = MmapSource::open(&paths[0]).unwrap();
+        let buffer = src.bytes().as_ptr();
+        src.reopen(&paths[1]).unwrap();
+        assert_eq!(src.bytes(), &small_b[..]);
+        assert_eq!(src.bytes().as_ptr(), buffer, "the shorter file fits the kept buffer");
+        assert_eq!(
+            (src.len_hint(), src.peak_io_bytes()),
+            (Some(small_b.len() as u64), small_b.len())
+        );
+        src.reopen(&paths[2]).unwrap();
+        assert_eq!(src.bytes(), &large[..]);
+        assert_eq!(src.is_mapped(), cfg!(all(unix, target_pointer_width = "64")));
+        src.reopen(&paths[0]).unwrap();
+        assert_eq!(src.bytes(), &small_a[..]);
+        assert!(!src.is_mapped());
+        assert!(matches!(src.reopen(temp_path("re-missing")), Err(CoreError::Io(_))));
+        assert_eq!(src.bytes(), b"");
+        paths.iter().for_each(|p| drop(std::fs::remove_file(p)));
     }
 
     #[cfg(all(unix, target_pointer_width = "64"))]

@@ -25,6 +25,16 @@ impl<R: Read> ReaderSource<R> {
     pub fn new(reader: R, chunk: usize) -> Self {
         ReaderSource { reader, win: Window::new(chunk) }
     }
+
+    /// Start over on `reader`, a new document, in the window this source
+    /// already owns: a batch worker that runs its documents through
+    /// `&mut` of one source allocates and zeroes one window, not one per
+    /// document. [`peak_io_bytes`](DocSource::peak_io_bytes) stays the
+    /// window's capacity, so it covers every document so far.
+    pub fn reset(&mut self, reader: R) {
+        self.reader = reader;
+        self.win.reset();
+    }
 }
 
 /// One refill: a full chunk, or less at the end of the stream.
@@ -110,6 +120,25 @@ mod tests {
         // Guarded discards kept the window near the chunk size, not the
         // document size.
         assert!(s.peak_io_bytes() < 256, "peak {}", s.peak_io_bytes());
+    }
+
+    #[test]
+    fn reset_streams_the_next_document_through_the_same_window() {
+        let docs: [&[u8]; 3] = [b"<a>first document, the long one</a>", b"", b"<b>third</b>"];
+        let mut s = ReaderSource::new(docs[0], 8);
+        for (i, doc) in docs.iter().enumerate() {
+            if i > 0 {
+                s.reset(doc);
+            }
+            let mut got = Vec::new();
+            while s.ensure(got.len()).unwrap() {
+                got.push(s.resident()[got.len() - s.base()]);
+                s.set_guard(got.len().saturating_sub(3));
+            }
+            assert_eq!(&got, doc);
+            assert!(!s.grow().unwrap());
+            assert_eq!(s.peak_io_bytes(), 16);
+        }
     }
 
     #[test]

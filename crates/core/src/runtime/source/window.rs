@@ -40,6 +40,13 @@ impl Window {
         Window { buf, start: 0, end: 0, base: 0, guard: 0, chunk, eof: false }
     }
 
+    /// Back to the start of a new stream, keeping the allocation and how
+    /// much of it has been zeroed: the next document's fills touch no
+    /// fresh page and zero nothing again.
+    pub fn reset(&mut self) {
+        (self.start, self.end, self.base, self.guard, self.eof) = (0, 0, 0, 0, false);
+    }
+
     pub fn chunk(&self) -> usize {
         self.chunk
     }
@@ -134,6 +141,29 @@ mod tests {
         }
         assert!(!w.ensure(doc.len(), &mut feed(&doc, &mut at)).unwrap());
         assert_eq!(w.capacity(), 32);
+    }
+
+    #[test]
+    fn a_reset_window_serves_the_next_stream_from_the_same_buffer() {
+        let docs: [Vec<u8>; 3] = [
+            (0..=255u8).cycle().take(500).collect(),
+            (7..=200u8).cycle().take(33).collect(),
+            (0..=255u8).rev().cycle().take(900).collect(),
+        ];
+        let mut w = Window::new(16);
+        for doc in &docs {
+            let mut at = 0;
+            for (pos, &byte) in doc.iter().enumerate() {
+                assert!(w.ensure(pos, &mut feed(doc, &mut at)).unwrap());
+                assert_eq!(w.base() + w.resident().len(), at);
+                assert_eq!(w.resident()[pos - w.base()], byte);
+                w.set_guard(pos.saturating_sub(8));
+            }
+            assert!(!w.ensure(doc.len(), &mut feed(doc, &mut at)).unwrap());
+            assert_eq!(w.capacity(), 32);
+            w.reset();
+            assert_eq!((w.base(), w.resident().len()), (0, 0));
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! The documents live on disk and are delivered zero-copy through the
 //! `DocSource` layer (`MmapSource`); a whole shard directory is
 //! prefiltered as one batch through a single compiled automaton, sharded
-//! across the work-stealing pool (`run_batch_parallel` — `SMPX_THREADS`
+//! across the pool (`run_batch_parallel` — `SMPX_THREADS`
 //! sets the worker count, default: the machine's available parallelism).
 //!
 //! Run with: `cargo run --release --example xmark_pipeline [size_mb]`
@@ -65,7 +65,7 @@ fn main() {
 
     // Attempt 2: batch-prefilter every shard through ONE compiled
     // automaton, mapped zero-copy from disk and sharded across the
-    // work-stealing pool, then evaluate each projected shard within the
+    // pool, then evaluate each projected shard within the
     // budget. Results come back in shard order whatever the completion
     // order was.
     let requested =

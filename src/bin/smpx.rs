@@ -35,7 +35,11 @@
 //! always streams through a reader backend, even under `--mmap`. Several
 //! inputs are prefiltered as one
 //! batch through a single compiled automaton; their projected outputs are
-//! concatenated in argument order.
+//! concatenated in argument order. Each input is opened when the batch
+//! reaches it and not before: nothing looks at the paths up front, so a
+//! missing or unreadable input fails (`cannot open P`) when its turn
+//! comes, with the projections of the inputs before it already in the
+//! output — whatever `--threads` says.
 //!
 //! Streamed deliveries *prefetch* only where a read can block: stdin/`-`
 //! routes through the double-buffered `PrefetchSource` (a dedicated
@@ -51,16 +55,24 @@
 //! `--threads` prefetch threads (and fds) exist at any time — the I/O
 //! thread budget is bounded by the pool width.
 //!
-//! `--threads N` runs the batch through the work-stealing pool
-//! (`smpx_core::runtime::parallel`) with `N` workers sharing the one
-//! frozen automaton (`0` = the machine's available parallelism). Outputs
-//! remain byte-identical and in argument order; per-file `--stats` rows
-//! stay tagged with their backend, and the total row is accumulated on
-//! the main thread from the ordered results, so no counter is ever
-//! updated concurrently. In parallel mode each worker buffers its
-//! documents' projected bytes before the ordered write-out, and at most
-//! `N` inputs are open at once (sources open right before their run, as
-//! in sequential mode).
+//! `--threads N` runs the batch through the pool
+//! (`smpx_core::runtime::parallel`): `min(N, inputs, available
+//! parallelism)` workers (`0` = the machine's available parallelism)
+//! share the one frozen automaton, and `--stats` prints that effective
+//! width. Width 1 — every single-input run included — is the sequential
+//! loop writing straight into the output. Otherwise each worker claims
+//! the next input in argument order, opens it (at most one fd or mapping
+//! per worker), projects it into a buffer taken from a free list, and the
+//! worker that completes the oldest outstanding input writes the ready
+//! projections to the output in argument order and hands their buffers
+//! back; no worker starts an input more than twice the width past the
+//! last one written. A pooled batch therefore holds at most `2 * width`
+//! projections, however long it is, and its output is byte-identical to
+//! `--threads 1`. A failing input behaves as in the sequential loop: the
+//! inputs before it are projected and written, nothing after it is, and
+//! the message names it. Per-file `--stats` rows stay tagged with their
+//! backend, and the total row is accumulated on the main thread from the
+//! ordered rows.
 //!
 //! `--add-query XPATH` / `--remove-query ID` put the run in **dynamic
 //! lifecycle mode** (`smpx_core::lifecycle`): the `--query` flags seed
@@ -87,29 +99,31 @@
 //! a `.json`/`.jsonl` path. `-` targets stderr in both cases, because
 //! stdout carries the projected XML.
 //!
-//! A *single* large input with `--threads != 1` is sharded **within** the
-//! document (`Prefilter::run_sharded`): the pool speculates from
-//! top-level record boundaries and the stitched projection is
-//! byte-identical to the sequential run. This engages automatically for
-//! one file of at least 8 MiB (`SMPX_SHARD_AUTO_MB` moves the threshold,
-//! `0` turns the automatic route off, exactly as for the library's batch
-//! entries); `--shard-mb N` forces it with N-MiB shards (`--shard-mb 0`
-//! forces it with auto-sized shards). Stdin never shards
-//! (a pipe has no known length and must stream).
+//! `--shard-mb N` splits *one* file input across the `--threads` pool
+//! **within** the document (`Prefilter::run_sharded`): the pool speculates
+//! from top-level record boundaries in N-MiB shards (`--shard-mb 0` sizes
+//! them to the pool) and the stitched projection is byte-identical to the
+//! sequential run. Sharding happens only when asked for: it is the one
+//! route that holds the whole document and every segment's output in
+//! memory, where every other route holds a window (or two release steps
+//! of a mapping) per worker. Without the flag one input is a width-1 run
+//! whatever `--threads` says, and stdin never shards (a pipe has no known
+//! length and must stream).
 
 use smpx::bench::json::{JsonSink, Value};
 use smpx::core::obs::{self, MetricsTarget};
-use smpx::core::runtime::parallel::auto_shard_threshold;
 use smpx::core::runtime::source::{
     DocSource, MmapSource, PrefetchSource, ReaderSource, SourceKind,
 };
 use smpx::core::runtime::DEFAULT_CHUNK;
 use smpx::core::{
-    CoreError, MultiVerdict, Pool, Prefilter, QueryId, QueryRegistry, RunStats, SharedPrefilter,
+    CoreError, FrozenPrefilter, Generation, MultiVerdict, Pool, Prefilter, QueryId, QueryRegistry,
+    RunStats, SharedPrefilter,
 };
 use std::fs::File;
 use std::io::{BufWriter, Stdin, Write};
 use std::process::ExitCode;
+use std::sync::Mutex;
 
 use smpx::dtd::Dtd;
 use smpx::paths::{extract, PathSet};
@@ -346,53 +360,132 @@ impl Args {
             Route::Prefetch => &self.prefetch_tag,
         }
     }
+
+    /// What rows and messages call the input `path`: itself, or `<stdin>`
+    /// in pure pipe mode (no operand at all).
+    fn label<'a>(&self, path: &'a str) -> &'a str {
+        if self.inputs.is_empty() {
+            "<stdin>"
+        } else {
+            path
+        }
+    }
 }
 
-/// Open one input through the backend the flags select. The non-seekable
-/// `-` operand always takes a reader backend over stdin — `--mmap` and
-/// slice paths cannot apply to a pipe, so it routes instead of erroring.
-/// At most one input is open per worker at any time (sources open right
-/// before their run), which also bounds the prefetch I/O threads by the
-/// pool width.
-fn open_source(path: &str, args: &Args) -> Result<(Source, Route), CoreError> {
+/// Open one input through the backend the flags select, into the buffers
+/// of `spare` (the worker's previous source) where the backend has any: a
+/// reader keeps its window, a mapped source the buffer its small files are
+/// read into. The non-seekable `-` operand always takes a reader backend
+/// over stdin — `--mmap` and slice paths cannot apply to a pipe, so it
+/// routes instead of erroring. At most one input is open per worker at any
+/// time (sources open right before their run), which also bounds the
+/// prefetch I/O threads by the pool width.
+///
+/// The third value is the file's length where the source cannot tell it
+/// (the reader routes), from the descriptor just opened.
+fn open_source(
+    path: &str,
+    args: &Args,
+    spare: Option<Source>,
+) -> Result<(Source, Route, Option<u64>), CoreError> {
     if path == "-" {
         // `Stdin` handles chunked reads itself; workers never share one.
         // Pipes are exactly where overlapping read latency with scan time
         // pays, so stdin prefetches unless the kill switch says otherwise.
         let stdin = std::io::stdin();
         return Ok(if prefetch_allowed() {
-            (Source::StdinPrefetch(PrefetchSource::new(stdin, args.chunk)), Route::Prefetch)
+            (Source::StdinPrefetch(PrefetchSource::new(stdin, args.chunk)), Route::Prefetch, None)
         } else {
-            (Source::Stdin(ReaderSource::new(stdin, args.chunk)), Route::Reader)
+            (Source::Stdin(ReaderSource::new(stdin, args.chunk)), Route::Reader, None)
         });
     }
     if args.mmap {
-        let m = MmapSource::open(path)?;
+        let m = match spare {
+            Some(Source::Mapped(mut m)) => {
+                m.reopen(path)?;
+                m
+            }
+            _ => MmapSource::open(path)?,
+        };
         let route = if m.is_mapped() { Route::Mmap } else { Route::MmapRead };
-        return Ok((Source::Mapped(m), route));
+        return Ok((Source::Mapped(m), route, None));
     }
     // The window reads whole chunks itself: no `BufReader` in between.
     let f = File::open(path)?;
+    let len = f.metadata().ok().filter(|m| m.is_file()).map(|m| m.len());
     Ok(if args.prefetch && prefetch_allowed() {
-        (Source::FilePrefetch(PrefetchSource::from_file(f, args.chunk)), Route::Prefetch)
+        (Source::FilePrefetch(PrefetchSource::from_file(f, args.chunk)), Route::Prefetch, len)
     } else {
-        (Source::File(ReaderSource::new(f, args.chunk)), Route::Reader)
+        let r = match spare {
+            Some(Source::File(mut r)) => {
+                r.reset(f);
+                r
+            }
+            _ => ReaderSource::new(f, args.chunk),
+        };
+        (Source::File(r), Route::Reader, len)
     })
 }
 
-/// One document through the compiled automaton, with its verdict when the
-/// automaton is a registry.
-fn run_one<W: Write>(
-    pf: &mut Prefilter,
+/// The automaton a batch runs on.
+struct Engine<'a> {
+    frozen: &'a FrozenPrefilter,
+    /// A registry automaton: rows carry a per-document verdict.
     multi: bool,
-    src: Source,
+    /// Lifecycle mode: verdicts go out in this generation's stable
+    /// external ids.
+    generation: Option<&'a Generation>,
+}
+
+/// What one batch worker owns: its prefilter (matcher caches warm across
+/// the documents it draws) and its last source, for the buffers.
+struct Worker {
+    pf: Prefilter,
+    spare: Option<Source>,
+}
+
+/// One input's `--stats` row.
+struct Row {
+    label: String,
+    route: Route,
+    stats: RunStats,
+    verdict: Option<MultiVerdict>,
+}
+
+/// One input through `wk` into `out` — split across the pool in shards of
+/// `shard` bytes when that is given: its row, or the message naming it.
+fn run_one<W: Write>(
+    wk: &mut Worker,
+    eng: &Engine,
+    args: &Args,
+    path: &str,
+    shard: Option<usize>,
     out: W,
-) -> Result<(RunStats, Option<MultiVerdict>), CoreError> {
-    if multi {
-        pf.run_multi(src, out).map(|(_, v, s)| (s, Some(v)))
-    } else {
-        pf.filter_source(src, out).map(|s| (s, None))
+) -> Result<Row, String> {
+    let label = args.label(path);
+    let (mut src, route, len) = open_source(path, args, wk.spare.take())
+        .map_err(|e| format!("cannot open {label}: {e}"))?;
+    let run = match shard {
+        None => wk.pf.run_multi(&mut src, out),
+        Some(bytes) => wk.pf.run_sharded_multi(&mut src, out, args.threads, bytes),
+    };
+    let (_, verdict, mut stats) = run.map_err(|e| format!("{label}: {e}"))?;
+    // Reader-delivered runs cannot know their length up front.
+    if stats.input_bytes == 0 {
+        stats.input_bytes = len.unwrap_or(0);
     }
+    // A window or a read buffer serves the next document; a mapping or a
+    // pipe is done with.
+    wk.spare = match src {
+        Source::File(_) => Some(src),
+        Source::Mapped(ref m) if !m.is_mapped() => Some(src),
+        _ => None,
+    };
+    let verdict = eng.multi.then(|| match eng.generation {
+        Some(g) => g.remap_verdict(&verdict),
+        None => verdict,
+    });
+    Ok(Row { label: label.to_string(), route, stats, verdict })
 }
 
 /// Capacity of the output buffer. A copied subtree range is hundreds of
@@ -402,12 +495,12 @@ const SINK_BUFFER: usize = 64 << 10;
 
 /// The run's one output writer. The buffer is the concrete outer type, so
 /// an emit is a copy into it; only a full buffer goes through the `dyn`.
-type Sink = BufWriter<Box<dyn Write>>;
+type Sink = BufWriter<Box<dyn Write + Send>>;
 
 /// Open the sink — `-o FILE`, else stdout — reporting a file that cannot
 /// be created.
 fn open_sink(output: Option<&str>) -> Option<Sink> {
-    let inner: Box<dyn Write> = match output {
+    let inner: Box<dyn Write + Send> = match output {
         None => Box::new(std::io::stdout()),
         Some(path) => match File::create(path) {
             Ok(f) => Box::new(f),
@@ -463,9 +556,9 @@ fn stats_json_row(sink: &mut JsonSink, label: &str, source: &str, stats: &RunSta
 /// The total row's tag comes from the rows themselves: a `-` operand
 /// inside an `--mmap` batch (or a small file among mapped ones) makes
 /// delivery mixed, and the total must say so rather than claim one backend.
-fn total_tag<'a, T>(args: &'a Args, rows: &[(String, Route, RunStats, T)]) -> &'a str {
-    let first = rows[0].1;
-    if rows.iter().all(|r| r.1 == first) {
+fn total_tag<'a>(args: &'a Args, rows: &[Row]) -> &'a str {
+    let first = rows[0].route;
+    if rows.iter().all(|r| r.route == first) {
         args.tag(first)
     } else {
         "mixed"
@@ -496,21 +589,115 @@ fn print_stats(label: &str, source: &str, stats: &RunStats) {
     );
 }
 
-/// Prefilter the inputs queued in `pending` as one pooled batch on the
-/// *settled* generation (every preceding edit compiled and published —
-/// the CLI demonstrates the edit-visible points; servers would keep
-/// running on the current generation instead). Writes projections to
-/// `out` in argument order, prints a per-file verdict line in stable
-/// external ids, and accumulates stats rows. `Err(())` means the failure
-/// was already reported.
+/// Prefilter `inputs` into `out` in argument order on `eng`'s automaton —
+/// the one batch driver, for plain and lifecycle runs alike. The effective
+/// width is `min(--threads, inputs, available parallelism)`:
+///
+/// * width 1 (every single-input run included) is the sequential loop
+///   writing straight into `out`; `--shard-mb` on one file input splits
+///   that one run across the pool;
+/// * otherwise each pool worker opens its input itself, projects it into
+///   a buffer from the free list, and the pool's ordered delivery writes
+///   the buffers to `out` in argument order and hands them back — at most
+///   `2 * width` projections exist at any time.
+///
+/// Either way a failing input leaves the projections of the inputs before
+/// it in `out` and is named on stderr (`Err(())`: already reported).
+fn run_inputs(
+    eng: &Engine,
+    inputs: &[String],
+    args: &Args,
+    out: &mut Sink,
+) -> Result<Vec<Row>, ()> {
+    let pool = Pool::new(args.threads);
+    let width = pool.width(inputs.len());
+    let shard = args
+        .shard_mb
+        .filter(|_| matches!(inputs, [p] if p != "-"))
+        .map(|mb| mb.saturating_mul(1 << 20));
+    let worker = |_| Worker { pf: eng.frozen.worker(), spare: None };
+    let failed = |msg: String| eprintln!("smpx: {msg}");
+    let mut rows = Vec::with_capacity(inputs.len());
+    if width == 1 {
+        let mut wk = worker(0);
+        for path in inputs {
+            let row = run_one(&mut wk, eng, args, path, shard, Unflushed(out)).map_err(failed)?;
+            rows.push(row);
+        }
+    } else {
+        let free = Mutex::new(Vec::<Vec<u8>>::new());
+        pool.run_ordered(
+            inputs.iter().collect(),
+            worker,
+            |wk, path: &String| {
+                let mut buf = free.lock().expect("free list").pop().unwrap_or_default();
+                let row = run_one(wk, eng, args, path, None, &mut buf)?;
+                Ok((row, buf))
+            },
+            |_, (row, mut buf): (Row, Vec<u8>)| {
+                out.write_all(&buf).map_err(|e| format!("{}: {e}", row.label))?;
+                rows.push(row);
+                buf.clear();
+                free.lock().expect("free list").push(buf);
+                Ok(())
+            },
+        )
+        .map_err(|(_, msg)| failed(msg))?;
+    }
+    if args.stats {
+        let workers = |n: usize| format!("{n} pool worker{}", if n == 1 { "" } else { "s" });
+        if shard.is_some() {
+            // An unsplittable document reports 0 stitched segments rather
+            // than a fictional split.
+            let (label, shards) = (&rows[0].label, rows[0].stats.shards);
+            if shards > 0 {
+                let over = workers(pool.threads());
+                eprintln!("smpx: {label}: stitched {shards} shard segments over {over}");
+            } else {
+                eprintln!("smpx: {label}: no safe split, ran as one sequential pass");
+            }
+        } else if width > 1 {
+            eprintln!("smpx: batch of {} inputs over {}", inputs.len(), workers(width));
+        }
+    }
+    Ok(rows)
+}
+
+/// The verdict line of one input: which registered queries it matched.
+/// Stderr like the stats rows, so piped projection output stays clean.
+fn print_verdict(row: &Row, suffix: &str) {
+    if let Some(v) = &row.verdict {
+        let ids: Vec<String> = v.matched_ids().iter().map(|q| q.to_string()).collect();
+        eprintln!(
+            "smpx: {}: matched {}/{} queries [{}]{suffix}",
+            row.label,
+            ids.len(),
+            v.n_queries,
+            ids.join(" ")
+        );
+    }
+}
+
+/// What a lifecycle run accumulates across its batches.
+struct Tally {
+    total: RunStats,
+    rows: usize,
+    json: Option<JsonSink>,
+}
+
+/// Prefilter the inputs queued in `pending` as one batch on the *settled*
+/// generation (every preceding edit compiled and published — the CLI
+/// demonstrates the edit-visible points; servers would keep running on
+/// the current generation instead). Writes projections to `out` in
+/// argument order, prints a per-file verdict line in stable external ids,
+/// and accumulates stats rows. `Err(())` means the failure was already
+/// reported.
 fn lifecycle_flush(
     shared: &SharedPrefilter,
     pending: &mut Vec<String>,
     args: &Args,
-    out: &mut dyn Write,
-    total: &mut RunStats,
-    rows: &mut usize,
-    sink: &mut Option<JsonSink>,
+    out: &mut Sink,
+    tally: &mut Tally,
 ) -> Result<(), ()> {
     if pending.is_empty() {
         return Ok(());
@@ -524,58 +711,18 @@ fn lifecycle_flush(
             generation.id_width()
         );
     }
-    let mut batch: Vec<(Source, Vec<u8>)> = Vec::new();
-    let mut routes: Vec<Route> = Vec::new();
-    let mut sizes: Vec<Option<u64>> = Vec::new();
-    for p in pending.iter() {
-        sizes.push(if p == "-" {
-            None
-        } else {
-            match std::fs::metadata(p) {
-                Ok(m) => m.is_file().then_some(m.len()),
-                Err(e) => {
-                    eprintln!("smpx: cannot read {p}: {e}");
-                    return Err(());
-                }
-            }
-        });
-        let (src, route) = open_source(p, args).map_err(|e| {
-            eprintln!("smpx: cannot open {p}: {e}");
-        })?;
-        batch.push((src, Vec::new()));
-        routes.push(route);
-    }
-    match shared.run_multi_batch_parallel(batch, args.threads) {
-        Ok(done) => {
-            for (i, (buf, verdict, mut stats)) in done.into_iter().enumerate() {
-                if stats.input_bytes == 0 {
-                    stats.input_bytes = sizes[i].unwrap_or(0);
-                }
-                out.write_all(&buf).map_err(|e| eprintln!("smpx: {e}"))?;
-                let ids: Vec<String> =
-                    verdict.matched_ids().iter().map(|q| q.to_string()).collect();
-                eprintln!(
-                    "smpx: {}: matched {}/{} queries [{}] (generation {})",
-                    pending[i],
-                    ids.len(),
-                    verdict.n_queries,
-                    ids.join(" "),
-                    generation.gen_no()
-                );
-                if args.stats {
-                    print_stats(&pending[i], args.tag(routes[i]), &stats);
-                }
-                if let Some(sink) = sink {
-                    stats_json_row(sink, &pending[i], args.tag(routes[i]), &stats);
-                }
-                total.accumulate(&stats);
-                *rows += 1;
-            }
+    let eng = Engine { frozen: generation.frozen(), multi: true, generation: Some(&generation) };
+    let suffix = format!(" (generation {})", generation.gen_no());
+    for row in run_inputs(&eng, pending, args, out)? {
+        print_verdict(&row, &suffix);
+        if args.stats {
+            print_stats(&row.label, args.tag(row.route), &row.stats);
         }
-        Err(e) => {
-            eprintln!("smpx: {}: {}", pending[e.index], e.error);
-            return Err(());
+        if let Some(json) = &mut tally.json {
+            stats_json_row(json, &row.label, args.tag(row.route), &row.stats);
         }
+        tally.total.accumulate(&row.stats);
+        tally.rows += 1;
     }
     pending.clear();
     Ok(())
@@ -583,8 +730,8 @@ fn lifecycle_flush(
 
 /// The dynamic-lifecycle run: seed the registry from `--query` flags,
 /// then walk inputs and `--add-query`/`--remove-query` edits in argument
-/// order — contiguous inputs form one pooled batch, each edit is applied
-/// (and, before the next batch, compiled and published) between batches.
+/// order — contiguous inputs form one batch, each edit is applied (and,
+/// before the next batch, compiled and published) between batches.
 fn run_lifecycle(args: &Args, dtd: Dtd, query_sets: Vec<PathSet>) -> ExitCode {
     let mut reg = QueryRegistry::new(dtd);
     for q in query_sets {
@@ -611,62 +758,35 @@ fn run_lifecycle(args: &Args, dtd: Dtd, query_sets: Vec<PathSet>) -> ExitCode {
     let Some(mut out) = open_sink(args.output.as_deref()) else {
         return ExitCode::FAILURE;
     };
-    let mut total = RunStats::default();
-    let mut rows = 0usize;
-    let mut sink = args.stats_json.as_ref().map(|p| JsonSink::to_path(p.clone()));
+    let mut tally = Tally {
+        total: RunStats::default(),
+        rows: 0,
+        json: args.stats_json.as_ref().map(|p| JsonSink::to_path(p.clone())),
+    };
     let mut pending: Vec<String> = Vec::new();
-    for op in &args.ops {
-        match op {
-            LifeOp::Input(p) => pending.push(p.clone()),
-            LifeOp::Add(text) => {
-                if lifecycle_flush(
-                    &shared,
-                    &mut pending,
-                    args,
-                    &mut out,
-                    &mut total,
-                    &mut rows,
-                    &mut sink,
-                )
-                .is_err()
-                {
-                    return ExitCode::FAILURE;
+    let mut walk = || -> Result<(), ()> {
+        for op in &args.ops {
+            match op {
+                LifeOp::Input(p) => pending.push(p.clone()),
+                LifeOp::Add(text) => {
+                    lifecycle_flush(&shared, &mut pending, args, &mut out, &mut tally)?;
+                    let id = shared
+                        .add_query(text)
+                        .map_err(|e| eprintln!("smpx: --add-query {text}: {e}"))?;
+                    eprintln!("smpx: added query {id}: {text}");
                 }
-                match shared.add_query(text) {
-                    Ok(id) => eprintln!("smpx: added query {id}: {text}"),
-                    Err(e) => {
-                        eprintln!("smpx: --add-query {text}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            LifeOp::Remove(n) => {
-                if lifecycle_flush(
-                    &shared,
-                    &mut pending,
-                    args,
-                    &mut out,
-                    &mut total,
-                    &mut rows,
-                    &mut sink,
-                )
-                .is_err()
-                {
-                    return ExitCode::FAILURE;
-                }
-                match shared.remove_query(QueryId(*n)) {
-                    Ok(()) => eprintln!("smpx: removed query q{n}"),
-                    Err(e) => {
-                        eprintln!("smpx: --remove-query {n}: {e}");
-                        return ExitCode::FAILURE;
-                    }
+                LifeOp::Remove(n) => {
+                    lifecycle_flush(&shared, &mut pending, args, &mut out, &mut tally)?;
+                    shared
+                        .remove_query(QueryId(*n))
+                        .map_err(|e| eprintln!("smpx: --remove-query {n}: {e}"))?;
+                    eprintln!("smpx: removed query q{n}");
                 }
             }
         }
-    }
-    if lifecycle_flush(&shared, &mut pending, args, &mut out, &mut total, &mut rows, &mut sink)
-        .is_err()
-    {
+        lifecycle_flush(&shared, &mut pending, args, &mut out, &mut tally)
+    };
+    if walk().is_err() {
         return ExitCode::FAILURE;
     }
     // Trailing edits with no input after them still compile — surface
@@ -683,8 +803,8 @@ fn run_lifecycle(args: &Args, dtd: Dtd, query_sets: Vec<PathSet>) -> ExitCode {
         return ExitCode::FAILURE;
     }
     if args.stats {
-        if rows > 1 {
-            print_stats("total", "lifecycle", &total);
+        if tally.rows > 1 {
+            print_stats("total", "lifecycle", &tally.total);
         }
         eprintln!(
             "smpx: final generation {} ({} live / {} allocated queries)",
@@ -693,11 +813,11 @@ fn run_lifecycle(args: &Args, dtd: Dtd, query_sets: Vec<PathSet>) -> ExitCode {
             last.id_width()
         );
     }
-    if let Some(sink) = &mut sink {
-        if rows > 1 {
-            stats_json_row(sink, "total", "lifecycle", &total);
+    if let Some(json) = &mut tally.json {
+        if tally.rows > 1 {
+            stats_json_row(json, "total", "lifecycle", &tally.total);
         }
-        if let Err(e) = sink.flush() {
+        if let Err(e) = json.flush() {
             eprintln!("smpx: --stats-json: {e}");
             return ExitCode::FAILURE;
         }
@@ -812,15 +932,17 @@ fn run(args: Args) -> ExitCode {
     } else {
         Prefilter::compile(&dtd, &paths)
     };
-    let mut pf = match compiled {
-        Ok(p) => p,
+    // The batch driver mints its own workers from the shared tables; the
+    // compiling prefilter (and its matcher slots) is done with.
+    let frozen = match compiled {
+        Ok(p) => p.freeze(),
         Err(e) => {
             eprintln!("smpx: compile error: {e}");
             return ExitCode::FAILURE;
         }
     };
     if args.stats {
-        let t = pf.tables();
+        let t = frozen.tables();
         eprintln!(
             "smpx: projection paths: {paths}\nsmpx: {} states ({} CW + {} BM)",
             t.state_count(),
@@ -832,212 +954,34 @@ fn run(args: Args) -> ExitCode {
         }
     }
 
-    // One output writer; inputs concatenate into it in order.
+    // One output writer; inputs concatenate into it in order. No operand
+    // at all is pure pipe mode: stdin through the streaming window
+    // (`open_source` owns the prefetch policy).
     let Some(mut out) = open_sink(args.output.as_deref()) else {
         return ExitCode::FAILURE;
     };
-
-    // Validate every input up front (early, well-labeled failure before
-    // any output is written), remembering the known file lengths so
-    // reader-delivered stats — whose sources cannot know their length up
-    // front — still report percentages. The `-` operand is stdin: no
-    // metadata, no length.
-    let mut sizes: Vec<Option<u64>> = Vec::new();
-    for p in &args.inputs {
-        if p == "-" {
-            sizes.push(None);
-            continue;
-        }
-        match std::fs::metadata(p) {
-            Ok(m) => sizes.push(m.is_file().then_some(m.len())),
-            Err(e) => {
-                eprintln!("smpx: cannot read {p}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    let mut results: Vec<(String, Route, RunStats, Option<MultiVerdict>)> = Vec::new();
-    if args.inputs.is_empty() {
-        // Pure pipe mode: prefilter stdin through the streaming window
-        // (prefetched by default; `SMPX_PREFETCH=0` falls back to the
-        // sync reader — `open_source` owns that policy).
-        let run = open_source("-", &args).and_then(|(src, route)| {
-            Ok((route, run_one(&mut pf, multi, src, Unflushed(&mut out))?))
-        });
-        match run {
-            Ok((route, (stats, verdict))) => {
-                results.push(("<stdin>".into(), route, stats, verdict))
-            }
-            Err(e) => {
-                eprintln!("smpx: <stdin>: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else if args.inputs.len() == 1
-        && args.inputs[0] != "-"
-        && (args.shard_mb.is_some()
-            || (args.threads != 1
-                && auto_shard_threshold().is_some_and(|thr| sizes[0].is_some_and(|l| l >= thr))))
-    {
-        // One file, many workers: shard *within* the document. Explicit
-        // `--shard-mb` always routes here (0 = auto-sized shards); without
-        // it the route engages only for a large file in pool mode. The
-        // stitched projection, verdict, and token counters are
-        // byte-identical to the sequential run; a document with no safe
-        // split point falls back to one sequential pass (shards stays 0).
-        let p = args.inputs[0].clone();
-        let (src, route) = match open_source(&p, &args) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("smpx: cannot open {p}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let shard_bytes = args.shard_mb.unwrap_or(0).saturating_mul(1 << 20);
-        let sink = Unflushed(&mut out);
-        let run = if multi {
-            pf.run_sharded_multi(src, sink, args.threads, shard_bytes).map(|(_, v, s)| (s, Some(v)))
-        } else {
-            pf.run_sharded(src, sink, args.threads, shard_bytes).map(|(_, s)| (s, None))
-        };
-        match run {
-            Ok((mut stats, verdict)) => {
-                if stats.input_bytes == 0 {
-                    stats.input_bytes = sizes[0].unwrap_or(0);
-                }
-                if args.stats {
-                    // Honest effective width: the pool clamps to the
-                    // machine, and an unsplittable document reports 0
-                    // stitched segments rather than a fictional split.
-                    let width = Pool::new(args.threads).threads();
-                    if stats.shards > 0 {
-                        eprintln!(
-                            "smpx: {p}: stitched {} shard segments over {width} pool \
-                             worker{}",
-                            stats.shards,
-                            if width == 1 { "" } else { "s" }
-                        );
-                    } else {
-                        eprintln!("smpx: {p}: no safe split, ran as one sequential pass");
-                    }
-                }
-                results.push((p, route, stats, verdict));
-            }
-            Err(e) => {
-                eprintln!("smpx: {p}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else if args.threads == 1 {
-        // Sequential batch through the one compiled automaton, opening
-        // each document's source right before its run — at most one fd or
-        // mapping is ever open, so many-thousand-file batches stay under
-        // any ulimit.
-        for (p, size) in args.inputs.iter().zip(&sizes) {
-            let (src, route) = match open_source(p, &args) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("smpx: cannot open {p}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match run_one(&mut pf, multi, src, Unflushed(&mut out)) {
-                Ok((mut stats, verdict)) => {
-                    if stats.input_bytes == 0 {
-                        stats.input_bytes = size.unwrap_or(0);
-                    }
-                    results.push((p.clone(), route, stats, verdict));
-                }
-                Err(e) => {
-                    // Name the failing input: with a long batch the output
-                    // already contains every earlier projection.
-                    eprintln!("smpx: {p}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    } else {
-        // Parallel batch: the frozen automaton is shared read-only across
-        // the pool's workers; each task opens its source inside the
-        // worker (at most `threads` inputs open at once) and buffers its
-        // projected bytes, which the main thread then writes out in
-        // argument order. The first failing input cancels the batch —
-        // in-flight documents drain, queued ones are abandoned, and the
-        // failing input is named below. Nothing has been written to `out`
-        // at that point: all writing happens after a fully successful run.
-        let frozen = pf.freeze();
-        let pool = Pool::new(args.threads);
-        let tasks: Vec<(String, Option<u64>)> =
-            args.inputs.iter().cloned().zip(sizes.iter().copied()).collect();
-        let run = pool.run(
-            tasks,
-            |_| frozen.worker(),
-            |wpf, (path, size)| -> Result<_, CoreError> {
-                let (src, route) = open_source(&path, &args)?;
-                let mut buf = Vec::new();
-                let (mut stats, verdict) = run_one(wpf, multi, src, &mut buf)?;
-                if stats.input_bytes == 0 {
-                    stats.input_bytes = size.unwrap_or(0);
-                }
-                Ok((path, route, buf, stats, verdict))
-            },
-        );
-        match run {
-            Ok(ordered) => {
-                for (path, route, buf, stats, verdict) in ordered {
-                    if let Err(e) = out.write_all(&buf) {
-                        eprintln!("smpx: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                    results.push((path, route, stats, verdict));
-                }
-            }
-            Err((index, e)) => {
-                eprintln!("smpx: {}: {e}", args.inputs[index]);
-                return ExitCode::FAILURE;
-            }
-        }
-        if args.stats {
-            // Pool::run clamps its width to the task count; report the
-            // workers that actually existed, not just the configuration.
-            eprintln!(
-                "smpx: batch of {} inputs over {} pool workers",
-                args.inputs.len(),
-                pool.threads().min(args.inputs.len())
-            );
-        }
-    }
+    let eng = Engine { frozen: &frozen, multi, generation: None };
+    let stdin = ["-".to_string()];
+    let inputs = if args.inputs.is_empty() { &stdin[..] } else { &args.inputs[..] };
+    let Ok(results) = run_inputs(&eng, inputs, &args, &mut out) else {
+        return ExitCode::FAILURE;
+    };
     if let Err(e) = out.flush() {
         eprintln!("smpx: {e}");
         return ExitCode::FAILURE;
     }
 
-    // Per-file verdict column (multi-query mode): which registered
-    // queries each document matched, in input order. Stderr like the
-    // stats rows, so piped projection output stays clean.
-    if multi {
-        for (label, _, _, verdict) in &results {
-            if let Some(v) = verdict {
-                let ids: Vec<String> = v.matched_ids().iter().map(|q| q.to_string()).collect();
-                eprintln!(
-                    "smpx: {label}: matched {}/{} queries [{}]",
-                    ids.len(),
-                    v.n_queries,
-                    ids.join(" ")
-                );
-            }
-        }
-    }
+    // Per-file verdict column (multi-query mode), in input order.
+    results.iter().for_each(|row| print_verdict(row, ""));
 
     if args.stats {
         // Totals accumulate on this thread from the input-ordered rows —
         // per-file attribution and the sums are identical whatever the
         // completion order was.
         let mut total = RunStats::default();
-        for (label, route, stats, _) in &results {
-            print_stats(label, args.tag(*route), stats);
-            total.accumulate(stats);
+        for row in &results {
+            print_stats(&row.label, args.tag(row.route), &row.stats);
+            total.accumulate(&row.stats);
         }
         if results.len() > 1 {
             print_stats("total", total_tag(&args, &results), &total);
@@ -1056,9 +1000,9 @@ fn run(args: Args) -> ExitCode {
     if let Some(path) = &args.stats_json {
         let mut sink = JsonSink::to_path(path.clone());
         let mut total = RunStats::default();
-        for (label, route, stats, _) in &results {
-            stats_json_row(&mut sink, label, args.tag(*route), stats);
-            total.accumulate(stats);
+        for row in &results {
+            stats_json_row(&mut sink, &row.label, args.tag(row.route), &row.stats);
+            total.accumulate(&row.stats);
         }
         if results.len() > 1 {
             stats_json_row(&mut sink, "total", total_tag(&args, &results), &total);

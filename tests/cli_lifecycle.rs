@@ -191,26 +191,23 @@ fn lifecycle_mode_works_pooled() {
     );
 }
 
-/// `SMPX_SHARD_AUTO_MB` governs the CLI's one-file shard route exactly as
-/// it governs the library's batch entries: the CLI used to compare against
-/// the raw 8 MiB default and ignore the override, `=0` ("never auto-shard")
-/// included.
+/// One file is sharded when `--shard-mb` asks for it and never by itself:
+/// `--threads 2 big.xml` is a width-1 run (`shards` 0), the retired
+/// `SMPX_SHARD_AUTO_MB` variable moves nothing, and `--shard-mb 0` / `N`
+/// still stitch the sequential bytes.
 #[test]
-fn shard_auto_mb_moves_and_disables_the_one_file_shard_route() {
-    let s = Scratch::new("shard-auto");
+fn one_file_shards_only_under_shard_mb() {
+    let s = Scratch::new("shard-explicit");
     let doc = smpx_datagen::xmark::generate(smpx_datagen::GenOptions::sized(2 << 20));
     std::fs::write(s.dir.join("site.dtd"), smpx_datagen::xmark::XMARK_DTD).expect("write dtd");
     std::fs::write(s.dir.join("site.xml"), &doc).expect("write doc");
-    let run = |auto_mb: Option<&str>, threads: &str| {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_smpx"));
-        cmd.env_remove("SMPX_SHARD_AUTO_MB");
-        if let Some(mb) = auto_mb {
-            cmd.env("SMPX_SHARD_AUTO_MB", mb);
-        }
-        let stats = s.path(&format!("stats-{}-{threads}.json", auto_mb.unwrap_or("unset")));
-        let out = cmd
+    let run = |tag: &str, extra: &[&str]| {
+        let stats = s.path(&format!("stats-{tag}.json"));
+        let out = Command::new(env!("CARGO_BIN_EXE_smpx"))
+            .env("SMPX_SHARD_AUTO_MB", "1")
             .args(["--dtd", &s.path("site.dtd"), "--paths", "/*,/site/people/person/name#"])
-            .args(["--threads", threads, "--stats-json", &stats, &s.path("site.xml")])
+            .args(["--stats-json", &stats, &s.path("site.xml")])
+            .args(extra)
             .output()
             .expect("run smpx");
         assert!(out.status.success(), "stderr: {}", stderr_of(&out));
@@ -223,13 +220,16 @@ fn shard_auto_mb_moves_and_disables_the_one_file_shard_route() {
             .unwrap_or_else(|| panic!("no shards field in {row}"));
         (out.stdout, shards)
     };
-    let (sequential, shards) = run(None, "1");
+    let (sequential, shards) = run("seq", &["--threads", "1"]);
     assert_eq!(shards, 0);
     assert!(!sequential.is_empty());
-    // 2 MiB is below the 8 MiB default: no sharding unless the knob says so.
-    assert_eq!(run(None, "2"), (sequential.clone(), 0));
-    let (sharded, shards) = run(Some("1"), "2");
-    assert!(shards > 0, "a 2 MiB file over a 1 MiB threshold must take the shard route");
-    assert_eq!(sharded, sequential);
-    assert_eq!(run(Some("0"), "2"), (sequential, 0));
+    assert_eq!(run("wide", &["--threads", "2"]), (sequential.clone(), 0));
+    assert_eq!(run("wide-mmap", &["--threads", "2", "--mmap"]), (sequential.clone(), 0));
+    // The pool is as wide as the machine at most: one CPU cannot split.
+    let can_split = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
+    for (tag, mb) in [("auto", "0"), ("one", "1")] {
+        let (sharded, shards) = run(tag, &["--threads", "2", "--shard-mb", mb]);
+        assert_eq!(sharded, sequential, "--shard-mb {mb}");
+        assert_eq!(shards > 0, can_split, "--shard-mb {mb} must take the shard route");
+    }
 }

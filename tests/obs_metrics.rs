@@ -30,41 +30,57 @@ fn counter(name: &str) -> u64 {
     obs::global().snapshot().scalar(name).unwrap_or_else(|| panic!("no series named {name}"))
 }
 
-/// Pool work: tasks execute, busy time accrues, and an uneven two-worker
-/// batch forces at least one steal of a queued sibling task.
+/// Pool work: tasks execute, busy time accrues, a worker that reaches the
+/// run-ahead bound behind a slow head waits (a park) and is woken by the
+/// delivery, the pending high-water is recorded — and nothing is ever
+/// stolen: the ticket pool has no queues to steal from.
 #[test]
 fn pool_counters_populate() {
     obs::enable();
     let tasks0 = counter("smpx_pool_tasks_total");
-    let steals0 = counter("smpx_pool_steals_total");
+    let parks0 = counter("smpx_pool_parks_total");
+    let wakes0 = counter("smpx_pool_wakes_total");
 
-    // 2 workers, 8 tasks, grab = 2: tasks 0 and 1 both sleep, so they
-    // form one refill chunk and whichever worker grabs it runs one long
-    // task with the other still queued locally. Its sibling drains the
-    // six instant tasks, finds the injector empty, and steals the
-    // queued long task. The outer loop retries rare adverse schedules.
-    for _ in 0..50 {
-        let pool = Pool::new(2);
-        pool.run(
+    // 2 workers, bound 4: task 0 ends only after tasks 1..=3 have, so its
+    // sibling completes all three, finds ticket 4 out of bounds and waits
+    // for the delivery of 0.
+    let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+    let done_rx = std::sync::Mutex::new(done_rx);
+    let mut delivered = 0;
+    Pool::exact(2)
+        .run_ordered(
             (0..8u64).collect::<Vec<_>>(),
-            |_| (),
-            |(), t| -> Result<(), std::convert::Infallible> {
-                if t < 2 {
-                    std::thread::sleep(Duration::from_millis(40));
+            |_| done_tx.clone(),
+            |tx, t| -> Result<(), std::convert::Infallible> {
+                match t {
+                    0 => {
+                        let rx = done_rx.lock().unwrap();
+                        (1..=3).for_each(|_| rx.recv().unwrap());
+                        // The sibling's wait is one lock away.
+                        while counter("smpx_pool_parks_total") == parks0 {
+                            std::thread::yield_now();
+                        }
+                    }
+                    1..=3 => tx.send(()).unwrap(),
+                    _ => {}
                 }
+                Ok(())
+            },
+            |_, ()| {
+                delivered += 1;
                 Ok(())
             },
         )
         .unwrap();
-        if counter("smpx_pool_steals_total") > steals0 {
-            break;
-        }
-    }
 
+    assert_eq!(delivered, 8);
     assert!(counter("smpx_pool_tasks_total") >= tasks0 + 8, "tasks must count");
-    assert!(counter("smpx_pool_steals_total") > steals0, "no steal in 50 uneven batches");
+    assert!(counter("smpx_pool_parks_total") > parks0, "the run-ahead wait must count");
+    assert!(counter("smpx_pool_wakes_total") > wakes0, "the delivery that made room must count");
+    assert_eq!(counter("smpx_pool_steals_total"), 0, "nothing to steal");
     assert!(counter("smpx_pool_busy_seconds_total") > 0, "busy nanos must accrue");
     assert!(obs::global().gauge(GaugeId::PoolWorkers) >= 2);
+    assert!(obs::global().gauge(GaugeId::PoolQueueDepthPeak) >= 3, "tasks 1..=3 were pending");
 }
 
 /// A reader that trickles: every chunk costs a sleep, so the consumer
@@ -132,6 +148,9 @@ fn lifecycle_compile_latency_populates() {
 
 #[test]
 fn shard_repairs_and_hits_populate() {
+    if Pool::new(4).threads() < 2 {
+        return; // one CPU: the pool is one worker wide and nothing shards
+    }
     obs::enable();
     let runs0 = counter("smpx_shard_runs_total");
     let repairs0 = counter("smpx_shard_repairs_total");

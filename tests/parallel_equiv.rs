@@ -1,4 +1,4 @@
-//! Parallel ≡ sequential equivalence suite for the work-stealing batch
+//! Parallel ≡ sequential equivalence suite for the pooled batch
 //! executor: `run_batch_parallel` against the sequential `run_batch` /
 //! per-document reference across thread counts {1, 2, 8} (plus 0 = the
 //! machine's parallelism) × delivery backends {slice, mmap, reader} ×

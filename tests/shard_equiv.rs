@@ -1,6 +1,6 @@
 //! Shard ≡ sequential equivalence suite for intra-document parallelism
 //! (`Prefilter::run_sharded`): one document split speculatively across
-//! the work-stealing pool must reproduce the sequential run exactly.
+//! the pool must reproduce the sequential run exactly.
 //!
 //! What is pinned, per cell of the matrix — shard widths {1, 2, 3, 8} ×
 //! split thresholds (auto plus several forced sizes) × delivery backends
@@ -115,7 +115,7 @@ fn sweep_fixture(fx: &Fixture, label: &str, expect_split: bool) {
                 .expect("sharded slice");
             let cell = format!("{label}/slice t={t} sb={sb}");
             assert_exact(&cell, doc.len(), (&out, &stats), (&want_out, &want));
-            if expect_split && t > 1 && sb != 0 {
+            if expect_split && smpx_core::Pool::new(t).threads() > 1 && sb != 0 {
                 assert!(stats.shards >= 2, "{cell}: expected a real split, got {stats:?}");
             }
         }
@@ -276,29 +276,29 @@ fn prefix_sharing_record_names_split_cleanly() {
 }
 
 #[test]
-fn one_doc_batch_auto_routes_through_the_shard_path() {
-    // The one-doc-batch dead spot: a single large document used to clamp
-    // the pool to width 1. At or above the auto-shard threshold
-    // `run_batch_parallel` now routes through the shard path — same
-    // bytes, and `shards` records that the split really happened.
-    let n = (smpx_core::DEFAULT_AUTO_SHARD_BYTES as usize / 28) + 1;
-    let fx = ex2_fixture(record_doc(n));
-    assert!(fx.doc.len() as u64 >= smpx_core::DEFAULT_AUTO_SHARD_BYTES);
+fn one_doc_batch_stays_unsplit_and_the_explicit_route_splits() {
+    // Sharding happens when asked for and never by itself: a batch of one
+    // document, however large and however wide the pool, is one worker's
+    // sequential run, and `run_sharded` on the same document splits it —
+    // same bytes either way.
+    let fx = ex2_fixture(record_doc((1 << 20) / 28 + 1));
+    assert!(fx.doc.len() >= 1 << 20);
     let (want_out, want) = compile(&fx).filter_to_vec(&fx.doc).expect("sequential");
 
     let got = compile(&fx)
         .run_batch_parallel(vec![(SliceSource::new(&fx.doc), Vec::new())], 4)
         .expect("one-doc parallel batch");
     let (out, stats) = &got[0];
-    assert_exact("auto-route", fx.doc.len(), (out, stats), (&want_out, &want));
-    assert!(stats.shards >= 2, "large one-doc batch must split: {stats:?}");
+    assert_exact("one-doc batch", fx.doc.len(), (out, stats), (&want_out, &want));
+    assert_eq!(stats.shards, 0, "no batch entry shards by itself: {stats:?}");
 
-    // Below the threshold the batch path stays unsplit.
-    let small = ex2_fixture(record_doc(64));
-    let got = compile(&small)
-        .run_batch_parallel(vec![(SliceSource::new(&small.doc), Vec::new())], 4)
-        .expect("small one-doc parallel batch");
-    assert_eq!(got[0].1.shards, 0, "small documents keep the plain batch path");
+    let (out, stats) = compile(&fx)
+        .run_sharded(SliceSource::new(&fx.doc), Vec::new(), 4, 0)
+        .expect("explicitly sharded");
+    assert_exact("explicit", fx.doc.len(), (&out, &stats), (&want_out, &want));
+    if smpx_core::Pool::new(4).threads() > 1 {
+        assert!(stats.shards >= 2, "the explicit route must split: {stats:?}");
+    }
 }
 
 #[test]
