@@ -15,7 +15,9 @@ pub(crate) mod select;
 pub(crate) mod subgraph;
 pub(crate) mod tables;
 
-pub use tables::{Action, Attribution, CompiledTables, Keyword, RtState};
+pub use tables::{
+    Action, Attribution, CompiledTables, Entry, Keyword, RtState, TokenRow, NO_CLOSE,
+};
 
 use crate::error::CoreError;
 use crate::idset::{QueryId, QueryIdSet};
@@ -109,14 +111,15 @@ pub fn compile_with_counts(
     let minlen = MinLen::compute_allow_recursion(dtd)?;
     let classes = StateClasses::build(&auto, &Relevance::new(paths));
     let s = select::select_states(&auto, &classes);
-    let (tables, passes, _) = compile_from_selection(dtd, &auto, &minlen, &classes, s);
+    let (states, passes, _) = compile_from_selection(&auto, &minlen, &classes, s);
+    let tables = CompiledTables::new(states, dtd.elem_names(), None);
     Ok((tables, CompileCounts { passes, relevance_steps: classes.steps }))
 }
 
 /// Contract, determinize and hazard-check a chosen state set: steps 3–4
 /// of the Fig. 6 pipeline, shared by the single-query and the multi-query
-/// (registry) compiles. Returns the tables, the pass count, and each
-/// runtime-DFA state's member subset (the registry derives its hit
+/// (registry) compiles. Returns the runtime-DFA states, the pass count,
+/// and each state's member subset (the registry derives its hit
 /// attribution from the subsets).
 ///
 /// State selection's step (c) runs per *label group* (all same-labeled
@@ -130,12 +133,11 @@ pub fn compile_with_counts(
 /// a handful of recompiles on ambiguous (non-1-unambiguous) content
 /// models. S only grows, so the fixpoint terminates either way.
 fn compile_from_selection(
-    dtd: &Dtd,
     auto: &DtdAutomaton,
     minlen: &MinLen,
     classes: &StateClasses,
     mut s: StateSet,
-) -> (CompiledTables, usize, Vec<Vec<StateId>>) {
+) -> (Vec<RtState>, usize, Vec<Vec<StateId>>) {
     let mut passes = 0usize;
     let mut scan = select::HazardScan::new(auto);
     let mut to_add: Vec<StateId> = Vec::new();
@@ -153,7 +155,7 @@ fn compile_from_selection(
             }
         }
         if to_add.is_empty() {
-            return (CompiledTables::new(states, dtd.elem_names()), passes, subsets);
+            return (states, passes, subsets);
         }
         to_add.drain(..).for_each(|q| s.insert(q));
     }
@@ -220,7 +222,7 @@ pub fn compile_multi_with_counts(
     let classes = StateClasses::build(&auto, &Relevance::new(&union));
     relevance_steps += classes.steps;
     let s = select::select_states_with_extra(&auto, &classes, &extra);
-    let (mut tables, passes, subsets) = compile_from_selection(dtd, &auto, &minlen, &classes, s);
+    let (states, passes, subsets) = compile_from_selection(&auto, &minlen, &classes, s);
 
     let mut ids: Vec<QueryId> = Vec::new();
     let state_hits = subsets
@@ -232,7 +234,8 @@ pub fn compile_multi_with_counts(
             ids.iter().copied().collect::<QueryIdSet>()
         })
         .collect();
-    tables.attribution = Some(Attribution { n_queries: queries.len() as u32, state_hits });
+    let attribution = Attribution { n_queries: queries.len() as u32, state_hits };
+    let tables = CompiledTables::new(states, dtd.elem_names(), Some(attribution));
     Ok((tables, CompileCounts { passes, relevance_steps }))
 }
 

@@ -123,6 +123,47 @@ impl Attribution {
     }
 }
 
+/// What entering a runtime state does besides moving there, as the Fig. 4
+/// loop reads it from a [`TokenRow`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Entry {
+    /// `T[q]`.
+    pub action: Action,
+    /// The state crosses its element's subtree with the balanced scan.
+    pub balanced: bool,
+    /// Entering it is a match event ([`Action`]'s hit class).
+    pub event: bool,
+    /// Entering it attributes a non-empty query-id set (registry tables).
+    pub attributed: bool,
+}
+
+/// [`TokenRow::close_target`] of a row whose target has no closing
+/// keyword of its own element: taking the close transition without a
+/// search is an [`UnexpectedToken`](crate::CoreError::UnexpectedToken).
+pub const NO_CLOSE: u32 = u32::MAX;
+
+/// One keyword of `V[q]` with its `A[q, ·]` transition, flattened for the
+/// Fig. 4 loop: everything a token step needs is in one row, and no name
+/// is compared at run time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TokenRow {
+    /// Pattern length (`<name` / `</name`, no bracket).
+    pub len: u32,
+    /// Closing-tag keyword?
+    pub close: bool,
+    /// `A[q, token]`.
+    pub target: u32,
+    /// For an open keyword, `A[target, </name]`: where the element's own
+    /// closing tag leads, which a bachelor tag or a balanced scan takes
+    /// without searching for it; [`NO_CLOSE`] when `V[target]` has no
+    /// such keyword, and for close keywords.
+    pub close_target: u32,
+    /// Entering `target`.
+    pub on: Entry,
+    /// Entering `close_target` (a no-op entry without one).
+    pub on_close: Entry,
+}
+
 /// The complete compiled lookup tables; state 0 is the start state.
 #[derive(Debug, Clone)]
 pub struct CompiledTables {
@@ -139,21 +180,110 @@ pub struct CompiledTables {
     /// The `<name` / `</name` tokens of `elem_names` as the matcher builds
     /// read them: each state's candidate filter is fitted against it.
     pub universe: TagUniverse,
+    /// The [`TokenRow`]s of every state back to back, in keyword order;
+    /// state `q`'s are `rows[row_at[q]..row_at[q + 1]]`.
+    rows: Vec<TokenRow>,
+    row_at: Vec<u32>,
+    /// `J[q]` of every state, dense.
+    jumps: Vec<u32>,
+    /// Every state's tag as a `copy tag` without attributes emits it, back
+    /// to back; state `q`'s is `bare[bare_at[q]..bare_at[q + 1]]`.
+    bare: Vec<u8>,
+    bare_at: Vec<u32>,
 }
 
 impl CompiledTables {
-    /// Package determinized states as single-query tables over a DTD
-    /// mentioning the elements `elem_names`.
-    pub(crate) fn new(states: Vec<RtState>, elem_names: &Arc<[String]>) -> CompiledTables {
+    /// Package determinized states as tables over a DTD mentioning the
+    /// elements `elem_names` — registry tables with `attribution`,
+    /// single-query ones without.
+    pub(crate) fn new(
+        states: Vec<RtState>,
+        elem_names: &Arc<[String]>,
+        attribution: Option<Attribution>,
+    ) -> CompiledTables {
         let max_kw_len =
             states.iter().flat_map(|s| s.keywords.iter().map(|k| k.bytes.len())).max().unwrap_or(1);
+        let entry = |q: u32| {
+            let s = &states[q as usize];
+            Entry {
+                action: s.action,
+                balanced: s.balanced,
+                event: s.action.indicates_match(),
+                attributed: attribution
+                    .as_ref()
+                    .is_some_and(|att| !att.state_hits[q as usize].is_empty()),
+            }
+        };
+        let mut rows = Vec::with_capacity(states.iter().map(|s| s.keywords.len()).sum());
+        let mut row_at = Vec::with_capacity(states.len() + 1);
+        for s in &states {
+            row_at.push(rows.len() as u32);
+            for k in &s.keywords {
+                let close_target = if k.close { NO_CLOSE } else { close_target(&states, k.target) };
+                rows.push(TokenRow {
+                    len: k.bytes.len() as u32,
+                    close: k.close,
+                    target: k.target,
+                    close_target,
+                    on: entry(k.target),
+                    on_close: match close_target {
+                        NO_CLOSE => Entry {
+                            action: Action::Nop,
+                            balanced: false,
+                            event: false,
+                            attributed: false,
+                        },
+                        c => entry(c),
+                    },
+                });
+            }
+        }
+        row_at.push(rows.len() as u32);
+        let mut bare = Vec::new();
+        let mut bare_at = Vec::with_capacity(states.len() + 1);
+        for s in &states {
+            bare_at.push(bare.len() as u32);
+            if let Some((name, close)) = &s.label {
+                bare.extend_from_slice(if *close { b"</" } else { b"<" });
+                bare.extend_from_slice(name.as_bytes());
+                bare.push(b'>');
+            }
+        }
+        bare_at.push(bare.len() as u32);
+        let jumps = states.iter().map(|s| s.jump).collect();
         CompiledTables {
             states,
             max_kw_len,
-            attribution: None,
+            attribution,
             elem_names: elem_names.clone(),
             universe: TagUniverse::of_elements(elem_names),
+            rows,
+            row_at,
+            jumps,
+            bare,
+            bare_at,
         }
+    }
+
+    /// State `q`'s [`TokenRow`]s, one per keyword in keyword order (empty
+    /// for a final state).
+    #[inline]
+    pub fn rows(&self, q: u32) -> &[TokenRow] {
+        &self.rows[self.row_at[q as usize] as usize..self.row_at[q as usize + 1] as usize]
+    }
+
+    /// `J[q]`.
+    #[inline]
+    pub fn jump(&self, q: u32) -> u32 {
+        self.jumps[q as usize]
+    }
+
+    /// State `q`'s tag as `copy tag` rebuilds it without attributes:
+    /// `<name>` for an open state, `</name>` for a close state (empty for
+    /// the start state).
+    #[inline]
+    pub fn bare_tag(&self, q: u32) -> &[u8] {
+        &self.bare[self.bare_at[q as usize] as usize..self.bare_at[q as usize + 1] as usize]
     }
 
     /// Number of states whose frontier vocabulary needs Commentz–Walter
@@ -187,8 +317,22 @@ impl CompiledTables {
         if let Some(att) = &self.attribution {
             total += att.table_bytes();
         }
+        total += self.rows.capacity() * std::mem::size_of::<TokenRow>()
+            + (self.row_at.capacity() + self.jumps.capacity() + self.bare_at.capacity())
+                * std::mem::size_of::<u32>()
+            + self.bare.capacity();
         total + self.universe.heap_bytes()
     }
+}
+
+/// `A[open, </name]` for the open state `open` of element `name` — the
+/// one closing keyword of its own element in `V[open]` — or [`NO_CLOSE`].
+fn close_target(states: &[RtState], open: u32) -> u32 {
+    let state = &states[open as usize];
+    let Some((name, _)) = &state.label else {
+        return NO_CLOSE;
+    };
+    state.keywords.iter().find(|k| k.close && k.name == *name).map_or(NO_CLOSE, |k| k.target)
 }
 
 /// Subset construction over `D|S`, producing the runtime-DFA states with

@@ -51,7 +51,7 @@ pub mod registry;
 pub mod runtime;
 mod stats;
 
-pub use compile::{Action, Attribution, CompiledTables, RtState};
+pub use compile::{Action, Attribution, CompiledTables, Entry, RtState, TokenRow, NO_CLOSE};
 pub use error::CoreError;
 pub use idset::{QueryId, QueryIdSet};
 pub use lifecycle::{Generation, SharedPrefilter};

@@ -6,43 +6,34 @@
 //! `(BM)`/`(CW)` branches); the `ablations` bench compares this laziness
 //! against eager construction.
 
-use crate::compile::{CompiledTables, RtState};
-use crate::idset::QueryIdSet;
-use crate::stats::RunStats;
-use smpx_stringmatch::memscan::TagUniverse;
+use crate::compile::RtState;
+use smpx_stringmatch::memscan::{Blocks, TagUniverse};
 use smpx_stringmatch::{BoyerMoore, CommentzWalter, FilterChoice, Metrics};
-
-/// Attribute one runtime state entry, right where a verified keyword hit
-/// fires its transition: count the match event if the entered state's
-/// action indicates one, and for registry-compiled automatons OR the
-/// state's query-id set into the run's hit accumulator. Single-query
-/// tables carry no attribution, so their runs pay one branch here.
-#[inline]
-pub(crate) fn attribute_entry(
-    tables: &CompiledTables,
-    state: u32,
-    hits: &mut QueryIdSet,
-    stats: &mut RunStats,
-) {
-    if tables.states[state as usize].action.indicates_match() {
-        stats.match_events += 1;
-    }
-    if let Some(att) = &tables.attribution {
-        hits.union_with(&att.state_hits[state as usize]);
-    }
-}
 
 /// Anything the input layer can drive a windowed search with.
 pub(crate) trait Searcher {
-    /// First occurrence in `hay` at or after `from`: (keyword index, start).
-    fn search_in<M: Metrics>(&self, hay: &[u8], from: usize, m: &mut M) -> Option<(usize, usize)>;
+    /// First occurrence in `hay` at or after `from`: (keyword index,
+    /// start). `blocks` caches the structural masks of `hay`.
+    fn search_in<M: Metrics>(
+        &self,
+        hay: &[u8],
+        from: usize,
+        blocks: &mut Blocks,
+        m: &mut M,
+    ) -> Option<(usize, usize)>;
     /// Longest pattern length (stream-refill overlap).
     fn longest(&self) -> usize;
 }
 
 impl Searcher for CommentzWalter {
-    fn search_in<M: Metrics>(&self, hay: &[u8], from: usize, m: &mut M) -> Option<(usize, usize)> {
-        self.find_at(hay, from, m).map(|mm| (mm.pattern, mm.start))
+    fn search_in<M: Metrics>(
+        &self,
+        hay: &[u8],
+        from: usize,
+        blocks: &mut Blocks,
+        m: &mut M,
+    ) -> Option<(usize, usize)> {
+        self.find_at_blocks(hay, from, blocks, m).map(|mm| (mm.pattern, mm.start))
     }
 
     fn longest(&self) -> usize {
@@ -51,8 +42,15 @@ impl Searcher for CommentzWalter {
 }
 
 impl Searcher for StateMatcher {
-    fn search_in<M: Metrics>(&self, hay: &[u8], from: usize, m: &mut M) -> Option<(usize, usize)> {
-        self.find_in(hay, from, m)
+    #[inline(always)]
+    fn search_in<M: Metrics>(
+        &self,
+        hay: &[u8],
+        from: usize,
+        blocks: &mut Blocks,
+        m: &mut M,
+    ) -> Option<(usize, usize)> {
+        self.find_in(hay, from, blocks, m)
     }
 
     fn longest(&self) -> usize {
@@ -97,16 +95,20 @@ impl StateMatcher {
 
     /// First keyword occurrence in `hay` starting at or after `from`:
     /// `(keyword index, start offset)`.
+    #[inline(always)]
     pub fn find_in<M: Metrics>(
         &self,
         hay: &[u8],
         from: usize,
+        blocks: &mut Blocks,
         m: &mut M,
     ) -> Option<(usize, usize)> {
         match self {
             StateMatcher::Empty => None,
-            StateMatcher::Bm(bm) => bm.find_at(hay, from, m).map(|s| (0, s)),
-            StateMatcher::Cw(cw, _) => cw.find_at(hay, from, m).map(|mm| (mm.pattern, mm.start)),
+            StateMatcher::Bm(bm) => bm.find_at_blocks(hay, from, blocks, m).map(|s| (0, s)),
+            StateMatcher::Cw(cw, _) => {
+                cw.find_at_blocks(hay, from, blocks, m).map(|mm| (mm.pattern, mm.start))
+            }
         }
     }
 
@@ -177,6 +179,10 @@ mod tests {
         StateMatcher::build(&state(kws), &TagUniverse::default())
     }
 
+    fn find(m: &StateMatcher, hay: &[u8], from: usize) -> Option<(usize, usize)> {
+        m.find_in(hay, from, &mut Blocks::new(), &mut NoMetrics)
+    }
+
     fn state(kws: &[&str]) -> RtState {
         RtState {
             label: None,
@@ -200,23 +206,23 @@ mod tests {
     #[test]
     fn empty_state_never_matches() {
         let m = build(&[]);
-        assert!(m.find_in(b"<a><b>", 0, &mut NoMetrics).is_none());
+        assert!(find(&m, b"<a><b>", 0).is_none());
     }
 
     #[test]
     fn single_keyword_uses_bm() {
         let m = build(&["<item"]);
         assert!(matches!(m, StateMatcher::Bm(_)));
-        assert_eq!(m.find_in(b"xx<item y>", 0, &mut NoMetrics), Some((0, 2)));
-        assert_eq!(m.find_in(b"xx<item y>", 3, &mut NoMetrics), None);
+        assert_eq!(find(&m, b"xx<item y>", 0), Some((0, 2)));
+        assert_eq!(find(&m, b"xx<item y>", 3), None);
     }
 
     #[test]
     fn multi_keyword_uses_cw_with_stable_indices() {
         let m = build(&["</a", "<b", "<c"]);
         assert!(matches!(m, StateMatcher::Cw(..)));
-        assert_eq!(m.find_in(b"..<c>..</a>", 0, &mut NoMetrics), Some((2, 2)));
-        assert_eq!(m.find_in(b"..<c>..</a>", 3, &mut NoMetrics), Some((0, 7)));
+        assert_eq!(find(&m, b"..<c>..</a>", 0), Some((2, 2)));
+        assert_eq!(find(&m, b"..<c>..</a>", 3), Some((0, 7)));
     }
 
     #[test]

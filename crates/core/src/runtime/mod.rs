@@ -21,7 +21,7 @@ mod matchers;
 pub mod parallel;
 pub mod source;
 
-use crate::compile::{compile, compile_multi, Action, CompiledTables};
+use crate::compile::{compile, compile_multi, Action, CompiledTables, Entry, TokenRow, NO_CLOSE};
 use crate::error::CoreError;
 use crate::idset::QueryIdSet;
 use crate::stats::{MultiVerdict, RunStats};
@@ -81,6 +81,11 @@ pub struct Prefilter {
     /// Per-run scratch: ids of the queries attributed so far (registry
     /// runs only; reset per document).
     hits: QueryIdSet,
+    /// Per-run scratch: one bit per state, set once the run has ORed the
+    /// state's id-set into `hits` — the union is idempotent, so a state
+    /// entered again has nothing to add (registry runs only; reset per
+    /// document).
+    entered: Vec<u64>,
     /// Per-run scratch: nesting depth of active copy-on instances
     /// (registry runs only — the forced hit states let copy-on regions
     /// nest, which the single-query automaton never sees).
@@ -138,6 +143,7 @@ impl Prefilter {
             matchers_built: 0,
             multi,
             hits: QueryIdSet::new(),
+            entered: vec![0; if multi { n.div_ceil(64) } else { 0 }],
             copy_depth: 0,
             step: RELEASE_STEP,
         }
@@ -397,6 +403,7 @@ impl Prefilter {
         let mut stats =
             RunStats { input_bytes: src.len_hint().unwrap_or(0), ..RunStats::default() };
         self.hits.clear();
+        self.entered.fill(0);
         self.copy_depth = 0;
         let mut input = SourceInput::with_step(src, writer, self.step);
         self.run(&mut input, &mut counters, &mut stats, entry, trace)?;
@@ -410,14 +417,24 @@ impl Prefilter {
         Ok((out, stats))
     }
 
+    #[inline]
     fn matcher(&mut self, q: u32) -> &StateMatcher {
-        let slot = &mut self.matchers[q as usize];
-        if slot.is_none() {
-            let tables = &self.tables;
-            *slot = Some(StateMatcher::build(&tables.states[q as usize], &tables.universe));
-            self.matchers_built += 1;
+        if self.matchers[q as usize].is_none() {
+            self.build_matcher(q);
         }
-        slot.as_ref().expect("just built")
+        self.matchers[q as usize].as_ref().expect("just built")
+    }
+
+    /// Build state `q`'s matcher: once per state and worker, so out of the
+    /// token step's way (a searcher under construction holds its shift
+    /// tables on the stack).
+    #[cold]
+    #[inline(never)]
+    fn build_matcher(&mut self, q: u32) {
+        let tables = &self.tables;
+        self.matchers[q as usize] =
+            Some(StateMatcher::build(&tables.states[q as usize], &tables.universe));
+        self.matchers_built += 1;
     }
 
     /// The Fig. 4 loop, from an arbitrary entry configuration.
@@ -435,24 +452,25 @@ impl Prefilter {
         entry: RunEntry,
         mut trace: Option<&mut parallel::shard::ShardTrace>,
     ) -> Result<(), CoreError> {
-        let lookback = self.tables.max_kw_len + 8;
+        let tables = self.tables.clone();
+        let lookback = tables.max_kw_len + 8;
         let mut q: u32 = entry.state;
         let mut cursor: usize = entry.cursor;
         let mut suppress_jump = entry.suppress_jump;
         loop {
-            let state = &self.tables.states[q as usize];
-            if state.keywords.is_empty() {
+            let rows = tables.rows(q);
+            if rows.is_empty() {
                 break; // final state: nothing further to scan for
             }
             // Initial jump offset J[q].
-            let jump = state.jump as usize;
+            let jump = tables.jump(q) as usize;
             if jump > 0 && !suppress_jump {
                 cursor += jump;
                 stats.initial_jump_chars += jump as u64;
             }
             suppress_jump = false;
             // Search for the closest verified token of V[q].
-            let Some((kw_idx, start)) = self.find_token(q, input, cursor, m, stats)? else {
+            let Some((kw_idx, start)) = self.find_token(q, rows, input, cursor, m, stats)? else {
                 break; // input exhausted: remaining tokens are irrelevant
             };
             // Shard-trace observation point: the token is identified but
@@ -464,55 +482,36 @@ impl Prefilter {
                     return Ok(());
                 }
             }
-            let (name_len, close, target) = {
-                let kw = &self.tables.states[q as usize].keywords[kw_idx];
-                (kw.bytes.len(), kw.close, kw.target)
-            };
+            let row = &rows[kw_idx];
             // Scan right for the end of the tag.
-            let (end, bachelor) = scan_tag_end(input, start + name_len, m)?;
+            let (end, bachelor) = scan_tag_end(input, start + row.len as usize, m)?;
             stats.tokens_matched += 1;
 
-            if bachelor && !close {
+            if bachelor && !row.close {
                 // Bachelor tag: perform the opening and the closing
                 // transition one after the other (paper Fig. 4).
-                let open_target = target;
-                let close_target = self.close_target(open_target, start)?;
-                matchers::attribute_entry(&self.tables, open_target, &mut self.hits, stats);
-                matchers::attribute_entry(&self.tables, close_target, &mut self.hits, stats);
+                let close_target = close_target(&tables, row, start)?;
+                self.enter(row.target, &row.on, stats);
+                self.enter(close_target, &row.on_close, stats);
+                let (open, close) = ((row.target, row.on.action), row.on_close.action);
                 if self.multi {
-                    self.apply_bachelor_multi(input, open_target, close_target, start, end)?;
+                    self.apply_bachelor_multi(input, open, close, start, end)?;
                 } else {
-                    self.apply_bachelor(input, open_target, close_target, start, end)?;
+                    self.apply_bachelor(input, open, close, start, end)?;
                 }
                 q = close_target;
                 cursor = end;
-            } else if !close && self.tables.states[target as usize].balanced {
-                // Recursion extension: cross the opaque subtree with a
-                // balanced depth-counting scan for <e / </e.
-                matchers::attribute_entry(&self.tables, target, &mut self.hits, stats);
-                if self.multi {
-                    self.apply_action_multi(input, target, start, end, false)?;
-                } else {
-                    self.apply_action(input, target, start, end, false)?;
-                }
-                let (close_start, close_end) = self.balanced_scan(target, input, end, m, stats)?;
-                let close_target = self.close_target(target, close_start)?;
-                matchers::attribute_entry(&self.tables, close_target, &mut self.hits, stats);
-                if self.multi {
-                    self.apply_action_multi(input, close_target, close_start, close_end, true)?;
-                } else {
-                    self.apply_action(input, close_target, close_start, close_end, true)?;
-                }
-                q = close_target;
-                cursor = close_end;
+            } else if !row.close && row.on.balanced {
+                (q, cursor) = self.cross_opaque(&tables, row, input, start, end, m, stats)?;
             } else {
-                matchers::attribute_entry(&self.tables, target, &mut self.hits, stats);
+                self.enter(row.target, &row.on, stats);
+                let target = (row.target, row.on.action);
                 if self.multi {
-                    self.apply_action_multi(input, target, start, end, close)?;
+                    self.apply_action_multi(input, target, start, end)?;
                 } else {
-                    self.apply_action(input, target, start, end, close)?;
+                    self.apply_action(input, target, start, end)?;
                 }
-                q = target;
+                q = row.target;
                 cursor = end;
             }
             input.advance(cursor.saturating_sub(lookback))?;
@@ -523,18 +522,64 @@ impl Prefilter {
         Ok(())
     }
 
-    /// The state the closing tag of `open_state`'s own element leads to:
-    /// `A[open_state, </name]`, for bachelor tags and balanced subtrees,
-    /// whose closing transition the runtime takes without searching.
-    fn close_target(&self, open_state: u32, pos: usize) -> Result<u32, CoreError> {
-        let state = &self.tables.states[open_state as usize];
-        let name = &state.label.as_ref().expect("labeled state").0;
-        state
-            .keywords
-            .iter()
-            .find(|k| k.close && k.name == *name)
-            .map(|k| k.target)
-            .ok_or_else(|| CoreError::UnexpectedToken { name: name.clone(), close: true, pos })
+    /// Recursion extension: the open tag `[start, end)` of `row` enters an
+    /// opaque (recursive-element) state. Fire it, cross the subtree with a
+    /// balanced depth-counting scan for `<e` / `</e`, fire the close tag it
+    /// ends at, and return the state and cursor past it. Out of line: the
+    /// token step of every other token does not carry it.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(never)]
+    fn cross_opaque<S: DocSource, W: Write, M: Metrics>(
+        &mut self,
+        tables: &CompiledTables,
+        row: &TokenRow,
+        input: &mut SourceInput<S, W>,
+        start: usize,
+        end: usize,
+        m: &mut M,
+        stats: &mut RunStats,
+    ) -> Result<(u32, usize), CoreError> {
+        let open = (row.target, row.on.action);
+        self.enter(row.target, &row.on, stats);
+        if self.multi {
+            self.apply_action_multi(input, open, start, end)?;
+        } else {
+            self.apply_action(input, open, start, end)?;
+        }
+        let (close_start, close_end) = self.balanced_scan(row.target, input, end, m, stats)?;
+        let close_target = close_target(tables, row, close_start)?;
+        self.enter(close_target, &row.on_close, stats);
+        let close = (close_target, row.on_close.action);
+        if self.multi {
+            self.apply_action_multi(input, close, close_start, close_end)?;
+        } else {
+            self.apply_action(input, close, close_start, close_end)?;
+        }
+        Ok((close_target, close_end))
+    }
+
+    /// Account one state entry, right where a verified token fires its
+    /// transition: count the match event if the state's action indicates
+    /// one, and for a registry automaton OR the state's query-id set into
+    /// the run's hit accumulator — the first time the run enters the
+    /// state; later entries have nothing to add. Single-query tables
+    /// attribute nothing, so their runs pay one branch here.
+    #[inline]
+    fn enter(&mut self, state: u32, e: &Entry, stats: &mut RunStats) {
+        stats.match_events += e.event as u64;
+        if e.attributed && self.entered[state as usize / 64] & (1 << (state % 64)) == 0 {
+            self.attribute(state);
+        }
+    }
+
+    /// The run enters attributed state `state` for the first time: OR its
+    /// query-id set into the verdict.
+    #[cold]
+    #[inline(never)]
+    fn attribute(&mut self, state: u32) {
+        self.entered[state as usize / 64] |= 1 << (state % 64);
+        let att = self.tables.attribution.as_ref().expect("attributed rows are registry rows");
+        self.hits.union_with(&att.state_hits[state as usize]);
     }
 
     /// Balanced depth-counting scan across an opaque (recursive-element)
@@ -609,6 +654,7 @@ impl Prefilter {
     fn find_token<S: DocSource, W: Write, M: Metrics>(
         &mut self,
         q: u32,
+        rows: &[TokenRow],
         input: &mut SourceInput<S, W>,
         from: usize,
         m: &mut M,
@@ -625,7 +671,7 @@ impl Prefilter {
             let Some((kw_idx, start)) = hit else {
                 return Ok(None);
             };
-            let kw_len = self.tables.states[q as usize].keywords[kw_idx].bytes.len();
+            let kw_len = rows[kw_idx].len as usize;
             m.cmp(1);
             match input.byte(start + kw_len)? {
                 Some(c) if is_tag_name_end(c) => return Ok(Some((kw_idx, start))),
@@ -643,7 +689,9 @@ impl Prefilter {
     }
 
     /// Check the remaining keywords of `V[q]` directly at `start` (longest
-    /// first), with boundary verification.
+    /// first), with boundary verification. After a false match only.
+    #[cold]
+    #[inline(never)]
     fn keyword_at<S: DocSource, W: Write, M: Metrics>(
         &self,
         q: u32,
@@ -668,25 +716,24 @@ impl Prefilter {
         Ok(None)
     }
 
-    /// Execute `T[target]` for a non-bachelor token spanning `[start, end)`.
+    /// Execute `T[target]` for a non-bachelor token spanning `[start, end)`;
+    /// `target` is the entered state and its action.
     fn apply_action<S: DocSource, W: Write>(
         &self,
         input: &mut SourceInput<S, W>,
-        target: u32,
+        (target, action): (u32, Action),
         start: usize,
         end: usize,
-        close: bool,
     ) -> Result<(), CoreError> {
-        let state = &self.tables.states[target as usize];
         // Inside an active copy range every byte is already covered by the
         // raw copy; only copy-off has work to do.
         if input.copy_active() {
-            if state.action == Action::CopyOff {
+            if action == Action::CopyOff {
                 input.copy_off(end)?;
             }
             return Ok(());
         }
-        match state.action {
+        match action {
             Action::Nop => {}
             Action::CopyOn => input.copy_on(start),
             Action::CopyOff => {
@@ -698,25 +745,23 @@ impl Prefilter {
                 if with_atts {
                     input.emit_range(start, end)?;
                 } else {
-                    let name = &state.label.as_ref().expect("labeled").0;
-                    emit_bare_tag(input, if close { b"</" } else { b"<" }, name, b">")?;
+                    input.emit_bytes(self.tables.bare_tag(target))?;
                 }
             }
         }
         Ok(())
     }
 
-    /// Execute the open + close actions of a bachelor tag `<name …/>`.
+    /// Execute the open + close actions of a bachelor tag `<name …/>`:
+    /// the open state and its action, and the close state's action.
     fn apply_bachelor<S: DocSource, W: Write>(
         &self,
         input: &mut SourceInput<S, W>,
-        open_target: u32,
-        close_target: u32,
+        (open_target, open_act): (u32, Action),
+        close_act: Action,
         start: usize,
         end: usize,
     ) -> Result<(), CoreError> {
-        let open_act = self.tables.states[open_target as usize].action;
-        let close_act = self.tables.states[close_target as usize].action;
         if input.copy_active() {
             // Covered by the enclosing raw copy. A copy-off cannot occur
             // here: bachelor close actions pair with their own copy-on.
@@ -734,8 +779,10 @@ impl Prefilter {
         }
         if matches!(open_act, Action::CopyTag { .. }) || matches!(close_act, Action::CopyTag { .. })
         {
-            let name = &self.tables.states[open_target as usize].label.as_ref().expect("labeled").0;
-            emit_bare_tag(input, b"<", name, b"/>")?;
+            // `<name>` less its bracket, then the bachelor's `/>`.
+            let open = self.tables.bare_tag(open_target);
+            input.emit_bytes(&open[..open.len() - 1])?;
+            input.emit_bytes(b"/>")?;
         }
         Ok(())
     }
@@ -751,12 +798,11 @@ impl Prefilter {
     fn apply_action_multi<S: DocSource, W: Write>(
         &mut self,
         input: &mut SourceInput<S, W>,
-        target: u32,
+        target: (u32, Action),
         start: usize,
         end: usize,
-        close: bool,
     ) -> Result<(), CoreError> {
-        let action = self.tables.states[target as usize].action;
+        let action = target.1;
         if self.copy_depth > 0 {
             match action {
                 Action::CopyOn => self.copy_depth += 1,
@@ -774,7 +820,7 @@ impl Prefilter {
         if action == Action::CopyOn {
             self.copy_depth = 1;
         }
-        self.apply_action(input, target, start, end, close)
+        self.apply_action(input, target, start, end)
     }
 
     /// [`apply_bachelor`](Self::apply_bachelor) for registry automatons.
@@ -786,15 +832,13 @@ impl Prefilter {
     fn apply_bachelor_multi<S: DocSource, W: Write>(
         &mut self,
         input: &mut SourceInput<S, W>,
-        open_target: u32,
-        close_target: u32,
+        open: (u32, Action),
+        close_act: Action,
         start: usize,
         end: usize,
     ) -> Result<(), CoreError> {
         if self.copy_depth > 0 {
-            let open_act = self.tables.states[open_target as usize].action;
-            let close_act = self.tables.states[close_target as usize].action;
-            if close_act == Action::CopyOff && open_act != Action::CopyOn {
+            if close_act == Action::CopyOff && open.1 != Action::CopyOn {
                 self.copy_depth -= 1;
                 if self.copy_depth == 0 {
                     input.copy_off(end)?;
@@ -802,21 +846,30 @@ impl Prefilter {
             }
             return Ok(());
         }
-        self.apply_bachelor(input, open_target, close_target, start, end)
+        self.apply_bachelor(input, open, close_act, start, end)
     }
 }
 
-/// Emit a reconstructed bare tag — `<name>`, `</name>` or `<name/>` —
-/// piece by piece: the sink buffers, so there is nothing to assemble.
-fn emit_bare_tag<S: DocSource, W: Write>(
-    input: &mut SourceInput<S, W>,
-    open: &[u8],
-    name: &str,
-    close: &[u8],
-) -> Result<(), CoreError> {
-    input.emit_bytes(open)?;
-    input.emit_bytes(name.as_bytes())?;
-    input.emit_bytes(close)
+/// The state a row's closing transition leads to when the runtime takes
+/// it without searching — after a bachelor tag, or at the end of a
+/// balanced scan at `pos`: the row's compile-time close target, or the
+/// [`UnexpectedToken`](CoreError::UnexpectedToken) the target's vocabulary
+/// makes of it.
+#[inline]
+fn close_target(tables: &CompiledTables, row: &TokenRow, pos: usize) -> Result<u32, CoreError> {
+    match row.close_target {
+        NO_CLOSE => Err(unexpected_close(tables, row.target, pos)),
+        close => Ok(close),
+    }
+}
+
+/// The [`UnexpectedToken`](CoreError::UnexpectedToken) of taking the close
+/// transition of open state `open` at `pos`, whose vocabulary has none.
+#[cold]
+#[inline(never)]
+fn unexpected_close(tables: &CompiledTables, open: u32, pos: usize) -> CoreError {
+    let name = tables.states[open as usize].label.as_ref().expect("labeled state").0.clone();
+    CoreError::UnexpectedToken { name, close: true, pos }
 }
 
 /// Outcome of one windowed hop of the accelerated balanced scan.
@@ -960,22 +1013,34 @@ pub(crate) fn is_tag_name_end(c: u8) -> bool {
 /// (never `cmp`), in the vectorized *and* the scalar mode, so the paper's
 /// `Char Comp.` column counts only genuine pattern comparisons and the
 /// `Scan%` column owns the tag traversal — identically in both modes.
+///
+/// Vectorized, a tag is first read off the structural masks the search
+/// left cached (`SourceInput::tag_end_masked`); only a tag longer than
+/// two blocks, or one running past the resident bytes, takes the windowed
+/// hop.
+#[inline(always)]
 fn scan_tag_end<S: DocSource, W: Write, M: Metrics>(
     input: &mut SourceInput<S, W>,
     pos: usize,
     m: &mut M,
 ) -> Result<(usize, bool), CoreError> {
-    if memscan::accel_enabled() {
-        scan_tag_end_windowed(input, pos, m)
-    } else {
-        scan_tag_end_scalar(input, pos, m)
+    if !memscan::accel_enabled() {
+        return scan_tag_end_scalar(input, pos, m);
     }
+    if let Some((end, bachelor)) = input.tag_end_masked(pos) {
+        m.scanned((end - pos) as u64);
+        return Ok((end, bachelor));
+    }
+    scan_tag_end_windowed(input, pos, m)
 }
 
-/// Vectorized tag-end scan: hop `>`-to-`>` and quote-to-quote over
-/// `SourceInput::window` views with [`memscan::scan_tag_end_window`],
-/// instead of one `SourceInput::byte` call per character. The resumable
-/// [`memscan::TagScan`] state carries open quotes across window refills.
+/// Vectorized tag-end scan for the tags the block masks cannot answer:
+/// hop `>`-to-`>` and quote-to-quote over `SourceInput::window` views with
+/// [`memscan::scan_tag_end_window`], instead of one `SourceInput::byte`
+/// call per character. The resumable [`memscan::TagScan`] state carries
+/// open quotes across window refills.
+#[cold]
+#[inline(never)]
 fn scan_tag_end_windowed<S: DocSource, W: Write, M: Metrics>(
     input: &mut SourceInput<S, W>,
     pos: usize,
@@ -1206,6 +1271,25 @@ mod tests {
         let mut q = pf(EX2, &["/*", "/a/b#"]);
         q.precompile_matchers();
         assert!(q.memory_bytes() >= after_run);
+    }
+
+    #[test]
+    fn bachelor_without_a_close_keyword_is_an_unexpected_token() {
+        // An `e` holds a `c` first: after `<e` the vocabulary has no `</e`,
+        // so the row carries no close target, and the bachelor `<e/>`
+        // (invalid against the DTD) is reported where it starts.
+        let dtd = br#"<!DOCTYPE r [ <!ELEMENT r (e | x)*> <!ELEMENT e (c)> <!ELEMENT x (c)>
+                      <!ELEMENT c (#PCDATA)> ]>"#;
+        let mut p = pf(dtd, &["/*", "/r/e/c#"]);
+        let rows = p.tables().rows(p.tables().rows(0)[0].target);
+        let e_open = rows.iter().find(|r| !r.close && r.len == 2).expect("an <e keyword");
+        assert_eq!(e_open.close_target, NO_CLOSE);
+        match p.filter_to_vec(b"<r><x><c>n</c></x><e/></r>") {
+            Err(CoreError::UnexpectedToken { name, close: true, pos: 18 }) => assert_eq!(name, "e"),
+            other => panic!("expected an unexpected </e at 18, got {other:?}"),
+        }
+        let (out, _) = p.filter_to_vec(b"<r><x><c>n</c></x><e><c>y</c></e></r>").unwrap();
+        assert_eq!(out, b"<r><e><c>y</c></e></r>".to_vec());
     }
 
     #[test]

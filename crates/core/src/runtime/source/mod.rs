@@ -50,6 +50,7 @@ pub use slice::SliceSource;
 
 use super::matchers::Searcher;
 use crate::error::CoreError;
+use smpx_stringmatch::memscan::Blocks;
 use smpx_stringmatch::Metrics;
 use std::io::Write;
 
@@ -191,6 +192,11 @@ forward_doc_source!(&mut S);
 /// window then holds a chunk, the look-back and one tag, never a skip; a
 /// mapping sees its guard rise at least once per step and can hand the
 /// pages behind it back.
+///
+/// One token step reads the structural masks of one block twice: the
+/// search pops its `<` bits, the tag-end scan its `>` and quote bits. The
+/// block is cached here for the run ([`Blocks`], keyed by offsets from
+/// the resident base and dropped when a refill or compaction moves it).
 pub(crate) struct SourceInput<S: DocSource, W: Write> {
     src: S,
     out: W,
@@ -199,6 +205,8 @@ pub(crate) struct SourceInput<S: DocSource, W: Write> {
     written: u64,
     /// The release step, a power of two.
     step: usize,
+    /// The structural block the last search or tag-end scan read.
+    blocks: Blocks,
 }
 
 impl<S: DocSource, W: Write> SourceInput<S, W> {
@@ -208,7 +216,7 @@ impl<S: DocSource, W: Write> SourceInput<S, W> {
     }
 
     pub fn with_step(src: S, out: W, step: usize) -> Self {
-        SourceInput { src, out, copy_from: None, written: 0, step }
+        SourceInput { src, out, copy_from: None, written: 0, step, blocks: Blocks::new() }
     }
 
     /// The first absolute multiple of the release step above `pos`: where
@@ -252,7 +260,9 @@ impl<S: DocSource, W: Write> SourceInput<S, W> {
             let stop = end.min(self.next_cut(search_from + (overlap - 1)));
             if search_from < stop {
                 let hay = &buf[..stop - base];
-                if let Some((kw, rel_start)) = matcher.search_in(hay, search_from - base, m) {
+                self.blocks.rebase(base);
+                let hit = matcher.search_in(hay, search_from - base, &mut self.blocks, m);
+                if let Some((kw, rel_start)) = hit {
                     return Ok(Some((kw, base + rel_start)));
                 }
                 search_from = stop.saturating_sub(overlap - 1).max(search_from);
@@ -270,12 +280,30 @@ impl<S: DocSource, W: Write> SourceInput<S, W> {
 
     /// Byte at absolute position (`None` at EOF). Probing one byte past a
     /// [`window`](Self::window) view forces the refill that distinguishes
-    /// "window ended" from EOF.
+    /// "window ended" from EOF; a resident byte — the one after a keyword
+    /// the search just found, as a rule — is read without asking the
+    /// source.
+    #[inline]
     pub fn byte(&mut self, pos: usize) -> Result<Option<u8>, CoreError> {
+        if let Some(&b) = self.src.resident().get(pos.wrapping_sub(self.src.base())) {
+            return Ok(Some(b));
+        }
         if !self.src.ensure(pos)? {
             return Ok(None);
         }
         Ok(Some(self.src.resident()[pos - self.src.base()]))
+    }
+
+    /// The end of the tag whose name ends at absolute `pos`, from the
+    /// structural masks of the resident bytes ([`Blocks::tag_end`]):
+    /// `Some((end, bachelor))`, or `None` when the tag runs past two blocks
+    /// or past the resident region and the quote-aware window scan decides.
+    #[inline]
+    pub fn tag_end_masked(&mut self, pos: usize) -> Option<(usize, bool)> {
+        let base = self.src.base();
+        self.blocks.rebase(base);
+        let (end, bachelor) = self.blocks.tag_end(self.src.resident(), pos - base)?;
+        Some((base + end, bachelor))
     }
 
     /// Contiguous view of the resident bytes starting at absolute `pos`,

@@ -19,10 +19,10 @@
 //! * **The filter** is the pattern's first byte (the *anchor*, `<` in SMP)
 //!   and its bytes at two offsets past it, all three compared in the
 //!   vector unit: 16/32 alignments per iteration, and an alignment that
-//!   fails any of the three never leaves it. Three bytes to broadcast is
-//!   all the set-up there is, so a search enters the vector loop at once
-//!   (the multi-keyword walk probes the next 16 alignments one by one
-//!   before it loads its tables).
+//!   fails any of the three never leaves it. As in the multi-keyword
+//!   walk, a search first pops the `<` bits of the structural block it
+//!   starts in ([`memscan::Blocks`]) and enters the vector loop only past
+//!   that block.
 //! * **The offsets** are the pair that the fewest *other* tags of the DTD
 //!   pass, when the searcher is built
 //!   [against the DTD's tag universe](BoyerMoore::with_universe):
@@ -38,22 +38,26 @@
 //! per candidate stop with the distance from the previous one. The scalar
 //! leg keeps the paper's definitions.
 
-use crate::memscan::{self, FilterChoice, Fingerprint, TagUniverse};
+use crate::memscan::{self, Blocks, FilterChoice, Fingerprint, TagUniverse};
 use crate::{Metrics, NoMetrics};
 
 /// A compiled Boyer–Moore searcher for one pattern.
+///
+/// What the candidate walk reads comes first and in declaration order
+/// (`repr(C)`), the shift tables of the classic loop behind it.
 #[derive(Debug, Clone)]
+#[repr(C)]
 pub struct BoyerMoore {
+    /// The candidate filter of the accelerated path.
+    filter: Fingerprint,
     pattern: Vec<u8>,
-    /// `bad_char[c]` = rightmost index of `c` in the pattern, or `usize::MAX`
-    /// when `c` does not occur.
-    bad_char: [usize; 256],
     /// Strong good-suffix shift: `good_suffix[j]` is the shift when a
     /// mismatch occurs at pattern index `j` (all of `pattern[j+1..]`
     /// matched).
     good_suffix: Vec<usize>,
-    /// The candidate filter of the accelerated path.
-    filter: Fingerprint,
+    /// `bad_char[c]` = rightmost index of `c` in the pattern, or `usize::MAX`
+    /// when `c` does not occur.
+    bad_char: [usize; 256],
 }
 
 impl BoyerMoore {
@@ -95,8 +99,22 @@ impl BoyerMoore {
     /// unless `SMPX_NO_SIMD=1` forces the classic loop
     /// ([`find_at_scalar`](Self::find_at_scalar)).
     pub fn find_at<M: Metrics>(&self, hay: &[u8], from: usize, m: &mut M) -> Option<usize> {
+        self.find_at_blocks(hay, from, &mut Blocks::new(), m)
+    }
+
+    /// [`find_at`](Self::find_at) with the structural masks of `hay` kept
+    /// in `blocks` from one search to the next (the runtime's token step
+    /// shares them with its tag-end scan; see [`Blocks`]).
+    #[inline(always)]
+    pub fn find_at_blocks<M: Metrics>(
+        &self,
+        hay: &[u8],
+        from: usize,
+        blocks: &mut Blocks,
+        m: &mut M,
+    ) -> Option<usize> {
         if memscan::accel_enabled() {
-            memscan::candidate_find(hay, from, &self.pattern, &self.filter, m)
+            memscan::candidate_find(hay, from, &self.pattern, &self.filter, blocks, m)
         } else {
             self.find_at_scalar(hay, from, m)
         }

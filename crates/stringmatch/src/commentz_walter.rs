@@ -59,20 +59,27 @@
 //!   nibble-table lookups, whatever `|V|` is (two exact compares when the
 //!   keywords agree on both bytes), so text and tags outside `V[q]` never
 //!   leave the vector unit.
-//! * **Near phase.** A search first states the filter at the next
-//!   `memscan`-`PEEK` (16) alignments one by one — the anchor compare
-//!   first, so in an SMP vocabulary this is a probe for `<` — before any
-//!   vector set-up. In dense markup the next token is a handful of bytes
-//!   away, which the vector loop cannot help and must not hurt. (A set
-//!   that takes the exact lane test has no tables to load and skips it.)
-//! * **Far phase.** Past the probe, [`memscan::find_fingerprint`] tests
-//!   16/32 alignments per iteration against all keywords at once.
+//! * **Near phase.** A set anchored on `<` (every SMP vocabulary) first
+//!   pops the `<` bits of the 64-byte structural block the search starts
+//!   in ([`memscan::Blocks`]: `<`, `>` and quote masks, computed once and
+//!   shared with the runtime's tag-end scan) and states the lane test at
+//!   each. In dense markup the next token is in that block, which the
+//!   vector loop cannot help and must not hurt.
+//! * **Far phase.** Past an exhausted block — at once, for any other
+//!   set — [`memscan::find_fingerprint`] tests 16/32 alignments per
+//!   iteration against all keywords at once.
 //! * **Verification.** A candidate's two bytes are the key into a table
 //!   of `(key, pattern)` rows sorted by `(key, len, index)`: the rows of
 //!   one key are the keywords that can start there, shortest first, so
 //!   the first that compares equal is the smallest end at this start
 //!   (`<ab` before `<abc`, duplicates by index). There is no trie on
 //!   this path.
+//! * **First-hit exit.** When every pattern begins with `<` and holds no
+//!   other `<` (every SMP vocabulary), an occurrence starting later than
+//!   a verified one would have to start inside it, on a byte that is not
+//!   `<`: the first verified candidate is the answer, and the walk stops
+//!   there instead of going on while a later start could still end
+//!   sooner.
 //!
 //! The safety argument for the vector loads is the filter's: offsets stay
 //! below `lmin`, the loop runs while `i + 32 + o2 <= len`, and the scalar
@@ -84,9 +91,11 @@
 //! [`Metrics::shift`] is called once per candidate stop with the distance
 //! from the previous one. `Char Comp.` therefore counts a few bytes per
 //! *candidate* rather than per tag, and `∅ Shift` is the distance between
-//! candidates; the scalar leg keeps the paper's definitions.
+//! candidates; the scalar leg keeps the paper's definitions. A walk that
+//! takes the first-hit exit books nothing past its hit; one that cannot
+//! books the alignments it went on over, up to `len - lmin` per hit.
 
-use crate::memscan::{self, FilterChoice, TagUniverse};
+use crate::memscan::{self, Blocks, FilterChoice, TagUniverse};
 use crate::{Metrics, MultiMatch, NoMetrics};
 
 #[derive(Debug, Clone, Default)]
@@ -109,24 +118,33 @@ impl Node {
 }
 
 /// A compiled Commentz–Walter searcher over a pattern set.
+///
+/// The fields the candidate walk reads come first and in declaration
+/// order (`repr(C)`): one or two cache lines per search, the tables of
+/// the windowed loop behind them.
 #[derive(Debug, Clone)]
+#[repr(C)]
 pub struct CommentzWalter {
-    nodes: Vec<Node>,
-    patterns: Vec<Vec<u8>>,
+    /// The candidate filter of the accelerated path.
+    filter: memscan::Fingerprint,
+    /// Every pattern begins with `<` and holds no other: the walk may
+    /// stop at its first verified candidate (module docs, "First-hit
+    /// exit").
+    first_hit: bool,
     /// Length of the shortest pattern (window size).
     lmin: usize,
     /// Length of the longest pattern (bounds how far an occurrence start
     /// can trail its detection window).
     lmax: usize,
-    /// `d1[c]`: minimal distance ≥ 1 of byte `c` from the right end of any
-    /// pattern, capped at `lmin`.
-    d1: [u32; 256],
-    /// The candidate filter of the accelerated path.
-    filter: memscan::Fingerprint,
     /// Verification table of the accelerated path: one `(key, pattern)`
     /// row per pattern, sorted by `(key, len, index)`, where `key` packs
     /// the pattern's bytes at the filter's two offsets.
     verify: Vec<(u16, u32)>,
+    patterns: Vec<Vec<u8>>,
+    nodes: Vec<Node>,
+    /// `d1[c]`: minimal distance ≥ 1 of byte `c` from the right end of any
+    /// pattern, capped at `lmin`.
+    d1: [u32; 256],
 }
 
 impl CommentzWalter {
@@ -224,7 +242,8 @@ impl CommentzWalter {
             .collect();
         verify.sort_unstable_by_key(|&(key, idx)| (key, patterns[idx as usize].len(), idx));
 
-        CommentzWalter { nodes, patterns, lmin, lmax, d1, filter, verify }
+        let first_hit = patterns.iter().all(|p| p[0] == b'<' && !p[1..].contains(&b'<'));
+        CommentzWalter { filter, first_hit, lmin, lmax, verify, patterns, nodes, d1 }
     }
 
     /// The pattern set, in construction order.
@@ -259,8 +278,22 @@ impl CommentzWalter {
     /// path") unless `SMPX_NO_SIMD=1` forces the pure windowed loop
     /// ([`find_at_scalar`](Self::find_at_scalar)).
     pub fn find_at<M: Metrics>(&self, hay: &[u8], from: usize, m: &mut M) -> Option<MultiMatch> {
+        self.find_at_blocks(hay, from, &mut Blocks::new(), m)
+    }
+
+    /// [`find_at`](Self::find_at) with the structural masks of `hay` kept
+    /// in `blocks` from one search to the next (the runtime's token step
+    /// shares them with its tag-end scan; see [`Blocks`]).
+    #[inline]
+    pub fn find_at_blocks<M: Metrics>(
+        &self,
+        hay: &[u8],
+        from: usize,
+        blocks: &mut Blocks,
+        m: &mut M,
+    ) -> Option<MultiMatch> {
         if memscan::accel_enabled() {
-            self.find_at_accel(hay, from, m)
+            self.find_at_accel(hay, from, blocks, m)
         } else {
             self.find_at_scalar(hay, from, m)
         }
@@ -273,19 +306,30 @@ impl CommentzWalter {
     /// computes, which returns the first *window* (= smallest end) with a
     /// detection and breaks ties by pattern index. A later start can only
     /// beat the best end so far while `start + lmin <= end`, which bounds
-    /// the walk past the first hit to `lmax - lmin` alignments.
-    fn find_at_accel<M: Metrics>(&self, hay: &[u8], from: usize, m: &mut M) -> Option<MultiMatch> {
+    /// the walk past the first hit to `lmax - lmin` alignments — and to
+    /// none under the first-hit exit.
+    #[inline(always)]
+    fn find_at_accel<M: Metrics>(
+        &self,
+        hay: &[u8],
+        from: usize,
+        blocks: &mut Blocks,
+        m: &mut M,
+    ) -> Option<MultiMatch> {
         let lmin = self.lmin;
         if from >= hay.len() || hay.len() - from < lmin {
             return None;
         }
         // Last position where even the shortest pattern still fits.
         let last_start = hay.len() - lmin;
+        if self.first_hit {
+            return self.first_hit_walk(hay, from, last_start, blocks, m);
+        }
         let mut limit = last_start;
         let mut cursor = from;
         let mut best: Option<MultiMatch> = None;
         while cursor <= limit {
-            let Some(s) = self.filter.next_candidate(hay, cursor, limit) else {
+            let Some(s) = self.filter.next_candidate(hay, cursor, limit, blocks) else {
                 if best.is_none() {
                     m.scanned((hay.len() - cursor) as u64);
                     m.shift((last_start + 1 - cursor) as u64);
@@ -311,6 +355,42 @@ impl CommentzWalter {
             cursor = s + 1;
         }
         best
+    }
+
+    /// [`find_at_accel`](Self::find_at_accel) under the first-hit exit:
+    /// the first candidate where a pattern occurs is the answer.
+    #[inline(always)]
+    fn first_hit_walk<M: Metrics>(
+        &self,
+        hay: &[u8],
+        mut cursor: usize,
+        last_start: usize,
+        blocks: &mut Blocks,
+        m: &mut M,
+    ) -> Option<MultiMatch> {
+        while cursor <= last_start {
+            let Some(s) = self.filter.next_candidate(hay, cursor, last_start, blocks) else {
+                break;
+            };
+            m.scanned((s + 1 - cursor) as u64);
+            if s > cursor {
+                m.shift((s - cursor) as u64);
+            }
+            if let Some(&(_, idx)) =
+                self.rows_at(hay, s).iter().find(|r| self.occurs_at(hay, s, r, m))
+            {
+                let idx = idx as usize;
+                return Some(MultiMatch {
+                    pattern: idx,
+                    start: s,
+                    end: s + self.patterns[idx].len(),
+                });
+            }
+            cursor = s + 1;
+        }
+        m.scanned((hay.len() - cursor) as u64);
+        m.shift((last_start + 1 - cursor) as u64);
+        None
     }
 
     /// The verification rows of candidate `s` (`s + lmin <= hay.len()`):
@@ -686,11 +766,49 @@ mod tests {
         let pats: Vec<&[u8]> = vec![b"<description", b"<name", b"</item"];
         let cw = CommentzWalter::new(&pats);
         let mut c = Counters::default();
-        let hit = cw.find_at_accel(&hay, 0, &mut c).unwrap();
+        let hit = cw.find_at_accel(&hay, 0, &mut Blocks::new(), &mut c).unwrap();
         assert_eq!((hit.pattern, hit.start), (1, 4096));
         assert_eq!(c.scanned, 4097);
         assert_eq!(c.comparisons, 5);
         assert_eq!((c.shifts, c.shift_total), (1, 4096));
+    }
+
+    #[test]
+    fn first_hit_exit_equals_the_full_walk_on_smp_vocabularies() {
+        // Prefix pairs, open and close tokens of one name, and a text full
+        // of lookalikes: the exit returns what the full walk returns, from
+        // every start, and books exactly `len - lmin` fewer scanned bytes
+        // per hit — the fruitless continuation — and nothing else less.
+        let vocabularies: [&[&[u8]]; 3] = [
+            &[b"<Abstract", b"<AbstractText", b"</Abstract", b"</AbstractText"],
+            &[b"<a", b"<ab", b"<abc", b"</a", b"</ab"],
+            &[b"<item", b"</item", b"<name", b"<description", b"</site"],
+        ];
+        let hay = b"<site><AbstractText a='<x>'>x</AbstractText><Abstract/><abx><abc b=\"q>\">\
+                    <ab/><a></a><items><item id='i'><name>n</name><description>d</description>\
+                    </item></items></site>";
+        for pats in vocabularies {
+            let exit = CommentzWalter::new(pats);
+            assert!(exit.first_hit, "{pats:?}");
+            let full = CommentzWalter { first_hit: false, ..exit.clone() };
+            for from in 0..=hay.len() {
+                let (mut a, mut b) = (Counters::default(), Counters::default());
+                let got = exit.find_at_accel(hay, from, &mut Blocks::new(), &mut a);
+                let want = full.find_at_accel(hay, from, &mut Blocks::new(), &mut b);
+                assert_eq!(got, want, "{pats:?} from {from}");
+                let saved = got.map_or(0, |mm| mm.end - mm.start - exit.lmin) as u64;
+                assert_eq!(b.scanned - a.scanned, saved, "{pats:?} from {from}");
+                assert_eq!(
+                    (a.comparisons, a.shifts, a.shift_total),
+                    (b.comparisons, b.shifts, b.shift_total),
+                    "{pats:?} from {from}"
+                );
+            }
+        }
+        // A second `<` in a pattern, or a pattern not starting with one,
+        // leaves the full walk on.
+        assert!(!CommentzWalter::new(&[&b"<a<b"[..], b"<c"]).first_hit);
+        assert!(!CommentzWalter::new(&[&b"ab"[..], b"<c"]).first_hit);
     }
 
     #[test]

@@ -59,7 +59,8 @@ impl Horspool {
     /// ([`find_at_scalar`](Self::find_at_scalar)).
     pub fn find_at<M: Metrics>(&self, hay: &[u8], from: usize, m: &mut M) -> Option<usize> {
         if memscan::accel_enabled() {
-            memscan::candidate_find(hay, from, &self.pattern, &self.filter, m)
+            let blocks = &mut memscan::Blocks::new();
+            memscan::candidate_find(hay, from, &self.pattern, &self.filter, blocks, m)
         } else {
             self.find_at_scalar(hay, from, m)
         }

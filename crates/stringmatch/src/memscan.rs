@@ -12,8 +12,11 @@
 //! are fitted to the tags the documents can hold ([`TagUniverse`]), so
 //! that what stops the scan is the keywords and little else.
 //!
-//! On top of the raw scans, [`scan_tag_end_window`] drives the runtime's
-//! quote-aware search for a tag's closing `>`: it hops `>`-to-`>` and
+//! On top of the raw scans, [`Blocks`] holds the `<`, `>` and quote
+//! bitmasks of one block for the two scans of a token step — the
+//! candidate walk's near phase and the runtime's tag-end scan — and
+//! [`scan_tag_end_window`] drives the quote-aware search for a tag's
+//! closing `>` past what the masks answer: it hops `>`-to-`>` and
 //! quote-to-quote instead of stepping per byte, and its [`TagScan`] state
 //! is resumable across streaming-window refills.
 //!
@@ -539,27 +542,10 @@ impl Default for TagScan {
     }
 }
 
-/// Length of the scalar peek the `peek_find*` family runs before paying
-/// for a vector call: in dense markup the next stop is usually a handful
-/// of bytes away, where vector setup costs more than it saves.
+/// Length of the scalar peek [`peek_find2`] runs before paying for a
+/// vector call: in dense markup the next stop is usually a handful of
+/// bytes away, where vector setup costs more than it saves.
 const PEEK: usize = 16;
-
-/// Peek-then-hop single-needle scan: a [`PEEK`]-byte scalar peek before
-/// the [`find_byte`] vector scan.
-#[inline]
-pub fn peek_find(hay: &[u8], from: usize, n1: u8) -> Option<usize> {
-    if from >= hay.len() {
-        return None;
-    }
-    let end = hay.len().min(from + PEEK);
-    if let Some(p) = hay[from..end].iter().position(|&x| x == n1) {
-        return Some(from + p);
-    }
-    if end == hay.len() {
-        return None;
-    }
-    find_byte(hay, end, n1)
-}
 
 /// Peek-then-hop two-needle scan: a [`PEEK`]-byte scalar peek before the
 /// [`find_byte2`] vector scan. The runtime's balanced depth scan calls it
@@ -579,23 +565,6 @@ pub fn peek_find2(hay: &[u8], from: usize, n1: u8, n2: u8) -> Option<usize> {
     find_byte2(hay, end, n1, n2)
 }
 
-/// Peek-then-hop three-needle scan: a [`PEEK`]-byte scalar peek before
-/// the [`find_byte3`] vector scan.
-#[inline]
-pub fn peek_find3(hay: &[u8], from: usize, n1: u8, n2: u8, n3: u8) -> Option<usize> {
-    if from >= hay.len() {
-        return None;
-    }
-    let end = hay.len().min(from + PEEK);
-    if let Some(p) = hay[from..end].iter().position(|&x| x == n1 || x == n2 || x == n3) {
-        return Some(from + p);
-    }
-    if end == hay.len() {
-        return None;
-    }
-    find_byte3(hay, end, n1, n2, n3)
-}
-
 /// Scan `win[from..]` for the closing `>` of a tag, hopping `>`-to-`>` /
 /// quote-to-quote with [`find_byte3`] and [`find_byte`] instead of
 /// stepping per byte. `>` inside single- or double-quoted attribute
@@ -608,56 +577,20 @@ pub fn peek_find3(hay: &[u8], from: usize, n1: u8, n2: u8, n3: u8) -> Option<usi
 /// window (`from = 0`). Semantics are byte-identical to the scalar
 /// reference loop (`smpx_core`'s `scan_tag_end_scalar`), pinned by the
 /// tokenizer edge-case tests.
+///
+/// The runtime reaches it only for tags [`Blocks::tag_end`] cannot
+/// answer: longer than two blocks, or running past the resident bytes.
 pub fn scan_tag_end_window(win: &[u8], from: usize, st: &mut TagScan) -> Option<(usize, bool)> {
-    // Adaptive prefix: most tags close within a few dozen bytes, where a
-    // tight per-byte loop beats the setup cost of vector calls. Only tags
-    // that outlive the prefix — long attribute values — switch to hops.
-    const PREFIX: usize = 32;
     let mut i = from;
-    // Resumed mid-quote: close the quote first (peek + vector hop).
-    if let Some(q) = st.quote {
-        let j = peek_find(win, i, q)?;
-        st.quote = None;
-        st.prev = q;
-        i = j + 1;
-    }
-    // Per-byte prefix, shaped like the scalar reference loop (dedicated
-    // inner quote loop, `prev` in a register).
-    let prefix_end = win.len().min(from + PREFIX);
-    let mut prev = st.prev;
-    'prefix: while i < prefix_end {
-        match win[i] {
-            b'>' => return Some((i + 1, prev == b'/')),
-            q @ (b'"' | b'\'') => {
-                i += 1;
-                while i < prefix_end {
-                    if win[i] == q {
-                        prev = q;
-                        i += 1;
-                        continue 'prefix;
-                    }
-                    i += 1;
-                }
-                // Quote still open at the prefix edge: hand to the hops.
-                st.quote = Some(q);
-                break 'prefix;
-            }
-            c => {
-                prev = c;
-                i += 1;
-            }
-        }
-    }
-    st.prev = prev;
     loop {
         if let Some(q) = st.quote {
             // Inside an attribute value: only its closing quote matters.
-            let j = peek_find(win, i, q)?;
+            let j = find_byte(win, i, q)?;
             st.quote = None;
             st.prev = q;
             i = j + 1;
         }
-        match peek_find3(win, i, b'>', b'"', b'\'') {
+        match find_byte3(win, i, b'>', b'"', b'\'') {
             Some(j) => {
                 if win[j] == b'>' {
                     let prev = if j > i { win[j - 1] } else { st.prev };
@@ -674,6 +607,214 @@ pub fn scan_tag_end_window(win: &[u8], from: usize, st: &mut TagScan) -> Option<
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Structural block masks
+// ---------------------------------------------------------------------------
+
+/// Bytes per structural block: one bit of a `u64` each.
+const BLOCK: usize = 64;
+
+/// The structural bytes of one block of a haystack — `<`, `>`, `"` and
+/// `'` — as bitmasks, computed once and read by both scans of a token
+/// step: the candidate walk pops the `<` bits
+/// ([`Fingerprint::next_candidate`]) and the tag-end scan pops the `>`
+/// and quote bits ([`tag_end`](Self::tag_end)). A block is up to
+/// [`BLOCK`] bytes starting wherever the scan first needs one, so in dense
+/// markup the next token and its tag end are usually in the block already
+/// cached.
+///
+/// Positions are offsets into the haystack, which the caller identifies by
+/// the absolute offset of its first byte: a haystack that starts
+/// elsewhere ([`rebase`](Self::rebase) — a reader refill or compaction
+/// that moved the resident region) drops the cached block. Haystacks of
+/// one base must agree on the bytes they share, as prefixes of one
+/// resident region do. Bits of a block that runs past the end of the
+/// haystack it was computed from are clear, and its length says so.
+#[derive(Debug, Clone, Default)]
+pub struct Blocks {
+    /// Absolute offset of the first byte of the haystack.
+    base: usize,
+    /// The cached block is `hay[at..at + len]`; `len == 0`: none.
+    at: usize,
+    len: usize,
+    lt: u64,
+    gt: u64,
+    dq: u64,
+    sq: u64,
+}
+
+impl Blocks {
+    /// No block cached, for a haystack at absolute offset 0.
+    pub fn new() -> Blocks {
+        Blocks::default()
+    }
+
+    /// The haystack now starts at absolute offset `base`: keep the cached
+    /// block only if it did before.
+    #[inline]
+    pub fn rebase(&mut self, base: usize) {
+        if base != self.base {
+            self.base = base;
+            self.len = 0;
+        }
+    }
+
+    /// Make the cached block hold `hay[i]` (`i < hay.len()`): the one
+    /// cached, or a new one starting at `i`.
+    #[inline]
+    fn cover(&mut self, hay: &[u8], i: usize) {
+        if i.wrapping_sub(self.at) >= self.len {
+            self.load(hay, i);
+        }
+    }
+
+    /// One past the cached block.
+    #[inline]
+    fn end(&self) -> usize {
+        self.at + self.len
+    }
+
+    /// The positions of `mask` at or after `i`, as bits counted from `i`
+    /// (`i` inside the cached block).
+    #[inline]
+    fn bits_from(&self, mask: u64, i: usize) -> u64 {
+        mask >> (i - self.at)
+    }
+
+    /// Compute the block starting at `at` (`at < hay.len()`).
+    fn load(&mut self, hay: &[u8], at: usize) {
+        let bytes = &hay[at..hay.len().min(at + BLOCK)];
+        let [lt, gt, dq, sq] = if bytes.len() < BLOCK {
+            block_masks_scalar(bytes)
+        } else {
+            match kind() {
+                ScanKind::Swar => block_masks_scalar(bytes),
+                #[cfg(target_arch = "x86_64")]
+                ScanKind::Sse2 => block_masks_sse2(bytes),
+                #[cfg(target_arch = "x86_64")]
+                ScanKind::Avx2 => block_masks_avx2(bytes),
+                #[cfg(not(target_arch = "x86_64"))]
+                _ => block_masks_scalar(bytes),
+            }
+        };
+        *self = Blocks { base: self.base, at, len: bytes.len(), lt, gt, dq, sq };
+    }
+
+    /// The end of the tag whose name ends at `pos` of `hay`, read from the
+    /// block masks: `Some((end, bachelor))` exactly as
+    /// [`scan_tag_end_window`] and the scalar reference loop report it —
+    /// `>` inside a quoted attribute value does not end the tag, `end` is
+    /// one past the `>`, `bachelor` says the byte before it was `/` — or
+    /// `None` when the tag runs past two blocks' worth of bytes or past
+    /// `hay`, and the quote-aware window scan has to decide.
+    #[inline]
+    pub fn tag_end(&mut self, hay: &[u8], pos: usize) -> Option<(usize, bool)> {
+        if pos >= hay.len() {
+            return None;
+        }
+        // A block computed from a longer haystack may hold bits past this
+        // one's end: the masks must stop where `hay` does.
+        if self.end() > hay.len() {
+            self.len = 0;
+        }
+        let mut i = pos;
+        // The open quote byte, 0 outside a value.
+        let mut quote = 0u8;
+        loop {
+            if i.wrapping_sub(self.at) >= self.len {
+                if i >= hay.len() || i - pos >= 2 * BLOCK {
+                    return None;
+                }
+                self.load(hay, i);
+            }
+            let stops = match quote {
+                0 => self.gt | self.dq | self.sq,
+                b'"' => self.dq,
+                _ => self.sq,
+            };
+            let bits = self.bits_from(stops, i);
+            if bits == 0 {
+                i = self.end();
+                continue;
+            }
+            let j = i + bits.trailing_zeros() as usize;
+            i = j + 1;
+            if quote != 0 {
+                quote = 0;
+            } else if hay[j] == b'>' {
+                return Some((j + 1, j > pos && hay[j - 1] == b'/'));
+            } else {
+                quote = hay[j];
+            }
+        }
+    }
+}
+
+/// The `<`, `>`, `"` and `'` masks of up to [`BLOCK`] bytes, one byte at a
+/// time: the specification of the family and the member for short blocks.
+pub fn block_masks_scalar(bytes: &[u8]) -> [u64; 4] {
+    let mut masks = [0u64; 4];
+    for (i, &b) in bytes.iter().take(BLOCK).enumerate() {
+        let which = match b {
+            b'<' => 0,
+            b'>' => 1,
+            b'"' => 2,
+            b'\'' => 3,
+            _ => continue,
+        };
+        masks[which] |= 1 << i;
+    }
+    masks
+}
+
+/// [`block_masks_scalar`] over a whole block, 16 bytes per load.
+#[cfg(target_arch = "x86_64")]
+pub fn block_masks_sse2(bytes: &[u8]) -> [u64; 4] {
+    use std::arch::x86_64::*;
+    assert!(bytes.len() >= BLOCK, "a whole block");
+    let mut masks = [0u64; 4];
+    // SAFETY: the four 16-byte unaligned loads read `bytes[0..64]`, in
+    // bounds by the assert above.
+    unsafe {
+        let needles = [b'<', b'>', b'"', b'\''].map(|b| _mm_set1_epi8(b as i8));
+        for k in 0..BLOCK / 16 {
+            let v = _mm_loadu_si128(bytes.as_ptr().add(16 * k) as *const __m128i);
+            for (mask, n) in masks.iter_mut().zip(needles) {
+                *mask |= (_mm_movemask_epi8(_mm_cmpeq_epi8(v, n)) as u16 as u64) << (16 * k);
+            }
+        }
+    }
+    masks
+}
+
+/// [`block_masks_scalar`] over a whole block: two 32-byte loads, four
+/// compares each. Callers must only dispatch here when AVX2 was detected
+/// at runtime (enforced by [`kind`]).
+#[cfg(target_arch = "x86_64")]
+pub fn block_masks_avx2(bytes: &[u8]) -> [u64; 4] {
+    #[target_feature(enable = "avx2")]
+    unsafe fn imp(bytes: &[u8]) -> [u64; 4] {
+        use std::arch::x86_64::*;
+        assert!(bytes.len() >= BLOCK, "a whole block");
+        // SAFETY: the two 32-byte unaligned loads read `bytes[0..64]`, in
+        // bounds by the assert above.
+        unsafe {
+            let lo = _mm256_loadu_si256(bytes.as_ptr() as *const __m256i);
+            let hi = _mm256_loadu_si256(bytes.as_ptr().add(32) as *const __m256i);
+            [b'<', b'>', b'"', b'\''].map(|b| {
+                let n = _mm256_set1_epi8(b as i8);
+                let lo = _mm256_movemask_epi8(_mm256_cmpeq_epi8(lo, n)) as u32 as u64;
+                let hi = _mm256_movemask_epi8(_mm256_cmpeq_epi8(hi, n)) as u32 as u64;
+                lo | hi << 32
+            })
+        }
+    }
+    // SAFETY: dispatch reaches this function only after
+    // `is_x86_feature_detected!("avx2")` succeeded (see `detect_kind` /
+    // `force_kind`), so the target-feature precondition holds.
+    unsafe { imp(bytes) }
 }
 
 // ---------------------------------------------------------------------------
@@ -1052,26 +1193,43 @@ impl Fingerprint {
 
     /// Smallest candidate alignment in `from..=limit`, for a `limit` at
     /// which the shortest keyword still fits (`limit + lmin <= hay.len()`).
-    /// A table filter first states itself at the next [`PEEK`] alignments
-    /// one by one (the *near phase*: in dense markup the next token is a
-    /// handful of bytes away, where loading the tables into the vector
-    /// unit costs more than it saves) and hands the rest to
-    /// [`find_fingerprint`] (the *far phase*); an exact filter has three
-    /// bytes to broadcast and goes there at once.
+    /// A filter anchored on `<` — every SMP vocabulary — first pops the
+    /// `<` bits of the structural block holding `from` ([`Blocks`]) and
+    /// states the lane test at each (the *near phase*: in dense markup the
+    /// next token is in the block already, and the tag-end scan reads the
+    /// same masks); only an exhausted block hands the rest to
+    /// [`find_fingerprint`] (the *far phase*), as does every other filter
+    /// at once.
     #[inline]
-    pub fn next_candidate(&self, hay: &[u8], mut from: usize, limit: usize) -> Option<usize> {
+    pub fn next_candidate(
+        &self,
+        hay: &[u8],
+        mut from: usize,
+        limit: usize,
+        blocks: &mut Blocks,
+    ) -> Option<usize> {
+        let (o1, o2) = self.offsets();
+        if self.anchor == Some(b'<') {
+            blocks.cover(hay, from);
+            let mut lt = blocks.bits_from(blocks.lt, from);
+            while lt != 0 {
+                let i = from + lt.trailing_zeros() as usize;
+                if i > limit {
+                    return None;
+                }
+                if self.admits(hay[i + o1], hay[i + o2]) {
+                    return Some(i);
+                }
+                lt &= lt - 1;
+            }
+            from = blocks.end();
+            if from > limit {
+                return None;
+            }
+        }
         // An alignment is tested by reading up to `o2 < lmin` bytes past
         // it: cut the haystack so that none beyond `limit` is.
-        let hay = &hay[..limit + 1 + self.offsets().1];
-        if self.exact.is_none() {
-            let near = (from + PEEK).min(limit + 1);
-            let probe = (from..near).find(|&i| self.admits_at(hay, i));
-            if probe.is_some() || near > limit {
-                return probe;
-            }
-            from = near;
-        }
-        find_fingerprint(hay, from, self)
+        find_fingerprint(&hay[..limit + 1 + o2], from, self)
     }
 }
 
@@ -1086,11 +1244,13 @@ impl Fingerprint {
 /// passes over once as `scanned`, the bytes compared at a candidate as
 /// `cmp`, one `shift` per candidate stop with the distance from the
 /// previous one.
+#[inline]
 pub(crate) fn candidate_find<M: crate::Metrics>(
     hay: &[u8],
     from: usize,
     pat: &[u8],
     fp: &Fingerprint,
+    blocks: &mut Blocks,
     m: &mut M,
 ) -> Option<usize> {
     if from >= hay.len() || hay.len() - from < pat.len() {
@@ -1099,7 +1259,7 @@ pub(crate) fn candidate_find<M: crate::Metrics>(
     let last = hay.len() - pat.len();
     let mut cursor = from;
     while cursor <= last {
-        let Some(s) = fp.next_candidate(hay, cursor, last) else {
+        let Some(s) = fp.next_candidate(hay, cursor, last, blocks) else {
             m.scanned((hay.len() - cursor) as u64);
             m.shift((last + 1 - cursor) as u64);
             return None;
@@ -1123,9 +1283,42 @@ pub(crate) fn occurs_at<M: crate::Metrics>(hay: &[u8], s: usize, pat: &[u8], m: 
     let Some(window) = hay.get(s..s + pat.len()) else {
         return false;
     };
-    let same = window.iter().zip(pat).take_while(|(a, b)| a == b).count();
+    let same = common_prefix(window, pat);
     m.cmp((same + 1).min(pat.len()) as u64);
     same == pat.len()
+}
+
+/// Length of the common prefix of two slices of one length, a word at a
+/// time: the last word of a length that is no multiple of the word
+/// overlaps the one before it, so a keyword takes one or two loads per
+/// side however long it is.
+#[inline]
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let len = a.len();
+    let word = |s: &[u8], i: usize| u64::from_le_bytes(s[i..i + 8].try_into().expect("8 bytes"));
+    let half = |s: &[u8], i: usize| u32::from_le_bytes(s[i..i + 4].try_into().expect("4 bytes"));
+    // The first differing byte of the words at `i`, if any.
+    let diff_at =
+        |i: usize, diff: u64| (diff != 0).then(|| i + (diff.trailing_zeros() / 8) as usize);
+    let found = if len >= 8 {
+        let mut i = 0;
+        loop {
+            let at = i.min(len - 8);
+            if let Some(j) = diff_at(at, word(a, at) ^ word(b, at)) {
+                break Some(j);
+            }
+            if at == len - 8 {
+                break None;
+            }
+            i += 8;
+        }
+    } else if len >= 4 {
+        let diff = |i: usize| (half(a, i) ^ half(b, i)) as u64;
+        diff_at(0, diff(0)).or_else(|| diff_at(len - 4, diff(len - 4)))
+    } else {
+        a.iter().zip(b).position(|(x, y)| x != y)
+    };
+    found.unwrap_or(len)
 }
 
 /// First candidate alignment `i >= from` of `fp` in `hay`
@@ -1625,6 +1818,70 @@ mod tests {
         assert_eq!(scan_tag_end_window(b">>still'", 0, &mut st), None);
         assert!(!st.in_quote());
         assert_eq!(scan_tag_end_window(b">", 0, &mut st), Some((1, false)));
+    }
+
+    #[test]
+    fn block_mask_members_agree_with_the_scalar_statement() {
+        let members = |block: &[u8]| {
+            let mut v = vec![block_masks_scalar(block)];
+            #[cfg(target_arch = "x86_64")]
+            {
+                v.push(block_masks_sse2(block));
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    v.push(block_masks_avx2(block));
+                }
+            }
+            v
+        };
+        // Each structural byte alone at every lane, then all of them.
+        for at in 0..BLOCK {
+            for (which, b) in [b'<', b'>', b'"', b'\''].into_iter().enumerate() {
+                let mut block = [b'x'; BLOCK];
+                block[at] = b;
+                let mut want = [0u64; 4];
+                want[which] = 1 << at;
+                for got in members(&block) {
+                    assert_eq!(got, want, "{} at {at}", b as char);
+                }
+            }
+        }
+        let block: Vec<u8> = (0..BLOCK).map(|i| b"<a b='>' c=\"'\"/>"[i % 16]).collect();
+        let want = block_masks_scalar(&block);
+        assert!(members(&block).iter().all(|m| *m == want));
+        // A short block leaves the bits past its end clear.
+        assert_eq!(block_masks_scalar(b"<>\"'"), [1, 2, 4, 8]);
+    }
+
+    #[test]
+    fn block_tag_end_reads_quotes_bachelors_and_the_next_block() {
+        let end = |hay: &[u8], pos: usize| Blocks::new().tag_end(hay, pos);
+        assert_eq!(end(b" a='1'>rest", 0), Some((7, false)));
+        assert_eq!(end(b" a='1'/>rest", 0), Some((8, true)));
+        assert_eq!(end(b"/>", 0), Some((2, true)));
+        assert_eq!(end(b">x", 0), Some((1, false)));
+        // `>` and the other quote inside a value, a quote closing right
+        // before the `>`.
+        assert_eq!(end(b" a=\"x>'y\" b='/'>", 0), Some((16, false)));
+        // A tag running into the next block and past it.
+        let mut long = vec![b' '; 100];
+        long.extend_from_slice(b"q='>'/>");
+        assert_eq!(end(&long, 0), Some((107, true)));
+        let mut longer = vec![b' '; 200];
+        longer.push(b'>');
+        assert_eq!(end(&longer, 0), None, "past two blocks: the window scan decides");
+        // The haystack ends first, in a value or not.
+        assert_eq!(end(b" a='>", 0), None);
+        assert_eq!(end(b" a", 0), None);
+        assert_eq!(end(b"", 0), None);
+        // One cache serves the name ends of several tags in one block,
+        // and a shorter prefix of the haystack is not answered from bytes
+        // past its end.
+        let hay = b"<a x='>'><b/></a>";
+        let mut blocks = Blocks::new();
+        assert_eq!(blocks.tag_end(hay, 2), Some((9, false)));
+        assert_eq!(blocks.tag_end(hay, 11), Some((13, true)));
+        assert_eq!(blocks.tag_end(&hay[..12], 11), None);
+        assert_eq!(blocks.tag_end(hay, 16), Some((17, false)));
     }
 
     #[test]

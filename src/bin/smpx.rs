@@ -62,17 +62,19 @@
 //! width. Width 1 — every single-input run included — is the sequential
 //! loop writing straight into the output. Otherwise each worker claims
 //! the next input in argument order, opens it (at most one fd or mapping
-//! per worker), projects it into a buffer taken from a free list, and the
-//! worker that completes the oldest outstanding input writes the ready
-//! projections to the output in argument order and hands their buffers
-//! back; no worker starts an input more than twice the width past the
-//! last one written. A pooled batch therefore holds at most `2 * width`
-//! projections, however long it is, and its output is byte-identical to
-//! `--threads 1`. A failing input behaves as in the sequential loop: the
-//! inputs before it are projected and written, nothing after it is, and
-//! the message names it. Per-file `--stats` rows stay tagged with their
-//! backend, and the total row is accumulated on the main thread from the
-//! ordered rows.
+//! per worker) and projects it into a buffer taken from a free list —
+//! until its input is the next one to be written, from when on it writes
+//! straight into the output — and the worker that completes the oldest
+//! outstanding input writes what the ready buffers still hold to the
+//! output in argument order and hands them back; no worker starts an input
+//! more than twice the width past the last one written. A pooled batch
+//! therefore buffers fewer than `2 * width` projections, however long it
+//! is, and its output is byte-identical to `--threads 1`. A failing input
+//! behaves as in the sequential loop at every width: the inputs before it
+//! are projected and written, then the part of its own projection made
+//! before it failed, nothing after it, and the message names it (exit
+//! 1). Per-file `--stats` rows stay tagged with their backend, and the
+//! total row is accumulated on the main thread from the ordered rows.
 //!
 //! `--add-query XPATH` / `--remove-query ID` put the run in **dynamic
 //! lifecycle mode** (`smpx_core::lifecycle`): the `--query` flags seed
@@ -123,7 +125,8 @@ use smpx::core::{
 use std::fs::File;
 use std::io::{BufWriter, Stdin, Write};
 use std::process::ExitCode;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use smpx::dtd::Dtd;
 use smpx::paths::{extract, PathSet};
@@ -518,6 +521,53 @@ fn open_sink(output: Option<&str>) -> Option<Sink> {
 /// input; the CLI owns the sink and flushes it once, checked, at exit.
 struct Unflushed<'a>(&'a mut Sink);
 
+/// Where a pooled job writes its projection. While its input is not yet
+/// the next one to be written (`head`, which delivery advances), the relay
+/// appends to the job's buffer; the first write after the head reaches it
+/// moves the buffer into the sink, and from then on the relay writes
+/// straight into the sink, holding the sink's lock until the document
+/// ends. The head therefore streams instead of buffering, and delivery
+/// writes only what is still buffered. The lock is released when the
+/// relay is dropped, before the job returns, so a job never holds it
+/// while the pool's lock is taken. Delivery stores `head` (`Release`)
+/// after its write to the sink; the relay that loads its own index
+/// (`Acquire`) therefore writes after every input before it.
+struct Relay<'a, 's> {
+    index: usize,
+    head: &'a AtomicUsize,
+    sink: &'a Mutex<&'s mut Sink>,
+    buf: &'a mut Vec<u8>,
+    streaming: Option<MutexGuard<'a, &'s mut Sink>>,
+}
+
+impl Write for Relay<'_, '_> {
+    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+        self.write_all(data)?;
+        Ok(data.len())
+    }
+
+    fn write_all(&mut self, data: &[u8]) -> std::io::Result<()> {
+        if self.streaming.is_none() && self.head.load(Ordering::Acquire) == self.index {
+            let mut sink = self.sink.lock().expect("sink lock");
+            sink.write_all(self.buf)?;
+            self.buf.clear();
+            self.streaming = Some(sink);
+        }
+        match &mut self.streaming {
+            Some(sink) => sink.write_all(data),
+            None => {
+                self.buf.extend_from_slice(data);
+                Ok(())
+            }
+        }
+    }
+
+    /// The sink is flushed once, at exit (see [`Unflushed`]).
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 impl Write for Unflushed<'_> {
     #[inline]
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
@@ -596,13 +646,16 @@ fn print_stats(label: &str, source: &str, stats: &RunStats) {
 /// * width 1 (every single-input run included) is the sequential loop
 ///   writing straight into `out`; `--shard-mb` on one file input splits
 ///   that one run across the pool;
-/// * otherwise each pool worker opens its input itself, projects it into
-///   a buffer from the free list, and the pool's ordered delivery writes
-///   the buffers to `out` in argument order and hands them back — at most
-///   `2 * width` projections exist at any time.
+/// * otherwise each pool worker opens its input itself and projects it
+///   through a [`Relay`]: into a buffer from the free list, and into `out`
+///   itself once the input is the next to be written. The pool's ordered
+///   delivery writes what the buffers still hold to `out` in argument
+///   order and hands them back — at most `2 * width` projections exist at
+///   any time, and the one being written is not among them.
 ///
 /// Either way a failing input leaves the projections of the inputs before
-/// it in `out` and is named on stderr (`Err(())`: already reported).
+/// it in `out`, followed by the partial projection of the failing input
+/// itself, and is named on stderr (`Err(())`: already reported).
 fn run_inputs(
     eng: &Engine,
     inputs: &[String],
@@ -626,23 +679,40 @@ fn run_inputs(
         }
     } else {
         let free = Mutex::new(Vec::<Vec<u8>>::new());
-        pool.run_ordered(
-            inputs.iter().collect(),
+        let head = AtomicUsize::new(0);
+        let sink = Mutex::new(&mut *out);
+        let ran = pool.run_ordered(
+            inputs.iter().enumerate().collect(),
             worker,
-            |wk, path: &String| {
+            |wk, (index, path): (usize, &String)| {
                 let mut buf = free.lock().expect("free list").pop().unwrap_or_default();
-                let row = run_one(wk, eng, args, path, None, &mut buf)?;
-                Ok((row, buf))
+                let relay =
+                    Relay { index, head: &head, sink: &sink, buf: &mut buf, streaming: None };
+                match run_one(wk, eng, args, path, None, relay) {
+                    Ok(row) => Ok((row, buf)),
+                    // The partial projection goes out with the message, as
+                    // the sequential loop writes it before it stops.
+                    Err(msg) => Err((msg, buf)),
+                }
             },
-            |_, (row, mut buf): (Row, Vec<u8>)| {
-                out.write_all(&buf).map_err(|e| format!("{}: {e}", row.label))?;
+            |at, (row, mut buf): (Row, Vec<u8>)| {
+                let written = sink.lock().expect("sink lock").write_all(&buf);
+                written.map_err(|e| (format!("{}: {e}", row.label), Vec::new()))?;
+                head.store(at + 1, Ordering::Release);
                 rows.push(row);
                 buf.clear();
                 free.lock().expect("free list").push(buf);
                 Ok(())
             },
-        )
-        .map_err(|(_, msg)| failed(msg))?;
+        );
+        if let Err((_, (msg, partial))) = ran {
+            // Every input before the failing one has been delivered. The
+            // run fails with `msg` whatever this write does, as the
+            // sequential loop's would.
+            let _ = sink.into_inner().expect("sink lock").write_all(&partial);
+            failed(msg);
+            return Err(());
+        }
     }
     if args.stats {
         let workers = |n: usize| format!("{n} pool worker{}", if n == 1 { "" } else { "s" });

@@ -1,9 +1,13 @@
 //! `smpx --threads 2` ≡ `smpx --threads 1`, driving the real binary: the
 //! pooled batch writes its projections in argument order through recycled
-//! buffers, so stdout is byte-identical to the sequential loop's on a
-//! 4096-file and an 8-file batch × `--mmap`/reader × single-query /
-//! multi-query / lifecycle, and a batch with a missing file in the middle
-//! leaves the same prefix and the same message at both widths.
+//! buffers — the input next in line straight into the output — so stdout
+//! is byte-identical to the sequential loop's on a 4096-file and an 8-file
+//! batch × `--mmap`/reader × single-query / multi-query / lifecycle; a
+//! batch with a missing file in the middle leaves the same prefix and the
+//! same message at both widths; a document that fails mid-run, small or
+//! large enough to become the next in line while it runs, leaves the same
+//! bytes (its own partial projection included), message and exit code;
+//! and a batch led or closed by its largest document is byte-identical.
 
 use smpx_datagen::{xmark, GenOptions};
 use std::path::PathBuf;
@@ -137,6 +141,100 @@ fn a_missing_file_mid_batch_leaves_the_same_prefix_and_message_at_both_widths() 
                 assert!(seq.0 == prefix.stdout, "{delivery:?}: exactly the four inputs before it");
             }
         }
+    }
+}
+
+/// `doc` cut 40 bytes into the `<description>` of its last item: the
+/// single and the multi-query workload below both copy that subtree, so a
+/// run over it fails at the cut with part of its projection made.
+fn cut_in_copied_description(doc: &[u8]) -> Vec<u8> {
+    let find = |hay: &[u8], needle: &[u8]| hay.windows(needle.len()).position(|w| w == needle);
+    let item = doc.windows(6).rposition(|w| w == b"<item ").expect("an item");
+    let desc = item + find(&doc[item..], b"<description>").expect("an item description");
+    doc[..desc + 40].to_vec()
+}
+
+/// A batch of XMark documents of the given sizes; the one at `cut`, if
+/// any, ends inside a copied subtree.
+fn sized_batch(tag: &str, sizes: &[usize], cut: Option<usize>) -> Batch {
+    let mut batch = Batch::new(tag, 0, 0);
+    batch.docs = sizes
+        .iter()
+        .enumerate()
+        .map(|(i, &bytes)| {
+            let path = batch.dir.join(format!("s{i:02}.xml"));
+            let mut doc = xmark::generate(GenOptions::sized(bytes).with_seed(i as u64 + 1));
+            if cut == Some(i) {
+                doc = cut_in_copied_description(&doc);
+            }
+            std::fs::write(&path, doc).expect("write doc");
+            path.to_string_lossy().into_owned()
+        })
+        .collect();
+    batch
+}
+
+/// Stdout, stderr and exit code of every workload × delivery agree
+/// between `--threads 1` and `--threads 2`; returns the exit codes seen.
+fn assert_widths_agree_exactly(batch: &Batch) -> Vec<Option<i32>> {
+    let files = || batch.docs.iter().map(String::as_str);
+    let single: Vec<&str> = ["--paths", "/*,/site//item/name#,/site//item/description#"]
+        .into_iter()
+        .chain(files())
+        .collect();
+    let multi: Vec<&str> = ["--query", "//item/description", "--query", "//person/name"]
+        .into_iter()
+        .chain(files())
+        .collect();
+    let mut codes = Vec::new();
+    for (name, args) in [("single", single), ("multi", multi)] {
+        for delivery in [&[][..], &["--mmap"][..]] {
+            let run = |threads: &str| {
+                batch.smpx(&[&args[..], delivery, &["--threads", threads]].concat())
+            };
+            let (seq, par) = (run("1"), run("2"));
+            assert!(!seq.stdout.is_empty(), "{name} {delivery:?}: empty projection");
+            assert!(
+                seq.stdout == par.stdout,
+                "{name} {delivery:?}: --threads 2 wrote {} bytes, --threads 1 {}",
+                par.stdout.len(),
+                seq.stdout.len()
+            );
+            assert_eq!(stderr_of(&seq), stderr_of(&par), "{name} {delivery:?}: messages");
+            assert_eq!(seq.status.code(), par.status.code(), "{name} {delivery:?}: exit code");
+            codes.push(seq.status.code());
+        }
+    }
+    codes
+}
+
+#[test]
+fn a_document_failing_mid_batch_writes_the_same_bytes_at_both_widths() {
+    // The failing input's partial projection is written at every width,
+    // after the projections of the inputs before it.
+    let batch = sized_batch("cut-small", &[96 << 10, 96 << 10, 96 << 10, 96 << 10], Some(1));
+    assert!(assert_widths_agree_exactly(&batch).iter().all(|&c| c == Some(1)));
+    let err = stderr_of(&batch.smpx(&["--paths", "/*,//item/description#", &batch.docs[1]]));
+    assert!(err.contains("unexpected end of input while copying a subtree"), "{err}");
+}
+
+#[test]
+fn a_large_failing_document_that_becomes_the_head_mid_run_writes_the_same_bytes() {
+    // The small input before it is written while the large one runs, so
+    // the large one's relay switches from its buffer to the sink half way
+    // through the document — and then the document fails.
+    let batch = sized_batch("cut-head", &[8 << 10, 3 << 20, 8 << 10], Some(1));
+    assert!(assert_widths_agree_exactly(&batch).iter().all(|&c| c == Some(1)));
+}
+
+#[test]
+fn the_largest_document_first_or_last_writes_the_same_bytes_at_both_widths() {
+    for (tag, sizes) in [
+        ("big-first", [2 << 20, 64 << 10, 96 << 10, 80 << 10]),
+        ("big-last", [64 << 10, 96 << 10, 80 << 10, 2 << 20]),
+    ] {
+        let batch = sized_batch(tag, &sizes, None);
+        assert!(assert_widths_agree_exactly(&batch).iter().all(|&c| c == Some(0)), "{tag}");
     }
 }
 

@@ -7,6 +7,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use smpx_core::{Action, CompiledTables, Entry, NO_CLOSE};
 use smpx_dtd::{ContentModel, Dtd, DtdAutomaton, Regex};
 use smpx_paths::PathSet;
 use std::path::{Path, PathBuf};
@@ -475,4 +476,65 @@ pub fn analysis_cases() -> Vec<AnalysisCase> {
         ));
     }
     out
+}
+
+/// The flat token rows of `t` say what its keywords say: per state and
+/// keyword, the pattern length, close flag and target, the target's
+/// action, balanced flag, match-event class and attribution — and, for an
+/// open keyword, the close target the runtime used to find per bachelor
+/// tag and per balanced subtree with a linear search of the target's
+/// vocabulary for the closing keyword of its own element (compared by
+/// name), or [`NO_CLOSE`] exactly where that search finds nothing and the
+/// run reports `UnexpectedToken`. Returns the numbers of close targets
+/// found and of `NO_CLOSE` rows.
+#[allow(dead_code)] // not every test target checks tables
+pub fn assert_rows_flatten_the_keywords(t: &CompiledTables, label: &str) -> (usize, usize) {
+    let entry = |q: u32| {
+        let action = t.states[q as usize].action;
+        Entry {
+            action,
+            balanced: t.states[q as usize].balanced,
+            event: matches!(
+                action,
+                Action::CopyOn | Action::CopyOff | Action::CopyTag { with_atts: true }
+            ),
+            attributed: t
+                .attribution
+                .as_ref()
+                .is_some_and(|att| !att.state_hits[q as usize].is_empty()),
+        }
+    };
+    let no_entry = Entry { action: Action::Nop, balanced: false, event: false, attributed: false };
+    let (mut found, mut missing) = (0, 0);
+    for (q, state) in t.states.iter().enumerate() {
+        let rows = t.rows(q as u32);
+        assert_eq!(rows.len(), state.keywords.len(), "{label}: state {q} rows");
+        for (i, (row, kw)) in rows.iter().zip(&state.keywords).enumerate() {
+            let at = format!("{label}: state {q} keyword {i} ({})", kw.name);
+            assert_eq!(
+                (row.len as usize, row.close, row.target),
+                (kw.bytes.len(), kw.close, kw.target),
+                "{at}"
+            );
+            assert_eq!(row.on, entry(kw.target), "{at}: target entry");
+            let searched = (!kw.close).then(|| {
+                let open = &t.states[kw.target as usize];
+                let name = &open.label.as_ref().expect("labeled target").0;
+                open.keywords.iter().find(|k| k.close && k.name == *name).map(|k| k.target)
+            });
+            match searched.flatten() {
+                Some(close) => {
+                    found += 1;
+                    assert_eq!(row.close_target, close, "{at}: close target");
+                    assert_eq!(row.on_close, entry(close), "{at}: close entry");
+                }
+                None => {
+                    missing += !kw.close as usize;
+                    assert_eq!(row.close_target, NO_CLOSE, "{at}: no close keyword");
+                    assert_eq!(row.on_close, no_entry, "{at}: no close entry");
+                }
+            }
+        }
+    }
+    (found, missing)
 }

@@ -10,7 +10,7 @@
 #[allow(dead_code)] // only the shared case list is used here
 mod common;
 
-use common::{analysis_cases, AnalysisCase};
+use common::{analysis_cases, assert_rows_flatten_the_keywords, AnalysisCase};
 use smpx_core::compile::compile_counted;
 use smpx_core::{Action, CompiledTables, Prefilter};
 use smpx_paths::PathSet;
@@ -142,4 +142,19 @@ fn pinned_cases_compile_in_one_pass() {
         let (_, passes) = compile_counted(&case.dtd, &union).expect("compile");
         assert_eq!(passes, 1, "{}", case.name);
     }
+}
+
+/// The flat token rows of every pinned automaton: each row repeats its
+/// keyword and target, and an open keyword's compile-time close target is
+/// the one the runtime's per-token linear search found (or the marker of
+/// its `UnexpectedToken`).
+#[test]
+fn rows_carry_the_close_targets_the_linear_search_found() {
+    let (mut found, mut missing) = (0, 0);
+    for case in analysis_cases() {
+        let (f, m) = assert_rows_flatten_the_keywords(&tables_of(&case), &case.name);
+        (found, missing) = (found + f, missing + m);
+    }
+    assert!(found > 0, "no close target was checked");
+    assert!(missing > 0, "no row carries the UnexpectedToken marker");
 }

@@ -19,7 +19,9 @@
 
 mod common;
 
-use common::{random_doc, random_dtd, random_paths, Rand, TempDoc};
+use common::{
+    assert_rows_flatten_the_keywords, random_doc, random_dtd, random_paths, Rand, TempDoc,
+};
 use smpx_core::runtime::source::{MmapSource, ReaderSource, SliceSource};
 use smpx_core::{MultiVerdict, Prefilter, QueryId, QueryRegistry, RunStats};
 use smpx_datagen::{xmark, GenOptions};
@@ -371,4 +373,25 @@ fn union_dedups_paths() {
     let b = PathSet::parse(&["/*", "/site/people/person/name#", "//description"]).unwrap();
     let u = a.union(&b);
     assert_eq!(u.paths().len(), 3);
+}
+
+/// The flat token rows of the registry and the single-query automatons
+/// this suite runs: every row repeats its keyword, and every open
+/// keyword's close target is the one the per-token linear search found.
+#[test]
+fn registry_and_single_query_rows_flatten_the_keywords() {
+    let fixtures = [("xmark", xmark_fixture())]
+        .into_iter()
+        .chain([5u64, 9, 13, 23, 40, 71].map(|seed| ("random", random_multi_fixture(seed))));
+    for (name, fx) in fixtures {
+        let registry = compile_registry(&fx);
+        assert_rows_flatten_the_keywords(
+            registry.prefilter().tables(),
+            &format!("{name} registry"),
+        );
+        for (qi, paths) in fx.queries.iter().enumerate() {
+            let single = Prefilter::compile(&fx.dtd, paths).expect("single-query compile");
+            assert_rows_flatten_the_keywords(single.tables(), &format!("{name} query {qi}"));
+        }
+    }
 }
