@@ -38,7 +38,6 @@ fn main() {
                 ("source", Value::S(r.source.clone())),
                 ("prefetch", Value::B(r.prefetch)),
                 ("threads", Value::U(r.threads as u64)),
-                ("shards", Value::U(r.stats.shards)),
                 ("queries", Value::U(r.queries as u64)),
                 ("input_bytes", Value::U(r.stats.input_bytes)),
                 ("proj_bytes", Value::U(r.proj_size)),

@@ -33,10 +33,8 @@ use smpx_paths::PathSet;
 /// 1 the run takes the classic sequential `filter_source` path; above 1
 /// it goes through the pool (`smpx_core::runtime::parallel`) as a
 /// one-document batch against the frozen automaton — one worker's work,
-/// as for any one-document batch (a document is split across the pool
-/// only by `Prefilter::run_sharded`, which no table asks for), so the
-/// `shards` JSON field records `0`. The observables are pinned
-/// byte-identical across executors.
+/// as for any one-document batch, since a document is never split across
+/// the pool. The observables are pinned byte-identical across executors.
 pub struct Delivery<'a> {
     doc: &'a [u8],
     mode: SourceMode,

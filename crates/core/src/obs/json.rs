@@ -118,9 +118,10 @@ mod tests {
     #[test]
     fn histogram_line_carries_buckets_and_inf() {
         let r = MetricsRegistry::new();
-        r.observe(HistId::ShardSegments, 3);
+        r.observe(HistId::LifecycleBurstSize, 3);
         let text = render(&r.snapshot());
-        let line = text.lines().find(|l| l.contains("smpx_shard_segments")).unwrap();
+        let line =
+            text.lines().find(|l| l.contains("\"metric\":\"smpx_lifecycle_burst_edits\"")).unwrap();
         assert!(
             line.contains(
                 "\"buckets\":[{\"le\":1,\"count\":0},{\"le\":2,\"count\":0},{\"le\":4,\"count\":1}"

@@ -123,9 +123,9 @@ pub fn stage(id: StageId) -> StageTimer {
 ///
 /// Every field is summed except `io_window_bytes`, which max-folds into
 /// [`GaugeId::RunIoWindowBytesPeak`] — the same fold rules as
-/// `RunStats::accumulate`. The exhaustive destructuring makes adding a
-/// `RunStats` field without stating its process-level fold rule a
-/// compile error.
+/// `RunStats::accumulate` — and `shards`, which is always 0. The
+/// exhaustive destructuring makes adding a `RunStats` field without
+/// stating its process-level fold rule a compile error.
 pub fn record_run(stats: &RunStats) {
     if !enabled() {
         return;
@@ -142,7 +142,7 @@ pub fn record_run(stats: &RunStats) {
         false_matches,
         io_window_bytes,
         match_events,
-        shards,
+        shards: _,
     } = *stats;
     GLOBAL.add(CounterId::RunRuns, 1);
     GLOBAL.add(CounterId::RunInputBytes, input_bytes);
@@ -155,7 +155,6 @@ pub fn record_run(stats: &RunStats) {
     GLOBAL.add(CounterId::RunTokensMatched, tokens_matched);
     GLOBAL.add(CounterId::RunFalseMatches, false_matches);
     GLOBAL.add(CounterId::RunMatchEvents, match_events);
-    GLOBAL.add(CounterId::RunShardSegments, shards);
     GLOBAL.gauge_max(GaugeId::RunIoWindowBytesPeak, io_window_bytes);
 }
 

@@ -71,13 +71,13 @@ mod tests {
     fn histogram_buckets_are_cumulative_and_end_with_inf() {
         let r = MetricsRegistry::new();
         for v in [1, 1, 3, 500] {
-            r.observe(HistId::ShardSegments, v);
+            r.observe(HistId::LifecycleBurstSize, v);
         }
         let text = render(&r.snapshot());
-        assert!(text.contains("smpx_shard_segments_bucket{le=\"1\"} 2\n"), "{text}");
-        assert!(text.contains("smpx_shard_segments_bucket{le=\"4\"} 3\n"), "{text}");
-        assert!(text.contains("smpx_shard_segments_bucket{le=\"+Inf\"} 4\n"), "{text}");
-        assert!(text.contains("smpx_shard_segments_count 4\n"), "{text}");
-        assert!(text.contains("smpx_shard_segments_sum 505\n"), "{text}");
+        assert!(text.contains("smpx_lifecycle_burst_edits_bucket{le=\"1\"} 2\n"), "{text}");
+        assert!(text.contains("smpx_lifecycle_burst_edits_bucket{le=\"4\"} 3\n"), "{text}");
+        assert!(text.contains("smpx_lifecycle_burst_edits_bucket{le=\"+Inf\"} 4\n"), "{text}");
+        assert!(text.contains("smpx_lifecycle_burst_edits_count 4\n"), "{text}");
+        assert!(text.contains("smpx_lifecycle_burst_edits_sum 505\n"), "{text}");
     }
 }

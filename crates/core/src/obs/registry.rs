@@ -197,7 +197,7 @@ macro_rules! define_hists {
 define_counters! {
     // -- per-run accounting (RunStats folded at end of run) ------------
     RunRuns => "smpx_run_runs_total", Count,
-        "Prefilter runs completed (documents, shard fallbacks included).";
+        "Prefilter runs completed (one per document).";
     RunInputBytes => "smpx_run_input_bytes_total", Bytes,
         "Input bytes across all runs.";
     RunOutputBytes => "smpx_run_output_bytes_total", Bytes,
@@ -218,8 +218,6 @@ define_counters! {
         "Keyword matches rejected by the tag-name boundary check.";
     RunMatchEvents => "smpx_run_match_events_total", Count,
         "Transitions into potential-match states.";
-    RunShardSegments => "smpx_run_shard_segments_total", Count,
-        "Stitched segments of intra-document sharded runs.";
     // -- ticket pool ---------------------------------------------------
     PoolTasks => "smpx_pool_tasks_total", Count,
         "Tasks executed by pool workers.";
@@ -254,15 +252,6 @@ define_counters! {
         "Query edits drained by lifecycle recompiles (coalesced bursts).";
     LifecycleFailedPublishes => "smpx_lifecycle_failed_publishes_total", Count,
         "Lifecycle recompiles that failed (previous generation kept serving).";
-    // -- intra-document sharding ---------------------------------------
-    ShardRuns => "smpx_shard_runs_total", Count,
-        "Sharded runs that found a record loop and actually split.";
-    ShardFallbacks => "smpx_shard_fallbacks_total", Count,
-        "Sharded runs that fell back to the sequential path.";
-    ShardSpeculationHits => "smpx_shard_speculation_hits_total", Count,
-        "Speculative shards spliced at the confirmed frontier.";
-    ShardRepairs => "smpx_shard_repairs_total", Count,
-        "Sequential repair runs around speculation misses.";
     // -- stage timers ---------------------------------------------------
     StageCompileNanos => "smpx_stage_compile_seconds_total", Nanos,
         "Wall-clock time spent compiling automatons.";
@@ -276,14 +265,6 @@ define_counters! {
         "Wall-clock time the scan thread blocked on synchronous reads.";
     StageIoWaitEvents => "smpx_stage_io_wait_events_total", Count,
         "Synchronous read waits timed.";
-    StageStitchNanos => "smpx_stage_stitch_seconds_total", Nanos,
-        "Wall-clock time spent stitching sharded-run segments.";
-    StageStitchEvents => "smpx_stage_stitch_events_total", Count,
-        "Sharded-run stitch phases timed.";
-    StageRepairNanos => "smpx_stage_repair_seconds_total", Nanos,
-        "Wall-clock time spent in sequential shard repair runs.";
-    StageRepairEvents => "smpx_stage_repair_events_total", Count,
-        "Shard repair runs timed.";
     StageSwapNanos => "smpx_stage_swap_seconds_total", Nanos,
         "Wall-clock time spent publishing lifecycle generations.";
     StageSwapEvents => "smpx_stage_swap_events_total", Count,
@@ -310,9 +291,6 @@ define_hists! {
     LifecycleBurstSize => "smpx_lifecycle_burst_edits", Count,
         &[1, 2, 4, 8, 16, 32, 64],
         "Edits coalesced into one lifecycle recompile.";
-    ShardSegments => "smpx_shard_segments", Count,
-        &[1, 2, 4, 8, 16, 32, 64, 128],
-        "Stitched segments per intra-document sharded run.";
 }
 
 /// The process-wide metric store: one slot per declared series, all

@@ -113,10 +113,11 @@ mod tests {
     fn histogram_count_matches_buckets() {
         let r = MetricsRegistry::new();
         for v in [1, 3, 9, 200] {
-            r.observe(HistId::ShardSegments, v);
+            r.observe(HistId::LifecycleBurstSize, v);
         }
         let snap = r.snapshot();
-        let h = snap.histograms.iter().find(|h| h.def.name == "smpx_shard_segments").unwrap();
+        let h =
+            snap.histograms.iter().find(|h| h.def.name == "smpx_lifecycle_burst_edits").unwrap();
         assert_eq!(h.count(), 4);
         assert_eq!(h.buckets.len(), h.bounds.len() + 1);
         assert_eq!(h.sum, 213);

@@ -19,10 +19,6 @@ pub enum StageId {
     Scan,
     /// Synchronous read waits in the chunked reader source.
     IoWait,
-    /// Stitching phase of an intra-document sharded run.
-    Stitch,
-    /// Sequential repair run around a speculation miss.
-    Repair,
     /// Lifecycle generation publish (write-lock swap).
     Swap,
 }
@@ -34,8 +30,6 @@ impl StageId {
             StageId::Compile => (CounterId::StageCompileNanos, CounterId::StageCompileEvents),
             StageId::Scan => (CounterId::StageScanNanos, CounterId::StageScanEvents),
             StageId::IoWait => (CounterId::StageIoWaitNanos, CounterId::StageIoWaitEvents),
-            StageId::Stitch => (CounterId::StageStitchNanos, CounterId::StageStitchEvents),
-            StageId::Repair => (CounterId::StageRepairNanos, CounterId::StageRepairEvents),
             StageId::Swap => (CounterId::StageSwapNanos, CounterId::StageSwapEvents),
         }
     }

@@ -47,21 +47,6 @@ pub const DEFAULT_CHUNK: usize = 8 * 4096;
 /// than the one `munmap` of the whole document did.
 pub const RELEASE_STEP: usize = 32 * DEFAULT_CHUNK;
 
-/// Where a Fig. 4 run begins: the paper's `q := q0; c := 0` by default,
-/// or a mid-document `(state, cursor)` configuration for shard and
-/// repair runs ([`parallel::shard`]). `suppress_jump` skips the first
-/// initial-jump application so the entry token itself is not hopped
-/// over.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct RunEntry {
-    /// Start state (`0` = the automaton's start state).
-    pub state: u32,
-    /// Absolute byte position to start scanning from.
-    pub cursor: usize,
-    /// Do not apply `J[state]` before the first search.
-    pub suppress_jump: bool,
-}
-
 /// A compiled, reusable XML prefilter.
 ///
 /// The compiled tables are held behind an [`Arc`] and are immutable after
@@ -75,20 +60,17 @@ pub struct Prefilter {
     /// states, indexed like `matchers`.
     balanced_matchers: Vec<Option<smpx_stringmatch::CommentzWalter>>,
     matchers_built: usize,
-    /// Registry automaton (`tables.attribution` present)? Cached off the
-    /// hot path so the single-query runtime stays byte-identical.
-    multi: bool,
     /// Per-run scratch: ids of the queries attributed so far (registry
     /// runs only; reset per document).
     hits: QueryIdSet,
     /// Per-run scratch: one bit per state, set once the run has ORed the
     /// state's id-set into `hits` — the union is idempotent, so a state
-    /// entered again has nothing to add (registry runs only; reset per
-    /// document).
+    /// entered again has nothing to add (reset per document; only
+    /// registry runs set bits).
     entered: Vec<u64>,
-    /// Per-run scratch: nesting depth of active copy-on instances
-    /// (registry runs only — the forced hit states let copy-on regions
-    /// nest, which the single-query automaton never sees).
+    /// Per-run scratch: nesting depth of active copy-on instances. A
+    /// single-query run only moves it between 0 and 1; the forced hit
+    /// states of a registry automaton let copy-on regions nest deeper.
     copy_depth: usize,
     /// [`RELEASE_STEP`], but for [`with_release_step`](Self::with_release_step).
     step: usize,
@@ -112,19 +94,6 @@ impl Prefilter {
         Ok(Prefilter::from_tables(compile_multi(dtd, queries)?))
     }
 
-    /// [`compile_multi`](Self::compile_multi), lifecycle-capable: the
-    /// workload becomes generation 0 of a
-    /// [`SharedPrefilter`](crate::lifecycle::SharedPrefilter) whose query
-    /// set stays mutable while documents are served — `add_query` /
-    /// `remove_query` recompile off the hot path and publish atomically.
-    /// See [`crate::lifecycle`] for the generation contract.
-    pub fn compile_multi_lifecycle(
-        dtd: &Dtd,
-        queries: &[PathSet],
-    ) -> Result<crate::lifecycle::SharedPrefilter, CoreError> {
-        crate::lifecycle::SharedPrefilter::new(dtd.clone(), queries.to_vec())
-    }
-
     /// Wrap precompiled tables.
     pub fn from_tables(tables: CompiledTables) -> Prefilter {
         Prefilter::from_shared(Arc::new(tables))
@@ -135,15 +104,13 @@ impl Prefilter {
     /// the matcher caches are this instance's own.
     pub(crate) fn from_shared(tables: Arc<CompiledTables>) -> Prefilter {
         let n = tables.states.len();
-        let multi = tables.attribution.is_some();
         Prefilter {
             tables,
             matchers: vec![None; n],
             balanced_matchers: vec![None; n],
             matchers_built: 0,
-            multi,
             hits: QueryIdSet::new(),
-            entered: vec![0; if multi { n.div_ceil(64) } else { 0 }],
+            entered: vec![0; n.div_ceil(64)],
             copy_depth: 0,
             step: RELEASE_STEP,
         }
@@ -210,50 +177,19 @@ impl Prefilter {
         self.freeze().run_multi_batch_parallel(batch, threads)
     }
 
-    /// Prefilter **one** document by splitting it at top-level record
-    /// boundaries and running the shards speculatively across `threads`
-    /// pool workers (`0` = available parallelism), stitching the
-    /// results in input order.
-    ///
-    /// The stitched projection is **byte-identical** to the sequential
-    /// run, and so are the match verdict and the token/match-event
-    /// counters: every speculative shard is confirmed against the
-    /// sequentially-reached frontier before its output is used, and
-    /// misses are repaired by sequential re-runs (see
-    /// [`parallel::shard`] for the protocol). Documents with no safe
-    /// split — no repeating record level — fall back to the sequential
-    /// path byte for byte. Search-effort counters are approximate at
-    /// segment boundaries; [`RunStats::shards`] records the number of
-    /// stitched segments (`0` = ran unsplit).
-    ///
-    /// `shard_bytes` is the target shard size in bytes; `0` spreads the
-    /// document evenly over the pool (the CLI's `--shard-mb 0` = auto).
-    /// Sources that are not fully resident (readers/pipes) are slurped
-    /// into their window first — the cost shows in `io_window_bytes`.
+    /// One sequential Fig. 4 run over `src`: the same run as
+    /// [`filter_source`](Self::filter_source), returning the writer too.
+    /// `threads` and `shard_bytes` are ignored: a document is never split
+    /// across the pool. Kept only because the benchmark harness calls it;
+    /// it goes with the harness's sharded library route.
     pub fn run_sharded<S: DocSource, W: Write>(
         &mut self,
         src: S,
         writer: W,
-        threads: usize,
-        shard_bytes: usize,
+        _threads: usize,
+        _shard_bytes: usize,
     ) -> Result<(W, RunStats), CoreError> {
-        let (w, _, stats) =
-            parallel::shard::run_sharded_impl(self, src, writer, threads, shard_bytes)?;
-        Ok((w, stats))
-    }
-
-    /// [`run_sharded`](Self::run_sharded) for multi-query (registry)
-    /// automatons: additionally returns the per-document
-    /// [`MultiVerdict`] — the OR of the stitched segments' hit sets,
-    /// which equals the sequential run's verdict.
-    pub fn run_sharded_multi<S: DocSource, W: Write>(
-        &mut self,
-        src: S,
-        writer: W,
-        threads: usize,
-        shard_bytes: usize,
-    ) -> Result<(W, MultiVerdict, RunStats), CoreError> {
-        parallel::shard::run_sharded_impl(self, src, writer, threads, shard_bytes)
+        self.filter_one(src, writer)
     }
 
     /// The compiled tables.
@@ -379,26 +315,6 @@ impl Prefilter {
         writer: W,
     ) -> Result<(W, RunStats), CoreError> {
         let span = crate::obs::stage(crate::obs::StageId::Scan);
-        let res = self.filter_one_traced(src, writer, RunEntry::default(), None);
-        drop(span);
-        if let Ok((_, stats)) = &res {
-            crate::obs::record_run(stats);
-        }
-        res
-    }
-
-    /// [`filter_one`](Self::filter_one) from an explicit entry
-    /// configuration, optionally observed by a shard trace — the
-    /// intra-document sharding entry point ([`parallel::shard`]). With
-    /// the default entry and no trace this *is* `filter_one`, byte for
-    /// byte.
-    pub(crate) fn filter_one_traced<S: DocSource, W: Write>(
-        &mut self,
-        src: S,
-        writer: W,
-        entry: RunEntry,
-        trace: Option<&mut parallel::shard::ShardTrace>,
-    ) -> Result<(W, RunStats), CoreError> {
         let mut counters = Counters::default();
         let mut stats =
             RunStats { input_bytes: src.len_hint().unwrap_or(0), ..RunStats::default() };
@@ -406,7 +322,7 @@ impl Prefilter {
         self.entered.fill(0);
         self.copy_depth = 0;
         let mut input = SourceInput::with_step(src, writer, self.step);
-        self.run(&mut input, &mut counters, &mut stats, entry, trace)?;
+        self.run(&mut input, &mut counters, &mut stats)?;
         stats.chars_compared += counters.comparisons;
         stats.bytes_scanned = counters.scanned;
         stats.shifts = counters.shifts;
@@ -414,6 +330,8 @@ impl Prefilter {
         stats.output_bytes = input.emitted();
         let (src, out, _) = input.finish()?;
         stats.io_window_bytes = src.peak_io_bytes() as u64;
+        drop(span);
+        crate::obs::record_run(&stats);
         Ok((out, stats))
     }
 
@@ -437,26 +355,17 @@ impl Prefilter {
         self.matchers_built += 1;
     }
 
-    /// The Fig. 4 loop, from an arbitrary entry configuration.
-    ///
-    /// The default [`RunEntry`] is the paper's `q := q0; c := 0`. A shard
-    /// entry additionally suppresses the first initial jump: the cursor
-    /// already points *at* the record token the shard is speculated to
-    /// start on — a jump could hop over it, where the sequential run
-    /// (whose search reached this token from an earlier cursor) does not.
+    /// The Fig. 4 loop, from the paper's `q := q0; c := 0`.
     fn run<S: DocSource, W: Write, M: Metrics>(
         &mut self,
         input: &mut SourceInput<S, W>,
         m: &mut M,
         stats: &mut RunStats,
-        entry: RunEntry,
-        mut trace: Option<&mut parallel::shard::ShardTrace>,
     ) -> Result<(), CoreError> {
         let tables = self.tables.clone();
         let lookback = tables.max_kw_len + 8;
-        let mut q: u32 = entry.state;
-        let mut cursor: usize = entry.cursor;
-        let mut suppress_jump = entry.suppress_jump;
+        let mut q: u32 = 0;
+        let mut cursor: usize = 0;
         loop {
             let rows = tables.rows(q);
             if rows.is_empty() {
@@ -464,24 +373,14 @@ impl Prefilter {
             }
             // Initial jump offset J[q].
             let jump = tables.jump(q) as usize;
-            if jump > 0 && !suppress_jump {
+            if jump > 0 {
                 cursor += jump;
                 stats.initial_jump_chars += jump as u64;
             }
-            suppress_jump = false;
             // Search for the closest verified token of V[q].
             let Some((kw_idx, start)) = self.find_token(q, rows, input, cursor, m, stats)? else {
                 break; // input exhausted: remaining tokens are irrelevant
             };
-            // Shard-trace observation point: the token is identified but
-            // not yet consumed, so a run stopped here hands its successor
-            // the exact configuration a fresh shard enters with.
-            if let Some(t) = trace.as_deref_mut() {
-                let clean = !input.copy_active() && self.copy_depth == 0;
-                if t.on_token(q, kw_idx, start, clean).is_break() {
-                    return Ok(());
-                }
-            }
             let row = &rows[kw_idx];
             // Scan right for the end of the tag.
             let (end, bachelor) = scan_tag_end(input, start + row.len as usize, m)?;
@@ -494,23 +393,14 @@ impl Prefilter {
                 self.enter(row.target, &row.on, stats);
                 self.enter(close_target, &row.on_close, stats);
                 let (open, close) = ((row.target, row.on.action), row.on_close.action);
-                if self.multi {
-                    self.apply_bachelor_multi(input, open, close, start, end)?;
-                } else {
-                    self.apply_bachelor(input, open, close, start, end)?;
-                }
+                self.apply_bachelor(input, open, close, start, end)?;
                 q = close_target;
                 cursor = end;
             } else if !row.close && row.on.balanced {
                 (q, cursor) = self.cross_opaque(&tables, row, input, start, end, m, stats)?;
             } else {
                 self.enter(row.target, &row.on, stats);
-                let target = (row.target, row.on.action);
-                if self.multi {
-                    self.apply_action_multi(input, target, start, end)?;
-                } else {
-                    self.apply_action(input, target, start, end)?;
-                }
+                self.apply_action(input, (row.target, row.on.action), start, end)?;
                 q = row.target;
                 cursor = end;
             }
@@ -539,22 +429,12 @@ impl Prefilter {
         m: &mut M,
         stats: &mut RunStats,
     ) -> Result<(u32, usize), CoreError> {
-        let open = (row.target, row.on.action);
         self.enter(row.target, &row.on, stats);
-        if self.multi {
-            self.apply_action_multi(input, open, start, end)?;
-        } else {
-            self.apply_action(input, open, start, end)?;
-        }
+        self.apply_action(input, (row.target, row.on.action), start, end)?;
         let (close_start, close_end) = self.balanced_scan(row.target, input, end, m, stats)?;
         let close_target = close_target(tables, row, close_start)?;
         self.enter(close_target, &row.on_close, stats);
-        let close = (close_target, row.on_close.action);
-        if self.multi {
-            self.apply_action_multi(input, close, close_start, close_end)?;
-        } else {
-            self.apply_action(input, close, close_start, close_end)?;
-        }
+        self.apply_action(input, (close_target, row.on_close.action), close_start, close_end)?;
         Ok((close_target, close_end))
     }
 
@@ -718,24 +598,49 @@ impl Prefilter {
 
     /// Execute `T[target]` for a non-bachelor token spanning `[start, end)`;
     /// `target` is the entered state and its action.
+    ///
+    /// In a registry automaton copy-on instances can nest: the multi-query
+    /// selection keeps one query's hit states alive inside another query's
+    /// raw-copied instance, so an inner `copy on`/`copy off` pair can fire
+    /// while a copy range is already active. The nesting depth makes those
+    /// inner pairs output-neutral — only the 0→1 edge opens the range and
+    /// only the 1→0 edge flushes it, which is exactly what the single-query
+    /// union automaton (with the interior pruned) emits. A single-query
+    /// automaton never nests, so its depth only moves between 0 and 1.
     fn apply_action<S: DocSource, W: Write>(
-        &self,
+        &mut self,
         input: &mut SourceInput<S, W>,
         (target, action): (u32, Action),
         start: usize,
         end: usize,
     ) -> Result<(), CoreError> {
         // Inside an active copy range every byte is already covered by the
-        // raw copy; only copy-off has work to do.
-        if input.copy_active() {
-            if action == Action::CopyOff {
-                input.copy_off(end)?;
+        // raw copy; only the copy-off that closes it has work to do.
+        if self.copy_depth > 0 {
+            match action {
+                Action::CopyOn => {
+                    self.copy_depth += 1;
+                    debug_assert!(
+                        self.copy_depth <= 1 || self.tables.attribution.is_some(),
+                        "a single-query automaton nested copy-on instances"
+                    );
+                }
+                Action::CopyOff => {
+                    self.copy_depth -= 1;
+                    if self.copy_depth == 0 {
+                        input.copy_off(end)?;
+                    }
+                }
+                Action::Nop | Action::CopyTag { .. } => {}
             }
             return Ok(());
         }
         match action {
             Action::Nop => {}
-            Action::CopyOn => input.copy_on(start),
+            Action::CopyOn => {
+                self.copy_depth = 1;
+                input.copy_on(start);
+            }
             Action::CopyOff => {
                 // No active range (merged-state conservatism): fall back to
                 // emitting the closing tag.
@@ -755,18 +660,24 @@ impl Prefilter {
     /// Execute the open + close actions of a bachelor tag `<name …/>`:
     /// the open state and its action, and the close state's action.
     fn apply_bachelor<S: DocSource, W: Write>(
-        &self,
+        &mut self,
         input: &mut SourceInput<S, W>,
         (open_target, open_act): (u32, Action),
         close_act: Action,
         start: usize,
         end: usize,
     ) -> Result<(), CoreError> {
-        if input.copy_active() {
-            // Covered by the enclosing raw copy. A copy-off cannot occur
-            // here: bachelor close actions pair with their own copy-on.
+        if self.copy_depth > 0 {
+            // Covered by the enclosing raw copy. A bachelor instance opens
+            // and closes within one token, so its net depth change is zero;
+            // the one depth-relevant case is a merged close-side `copy off`
+            // that belongs to an *enclosing* instance (no paired `copy on`),
+            // which steps the nesting down like a non-bachelor close does.
             if close_act == Action::CopyOff && open_act != Action::CopyOn {
-                input.copy_off(end)?;
+                self.copy_depth -= 1;
+                if self.copy_depth == 0 {
+                    input.copy_off(end)?;
+                }
             }
             return Ok(());
         }
@@ -785,68 +696,6 @@ impl Prefilter {
             input.emit_bytes(b"/>")?;
         }
         Ok(())
-    }
-
-    /// [`apply_action`](Self::apply_action) for registry automatons,
-    /// where copy-on instances can nest: the multi-query selection keeps
-    /// one query's hit states alive inside another query's raw-copied
-    /// instance, so an inner `copy on`/`copy off` pair can fire while a
-    /// copy range is already active. The nesting depth makes those inner
-    /// pairs output-neutral — only the 0→1 edge opens the range and only
-    /// the 1→0 edge flushes it, which is exactly what the single-query
-    /// union automaton (with the interior pruned) emits.
-    fn apply_action_multi<S: DocSource, W: Write>(
-        &mut self,
-        input: &mut SourceInput<S, W>,
-        target: (u32, Action),
-        start: usize,
-        end: usize,
-    ) -> Result<(), CoreError> {
-        let action = target.1;
-        if self.copy_depth > 0 {
-            match action {
-                Action::CopyOn => self.copy_depth += 1,
-                Action::CopyOff => {
-                    self.copy_depth -= 1;
-                    if self.copy_depth == 0 {
-                        input.copy_off(end)?;
-                    }
-                }
-                // Tags inside the active range are covered by the raw copy.
-                Action::Nop | Action::CopyTag { .. } => {}
-            }
-            return Ok(());
-        }
-        if action == Action::CopyOn {
-            self.copy_depth = 1;
-        }
-        self.apply_action(input, target, start, end)
-    }
-
-    /// [`apply_bachelor`](Self::apply_bachelor) for registry automatons.
-    /// A bachelor instance opens and closes within one token, so its net
-    /// depth change is zero; the one depth-relevant case is the merged
-    /// close-side `copy off` that belongs to an *enclosing* instance
-    /// (`close_act == CopyOff` without the paired `CopyOn`), which steps
-    /// the nesting down like the non-bachelor close does.
-    fn apply_bachelor_multi<S: DocSource, W: Write>(
-        &mut self,
-        input: &mut SourceInput<S, W>,
-        open: (u32, Action),
-        close_act: Action,
-        start: usize,
-        end: usize,
-    ) -> Result<(), CoreError> {
-        if self.copy_depth > 0 {
-            if close_act == Action::CopyOff && open.1 != Action::CopyOn {
-                self.copy_depth -= 1;
-                if self.copy_depth == 0 {
-                    input.copy_off(end)?;
-                }
-            }
-            return Ok(());
-        }
-        self.apply_bachelor(input, open, close_act, start, end)
     }
 }
 
@@ -1001,7 +850,7 @@ fn balanced_scan_windowed<S: DocSource, W: Write, M: Metrics>(
 
 /// May `c` follow a tag name inside a tag?
 #[inline]
-pub(crate) fn is_tag_name_end(c: u8) -> bool {
+fn is_tag_name_end(c: u8) -> bool {
     matches!(c, b'>' | b'/' | b' ' | b'\t' | b'\r' | b'\n')
 }
 

@@ -18,10 +18,9 @@
 //!   results delivered in input order with a bounded run-ahead,
 //!   first-error cancellation with a clean drain.
 //!
-//! One document is split across the pool only when the caller asks for
-//! it ([`Prefilter::run_sharded`], the CLI's `--shard-mb`): that route
-//! holds the whole document and every segment's output, and no batch
-//! entry takes it by itself. A one-document batch is a width-1 run.
+//! The unit of parallel work is one whole document: each is one Fig. 4
+//! pass on one worker, whose memory does not depend on the document's
+//! length. A one-document batch is a width-1 run.
 //!
 //! Equivalence with the sequential [`Prefilter::run_batch`] is exact:
 //! each document is processed by the same single-threaded Fig. 4 loop
@@ -32,8 +31,6 @@
 //! thread counts, backends and SIMD/scalar modes.
 
 mod pool;
-pub(crate) mod shard;
-pub(crate) mod split;
 
 pub use pool::Pool;
 
@@ -132,42 +129,6 @@ impl FrozenPrefilter {
                 },
             )
             .map_err(|(index, error)| BatchError { index, error })
-    }
-
-    /// Shard one document across `threads` workers and stitch the result
-    /// — byte-identical to the sequential run; see [`shard`] for the
-    /// speculation/confirmation protocol. `shard_bytes == 0` sizes
-    /// shards automatically. Shorthand for minting a
-    /// [`worker`](Self::worker) and calling [`Prefilter::run_sharded`].
-    pub fn run_sharded<S, W>(
-        &self,
-        src: S,
-        writer: W,
-        threads: usize,
-        shard_bytes: usize,
-    ) -> Result<(W, RunStats), CoreError>
-    where
-        S: DocSource,
-        W: Write,
-    {
-        self.worker().run_sharded(src, writer, threads, shard_bytes)
-    }
-
-    /// [`run_sharded`](Self::run_sharded) for multi-query (registry)
-    /// automatons: additionally returns the document's [`MultiVerdict`],
-    /// the OR of the stitched segments' per-query hits.
-    pub fn run_sharded_multi<S, W>(
-        &self,
-        src: S,
-        writer: W,
-        threads: usize,
-        shard_bytes: usize,
-    ) -> Result<(W, MultiVerdict, RunStats), CoreError>
-    where
-        S: DocSource,
-        W: Write,
-    {
-        self.worker().run_sharded_multi(src, writer, threads, shard_bytes)
     }
 }
 

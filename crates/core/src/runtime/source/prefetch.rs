@@ -336,9 +336,8 @@ impl<R> DocSource for PrefetchSource<R> {
     }
 
     fn len_hint(&self) -> Option<u64> {
-        // Like `ReaderSource`: hint-less, so prefetched one-doc batches
-        // never trigger auto-shard slurping and stats initialize the
-        // same way as the sync reader.
+        // Like `ReaderSource`: hint-less, so stats initialize the same
+        // way as the sync reader.
         None
     }
 

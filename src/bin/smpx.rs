@@ -4,7 +4,7 @@
 //! USAGE:
 //!   smpx --dtd SCHEMA.dtd (--paths P1,P2,… | --query XPATH [--query XPATH ...])
 //!        [INPUT.xml | - ...] [-o OUT.xml] [--mmap] [--prefetch] [--chunk-kb N]
-//!        [--threads N] [--shard-mb N] [--add-query XPATH] [--remove-query ID]
+//!        [--threads N] [--add-query XPATH] [--remove-query ID]
 //!        [--stats] [--stats-json PATH|-] [--metrics PATH|-]
 //!
 //! EXAMPLES:
@@ -100,17 +100,6 @@
 //! and dumps one snapshot at exit — Prometheus text, or JSON-lines for
 //! a `.json`/`.jsonl` path. `-` targets stderr in both cases, because
 //! stdout carries the projected XML.
-//!
-//! `--shard-mb N` splits *one* file input across the `--threads` pool
-//! **within** the document (`Prefilter::run_sharded`): the pool speculates
-//! from top-level record boundaries in N-MiB shards (`--shard-mb 0` sizes
-//! them to the pool) and the stitched projection is byte-identical to the
-//! sequential run. Sharding happens only when asked for: it is the one
-//! route that holds the whole document and every segment's output in
-//! memory, where every other route holds a window (or two release steps
-//! of a mapping) per worker. Without the flag one input is a width-1 run
-//! whatever `--threads` says, and stdin never shards (a pipe has no known
-//! length and must stream).
 
 use smpx::bench::json::{JsonSink, Value};
 use smpx::core::obs::{self, MetricsTarget};
@@ -149,7 +138,6 @@ struct Args {
     reader_tag: String,
     prefetch_tag: String,
     threads: usize,
-    shard_mb: Option<usize>,
     /// `--metrics <path|->`: enable the process-wide observability
     /// registry and dump a snapshot at exit — `-` writes Prometheus text
     /// to stderr, a `.json`/`.jsonl` path the JSON-lines snapshot, any
@@ -178,7 +166,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: smpx --dtd SCHEMA.dtd (--paths 'P1,P2,…' | --query XPATH [--query XPATH ...]) \
          [INPUT.xml | - ...] [-o OUT.xml] [--mmap] [--prefetch] [--chunk-kb N] [--threads N] \
-         [--shard-mb N] [--add-query XPATH] [--remove-query ID] [--stats] \
+         [--add-query XPATH] [--remove-query ID] [--stats] \
          [--stats-json PATH|-] [--metrics PATH|-]"
     );
     std::process::exit(2);
@@ -198,7 +186,6 @@ fn parse_args() -> Args {
         reader_tag: String::new(),
         prefetch_tag: String::new(),
         threads: 1,
-        shard_mb: None,
         metrics: None,
         stats_json: None,
         ops: Vec::new(),
@@ -228,11 +215,6 @@ fn parse_args() -> Args {
             "--threads" => {
                 // 0 is meaningful: available parallelism.
                 args.threads = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--shard-mb" => {
-                // 0 is meaningful: force sharding with auto-sized shards.
-                args.shard_mb =
-                    Some(it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()));
             }
             "--add-query" => {
                 args.ops.push(LifeOp::Add(it.next().unwrap_or_else(|| usage())));
@@ -455,24 +437,19 @@ struct Row {
     verdict: Option<MultiVerdict>,
 }
 
-/// One input through `wk` into `out` — split across the pool in shards of
-/// `shard` bytes when that is given: its row, or the message naming it.
+/// One input through `wk` into `out`: its row, or the message naming it.
 fn run_one<W: Write>(
     wk: &mut Worker,
     eng: &Engine,
     args: &Args,
     path: &str,
-    shard: Option<usize>,
     out: W,
 ) -> Result<Row, String> {
     let label = args.label(path);
     let (mut src, route, len) = open_source(path, args, wk.spare.take())
         .map_err(|e| format!("cannot open {label}: {e}"))?;
-    let run = match shard {
-        None => wk.pf.run_multi(&mut src, out),
-        Some(bytes) => wk.pf.run_sharded_multi(&mut src, out, args.threads, bytes),
-    };
-    let (_, verdict, mut stats) = run.map_err(|e| format!("{label}: {e}"))?;
+    let (_, verdict, mut stats) =
+        wk.pf.run_multi(&mut src, out).map_err(|e| format!("{label}: {e}"))?;
     // Reader-delivered runs cannot know their length up front.
     if stats.input_bytes == 0 {
         stats.input_bytes = len.unwrap_or(0);
@@ -599,7 +576,6 @@ fn stats_json_row(sink: &mut JsonSink, label: &str, source: &str, stats: &RunSta
         ("tokens_matched", Value::U(stats.tokens_matched)),
         ("false_matches", Value::U(stats.false_matches)),
         ("io_window_bytes", Value::U(stats.io_window_bytes)),
-        ("shards", Value::U(stats.shards)),
     ]);
 }
 
@@ -644,8 +620,7 @@ fn print_stats(label: &str, source: &str, stats: &RunStats) {
 /// width is `min(--threads, inputs, available parallelism)`:
 ///
 /// * width 1 (every single-input run included) is the sequential loop
-///   writing straight into `out`; `--shard-mb` on one file input splits
-///   that one run across the pool;
+///   writing straight into `out`;
 /// * otherwise each pool worker opens its input itself and projects it
 ///   through a [`Relay`]: into a buffer from the free list, and into `out`
 ///   itself once the input is the next to be written. The pool's ordered
@@ -664,17 +639,13 @@ fn run_inputs(
 ) -> Result<Vec<Row>, ()> {
     let pool = Pool::new(args.threads);
     let width = pool.width(inputs.len());
-    let shard = args
-        .shard_mb
-        .filter(|_| matches!(inputs, [p] if p != "-"))
-        .map(|mb| mb.saturating_mul(1 << 20));
     let worker = |_| Worker { pf: eng.frozen.worker(), spare: None };
     let failed = |msg: String| eprintln!("smpx: {msg}");
     let mut rows = Vec::with_capacity(inputs.len());
     if width == 1 {
         let mut wk = worker(0);
         for path in inputs {
-            let row = run_one(&mut wk, eng, args, path, shard, Unflushed(out)).map_err(failed)?;
+            let row = run_one(&mut wk, eng, args, path, Unflushed(out)).map_err(failed)?;
             rows.push(row);
         }
     } else {
@@ -688,7 +659,7 @@ fn run_inputs(
                 let mut buf = free.lock().expect("free list").pop().unwrap_or_default();
                 let relay =
                     Relay { index, head: &head, sink: &sink, buf: &mut buf, streaming: None };
-                match run_one(wk, eng, args, path, None, relay) {
+                match run_one(wk, eng, args, path, relay) {
                     Ok(row) => Ok((row, buf)),
                     // The partial projection goes out with the message, as
                     // the sequential loop writes it before it stops.
@@ -714,21 +685,8 @@ fn run_inputs(
             return Err(());
         }
     }
-    if args.stats {
-        let workers = |n: usize| format!("{n} pool worker{}", if n == 1 { "" } else { "s" });
-        if shard.is_some() {
-            // An unsplittable document reports 0 stitched segments rather
-            // than a fictional split.
-            let (label, shards) = (&rows[0].label, rows[0].stats.shards);
-            if shards > 0 {
-                let over = workers(pool.threads());
-                eprintln!("smpx: {label}: stitched {shards} shard segments over {over}");
-            } else {
-                eprintln!("smpx: {label}: no safe split, ran as one sequential pass");
-            }
-        } else if width > 1 {
-            eprintln!("smpx: batch of {} inputs over {}", inputs.len(), workers(width));
-        }
+    if args.stats && width > 1 {
+        eprintln!("smpx: batch of {} inputs over {width} pool workers", inputs.len());
     }
     Ok(rows)
 }

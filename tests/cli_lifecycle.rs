@@ -191,45 +191,35 @@ fn lifecycle_mode_works_pooled() {
     );
 }
 
-/// One file is sharded when `--shard-mb` asks for it and never by itself:
-/// `--threads 2 big.xml` is a width-1 run (`shards` 0), the retired
-/// `SMPX_SHARD_AUTO_MB` variable moves nothing, and `--shard-mb 0` / `N`
-/// still stitch the sequential bytes.
+/// One file is one sequential pass whatever the flags: `--threads 2
+/// big.xml` writes the `--threads 1` bytes, plain or mapped, the retired
+/// `SMPX_SHARD_AUTO_MB` variable moves nothing, and the deleted
+/// `--shard-mb` flag is a usage error like any unknown flag.
 #[test]
-fn one_file_shards_only_under_shard_mb() {
-    let s = Scratch::new("shard-explicit");
+fn one_file_is_one_pass_and_the_shard_flag_is_a_usage_error() {
+    let s = Scratch::new("one-pass");
     let doc = smpx_datagen::xmark::generate(smpx_datagen::GenOptions::sized(2 << 20));
     std::fs::write(s.dir.join("site.dtd"), smpx_datagen::xmark::XMARK_DTD).expect("write dtd");
     std::fs::write(s.dir.join("site.xml"), &doc).expect("write doc");
-    let run = |tag: &str, extra: &[&str]| {
-        let stats = s.path(&format!("stats-{tag}.json"));
-        let out = Command::new(env!("CARGO_BIN_EXE_smpx"))
+    let run = |extra: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_smpx"))
             .env("SMPX_SHARD_AUTO_MB", "1")
             .args(["--dtd", &s.path("site.dtd"), "--paths", "/*,/site/people/person/name#"])
-            .args(["--stats-json", &stats, &s.path("site.xml")])
+            .arg(s.path("site.xml"))
             .args(extra)
             .output()
-            .expect("run smpx");
-        assert!(out.status.success(), "stderr: {}", stderr_of(&out));
-        let rows = std::fs::read_to_string(&stats).expect("stats rows");
-        let row = rows.lines().next().expect("one row per file").to_string();
-        let shards: u64 = row
-            .split("\"shards\":")
-            .nth(1)
-            .and_then(|rest| rest.trim_end_matches('}').parse().ok())
-            .unwrap_or_else(|| panic!("no shards field in {row}"));
-        (out.stdout, shards)
+            .expect("run smpx")
     };
-    let (sequential, shards) = run("seq", &["--threads", "1"]);
-    assert_eq!(shards, 0);
-    assert!(!sequential.is_empty());
-    assert_eq!(run("wide", &["--threads", "2"]), (sequential.clone(), 0));
-    assert_eq!(run("wide-mmap", &["--threads", "2", "--mmap"]), (sequential.clone(), 0));
-    // The pool is as wide as the machine at most: one CPU cannot split.
-    let can_split = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
-    for (tag, mb) in [("auto", "0"), ("one", "1")] {
-        let (sharded, shards) = run(tag, &["--threads", "2", "--shard-mb", mb]);
-        assert_eq!(sharded, sequential, "--shard-mb {mb}");
-        assert_eq!(shards > 0, can_split, "--shard-mb {mb} must take the shard route");
+    let sequential = run(&["--threads", "1"]);
+    assert!(sequential.status.success(), "stderr: {}", stderr_of(&sequential));
+    assert!(!sequential.stdout.is_empty());
+    for extra in [&["--threads", "2"][..], &["--threads", "2", "--mmap"]] {
+        let wide = run(extra);
+        assert!(wide.status.success(), "{extra:?}: {}", stderr_of(&wide));
+        assert_eq!(wide.stdout, sequential.stdout, "{extra:?}");
     }
+    let gone = run(&["--threads", "2", "--shard-mb", "1"]);
+    assert_eq!(gone.status.code(), Some(2), "stderr: {}", stderr_of(&gone));
+    assert!(gone.stdout.is_empty());
+    assert!(stderr_of(&gone).starts_with("usage:"), "stderr: {}", stderr_of(&gone));
 }

@@ -13,7 +13,7 @@ use std::io::Read;
 use std::time::Duration;
 
 use smpx_core::obs::{self, CounterId, GaugeId, MetricsRegistry, Snapshot};
-use smpx_core::{Pool, PrefetchSource, Prefilter, SharedPrefilter, SliceSource};
+use smpx_core::{Pool, PrefetchSource, Prefilter, SharedPrefilter};
 use smpx_dtd::Dtd;
 use smpx_paths::PathSet;
 
@@ -146,40 +146,6 @@ fn lifecycle_compile_latency_populates() {
     );
 }
 
-#[test]
-fn shard_repairs_and_hits_populate() {
-    if Pool::new(4).threads() < 2 {
-        return; // one CPU: the pool is one worker wide and nothing shards
-    }
-    obs::enable();
-    let runs0 = counter("smpx_shard_runs_total");
-    let repairs0 = counter("smpx_shard_repairs_total");
-    let folded0 = counter("smpx_run_runs_total");
-
-    // Record-open lookalikes inside quoted attribute values: textual
-    // candidates the sequential frontier never crosses, so stitching
-    // must repair around them (same workload the shard unit tests pin).
-    let mut doc = b"<a>".to_vec();
-    for j in 0..24 {
-        doc.extend_from_slice(
-            format!("<b id=\"<b>fake{j}</b><c>\">real-{j}</b><c><b>y{j}</b></c>").as_bytes(),
-        );
-    }
-    doc.extend_from_slice(b"</a>");
-    let (out, stats) = pf().run_sharded(SliceSource::new(&doc), Vec::new(), 4, 16).unwrap();
-    let (want, _) = pf().filter_to_vec(&doc).unwrap();
-    assert_eq!(out, want);
-    assert!(stats.shards >= 2, "the workload must actually shard: {stats:?}");
-
-    assert!(counter("smpx_shard_runs_total") > runs0, "sharded runs must count");
-    assert!(counter("smpx_shard_repairs_total") > repairs0, "lookalikes force repairs");
-    assert!(
-        counter("smpx_run_runs_total") > folded0,
-        "the stitched total folds into the run counters exactly once"
-    );
-    assert!(counter("smpx_stage_stitch_seconds_total") > 0, "stitch time must accrue");
-}
-
 /// Plain sequential runs fold their `RunStats` into the process counters
 /// and the scan stage timer brackets them.
 #[test]
@@ -227,7 +193,7 @@ fn snapshot_stays_consistent_under_hammer() {
                 for i in 0..PER_WRITER {
                     REG.add(CounterId::RunRuns, 1);
                     REG.add(CounterId::RunInputBytes, 3);
-                    REG.observe(HistId::ShardSegments, i % 200);
+                    REG.observe(HistId::LifecycleBurstSize, i % 200);
                 }
             });
         }
@@ -260,7 +226,7 @@ fn snapshot_stays_consistent_under_hammer() {
     let n = WRITERS as u64 * PER_WRITER;
     assert_eq!(snap.scalar("smpx_run_runs_total"), Some(n));
     assert_eq!(snap.scalar("smpx_run_input_bytes_total"), Some(3 * n));
-    assert_eq!(hist_count(&snap, "smpx_shard_segments"), n);
+    assert_eq!(hist_count(&snap, "smpx_lifecycle_burst_edits"), n);
 }
 
 /// Prometheus exposition: every line is either a well-formed comment or
@@ -271,8 +237,8 @@ fn prometheus_exposition_parses() {
     let reg = MetricsRegistry::new();
     reg.add(CounterId::RunRuns, 7);
     reg.add(CounterId::PoolBusyNanos, 1_500_000_000); // 1.5 s
-    reg.observe(smpx_core::obs::HistId::ShardSegments, 3);
-    reg.observe(smpx_core::obs::HistId::ShardSegments, 999);
+    reg.observe(smpx_core::obs::HistId::LifecycleBurstSize, 3);
+    reg.observe(smpx_core::obs::HistId::LifecycleBurstSize, 999);
     let text = obs::render_prometheus(&reg.snapshot());
 
     let mut helped = std::collections::HashSet::new();
@@ -310,10 +276,10 @@ fn prometheus_exposition_parses() {
     }
     // Cumulative buckets: the +Inf bucket equals the family count (2).
     assert!(
-        text.contains("smpx_shard_segments_bucket{le=\"+Inf\"} 2"),
+        text.contains("smpx_lifecycle_burst_edits_bucket{le=\"+Inf\"} 2"),
         "+Inf bucket must equal the observation count:\n{text}"
     );
-    assert!(text.contains("smpx_shard_segments_count 2"));
+    assert!(text.contains("smpx_lifecycle_burst_edits_count 2"));
 }
 
 /// JSON-lines exposition: every line is a structurally valid flat JSON
@@ -323,7 +289,7 @@ fn prometheus_exposition_parses() {
 fn json_exposition_round_trips() {
     let reg = MetricsRegistry::new();
     reg.add(CounterId::RunRuns, 7);
-    reg.observe(smpx_core::obs::HistId::ShardSegments, 5);
+    reg.observe(smpx_core::obs::HistId::LifecycleBurstSize, 5);
     let snap = reg.snapshot();
     let text = obs::render_json(&snap);
 

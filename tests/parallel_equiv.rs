@@ -20,6 +20,9 @@
 //! it to the file name), and nothing is poisoned — the same frozen
 //! automaton runs the next batch successfully.
 //!
+//! And `Prefilter::run_sharded`, which no longer splits a document, is
+//! pinned to the sequential run it now is, whatever its width arguments.
+//!
 //! The SIMD/scalar toggle (`memscan::force_accel`) is process-global, so
 //! every test in this binary serializes on [`mode_lock`].
 
@@ -259,4 +262,31 @@ fn error_injection_cancels_names_the_input_and_poisons_nothing() {
         )
         .expect_err("mapped doc 4 is truncated");
     assert_eq!(err.index, 4);
+}
+
+/// `run_sharded` is one sequential pass: the same bytes and the same whole
+/// `RunStats` as `filter_source`, for every width and shard size, over
+/// slices and mapped files alike.
+#[test]
+fn run_sharded_is_the_sequential_run() {
+    let _guard = mode_lock().lock().unwrap();
+    for fx in [random_fixture(7), recursive_fixture()] {
+        let mut pf = Prefilter::compile(&fx.dtd, &fx.paths).expect("compile");
+        for (i, doc) in fx.docs.iter().enumerate() {
+            let tmp = TempDoc::new(doc);
+            let slice = || SliceSource::new(doc);
+            let mapped = || MmapSource::open(tmp.path()).expect("map doc");
+            let mut want = Vec::new();
+            let want_slice = pf.filter_source(slice(), &mut want).expect("slice filter");
+            let want_mapped = pf.filter_source(mapped(), std::io::sink()).expect("mapped filter");
+            for t in [0usize, 1, 2, 4] {
+                for b in [0usize, 64] {
+                    let got = pf.run_sharded(slice(), Vec::new(), t, b).expect("slice");
+                    assert_eq!(got, (want.clone(), want_slice), "slice doc {i} t={t} b={b}");
+                    let got = pf.run_sharded(mapped(), Vec::new(), t, b).expect("mapped");
+                    assert_eq!(got, (want.clone(), want_mapped), "mapped doc {i} t={t} b={b}");
+                }
+            }
+        }
+    }
 }
