@@ -5,48 +5,102 @@
 //! one (step b), and which action does entering it perform (`T`). All
 //! three follow from the instance's relevance configuration
 //! ([`smpx_paths::RelConfig`]), and a child's configuration is one
-//! [`descend`](smpx_paths::RelConfig::descend) from its parent's. Parents
-//! precede children in state order ([`DtdAutomaton::parent`]), so a single
-//! pass over the states evaluates every instance once — its open and close
-//! state share the result — and the rest of the compile reads a table.
+//! [`push`](smpx_paths::ConfigStack::push) from its parent's. Instances
+//! follow each other in pre-order in state order
+//! ([`DtdAutomaton::subtree_end`]), so a single pass over the instances
+//! evaluates each once — its open and close state share the result — and
+//! the rest of the compile reads a table.
+//!
+//! The pass costs what the workload selects, not what the DTD holds: below
+//! an instance whose configuration is [dead](smpx_paths::RelConfig::is_dead)
+//! nothing is relevant, `#`-selected or live, which is what the tables hold
+//! by default, so the walk jumps past its subtree: XMark's XM5 visits 16
+//! of the DTD's 208 instances.
 
 use super::tables::Action;
 use smpx_dtd::{DtdAutomaton, StateId};
-use smpx_paths::{RelConfig, Relevance};
+use smpx_paths::{ConfigStack, RelNfa};
 
-/// Per-state answers for one (automaton, relevance) pair, indexed by
-/// `StateId`; `q0` holds the neutral entry.
+/// Per-state answers for the relevance walked last, indexed by `StateId`;
+/// `q0` holds the neutral entry. One table and its scratch serve every walk
+/// of a compile.
 pub(crate) struct StateClasses {
     relevant: Vec<bool>,
     inside_copy_on: Vec<bool>,
     action: Vec<Action>,
-    /// `descend` calls made: one per element instance.
+    /// The open states of the instances the last walk visited, ascending;
+    /// every other state holds the defaults.
+    visited: Vec<StateId>,
+    /// Per element id, the row of the walk's [`RelNfa`] its label advances
+    /// through.
+    rows: Vec<u32>,
+    /// The configurations of the instances enclosing the one at hand.
+    stack: ConfigStack,
+    /// Their open states, and whether their children lie inside a
+    /// `#`-selected instance.
+    path: Vec<(StateId, bool)>,
+    /// `push` calls over every walk: one per instance visited.
     pub(crate) steps: usize,
 }
 
 impl StateClasses {
-    pub(crate) fn build(auto: &DtdAutomaton, rel: &Relevance) -> StateClasses {
+    pub(crate) fn new(auto: &DtdAutomaton) -> StateClasses {
         let n = auto.state_count();
-        let mut classes = StateClasses {
+        StateClasses {
             relevant: vec![false; n],
             inside_copy_on: vec![false; n],
             action: vec![Action::Nop; n],
+            visited: Vec::new(),
+            rows: Vec::new(),
+            stack: ConfigStack::default(),
+            path: Vec::new(),
             steps: 0,
-        };
-        let root = rel.root();
-        // Configuration and `#`-selection of each instance, at its open state.
-        let mut instances: Vec<Option<(RelConfig<'_>, bool)>> = vec![None; n];
-        for open in auto.states().skip(1).filter(|&q| !auto.is_close(q)) {
-            let (parent, inside) = match auto.parent(open) {
-                None => (&root, false),
-                Some(p) => {
-                    let (cfg, copy_on) = instances[p.0 as usize].as_ref().expect("parent first");
-                    (cfg, *copy_on || classes.inside_copy_on[p.0 as usize])
-                }
-            };
-            let cfg = parent.descend(auto.elem_name(open));
-            classes.steps += 1;
-            let relevant = cfg.relevant_tag(parent);
+        }
+    }
+
+    /// [`new`](Self::new) and one [`walk`](Self::walk).
+    #[cfg(test)]
+    pub(crate) fn build(auto: &DtdAutomaton, nfa: &RelNfa<'_>) -> StateClasses {
+        let mut classes = StateClasses::new(auto);
+        classes.walk(auto, nfa);
+        classes
+    }
+
+    /// Classify every state under `nfa`, replacing the previous walk's
+    /// answers.
+    pub(crate) fn walk(&mut self, auto: &DtdAutomaton, nfa: &RelNfa<'_>) {
+        for &open in &self.visited {
+            for q in [open, auto.dual(open)] {
+                let i = q.0 as usize;
+                (self.relevant[i], self.inside_copy_on[i], self.action[i]) =
+                    (false, false, Action::Nop);
+            }
+        }
+        self.visited.clear();
+        self.rows.clear();
+        self.rows.resize(auto.elem_count(), 0);
+        for (name, row) in nfa.named_rows() {
+            if let Some(e) = auto.elem_by_name(name) {
+                self.rows[e] = row;
+            }
+        }
+        self.stack.start(nfa);
+        self.path.clear();
+        // State 1 opens the root instance; an instance's first child opens
+        // two states after it.
+        let mut open = StateId(1);
+        while (open.0 as usize) < auto.state_count() {
+            let up = auto.parent(open);
+            while self.path.last().is_some_and(|&(p, _)| Some(p) != up) {
+                self.path.pop();
+                self.stack.pop();
+            }
+            let inside = self.path.last().is_some_and(|&(_, inside)| inside);
+            self.stack.push(nfa, self.rows[auto.elem_id(open)]);
+            self.steps += 1;
+            let depth = self.stack.depth();
+            let (parent, cfg) = (self.stack.at(nfa, depth - 1), self.stack.at(nfa, depth));
+            let relevant = cfg.relevant_tag(&parent);
             let copy_on = cfg.c2_leaf();
             // The prefilter cannot navigate inside an opaque (recursive)
             // subtree: if a path could select below it, keep it whole.
@@ -61,15 +115,28 @@ impl StateClasses {
             } else {
                 (Action::Nop, Action::Nop)
             };
+            let dead = cfg.is_dead();
             for (q, action) in [(open, actions.0), (auto.dual(open), actions.1)] {
                 let i = q.0 as usize;
-                classes.relevant[i] = relevant;
-                classes.inside_copy_on[i] = inside;
-                classes.action[i] = action;
+                (self.relevant[i], self.inside_copy_on[i], self.action[i]) =
+                    (relevant, inside, action);
             }
-            instances[open.0 as usize] = Some((cfg, copy_on));
+            self.visited.push(open);
+            open = if dead {
+                self.stack.pop();
+                auto.subtree_end(open)
+            } else {
+                self.path.push((open, copy_on || inside));
+                StateId(open.0 + 2)
+            };
         }
-        classes
+    }
+
+    /// The open states of the instances the last walk visited, ascending:
+    /// every state [`relevant`](Self::relevant) or
+    /// [`inside_copy_on`](Self::inside_copy_on) is one of them or its dual.
+    pub(crate) fn visited(&self) -> &[StateId] {
+        &self.visited
     }
 
     /// Def. 5 via Def. 3: is `q`'s tag relevant (selection step a)?

@@ -22,22 +22,30 @@ pub use tables::{
 use crate::error::CoreError;
 use crate::idset::{QueryId, QueryIdSet};
 use classes::StateClasses;
+use select::Selector;
 use smpx_dtd::{Dtd, DtdAutomaton, MinLen, StateId};
-use smpx_paths::{PathSet, Relevance};
+use smpx_paths::{PathSet, RelNfa};
+use subgraph::GapSearch;
+use tables::Subsets;
 
 /// A set of DTD-automaton states as a membership vector indexed by
 /// `StateId`: the selected set `S` and its relatives are probed once per
 /// transition followed, so membership is a load, and iteration is in
-/// ascending id like the ordered sets it replaces.
+/// ascending id like the ordered sets it replaces. Once
+/// [indexed](Self::index), whether an instance holds a member is two loads
+/// more.
 #[derive(Debug, Clone)]
 pub(crate) struct StateSet {
     member: Vec<bool>,
+    /// After [`index`](Self::index): `below[i]` members have ids under `i`.
+    /// Emptied by every change, so a stale index fails loudly.
+    below: Vec<u32>,
 }
 
 impl StateSet {
     /// The empty set over an automaton of `states` states.
     pub(crate) fn new(states: usize) -> StateSet {
-        StateSet { member: vec![false; states] }
+        StateSet { member: vec![false; states], below: Vec::new() }
     }
 
     /// Is `q` in the set?
@@ -48,14 +56,23 @@ impl StateSet {
     /// Add `q`.
     pub(crate) fn insert(&mut self, q: StateId) {
         self.member[q.0 as usize] = true;
+        self.below.clear();
     }
 
     /// Remove `q`.
     pub(crate) fn remove(&mut self, q: StateId) {
         self.member[q.0 as usize] = false;
+        self.below.clear();
+    }
+
+    /// Remove every member.
+    pub(crate) fn clear(&mut self) {
+        self.member.fill(false);
+        self.below.clear();
     }
 
     /// Is the set empty?
+    #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
         !self.member.contains(&true)
     }
@@ -64,21 +81,151 @@ impl StateSet {
     pub(crate) fn iter(&self) -> impl Iterator<Item = StateId> + '_ {
         self.member.iter().enumerate().filter(|(_, &m)| m).map(|(i, _)| StateId(i as u32))
     }
+
+    /// Count the members below every id, for [`holds_none`](Self::holds_none)
+    /// until the set next changes.
+    pub(crate) fn index(&mut self) {
+        self.below.clear();
+        self.below.push(0);
+        let mut n = 0;
+        for &m in &self.member {
+            n += m as u32;
+            self.below.push(n);
+        }
+    }
+
+    /// Does the instance `open` opens hold no member — neither its own two
+    /// states nor any inside it? The set must be indexed.
+    pub(crate) fn holds_none(&self, auto: &DtdAutomaton, open: StateId) -> bool {
+        self.below[auto.subtree_end(open).0 as usize] == self.below[open.0 as usize]
+    }
 }
 
-/// What one static analysis did, for the deterministic guards in the tests:
-/// a regression shows up as a count, not as a silent compile-time cliff.
+/// What one static analysis did, for the deterministic guards in the tests
+/// and the `smpx --stats` line: a regression shows up as a count, not as a
+/// silent compile-time cliff.
 #[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompileCounts {
     /// Determinization passes the DFA-level hazard fixpoint took. The
     /// per-label-group pre-analysis in state selection is designed to make
     /// this exactly 1 (the fixpoint then verifies and finds nothing).
     pub passes: usize,
-    /// Relevance steps (`RelConfig::descend` calls): one per element
-    /// instance of the DTD-automaton per relevance built — never a re-walk
-    /// of a branch.
+    /// Relevance steps (`ConfigStack::push` calls) over every relevance
+    /// walked: one per element instance visited, and an instance below a
+    /// dead configuration is not — never a re-walk of a branch, never a
+    /// branch no path can reach.
     pub relevance_steps: usize,
+    /// Skipped states the gap searches of the contraction settled, over
+    /// every source of every pass. An instance with no selected state
+    /// inside is one edge, so its interior is never settled.
+    pub gap_nodes: usize,
+    /// States the orientation analysis (step c and the DFA-level re-check)
+    /// reached or looked into, over every unit analysed. It crosses an
+    /// unselected instance in one step and looks inside only when the
+    /// instance holds a label the unit stops at.
+    pub hazard_visits: usize,
+}
+
+/// The automaton of one compile and the scratch of its analysis: allocated
+/// once, then reset by every relevance walked and every selection made
+/// with it, so a registry of N queries allocates per query only its
+/// [`RelNfa`].
+struct Analysis {
+    auto: DtdAutomaton,
+    classes: StateClasses,
+    selector: Selector,
+    gaps: GapSearch,
+    passes: usize,
+}
+
+impl Analysis {
+    fn new(dtd: &Dtd) -> Result<Analysis, CoreError> {
+        let auto = DtdAutomaton::build_allow_recursion(dtd)?;
+        let minlen = MinLen::compute_allow_recursion(dtd)?;
+        Ok(Analysis {
+            classes: StateClasses::new(&auto),
+            selector: Selector::new(&auto),
+            gaps: GapSearch::new(&auto, &minlen),
+            auto,
+            passes: 0,
+        })
+    }
+
+    /// Walk `nfa` and select its states into `self.selector.s`, `extra`
+    /// forced in ([`Selector::select`]).
+    fn select(&mut self, nfa: &RelNfa<'_>, extra: &[StateId]) {
+        self.classes.walk(&self.auto, nfa);
+        self.selector.select(&self.auto, &self.classes, extra);
+    }
+
+    /// The registry's selection ([`compile_multi`]): each query's hit
+    /// states, returned as `(state, query)` pairs, then the union's
+    /// selection with them forced in.
+    fn select_registry(&mut self, queries: &[PathSet]) -> Vec<(StateId, QueryId)> {
+        let mut hits: Vec<(StateId, QueryId)> = Vec::new();
+        // The forced extras: the hit states as dual pairs.
+        let mut extra: Vec<StateId> = Vec::new();
+        for (qi, paths) in queries.iter().enumerate() {
+            self.select(&RelNfa::new(paths), &[]);
+            for m in self.selector.s.iter().filter(|&m| self.classes.action(m).indicates_match()) {
+                hits.push((m, QueryId(qi as u32)));
+                extra.extend([m, self.auto.dual(m)]);
+            }
+        }
+        self.select(&RelNfa::of_sets(queries), &extra);
+        hits
+    }
+
+    /// Contract, determinize and hazard-check the selection made last:
+    /// steps 3–4 of the Fig. 6 pipeline, shared by the single-query and the
+    /// multi-query (registry) compiles. Returns the runtime-DFA states and
+    /// each state's member subset (the registry derives its hit attribution
+    /// from the subsets).
+    ///
+    /// State selection's step (c) runs per *label group* (all same-labeled
+    /// selected states analysed with their reaches united), which
+    /// over-approximates every merge the subset construction below can
+    /// perform — determinization only ever merges states entered by the
+    /// same token. The loop here re-checks orientation hazards on the
+    /// actual determinized automaton as a safety net: with the grouped
+    /// pre-analysis it finds nothing and the tables compile in one pass,
+    /// where the per-NFA-state analysis of earlier revisions needed up to
+    /// a handful of recompiles on ambiguous (non-1-unambiguous) content
+    /// models. S only grows, so the fixpoint terminates either way.
+    fn tables(&mut self) -> (Vec<RtState>, Subsets) {
+        let (auto, s, scan) = (&self.auto, &mut self.selector.s, &mut self.selector.scan);
+        let mut to_add: Vec<StateId> = Vec::new();
+        loop {
+            self.passes += 1;
+            s.index();
+            let sub = self.gaps.subgraph(auto, s);
+            let (states, subsets) = tables::determinize_with_subsets(auto, &self.classes, &sub);
+            for (i, st) in states.iter().enumerate() {
+                // A merged state's frontier vocabulary is the labels of the
+                // in-S states its members reach: the same unit analysis as
+                // a label group of step (c). Balanced states cross their
+                // subtree with a depth-counting scan instead of the
+                // frontier search.
+                if !st.keywords.is_empty() && !st.balanced {
+                    scan.hazards(auto, subsets.get(i), s, &mut to_add);
+                }
+            }
+            if to_add.is_empty() {
+                return (states, subsets);
+            }
+            to_add.drain(..).for_each(|q| s.insert(q));
+        }
+    }
+
+    fn counts(&self) -> CompileCounts {
+        CompileCounts {
+            passes: self.passes,
+            relevance_steps: self.classes.steps,
+            gap_nodes: self.gaps.settled,
+            hazard_visits: self.selector.scan.visits,
+        }
+    }
 }
 
 /// Run the full static analysis.
@@ -107,58 +254,12 @@ pub fn compile_with_counts(
     if paths.is_empty() {
         return Err(CoreError::NoPaths);
     }
-    let auto = DtdAutomaton::build_allow_recursion(dtd)?;
-    let minlen = MinLen::compute_allow_recursion(dtd)?;
-    let classes = StateClasses::build(&auto, &Relevance::new(paths));
-    let s = select::select_states(&auto, &classes);
-    let (states, passes, _) = compile_from_selection(&auto, &minlen, &classes, s);
-    let tables = CompiledTables::new(states, dtd.elem_names(), None);
-    Ok((tables, CompileCounts { passes, relevance_steps: classes.steps }))
-}
-
-/// Contract, determinize and hazard-check a chosen state set: steps 3–4
-/// of the Fig. 6 pipeline, shared by the single-query and the multi-query
-/// (registry) compiles. Returns the runtime-DFA states, the pass count,
-/// and each state's member subset (the registry derives its hit
-/// attribution from the subsets).
-///
-/// State selection's step (c) runs per *label group* (all same-labeled
-/// selected states analysed with their reaches united), which
-/// over-approximates every merge the subset construction below can
-/// perform — determinization only ever merges states entered by the
-/// same token. The loop here re-checks orientation hazards on the
-/// actual determinized automaton as a safety net: with the grouped
-/// pre-analysis it finds nothing and the tables compile in one pass,
-/// where the per-NFA-state analysis of earlier revisions needed up to
-/// a handful of recompiles on ambiguous (non-1-unambiguous) content
-/// models. S only grows, so the fixpoint terminates either way.
-fn compile_from_selection(
-    auto: &DtdAutomaton,
-    minlen: &MinLen,
-    classes: &StateClasses,
-    mut s: StateSet,
-) -> (Vec<RtState>, usize, Vec<Vec<StateId>>) {
-    let mut passes = 0usize;
-    let mut scan = select::HazardScan::new(auto);
-    let mut to_add: Vec<StateId> = Vec::new();
-    loop {
-        passes += 1;
-        let sub = subgraph::build_subgraph(auto, minlen, &s);
-        let (states, subsets) = tables::determinize_with_subsets(auto, classes, &sub);
-        for (st, members) in states.iter().zip(&subsets) {
-            // A merged state's frontier vocabulary is the labels of the
-            // in-S states its members reach: the same unit analysis as a
-            // label group of step (c). Balanced states cross their subtree
-            // with a depth-counting scan instead of the frontier search.
-            if !st.keywords.is_empty() && !st.balanced {
-                scan.hazards(auto, members, &s, &mut to_add);
-            }
-        }
-        if to_add.is_empty() {
-            return (states, passes, subsets);
-        }
-        to_add.drain(..).for_each(|q| s.insert(q));
-    }
+    let mut analysis = Analysis::new(dtd)?;
+    analysis.select(&RelNfa::new(paths), &[]);
+    let (states, _) = analysis.tables();
+    let mut tables = CompiledTables::new(states, dtd.elem_names(), None);
+    tables.counts = analysis.counts();
+    Ok((tables, analysis.counts()))
 }
 
 /// Compile a whole query workload into one shared automaton whose states
@@ -170,15 +271,14 @@ fn compile_from_selection(
 /// 1. **Selection**: every query's *hit states* — the DTD-automaton
 ///    states whose action indicates a match under that query's own
 ///    relevance, restricted to that query's own selected set — are forced
-///    into the union selection as dual pairs
-///    ([`select::select_states_with_extra`]). The union's copy-on pruning
-///    could otherwise hide one query's hit states inside another query's
-///    raw-copied instance, and a never-visited hit state can never
-///    attribute (a missed id would be a soundness bug). Restricting to
-///    the query's own selected set matters in the other direction: a
-///    query's own step-(b) pruning removes nested hit states whose
-///    instances are already covered by an enclosing raw copy, and
-///    re-adding those would over-attribute.
+///    into the union selection as dual pairs ([`Selector::select`]'s
+///    `extra`). The union's copy-on pruning could otherwise hide one
+///    query's hit states inside another query's raw-copied instance, and
+///    a never-visited hit state can never attribute (a missed id would be
+///    a soundness bug). Restricting to the query's own selected set
+///    matters in the other direction: a query's own step-(b) pruning
+///    removes nested hit states whose instances are already covered by an
+///    enclosing raw copy, and re-adding those would over-attribute.
 /// 2. **Attribution**: after determinization, runtime state `i` is
 ///    attributed to query `q` iff some member of subset `i` is one of
 ///    `q`'s hit states. By relevance monotonicity (the union's relevance
@@ -190,8 +290,8 @@ pub(crate) fn compile_multi(dtd: &Dtd, queries: &[PathSet]) -> Result<CompiledTa
 }
 
 /// [`Prefilter::compile_multi`](crate::Prefilter::compile_multi)'s tables,
-/// also reporting the [`CompileCounts`]: one state-class table per query
-/// and one for the union.
+/// also reporting the [`CompileCounts`]: one relevance walk and selection
+/// per query and one for the union.
 #[doc(hidden)]
 pub fn compile_multi_with_counts(
     dtd: &Dtd,
@@ -200,43 +300,54 @@ pub fn compile_multi_with_counts(
     if queries.is_empty() || queries.iter().any(PathSet::is_empty) {
         return Err(CoreError::NoPaths);
     }
-    let auto = DtdAutomaton::build_allow_recursion(dtd)?;
-    let minlen = MinLen::compute_allow_recursion(dtd)?;
-    let mut relevance_steps = 0;
+    let mut analysis = Analysis::new(dtd)?;
+    let mut hits = analysis.select_registry(queries);
+    let (states, subsets) = analysis.tables();
 
-    // Per DTD-automaton state, the queries it is a hit state of (ascending),
-    // and the forced extras (dual pairs).
-    let mut hit_queries: Vec<Vec<QueryId>> = vec![Vec::new(); auto.state_count()];
-    let mut extra: Vec<StateId> = Vec::new();
-    for (qi, paths) in queries.iter().enumerate() {
-        let classes_q = StateClasses::build(&auto, &Relevance::new(paths));
-        relevance_steps += classes_q.steps;
-        let s_q = select::select_states(&auto, &classes_q);
-        for m in s_q.iter().filter(|&m| classes_q.action(m).indicates_match()) {
-            hit_queries[m.0 as usize].push(QueryId(qi as u32));
-            extra.extend([m, auto.dual(m)]);
-        }
-    }
-
-    let union = PathSet::union_of(queries);
-    let classes = StateClasses::build(&auto, &Relevance::new(&union));
-    relevance_steps += classes.steps;
-    let s = select::select_states_with_extra(&auto, &classes, &extra);
-    let (states, passes, subsets) = compile_from_selection(&auto, &minlen, &classes, s);
-
+    hits.sort_unstable();
     let mut ids: Vec<QueryId> = Vec::new();
-    let state_hits = subsets
-        .iter()
-        .map(|members| {
+    let state_hits = (0..states.len())
+        .map(|i| {
             ids.clear();
-            ids.extend(members.iter().flat_map(|m| &hit_queries[m.0 as usize]));
+            for &m in subsets.get(i) {
+                let first = hits.partition_point(|&(q, _)| q < m);
+                ids.extend(hits[first..].iter().take_while(|&&(q, _)| q == m).map(|&(_, id)| id));
+            }
             ids.sort_unstable();
             ids.iter().copied().collect::<QueryIdSet>()
         })
         .collect();
     let attribution = Attribution { n_queries: queries.len() as u32, state_hits };
-    let tables = CompiledTables::new(states, dtd.elem_names(), Some(attribution));
-    Ok((tables, CompileCounts { passes, relevance_steps }))
+    let mut tables = CompiledTables::new(states, dtd.elem_names(), Some(attribution));
+    tables.counts = analysis.counts();
+    Ok((tables, analysis.counts()))
+}
+
+/// One source of a [`contraction`]: the state, its contracted transitions
+/// (target, minimal gap), and whether the document may end after it.
+#[doc(hidden)]
+pub type ContractedSource = (StateId, Vec<(StateId, u32)>, bool);
+
+/// The contraction `D|S` of the compile of `queries` — one query: the
+/// single-query compile, several: the registry's — once the hazard
+/// fixpoint has settled `S`, for `q0` and every state of `S`. What
+/// `tests/gap_search.rs` checks against a search state by state.
+#[doc(hidden)]
+pub fn contraction(dtd: &Dtd, queries: &[PathSet]) -> Result<Vec<ContractedSource>, CoreError> {
+    if queries.is_empty() || queries.iter().any(PathSet::is_empty) {
+        return Err(CoreError::NoPaths);
+    }
+    let mut analysis = Analysis::new(dtd)?;
+    match queries {
+        [one] => analysis.select(&RelNfa::new(one), &[]),
+        _ => drop(analysis.select_registry(queries)),
+    }
+    analysis.tables();
+    let Analysis { auto, selector, gaps, .. } = &mut analysis;
+    selector.s.index();
+    let sub = gaps.subgraph(auto, &selector.s);
+    let sources = std::iter::once(StateId::Q0).chain(selector.s.iter());
+    Ok(sources.map(|q| (q, sub.trans(q).to_vec(), sub.is_final(q))).collect())
 }
 
 #[cfg(test)]

@@ -24,64 +24,109 @@ use std::collections::BinaryHeap;
 /// `D|S` with gap-annotated transitions.
 #[derive(Debug, Clone)]
 pub struct Subgraph {
-    /// Contracted transitions per source (`q0` and every state of `S`;
-    /// empty elsewhere), indexed by `StateId` and sorted by target. Targets
+    /// Contracted transitions of every source (`q0` and every state of
+    /// `S`) back to back, each source's sorted by target: `q`'s are
+    /// `trans[at[q]..at[q + 1]]`, empty for a state outside `S`. Targets
     /// are always in `S`; the `u32` is the minimal gap.
-    trans: Vec<Vec<(StateId, u32)>>,
+    trans: Vec<(StateId, u32)>,
+    at: Vec<u32>,
     /// States after which the document may end without visiting another
     /// in-`S` state (Def. 4's final states; includes `q0` when the whole
     /// document may be skipped).
-    finals: StateSet,
+    finals: Vec<bool>,
 }
 
 impl Subgraph {
     /// The contracted transitions leaving `q`.
     pub fn trans(&self, q: StateId) -> &[(StateId, u32)] {
-        &self.trans[q.0 as usize]
+        let i = q.0 as usize;
+        &self.trans[self.at[i] as usize..self.at[i + 1] as usize]
     }
 
     /// May the document end after `q`?
     pub fn is_final(&self, q: StateId) -> bool {
-        self.finals.contains(q)
+        self.finals[q.0 as usize]
     }
 }
 
-/// Build `D|S` from the DTD-automaton, the minimal-length table and the
-/// selected set `S`.
-pub fn build_subgraph(auto: &DtdAutomaton, minlen: &MinLen, s: &StateSet) -> Subgraph {
-    let n = auto.state_count();
-    let mut sub = Subgraph { trans: vec![Vec::new(); n], finals: StateSet::new(n) };
-    let doc_final = auto.final_state();
-    let mut gaps =
-        GapSearch { dist: vec![u64::MAX; n], touched: Vec::new(), heap: BinaryHeap::new() };
-    for q in std::iter::once(StateId::Q0).chain(s.iter()) {
-        let out = &mut sub.trans[q.0 as usize];
-        let reaches_end = gaps.from(auto, minlen, s, q, out);
-        out.sort_unstable();
-        if q == doc_final || reaches_end {
-            sub.finals.insert(q);
-        }
-    }
-    sub
-}
-
-/// Scratch of the per-source shortest-gap searches: tentative distances
+/// The per-source shortest-gap searches of one compile: what each skipped
+/// token costs, worked out once per automaton, and tentative distances
 /// indexed by `StateId`, reset through the list of entries touched.
-struct GapSearch {
+pub(crate) struct GapSearch {
+    /// Per state, the characters its token adds to a gap: for an open
+    /// state its minimal open tag and the minimal length of its whole
+    /// instance; for a close state its close tag, and what it costs right
+    /// after its own skipped open tag (a bachelor tag's surplus over that
+    /// open tag when the element may be empty).
+    costs: Vec<[u32; 2]>,
     dist: Vec<u64>,
     touched: Vec<StateId>,
     heap: BinaryHeap<Reverse<(u64, StateId)>>,
+    /// Skipped states settled (expanded), over every search.
+    pub(crate) settled: usize,
 }
 
 impl GapSearch {
+    pub(crate) fn new(auto: &DtdAutomaton, minlen: &MinLen) -> GapSearch {
+        let n = auto.state_count();
+        let costs = auto
+            .states()
+            .map(|q| {
+                if q == StateId::Q0 {
+                    return [0, 0];
+                }
+                let len = minlen.of(auto.elem_id(q));
+                let pair = if auto.is_close(q) {
+                    [len.close_tag, len.bachelor.map_or(len.close_tag, |b| b - len.open_tag)]
+                } else {
+                    [len.open_tag, len.elem]
+                };
+                pair.map(|c| c as u32)
+            })
+            .collect();
+        GapSearch {
+            costs,
+            dist: vec![u64::MAX; n],
+            touched: Vec::new(),
+            heap: BinaryHeap::new(),
+            settled: 0,
+        }
+    }
+
+    /// Build `D|S` from the DTD-automaton and the selected set `S`, which
+    /// must be [indexed](StateSet::index).
+    pub(crate) fn subgraph(&mut self, auto: &DtdAutomaton, s: &StateSet) -> Subgraph {
+        let n = auto.state_count();
+        let mut sub =
+            Subgraph { trans: Vec::new(), at: Vec::with_capacity(n + 1), finals: vec![false; n] };
+        for q in auto.states() {
+            let from = sub.trans.len();
+            sub.at.push(from as u32);
+            if q != StateId::Q0 && !s.contains(q) {
+                continue;
+            }
+            let reaches_end = self.from(auto, s, q, &mut sub.trans);
+            sub.trans[from..].sort_unstable();
+            sub.finals[q.0 as usize] = q == auto.final_state() || reaches_end;
+        }
+        sub.at.push(sub.trans.len() as u32);
+        sub
+    }
+
     /// Single-source shortest gaps from `q` to each reachable in-`S` state,
     /// pushed onto `out`, where path cost is the minimal serialization of
     /// skipped tokens. Returns whether the document-final state is
     /// reachable via skipped states only (making `q` final in `D|S`).
+    ///
+    /// An instance outside `S` with no state of `S` inside is one edge from
+    /// its open to its close state, costing its minimal length: inside it
+    /// every path is skipped, and its cheapest one through open, interior
+    /// and close is exactly that length (a bachelor tag when the element
+    /// may be empty; `tests/gap_search.rs` checks it against the search
+    /// state by state).
     fn from(
         &mut self,
         auto: &DtdAutomaton,
-        minlen: &MinLen,
         s: &StateSet,
         q: StateId,
         out: &mut Vec<(StateId, u32)>,
@@ -93,7 +138,13 @@ impl GapSearch {
         // target's is the gap before it (it is never expanded).
         let mut relax = |this: &mut GapSearch, u: StateId, base: u64, v: StateId| {
             let skipped = !s.contains(v);
-            let d = if skipped { base + skipped_token_cost(auto, minlen, u, v) } else { base };
+            let (v, d) = if !skipped {
+                (v, base)
+            } else if !auto.is_close(v) && s.holds_none(auto, v) {
+                (auto.dual(v), base + this.costs[v.0 as usize][1] as u64)
+            } else {
+                (v, base + this.token_cost(auto, u, v))
+            };
             reaches_end |= skipped && v == doc_final;
             let old = &mut this.dist[v.0 as usize];
             if d < *old {
@@ -113,6 +164,7 @@ impl GapSearch {
             if self.dist[u.0 as usize] != d {
                 continue; // stale entry
             }
+            self.settled += 1;
             for &v in auto.transitions(u) {
                 relax(self, u, d, v);
             }
@@ -125,29 +177,17 @@ impl GapSearch {
         }
         reaches_end
     }
-}
 
-/// Minimal characters the skipped token of state `v` adds to the gap, given
-/// it is entered from `u`.
-fn skipped_token_cost(auto: &DtdAutomaton, minlen: &MinLen, u: StateId, v: StateId) -> u64 {
-    let name = auto.elem_name(v);
-    if auto.is_close(v) {
+    /// Minimal characters the skipped token of state `v` adds to the gap,
+    /// given it is entered from `u`.
+    fn token_cost(&self, auto: &DtdAutomaton, u: StateId, v: StateId) -> u64 {
         // Direct open→close of the same *skipped* instance: the pair can be
         // serialized as a bachelor tag; the close then costs only the
         // difference over the already-charged open tag (one character).
-        if !auto.is_close(u) && auto.dual(u) == v && u != StateId::Q0 {
-            // `u` itself must be a skipped state for the pair rewrite
-            // to apply; when `u` is the matched source token its open
-            // tag is already in the document, so the close costs full.
-            // Sources are never passed as `u` here with dual `v` in
-            // skipped position unless u ∉ S — see relax() call sites.
-            if let Some(b) = minlen.bachelor(name) {
-                return (b - minlen.open_tag(name)) as u64;
-            }
-        }
-        minlen.close_tag(name) as u64
-    } else {
-        minlen.open_tag(name) as u64
+        // `u` is skipped here whenever it is `v`'s open: `S` holds an
+        // instance's two states or neither, and `v` is skipped.
+        let after_open = auto.is_close(v) && auto.dual(u) == v;
+        self.costs[v.0 as usize][after_open as usize] as u64
     }
 }
 
@@ -157,15 +197,20 @@ mod tests {
     use crate::compile::classes::StateClasses;
     use crate::compile::select::select_states;
     use smpx_dtd::Dtd;
-    use smpx_paths::{PathSet, Relevance};
+    use smpx_paths::{PathSet, RelNfa};
 
     fn setup(dtd_text: &[u8], paths: &[&str]) -> (DtdAutomaton, MinLen, StateSet) {
         let dtd = Dtd::parse(dtd_text).unwrap();
         let auto = DtdAutomaton::build(&dtd).unwrap();
         let minlen = MinLen::compute(&dtd).unwrap();
-        let rel = Relevance::new(&PathSet::parse(paths).unwrap());
-        let s = select_states(&auto, &StateClasses::build(&auto, &rel));
+        let paths = PathSet::parse(paths).unwrap();
+        let mut s = select_states(&auto, &StateClasses::build(&auto, &RelNfa::new(&paths)));
+        s.index();
         (auto, minlen, s)
+    }
+
+    fn build_subgraph(auto: &DtdAutomaton, minlen: &MinLen, s: &StateSet) -> Subgraph {
+        GapSearch::new(auto, minlen).subgraph(auto, s)
     }
 
     fn find_state(auto: &DtdAutomaton, branch: &[&str], close: bool) -> StateId {

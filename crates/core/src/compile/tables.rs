@@ -20,6 +20,7 @@
 
 use super::classes::StateClasses;
 use super::subgraph::Subgraph;
+use super::CompileCounts;
 use crate::idset::QueryIdSet;
 use smpx_dtd::{DtdAutomaton, StateId};
 use smpx_stringmatch::memscan::TagUniverse;
@@ -81,6 +82,13 @@ pub struct Keyword {
     pub close: bool,
     /// Runtime-DFA state entered when this token is matched.
     pub target: u32,
+}
+
+impl AsRef<[u8]> for Keyword {
+    /// The scan pattern.
+    fn as_ref(&self) -> &[u8] {
+        &self.bytes
+    }
 }
 
 /// One runtime-DFA state with its table rows.
@@ -190,6 +198,8 @@ pub struct CompiledTables {
     /// to back; state `q`'s is `bare[bare_at[q]..bare_at[q + 1]]`.
     bare: Vec<u8>,
     bare_at: Vec<u32>,
+    /// What the static analysis that built the tables did.
+    pub(crate) counts: CompileCounts,
 }
 
 impl CompiledTables {
@@ -262,7 +272,15 @@ impl CompiledTables {
             jumps,
             bare,
             bare_at,
+            counts: CompileCounts::default(),
         }
+    }
+
+    /// What the static analysis that built these tables did (`smpx
+    /// --stats` prints it).
+    #[doc(hidden)]
+    pub fn compile_counts(&self) -> CompileCounts {
+        self.counts
     }
 
     /// State `q`'s [`TokenRow`]s, one per keyword in keyword order (empty
@@ -335,47 +353,66 @@ fn close_target(states: &[RtState], open: u32) -> u32 {
     state.keywords.iter().find(|k| k.close && k.name == *name).map_or(NO_CLOSE, |k| k.target)
 }
 
+/// The member states of every runtime-DFA state, back to back: state
+/// `i`'s are `members[at[i]..at[i + 1]]`, ascending.
+pub(crate) struct Subsets {
+    members: Vec<StateId>,
+    at: Vec<u32>,
+}
+
+impl Subsets {
+    /// The members of runtime state `i`.
+    pub(crate) fn get(&self, i: usize) -> &[StateId] {
+        &self.members[self.at[i] as usize..self.at[i + 1] as usize]
+    }
+
+    fn len(&self) -> usize {
+        self.at.len() - 1
+    }
+
+    fn push(&mut self, members: &[StateId]) {
+        self.members.extend_from_slice(members);
+        self.at.push(self.members.len() as u32);
+    }
+}
+
 /// Subset construction over `D|S`, producing the runtime-DFA states with
 /// their table rows along with each state's member set — the compile
 /// driver re-checks orientation hazards on the merged states (see
 /// `compile()`), which the per-NFA-state step (c) cannot see when an
 /// ambiguous content model makes `D` nondeterministic.
 ///
-/// Successor subsets are numbered in order of their token `(name, close)`,
-/// so the tables do not depend on the order the DTD declares its elements
-/// in. The grouping itself runs on dense label ids; a name is materialised
-/// once per emitted keyword.
+/// Successor subsets are numbered in order of their token `(name, close)`
+/// — the order of the automaton's label ids — so the tables do not depend
+/// on the order the DTD declares its elements in. The grouping itself runs
+/// on label ids; a name is materialised once per emitted keyword.
 pub(crate) fn determinize_with_subsets(
     auto: &DtdAutomaton,
     classes: &StateClasses,
     sub: &Subgraph,
-) -> (Vec<RtState>, Vec<Vec<StateId>>) {
-    // Rank of each label id in `(name, close)` order.
-    let mut by_name: Vec<usize> = (0..auto.label_count()).collect();
-    by_name.sort_unstable_by_key(|&id| {
-        let token = auto.label_token(id);
-        (token.name, token.close)
-    });
-    let mut rank = vec![0; by_name.len()];
-    for (r, &id) in by_name.iter().enumerate() {
-        rank[id] = r;
-    }
-
-    let mut subsets: Vec<Vec<StateId>> = vec![vec![StateId::Q0]];
+) -> (Vec<RtState>, Subsets) {
+    let mut subsets = Subsets { members: vec![StateId::Q0], at: vec![0, 1] };
+    // The runtime state of each one-member subset (most are: a DTD's
+    // content models are 1-unambiguous), and of each larger one.
+    let mut single = vec![u32::MAX; auto.state_count()];
+    single[0] = 0;
     let mut index: HashMap<Vec<StateId>, u32> = HashMap::new();
-    index.insert(subsets[0].clone(), 0);
     let mut states: Vec<RtState> = Vec::new();
-    // Member transitions of the state at hand as (label rank, target).
+    // The members of the state at hand, and their transitions as
+    // (label id, target).
+    let mut members: Vec<StateId> = Vec::new();
     let mut moves: Vec<(usize, StateId)> = Vec::new();
+    let mut targets: Vec<StateId> = Vec::new();
 
     while states.len() < subsets.len() {
-        let members = std::mem::take(&mut subsets[states.len()]);
+        members.clear();
+        members.extend_from_slice(subsets.get(states.len()));
         let mut jump: Option<u32> = None;
         moves.clear();
         for &m in &members {
             for &(tgt, gap) in sub.trans(m) {
                 jump = Some(jump.map_or(gap, |j| j.min(gap)));
-                moves.push((rank[auto.label_id(tgt)], tgt));
+                moves.push((auto.label_id(tgt), tgt));
             }
         }
         moves.sort_unstable();
@@ -390,15 +427,26 @@ pub(crate) fn determinize_with_subsets(
         let is_final = members.iter().any(|&m| sub.is_final(m));
 
         // Keywords and successor subsets, one per run of equal labels.
-        let mut keywords = Vec::new();
+        let mut keywords = Vec::with_capacity(moves.chunk_by(|a, b| a.0 == b.0).count());
         for group in moves.chunk_by(|a, b| a.0 == b.0) {
-            let targets: Vec<StateId> = group.iter().map(|&(_, tgt)| tgt).collect();
-            let next = subsets.len() as u32;
-            let id = *index.entry(targets).or_insert_with_key(|targets| {
-                subsets.push(targets.clone());
+            targets.clear();
+            targets.extend(group.iter().map(|&(_, tgt)| tgt));
+            let known = match *targets {
+                [one] => single[one.0 as usize],
+                _ => index.get(targets.as_slice()).copied().unwrap_or(u32::MAX),
+            };
+            let target = if known != u32::MAX {
+                known
+            } else {
+                let next = subsets.len() as u32;
+                match *targets {
+                    [one] => single[one.0 as usize] = next,
+                    _ => drop(index.insert(targets.clone(), next)),
+                }
+                subsets.push(&targets);
                 next
-            });
-            let token = auto.label_token(by_name[group[0].0]);
+            };
+            let token = auto.label_token(group[0].0);
             let mut bytes = Vec::with_capacity(token.name.len() + 2);
             bytes.push(b'<');
             if token.close {
@@ -409,12 +457,11 @@ pub(crate) fn determinize_with_subsets(
                 bytes,
                 name: token.name.to_string(),
                 close: token.close,
-                target: id,
+                target,
             });
         }
         keywords.sort_by(|a, b| a.bytes.cmp(&b.bytes));
 
-        subsets[states.len()] = members;
         states.push(RtState {
             label,
             keywords,

@@ -84,10 +84,10 @@ impl StateMatcher {
                 universe,
             ))),
             _ => {
-                let pats: Vec<&[u8]> = state.keywords.iter().map(|k| k.bytes.as_slice()).collect();
-                let mut longest_first: Box<[u32]> = (0..pats.len() as u32).collect();
-                longest_first.sort_by_key(|&i| std::cmp::Reverse(pats[i as usize].len()));
-                let cw = CommentzWalter::with_universe(&pats, universe);
+                let kws = &state.keywords;
+                let mut longest_first: Box<[u32]> = (0..kws.len() as u32).collect();
+                longest_first.sort_by_key(|&i| std::cmp::Reverse(kws[i as usize].bytes.len()));
+                let cw = CommentzWalter::with_universe(kws, universe);
                 StateMatcher::Cw(Box::new(cw), longest_first)
             }
         }

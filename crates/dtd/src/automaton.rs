@@ -19,6 +19,7 @@ use crate::glushkov::Glushkov;
 use crate::model::{ContentModel, Dtd};
 use std::collections::BTreeSet;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Hard cap on expansion size; beyond this the schema is pathological.
 const STATE_LIMIT: usize = 200_000;
@@ -48,15 +49,16 @@ pub struct TagToken<'a> {
 
 #[derive(Debug, Clone)]
 struct StateData {
-    /// Index into `elem_names`; `u32::MAX` for `q0`.
+    /// The element's id in the `Dtd` (its index in `elem_names`);
+    /// `u32::MAX` for `q0`.
     elem: u32,
     close: bool,
     dual: StateId,
     /// Open state of the enclosing element instance (`None` for the root
     /// instance and `q0`).
     parent: Option<StateId>,
-    /// Outgoing transitions; the label of each is the target's label.
-    trans: Vec<StateId>,
+    /// One past the last state of the instance's subtree.
+    end: u32,
     /// Recursive element: the instance's interior is not expanded into
     /// states; the runtime navigates it by balanced tag counting.
     opaque: bool,
@@ -65,8 +67,14 @@ struct StateData {
 /// The homogeneous document-level automaton of a non-recursive DTD.
 #[derive(Debug, Clone)]
 pub struct DtdAutomaton {
-    elem_names: Vec<String>,
+    /// Every element name of the DTD, in id (= name) order: shared with it.
+    elem_names: Arc<[String]>,
     states: Vec<StateData>,
+    /// Outgoing transitions, state by state: `s`'s are
+    /// `trans[trans_at[s]..trans_at[s + 1]]`. The label of each is the
+    /// target's label.
+    trans: Vec<StateId>,
+    trans_at: Vec<u32>,
     final_state: StateId,
 }
 
@@ -86,26 +94,46 @@ impl DtdAutomaton {
     /// open→close transition; its interior is not modelled — the runtime
     /// crosses it with a balanced depth-counting scan over `<e`/`</e`.
     pub fn build_allow_recursion(dtd: &Dtd) -> Result<DtdAutomaton, DtdError> {
-        let elems = dtd.elem_names().len();
         let mut b = Builder {
             dtd,
-            interned: vec![u32::MAX; elems],
-            wiring: vec![None; elems],
-            elem_names: Vec::new(),
+            wiring: vec![None; dtd.elem_names().len()],
             states: Vec::new(),
+            edges: Vec::new(),
         };
         b.states.push(StateData {
             elem: u32::MAX,
             close: false,
             dual: StateId::Q0,
             parent: None,
-            trans: Vec::new(),
+            end: 0,
             opaque: false,
         });
+        // `Dtd::from_parts` gives the root an id like every other name.
         let root = dtd.elem_id(dtd.root()).expect("the root has an element id");
         let (open_root, close_root) = b.expand(root, None)?;
-        b.states[0].trans.push(open_root);
-        Ok(DtdAutomaton { elem_names: b.elem_names, states: b.states, final_state: close_root })
+        b.edges.push((StateId::Q0, open_root));
+        b.states[0].end = b.states.len() as u32;
+        // The transitions by source, each source's in the order wired.
+        let mut trans_at = vec![0u32; b.states.len() + 1];
+        for &(from, _) in &b.edges {
+            trans_at[from.idx() + 1] += 1;
+        }
+        for i in 1..trans_at.len() {
+            trans_at[i] += trans_at[i - 1];
+        }
+        let mut fill = trans_at.clone();
+        let mut trans = vec![StateId::Q0; b.edges.len()];
+        for &(from, to) in &b.edges {
+            trans[fill[from.idx()] as usize] = to;
+            fill[from.idx()] += 1;
+        }
+        Ok(DtdAutomaton {
+            elem_names: dtd.elem_names().clone(),
+            states: b.states,
+            trans,
+            trans_at,
+            final_state: close_root,
+        })
     }
 
     /// Total number of states, `q0` included.
@@ -134,17 +162,36 @@ impl DtdAutomaton {
 
     /// Element name of `s` (panics on `q0`).
     pub fn elem_name(&self, s: StateId) -> &str {
-        self.label(s).expect("q0 has no element").name
+        &self.elem_names[self.elem_id(s)]
     }
 
-    /// Dense id of the tag token entering `s`: `element index · 2 + close`,
-    /// below [`label_count`](Self::label_count). Two states carry the same
-    /// token exactly when their ids are equal, so the static analysis can
-    /// group and compare labels without touching a name (panics on `q0`).
-    pub fn label_id(&self, s: StateId) -> usize {
+    /// The `Dtd`'s element id of `s`'s element: its index in the DTD's
+    /// names, which are in name order, below
+    /// [`elem_count`](Self::elem_count) (panics on `q0`, whose label is
+    /// none — a caller passing it has a bug).
+    pub fn elem_id(&self, s: StateId) -> usize {
         let d = &self.states[s.idx()];
         assert!(d.elem != u32::MAX, "q0 has no label");
-        d.elem as usize * 2 + d.close as usize
+        d.elem as usize
+    }
+
+    /// Number of element names of the DTD.
+    pub fn elem_count(&self) -> usize {
+        self.elem_names.len()
+    }
+
+    /// The element id of `name`, if the DTD mentions it.
+    pub fn elem_by_name(&self, name: &str) -> Option<usize> {
+        self.elem_names.binary_search_by(|n| n.as_str().cmp(name)).ok()
+    }
+
+    /// Dense id of the tag token entering `s`: `element id · 2 + close`,
+    /// below [`label_count`](Self::label_count). Two states carry the same
+    /// token exactly when their ids are equal, and the ids ascend in
+    /// `(name, close)` order, so the static analysis can group, compare
+    /// and sort labels without touching a name (panics on `q0`).
+    pub fn label_id(&self, s: StateId) -> usize {
+        self.elem_id(s) * 2 + self.states[s.idx()].close as usize
     }
 
     /// Number of distinct tag tokens (the exclusive bound of
@@ -177,6 +224,15 @@ impl DtdAutomaton {
         self.states[s.idx()].parent
     }
 
+    /// One past the last state of `s`'s instance. An instance is the states
+    /// `open..subtree_end(open)`: its open and close state, then the
+    /// instances it contains laid out the same way — so instances follow
+    /// each other in pre-order, two states apart, and a walk skips a
+    /// subtree by jumping here (for `q0`: the state count).
+    pub fn subtree_end(&self, s: StateId) -> StateId {
+        StateId(self.states[s.idx()].end)
+    }
+
     /// Is `s` a state of an opaque (recursive) element instance?
     pub fn is_opaque(&self, s: StateId) -> bool {
         self.states[s.idx()].opaque
@@ -198,7 +254,7 @@ impl DtdAutomaton {
     /// Outgoing transitions of `s`. The token labeling each transition is
     /// the target's [`label`](Self::label).
     pub fn transitions(&self, s: StateId) -> &[StateId] {
-        &self.states[s.idx()].trans
+        &self.trans[self.trans_at[s.idx()] as usize..self.trans_at[s.idx() + 1] as usize]
     }
 
     /// The document branch of `s` (paper Ex. 9): the chain of element names
@@ -240,8 +296,11 @@ impl DtdAutomaton {
             let mut next = Vec::new();
             for &s in &current {
                 for &t in self.transitions(s) {
-                    let lbl = self.label(t).expect("targets are labeled");
-                    if lbl.close == *close && lbl.name == name.as_ref() && !next.contains(&t) {
+                    // `q0` is no target: every target has an element.
+                    if self.is_close(t) == *close
+                        && self.elem_name(t) == name.as_ref()
+                        && !next.contains(&t)
+                    {
                         next.push(t);
                     }
                 }
@@ -270,27 +329,17 @@ enum Wiring {
 
 struct Builder<'d> {
     dtd: &'d Dtd,
-    /// Per `Dtd` element id, its index in `elem_names` (`u32::MAX` until
-    /// an instance is expanded: names are interned in expansion order).
-    interned: Vec<u32>,
     /// Per `Dtd` element id, its content wiring once an instance needed it.
     wiring: Vec<Option<Rc<Wiring>>>,
-    elem_names: Vec<String>,
     states: Vec<StateData>,
+    /// Every transition `(from, to)`, in the order wired.
+    edges: Vec<(StateId, StateId)>,
 }
 
 impl<'d> Builder<'d> {
-    fn intern(&mut self, elem: u32) -> u32 {
-        let slot = &mut self.interned[elem as usize];
-        if *slot == u32::MAX {
-            *slot = self.elem_names.len() as u32;
-            self.elem_names.push(self.dtd.elem_name(elem).to_string());
-        }
-        *slot
-    }
-
     fn wiring(&mut self, elem: u32) -> Rc<Wiring> {
         let dtd = self.dtd;
+        // `Dtd::from_parts` gives every name a content model mentions an id.
         let id = |n: &String| dtd.elem_id(n).expect("content models mention known elements");
         self.wiring[elem as usize]
             .get_or_insert_with(|| {
@@ -323,7 +372,7 @@ impl<'d> Builder<'d> {
             return Err(DtdError::TooLarge { limit: STATE_LIMIT });
         }
         let id = StateId(self.states.len() as u32);
-        self.states.push(StateData { elem, close, dual: id, parent, trans: Vec::new(), opaque });
+        self.states.push(StateData { elem, close, dual: id, parent, end: 0, opaque });
         Ok(id)
     }
 
@@ -334,26 +383,27 @@ impl<'d> Builder<'d> {
         elem: u32,
         parent: Option<StateId>,
     ) -> Result<(StateId, StateId), DtdError> {
-        let e = self.intern(elem);
         let opaque = self.dtd.elem_is_recursive(elem);
-        let open = self.new_state(e, false, parent, opaque)?;
-        let close = self.new_state(e, true, parent, opaque)?;
+        let open = self.new_state(elem, false, parent, opaque)?;
+        let close = self.new_state(elem, true, parent, opaque)?;
         self.states[open.idx()].dual = close;
         self.states[close.idx()].dual = open;
 
         if opaque {
             // Interior elided: the subtree is crossed by balanced scanning.
-            self.states[open.idx()].trans.push(close);
-            return Ok((open, close));
-        }
-
-        match &*self.wiring(elem) {
-            Wiring::Leaf => self.states[open.idx()].trans.push(close),
-            Wiring::StarOfChoices(children) => {
-                self.expand_star_of_choices(children, open, close)?
+            self.edges.push((open, close));
+        } else {
+            match &*self.wiring(elem) {
+                Wiring::Leaf => self.edges.push((open, close)),
+                Wiring::StarOfChoices(children) => {
+                    self.expand_star_of_choices(children, open, close)?
+                }
+                Wiring::Positions(g, elems) => self.expand_positions(g, elems, open, close)?,
             }
-            Wiring::Positions(g, elems) => self.expand_positions(g, elems, open, close)?,
         }
+        let end = self.states.len() as u32;
+        self.states[open.idx()].end = end;
+        self.states[close.idx()].end = end;
         Ok((open, close))
     }
 
@@ -368,14 +418,14 @@ impl<'d> Builder<'d> {
         for &n in children {
             child_states.push(self.expand(n, Some(open))?);
         }
-        self.states[open.idx()].trans.push(close);
+        self.edges.push((open, close));
         for &(co, _) in &child_states {
-            self.states[open.idx()].trans.push(co);
+            self.edges.push((open, co));
         }
         for &(_, cc) in &child_states {
-            self.states[cc.idx()].trans.push(close);
+            self.edges.push((cc, close));
             for &(co2, _) in &child_states {
-                self.states[cc.idx()].trans.push(co2);
+                self.edges.push((cc, co2));
             }
         }
         Ok(())
@@ -396,22 +446,19 @@ impl<'d> Builder<'d> {
             pos_states.push(self.expand(elem, Some(open))?);
         }
         for &f in &g.first {
-            let target = pos_states[f].0;
-            self.states[open.idx()].trans.push(target);
+            self.edges.push((open, pos_states[f].0));
         }
         if g.nullable {
-            self.states[open.idx()].trans.push(close);
+            self.edges.push((open, close));
         }
         for (x, follows) in g.follow.iter().enumerate() {
             let from = pos_states[x].1;
             for &y in follows {
-                let to = pos_states[y].0;
-                self.states[from.idx()].trans.push(to);
+                self.edges.push((from, pos_states[y].0));
             }
         }
         for &l in &g.last {
-            let from = pos_states[l].1;
-            self.states[from.idx()].trans.push(close);
+            self.edges.push((pos_states[l].1, close));
         }
         Ok(())
     }

@@ -47,5 +47,5 @@ mod parser;
 
 pub use automaton::{DtdAutomaton, StateId, TagToken};
 pub use error::DtdError;
-pub use minlen::MinLen;
+pub use minlen::{ElemLengths, MinLen};
 pub use model::{AttDef, AttDefault, ContentModel, Dtd, ElementDecl, Regex};

@@ -66,12 +66,31 @@ impl MinLen {
         for e in 0..n {
             ml.content_min_memo(dtd, e, &mut memo);
         }
+        // The loop above memoized every id.
         ml.content_min = memo.into_iter().map(|v| v.expect("filled above")).collect();
         Ok(ml)
     }
 
     fn id(&self, elem: &str) -> Option<usize> {
         self.names.binary_search_by(|n| n.as_str().cmp(elem)).ok()
+    }
+
+    /// Every minimal length of element `e`, a DTD element id (the index of
+    /// its name in [`Dtd::elem_names`]): what the accessors by name give,
+    /// without the name search.
+    pub fn of(&self, e: usize) -> ElemLengths {
+        ElemLengths::new(
+            self.names[e].len(),
+            self.attr_min[e],
+            self.content_min[e],
+            self.can_be_empty[e],
+        )
+    }
+
+    /// [`of`](Self::of) by name; a name the DTD does not mention is an
+    /// empty element without attributes.
+    fn by_name(&self, elem: &str) -> ElemLengths {
+        self.id(elem).map_or_else(|| ElemLengths::new(elem.len(), 0, 0, true), |e| self.of(e))
     }
 
     /// Minimal total characters of the `#REQUIRED` attributes of `elem`,
@@ -87,31 +106,23 @@ impl MinLen {
 
     /// Minimal open tag `<elem …>` length.
     pub fn open_tag(&self, elem: &str) -> usize {
-        1 + elem.len() + self.attrs(elem) + 1
+        self.by_name(elem).open_tag
     }
 
     /// Close tag `</elem>` length.
     pub fn close_tag(&self, elem: &str) -> usize {
-        2 + elem.len() + 1
+        self.by_name(elem).close_tag
     }
 
     /// Minimal bachelor tag `<elem …/>` length, if the element may be empty.
     pub fn bachelor(&self, elem: &str) -> Option<usize> {
-        if self.id(elem).is_none_or(|e| self.can_be_empty[e]) {
-            Some(1 + elem.len() + self.attrs(elem) + 2)
-        } else {
-            None
-        }
+        self.by_name(elem).bachelor
     }
 
     /// Minimal length of a complete instance of `elem` in any valid
     /// document.
     pub fn elem(&self, elem: &str) -> usize {
-        let paired = self.open_tag(elem) + self.content_len(elem) + self.close_tag(elem);
-        match self.bachelor(elem) {
-            Some(b) => paired.min(b),
-            None => paired,
-        }
+        self.by_name(elem).elem
     }
 
     /// Memoized minimal content length of element `e` (acyclic once the
@@ -132,6 +143,8 @@ impl MinLen {
     fn regex_min_memo(&self, dtd: &Dtd, re: &Regex, memo: &mut [Option<usize>]) -> usize {
         match re {
             Regex::Name(n) => {
+                // `Dtd::from_parts` gives every name a content model
+                // mentions an id.
                 let e = dtd.elem_id(n).expect("content models mention known elements");
                 self.elem_min_memo(dtd, e, memo)
             }
@@ -146,15 +159,37 @@ impl MinLen {
 
     /// Minimal length of a complete instance of element `e`.
     fn elem_min_memo(&self, dtd: &Dtd, e: u32, memo: &mut [Option<usize>]) -> usize {
-        let name_len = dtd.elem_name(e).len();
-        let a = self.attr_min[e as usize];
         let content = self.content_min_memo(dtd, e, memo);
-        let paired = (1 + name_len + a + 1) + content + (2 + name_len + 1);
-        if self.can_be_empty[e as usize] {
-            let bachelor = 1 + name_len + a + 2;
-            paired.min(bachelor)
-        } else {
-            paired
+        let (i, name_len) = (e as usize, dtd.elem_name(e).len());
+        ElemLengths::new(name_len, self.attr_min[i], content, self.can_be_empty[i]).elem
+    }
+}
+
+/// The minimal lengths of one element ([`MinLen::of`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ElemLengths {
+    /// Minimal open tag `<elem …>`, required attributes included.
+    pub open_tag: usize,
+    /// Close tag `</elem>`.
+    pub close_tag: usize,
+    /// Minimal bachelor tag `<elem …/>`, if the element may be empty.
+    pub bachelor: Option<usize>,
+    /// Minimal complete instance: the bachelor tag, or open tag, minimal
+    /// content and close tag, whichever is shorter.
+    pub elem: usize,
+}
+
+impl ElemLengths {
+    fn new(name_len: usize, attrs: usize, content: usize, can_be_empty: bool) -> ElemLengths {
+        let open_tag = 1 + name_len + attrs + 1;
+        let close_tag = 2 + name_len + 1;
+        let bachelor = can_be_empty.then_some(1 + name_len + attrs + 2);
+        let paired = open_tag + content + close_tag;
+        ElemLengths {
+            open_tag,
+            close_tag,
+            bachelor,
+            elem: bachelor.map_or(paired, |b| paired.min(b)),
         }
     }
 }

@@ -9,8 +9,8 @@
 //!   (Def. 3),
 //! * [`Relevance`] — the token/branch relevance conditions **C1**, **C2**,
 //!   **C3** of Def. 3, evaluated over *document branches* (label chains from
-//!   the root), and [`RelConfig`], the same conditions one step at a time
-//!   down an expansion tree,
+//!   the root), and [`RelNfa`] / [`ConfigStack`], the same conditions one
+//!   step at a time down an expansion tree,
 //! * [`xpath`] — an XPath-subset AST and parser covering the paper's
 //!   Table II queries (predicates, `contains`, `text()`, `and`/`or`),
 //! * [`extract`] — projection-path extraction from XPath expressions in the
@@ -19,7 +19,7 @@
 //! # Example
 //!
 //! ```
-//! use smpx_paths::{PathSet, Relevance};
+//! use smpx_paths::{ConfigStack, PathSet, RelNfa, Relevance};
 //!
 //! // The paper's Example 6: <x>{/a/b,//b}</x>.
 //! let p = PathSet::parse(&["/*", "/a/b#", "//b#"]).unwrap();
@@ -30,10 +30,14 @@
 //! assert!(rel.relevant_text(&["a", "c", "b"]));  // C2: inside //b#
 //!
 //! // The same answers one step at a time down a tree of branches.
-//! let a = rel.root().descend("a");
-//! let c = a.descend("c");
-//! assert!(a.c3() && c.relevant_tag(&a));
-//! assert!(c.descend("b").c2());
+//! let nfa = RelNfa::new(&p);
+//! let mut walk = ConfigStack::default();
+//! walk.start(&nfa);
+//! for label in ["a", "c", "b"] {
+//!     walk.push(&nfa, nfa.row(label));
+//! }
+//! assert!(walk.at(&nfa, 1).c3() && walk.at(&nfa, 2).relevant_tag(&walk.at(&nfa, 1)));
+//! assert!(walk.at(&nfa, 3).c2());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -45,4 +49,4 @@ mod relevance;
 pub mod xpath;
 
 pub use model::{Axis, NameTest, ParsePathError, PathSet, ProjectionPath, Step};
-pub use relevance::{RelConfig, Relevance};
+pub use relevance::{ConfigStack, RelConfig, RelNfa, Relevance};

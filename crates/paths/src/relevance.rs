@@ -27,14 +27,16 @@
 //!
 //! The static analysis asks the same questions about *every* instance of an
 //! expansion tree, where a child's branch is its parent's plus one label.
-//! [`RelConfig`] is the form for that: the set of live NFA positions over
-//! all paths of `P+` after consuming a branch, as a bitset, plus the
-//! inherited "inside a `#`-selected instance" bit. [`Relevance::root`] is
-//! the configuration of the empty branch, [`RelConfig::descend`] takes one
-//! step, and every predicate is a mask test — `O(positions / 64)` per
-//! instance instead of a re-walk of the branch per path per prefix.
+//! [`RelNfa`] is the form for that: the NFAs of all paths as position
+//! masks, built from `P` without materialising `P+`. A [`ConfigStack`]
+//! holds the configurations of a branch's prefixes in one flat word array —
+//! the set of live NFA positions after each, plus the inherited "inside a
+//! `#`-selected instance" bit — so a step down is one
+//! [`push`](ConfigStack::push), every predicate on a [`RelConfig`] is a
+//! mask test, `O(positions / 64)` per instance instead of a re-walk of the
+//! branch per path per prefix, and a walk allocates nothing per instance.
 
-use crate::model::{Axis, NameTest, PathSet, ProjectionPath, Step};
+use crate::model::{Axis, NameTest, PathSet, ProjectionPath};
 use std::collections::BTreeSet;
 
 /// Is `p`'s last step along `axis` with the literal name `t` — one of the
@@ -53,8 +55,6 @@ pub struct Relevance {
     /// Concrete names appearing as the last step of any path in `P+`, the
     /// candidate `t`s of C3.
     c3_candidates: Vec<String>,
-    /// Position masks of the configuration form.
-    masks: Masks,
 }
 
 impl Relevance {
@@ -70,8 +70,7 @@ impl Relevance {
             }
         }
         let c3_candidates: Vec<String> = cands.into_iter().collect();
-        let masks = Masks::new(pset.paths(), &plus, &c3_candidates);
-        Relevance { original: pset.paths().to_vec(), plus, c3_candidates, masks }
+        Relevance { original: pset.paths().to_vec(), plus, c3_candidates }
     }
 
     /// The closure `P+` in deterministic order.
@@ -162,42 +161,51 @@ impl Relevance {
     pub fn may_match_below<S: AsRef<str>>(&self, branch: &[S]) -> bool {
         self.plus.iter().any(|p| path_live_below(p, branch))
     }
-
-    /// The configuration of the empty branch (the virtual document root):
-    /// every path at its first step.
-    pub fn root(&self) -> RelConfig<'_> {
-        let live = self.masks.start.clone();
-        let in_subtree = intersects(&live, &self.masks.subtree);
-        RelConfig { masks: &self.masks, live, in_subtree }
-    }
 }
 
-/// The position masks behind [`RelConfig`]. Position `(p, i)` — "the first
-/// `i` steps of path `p` of `P+` are matched" — is bit `base(p) + i`, a
-/// path's positions contiguous, so one step of every path's NFA is a mask,
-/// a shift by one and an or.
+/// Relevance in configuration form: the NFAs of every path of a path set
+/// at once, as position masks, for a walk that asks Def. 3 about every
+/// branch of an expansion tree.
+///
+/// Position `(p, i)` — "the first `i` steps of path `p` are matched" — is
+/// bit `base(p) + i`, a path's positions contiguous, so one step of every
+/// path's NFA is a mask, a shift by one and an or. The positions are those
+/// of `P`, not of `P+`: a prefix `p[..i]` runs the same steps as `p`, so
+/// `p`'s positions below `i` stand for it, and a prefix accepts when the
+/// last label *entered* its last position — which a configuration records
+/// as a flag, since a `//` step keeps a position live after it was
+/// entered. Building one costs a word array and a name list, whatever the
+/// number of prefixes.
 #[derive(Debug, Clone)]
-struct Masks {
-    /// `(p, 0)` of every path.
-    start: Vec<u64>,
-    /// `(p, len(p))`: the path selects the branch's leaf (C1).
-    accept: Vec<u64>,
-    /// The accepting positions of the complete, name-final paths of `P`.
-    exact: Vec<u64>,
-    /// The accepting positions of the `#`-flagged paths (C2 at the leaf).
-    subtree: Vec<u64>,
-    /// Positions whose next step is on the descendant axis: they survive a
-    /// label they do not consume.
-    stay: Vec<u64>,
-    /// Positions whose next step is `*`: what any label advances.
-    wildcard: Vec<u64>,
-    /// Per step name, sorted: the positions that label advances (the
-    /// wildcard ones included).
-    advance: Vec<(String, Vec<u64>)>,
-    /// Per C3 tag `t` with both forms in `P+`: the last-step positions of
-    /// the paths ending in `/t`, and of those ending in `//t`.
-    c3: Vec<(Vec<u64>, Vec<u64>)>,
+pub struct RelNfa<'p> {
+    /// Words per mask.
+    width: usize,
+    /// The masks back to back, `width` words each: `START`, `FINAL`,
+    /// `EXACT`, `SUBTREE`, `STAY`, then one advance mask per row
+    /// (row 0 for a label no step names), then per C3 tag the `/t` and the
+    /// `//t` mask.
+    words: Vec<u64>,
+    /// The names steps test for, sorted: `names[i]` advances through row
+    /// `i + 1`.
+    names: Vec<&'p str>,
+    /// Number of C3 tags: names some step tests on the child axis and some
+    /// step on the descendant axis.
+    c3: usize,
 }
+
+/// `(p, 0)` of every path.
+const START: usize = 0;
+/// `(p, len(p))`: no step left.
+const FINAL: usize = 1;
+/// The last positions of the name-final paths (`copy tag + atts`).
+const EXACT: usize = 2;
+/// The last positions of the `#`-flagged paths (C2 at the leaf).
+const SUBTREE: usize = 3;
+/// Positions whose next step is on the descendant axis: they survive a
+/// label they do not consume.
+const STAY: usize = 4;
+/// The first advance mask: row 0, the positions whose next step is `*`.
+const ADVANCE: usize = 5;
 
 fn set(mask: &mut [u64], bit: usize) {
     mask[bit / 64] |= 1 << (bit % 64);
@@ -207,111 +215,217 @@ fn intersects(a: &[u64], b: &[u64]) -> bool {
     a.iter().zip(b).any(|(x, y)| x & y != 0)
 }
 
-impl Masks {
-    fn new(original: &[ProjectionPath], plus: &[ProjectionPath], c3_tags: &[String]) -> Masks {
-        let mut positions = 0;
-        let mut bases = Vec::with_capacity(plus.len());
-        for p in plus {
-            bases.push(positions);
-            positions += p.steps.len() + 1;
-        }
-        let zero = vec![0u64; positions.div_ceil(64)];
-        let mut m = Masks {
-            start: zero.clone(),
-            accept: zero.clone(),
-            exact: zero.clone(),
-            subtree: zero.clone(),
-            stay: zero.clone(),
-            wildcard: zero.clone(),
-            advance: Vec::new(),
-            c3: Vec::new(),
-        };
-        let mut named: Vec<(&str, usize)> = Vec::new();
-        // Per C3 candidate (sorted), its `/t` and `//t` last-step positions.
-        let mut forms = vec![(zero.clone(), zero.clone()); c3_tags.len()];
-        for (p, &base) in plus.iter().zip(&bases) {
-            let end = base + p.steps.len();
-            set(&mut m.start, base);
-            set(&mut m.accept, end);
-            if p.subtree {
-                set(&mut m.subtree, end);
-            }
-            if let Some(Step { axis, test: NameTest::Name(t) }) = p.last_step() {
-                if original.contains(p) {
-                    set(&mut m.exact, end);
+impl<'p> RelNfa<'p> {
+    /// The configuration form of `set`.
+    pub fn new(set: &'p PathSet) -> RelNfa<'p> {
+        RelNfa::of_sets(std::slice::from_ref(set))
+    }
+
+    /// The configuration form of the union of `sets`. A path two sets
+    /// share is run twice, which changes no answer.
+    pub fn of_sets(sets: &'p [PathSet]) -> RelNfa<'p> {
+        let paths = || sets.iter().flat_map(PathSet::paths);
+        let width = paths().map(|p| p.steps.len() + 1).sum::<usize>().div_ceil(64);
+        // Every named step: its name, axis and position, by name.
+        let mut named: Vec<(&'p str, Axis, usize)> = Vec::new();
+        let mut base = 0;
+        for p in paths() {
+            for (i, step) in p.steps.iter().enumerate() {
+                if let NameTest::Name(n) = &step.test {
+                    named.push((n, step.axis, base + i));
                 }
-                let i = c3_tags.binary_search(t).expect("every final name is a candidate");
-                let (child, desc) = &mut forms[i];
-                set(if *axis == Axis::Child { child } else { desc }, end - 1);
+            }
+            base += p.steps.len() + 1;
+        }
+        named.sort_unstable();
+        let mut names: Vec<&'p str> = Vec::new();
+        let mut c3 = 0;
+        for run in named.chunk_by(|a, b| a.0 == b.0) {
+            names.push(run[0].0);
+            c3 += (run[0].1 == Axis::Child && run[run.len() - 1].1 == Axis::Descendant) as usize;
+        }
+        let c3_base = ADVANCE + 1 + names.len();
+        let mut nfa =
+            RelNfa { width, words: vec![0; width * (c3_base + 2 * c3)], names: Vec::new(), c3 };
+        let mut base = 0;
+        for p in paths() {
+            let end = base + p.steps.len();
+            set(nfa.mask_mut(START), base);
+            set(nfa.mask_mut(FINAL), end);
+            if p.subtree {
+                set(nfa.mask_mut(SUBTREE), end);
+            }
+            if p.last_step().is_some_and(|s| matches!(s.test, NameTest::Name(_))) {
+                set(nfa.mask_mut(EXACT), end);
             }
             for (i, step) in p.steps.iter().enumerate() {
                 if step.axis == Axis::Descendant {
-                    set(&mut m.stay, base + i);
+                    set(nfa.mask_mut(STAY), base + i);
                 }
-                match &step.test {
-                    NameTest::Wildcard => set(&mut m.wildcard, base + i),
-                    NameTest::Name(n) => named.push((n, base + i)),
+                if step.test == NameTest::Wildcard {
+                    set(nfa.mask_mut(ADVANCE), base + i);
                 }
             }
+            base = end + 1;
         }
-        named.sort_unstable();
-        for (name, bit) in named {
-            if m.advance.last().is_none_or(|(n, _)| n != name) {
-                m.advance.push((name.to_string(), m.wildcard.clone()));
+        let mut pair = c3_base;
+        for (row, run) in named.chunk_by(|a, b| a.0 == b.0).enumerate() {
+            let at = (ADVANCE + 1 + row) * width;
+            nfa.words.copy_within(ADVANCE * width..(ADVANCE + 1) * width, at);
+            for &(_, _, bit) in run {
+                set(nfa.mask_mut(ADVANCE + 1 + row), bit);
             }
-            set(&mut m.advance.last_mut().expect("just pushed").1, bit);
+            // A C3 tag: its `/t` steps, then its `//t` steps. A path ending
+            // in such a step selects `parent + [t]` exactly when the step's
+            // position is live at the parent.
+            if run[0].1 == Axis::Child && run[run.len() - 1].1 == Axis::Descendant {
+                for &(_, axis, bit) in run {
+                    set(nfa.mask_mut(pair + (axis == Axis::Descendant) as usize), bit);
+                }
+                pair += 2;
+            }
         }
-        m.c3 = forms
-            .into_iter()
-            .filter(|(child, desc)| [child, desc].iter().all(|f| f.iter().any(|&w| w != 0)))
-            .collect();
-        m
+        nfa.names = names;
+        nfa
+    }
+
+    fn mask(&self, k: usize) -> &[u64] {
+        &self.words[k * self.width..(k + 1) * self.width]
+    }
+
+    fn mask_mut(&mut self, k: usize) -> &mut [u64] {
+        &mut self.words[k * self.width..(k + 1) * self.width]
+    }
+
+    /// The names the steps test for, each with the row [`ConfigStack::push`]
+    /// advances a label of that name through, by name. Every other label
+    /// advances through row 0.
+    pub fn named_rows(&self) -> impl Iterator<Item = (&'p str, u32)> + '_ {
+        self.names.iter().enumerate().map(|(i, &n)| (n, i as u32 + 1))
+    }
+
+    /// The row a label advances through (a binary search: a walk resolves
+    /// its labels once, from [`named_rows`](Self::named_rows)).
+    pub fn row(&self, label: &str) -> u32 {
+        self.names.binary_search(&label).map_or(0, |i| i as u32 + 1)
     }
 }
 
-/// Relevance in configuration form: which positions of the paths of `P+`
-/// are live after a document branch, and whether a node on the branch is
-/// `#`-selected. Obtained from [`Relevance::root`] and [`descend`]; a
-/// child's answers are one step from its parent's (module docs).
-///
-/// [`descend`]: RelConfig::descend
+/// The configurations of a branch and of each of its prefixes, deepest
+/// last, in one flat array of words: what a walk down an expansion tree
+/// keeps of the instances enclosing the one at hand. One stack serves any
+/// number of walks over any number of [`RelNfa`]s; it allocates only when a
+/// walk goes deeper or wider than every walk before it.
+#[derive(Debug, Clone, Default)]
+pub struct ConfigStack {
+    width: usize,
+    words: Vec<u64>,
+    /// Per configuration: C1 and C2 (see [`RelConfig`]).
+    flags: Vec<(bool, bool)>,
+}
+
+impl ConfigStack {
+    /// Start a walk of `nfa` at the empty branch (the virtual document
+    /// root).
+    pub fn start(&mut self, nfa: &RelNfa<'_>) {
+        let root = nfa.mask(START);
+        self.width = nfa.width;
+        self.words.clear();
+        self.words.extend_from_slice(root);
+        self.flags.clear();
+        self.flags.push((root.iter().any(|&w| w != 0), intersects(root, nfa.mask(SUBTREE))));
+    }
+
+    /// Labels on the deepest branch.
+    pub fn depth(&self) -> usize {
+        self.flags.len() - 1
+    }
+
+    /// Extend the deepest branch by a label advancing through `row` of
+    /// `nfa`, the walk's ([`RelNfa::row`]).
+    pub fn push(&mut self, nfa: &RelNfa<'_>, row: u32) {
+        let (w, len) = (self.width, self.words.len());
+        self.words.resize(len + w, 0);
+        let (done, live) = self.words.split_at_mut(len);
+        let parent = &done[len - w..];
+        let advance = nfa.mask(ADVANCE + row as usize);
+        let (mut carry, mut entered) = (0, false);
+        for ((out, &word), (&stay, &adv)) in
+            live.iter_mut().zip(parent).zip(nfa.mask(STAY).iter().zip(advance))
+        {
+            let moved = word & adv;
+            let shifted = moved << 1 | carry;
+            entered |= shifted != 0;
+            *out = word & stay | shifted;
+            carry = moved >> 63;
+        }
+        let in_subtree = self.flags[self.flags.len() - 1].1 || intersects(live, nfa.mask(SUBTREE));
+        self.flags.push((entered, in_subtree));
+    }
+
+    /// Drop the deepest label.
+    pub fn pop(&mut self) {
+        self.flags.pop();
+        self.words.truncate(self.flags.len() * self.width);
+    }
+
+    /// The configuration of the prefix with `depth` labels.
+    pub fn at<'a>(&'a self, nfa: &'a RelNfa<'_>, depth: usize) -> RelConfig<'a> {
+        let (entered, in_subtree) = self.flags[depth];
+        let live = &self.words[depth * self.width..(depth + 1) * self.width];
+        RelConfig { nfa: nfa.masks(), live, entered, in_subtree }
+    }
+}
+
+impl RelNfa<'_> {
+    /// The masks without the names: what a configuration reads.
+    fn masks(&self) -> Masks<'_> {
+        let c3_base = ADVANCE + 1 + self.names.len();
+        Masks { width: self.width, words: &self.words, c3: c3_base..c3_base + 2 * self.c3 }
+    }
+}
+
+/// The masks of a [`RelNfa`] as a configuration reads them.
 #[derive(Debug, Clone)]
-pub struct RelConfig<'r> {
-    masks: &'r Masks,
-    live: Vec<u64>,
+struct Masks<'a> {
+    width: usize,
+    words: &'a [u64],
+    /// The masks of the C3 pairs.
+    c3: std::ops::Range<usize>,
+}
+
+impl Masks<'_> {
+    fn mask(&self, k: usize) -> &[u64] {
+        &self.words[k * self.width..(k + 1) * self.width]
+    }
+}
+
+/// One configuration of a [`ConfigStack`]: which positions of the paths
+/// are live after a document branch, whether the last label entered one
+/// (C1), and whether a node on the branch is `#`-selected (C2). A child's
+/// answers are one [`push`](ConfigStack::push) from its parent's.
+#[derive(Debug, Clone)]
+pub struct RelConfig<'a> {
+    nfa: Masks<'a>,
+    live: &'a [u64],
+    /// The last label entered a position: the prefix of `P+` ending there
+    /// selects the branch's leaf (the empty branch: any path at all).
+    entered: bool,
     /// C2 is inherited: once a `#`-flagged path accepts, every branch
     /// below stays inside that instance.
     in_subtree: bool,
 }
 
-impl<'r> RelConfig<'r> {
-    /// The configuration of this branch extended by a child `label`.
-    pub fn descend(&self, label: &str) -> RelConfig<'r> {
-        let m = self.masks;
-        let advance = match m.advance.binary_search_by(|(n, _)| n.as_str().cmp(label)) {
-            Ok(i) => &m.advance[i].1,
-            Err(_) => &m.wildcard,
-        };
-        let mut live = Vec::with_capacity(self.live.len());
-        let mut carry = 0;
-        for ((&w, &stay), &adv) in self.live.iter().zip(&m.stay).zip(advance) {
-            let moved = w & adv;
-            live.push(w & stay | moved << 1 | carry);
-            carry = moved >> 63;
-        }
-        let in_subtree = self.in_subtree || intersects(&live, &m.subtree);
-        RelConfig { masks: m, live, in_subtree }
-    }
-
+impl RelConfig<'_> {
     /// C1: the leaf of the branch is selected by a path in `P+`.
     pub fn c1(&self) -> bool {
-        intersects(&self.live, &self.masks.accept)
+        self.entered
     }
 
     /// C1 counting only the complete, name-final paths of `P`
     /// ([`Relevance::c1_exact`]).
     pub fn c1_exact(&self) -> bool {
-        intersects(&self.live, &self.masks.exact)
+        intersects(self.live, self.nfa.mask(EXACT))
     }
 
     /// C2: some node on the branch is selected by a `#`-flagged path.
@@ -321,19 +435,19 @@ impl<'r> RelConfig<'r> {
 
     /// C2 at the leaf itself (drives `copy on`).
     pub fn c2_leaf(&self) -> bool {
-        intersects(&self.live, &self.masks.subtree)
+        intersects(self.live, self.nfa.mask(SUBTREE))
     }
 
     /// C3 for the tags whose *parent* branch this is
     /// ([`Relevance::c3_parent`]). A question to the parent because it
     /// speaks about a hypothetical sibling `t`: a path ending in `/t` or
-    /// `//t` selects `parent + [t]` exactly when its last-step position is
-    /// live here.
+    /// `//t` selects `parent + [t]` exactly when its last step's position
+    /// is live here.
     pub fn c3(&self) -> bool {
-        self.masks
-            .c3
-            .iter()
-            .any(|(child, desc)| intersects(&self.live, child) && intersects(&self.live, desc))
+        self.nfa.c3.clone().step_by(2).any(|pair| {
+            intersects(self.live, self.nfa.mask(pair))
+                && intersects(self.live, self.nfa.mask(pair + 1))
+        })
     }
 
     /// Def. 3 for a tag with this branch, given its parent's configuration
@@ -345,7 +459,15 @@ impl<'r> RelConfig<'r> {
     /// Could a path of `P+` select a node strictly below this branch
     /// ([`Relevance::may_match_below`]): some path is live with a step left.
     pub fn may_match_below(&self) -> bool {
-        self.live.iter().zip(&self.masks.accept).any(|(w, acc)| w & !acc != 0)
+        self.live.iter().zip(self.nfa.mask(FINAL)).any(|(w, fin)| w & !fin != 0)
+    }
+
+    /// No position with a step left is live and the branch is not inside a
+    /// `#`-selected instance: no label below can enter a position, so
+    /// nothing below is relevant, `#`-selected, `c1_exact` or live, and a
+    /// walk may skip the subtree.
+    pub fn is_dead(&self) -> bool {
+        !self.in_subtree && !self.may_match_below()
     }
 }
 

@@ -201,13 +201,13 @@ impl CommentzWalter {
         // string is a factor at every offset) gets candidate `s`; a fully
         // consumed tail records a rule-(b) candidate for the subtree.
         for pat in &patterns {
-            let rp: Vec<u8> = pat.iter().rev().copied().collect();
-            for s in 1..=rp.len().min(lmin.saturating_sub(1)) {
+            let rp = |i: usize| pat[pat.len() - 1 - i];
+            for s in 1..=pat.len().min(lmin.saturating_sub(1)) {
                 let mut cur = 0u32;
                 nodes[0].gs = nodes[0].gs.min(s as u32);
                 let mut d = 0usize;
-                while s + d < rp.len() {
-                    match nodes[cur as usize].child(rp[s + d]) {
+                while s + d < pat.len() {
+                    match nodes[cur as usize].child(rp(s + d)) {
                         Some(n) => {
                             cur = n;
                             d += 1;
@@ -216,7 +216,7 @@ impl CommentzWalter {
                         None => break,
                     }
                 }
-                if s + d == rp.len() {
+                if s + d == pat.len() {
                     nodes[cur as usize].tail = nodes[cur as usize].tail.min(s as u32);
                 }
             }
@@ -227,10 +227,7 @@ impl CommentzWalter {
         while let Some((v, inherited)) = stack.pop() {
             let running = inherited.min(nodes[v as usize].tail);
             nodes[v as usize].gs = nodes[v as usize].gs.min(running);
-            let children: Vec<u32> = nodes[v as usize].edges.iter().map(|&(_, t)| t).collect();
-            for c in children {
-                stack.push((c, running));
-            }
+            stack.extend(nodes[v as usize].edges.iter().map(|&(_, c)| (c, running)));
         }
 
         let filter = memscan::Fingerprint::with_universe(&patterns, universe);

@@ -108,14 +108,15 @@ use smpx::core::runtime::source::{
 };
 use smpx::core::runtime::DEFAULT_CHUNK;
 use smpx::core::{
-    CoreError, FrozenPrefilter, Generation, MultiVerdict, Pool, Prefilter, QueryId, QueryRegistry,
-    RunStats, SharedPrefilter,
+    CompiledTables, CoreError, FrozenPrefilter, Generation, MultiVerdict, Pool, Prefilter, QueryId,
+    QueryRegistry, RunStats, SharedPrefilter,
 };
 use std::fs::File;
 use std::io::{BufWriter, Stdin, Write};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use smpx::dtd::Dtd;
 use smpx::paths::{extract, PathSet};
@@ -591,6 +592,23 @@ fn total_tag<'a>(args: &'a Args, rows: &[Row]) -> &'a str {
     }
 }
 
+/// The `--stats` line of a compile: the automaton's size, the set-up's wall
+/// time and the static analysis's work counts.
+fn compile_line(t: &CompiledTables, wall: Duration) -> String {
+    let c = t.compile_counts();
+    format!(
+        "{} states ({} CW + {} BM), compiled in {:.2} ms: {} relevance steps, \
+         {} gap-search nodes, {} hazard-scan visits",
+        t.state_count(),
+        t.cw_states(),
+        t.bm_states(),
+        wall.as_secs_f64() * 1e3,
+        c.relevance_steps,
+        c.gap_nodes,
+        c.hazard_visits
+    )
+}
+
 fn print_stats(label: &str, source: &str, stats: &RunStats) {
     let pct = if stats.input_bytes > 0 {
         format!(
@@ -765,6 +783,7 @@ fn run_lifecycle(args: &Args, dtd: Dtd, query_sets: Vec<PathSet>) -> ExitCode {
     for q in query_sets {
         reg.add_paths(q);
     }
+    let start = Instant::now();
     let shared = match reg.compile_shared() {
         Ok(s) => s,
         Err(e) => {
@@ -774,13 +793,10 @@ fn run_lifecycle(args: &Args, dtd: Dtd, query_sets: Vec<PathSet>) -> ExitCode {
     };
     if args.stats {
         let g = shared.generation();
-        let t = g.frozen().tables();
         eprintln!(
-            "smpx: lifecycle mode: {} seed queries, {} states ({} CW + {} BM)",
+            "smpx: lifecycle mode: {} seed queries, {}",
             g.live_queries(),
-            t.state_count(),
-            t.cw_states(),
-            t.bm_states()
+            compile_line(g.frozen().tables(), start.elapsed())
         );
     }
     let Some(mut out) = open_sink(args.output.as_deref()) else {
@@ -955,11 +971,13 @@ fn run(args: Args) -> ExitCode {
     // total-row accounting.
     let query_count = if multi { query_sets.len() } else { 1 };
 
+    let start = Instant::now();
     let compiled = if multi {
         Prefilter::compile_multi(&dtd, &query_sets)
     } else {
         Prefilter::compile(&dtd, &paths)
     };
+    let compile_wall = start.elapsed();
     // The batch driver mints its own workers from the shared tables; the
     // compiling prefilter (and its matcher slots) is done with.
     let frozen = match compiled {
@@ -970,13 +988,8 @@ fn run(args: Args) -> ExitCode {
         }
     };
     if args.stats {
-        let t = frozen.tables();
-        eprintln!(
-            "smpx: projection paths: {paths}\nsmpx: {} states ({} CW + {} BM)",
-            t.state_count(),
-            t.cw_states(),
-            t.bm_states()
-        );
+        let line = compile_line(frozen.tables(), compile_wall);
+        eprintln!("smpx: projection paths: {paths}\nsmpx: {line}");
         if multi {
             eprintln!("smpx: {} registered queries on one shared automaton", query_sets.len());
         }
