@@ -185,7 +185,7 @@ fn bench_bm_regimes(c: &mut Criterion) {
     // rare byte stops at. Rare byte: `<closed_auctions` — its `_` alone
     // skips nearly everything, the case a byte scan was already good at.
     let dtd = Dtd::parse(xmark::XMARK_DTD.as_bytes()).expect("XMark DTD");
-    let universe = TagUniverse::of_elements(dtd.elem_names());
+    let universe = TagUniverse::of_elements(dtd.elem_names().iter());
     let hay = haystack();
     let mut g = c.benchmark_group("bm");
     g.throughput(Throughput::Bytes(hay.len() as u64));

@@ -109,9 +109,29 @@ fn bench_registry_compile(c: &mut Criterion) {
     g.finish();
 }
 
+/// What a process start pays: the DTD parsed from its text, the queries
+/// registered and compiled (the DTD's analysis included).
+fn bench_registry_setup(c: &mut Criterion) {
+    let text = xmark::XMARK_DTD.as_bytes();
+    let standing = standing_path_sets(&Dtd::parse(text).unwrap(), 100);
+    let mut g = c.benchmark_group("registry/setup");
+    for n in [1, 10, 100] {
+        g.bench_function(format!("N={n}"), |b| {
+            b.iter(|| {
+                let mut reg = QueryRegistry::new(Dtd::parse(text).unwrap());
+                for paths in &standing[..n] {
+                    reg.add_paths(paths.clone());
+                }
+                reg.compile().unwrap().prefilter().tables().state_count()
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_multiquery, bench_registry_compile
+    targets = bench_multiquery, bench_registry_compile, bench_registry_setup
 }
 criterion_main!(benches);

@@ -3,7 +3,8 @@
 //!
 //! The pipeline is exactly the paper's Fig. 6:
 //!
-//! 1. build the DTD-automaton (in `smpx-dtd`),
+//! 1. build the DTD-automaton (in `smpx-dtd`, once per parsed DTD:
+//!    [`Dtd::analysis`]),
 //! 2. select the state set `S` — relevance, copy-on pruning, orientation
 //!    stopovers (`select` module),
 //! 3. contract to the subgraph automaton `D|S` with minimal-gap
@@ -23,7 +24,7 @@ use crate::error::CoreError;
 use crate::idset::{QueryId, QueryIdSet};
 use classes::StateClasses;
 use select::Selector;
-use smpx_dtd::{Dtd, DtdAutomaton, MinLen, StateId};
+use smpx_dtd::{Dtd, DtdAnalysis, DtdAutomaton, StateId};
 use smpx_paths::{PathSet, RelNfa};
 use subgraph::GapSearch;
 use tables::Subsets;
@@ -127,36 +128,47 @@ pub struct CompileCounts {
     pub hazard_visits: usize,
 }
 
-/// The automaton of one compile and the scratch of its analysis: allocated
-/// once, then reset by every relevance walked and every selection made
-/// with it, so a registry of N queries allocates per query only its
-/// [`RelNfa`].
-struct Analysis {
-    auto: DtdAutomaton,
+/// The scratch of one compile's analysis over the DTD's shared automaton:
+/// allocated once, then reset by every relevance walked and every
+/// selection made with it, so a registry of N queries allocates per query
+/// only its [`RelNfa`].
+struct Analysis<'d> {
+    /// The DTD-automaton, minimal lengths and tag universe, built once
+    /// per parsed DTD and read by every compile from it.
+    schema: &'d DtdAnalysis,
     classes: StateClasses,
     selector: Selector,
     gaps: GapSearch,
     passes: usize,
 }
 
-impl Analysis {
-    fn new(dtd: &Dtd) -> Result<Analysis, CoreError> {
-        let auto = DtdAutomaton::build_allow_recursion(dtd)?;
-        let minlen = MinLen::compute_allow_recursion(dtd)?;
+impl<'d> Analysis<'d> {
+    fn new(dtd: &'d Dtd) -> Result<Analysis<'d>, CoreError> {
+        let schema = &**dtd.analysis()?;
+        let auto = &schema.automaton;
         Ok(Analysis {
-            classes: StateClasses::new(&auto),
-            selector: Selector::new(&auto),
-            gaps: GapSearch::new(&auto, &minlen),
-            auto,
+            classes: StateClasses::new(auto),
+            selector: Selector::new(auto),
+            gaps: GapSearch::new(auto, &schema.min_len),
+            schema,
             passes: 0,
         })
+    }
+
+    /// Package determinized states as tables over the DTD's elements.
+    fn package(&self, states: Vec<RtState>, attribution: Option<Attribution>) -> CompiledTables {
+        let (names, universe) = (self.schema.automaton.elem_names(), &self.schema.universe);
+        let mut tables = CompiledTables::new(states, names, universe, attribution);
+        tables.counts = self.counts();
+        tables
     }
 
     /// Walk `nfa` and select its states into `self.selector.s`, `extra`
     /// forced in ([`Selector::select`]).
     fn select(&mut self, nfa: &RelNfa<'_>, extra: &[StateId]) {
-        self.classes.walk(&self.auto, nfa);
-        self.selector.select(&self.auto, &self.classes, extra);
+        let auto = &self.schema.automaton;
+        self.classes.walk(auto, nfa);
+        self.selector.select(auto, &self.classes, extra);
     }
 
     /// The registry's selection ([`compile_multi`]): each query's hit
@@ -170,7 +182,7 @@ impl Analysis {
             self.select(&RelNfa::new(paths), &[]);
             for m in self.selector.s.iter().filter(|&m| self.classes.action(m).indicates_match()) {
                 hits.push((m, QueryId(qi as u32)));
-                extra.extend([m, self.auto.dual(m)]);
+                extra.extend([m, self.schema.automaton.dual(m)]);
             }
         }
         self.select(&RelNfa::of_sets(queries), &extra);
@@ -194,7 +206,8 @@ impl Analysis {
     /// a handful of recompiles on ambiguous (non-1-unambiguous) content
     /// models. S only grows, so the fixpoint terminates either way.
     fn tables(&mut self) -> (Vec<RtState>, Subsets) {
-        let (auto, s, scan) = (&self.auto, &mut self.selector.s, &mut self.selector.scan);
+        let (auto, s, scan) =
+            (&self.schema.automaton, &mut self.selector.s, &mut self.selector.scan);
         let mut to_add: Vec<StateId> = Vec::new();
         loop {
             self.passes += 1;
@@ -257,9 +270,7 @@ pub fn compile_with_counts(
     let mut analysis = Analysis::new(dtd)?;
     analysis.select(&RelNfa::new(paths), &[]);
     let (states, _) = analysis.tables();
-    let mut tables = CompiledTables::new(states, dtd.elem_names(), None);
-    tables.counts = analysis.counts();
-    Ok((tables, analysis.counts()))
+    Ok((analysis.package(states, None), analysis.counts()))
 }
 
 /// Compile a whole query workload into one shared automaton whose states
@@ -318,9 +329,7 @@ pub fn compile_multi_with_counts(
         })
         .collect();
     let attribution = Attribution { n_queries: queries.len() as u32, state_hits };
-    let mut tables = CompiledTables::new(states, dtd.elem_names(), Some(attribution));
-    tables.counts = analysis.counts();
-    Ok((tables, analysis.counts()))
+    Ok((analysis.package(states, Some(attribution)), analysis.counts()))
 }
 
 /// One source of a [`contraction`]: the state, its contracted transitions
@@ -343,7 +352,8 @@ pub fn contraction(dtd: &Dtd, queries: &[PathSet]) -> Result<Vec<ContractedSourc
         _ => drop(analysis.select_registry(queries)),
     }
     analysis.tables();
-    let Analysis { auto, selector, gaps, .. } = &mut analysis;
+    let Analysis { schema, selector, gaps, .. } = &mut analysis;
+    let auto = &schema.automaton;
     selector.s.index();
     let sub = gaps.subgraph(auto, &selector.s);
     let sources = std::iter::once(StateId::Q0).chain(selector.s.iter());

@@ -22,7 +22,7 @@ use super::classes::StateClasses;
 use super::subgraph::Subgraph;
 use super::CompileCounts;
 use crate::idset::QueryIdSet;
-use smpx_dtd::{DtdAutomaton, StateId};
+use smpx_dtd::{DtdAutomaton, ElemNames, StateId};
 use smpx_stringmatch::memscan::TagUniverse;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -184,10 +184,15 @@ pub struct CompiledTables {
     pub attribution: Option<Attribution>,
     /// Every element name the DTD mentions (the list `Dtd` shares): the
     /// tags a document can hold besides the ones a state searches for.
-    pub elem_names: Arc<[String]>,
+    pub elem_names: Arc<ElemNames>,
     /// The `<name` / `</name` tokens of `elem_names` as the matcher builds
-    /// read them: each state's candidate filter is fitted against it.
-    pub universe: TagUniverse,
+    /// read them: each state's candidate filter is fitted against it (the
+    /// one universe of the DTD's analysis, shared).
+    pub universe: Arc<TagUniverse>,
+    /// Per state, the first state with the same keyword list: a matcher
+    /// depends on nothing else, so states that share a vocabulary share
+    /// the matcher built for this one.
+    vocab: Vec<u32>,
     /// The [`TokenRow`]s of every state back to back, in keyword order;
     /// state `q`'s are `rows[row_at[q]..row_at[q + 1]]`.
     rows: Vec<TokenRow>,
@@ -208,7 +213,8 @@ impl CompiledTables {
     /// single-query ones without.
     pub(crate) fn new(
         states: Vec<RtState>,
-        elem_names: &Arc<[String]>,
+        elem_names: &Arc<ElemNames>,
+        universe: &Arc<TagUniverse>,
         attribution: Option<Attribution>,
     ) -> CompiledTables {
         let max_kw_len =
@@ -261,12 +267,14 @@ impl CompiledTables {
         }
         bare_at.push(bare.len() as u32);
         let jumps = states.iter().map(|s| s.jump).collect();
+        let vocab = first_of_each_vocabulary(&states);
         CompiledTables {
             states,
             max_kw_len,
             attribution,
             elem_names: elem_names.clone(),
-            universe: TagUniverse::of_elements(elem_names),
+            universe: universe.clone(),
+            vocab,
             rows,
             row_at,
             jumps,
@@ -304,6 +312,20 @@ impl CompiledTables {
         &self.bare[self.bare_at[q as usize] as usize..self.bare_at[q as usize + 1] as usize]
     }
 
+    /// The first state whose keyword list equals `q`'s: the state whose
+    /// matcher `q` searches with.
+    #[inline]
+    pub(crate) fn vocab(&self, q: u32) -> u32 {
+        self.vocab[q as usize]
+    }
+
+    /// Number of distinct keyword lists — the matchers a run builds at
+    /// most (one for the empty list of final states included).
+    #[doc(hidden)]
+    pub fn vocabularies(&self) -> usize {
+        self.vocab.iter().enumerate().filter(|&(q, &v)| q == v as usize).count()
+    }
+
     /// Number of states whose frontier vocabulary needs Commentz–Walter
     /// (≥ 2 keywords).
     pub fn cw_states(&self) -> usize {
@@ -336,7 +358,10 @@ impl CompiledTables {
             total += att.table_bytes();
         }
         total += self.rows.capacity() * std::mem::size_of::<TokenRow>()
-            + (self.row_at.capacity() + self.jumps.capacity() + self.bare_at.capacity())
+            + (self.row_at.capacity()
+                + self.jumps.capacity()
+                + self.bare_at.capacity()
+                + self.vocab.capacity())
                 * std::mem::size_of::<u32>()
             + self.bare.capacity();
         total + self.universe.heap_bytes()
@@ -473,6 +498,23 @@ pub(crate) fn determinize_with_subsets(
     }
 
     (states, subsets)
+}
+
+/// Per state, the first state whose keyword list (the byte patterns, in
+/// order) is the same.
+fn first_of_each_vocabulary(states: &[RtState]) -> Vec<u32> {
+    let patterns = |q: u32| states[q as usize].keywords.iter().map(|k| k.bytes.as_slice());
+    let mut order: Vec<u32> = (0..states.len() as u32).collect();
+    order.sort_unstable_by(|&a, &b| patterns(a).cmp(patterns(b)).then(a.cmp(&b)));
+    let mut first = vec![0u32; states.len()];
+    for (i, &q) in order.iter().enumerate() {
+        first[q as usize] = if i > 0 && patterns(order[i - 1]).eq(patterns(q)) {
+            first[order[i - 1] as usize]
+        } else {
+            q
+        };
+    }
+    first
 }
 
 #[cfg(test)]

@@ -150,7 +150,9 @@ impl LifecycleState {
 
 /// Everything the handle and the compiler thread share.
 struct Inner {
-    dtd: Dtd,
+    /// Every compile — generation 0, each validation, each recompile —
+    /// reads this DTD's one analysis.
+    dtd: Arc<Dtd>,
     state: Mutex<LifecycleState>,
     /// Wakes the compiler on edits/shutdown and `settle` waiters on
     /// publish — one condvar, both directions re-check their predicates.
@@ -181,6 +183,15 @@ impl SharedPrefilter {
     /// automaton to run (and [`remove_query`](Self::remove_query) refuses
     /// to remove the last live query for the same reason).
     pub fn new(dtd: Dtd, initial: Vec<PathSet>) -> Result<SharedPrefilter, CoreError> {
+        SharedPrefilter::with_shared_dtd(Arc::new(dtd), initial)
+    }
+
+    /// [`new`](Self::new) over a DTD shared with the caller (the
+    /// registry's), so the handle reads the analysis already built for it.
+    pub(crate) fn with_shared_dtd(
+        dtd: Arc<Dtd>,
+        initial: Vec<PathSet>,
+    ) -> Result<SharedPrefilter, CoreError> {
         if initial.is_empty() {
             return Err(CoreError::NoPaths);
         }
@@ -232,7 +243,8 @@ impl SharedPrefilter {
 
     /// [`add_query`](Self::add_query) for a pre-extracted path set.
     pub fn add_paths(&self, paths: PathSet) -> Result<QueryId, CoreError> {
-        // Single-query validation compile: proportional to one query, so
+        // Single-query validation compile: proportional to one query (the
+        // DTD's analysis is the one every generation already reads), so
         // the control plane stays cheap while still catching DTD
         // mismatches before they could fail the whole workload recompile.
         Prefilter::compile(&self.inner.dtd, &paths)?;

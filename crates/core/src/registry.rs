@@ -28,18 +28,25 @@ use smpx_dtd::Dtd;
 use smpx_paths::extract::extract_from_text;
 use smpx_paths::PathSet;
 use std::io::Write;
+use std::sync::Arc;
 
 /// A workload of standing queries against one DTD, prior to compilation.
+///
+/// The DTD and the path sets are shared, not copied, with every
+/// [`MultiPrefilter`] and [`SharedPrefilter`](crate::lifecycle::SharedPrefilter)
+/// compiled from the registry: all of them read the DTD's one
+/// [analysis](Dtd::analysis), built by the first compile.
 #[derive(Debug, Clone)]
 pub struct QueryRegistry {
-    dtd: Dtd,
-    queries: Vec<PathSet>,
+    dtd: Arc<Dtd>,
+    /// Copied on the first registration after a compile shared it.
+    queries: Arc<Vec<PathSet>>,
 }
 
 impl QueryRegistry {
     /// An empty registry for documents valid w.r.t. `dtd`.
     pub fn new(dtd: Dtd) -> QueryRegistry {
-        QueryRegistry { dtd, queries: Vec::new() }
+        QueryRegistry { dtd: Arc::new(dtd), queries: Arc::default() }
     }
 
     /// Register an XPath query; its projection path set is extracted as
@@ -52,7 +59,7 @@ impl QueryRegistry {
 
     /// Register a pre-extracted projection path set as one query.
     pub fn add_paths(&mut self, paths: PathSet) -> QueryId {
-        self.queries.push(paths);
+        Arc::make_mut(&mut self.queries).push(paths);
         QueryId(self.queries.len() as u32 - 1)
     }
 
@@ -78,7 +85,11 @@ impl QueryRegistry {
     /// single-query [`Prefilter::compile`] would report.
     pub fn compile(&self) -> Result<MultiPrefilter, CoreError> {
         let shared = Prefilter::compile_multi(&self.dtd, &self.queries)?;
-        Ok(MultiPrefilter { shared, dtd: self.dtd.clone(), queries: self.queries.clone() })
+        Ok(MultiPrefilter {
+            shared,
+            dtd: Arc::clone(&self.dtd),
+            queries: Arc::clone(&self.queries),
+        })
     }
 
     /// Compile the workload into a [`SharedPrefilter`] — the dynamic
@@ -88,7 +99,10 @@ impl QueryRegistry {
     /// generation-swap contract. Errors as [`compile`](Self::compile)
     /// would (the registry must be non-empty).
     pub fn compile_shared(&self) -> Result<crate::lifecycle::SharedPrefilter, CoreError> {
-        crate::lifecycle::SharedPrefilter::new(self.dtd.clone(), self.queries.clone())
+        crate::lifecycle::SharedPrefilter::with_shared_dtd(
+            Arc::clone(&self.dtd),
+            self.queries.to_vec(),
+        )
     }
 }
 
@@ -96,8 +110,8 @@ impl QueryRegistry {
 /// whole registered workload.
 pub struct MultiPrefilter {
     shared: Prefilter,
-    dtd: Dtd,
-    queries: Vec<PathSet>,
+    dtd: Arc<Dtd>,
+    queries: Arc<Vec<PathSet>>,
 }
 
 impl MultiPrefilter {

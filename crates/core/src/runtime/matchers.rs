@@ -4,11 +4,15 @@
 //! lazily, when an automaton-state is first entered." A state with one
 //! keyword gets Boyer–Moore, with several Commentz–Walter (Fig. 4's
 //! `(BM)`/`(CW)` branches); the `ablations` bench compares this laziness
-//! against eager construction.
+//! against eager construction. A matcher depends only on the state's
+//! keyword list and the universe, so it is built once per distinct
+//! vocabulary and shared, through reference counts, by every state that
+//! searches for the same keywords.
 
 use crate::compile::RtState;
 use smpx_stringmatch::memscan::{Blocks, TagUniverse};
 use smpx_stringmatch::{BoyerMoore, CommentzWalter, FilterChoice, Metrics};
+use std::sync::Arc;
 
 /// Anything the input layer can drive a windowed search with.
 pub(crate) trait Searcher {
@@ -58,18 +62,18 @@ impl Searcher for StateMatcher {
     }
 }
 
-/// The search engine of one runtime state.
+/// The search engine of one runtime state; a clone shares its tables.
 #[derive(Debug, Clone)]
 pub(crate) enum StateMatcher {
     /// No keywords (final states): nothing to search.
     Empty,
-    /// Unary frontier vocabulary → Boyer–Moore (boxed: the shift tables
-    /// are ~2 KiB and live per state).
-    Bm(Box<BoyerMoore>),
+    /// Unary frontier vocabulary → Boyer–Moore (behind a pointer: the
+    /// shift tables are ~2 KiB).
+    Bm(Arc<BoyerMoore>),
     /// Multi-keyword frontier vocabulary → Commentz–Walter, and the
     /// keyword indices longest first (ties by index): the order a false
     /// match re-checks the vocabulary in.
-    Cw(Box<CommentzWalter>, Box<[u32]>),
+    Cw(Arc<CommentzWalter>, Arc<[u32]>),
 }
 
 impl StateMatcher {
@@ -79,16 +83,18 @@ impl StateMatcher {
     pub fn build(state: &RtState, universe: &TagUniverse) -> StateMatcher {
         match state.keywords.len() {
             0 => StateMatcher::Empty,
-            1 => StateMatcher::Bm(Box::new(BoyerMoore::with_universe(
+            1 => StateMatcher::Bm(Arc::new(BoyerMoore::with_universe(
                 &state.keywords[0].bytes,
                 universe,
             ))),
             _ => {
                 let kws = &state.keywords;
-                let mut longest_first: Box<[u32]> = (0..kws.len() as u32).collect();
-                longest_first.sort_by_key(|&i| std::cmp::Reverse(kws[i as usize].bytes.len()));
+                let mut longest_first: Arc<[u32]> = (0..kws.len() as u32).collect();
+                Arc::get_mut(&mut longest_first)
+                    .expect("not shared yet")
+                    .sort_by_key(|&i| std::cmp::Reverse(kws[i as usize].bytes.len()));
                 let cw = CommentzWalter::with_universe(kws, universe);
-                StateMatcher::Cw(Box::new(cw), longest_first)
+                StateMatcher::Cw(Arc::new(cw), longest_first)
             }
         }
     }
@@ -153,9 +159,10 @@ impl StateMatcher {
     }
 
     /// Heap size of the lookup tables (the paper's `Mem` column counts
-    /// these): the boxed searcher struct (shift/`d1` tables are inline
-    /// arrays) plus the exact heap allocations it owns — no estimates, so
-    /// the number tracks the real `Node`/table layout as it evolves.
+    /// these): the searcher struct behind its pointer (shift/`d1` tables
+    /// are inline arrays) plus the exact heap allocations it owns — no
+    /// estimates, so the number tracks the real `Node`/table layout as it
+    /// evolves.
     pub fn memory_bytes(&self) -> usize {
         match self {
             StateMatcher::Empty => 0,
@@ -247,7 +254,7 @@ mod tests {
     fn memory_tracks_real_layout() {
         // Computed from the live struct layout, not a per-node constant:
         // a bigger vocabulary must cost measurably more, and every matcher
-        // costs at least its boxed struct.
+        // costs at least its searcher struct.
         let small = build(&["<a", "</a"]);
         let big = build(&["<alpha", "</alpha", "<beta", "</beta"]);
         assert!(big.memory_bytes() > small.memory_bytes());

@@ -55,6 +55,9 @@ pub const RELEASE_STEP: usize = 32 * DEFAULT_CHUNK;
 /// [`parallel`] executor, where every worker owns its own caches.
 pub struct Prefilter {
     tables: Arc<CompiledTables>,
+    /// Lazily filled matcher of every state: built once per vocabulary
+    /// (in the slot of its first state, [`CompiledTables::vocab`]) and
+    /// shared by the other states that search for the same keywords.
     matchers: Vec<Option<StateMatcher>>,
     /// Lazily built `{<e, </e}` searchers for balanced (recursive-element)
     /// states, indexed like `matchers`.
@@ -197,14 +200,18 @@ impl Prefilter {
         &self.tables
     }
 
-    /// Build every matcher now instead of lazily (ablation switch).
+    /// Build every matcher now instead of lazily (ablation switch): one
+    /// per distinct vocabulary.
     pub fn precompile_matchers(&mut self) {
-        for (i, slot) in self.matchers.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = Some(StateMatcher::build(&self.tables.states[i], &self.tables.universe));
-                self.matchers_built += 1;
-            }
+        for q in 0..self.tables.states.len() as u32 {
+            self.matcher(q);
         }
+    }
+
+    /// Matchers built so far: one per distinct vocabulary searched.
+    #[doc(hidden)]
+    pub fn matchers_built(&self) -> usize {
+        self.matchers_built
     }
 
     /// What the candidate filter of state `q`'s matcher decided, building
@@ -218,8 +225,13 @@ impl Prefilter {
     /// Approximate heap bytes of tables plus all matchers built so far
     /// (the paper's `Mem` column, minus the I/O window).
     pub fn memory_bytes(&self) -> usize {
+        // A shared matcher counts once, in its vocabulary's slot.
+        let own = (0..self.matchers.len()).filter(|&q| self.tables.vocab(q as u32) as usize == q);
         self.tables.table_bytes()
-            + self.matchers.iter().flatten().map(StateMatcher::memory_bytes).sum::<usize>()
+            + own
+                .filter_map(|q| self.matchers[q].as_ref())
+                .map(StateMatcher::memory_bytes)
+                .sum::<usize>()
     }
 
     /// Prefilter an in-memory document, returning the projected bytes and
@@ -338,21 +350,24 @@ impl Prefilter {
     #[inline]
     fn matcher(&mut self, q: u32) -> &StateMatcher {
         if self.matchers[q as usize].is_none() {
-            self.build_matcher(q);
+            self.fill_matcher(q);
         }
         self.matchers[q as usize].as_ref().expect("just built")
     }
 
-    /// Build state `q`'s matcher: once per state and worker, so out of the
-    /// token step's way (a searcher under construction holds its shift
-    /// tables on the stack).
+    /// Fill state `q`'s slot with its vocabulary's matcher, building that
+    /// once per vocabulary and worker: out of the token step's way (a
+    /// searcher under construction holds its shift tables on the stack).
     #[cold]
     #[inline(never)]
-    fn build_matcher(&mut self, q: u32) {
-        let tables = &self.tables;
-        self.matchers[q as usize] =
-            Some(StateMatcher::build(&tables.states[q as usize], &tables.universe));
-        self.matchers_built += 1;
+    fn fill_matcher(&mut self, q: u32) {
+        let v = self.tables.vocab(q) as usize;
+        if self.matchers[v].is_none() {
+            let tables = &self.tables;
+            self.matchers[v] = Some(StateMatcher::build(&tables.states[v], &tables.universe));
+            self.matchers_built += 1;
+        }
+        self.matchers[q as usize] = self.matchers[v].clone();
     }
 
     /// The Fig. 4 loop, from the paper's `q := q0; c := 0`.

@@ -436,7 +436,7 @@ mod tests {
     use smpx_stringmatch::{BoyerMoore, NoMetrics};
 
     fn bm(pat: &[u8]) -> StateMatcher {
-        StateMatcher::Bm(Box::new(BoyerMoore::new(pat)))
+        StateMatcher::Bm(std::sync::Arc::new(BoyerMoore::new(pat)))
     }
 
     fn slice_input(doc: &[u8]) -> SourceInput<SliceSource<'_>, Vec<u8>> {

@@ -13,12 +13,16 @@
 //! Homogeneity (every transition into a state carries the same label) holds
 //! by construction: the label of a transition is the label of its target.
 //! Consequently transitions are stored as plain target lists.
+//!
+//! The build works out each element's wiring once, into flat arrays, then
+//! counts the states and transitions of the expansion and writes them in
+//! one pre-order pass: states in id order, each with its transitions, no
+//! edge list to sort and no per-element allocation.
 
 use crate::error::DtdError;
-use crate::glushkov::Glushkov;
-use crate::model::{ContentModel, Dtd};
+use crate::glushkov::{members, Positions};
+use crate::model::{Dtd, ElemNames, Kind, Node};
 use std::collections::BTreeSet;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// Hard cap on expansion size; beyond this the schema is pathological.
@@ -68,7 +72,7 @@ struct StateData {
 #[derive(Debug, Clone)]
 pub struct DtdAutomaton {
     /// Every element name of the DTD, in id (= name) order: shared with it.
-    elem_names: Arc<[String]>,
+    elem_names: Arc<ElemNames>,
     states: Vec<StateData>,
     /// Outgoing transitions, state by state: `s`'s are
     /// `trans[trans_at[s]..trans_at[s + 1]]`. The label of each is the
@@ -94,45 +98,68 @@ impl DtdAutomaton {
     /// open→close transition; its interior is not modelled — the runtime
     /// crosses it with a balanced depth-counting scan over `<e`/`</e`.
     pub fn build_allow_recursion(dtd: &Dtd) -> Result<DtdAutomaton, DtdError> {
-        let mut b = Builder {
-            dtd,
-            wiring: vec![None; dtd.elem_names().len()],
-            states: Vec::new(),
-            edges: Vec::new(),
+        let wiring = Wiring::of(dtd)?;
+        let root = dtd.root_id();
+        let total = 1 + wiring.size(root) as usize;
+        let mut states = Vec::with_capacity(total);
+        let mut trans = Vec::with_capacity(1 + wiring.edges(root) as usize);
+        let mut trans_at = Vec::with_capacity(total + 1);
+        // State `s` of an instance of `e`.
+        let state = |e: u32, s: u32, close: bool, parent: Option<StateId>| StateData {
+            elem: e,
+            close,
+            dual: StateId(if close { s - 1 } else { s + 1 }),
+            parent,
+            end: s - close as u32 + wiring.size(e) as u32,
+            opaque: dtd.elem_is_recursive(e),
         };
-        b.states.push(StateData {
+        states.push(StateData {
             elem: u32::MAX,
             close: false,
             dual: StateId::Q0,
             parent: None,
-            end: 0,
+            end: total as u32,
             opaque: false,
         });
-        // `Dtd::from_parts` gives the root an id like every other name.
-        let root = dtd.elem_id(dtd.root()).expect("the root has an element id");
-        let (open_root, close_root) = b.expand(root, None)?;
-        b.edges.push((StateId::Q0, open_root));
-        b.states[0].end = b.states.len() as u32;
-        // The transitions by source, each source's in the order wired.
-        let mut trans_at = vec![0u32; b.states.len() + 1];
-        for &(from, _) in &b.edges {
-            trans_at[from.idx() + 1] += 1;
+        trans_at.push(0);
+        trans.push(StateId(1));
+        // Enter the instance of `e` opened at `s`: its open state with the
+        // transitions of its own wiring, its close state with those of
+        // the parent's wiring (the instance is kid `i` of `p`'s element
+        // `pe`, opened at state `p`).
+        let mut enter = |e: u32, s: u32, parent: Option<(u32, u32, u32)>| {
+            debug_assert_eq!(states.len(), s as usize);
+            let up = parent.map(|(p, ..)| StateId(p));
+            states.push(state(e, s, false, up));
+            trans_at.push(trans.len() as u32);
+            trans.extend(wiring.targets(e, 0).iter().map(|&d| StateId(s + d)));
+            states.push(state(e, s + 1, true, up));
+            trans_at.push(trans.len() as u32);
+            if let Some((p, pe, i)) = parent {
+                trans.extend(wiring.targets(pe, 1 + i).iter().map(|&d| StateId(p + d)));
+            }
+        };
+        enter(root, 1, None);
+        // (open state, element, next kid) of every instance being filled.
+        let mut open: Vec<(u32, u32, u32)> = vec![(1, root, 0)];
+        while let Some(top) = open.last_mut() {
+            let (s, e, i) = *top;
+            let Some(&(kid, offset)) = wiring.kids(e).get(i as usize) else {
+                open.pop();
+                continue;
+            };
+            top.2 += 1;
+            let at = s + offset;
+            enter(kid, at, Some((s, e, i)));
+            open.push((at, kid, 0));
         }
-        for i in 1..trans_at.len() {
-            trans_at[i] += trans_at[i - 1];
-        }
-        let mut fill = trans_at.clone();
-        let mut trans = vec![StateId::Q0; b.edges.len()];
-        for &(from, to) in &b.edges {
-            trans[fill[from.idx()] as usize] = to;
-            fill[from.idx()] += 1;
-        }
+        trans_at.push(trans.len() as u32);
         Ok(DtdAutomaton {
             elem_names: dtd.elem_names().clone(),
-            states: b.states,
+            states,
             trans,
             trans_at,
-            final_state: close_root,
+            final_state: StateId(2),
         })
     }
 
@@ -157,12 +184,12 @@ impl DtdAutomaton {
         if d.elem == u32::MAX {
             return None;
         }
-        Some(TagToken { name: &self.elem_names[d.elem as usize], close: d.close })
+        Some(TagToken { name: self.elem_names.get(d.elem as usize), close: d.close })
     }
 
     /// Element name of `s` (panics on `q0`).
     pub fn elem_name(&self, s: StateId) -> &str {
-        &self.elem_names[self.elem_id(s)]
+        self.elem_names.get(self.elem_id(s))
     }
 
     /// The `Dtd`'s element id of `s`'s element: its index in the DTD's
@@ -175,6 +202,11 @@ impl DtdAutomaton {
         d.elem as usize
     }
 
+    /// Every element name of the DTD, in id order (the DTD's own list).
+    pub fn elem_names(&self) -> &Arc<ElemNames> {
+        &self.elem_names
+    }
+
     /// Number of element names of the DTD.
     pub fn elem_count(&self) -> usize {
         self.elem_names.len()
@@ -182,7 +214,7 @@ impl DtdAutomaton {
 
     /// The element id of `name`, if the DTD mentions it.
     pub fn elem_by_name(&self, name: &str) -> Option<usize> {
-        self.elem_names.binary_search_by(|n| n.as_str().cmp(name)).ok()
+        self.elem_names.find(name)
     }
 
     /// Dense id of the tag token entering `s`: `element id · 2 + close`,
@@ -202,7 +234,7 @@ impl DtdAutomaton {
 
     /// The tag token with dense id `id`.
     pub fn label_token(&self, id: usize) -> TagToken<'_> {
-        TagToken { name: &self.elem_names[id / 2], close: id % 2 == 1 }
+        TagToken { name: self.elem_names.get(id / 2), close: id % 2 == 1 }
     }
 
     /// Is `s` a closing-tag state?
@@ -314,153 +346,189 @@ impl DtdAutomaton {
     }
 }
 
-/// How an element's content wires the instances of its children between
-/// its open and close state. Worked out once per element: every instance
-/// of the element is wired the same way.
-enum Wiring {
-    /// `EMPTY` / `(#PCDATA)`: open → close.
-    Leaf,
-    /// `(n1 | … | nk)*` (mixed content, `ANY`): the child element ids.
-    StarOfChoices(Vec<u32>),
-    /// Element content: the Glushkov automaton of the content model, and
-    /// the element id of each of its positions.
-    Positions(Glushkov, Vec<u32>),
+/// How every element's content wires the instances of its children
+/// between its open and close state, worked out once per element — every
+/// instance of an element is wired the same way — into flat arrays.
+///
+/// An element's *kids* are the child instances one instance of it holds,
+/// in order: the positions of its content model's Glushkov automaton, or
+/// the listed children of `(n1 | … | nk)*` content (mixed content and
+/// `ANY`). Its *slots* are the transition sources its wiring adds: slot 0
+/// is its open state, slot `1 + i` the close state of kid `i`. A slot's
+/// targets, in the order the transitions are taken, are coded `0` for the
+/// element's close state and `1 + i` for the open state of kid `i` until
+/// the element's expansion is counted, then rewritten to offsets from the
+/// instance's open state, so an instance's transitions are additions.
+/// Leaves (`EMPTY`, `(#PCDATA)`) and opaque (recursive) elements have no
+/// kids and one transition, open → close.
+struct Wiring {
+    elems: Vec<ElemWiring>,
+    /// Every wired element's kids: (element id, the kid instance's open
+    /// state relative to the parent's — 2 plus the sizes of the kids
+    /// before it).
+    kids: Vec<(u32, u32)>,
+    /// `targets[slot_at[k]..slot_at[k + 1]]` are slot `k`'s targets.
+    slot_at: Vec<u32>,
+    targets: Vec<u32>,
 }
 
-struct Builder<'d> {
-    dtd: &'d Dtd,
-    /// Per `Dtd` element id, its content wiring once an instance needed it.
-    wiring: Vec<Option<Rc<Wiring>>>,
-    states: Vec<StateData>,
-    /// Every transition `(from, to)`, in the order wired.
-    edges: Vec<(StateId, StateId)>,
+/// One element's part of a [`Wiring`].
+#[derive(Clone, Copy)]
+struct ElemWiring {
+    /// Its first kid in `kids` (`u32::MAX`: not wired yet) and how many.
+    kid_at: u32,
+    kids: u32,
+    /// Its first slot.
+    slot: u32,
+    /// States and transitions of one instance's expansion, its own
+    /// included (saturating; 0 until counted).
+    size: u64,
+    edges: u64,
 }
 
-impl<'d> Builder<'d> {
-    fn wiring(&mut self, elem: u32) -> Rc<Wiring> {
-        let dtd = self.dtd;
-        // `Dtd::from_parts` gives every name a content model mentions an id.
-        let id = |n: &String| dtd.elem_id(n).expect("content models mention known elements");
-        self.wiring[elem as usize]
-            .get_or_insert_with(|| {
-                Rc::new(match dtd.elem_decl(elem).map(|d| &d.content) {
-                    None | Some(ContentModel::Empty | ContentModel::Pcdata) => Wiring::Leaf,
-                    Some(ContentModel::Any) => {
-                        Wiring::StarOfChoices(dtd.elem_children(elem).to_vec())
-                    }
-                    Some(ContentModel::Mixed(names)) => {
-                        Wiring::StarOfChoices(names.iter().map(id).collect())
-                    }
-                    Some(ContentModel::Children(re)) => {
-                        let g = Glushkov::build(re);
-                        let elems = g.labels.iter().map(id).collect();
-                        Wiring::Positions(g, elems)
-                    }
-                })
-            })
-            .clone()
-    }
-
-    fn new_state(
-        &mut self,
-        elem: u32,
-        close: bool,
-        parent: Option<StateId>,
-        opaque: bool,
-    ) -> Result<StateId, DtdError> {
-        if self.states.len() >= STATE_LIMIT {
+impl Wiring {
+    /// Wire every element the root's expansion reaches and count its
+    /// expansion; fails once it would exceed the state budget.
+    fn of(dtd: &Dtd) -> Result<Wiring, DtdError> {
+        let n = dtd.elem_count();
+        let unwired = ElemWiring { kid_at: u32::MAX, kids: 0, slot: 0, size: 0, edges: 0 };
+        // Every kid is a name of a model or a child of an `ANY`.
+        let (kids, longest) = (0..n as u32).fold((0, 0), |(kids, longest), e| {
+            let model = dtd.elem_model(e).len();
+            let any = if dtd.elem_kind(e) == Kind::Any { dtd.elem_children(e).len() } else { 0 };
+            (kids + model + any, longest.max(model))
+        });
+        let mut w = Wiring {
+            elems: vec![unwired; n],
+            kids: Vec::with_capacity(kids),
+            slot_at: Vec::with_capacity(n + kids + 1),
+            targets: Vec::with_capacity(4 * (n + kids)),
+        };
+        w.slot_at.push(0);
+        let mut positions = Positions::with_capacity(longest);
+        // Post-order over the elements reached: an element is counted
+        // once its kids are. Non-opaque elements form a DAG, so no element
+        // waits on itself.
+        let mut stack = Vec::with_capacity(n + 1);
+        stack.push(dtd.root_id());
+        while let Some(&e) = stack.last() {
+            let ei = e as usize;
+            if w.elems[ei].size != 0 {
+                stack.pop();
+                continue;
+            }
+            if w.elems[ei].kid_at == u32::MAX {
+                w.wire(dtd, e, &mut positions);
+            }
+            let pending = stack.len();
+            let ElemWiring { kid_at, kids, .. } = w.elems[ei];
+            let range = kid_at as usize..(kid_at + kids) as usize;
+            stack.extend(
+                w.kids[range.clone()]
+                    .iter()
+                    .map(|k| k.0)
+                    .filter(|&k| w.elems[k as usize].size == 0),
+            );
+            if stack.len() > pending {
+                continue;
+            }
+            stack.pop();
+            let k0 = range.start;
+            let mut size = 2u64;
+            let mut edges = w.targets(e, 0).len() as u64;
+            for (i, k) in range.enumerate() {
+                w.kids[k].1 = size.min(u32::MAX as u64) as u32;
+                let kid = w.elems[w.kids[k].0 as usize];
+                size = size.saturating_add(kid.size);
+                let slot = w.targets(e, 1 + i as u32).len() as u64;
+                edges = edges.saturating_add(kid.edges).saturating_add(slot);
+            }
+            w.elems[ei].size = size.min(STATE_LIMIT as u64 + 1);
+            w.elems[ei].edges = edges;
+            // The kids are placed: resolve the coded targets to offsets.
+            let slots =
+                w.elems[ei].slot as usize..(w.elems[ei].slot + w.elems[ei].kids + 1) as usize;
+            let codes = w.slot_at[slots.start] as usize..w.slot_at[slots.end] as usize;
+            for t in &mut w.targets[codes] {
+                *t = if *t == 0 { 1 } else { w.kids[k0 + *t as usize - 1].1 };
+            }
+        }
+        if 1 + w.size(dtd.root_id()) > STATE_LIMIT as u64 {
             return Err(DtdError::TooLarge { limit: STATE_LIMIT });
         }
-        let id = StateId(self.states.len() as u32);
-        self.states.push(StateData { elem, close, dual: id, parent, end: 0, opaque });
-        Ok(id)
+        Ok(w)
     }
 
-    /// Expand one instance of element `elem` (a `Dtd` element id); returns
-    /// its (open, close) states.
-    fn expand(
-        &mut self,
-        elem: u32,
-        parent: Option<StateId>,
-    ) -> Result<(StateId, StateId), DtdError> {
-        let opaque = self.dtd.elem_is_recursive(elem);
-        let open = self.new_state(elem, false, parent, opaque)?;
-        let close = self.new_state(elem, true, parent, opaque)?;
-        self.states[open.idx()].dual = close;
-        self.states[close.idx()].dual = open;
-
-        if opaque {
-            // Interior elided: the subtree is crossed by balanced scanning.
-            self.edges.push((open, close));
-        } else {
-            match &*self.wiring(elem) {
-                Wiring::Leaf => self.edges.push((open, close)),
-                Wiring::StarOfChoices(children) => {
-                    self.expand_star_of_choices(children, open, close)?
+    /// Work out element `e`'s kids and slots.
+    fn wire(&mut self, dtd: &Dtd, e: u32, positions: &mut Positions) {
+        let kid_at = self.kids.len() as u32;
+        let slot = self.slot_at.len() as u32 - 1;
+        let kind = if dtd.elem_is_recursive(e) { Kind::Empty } else { dtd.elem_kind(e) };
+        match kind {
+            Kind::Undeclared | Kind::Empty | Kind::Pcdata => {
+                self.targets.push(0);
+                self.slot_at.push(self.targets.len() as u32);
+            }
+            Kind::Any | Kind::Mixed => {
+                if kind == Kind::Any {
+                    self.kids.extend(dtd.elem_children(e).iter().map(|&c| (c, 0)));
+                } else {
+                    self.kids.extend(dtd.elem_model(e).iter().map(|n| match n {
+                        Node::Name(c) => (*c, 0),
+                        _ => unreachable!("a mixed model lists names"),
+                    }));
                 }
-                Wiring::Positions(g, elems) => self.expand_positions(g, elems, open, close)?,
+                // `(n1 | … | nk)*`: the open state and every kid's close
+                // state go to the close state or to any kid's open state.
+                let k = self.kids.len() as u32 - kid_at;
+                for _ in 0..=k {
+                    self.targets.extend(0..=k);
+                    self.slot_at.push(self.targets.len() as u32);
+                }
+            }
+            Kind::Children => {
+                positions.build(dtd.elem_model(e));
+                self.kids.extend(positions.labels.iter().map(|&c| (c, 0)));
+                self.targets.extend(members(positions.first()).map(|f| 1 + f as u32));
+                if positions.nullable {
+                    self.targets.push(0);
+                }
+                self.slot_at.push(self.targets.len() as u32);
+                let last = positions.last();
+                for x in 0..positions.labels.len() {
+                    self.targets.extend(members(positions.follow(x)).map(|y| 1 + y as u32));
+                    if last[x / 64] >> (x % 64) & 1 == 1 {
+                        self.targets.push(0);
+                    }
+                    self.slot_at.push(self.targets.len() as u32);
+                }
             }
         }
-        let end = self.states.len() as u32;
-        self.states[open.idx()].end = end;
-        self.states[close.idx()].end = end;
-        Ok((open, close))
+        let kids = self.kids.len() as u32 - kid_at;
+        self.elems[e as usize] = ElemWiring { kid_at, kids, slot, size: 0, edges: 0 };
     }
 
-    /// Wire `(n1 | … | nk)*` content between `open` and `close`.
-    fn expand_star_of_choices(
-        &mut self,
-        children: &[u32],
-        open: StateId,
-        close: StateId,
-    ) -> Result<(), DtdError> {
-        let mut child_states = Vec::with_capacity(children.len());
-        for &n in children {
-            child_states.push(self.expand(n, Some(open))?);
-        }
-        self.edges.push((open, close));
-        for &(co, _) in &child_states {
-            self.edges.push((open, co));
-        }
-        for &(_, cc) in &child_states {
-            self.edges.push((cc, close));
-            for &(co2, _) in &child_states {
-                self.edges.push((cc, co2));
-            }
-        }
-        Ok(())
+    /// States of one instance of `e`.
+    fn size(&self, e: u32) -> u64 {
+        self.elems[e as usize].size
     }
 
-    /// Wire element content between `open` and `close` along the Glushkov
-    /// automaton `g` of the content model, whose positions are instances
-    /// of the elements `elems`.
-    fn expand_positions(
-        &mut self,
-        g: &Glushkov,
-        elems: &[u32],
-        open: StateId,
-        close: StateId,
-    ) -> Result<(), DtdError> {
-        let mut pos_states = Vec::with_capacity(elems.len());
-        for &elem in elems {
-            pos_states.push(self.expand(elem, Some(open))?);
-        }
-        for &f in &g.first {
-            self.edges.push((open, pos_states[f].0));
-        }
-        if g.nullable {
-            self.edges.push((open, close));
-        }
-        for (x, follows) in g.follow.iter().enumerate() {
-            let from = pos_states[x].1;
-            for &y in follows {
-                self.edges.push((from, pos_states[y].0));
-            }
-        }
-        for &l in &g.last {
-            self.edges.push((pos_states[l].1, close));
-        }
-        Ok(())
+    /// Transitions of one instance of `e`, `q0`'s excluded.
+    fn edges(&self, e: u32) -> u64 {
+        self.elems[e as usize].edges
+    }
+
+    /// The kids of `e`: (element id, relative open state).
+    fn kids(&self, e: u32) -> &[(u32, u32)] {
+        let ElemWiring { kid_at, kids, .. } = self.elems[e as usize];
+        &self.kids[kid_at as usize..(kid_at + kids) as usize]
+    }
+
+    /// The targets of element `e`'s slot `slot` (coded, or offsets once
+    /// `e` is counted).
+    fn targets(&self, e: u32, slot: u32) -> &[u32] {
+        let k = (self.elems[e as usize].slot + slot) as usize;
+        &self.targets[self.slot_at[k] as usize..self.slot_at[k + 1] as usize]
     }
 }
 

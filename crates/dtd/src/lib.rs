@@ -4,7 +4,8 @@
 //! DTD. From it, the static analysis needs three things, all provided here:
 //!
 //! 1. a parsed schema — element declarations with content models and
-//!    attribute lists ([`Dtd`], [`ContentModel`], [`Regex`]),
+//!    attribute lists over dense element ids ([`Dtd`]; the string forms
+//!    [`ContentModel`], [`Regex`] on request),
 //! 2. the **DTD-automaton** (paper Fig. 5): a homogeneous finite automaton
 //!    over opening/closing tag tokens accepting exactly the documents valid
 //!    w.r.t. the DTD, with dual states `q`/`q̂` per element instance and a
@@ -14,6 +15,10 @@
 //!    an element instance can occupy in any valid document, counting
 //!    required attributes — the ingredient of the initial jump offsets
 //!    `J[q]` ([`MinLen`]).
+//!
+//! A compile reads the last two, and the tag universe of the DTD's
+//! elements, from [`Dtd::analysis`]: built once per parsed DTD and shared
+//! by every compile made from it ([`DtdAnalysis`]).
 //!
 //! # Example
 //!
@@ -38,6 +43,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod analysis;
 mod automaton;
 mod error;
 pub mod glushkov;
@@ -45,7 +51,8 @@ mod minlen;
 mod model;
 mod parser;
 
+pub use analysis::DtdAnalysis;
 pub use automaton::{DtdAutomaton, StateId, TagToken};
 pub use error::DtdError;
 pub use minlen::{ElemLengths, MinLen};
-pub use model::{AttDef, AttDefault, ContentModel, Dtd, ElementDecl, Regex};
+pub use model::{AttDef, AttDefault, ContentModel, Dtd, ElemNames, ElementDecl, Regex};

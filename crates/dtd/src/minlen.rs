@@ -19,7 +19,7 @@
 //! (25 characters).
 
 use crate::error::DtdError;
-use crate::model::{AttDefault, ContentModel, Dtd, Regex};
+use crate::model::{AttKind, Dtd, ElemNames, Kind, Node};
 use std::sync::Arc;
 
 /// Precomputed minimal lengths for every element of a DTD, indexed by the
@@ -27,7 +27,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct MinLen {
     /// The DTD's element names in id (= name) order.
-    names: Arc<[String]>,
+    names: Arc<ElemNames>,
     attr_min: Vec<usize>,
     content_min: Vec<usize>,
     can_be_empty: Vec<bool>,
@@ -49,30 +49,51 @@ impl MinLen {
     /// minimal content length of 0. All lengths remain valid *lower*
     /// bounds, which is the only property jump-offset safety needs.
     pub fn compute_allow_recursion(dtd: &Dtd) -> Result<MinLen, DtdError> {
-        let names = dtd.elem_names().clone();
-        let n = names.len() as u32;
+        let n = dtd.elem_count();
+        let mut scratch: Vec<usize> = Vec::new();
         let mut ml = MinLen {
-            attr_min: (0..n).map(|e| required_attrs_min(dtd, e)).collect(),
-            can_be_empty: (0..n)
-                .map(|e| dtd.elem_decl(e).is_none_or(|d| d.content.can_be_empty()))
+            names: dtd.elem_names().clone(),
+            attr_min: (0..n as u32).map(|e| required_attrs_min(dtd, e)).collect(),
+            can_be_empty: (0..n as u32)
+                .map(|e| {
+                    dtd.elem_kind(e) != Kind::Children
+                        || eval(dtd.elem_model(e), &mut scratch, |_| 0, Eval::Nullable) == 1
+                })
                 .collect(),
-            content_min: Vec::new(),
-            names,
+            content_min: vec![0; n],
         };
-        // Recursive elements are pre-seeded with 0, which makes the
-        // memoized recursion well-founded (and conservative).
-        let mut memo: Vec<Option<usize>> =
-            (0..n).map(|e| dtd.elem_is_recursive(e).then_some(0)).collect();
-        for e in 0..n {
-            ml.content_min_memo(dtd, e, &mut memo);
+        // Content lengths in post-order over the containment graph, each
+        // element's after its children's. Recursive elements are seeded
+        // with 0, which makes the order well-founded (and conservative):
+        // the rest form a DAG.
+        let mut done: Vec<bool> = (0..n as u32).map(|e| dtd.elem_is_recursive(e)).collect();
+        let mut stack: Vec<u32> = Vec::new();
+        for start in 0..n as u32 {
+            stack.push(start);
+            while let Some(&e) = stack.last() {
+                if done[e as usize] {
+                    stack.pop();
+                    continue;
+                }
+                let pending = stack.len();
+                stack.extend(dtd.elem_children(e).iter().filter(|&&c| !done[c as usize]));
+                if stack.len() > pending {
+                    continue;
+                }
+                stack.pop();
+                if dtd.elem_kind(e) == Kind::Children {
+                    let elem = |c: u32| ml.of(c as usize).elem;
+                    ml.content_min[e as usize] =
+                        eval(dtd.elem_model(e), &mut scratch, elem, Eval::Shortest);
+                }
+                done[e as usize] = true;
+            }
         }
-        // The loop above memoized every id.
-        ml.content_min = memo.into_iter().map(|v| v.expect("filled above")).collect();
         Ok(ml)
     }
 
     fn id(&self, elem: &str) -> Option<usize> {
-        self.names.binary_search_by(|n| n.as_str().cmp(elem)).ok()
+        self.names.find(elem)
     }
 
     /// Every minimal length of element `e`, a DTD element id (the index of
@@ -80,7 +101,7 @@ impl MinLen {
     /// without the name search.
     pub fn of(&self, e: usize) -> ElemLengths {
         ElemLengths::new(
-            self.names[e].len(),
+            self.names.get(e).len(),
             self.attr_min[e],
             self.content_min[e],
             self.can_be_empty[e],
@@ -124,45 +145,50 @@ impl MinLen {
     pub fn elem(&self, elem: &str) -> usize {
         self.by_name(elem).elem
     }
+}
 
-    /// Memoized minimal content length of element `e` (acyclic once the
-    /// recursive elements are seeded, so plain recursion with a memo table
-    /// terminates in O(schema size)).
-    fn content_min_memo(&self, dtd: &Dtd, e: u32, memo: &mut [Option<usize>]) -> usize {
-        if let Some(v) = memo[e as usize] {
-            return v;
-        }
-        let v = match dtd.elem_decl(e).map(|d| &d.content) {
-            Some(ContentModel::Children(re)) => self.regex_min_memo(dtd, re, memo),
-            _ => 0,
+/// What [`eval`] computes over a content model.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Eval {
+    /// 1 if the model accepts the empty word, else 0.
+    Nullable,
+    /// The fewest characters a word of the model takes, an element
+    /// costing what `leaf` says.
+    Shortest,
+}
+
+/// Evaluate a post-order model bottom-up on the `stack` buffer.
+fn eval(model: &[Node], stack: &mut Vec<usize>, leaf: impl Fn(u32) -> usize, what: Eval) -> usize {
+    stack.clear();
+    let nullable = what == Eval::Nullable;
+    for &node in model {
+        let v = match node {
+            Node::Name(c) => {
+                if nullable {
+                    0
+                } else {
+                    leaf(c)
+                }
+            }
+            Node::Seq(k) | Node::Choice(k) => {
+                let operands = stack.drain(stack.len() - k as usize..);
+                match (node, nullable) {
+                    (Node::Seq(_), true) => operands.fold(1, |a, b| a & b),
+                    (Node::Seq(_), false) => operands.sum(),
+                    (_, true) => operands.fold(0, |a, b| a | b),
+                    // An empty choice is as short as nothing.
+                    (_, false) => operands.min().unwrap_or(0),
+                }
+            }
+            Node::Opt | Node::Star => {
+                stack.pop();
+                nullable as usize
+            }
+            Node::Plus => continue,
         };
-        memo[e as usize] = Some(v);
-        v
+        stack.push(v);
     }
-
-    fn regex_min_memo(&self, dtd: &Dtd, re: &Regex, memo: &mut [Option<usize>]) -> usize {
-        match re {
-            Regex::Name(n) => {
-                // `Dtd::from_parts` gives every name a content model
-                // mentions an id.
-                let e = dtd.elem_id(n).expect("content models mention known elements");
-                self.elem_min_memo(dtd, e, memo)
-            }
-            Regex::Seq(parts) => parts.iter().map(|p| self.regex_min_memo(dtd, p, memo)).sum(),
-            Regex::Choice(parts) => {
-                parts.iter().map(|p| self.regex_min_memo(dtd, p, memo)).min().unwrap_or(0)
-            }
-            Regex::Opt(_) | Regex::Star(_) => 0,
-            Regex::Plus(inner) => self.regex_min_memo(dtd, inner, memo),
-        }
-    }
-
-    /// Minimal length of a complete instance of element `e`.
-    fn elem_min_memo(&self, dtd: &Dtd, e: u32, memo: &mut [Option<usize>]) -> usize {
-        let content = self.content_min_memo(dtd, e, memo);
-        let (i, name_len) = (e as usize, dtd.elem_name(e).len());
-        ElemLengths::new(name_len, self.attr_min[i], content, self.can_be_empty[i]).elem
-    }
+    stack.pop().expect("a model has a root")
 }
 
 /// The minimal lengths of one element ([`MinLen::of`]).
@@ -195,14 +221,13 @@ impl ElemLengths {
 }
 
 fn required_attrs_min(dtd: &Dtd, elem: u32) -> usize {
-    dtd.elem_decl(elem)
-        .map_or(&[][..], |d| &d.attrs)
+    dtd.elem_atts(elem)
         .iter()
-        .filter(|a| matches!(a.default, AttDefault::Required))
+        .filter(|a| a.kind == AttKind::Required)
         .map(|a| {
             // ` name="v"` = 1 + |name| + 1 + 2 + |v|.
-            let min_value = min_attr_value_len(&a.ty);
-            1 + a.name.len() + 1 + 2 + min_value
+            let min_value = min_attr_value_len(dtd.att_str(a.ty));
+            1 + dtd.att_str(a.name).len() + 1 + 2 + min_value
         })
         .sum()
 }

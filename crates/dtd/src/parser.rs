@@ -4,28 +4,40 @@
 //! of `<!ELEMENT>` / `<!ATTLIST>` declarations. Comments are skipped;
 //! parameter entities are not supported (none of the paper's schemas use
 //! them).
+//!
+//! The parser writes the id-based model directly: each name is interned
+//! once (a name borrows the input unless it is not UTF-8), content models
+//! go into one post-order node array, attribute strings into one buffer.
 
 use crate::error::DtdError;
-use crate::model::{AttDef, AttDefault, ContentModel, Dtd, ElementDecl, Regex};
+use crate::model::{Att, AttKind, Builder, Dtd, Kind, Node, RawDecl};
 use smpx_xml::{is_name_byte, is_name_start_byte, is_xml_whitespace};
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+
+/// The longest DTD text accepted: the model holds offsets into its names
+/// and attribute text (up to three times the input once invalid UTF-8 is
+/// replaced) as `u32`.
+const MAX_INPUT: usize = 1 << 30;
 
 pub(crate) fn parse(input: &[u8]) -> Result<Dtd, DtdError> {
-    let mut p = Parser { input, pos: 0 };
+    if input.len() > MAX_INPUT {
+        let msg = format!("DTD text longer than {MAX_INPUT} bytes");
+        return Err(DtdError::Syntax { msg, pos: MAX_INPUT });
+    }
+    let text = std::str::from_utf8(input).ok();
+    let mut p = Parser { input, text, pos: 0, b: sized_builder(input) };
     p.skip_ws_and_comments();
 
-    let mut doctype_root: Option<String> = None;
+    let mut doctype_root: Option<u32> = None;
     if p.eat(b"<!DOCTYPE") {
         p.require_ws()?;
-        doctype_root = Some(p.name()?);
+        doctype_root = Some(p.name_id()?);
         p.skip_ws_and_comments();
         if !p.eat(b"[") {
             return Err(p.err("expected '[' opening the internal subset"));
         }
     }
 
-    let mut decls: Vec<(String, ContentModel)> = Vec::new();
-    let mut attlists: BTreeMap<String, Vec<AttDef>> = BTreeMap::new();
     loop {
         p.skip_ws_and_comments();
         if p.done() {
@@ -42,19 +54,19 @@ pub(crate) fn parse(input: &[u8]) -> Result<Dtd, DtdError> {
         }
         if p.eat(b"<!ELEMENT") {
             p.require_ws()?;
-            let name = p.name()?;
+            let name = p.name_id()?;
             p.require_ws()?;
-            let content = p.content_model()?;
+            let start = p.b.nodes.len() as u32;
+            let kind = p.content_model()?;
             p.skip_ws_and_comments();
             if !p.eat(b">") {
                 return Err(p.err("expected '>' closing ELEMENT declaration"));
             }
-            decls.push((name, content));
+            p.b.decls.push(RawDecl { name, kind, model: (start, p.b.nodes.len() as u32) });
         } else if p.eat(b"<!ATTLIST") {
             p.require_ws()?;
-            let elem = p.name()?;
-            let defs = p.att_defs()?;
-            attlists.entry(elem).or_default().extend(defs);
+            let elem = p.name_id()?;
+            p.att_defs(elem)?;
         } else if p.eat(b"<!ENTITY") || p.eat(b"<!NOTATION") {
             // Tolerated and skipped: scan to the closing '>'.
             while let Some(c) = p.peek() {
@@ -68,26 +80,36 @@ pub(crate) fn parse(input: &[u8]) -> Result<Dtd, DtdError> {
         }
     }
 
-    if decls.is_empty() {
+    if p.b.decls.is_empty() {
         return Err(DtdError::Empty);
     }
-    let root = doctype_root.unwrap_or_else(|| decls[0].0.clone());
-    let mut elements = Vec::with_capacity(decls.len());
-    for (name, content) in decls {
-        let attrs = attlists.remove(&name).unwrap_or_default();
-        elements.push(ElementDecl { name, content, attrs });
+    let root = doctype_root.unwrap_or(p.b.decls[0].name);
+    p.b.finish(root)
+}
+
+/// A builder sized from counts of the bytes that open what it holds, so
+/// that parsing grows none of its arrays: a model name follows a `(`, `|`
+/// or `,`; a declaration starts at a `<`; an attribute default is a `#`
+/// keyword or a quoted value.
+fn sized_builder(input: &[u8]) -> Builder<'_> {
+    let mut count = [0usize; 256];
+    for &c in input {
+        count[c as usize] += 1;
     }
-    // ATTLISTs for undeclared elements get a synthetic PCDATA declaration so
-    // their required attributes still count toward minimal lengths.
-    for (name, attrs) in attlists {
-        elements.push(ElementDecl { name, content: ContentModel::Pcdata, attrs });
-    }
-    Dtd::from_parts(root, elements)
+    let opens = count[b'(' as usize];
+    let model_names = opens + count[b'|' as usize] + count[b',' as usize];
+    let modifiers = count[b'?' as usize] + count[b'*' as usize] + count[b'+' as usize];
+    let decls = count[b'<' as usize];
+    let atts = count[b'#' as usize] + (count[b'"' as usize] + count[b'\'' as usize]) / 2;
+    Builder::new(model_names + 2 * decls + 1, opens + model_names + modifiers, atts, decls)
 }
 
 struct Parser<'a> {
     input: &'a [u8],
+    /// The input as text, when it is UTF-8: what names and values borrow.
+    text: Option<&'a str>,
     pos: usize,
+    b: Builder<'a>,
 }
 
 impl<'a> Parser<'a> {
@@ -104,7 +126,12 @@ impl<'a> Parser<'a> {
     }
 
     fn eat(&mut self, lit: &[u8]) -> bool {
-        if self.input[self.pos.min(self.input.len())..].starts_with(lit) {
+        // Most tries fail on the first byte: settle those without
+        // comparing the rest.
+        if self.peek() != Some(lit[0]) {
+            return false;
+        }
+        if self.input[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             true
         } else {
@@ -146,7 +173,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn name(&mut self) -> Result<String, DtdError> {
+    fn name(&mut self) -> Result<Cow<'a, str>, DtdError> {
         let start = self.pos;
         match self.peek() {
             Some(c) if is_name_start_byte(c) => self.pos += 1,
@@ -159,21 +186,44 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        Ok(String::from_utf8_lossy(&self.input[start..self.pos]).into_owned())
+        Ok(self.slice(start))
     }
 
-    fn content_model(&mut self) -> Result<ContentModel, DtdError> {
+    /// The input from `start` to the current position, as text (invalid
+    /// UTF-8 replaced).
+    fn slice(&self, start: usize) -> Cow<'a, str> {
+        match self.text.and_then(|t| t.get(start..self.pos)) {
+            Some(s) => Cow::Borrowed(s),
+            None => String::from_utf8_lossy(&self.input[start..self.pos]),
+        }
+    }
+
+    /// An element name, interned.
+    fn name_id(&mut self) -> Result<u32, DtdError> {
+        let name = self.name()?;
+        Ok(self.b.intern(name))
+    }
+
+    /// An element name as a model node.
+    fn name_node(&mut self) -> Result<(), DtdError> {
+        let id = self.name_id()?;
+        self.b.nodes.push(Node::Name(id));
+        Ok(())
+    }
+
+    /// The content model; a mixed or element model's nodes are appended.
+    fn content_model(&mut self) -> Result<Kind, DtdError> {
         if self.eat(b"EMPTY") {
-            return Ok(ContentModel::Empty);
+            return Ok(Kind::Empty);
         }
         if self.eat(b"ANY") {
-            return Ok(ContentModel::Any);
+            return Ok(Kind::Any);
         }
         if self.peek() != Some(b'(') {
             // Non-standard shorthand some DTD excerpts use: `#PCDATA`
             // without parentheses (the paper's Fig. 1 uses this style).
             if self.eat(b"#PCDATA") {
-                return Ok(ContentModel::Pcdata);
+                return Ok(Kind::Pcdata);
             }
             return Err(self.err("expected a content model"));
         }
@@ -183,118 +233,103 @@ impl<'a> Parser<'a> {
         self.skip_ws_and_comments();
         if self.eat(b"#PCDATA") {
             self.skip_ws_and_comments();
-            let mut names = Vec::new();
+            let start = self.b.nodes.len();
             while self.eat(b"|") {
                 self.skip_ws_and_comments();
-                names.push(self.name()?);
+                self.name_node()?;
                 self.skip_ws_and_comments();
             }
             if !self.eat(b")") {
                 return Err(self.err("expected ')' in mixed content"));
             }
             let starred = self.eat(b"*");
-            if !names.is_empty() && !starred {
+            let named = self.b.nodes.len() > start;
+            if named && !starred {
                 return Err(self.err("mixed content with names requires trailing '*'"));
             }
-            return Ok(if names.is_empty() {
-                ContentModel::Pcdata
-            } else {
-                ContentModel::Mixed(names)
-            });
+            return Ok(if named { Kind::Mixed } else { Kind::Pcdata });
         }
         // Element content: back up to the '(' and parse a regex.
         self.pos = save;
-        let re = self.regex_particle()?;
-        Ok(ContentModel::Children(re))
+        self.regex_particle()?;
+        Ok(Kind::Children)
     }
 
     /// cp ::= (name | choice | seq) ('?' | '*' | '+')?
-    fn regex_particle(&mut self) -> Result<Regex, DtdError> {
+    fn regex_particle(&mut self) -> Result<(), DtdError> {
         self.skip_ws_and_comments();
-        let base = if self.eat(b"(") {
-            let re = self.regex_group()?;
+        if self.eat(b"(") {
+            self.regex_group()?;
             if !self.eat(b")") {
                 return Err(self.err("expected ')'"));
             }
-            re
         } else {
-            Regex::Name(self.name()?)
+            self.name_node()?;
+        }
+        let modifier = match self.peek() {
+            Some(b'?') => Node::Opt,
+            Some(b'*') => Node::Star,
+            Some(b'+') => Node::Plus,
+            _ => return Ok(()),
         };
-        Ok(match self.peek() {
-            Some(b'?') => {
-                self.pos += 1;
-                Regex::Opt(Box::new(base))
-            }
-            Some(b'*') => {
-                self.pos += 1;
-                Regex::Star(Box::new(base))
-            }
-            Some(b'+') => {
-                self.pos += 1;
-                Regex::Plus(Box::new(base))
-            }
-            _ => base,
-        })
+        self.pos += 1;
+        self.b.nodes.push(modifier);
+        Ok(())
     }
 
     /// group ::= cp ((',' cp)* | ('|' cp)*)
-    fn regex_group(&mut self) -> Result<Regex, DtdError> {
-        let first = self.regex_particle()?;
+    fn regex_group(&mut self) -> Result<(), DtdError> {
+        self.regex_particle()?;
         self.skip_ws_and_comments();
-        match self.peek() {
-            Some(b',') => {
-                let mut parts = vec![first];
-                while self.eat(b",") {
-                    parts.push(self.regex_particle()?);
-                    self.skip_ws_and_comments();
-                }
-                Ok(Regex::Seq(parts))
-            }
-            Some(b'|') => {
-                let mut parts = vec![first];
-                while self.eat(b"|") {
-                    parts.push(self.regex_particle()?);
-                    self.skip_ws_and_comments();
-                }
-                Ok(Regex::Choice(parts))
-            }
-            _ => Ok(first),
+        let sep = match self.peek() {
+            Some(c @ (b',' | b'|')) => c,
+            _ => return Ok(()),
+        };
+        let mut parts = 1;
+        while self.eat(&[sep]) {
+            self.regex_particle()?;
+            self.skip_ws_and_comments();
+            parts += 1;
         }
+        self.b.nodes.push(if sep == b',' { Node::Seq(parts) } else { Node::Choice(parts) });
+        Ok(())
     }
 
-    fn att_defs(&mut self) -> Result<Vec<AttDef>, DtdError> {
-        let mut defs = Vec::new();
+    /// The attribute definitions of one `<!ATTLIST>` for element `elem`.
+    fn att_defs(&mut self, elem: u32) -> Result<(), DtdError> {
         loop {
             self.skip_ws_and_comments();
             if self.eat(b">") {
-                return Ok(defs);
+                return Ok(());
             }
             let name = self.name()?;
+            let name = self.b.text(&name);
             self.require_ws()?;
             let ty = self.att_type()?;
             self.require_ws()?;
-            let default = if self.eat(b"#REQUIRED") {
-                AttDefault::Required
+            let (kind, value) = if self.eat(b"#REQUIRED") {
+                (AttKind::Required, (0, 0))
             } else if self.eat(b"#IMPLIED") {
-                AttDefault::Implied
+                (AttKind::Implied, (0, 0))
             } else if self.eat(b"#FIXED") {
                 self.require_ws()?;
-                AttDefault::Fixed(self.quoted()?)
+                (AttKind::Fixed, self.quoted()?)
             } else {
-                AttDefault::Default(self.quoted()?)
+                (AttKind::Default, self.quoted()?)
             };
-            defs.push(AttDef { name, ty, default });
+            self.b.atts.push((elem, Att { name, ty, kind, value }));
         }
     }
 
-    fn att_type(&mut self) -> Result<String, DtdError> {
+    /// The declared type, verbatim, as a range of the attribute text.
+    fn att_type(&mut self) -> Result<(u32, u32), DtdError> {
         // Enumerated type?
         if self.peek() == Some(b'(') {
             let start = self.pos;
             while let Some(c) = self.peek() {
                 self.pos += 1;
                 if c == b')' {
-                    return Ok(String::from_utf8_lossy(&self.input[start..self.pos]).into_owned());
+                    return Ok(self.b.text(&self.slice(start)));
                 }
             }
             return Err(self.err("unterminated enumerated attribute type"));
@@ -307,19 +342,20 @@ impl<'a> Parser<'a> {
                 while let Some(c) = self.peek() {
                     self.pos += 1;
                     if c == b')' {
-                        return Ok(format!(
-                            "NOTATION {}",
-                            String::from_utf8_lossy(&self.input[start..self.pos])
-                        ));
+                        let (from, _) = self.b.text("NOTATION ");
+                        let (_, to) = self.b.text(&self.slice(start));
+                        return Ok((from, to));
                     }
                 }
             }
             return Err(self.err("malformed NOTATION type"));
         }
-        self.name()
+        let name = self.name()?;
+        Ok(self.b.text(&name))
     }
 
-    fn quoted(&mut self) -> Result<String, DtdError> {
+    /// A quoted value, as a range of the attribute text.
+    fn quoted(&mut self) -> Result<(u32, u32), DtdError> {
         let quote = match self.peek() {
             Some(q @ (b'"' | b'\'')) => q,
             _ => return Err(self.err("expected a quoted value")),
@@ -328,7 +364,7 @@ impl<'a> Parser<'a> {
         let start = self.pos;
         while let Some(c) = self.peek() {
             if c == quote {
-                let v = String::from_utf8_lossy(&self.input[start..self.pos]).into_owned();
+                let v = self.b.text(&self.slice(start));
                 self.pos += 1;
                 return Ok(v);
             }
@@ -341,6 +377,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::{AttDefault, ContentModel, Regex};
 
     const XMARK_EXCERPT: &[u8] = br#"<!DOCTYPE site [
 <!ELEMENT site (regions)>

@@ -904,30 +904,51 @@ pub struct TagUniverse {
 const NO_SET: u16 = u16::MAX;
 
 impl TagUniverse {
-    /// The universe of a DTD's elements: `<name` and `</name` for each.
-    pub fn of_elements<N: AsRef<str>>(names: &[N]) -> TagUniverse {
-        // Token `2e` opens element `e`, token `2e + 1` closes it.
+    /// The universe of a DTD's elements: `<name` and `</name` for each,
+    /// token `2e` opening and token `2e + 1` closing the `e`-th name.
+    pub fn of_elements<I>(names: I) -> TagUniverse
+    where
+        I: IntoIterator,
+        I::Item: AsRef<str>,
+        I::IntoIter: ExactSizeIterator + Clone,
+    {
+        let names = names.into_iter();
         let tokens = 2 * names.len();
         let words = tokens.div_ceil(64);
-        let longest = names.iter().map(|n| n.as_ref().len() + 2).max().unwrap_or(0);
-        let mut set_of: Vec<[u16; 256]> = Vec::with_capacity(longest.min(FP_SPAN));
-        let mut sets: Vec<u64> = Vec::new();
-        for t in 0..tokens {
-            let bracket: &[u8] = if t % 2 == 0 { b"<" } else { b"</" };
-            let token = bracket.iter().copied().chain(names[t / 2].as_ref().bytes());
-            for (o, b) in token.take(FP_SPAN).enumerate() {
-                if o == set_of.len() {
-                    set_of.push([NO_SET; 256]);
-                }
-                let set = &mut set_of[o][b as usize];
-                if *set == NO_SET {
-                    *set = (sets.len() / words) as u16;
-                    sets.resize(sets.len() + words, 0);
-                }
-                sets[*set as usize * words + t / 64] |= 1 << (t % 64);
+        let longest = names.clone().map(|n| n.as_ref().len() + 2).max().unwrap_or(0);
+        let mut set_of: Vec<[u16; 256]> = vec![[NO_SET; 256]; longest.min(FP_SPAN)];
+        // Token `t`'s bytes at their offsets: `<` or `</`, then the name.
+        fn token(name: &[u8], close: bool, mut at: impl FnMut(usize, u8)) {
+            let bracket: &[u8] = if close { b"</" } else { b"<" };
+            for (o, &b) in bracket.iter().enumerate() {
+                at(o, b);
+            }
+            for (o, &b) in name.iter().take(FP_SPAN - bracket.len()).enumerate() {
+                at(bracket.len() + o, b);
             }
         }
-        sets.shrink_to_fit();
+        // Number the sets in order of first holder, then fill them: the
+        // set array is allocated once, at its size.
+        let mut count = 0u16;
+        for name in names.clone() {
+            for close in [false, true] {
+                token(name.as_ref().as_bytes(), close, |o, b| {
+                    let set = &mut set_of[o][b as usize];
+                    if *set == NO_SET {
+                        *set = count;
+                        count += 1;
+                    }
+                });
+            }
+        }
+        let mut sets = vec![0u64; count as usize * words];
+        for (e, name) in names.enumerate() {
+            for (t, close) in [(2 * e, false), (2 * e + 1, true)] {
+                token(name.as_ref().as_bytes(), close, |o, b| {
+                    sets[set_of[o][b as usize] as usize * words + t / 64] |= 1 << (t % 64);
+                });
+            }
+        }
         TagUniverse { tokens, set_of, sets }
     }
 

@@ -594,11 +594,14 @@ fn total_tag<'a>(args: &'a Args, rows: &[Row]) -> &'a str {
 
 /// The `--stats` line of a compile: the automaton's size, the set-up's wall
 /// time and the static analysis's work counts.
-fn compile_line(t: &CompiledTables, wall: Duration) -> String {
+/// The whole set-up on one line: the DTD parse, then the compile (static
+/// analysis and tables) with what it did.
+fn compile_line(t: &CompiledTables, parse: Duration, wall: Duration) -> String {
     let c = t.compile_counts();
     format!(
-        "{} states ({} CW + {} BM), compiled in {:.2} ms: {} relevance steps, \
-         {} gap-search nodes, {} hazard-scan visits",
+        "DTD parsed in {:.2} ms, {} states ({} CW + {} BM), compiled in {:.2} ms: \
+         {} relevance steps, {} gap-search nodes, {} hazard-scan visits",
+        parse.as_secs_f64() * 1e3,
         t.state_count(),
         t.cw_states(),
         t.bm_states(),
@@ -778,7 +781,7 @@ fn lifecycle_flush(
 /// then walk inputs and `--add-query`/`--remove-query` edits in argument
 /// order — contiguous inputs form one batch, each edit is applied (and,
 /// before the next batch, compiled and published) between batches.
-fn run_lifecycle(args: &Args, dtd: Dtd, query_sets: Vec<PathSet>) -> ExitCode {
+fn run_lifecycle(args: &Args, dtd: Dtd, parse: Duration, query_sets: Vec<PathSet>) -> ExitCode {
     let mut reg = QueryRegistry::new(dtd);
     for q in query_sets {
         reg.add_paths(q);
@@ -796,7 +799,7 @@ fn run_lifecycle(args: &Args, dtd: Dtd, query_sets: Vec<PathSet>) -> ExitCode {
         eprintln!(
             "smpx: lifecycle mode: {} seed queries, {}",
             g.live_queries(),
-            compile_line(g.frozen().tables(), start.elapsed())
+            compile_line(g.frozen().tables(), parse, start.elapsed())
         );
     }
     let Some(mut out) = open_sink(args.output.as_deref()) else {
@@ -912,6 +915,7 @@ fn run(args: Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let parse_start = Instant::now();
     let dtd = match Dtd::parse(&dtd_text) {
         Ok(d) => d,
         Err(e) => {
@@ -919,6 +923,7 @@ fn run(args: Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let parse_wall = parse_start.elapsed();
 
     // Per-query path sets (`--query`, repeatable). One query compiles the
     // classic single-query automaton; several compile one shared
@@ -945,7 +950,7 @@ fn run(args: Args) -> ExitCode {
             );
             std::process::exit(2);
         }
-        return run_lifecycle(&args, dtd, query_sets);
+        return run_lifecycle(&args, dtd, parse_wall, query_sets);
     }
 
     let multi = query_sets.len() > 1;
@@ -988,7 +993,7 @@ fn run(args: Args) -> ExitCode {
         }
     };
     if args.stats {
-        let line = compile_line(frozen.tables(), compile_wall);
+        let line = compile_line(frozen.tables(), parse_wall, compile_wall);
         eprintln!("smpx: projection paths: {paths}\nsmpx: {line}");
         if multi {
             eprintln!("smpx: {} registered queries on one shared automaton", query_sets.len());

@@ -118,6 +118,15 @@ fn lifecycle_edits_apply_between_inputs_and_print_generations() {
         "<a><b>one</b></a><a><c><b>two</b></c></a><a><c><b>four</b></c></a>"
     );
     assert!(err.contains("generation 0 (1 live / 1 allocated queries)"), "stderr: {err}");
+    // The set-up line accounts for the DTD parse before the compile.
+    let setup = err.lines().find(|l| l.starts_with("smpx: lifecycle mode: 1 seed queries, "));
+    assert!(
+        setup.is_some_and(|l| l.contains(", DTD parsed in ")
+            && l.contains(" ms, ")
+            && l.contains(" states (")
+            && l.contains(", compiled in ")),
+        "stderr: {err}"
+    );
     assert!(err.contains("added query q1: //c"), "stderr: {err}");
     assert!(err.contains("generation 1 (2 live / 2 allocated queries)"), "stderr: {err}");
     assert!(err.contains("removed query q0"), "stderr: {err}");

@@ -255,4 +255,13 @@ fn stats_name_the_effective_width() {
     let one =
         stderr_of(&batch.smpx(&["--paths", "/*,//name#", "--stats", "--threads", "2", files[0]]));
     assert!(!one.contains("pool worker") && !one.contains("shard"), "{one}");
+    // The set-up line: the DTD parse, then the compile.
+    let setup = one.lines().find(|l| l.starts_with("smpx: DTD parsed in "));
+    assert!(
+        setup.is_some_and(|l| l.contains(" ms, ")
+            && l.contains(" states (")
+            && l.contains(", compiled in ")
+            && l.contains(" relevance steps")),
+        "{one}"
+    );
 }
