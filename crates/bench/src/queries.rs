@@ -149,6 +149,24 @@ pub const MEDLINE_QUERIES: &[MedlineQuery] = &[
     },
 ];
 
+/// The protein-sequence workload (the paper's technical report \[27\]
+/// reports these; `table_protein` regenerates them in Table I format):
+/// `(id, paths)`.
+pub const PROTEIN_QUERIES: &[(&str, &[&str])] = &[
+    ("P1", &["/*", "/ProteinDatabase/ProteinEntry/protein/name#"]),
+    ("P2", &["/*", "//refinfo/authors#"]),
+    ("P3", &["/*", "/ProteinDatabase/ProteinEntry/sequence#"]),
+    ("P4", &["/*", "//keyword"]),
+    (
+        "P5",
+        &[
+            "/*",
+            "/ProteinDatabase/ProteinEntry/header/accession#",
+            "/ProteinDatabase/ProteinEntry/summary#",
+        ],
+    ),
+];
+
 /// Path set of an XMark query.
 pub fn xmark_paths(q: &XmarkQuery) -> PathSet {
     PathSet::parse(q.paths).expect("curated paths parse")

@@ -10,8 +10,8 @@ use crate::measure::{
     env_mb, env_queries, env_threads, fmt_mb, source_chunk, time, SourceMode, TempDocFile, Timed,
 };
 use crate::queries::{
-    medline_paths, xmark_paths, MEDLINE_QUERIES, PAPER_TABLE1, PAPER_TABLE2, TABLE3_QUERIES,
-    XMARK_QUERIES,
+    medline_paths, xmark_paths, MEDLINE_QUERIES, PAPER_TABLE1, PAPER_TABLE2, PROTEIN_QUERIES,
+    TABLE3_QUERIES, XMARK_QUERIES,
 };
 use smpx_baselines::{sax, TokenProjector};
 use smpx_core::runtime::source::{
@@ -447,22 +447,8 @@ pub fn run_table_protein() -> Vec<SmpRow> {
     let delivery = Delivery::from_env(&doc, "protein");
     println!("   generated {} bytes, delivered via {}", doc.len(), delivery.label());
     print_smp_header();
-    let workloads: &[(&str, &[&str])] = &[
-        ("P1", &["/*", "/ProteinDatabase/ProteinEntry/protein/name#"]),
-        ("P2", &["/*", "//refinfo/authors#"]),
-        ("P3", &["/*", "/ProteinDatabase/ProteinEntry/sequence#"]),
-        ("P4", &["/*", "//keyword"]),
-        (
-            "P5",
-            &[
-                "/*",
-                "/ProteinDatabase/ProteinEntry/header/accession#",
-                "/ProteinDatabase/ProteinEntry/summary#",
-            ],
-        ),
-    ];
     let mut rows = Vec::new();
-    for (id, texts) in workloads {
+    for (id, texts) in PROTEIN_QUERIES {
         let paths = PathSet::parse(texts).expect("curated paths");
         let row = smp_row(id, &dtd, &paths, &delivery);
         print_smp_row(&row, None);
