@@ -4,7 +4,6 @@
 //!   search vs an Aho–Corasick all-tags scan over the same vocabulary,
 //! * **lazy vs eager matcher-table construction** (paper Sec. V builds
 //!   tables lazily on first state entry),
-//! * **full Boyer–Moore vs Horspool** for the single-keyword states,
 //! * **initial jump offsets on/off** — measured via a path set where jumps
 //!   matter (XM13-like, jumping over mandatory item prefixes).
 
@@ -14,7 +13,7 @@ use smpx_bench::queries::{xmark_paths, XMARK_QUERIES};
 use smpx_core::Prefilter;
 use smpx_datagen::{xmark, GenOptions};
 use smpx_dtd::Dtd;
-use smpx_stringmatch::{BoyerMoore, CommentzWalter, Horspool};
+use smpx_stringmatch::CommentzWalter;
 
 fn doc_bytes() -> usize {
     smpx_bench::measure::bench_doc_bytes(2 << 20)
@@ -60,22 +59,6 @@ fn bench_lazy_vs_eager_tables(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_bm_vs_horspool(c: &mut Criterion) {
-    let doc = xmark::generate(GenOptions::sized(doc_bytes()));
-    let pat: &[u8] = b"</closed_auctions";
-    let mut g = c.benchmark_group("ablation/bm_vs_horspool");
-    g.throughput(Throughput::Bytes(doc.len() as u64));
-    g.bench_function("full_bm", |b| {
-        let m = BoyerMoore::new(pat);
-        b.iter(|| m.find(&doc).expect("present"))
-    });
-    g.bench_function("horspool", |b| {
-        let m = Horspool::new(pat);
-        b.iter(|| m.find(&doc).expect("present"))
-    });
-    g.finish();
-}
-
 fn bench_initial_jumps(c: &mut Criterion) {
     // XM13 profits from jumping over the mandatory item prefix
     // (location, quantity, name, payment) when scanning for <description>.
@@ -104,6 +87,6 @@ fn bench_initial_jumps(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_skip_vs_scan, bench_lazy_vs_eager_tables, bench_bm_vs_horspool, bench_initial_jumps
+    targets = bench_skip_vs_scan, bench_lazy_vs_eager_tables, bench_initial_jumps
 }
 criterion_main!(benches);

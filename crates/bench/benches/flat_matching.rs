@@ -2,17 +2,15 @@
 //!
 //! The paper's premise: Boyer–Moore/Commentz–Walter style skipping beats
 //! one-character-at-a-time algorithms on keyword search. These benches
-//! compare all five searchers on the same haystacks, plus the naive
-//! baseline, for short (tag-like) and long keywords.
+//! compare the searchers on the same haystacks, plus the naive baseline,
+//! for short (tag-like) and long keywords.
 //!
-//! The `flat/absent` and `flat/xmark_scan` groups additionally pit the
-//! vectorized skip-scan against the classic scalar loops (`*_scalar`
-//! entries call `find_at_scalar` directly); the committed
-//! `BENCH_baseline.json` (run under `SMPX_NO_SIMD=1`) vs `BENCH_simd.json`
-//! pair tracks the same comparison across process modes. The `cw` and `bm`
-//! groups hold the regimes of the candidate filter: `cw/sparse` and
-//! `cw/dense` for a multi-keyword state, `bm/common_byte` and
-//! `bm/rare_byte` for a single-keyword one.
+//! The `flat/single`, `flat/absent` and `flat/xmark_scan` groups
+//! additionally pit the vector candidate walk (`tag_walk*` entries)
+//! against the paper's classic loops. The `cw` and `bm` groups hold the
+//! regimes of the walk's candidate filter: `cw/sparse` and `cw/dense` for
+//! a multi-keyword state, `bm/common_byte` and `bm/rare_byte` for a
+//! single-keyword one.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use smpx_bench::measure::bench_doc_bytes;
@@ -20,8 +18,11 @@ use smpx_bench::queries::{medline_paths, standing_path_sets, MEDLINE_QUERIES};
 use smpx_core::{CompiledTables, Prefilter};
 use smpx_datagen::{medline, xmark, GenOptions};
 use smpx_dtd::Dtd;
+use smpx_stringmatch::memscan::Blocks;
 use smpx_stringmatch::memscan::TagUniverse;
-use smpx_stringmatch::{naive, AhoCorasick, BoyerMoore, CommentzWalter, Horspool, Kmp, NoMetrics};
+use smpx_stringmatch::{
+    naive, AhoCorasick, BoyerMoore, CommentzWalter, Kmp, MultiMatch, NoMetrics, TagWalk,
+};
 
 fn haystack() -> Vec<u8> {
     xmark::generate(GenOptions::sized(bench_doc_bytes(1 << 20)))
@@ -37,8 +38,8 @@ fn bench_single_keyword(c: &mut Criterion) {
         let m = BoyerMoore::new(pat);
         b.iter(|| m.find(&hay).expect("present"))
     });
-    g.bench_function(BenchmarkId::new("horspool", pat.len()), |b| {
-        let m = Horspool::new(pat);
+    g.bench_function(BenchmarkId::new("tag_walk", pat.len()), |b| {
+        let m = TagWalk::new(&[pat]);
         b.iter(|| m.find(&hay).expect("present"))
     });
     g.bench_function(BenchmarkId::new("kmp", pat.len()), |b| {
@@ -68,52 +69,41 @@ fn bench_multi_keyword(c: &mut Criterion) {
 }
 
 fn bench_absent_alphabet(c: &mut Criterion) {
-    // The skip-scan's best case: no haystack byte occurs in the pattern,
+    // The skip-scan's best case: no haystack byte occurs in the keyword,
     // so the vector scan consumes the whole input without a single
-    // candidate. The `*_scalar` twins run the classic shift loops on the
-    // same input for an in-process ablation.
+    // candidate. Boyer–Moore runs its classic shift loop on the same input
+    // for an in-process ablation.
     let hay = vec![b'x'; bench_doc_bytes(1 << 20)];
-    let pat: &[u8] = b"keyword!";
+    let pat: &[u8] = b"<keyword";
     let mut g = c.benchmark_group("flat/absent");
     g.throughput(Throughput::Bytes(hay.len() as u64));
+    g.bench_function("tag_walk", |b| {
+        let m = TagWalk::new(&[pat]);
+        b.iter(|| m.find(&hay).is_none())
+    });
     g.bench_function("boyer_moore", |b| {
         let m = BoyerMoore::new(pat);
         b.iter(|| m.find(&hay).is_none())
     });
-    g.bench_function("boyer_moore_scalar", |b| {
-        let m = BoyerMoore::new(pat);
-        b.iter(|| m.find_at_scalar(&hay, 0, &mut NoMetrics).is_none())
-    });
-    g.bench_function("horspool", |b| {
-        let m = Horspool::new(pat);
-        b.iter(|| m.find(&hay).is_none())
-    });
-    g.bench_function("horspool_scalar", |b| {
-        let m = Horspool::new(pat);
-        b.iter(|| m.find_at_scalar(&hay, 0, &mut NoMetrics).is_none())
-    });
     g.finish();
 }
 
-/// Count every occurrence by repeated `find_at`, the way the SMP runtime
-/// drives the searcher between tokens.
-fn count_cw(m: &CommentzWalter, hay: &[u8], scalar: bool) -> usize {
+/// Count every occurrence by repeated searches from one past the last,
+/// the way the SMP runtime drives a searcher between tokens.
+fn count(mut find_at: impl FnMut(usize) -> Option<MultiMatch>) -> usize {
     let mut n = 0;
     let mut from = 0;
-    loop {
-        let hit = if scalar {
-            m.find_at_scalar(hay, from, &mut NoMetrics)
-        } else {
-            m.find_at(hay, from, &mut NoMetrics)
-        };
-        match hit {
-            Some(mm) => {
-                n += 1;
-                from = mm.start + 1;
-            }
-            None => return n,
-        }
+    while let Some(mm) = find_at(from) {
+        n += 1;
+        from = mm.start + 1;
     }
+    n
+}
+
+/// [`count`] for the walk, one block cache across the searches.
+fn count_walk(m: &TagWalk, hay: &[u8]) -> usize {
+    let mut blocks = Blocks::new();
+    count(|from| m.find_at(hay, from, &mut blocks, &mut NoMetrics))
 }
 
 fn bench_xmark_scan(c: &mut Criterion) {
@@ -123,32 +113,31 @@ fn bench_xmark_scan(c: &mut Criterion) {
     let pats: Vec<&[u8]> = vec![b"<description", b"<annotation", b"<emailaddress"];
     let mut g = c.benchmark_group("flat/xmark_scan");
     g.throughput(Throughput::Bytes(hay.len() as u64));
+    g.bench_function("tag_walk", |b| {
+        let m = TagWalk::new(&pats);
+        b.iter(|| count_walk(&m, &hay))
+    });
     g.bench_function("commentz_walter", |b| {
         let m = CommentzWalter::new(&pats);
-        b.iter(|| count_cw(&m, &hay, false))
-    });
-    g.bench_function("commentz_walter_scalar", |b| {
-        let m = CommentzWalter::new(&pats);
-        b.iter(|| count_cw(&m, &hay, true))
+        b.iter(|| count(|from| m.find_at(&hay, from, &mut NoMetrics)))
     });
     let single: &[u8] = b"<closed_auctions";
+    g.bench_function("tag_walk_single", |b| {
+        let m = TagWalk::new(&[single]);
+        b.iter(|| m.find(&hay).expect("present"))
+    });
     g.bench_function("boyer_moore", |b| {
         let m = BoyerMoore::new(single);
         b.iter(|| m.find(&hay).expect("present"))
     });
-    g.bench_function("boyer_moore_scalar", |b| {
-        let m = BoyerMoore::new(single);
-        b.iter(|| m.find_at_scalar(&hay, 0, &mut NoMetrics).expect("present"))
-    });
     g.finish();
 }
 
-/// The largest frontier vocabulary of a compiled automaton (ties: the
-/// first state), as the matcher of that state is built.
-fn widest_vocabulary(tables: &CompiledTables) -> CommentzWalter {
+/// The walk of the largest frontier vocabulary of a compiled automaton
+/// (ties: the first state).
+fn widest_vocabulary(tables: &CompiledTables) -> TagWalk {
     let state = tables.states.iter().rev().max_by_key(|s| s.keywords.len()).expect("states");
-    let pats: Vec<&[u8]> = state.keywords.iter().map(|k| k.bytes.as_slice()).collect();
-    CommentzWalter::new(&pats)
+    TagWalk::new(&state.keywords)
 }
 
 fn bench_cw_regimes(c: &mut Criterion) {
@@ -165,7 +154,7 @@ fn bench_cw_regimes(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(hay.len() as u64));
     g.bench_function("sparse", |b| {
         let m = widest_vocabulary(m1.tables());
-        b.iter(|| count_cw(&m, &hay, false))
+        b.iter(|| count_walk(&m, &hay))
     });
     let dtd = Dtd::parse(xmark::XMARK_DTD.as_bytes()).expect("XMark DTD");
     let union = Prefilter::compile_multi(&dtd, &standing_path_sets(&dtd, 100)).expect("compiles");
@@ -173,14 +162,14 @@ fn bench_cw_regimes(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(hay.len() as u64));
     g.bench_function("dense", |b| {
         let m = widest_vocabulary(union.tables());
-        b.iter(|| count_cw(&m, &hay, false))
+        b.iter(|| count_walk(&m, &hay))
     });
     g.finish();
 }
 
 fn bench_bm_regimes(c: &mut Criterion) {
-    // A single-keyword state over XMark, built against the DTD's tags as
-    // the runtime builds it. Common byte: `</site` — every byte of it
+    // The walk of a single-keyword state over XMark, built against the
+    // DTD's tags as the runtime builds it. Common byte: `</site` — every byte of it
     // occurs in most tags of the document, which is what a scan for one
     // rare byte stops at. Rare byte: `<closed_auctions` — its `_` alone
     // skips nearly everything, the case a byte scan was already good at.
@@ -191,7 +180,7 @@ fn bench_bm_regimes(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(hay.len() as u64));
     for (regime, pat) in [("common_byte", &b"</site"[..]), ("rare_byte", b"<closed_auctions")] {
         g.bench_function(regime, |b| {
-            let m = BoyerMoore::with_universe(pat, &universe);
+            let m = TagWalk::with_universe(&[pat], &universe);
             b.iter(|| m.find(&hay).expect("present"))
         });
     }

@@ -1,106 +1,78 @@
 //! Per-state search engines, built lazily.
 //!
 //! The paper (Sec. V): "The data structures for string search are computed
-//! lazily, when an automaton-state is first entered." A state with one
-//! keyword gets Boyer–Moore, with several Commentz–Walter (Fig. 4's
-//! `(BM)`/`(CW)` branches); the `ablations` bench compares this laziness
-//! against eager construction. A matcher depends only on the state's
-//! keyword list and the universe, so it is built once per distinct
-//! vocabulary and shared, through reference counts, by every state that
-//! searches for the same keywords.
+//! lazily, when an automaton-state is first entered." The one decision is
+//! made here, when a matcher is built, and it is the only place the
+//! keyword search reads [`memscan::accel_enabled`]:
+//!
+//! * **vector mode** (the default) builds a [`TagWalk`] for every
+//!   vocabulary, one keyword or many: the candidate walk of one fingerprint
+//!   fitted to the DTD's tags;
+//! * **scalar mode** (`SMPX_NO_SIMD=1`) builds the paper's Fig. 4
+//!   engines — Boyer–Moore for one keyword, Commentz–Walter for several
+//!   — whose counters are the paper's accounting.
+//!
+//! So the shift tables and the trie exist only when the scalar path runs.
+//! A matcher depends only on the state's keyword list and the universe, so
+//! it is built once per distinct vocabulary and shared, through reference
+//! counts, by every state that searches for the same keywords; the
+//! `ablations` bench compares this laziness against eager construction.
+//!
+//! A matcher keeps the mode it was built in. A [`Prefilter`] whose
+//! matchers were built before [`memscan::force_accel`] flipped keeps
+//! searching with them, while the tag-end and balanced scans follow the
+//! new mode: the run finds the same tokens and writes the same bytes, but
+//! its effort counters belong to neither mode. The tests compile a fresh
+//! prefilter per mode.
+//!
+//! [`Prefilter`]: super::Prefilter
 
-use crate::compile::RtState;
-use smpx_stringmatch::memscan::{Blocks, TagUniverse};
-use smpx_stringmatch::{BoyerMoore, CommentzWalter, FilterChoice, Metrics};
+use smpx_stringmatch::memscan::{self, Blocks, TagUniverse};
+use smpx_stringmatch::{BoyerMoore, CommentzWalter, Metrics, TagWalk};
 use std::sync::Arc;
-
-/// Anything the input layer can drive a windowed search with.
-pub(crate) trait Searcher {
-    /// First occurrence in `hay` at or after `from`: (keyword index,
-    /// start). `blocks` caches the structural masks of `hay`.
-    fn search_in<M: Metrics>(
-        &self,
-        hay: &[u8],
-        from: usize,
-        blocks: &mut Blocks,
-        m: &mut M,
-    ) -> Option<(usize, usize)>;
-    /// Longest pattern length (stream-refill overlap).
-    fn longest(&self) -> usize;
-}
-
-impl Searcher for CommentzWalter {
-    fn search_in<M: Metrics>(
-        &self,
-        hay: &[u8],
-        from: usize,
-        blocks: &mut Blocks,
-        m: &mut M,
-    ) -> Option<(usize, usize)> {
-        self.find_at_blocks(hay, from, blocks, m).map(|mm| (mm.pattern, mm.start))
-    }
-
-    fn longest(&self) -> usize {
-        self.max_len()
-    }
-}
-
-impl Searcher for StateMatcher {
-    #[inline(always)]
-    fn search_in<M: Metrics>(
-        &self,
-        hay: &[u8],
-        from: usize,
-        blocks: &mut Blocks,
-        m: &mut M,
-    ) -> Option<(usize, usize)> {
-        self.find_in(hay, from, blocks, m)
-    }
-
-    fn longest(&self) -> usize {
-        self.max_len()
-    }
-}
 
 /// The search engine of one runtime state; a clone shares its tables.
 #[derive(Debug, Clone)]
 pub(crate) enum StateMatcher {
     /// No keywords (final states): nothing to search.
     Empty,
-    /// Unary frontier vocabulary → Boyer–Moore (behind a pointer: the
-    /// shift tables are ~2 KiB).
+    /// Vector mode, every vocabulary.
+    Walk(Arc<TagWalk>),
+    /// Scalar mode, one keyword → Boyer–Moore.
     Bm(Arc<BoyerMoore>),
-    /// Multi-keyword frontier vocabulary → Commentz–Walter, and the
-    /// keyword indices longest first (ties by index): the order a false
-    /// match re-checks the vocabulary in.
+    /// Scalar mode, several keywords → Commentz–Walter, and the keyword
+    /// indices longest first (ties by index): the order a false match
+    /// re-checks the vocabulary in.
     Cw(Arc<CommentzWalter>, Arc<[u32]>),
 }
 
 impl StateMatcher {
-    /// Build the matcher for a state's keyword list, its candidate filter
-    /// fitted to `universe` — the tags of the DTD, which the state's
-    /// search has to pass over.
-    pub fn build(state: &RtState, universe: &TagUniverse) -> StateMatcher {
-        match state.keywords.len() {
-            0 => StateMatcher::Empty,
-            1 => StateMatcher::Bm(Arc::new(BoyerMoore::with_universe(
-                &state.keywords[0].bytes,
-                universe,
-            ))),
-            _ => {
-                let kws = &state.keywords;
-                let mut longest_first: Arc<[u32]> = (0..kws.len() as u32).collect();
+    /// Build the matcher of a keyword list — a state's vocabulary, or the
+    /// `{<e, </e}` of a balanced scan — in the current mode, a walk's
+    /// filter fitted to `universe`: the tags of the DTD, which the search
+    /// has to pass over.
+    pub fn build<P: AsRef<[u8]>>(keywords: &[P], universe: &TagUniverse) -> StateMatcher {
+        StateMatcher::in_mode(keywords, universe, memscan::accel_enabled())
+    }
+
+    fn in_mode<P: AsRef<[u8]>>(keywords: &[P], universe: &TagUniverse, vector: bool) -> Self {
+        match keywords {
+            [] => StateMatcher::Empty,
+            _ if vector => StateMatcher::Walk(Arc::new(TagWalk::with_universe(keywords, universe))),
+            [one] => StateMatcher::Bm(Arc::new(BoyerMoore::new(one.as_ref()))),
+            many => {
+                let mut longest_first: Arc<[u32]> = (0..many.len() as u32).collect();
                 Arc::get_mut(&mut longest_first)
                     .expect("not shared yet")
-                    .sort_by_key(|&i| std::cmp::Reverse(kws[i as usize].bytes.len()));
-                let cw = CommentzWalter::with_universe(kws, universe);
-                StateMatcher::Cw(Arc::new(cw), longest_first)
+                    .sort_by_key(|&i| std::cmp::Reverse(many[i as usize].as_ref().len()));
+                StateMatcher::Cw(Arc::new(CommentzWalter::new(many)), longest_first)
             }
         }
     }
 
     /// First keyword occurrence in `hay` starting at or after `from`:
-    /// `(keyword index, start offset)`.
+    /// `(keyword index, start offset)`. `blocks` caches the structural
+    /// masks of `hay` for the walk.
     #[inline(always)]
     pub fn find_in<M: Metrics>(
         &self,
@@ -111,30 +83,11 @@ impl StateMatcher {
     ) -> Option<(usize, usize)> {
         match self {
             StateMatcher::Empty => None,
-            StateMatcher::Bm(bm) => bm.find_at_blocks(hay, from, blocks, m).map(|s| (0, s)),
-            StateMatcher::Cw(cw, _) => {
-                cw.find_at_blocks(hay, from, blocks, m).map(|mm| (mm.pattern, mm.start))
+            StateMatcher::Walk(walk) => {
+                walk.find_at(hay, from, blocks, m).map(|mm| (mm.pattern, mm.start))
             }
-        }
-    }
-
-    /// What the matcher's candidate filter decided against `universe`,
-    /// the one it was built with (`None`: nothing to search for).
-    pub fn filter_choice(&self, universe: &TagUniverse) -> Option<FilterChoice> {
-        match self {
-            StateMatcher::Empty => None,
-            StateMatcher::Bm(bm) => Some(bm.filter_choice(universe)),
-            StateMatcher::Cw(cw, _) => Some(cw.filter_choice(universe)),
-        }
-    }
-
-    /// Shortest keyword length (the Commentz–Walter sliding-window size).
-    #[allow(dead_code)] // part of the matcher API surface; used in tests
-    pub fn min_len(&self) -> usize {
-        match self {
-            StateMatcher::Empty => 1,
-            StateMatcher::Bm(bm) => bm.pattern().len(),
-            StateMatcher::Cw(cw, _) => cw.min_len(),
+            StateMatcher::Bm(bm) => bm.find_at(hay, from, m).map(|s| (0, s)),
+            StateMatcher::Cw(cw, _) => cw.find_at(hay, from, m).map(|mm| (mm.pattern, mm.start)),
         }
     }
 
@@ -144,28 +97,30 @@ impl StateMatcher {
     pub fn max_len(&self) -> usize {
         match self {
             StateMatcher::Empty => 1,
+            StateMatcher::Walk(walk) => walk.max_len(),
             StateMatcher::Bm(bm) => bm.pattern().len(),
             StateMatcher::Cw(cw, _) => cw.max_len(),
         }
     }
 
-    /// The keyword indices of the state's vocabulary, longest first (empty
-    /// unless the state has several keywords).
+    /// The keyword indices of the state's vocabulary, longest first (ties
+    /// by index; empty when there is no other keyword to re-check).
     pub fn longest_first(&self) -> &[u32] {
         match self {
+            StateMatcher::Walk(walk) => walk.longest_first(),
             StateMatcher::Cw(_, order) => order,
-            _ => &[],
+            StateMatcher::Empty | StateMatcher::Bm(_) => &[],
         }
     }
 
-    /// Heap size of the lookup tables (the paper's `Mem` column counts
-    /// these): the searcher struct behind its pointer (shift/`d1` tables
-    /// are inline arrays) plus the exact heap allocations it owns — no
-    /// estimates, so the number tracks the real `Node`/table layout as it
-    /// evolves.
+    /// Heap size of the lookup tables built (the paper's `Mem` column
+    /// counts these): the searcher struct behind its pointer plus the
+    /// exact heap allocations it owns — no estimates, so the number tracks
+    /// the real layout as it evolves.
     pub fn memory_bytes(&self) -> usize {
         match self {
             StateMatcher::Empty => 0,
+            StateMatcher::Walk(walk) => std::mem::size_of::<TagWalk>() + walk.heap_bytes(),
             StateMatcher::Bm(bm) => std::mem::size_of::<BoyerMoore>() + bm.heap_bytes(),
             StateMatcher::Cw(cw, longest_first) => {
                 std::mem::size_of::<CommentzWalter>()
@@ -179,87 +134,84 @@ impl StateMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::{Action, Keyword, RtState};
     use smpx_stringmatch::NoMetrics;
 
-    fn build(kws: &[&str]) -> StateMatcher {
-        StateMatcher::build(&state(kws), &TagUniverse::default())
+    /// The matchers of `kws` in both modes, vector first.
+    fn both(kws: &[&str]) -> [StateMatcher; 2] {
+        [true, false].map(|vector| StateMatcher::in_mode(kws, &TagUniverse::default(), vector))
     }
 
     fn find(m: &StateMatcher, hay: &[u8], from: usize) -> Option<(usize, usize)> {
         m.find_in(hay, from, &mut Blocks::new(), &mut NoMetrics)
     }
 
-    fn state(kws: &[&str]) -> RtState {
-        RtState {
-            label: None,
-            keywords: kws
-                .iter()
-                .enumerate()
-                .map(|(i, k)| Keyword {
-                    bytes: k.as_bytes().to_vec(),
-                    name: k.trim_start_matches(['<', '/']).to_string(),
-                    close: k.starts_with("</"),
-                    target: i as u32,
-                })
-                .collect(),
-            jump: 0,
-            action: Action::Nop,
-            is_final: false,
-            balanced: false,
+    #[test]
+    fn empty_state_never_matches() {
+        for m in both(&[]) {
+            assert!(matches!(m, StateMatcher::Empty));
+            assert!(find(&m, b"<a><b>", 0).is_none());
         }
     }
 
     #[test]
-    fn empty_state_never_matches() {
-        let m = build(&[]);
-        assert!(find(&m, b"<a><b>", 0).is_none());
-    }
-
-    #[test]
     fn single_keyword_uses_bm() {
-        let m = build(&["<item"]);
-        assert!(matches!(m, StateMatcher::Bm(_)));
-        assert_eq!(find(&m, b"xx<item y>", 0), Some((0, 2)));
-        assert_eq!(find(&m, b"xx<item y>", 3), None);
+        let [walk, bm] = both(&["<item"]);
+        assert!(matches!(walk, StateMatcher::Walk(_)));
+        assert!(matches!(bm, StateMatcher::Bm(_)));
+        for m in [walk, bm] {
+            assert_eq!(find(&m, b"xx<item y>", 0), Some((0, 2)));
+            assert_eq!(find(&m, b"xx<item y>", 3), None);
+        }
     }
 
     #[test]
     fn multi_keyword_uses_cw_with_stable_indices() {
-        let m = build(&["</a", "<b", "<c"]);
-        assert!(matches!(m, StateMatcher::Cw(..)));
-        assert_eq!(find(&m, b"..<c>..</a>", 0), Some((2, 2)));
-        assert_eq!(find(&m, b"..<c>..</a>", 3), Some((0, 7)));
+        let [walk, cw] = both(&["</a", "<b", "<c"]);
+        assert!(matches!(walk, StateMatcher::Walk(_)));
+        assert!(matches!(cw, StateMatcher::Cw(..)));
+        for m in [walk, cw] {
+            assert_eq!(find(&m, b"..<c>..</a>", 0), Some((2, 2)));
+            assert_eq!(find(&m, b"..<c>..</a>", 3), Some((0, 7)));
+            assert_eq!(m.longest_first(), [0, 1, 2]);
+        }
     }
 
     #[test]
-    fn min_and_max_len() {
-        let m = build(&["</a", "<longkeyword"]);
-        assert_eq!(m.min_len(), 3);
-        assert_eq!(m.max_len(), 12);
-        let b = build(&["<item"]);
-        assert_eq!(b.min_len(), 5);
-        assert_eq!(b.max_len(), 5);
-        assert_eq!(build(&[]).max_len(), 1);
+    fn max_len_is_the_longest_keyword() {
+        for m in both(&["</a", "<longkeyword"]) {
+            assert_eq!(m.max_len(), 12);
+        }
+        for m in both(&["<item"]) {
+            assert_eq!(m.max_len(), 5);
+        }
+        assert_eq!(both(&[]).map(|m| m.max_len()), [1, 1]);
     }
 
     #[test]
     fn memory_estimates_positive() {
-        assert!(build(&["<item"]).memory_bytes() > 256);
-        assert!(build(&["<a", "</a"]).memory_bytes() > 1024);
-        assert_eq!(build(&[]).memory_bytes(), 0);
+        for m in both(&["<item"]).into_iter().chain(both(&["<a", "</a"])) {
+            assert!(m.memory_bytes() > 64);
+        }
+        assert!(both(&["<item"])[1].memory_bytes() > 256);
+        assert!(both(&["<a", "</a"])[1].memory_bytes() > 1024);
+        assert_eq!(both(&[]).map(|m| m.memory_bytes()), [0, 0]);
     }
 
     #[test]
     fn memory_tracks_real_layout() {
         // Computed from the live struct layout, not a per-node constant:
-        // a bigger vocabulary must cost measurably more, and every matcher
-        // costs at least its searcher struct.
-        let small = build(&["<a", "</a"]);
-        let big = build(&["<alpha", "</alpha", "<beta", "</beta"]);
-        assert!(big.memory_bytes() > small.memory_bytes());
-        assert!(small.memory_bytes() >= std::mem::size_of::<CommentzWalter>());
-        let bm = build(&["<item"]);
+        // a bigger vocabulary must cost measurably more, every matcher
+        // costs at least its searcher struct, and only what was built is
+        // counted — the walk holds no shift table and no trie.
+        let [small_walk, small_cw] = both(&["<a", "</a"]);
+        let [big_walk, big_cw] = both(&["<alpha", "</alpha", "<beta", "</beta"]);
+        assert!(big_walk.memory_bytes() > small_walk.memory_bytes());
+        assert!(big_cw.memory_bytes() > small_cw.memory_bytes());
+        assert!(small_walk.memory_bytes() >= std::mem::size_of::<TagWalk>());
+        assert!(small_cw.memory_bytes() >= std::mem::size_of::<CommentzWalter>());
+        assert!(small_walk.memory_bytes() < small_cw.memory_bytes());
+        let [walk, bm] = both(&["<item"]);
         assert!(bm.memory_bytes() >= std::mem::size_of::<BoyerMoore>());
+        assert!(walk.memory_bytes() < bm.memory_bytes());
     }
 }

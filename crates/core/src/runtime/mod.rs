@@ -28,7 +28,8 @@ use crate::stats::{MultiVerdict, RunStats};
 use matchers::StateMatcher;
 use smpx_dtd::Dtd;
 use smpx_paths::PathSet;
-use smpx_stringmatch::{memscan, Counters, Metrics};
+use smpx_stringmatch::memscan::{self, Fingerprint};
+use smpx_stringmatch::{Counters, Metrics};
 use source::{DocSource, ReaderSource, SliceSource, SourceInput};
 use std::io::{Read, Write};
 use std::sync::Arc;
@@ -59,9 +60,9 @@ pub struct Prefilter {
     /// (in the slot of its first state, [`CompiledTables::vocab`]) and
     /// shared by the other states that search for the same keywords.
     matchers: Vec<Option<StateMatcher>>,
-    /// Lazily built `{<e, </e}` searchers for balanced (recursive-element)
-    /// states, indexed like `matchers`.
-    balanced_matchers: Vec<Option<smpx_stringmatch::CommentzWalter>>,
+    /// Lazily built `{<e, </e}` searchers for the scalar balanced scan of
+    /// recursive-element states, indexed like `matchers`.
+    balanced_matchers: Vec<Option<StateMatcher>>,
     matchers_built: usize,
     /// Per-run scratch: ids of the queries attributed so far (registry
     /// runs only; reset per document).
@@ -214,12 +215,15 @@ impl Prefilter {
         self.matchers_built
     }
 
-    /// What the candidate filter of state `q`'s matcher decided, building
-    /// the matcher as the run would (`None`: the state searches nothing).
+    /// What the candidate filter of state `q`'s walk decides — the same
+    /// in both scan modes, whichever matcher the run builds (`None`: the
+    /// state searches nothing).
     #[doc(hidden)]
-    pub fn filter_choice(&mut self, q: u32) -> Option<smpx_stringmatch::FilterChoice> {
-        let tables = self.tables.clone();
-        self.matcher(q).filter_choice(&tables.universe)
+    pub fn filter_choice(&self, q: u32) -> Option<smpx_stringmatch::FilterChoice> {
+        let (keywords, universe) =
+            (&self.tables.states[q as usize].keywords, &self.tables.universe);
+        (!keywords.is_empty())
+            .then(|| Fingerprint::with_universe(keywords, universe).choice(keywords, universe))
     }
 
     /// Approximate heap bytes of tables plus all matchers built so far
@@ -364,7 +368,8 @@ impl Prefilter {
         let v = self.tables.vocab(q) as usize;
         if self.matchers[v].is_none() {
             let tables = &self.tables;
-            self.matchers[v] = Some(StateMatcher::build(&tables.states[v], &tables.universe));
+            self.matchers[v] =
+                Some(StateMatcher::build(&tables.states[v].keywords, &tables.universe));
             self.matchers_built += 1;
         }
         self.matchers[q as usize] = self.matchers[v].clone();
@@ -505,14 +510,15 @@ impl Prefilter {
             let open_pat = format!("<{name}").into_bytes();
             let close_pat = format!("</{name}").into_bytes();
             self.balanced_matchers[open_state as usize] =
-                Some(smpx_stringmatch::CommentzWalter::new(&[open_pat, close_pat]));
+                Some(StateMatcher::build(&[open_pat, close_pat], &self.tables.universe));
         }
         let mut cursor = from;
         let mut depth = 1u32;
         loop {
             let hit = {
-                let cw = self.balanced_matchers[open_state as usize].as_ref().expect("just built");
-                input.find(cw, cursor, m)?
+                let matcher =
+                    self.balanced_matchers[open_state as usize].as_ref().expect("just built");
+                input.find(matcher, cursor, m)?
             };
             let Some((kw, start)) = hit else {
                 return Err(CoreError::UnexpectedEof {

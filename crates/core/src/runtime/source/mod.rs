@@ -48,7 +48,7 @@ pub use prefetch::PrefetchSource;
 pub use reader::ReaderSource;
 pub use slice::SliceSource;
 
-use super::matchers::Searcher;
+use super::matchers::StateMatcher;
 use crate::error::CoreError;
 use smpx_stringmatch::memscan::Blocks;
 use smpx_stringmatch::Metrics;
@@ -234,7 +234,7 @@ impl<S: DocSource, W: Write> SourceInput<S, W> {
     }
 
     /// First keyword occurrence at or after absolute position `from`:
-    /// `(keyword index, start)`. One `search_in` call covers the resident
+    /// `(keyword index, start)`. One matcher search covers the resident
     /// region up to the next step cut — for every source, at the same
     /// absolute positions, so a slice and a mapping of one document count
     /// the same comparisons and shifts — and on a miss re-scans
@@ -243,13 +243,13 @@ impl<S: DocSource, W: Write> SourceInput<S, W> {
     /// ([`advance`](Self::advance)) before the search goes on or the
     /// region grows, so a skip of any length holds one window, or one step
     /// of mapped pages.
-    pub fn find<Se: Searcher, M: Metrics>(
+    pub fn find<M: Metrics>(
         &mut self,
-        matcher: &Se,
+        matcher: &StateMatcher,
         from: usize,
         m: &mut M,
     ) -> Result<Option<(usize, usize)>, CoreError> {
-        let overlap = matcher.longest().max(1);
+        let overlap = matcher.max_len().max(1);
         let mut search_from = from.max(self.src.base());
         loop {
             let base = self.src.base();
@@ -261,7 +261,7 @@ impl<S: DocSource, W: Write> SourceInput<S, W> {
             if search_from < stop {
                 let hay = &buf[..stop - base];
                 self.blocks.rebase(base);
-                let hit = matcher.search_in(hay, search_from - base, &mut self.blocks, m);
+                let hit = matcher.find_in(hay, search_from - base, &mut self.blocks, m);
                 if let Some((kw, rel_start)) = hit {
                     return Ok(Some((kw, base + rel_start)));
                 }
@@ -431,12 +431,13 @@ impl<S: DocSource, W: Write> SourceInput<S, W> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::matchers::StateMatcher;
     use super::*;
-    use smpx_stringmatch::{BoyerMoore, NoMetrics};
+    use smpx_stringmatch::memscan::TagUniverse;
+    use smpx_stringmatch::NoMetrics;
 
+    /// The matcher of one keyword, in the current mode.
     fn bm(pat: &[u8]) -> StateMatcher {
-        StateMatcher::Bm(std::sync::Arc::new(BoyerMoore::new(pat)))
+        StateMatcher::build(&[pat], &TagUniverse::default())
     }
 
     fn slice_input(doc: &[u8]) -> SourceInput<SliceSource<'_>, Vec<u8>> {

@@ -1,55 +1,21 @@
 //! Boyer–Moore single-keyword search (Boyer & Moore, CACM 1977).
 //!
-//! The SMP runtime uses Boyer–Moore whenever the frontier vocabulary of the
-//! current automaton state is unary (the paper's `(BM)` branch in Fig. 4).
-//! The implementation combines the *bad character* rule with the *strong
-//! good suffix* rule; both shift tables are precomputed at construction,
-//! which is what allows the runtime to build them lazily per automaton state
-//! and reuse them for the rest of the run.
+//! The paper searches a unary frontier vocabulary with Boyer–Moore (the
+//! `(BM)` branch of Fig. 4). The implementation combines the *bad
+//! character* rule with the *strong good suffix* rule; both shift tables
+//! are precomputed at construction, once per vocabulary.
 //!
-//! # Vectorized fast path
-//!
-//! [`find_at`](BoyerMoore::find_at) does not slide the pattern. It walks
-//! the *candidate* alignments of the keyword's [`memscan::Fingerprint`] —
-//! the filter the multi-keyword searcher uses, for a set of one — and
-//! compares the pattern at each
-//! ([`find_at_scalar`](BoyerMoore::find_at_scalar), the loop above, stays
-//! the specification and the `SMPX_NO_SIMD=1` leg):
-//!
-//! * **The filter** is the pattern's first byte (the *anchor*, `<` in SMP)
-//!   and its bytes at two offsets past it, all three compared in the
-//!   vector unit: 16/32 alignments per iteration, and an alignment that
-//!   fails any of the three never leaves it. As in the multi-keyword
-//!   walk, a search first pops the `<` bits of the structural block it
-//!   starts in ([`memscan::Blocks`]) and enters the vector loop only past
-//!   that block.
-//! * **The offsets** are the pair that the fewest *other* tags of the DTD
-//!   pass, when the searcher is built
-//!   [against the DTD's tag universe](BoyerMoore::with_universe):
-//!   `</site` is told from `</seller` and `<asia` at compile time, not at
-//!   every one of their occurrences. Among equals, and for
-//!   [`new`](BoyerMoore::new), the pair of rarest bytes under `memscan`'s
-//!   XML byte-frequency table.
-//!
-//! **What the counters mean here.** As in the multi-keyword walk: every
-//! alignment the filter passes over is booked once through
-//! [`Metrics::scanned`]; [`Metrics::cmp`] counts the bytes compared at a
-//! candidate (verification bytes only); [`Metrics::shift`] is called once
-//! per candidate stop with the distance from the previous one. The scalar
-//! leg keeps the paper's definitions.
+//! This loop is the specification of a single-keyword search and the
+//! accounting of the paper's Tables I/II: [`Metrics::cmp`] counts every
+//! byte compared, [`Metrics::shift`] every window shift. The runtime runs
+//! it under `SMPX_NO_SIMD=1`; the vector path searches the same keyword
+//! with [`TagWalk`](crate::TagWalk), which the property tests hold to it.
 
-use crate::memscan::{self, Blocks, FilterChoice, Fingerprint, TagUniverse};
 use crate::{Metrics, NoMetrics};
 
 /// A compiled Boyer–Moore searcher for one pattern.
-///
-/// What the candidate walk reads comes first and in declaration order
-/// (`repr(C)`), the shift tables of the classic loop behind it.
 #[derive(Debug, Clone)]
-#[repr(C)]
 pub struct BoyerMoore {
-    /// The candidate filter of the accelerated path.
-    filter: Fingerprint,
     pattern: Vec<u8>,
     /// Strong good-suffix shift: `good_suffix[j]` is the shift when a
     /// mismatch occurs at pattern index `j` (all of `pattern[j+1..]`
@@ -65,20 +31,13 @@ impl BoyerMoore {
     /// arises from the SMP static analysis and has no sensible occurrence
     /// semantics.
     pub fn new(pattern: &[u8]) -> Self {
-        BoyerMoore::with_universe(pattern, &TagUniverse::default())
-    }
-
-    /// Compile `pattern` with its candidate filter fitted to `universe`,
-    /// the tag tokens of the documents to be searched.
-    pub fn with_universe(pattern: &[u8], universe: &TagUniverse) -> Self {
         assert!(!pattern.is_empty(), "BoyerMoore pattern must be non-empty");
         let mut bad_char = [usize::MAX; 256];
         for (i, &b) in pattern.iter().enumerate() {
             bad_char[b as usize] = i;
         }
         let good_suffix = build_good_suffix(pattern);
-        let filter = Fingerprint::with_universe(&[pattern], universe);
-        BoyerMoore { pattern: pattern.to_vec(), bad_char, good_suffix, filter }
+        BoyerMoore { pattern: pattern.to_vec(), bad_char, good_suffix }
     }
 
     /// The compiled pattern.
@@ -92,39 +51,9 @@ impl BoyerMoore {
     }
 
     /// Leftmost occurrence whose start is `>= from`, reporting character
-    /// comparisons, shifts and vector-scanned bytes to `m`. Returns the
-    /// absolute start offset.
-    ///
-    /// Walks the filter's candidates (module docs, "Vectorized fast path")
-    /// unless `SMPX_NO_SIMD=1` forces the classic loop
-    /// ([`find_at_scalar`](Self::find_at_scalar)).
+    /// comparisons and shifts to `m`: the classic Boyer–Moore shift loop,
+    /// one byte compared per iteration. Returns the absolute start offset.
     pub fn find_at<M: Metrics>(&self, hay: &[u8], from: usize, m: &mut M) -> Option<usize> {
-        self.find_at_blocks(hay, from, &mut Blocks::new(), m)
-    }
-
-    /// [`find_at`](Self::find_at) with the structural masks of `hay` kept
-    /// in `blocks` from one search to the next (the runtime's token step
-    /// shares them with its tag-end scan; see [`Blocks`]).
-    #[inline(always)]
-    pub fn find_at_blocks<M: Metrics>(
-        &self,
-        hay: &[u8],
-        from: usize,
-        blocks: &mut Blocks,
-        m: &mut M,
-    ) -> Option<usize> {
-        if memscan::accel_enabled() {
-            memscan::candidate_find(hay, from, &self.pattern, &self.filter, blocks, m)
-        } else {
-            self.find_at_scalar(hay, from, m)
-        }
-    }
-
-    /// The classic Boyer–Moore shift loop, one byte compared per iteration.
-    /// This is the `SMPX_NO_SIMD=1` fallback and the ablation baseline the
-    /// benches compare the vectorized path against; both return identical
-    /// results on every input (property-tested).
-    pub fn find_at_scalar<M: Metrics>(&self, hay: &[u8], from: usize, m: &mut M) -> Option<usize> {
         let pat = &self.pattern[..];
         let plen = pat.len();
         if from >= hay.len() || hay.len() - from < plen {
@@ -156,13 +85,6 @@ impl BoyerMoore {
         None
     }
 
-    /// What the candidate filter decided for this pattern against
-    /// `universe`, the one the searcher was built with.
-    #[doc(hidden)]
-    pub fn filter_choice(&self, universe: &TagUniverse) -> FilterChoice {
-        self.filter.choice(&[&self.pattern], universe)
-    }
-
     /// All (possibly overlapping) occurrences.
     pub fn find_iter<'h>(&'h self, hay: &'h [u8]) -> impl Iterator<Item = usize> + 'h {
         let mut from = 0;
@@ -174,8 +96,8 @@ impl BoyerMoore {
     }
 
     /// Exact heap bytes owned by the compiled searcher: the pattern copy
-    /// and the good-suffix table. The bad-character table and the filter
-    /// live inline in the struct (callers owning a `Box<BoyerMoore>` add
+    /// and the good-suffix table. The bad-character table lives inline in
+    /// the struct (callers owning a `Box<BoyerMoore>` add
     /// `size_of::<BoyerMoore>()`).
     pub fn heap_bytes(&self) -> usize {
         self.pattern.capacity() + self.good_suffix.capacity() * std::mem::size_of::<usize>()

@@ -4,37 +4,39 @@
 //! (Koch, Scherzinger, Schmidt: *XML Prefiltering as a String Matching
 //! Problem*, ICDE 2008):
 //!
+//! * [`TagWalk`] — the vector search the runtime runs for every state, one
+//!   keyword or many: the candidates of one [`memscan::Fingerprint`] (the
+//!   keywords' `<` and their bytes at two offsets, fitted to the tags of
+//!   the DTD through a [`memscan::TagUniverse`]; portable SWAR plus
+//!   SSE2/AVX2 on `x86_64`, selected at runtime), each verified against
+//!   the keywords,
 //! * [`BoyerMoore`] — single-keyword search with bad-character and strong
 //!   good-suffix shifts (the paper's **BM** engine for unary frontier
 //!   vocabularies),
 //! * [`CommentzWalter`] — multi-keyword search matching right-to-left over a
 //!   trie of reversed patterns with bad-character and good-suffix style
 //!   shifts (the paper's **CW** engine),
-//! * [`Horspool`] — the simplified Boyer–Moore–Horspool variant (ablation),
 //! * [`AhoCorasick`] — the classic every-character multi-keyword automaton
 //!   (the baseline family the paper contrasts against, cf. its related work
 //!   \[21\]),
 //! * [`Kmp`] and [`naive`] — further one-character-at-a-time baselines.
 //!
+//! Boyer–Moore and Commentz–Walter are the paper's algorithms and the
+//! specification of [`TagWalk`]: the property tests hold the walk to
+//! them, and the runtime runs them under `SMPX_NO_SIMD=1`, where their
+//! counters are the paper's accounting.
+//!
 //! All searchers are generic over a [`Metrics`] sink so that the number of
 //! character comparisons and the sizes of forward shifts can be measured
 //! (Table I/II of the paper report `Char Comp.` and `∅ Shift Size`) without
 //! imposing any cost on uninstrumented runs ([`NoMetrics`] is fully inlined
-//! away).
-//!
-//! The skipping searchers additionally walk the candidate alignments of
-//! one vectorized filter ([`memscan::Fingerprint`]: the keywords' first
-//! byte and their bytes at two offsets, fitted to the tags of the DTD when
-//! a [`memscan::TagUniverse`] is given; portable SWAR plus SSE2/AVX2 on
-//! `x86_64`, selected at runtime). Bytes the vector unit consumes are
-//! reported through the separate [`Metrics::scanned`] counter so the
-//! paper's characters-inspected accounting stays honest. Set
-//! `SMPX_NO_SIMD=1` to force the classic scalar shift loops.
+//! away). Bytes the vector unit consumes are reported through the separate
+//! [`Metrics::scanned`] counter.
 //!
 //! # Example
 //!
 //! ```
-//! use smpx_stringmatch::{BoyerMoore, CommentzWalter, Counters, Metrics, NoMetrics};
+//! use smpx_stringmatch::{BoyerMoore, CommentzWalter, Counters, Metrics, NoMetrics, TagWalk};
 //!
 //! let bm = BoyerMoore::new(b"ICDE");
 //! assert_eq!(bm.find(b"welcome to ICDE 2008"), Some(11));
@@ -42,6 +44,10 @@
 //! let cw = CommentzWalter::new(&[b"<b".as_slice(), b"<c", b"</a"]);
 //! let m = cw.find(b"<a><c><b/></c></a>").unwrap();
 //! assert_eq!((m.pattern, m.start), (1, 3)); // first token is "<c"
+//!
+//! // The vector walk finds what the specification finds.
+//! let walk = TagWalk::new(&[b"<b".as_slice(), b"<c", b"</a"]);
+//! assert_eq!(walk.find(b"<a><c><b/></c></a>"), Some(m));
 //!
 //! // Instrumented search: count character comparisons.
 //! let mut stats = Counters::default();
@@ -57,20 +63,20 @@
 mod aho_corasick;
 mod boyer_moore;
 mod commentz_walter;
-mod horspool;
 mod kmp;
 pub mod memscan;
 mod metrics;
 pub mod naive;
+mod tag_walk;
 
 pub use aho_corasick::AhoCorasick;
 pub use boyer_moore::BoyerMoore;
 pub use commentz_walter::CommentzWalter;
-pub use horspool::Horspool;
 pub use kmp::Kmp;
 #[doc(hidden)]
 pub use memscan::FilterChoice;
 pub use metrics::{Counters, Metrics, NoMetrics};
+pub use tag_walk::TagWalk;
 
 /// An occurrence of one pattern of a multi-pattern searcher.
 ///

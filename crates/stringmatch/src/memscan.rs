@@ -1,4 +1,4 @@
-//! Vectorized byte scanning — the skip-scan substrate of the searchers.
+//! Vectorized byte scanning — the skip-scan substrate of the candidate walk.
 //!
 //! The paper's searchers win by *skipping* characters, but a scalar shift
 //! loop still pays one branch and one bounds check per alignment. This
@@ -31,9 +31,9 @@
 //! * **AVX2** — 32 bytes per iteration, used when
 //!   `is_x86_feature_detected!("avx2")` reports support at runtime.
 //!
-//! Setting `SMPX_NO_SIMD=1` in the environment forces the SWAR path (the
-//! searchers additionally fall back to their classic scalar shift loops;
-//! see [`accel_enabled`]). The choice is cached in an atomic after the
+//! Setting `SMPX_NO_SIMD=1` in the environment forces the SWAR path (and
+//! the runtime searches with the classic Boyer–Moore and Commentz–Walter
+//! loops instead of the candidate walk; see [`accel_enabled`]). The choice is cached in an atomic after the
 //! first query; [`force_kind`] overrides it for benchmarks.
 //!
 //! # Safety
@@ -125,11 +125,13 @@ fn encode(k: ScanKind) -> u8 {
     }
 }
 
-/// Is the vectorized skip-scan enabled for the searchers?
+/// Is the vectorized skip-scan enabled for the runtime?
 ///
-/// `SMPX_NO_SIMD=1` disables it, restoring the classic scalar shift loops
-/// byte for byte (the CI fallback leg runs the whole suite this way).
-/// Cached after the first call.
+/// `SMPX_NO_SIMD=1` disables it: the runtime then builds the classic
+/// Boyer–Moore and Commentz–Walter loops instead of the candidate walk
+/// ([`TagWalk`](crate::TagWalk)), and scans tags byte by byte (the CI
+/// fallback leg runs the whole suite this way). Cached after the first
+/// call.
 pub fn accel_enabled() -> bool {
     match ACCEL.load(Ordering::Relaxed) {
         1 => true,
@@ -142,8 +144,9 @@ pub fn accel_enabled() -> bool {
     }
 }
 
-/// Force the searcher acceleration on or off for this process (test/bench
-/// escape hatch, same effect as `SMPX_NO_SIMD`).
+/// Force the acceleration on or off for this process (test/bench escape
+/// hatch, same effect as `SMPX_NO_SIMD`). A runtime matcher follows the
+/// mode it was built in.
 pub fn force_accel(on: bool) {
     ACCEL.store(if on { 1 } else { 2 }, Ordering::Relaxed);
 }
@@ -1254,94 +1257,6 @@ impl Fingerprint {
     }
 }
 
-/// The accelerated single-keyword search, shared by Boyer–Moore and
-/// Horspool: walk the candidates of the keyword's filter `fp` in
-/// increasing order and compare `pat` at each — the walk of the
-/// multi-keyword searcher with nothing to choose between, so no
-/// verification table and no best-so-far. Returns the first occurrence
-/// starting at or after `from`.
-///
-/// Booked to `m` like the multi-keyword walk: every alignment the filter
-/// passes over once as `scanned`, the bytes compared at a candidate as
-/// `cmp`, one `shift` per candidate stop with the distance from the
-/// previous one.
-#[inline]
-pub(crate) fn candidate_find<M: crate::Metrics>(
-    hay: &[u8],
-    from: usize,
-    pat: &[u8],
-    fp: &Fingerprint,
-    blocks: &mut Blocks,
-    m: &mut M,
-) -> Option<usize> {
-    if from >= hay.len() || hay.len() - from < pat.len() {
-        return None;
-    }
-    let last = hay.len() - pat.len();
-    let mut cursor = from;
-    while cursor <= last {
-        let Some(s) = fp.next_candidate(hay, cursor, last, blocks) else {
-            m.scanned((hay.len() - cursor) as u64);
-            m.shift((last + 1 - cursor) as u64);
-            return None;
-        };
-        m.scanned((s + 1 - cursor) as u64);
-        if s > cursor {
-            m.shift((s - cursor) as u64);
-        }
-        if occurs_at(hay, s, pat, m) {
-            return Some(s);
-        }
-        cursor = s + 1;
-    }
-    None
-}
-
-/// Does `pat` occur at candidate `s` of `hay` (it may not fit)? Books the
-/// bytes compared: up to and including the first that differs.
-#[inline]
-pub(crate) fn occurs_at<M: crate::Metrics>(hay: &[u8], s: usize, pat: &[u8], m: &mut M) -> bool {
-    let Some(window) = hay.get(s..s + pat.len()) else {
-        return false;
-    };
-    let same = common_prefix(window, pat);
-    m.cmp((same + 1).min(pat.len()) as u64);
-    same == pat.len()
-}
-
-/// Length of the common prefix of two slices of one length, a word at a
-/// time: the last word of a length that is no multiple of the word
-/// overlaps the one before it, so a keyword takes one or two loads per
-/// side however long it is.
-#[inline]
-fn common_prefix(a: &[u8], b: &[u8]) -> usize {
-    let len = a.len();
-    let word = |s: &[u8], i: usize| u64::from_le_bytes(s[i..i + 8].try_into().expect("8 bytes"));
-    let half = |s: &[u8], i: usize| u32::from_le_bytes(s[i..i + 4].try_into().expect("4 bytes"));
-    // The first differing byte of the words at `i`, if any.
-    let diff_at =
-        |i: usize, diff: u64| (diff != 0).then(|| i + (diff.trailing_zeros() / 8) as usize);
-    let found = if len >= 8 {
-        let mut i = 0;
-        loop {
-            let at = i.min(len - 8);
-            if let Some(j) = diff_at(at, word(a, at) ^ word(b, at)) {
-                break Some(j);
-            }
-            if at == len - 8 {
-                break None;
-            }
-            i += 8;
-        }
-    } else if len >= 4 {
-        let diff = |i: usize| (half(a, i) ^ half(b, i)) as u64;
-        diff_at(0, diff(0)).or_else(|| diff_at(len - 4, diff(len - 4)))
-    } else {
-        a.iter().zip(b).position(|(x, y)| x != y)
-    };
-    found.unwrap_or(len)
-}
-
 /// First candidate alignment `i >= from` of `fp` in `hay`
 /// ([`Fingerprint::admits_at`]). Dispatches to the active [`ScanKind`].
 #[inline]
@@ -1634,6 +1549,19 @@ mod tests {
         assert_eq!(fitted.offsets(), (2, 4));
         assert_eq!(fitted.choice(&keyword, &universe).foreign_admitted, 0);
         assert!(fitted.admits_at(b"</site>", 0) && !fitted.admits_at(b"</street>", 0));
+    }
+
+    #[test]
+    fn filter_looks_past_the_shared_first_byte() {
+        let pats: Vec<&[u8]> = vec![b"<Abstract", b"</Abstract"];
+        let choice = Fingerprint::new(&pats).choice(&pats, &TagUniverse::default());
+        assert_eq!((choice.keywords, choice.lmin, choice.anchor), (2, 9, Some(b'<')));
+        // `Ab` and `/A`: the capitals are the rare bytes of these tags.
+        assert_eq!(choice.offsets, (1, 2));
+        assert_eq!(choice.bytes, vec![(b'A', b'b'), (b'/', b'A')]);
+        // A single-byte pattern leaves one offset to look at.
+        let pats: Vec<&[u8]> = vec![b"<", b"ab"];
+        assert_eq!(Fingerprint::new(&pats).offsets(), (0, 0));
     }
 
     #[test]

@@ -1,16 +1,24 @@
 //! Property-based differential tests: every searcher in the crate must agree
 //! with the naive oracle on arbitrary inputs, including adversarial small
-//! alphabets that maximize pattern self-overlap.
+//! alphabets that maximize pattern self-overlap, and the candidate walk
+//! (`TagWalk`) with its specification — Boyer–Moore for one keyword,
+//! Commentz–Walter for several — on every SMP-shaped vocabulary.
 
 use proptest::prelude::*;
-use smpx_stringmatch::memscan::{self, ScanKind, TagUniverse};
+use smpx_stringmatch::memscan::{self, Blocks, ScanKind, TagUniverse};
 use smpx_stringmatch::{
-    naive, AhoCorasick, BoyerMoore, CommentzWalter, Horspool, Kmp, MultiMatch, NoMetrics,
+    naive, AhoCorasick, BoyerMoore, CommentzWalter, Kmp, MultiMatch, NoMetrics, TagWalk,
 };
 use std::sync::Mutex;
 
-/// Serializes the tests that force a process-global scan mode.
+/// Serializes the tests that force a process-global scan kind.
 static MODE: Mutex<()> = Mutex::new(());
+
+/// Can `TagWalk` search `pats`: does every keyword start with `<` and hold
+/// no other?
+fn smp_shaped(pats: &[Vec<u8>]) -> bool {
+    pats.iter().all(|p| p.first() == Some(&b'<') && !p[1..].contains(&b'<'))
+}
 
 /// Tag names built to share prefixes (`ab` / `abc` / `abcd`), nibbles
 /// (`a`, `q` = 0x61, 0x71) and whole fingerprints, next to two real ones.
@@ -40,17 +48,26 @@ fn smp_haystack() -> impl Strategy<Value = Vec<u8>> {
     })
 }
 
-/// `find_at ≡ find_at_scalar` from every position — whichever universe
-/// the filter was fitted to — `find ≡` Aho–Corasick, `find_iter ≡` the
-/// naive occurrence set.
+/// `find ≡` Aho–Corasick and `find_iter ≡` the naive occurrence set for
+/// Commentz–Walter; and on an SMP-shaped vocabulary, the walk fitted to
+/// each universe `≡` Commentz–Walter's `find_at` from every position.
 fn check_against_oracles(hay: &[u8], pats: &[Vec<u8>]) -> Result<(), String> {
     let refs: Vec<&[u8]> = pats.iter().map(|p| p.as_slice()).collect();
+    let cw = CommentzWalter::new(&refs);
+    prop_assert_eq!(cw.find(hay), AhoCorasick::new(&refs).find(hay));
+    let got: Vec<MultiMatch> = cw.find_iter(hay).collect();
+    let mut want = naive::find_all_multi(hay, &refs);
+    want.sort_by_key(|m| (m.end, m.pattern));
+    prop_assert_eq!(got, want, "hay={:?} pats={:?}", String::from_utf8_lossy(hay), pats);
+    if !smp_shaped(pats) {
+        return Ok(());
+    }
     for (u, universe) in universes().iter().enumerate() {
-        let cw = CommentzWalter::with_universe(&refs, universe);
+        let walk = TagWalk::with_universe(&refs, universe);
         for from in 0..=hay.len() + 1 {
             prop_assert_eq!(
+                walk.find_at(hay, from, &mut Blocks::new(), &mut NoMetrics),
                 cw.find_at(hay, from, &mut NoMetrics),
-                cw.find_at_scalar(hay, from, &mut NoMetrics),
                 "universe {} from={} hay={:?} pats={:?}",
                 u,
                 from,
@@ -58,11 +75,6 @@ fn check_against_oracles(hay: &[u8], pats: &[Vec<u8>]) -> Result<(), String> {
                 pats
             );
         }
-        prop_assert_eq!(cw.find(hay), AhoCorasick::new(&refs).find(hay));
-        let got: Vec<MultiMatch> = cw.find_iter(hay).collect();
-        let mut want = naive::find_all_multi(hay, &refs);
-        want.sort_by_key(|m| (m.end, m.pattern));
-        prop_assert_eq!(got, want, "hay={:?} pats={:?}", String::from_utf8_lossy(hay), pats);
     }
     Ok(())
 }
@@ -74,7 +86,7 @@ fn check_against_oracles(hay: &[u8], pats: &[Vec<u8>]) -> Result<(), String> {
 const PREFIX_RELATED: [&str; 8] =
     ["item", "itemref", "MedlineCitation", "MedlineCitationSet", "name", "namerica", "a", "ab"];
 
-/// The universes a single-keyword searcher is built against: none, the
+/// The universes a walk is built against: none, the
 /// elements of [`smp_haystack`], and [`PREFIX_RELATED`].
 fn universes() -> [TagUniverse; 3] {
     [
@@ -84,28 +96,26 @@ fn universes() -> [TagUniverse; 3] {
     ]
 }
 
-/// Boyer–Moore and Horspool over `pat`, built with and without a universe:
-/// `find_at ≡ find_at_scalar ≡` naive from every position.
+/// Boyer–Moore over `pat` `≡` naive from every position; and on an
+/// SMP-shaped keyword, the walk fitted to each universe too.
 fn check_single_keyword(hay: &[u8], pat: &[u8]) -> Result<(), String> {
-    for (u, universe) in universes().iter().enumerate() {
-        let bm = BoyerMoore::with_universe(pat, universe);
-        let hs = Horspool::with_universe(pat, universe);
-        for from in 0..=hay.len() + 1 {
-            let want = naive::find_at(hay, pat, from, &mut NoMetrics);
-            let at = format!(
-                "universe {u} from={from} hay={:?} pat={:?}",
-                String::from_utf8_lossy(hay),
-                String::from_utf8_lossy(pat)
-            );
-            prop_assert_eq!(bm.find_at(hay, from, &mut NoMetrics), want, "bm {}", at);
-            prop_assert_eq!(bm.find_at_scalar(hay, from, &mut NoMetrics), want, "bm scalar {}", at);
-            prop_assert_eq!(hs.find_at(hay, from, &mut NoMetrics), want, "horspool {}", at);
-            prop_assert_eq!(
-                hs.find_at_scalar(hay, from, &mut NoMetrics),
-                want,
-                "horspool scalar {}",
-                at
-            );
+    let bm = BoyerMoore::new(pat);
+    let walks: Vec<TagWalk> = if smp_shaped(&[pat.to_vec()]) {
+        universes().iter().map(|u| TagWalk::with_universe(&[pat], u)).collect()
+    } else {
+        Vec::new()
+    };
+    for from in 0..=hay.len() + 1 {
+        let want = naive::find_at(hay, pat, from, &mut NoMetrics);
+        let at = format!(
+            "from={from} hay={:?} pat={:?}",
+            String::from_utf8_lossy(hay),
+            String::from_utf8_lossy(pat)
+        );
+        prop_assert_eq!(bm.find_at(hay, from, &mut NoMetrics), want, "bm {}", at);
+        for (u, walk) in walks.iter().enumerate() {
+            let got = walk.find_at(hay, from, &mut Blocks::new(), &mut NoMetrics);
+            prop_assert_eq!(got.map(|mm| mm.start), want, "walk, universe {} {}", u, at);
         }
     }
     Ok(())
@@ -136,15 +146,6 @@ proptest! {
             bm.find_at(&hay, from, &mut sink),
             naive::find_at(&hay, &pat, from, &mut sink)
         );
-    }
-
-    #[test]
-    fn horspool_agrees_with_naive(
-        hay in small_alpha_string(200),
-        pat in small_alpha_pattern(8),
-    ) {
-        let h = Horspool::new(&pat);
-        prop_assert_eq!(h.find(&hay), naive::find(&hay, &pat));
     }
 
     #[test]
@@ -345,16 +346,14 @@ fn prefix_related_haystack() -> Vec<u8> {
 }
 
 /// The candidate walk under each [`ScanKind`] in turn — SWAR words, 16-
-/// and 32-byte vectors — with the accelerated path forced on, so the
-/// `SMPX_NO_SIMD=1` leg drives the kernels too: the multi-keyword walk
-/// over the fixed corpus, and the single-keyword walk over its first
-/// keywords and over every tag of the prefix-related elements, with and
-/// without a universe.
+/// and 32-byte vectors — so the `SMPX_NO_SIMD=1` leg drives the kernels
+/// too: the multi-keyword walk over the fixed corpus, and the
+/// single-keyword walk over its first keywords and over every tag of the
+/// prefix-related elements, with and without a universe.
 #[test]
 fn every_scan_kind_agrees_with_the_windowed_loop() {
     let _guard = MODE.lock().unwrap();
-    let (kind, accel) = (memscan::kind(), memscan::accel_enabled());
-    memscan::force_accel(true);
+    let kind = memscan::kind();
     for forced in [ScanKind::Swar, ScanKind::Sse2, ScanKind::Avx2] {
         memscan::force_kind(forced);
         for (hay, pats) in fixed_corpus() {
@@ -370,5 +369,4 @@ fn every_scan_kind_agrees_with_the_windowed_loop() {
         }
     }
     memscan::force_kind(kind);
-    memscan::force_accel(accel);
 }

@@ -1,16 +1,18 @@
 //! Property tests for the vectorized skip-scan layer: every `memscan`
-//! implementation and every accelerated searcher must agree with the naive
-//! oracle on haystacks engineered to straddle the SWAR-word (8-byte) and
-//! SSE/AVX-lane (16/32-byte) boundaries.
+//! implementation and the candidate walk built on them must agree with
+//! the naive oracle on haystacks engineered to straddle the SWAR-word
+//! (8-byte) and SSE/AVX-lane (16/32-byte) boundaries.
 //!
 //! The per-implementation functions are exercised directly (no process
 //! globals), so one test run covers scalar, SWAR and — where the CPU has
-//! them — SSE2/AVX2 simultaneously; the `SMPX_NO_SIMD=1` CI leg covers
-//! the searchers' scalar dispatch path on top.
+//! them — SSE2/AVX2 simultaneously; the walk runs the active kind (SWAR
+//! on the `SMPX_NO_SIMD=1` CI leg).
 
 use proptest::prelude::*;
-use smpx_stringmatch::memscan::Fingerprint;
-use smpx_stringmatch::{memscan, naive, BoyerMoore, CommentzWalter, Horspool, MultiMatch};
+use smpx_stringmatch::memscan::{Blocks, Fingerprint};
+use smpx_stringmatch::{
+    memscan, naive, BoyerMoore, CommentzWalter, MultiMatch, NoMetrics, TagWalk,
+};
 
 /// Haystack lengths clustered around 0..64 and the 8/16/32-byte alignment
 /// edges, so every vector implementation hits its head, full-lane and tail
@@ -36,6 +38,12 @@ fn tiny_alpha_hay(len: usize) -> impl Strategy<Value = Vec<u8>> {
 /// Patterns of length 1..=3 over the same alphabet.
 fn tiny_pattern() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(prop_oneof![Just(b'a'), Just(b'b'), Just(b'<')], 1..4)
+}
+
+/// `pat` as a keyword the walk takes: `<`, then its bytes with every `<`
+/// read as `a`.
+fn tag_shaped(pat: &[u8]) -> Vec<u8> {
+    std::iter::once(b'<').chain(pat.iter().map(|&b| if b == b'<' { b'a' } else { b })).collect()
 }
 
 fn memscan_impls(hay: &[u8], from: usize, needle: u8) -> Vec<(&'static str, Option<usize>)> {
@@ -120,6 +128,7 @@ fn fingerprint_candidates_straddle_every_lane_edge() {
     ];
     for pats in vocabularies {
         let fp = Fingerprint::new(pats);
+        let walk = TagWalk::new(pats);
         let cw = CommentzWalter::new(pats);
         let longest = *pats.iter().max_by_key(|p| p.len()).unwrap();
         for at in 0..70 {
@@ -136,12 +145,12 @@ fn fingerprint_candidates_straddle_every_lane_edge() {
                         assert_eq!(got, want, "{name} at={at} tail={tail} from={from}");
                     }
                 }
-                let hit = cw.find_at(&hay, 0, &mut smpx_stringmatch::NoMetrics);
-                assert_eq!(hit, cw.find_at_scalar(&hay, 0, &mut smpx_stringmatch::NoMetrics));
+                let hit = walk.find_at(&hay, 0, &mut Blocks::new(), &mut NoMetrics);
+                assert_eq!(hit, cw.find_at(&hay, 0, &mut NoMetrics));
                 assert_eq!(hit.map(|m| m.start), Some(at), "at={at} tail={tail}");
                 if let [keyword] = pats {
                     let bm = BoyerMoore::new(keyword);
-                    let hit = bm.find_at(&hay, 0, &mut smpx_stringmatch::NoMetrics);
+                    let hit = bm.find_at(&hay, 0, &mut NoMetrics);
                     assert_eq!(hit, Some(at), "bm at={at} tail={tail}");
                 }
             }
@@ -391,24 +400,16 @@ proptest! {
         pat in tiny_pattern(),
         from in 0usize..70,
     ) {
+        // The single-keyword walk over the keyword `pat` shaped into, and
+        // Boyer–Moore over `pat` itself.
+        let keyword = tag_shaped(&pat);
+        let walk = TagWalk::new(&[&keyword]);
+        let want = naive::find_at(&hay, &keyword, from, &mut NoMetrics);
+        let got = walk.find_at(&hay, from, &mut Blocks::new(), &mut NoMetrics);
+        prop_assert_eq!(got.map(|m| m.start), want, "walk hay={:?} pat={:?}", &hay, &keyword);
+        let want = naive::find_at(&hay, &pat, from, &mut NoMetrics);
         let bm = BoyerMoore::new(&pat);
-        let mut sink = smpx_stringmatch::NoMetrics;
-        let want = naive::find_at(&hay, &pat, from, &mut sink);
-        prop_assert_eq!(bm.find_at(&hay, from, &mut sink), want, "accel hay={:?} pat={:?}", &hay, &pat);
-        prop_assert_eq!(bm.find_at_scalar(&hay, from, &mut sink), want, "scalar hay={:?} pat={:?}", &hay, &pat);
-    }
-
-    #[test]
-    fn accelerated_horspool_agrees_with_oracle_at_edges(
-        hay in edge_len().prop_flat_map(tiny_alpha_hay),
-        pat in tiny_pattern(),
-        from in 0usize..70,
-    ) {
-        let h = Horspool::new(&pat);
-        let mut sink = smpx_stringmatch::NoMetrics;
-        let want = naive::find_at(&hay, &pat, from, &mut sink);
-        prop_assert_eq!(h.find_at(&hay, from, &mut sink), want);
-        prop_assert_eq!(h.find_at_scalar(&hay, from, &mut sink), want);
+        prop_assert_eq!(bm.find_at(&hay, from, &mut NoMetrics), want, "bm hay={:?} pat={:?}", &hay, &pat);
     }
 
     #[test]
@@ -417,18 +418,19 @@ proptest! {
         pats in proptest::collection::vec(tiny_pattern(), 1..4),
         from in 0usize..70,
     ) {
-        let refs: Vec<&[u8]> = pats.iter().map(|p| p.as_slice()).collect();
-        let cw = CommentzWalter::new(&refs);
-        let mut sink = smpx_stringmatch::NoMetrics;
-        // find_at (vector fast path when the patterns share a first byte)
-        // must be byte-identical to the pure windowed loop.
+        // The walk over the keywords the patterns shape into must find
+        // what the windowed loop finds.
+        let keywords: Vec<Vec<u8>> = pats.iter().map(|p| tag_shaped(p)).collect();
+        let walk = TagWalk::new(&keywords);
         prop_assert_eq!(
-            cw.find_at(&hay, from, &mut sink),
-            cw.find_at_scalar(&hay, from, &mut sink),
-            "hay={:?} pats={:?}", &hay, &pats
+            walk.find_at(&hay, from, &mut Blocks::new(), &mut NoMetrics),
+            CommentzWalter::new(&keywords).find_at(&hay, from, &mut NoMetrics),
+            "hay={:?} keywords={:?}", &hay, &keywords
         );
-        // And the full occurrence set must match the naive oracle.
-        let got: Vec<MultiMatch> = cw.find_iter(&hay).collect();
+        // And the full occurrence set of the patterns themselves must
+        // match the naive oracle.
+        let refs: Vec<&[u8]> = pats.iter().map(|p| p.as_slice()).collect();
+        let got: Vec<MultiMatch> = CommentzWalter::new(&refs).find_iter(&hay).collect();
         let mut want = naive::find_all_multi(&hay, &refs);
         want.sort_by_key(|m| (m.end, m.pattern));
         prop_assert_eq!(got, want);

@@ -11,7 +11,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`core`] | the SMP static analysis + skipping runtime ([`core::Prefilter`]) |
-//! | [`stringmatch`] | Boyer–Moore, Commentz–Walter, Horspool, Aho–Corasick, KMP |
+//! | [`stringmatch`] | The candidate walk (`TagWalk`), Boyer–Moore, Commentz–Walter, Aho–Corasick, KMP |
 //! | [`dtd`] | DTD parsing, Glushkov automata, the DTD-automaton, minimal lengths |
 //! | [`paths`] | projection paths, relevance (C1/C2/C3), XPath subset, extraction |
 //! | [`xml`] | SAX tokenizer, arena DOM, serializer |

@@ -42,7 +42,7 @@ fn filter_choices_of_the_benchmark_states() {
     // (case, keyword) -> (foreign tags admitted, tags extending the keyword).
     let mut seen: Vec<(String, String, usize, usize)> = Vec::new();
     for case in cases() {
-        let mut pf = Prefilter::compile(&case.dtd, &case.queries[0]).expect("compile");
+        let pf = Prefilter::compile(&case.dtd, &case.queries[0]).expect("compile");
         let tables = pf.tables().clone();
         let tokens: Vec<Vec<u8>> = tables
             .elem_names
@@ -51,7 +51,7 @@ fn filter_choices_of_the_benchmark_states() {
             .collect();
         for (q, state) in tables.states.iter().enumerate() {
             let pats: Vec<&[u8]> = state.keywords.iter().map(|k| k.bytes.as_slice()).collect();
-            // What `StateMatcher::build` built for this state.
+            // What the walk of this state decides, in either mode.
             let Some(choice) = pf.filter_choice(q as u32) else {
                 assert!(pats.is_empty(), "{} state {q}: no filter", case.name);
                 continue;

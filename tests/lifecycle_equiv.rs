@@ -273,8 +273,10 @@ fn edited_generation_equals_fresh_registry_across_backends_threads_and_modes() {
         assert!(generation.gen_no() >= 1, "edits must publish a new generation");
         assert_eq!(generation.id_width() as usize, slots.len());
 
-        let (mut fresh, extern_of) = fresh_of_model(&fx.dtd, &slots);
         with_both_modes(|mode| {
+            // A matcher keeps the mode it was built in: a fresh compile
+            // per mode, as every generation run mints a fresh worker.
+            let (mut fresh, extern_of) = fresh_of_model(&fx.dtd, &slots);
             sweep_equivalence(
                 &format!("seed {seed} accel={mode}"),
                 &fx,

@@ -172,27 +172,27 @@ const PINNED: &[(&str, u64, u64, u64)] = &[
     // [1486, 258867, 139, 258207] [50353, 492, 42953, 258213]
     ("xmark/XM13", 0x5223826272b4bd55, 0x100bf31c2e3c305c, 0xb53422cd27bae147),
     // [14907, 229915, 1160, 227669] [65859, 1086, 38634, 230463]
-    ("xmark/XM7", 0x78d39a702491078a, 0xc63838c40a6b768d, 0xb0b6feffd5891674),
+    ("xmark/XM7", 0x78d39a702491078a, 0x4b261760d35fee4d, 0xb0b6feffd5891674),
     // [10587, 241794, 1108, 237279] [63824, 3236, 46669, 237367]
-    ("xmark/XM14", 0xffbdd80a132a50c9, 0x3ffa61560f625f01, 0xd816df4ba47cf9b5),
+    ("xmark/XM14", 0xffbdd80a132a50c9, 0x58e139d24cd29891, 0xd816df4ba47cf9b5),
     // [4503, 251027, 171, 250343] [29656, 342, 24068, 250530]
-    ("xmark/standing-1", 0xb9a07c80bdab90c9, 0x63e7c548e73dc09e, 0xbd2b397dad85cbcf),
+    ("xmark/standing-1", 0xb9a07c80bdab90c9, 0x1ae8d11e88b7ca5f, 0xbd2b397dad85cbcf),
     // [12379, 228323, 789, 220398] [48021, 6635, 33752, 220933]
-    ("xmark/standing-10", 0x5c7117b060b5d8ed, 0x8b55e77d81087372, 0x16e961da76d428d1),
+    ("xmark/standing-10", 0x5c7117b060b5d8ed, 0x2c4abb2439dca7c2, 0x16e961da76d428d1),
     // [61073, 191148, 3612, 163920] [104470, 20772, 37614, 165598]
-    ("xmark/standing-100", 0x283f070b06c3f657, 0x32dfd46e8bab1dbe, 0xf33fca45f026bd0a),
+    ("xmark/standing-100", 0x283f070b06c3f657, 0xcc537b01719b3089, 0xf33fca45f026bd0a),
     // [2381, 264018, 132, 263884] [26357, 2, 22034, 264018]
-    ("medline/M1", 0x2f82e86d03cb2d57, 0x8246077eba18e246, 0xf581e45cfdfeafd7),
+    ("medline/M1", 0x2f82e86d03cb2d57, 0x6ae0c24a2764ef12, 0xf581e45cfdfeafd7),
     // [7997, 261942, 547, 261180] [43137, 138, 38715, 261841]
-    ("medline/M2", 0xbf75abdaf20bc2f1, 0xa6848227bf9d0c37, 0xdaf406d09080796e),
+    ("medline/M2", 0xbf75abdaf20bc2f1, 0x5b969d274b441d9e, 0xdaf406d09080796e),
     // [1225, 262878, 36, 262753] [25615, 58, 22209, 262834]
-    ("medline/M3", 0x97a8d0c3908552fc, 0x65f6ebec129f0237, 0xb40401af1870b55e),
+    ("medline/M3", 0x97a8d0c3908552fc, 0x634f6665281bcf4e, 0xb40401af1870b55e),
     // [1166, 262543, 52, 262439] [26912, 52, 22193, 262464]
-    ("medline/M4", 0x4fd15780b50afa2e, 0x2127cd14b784d4e5, 0x98039fc8d5ece6dd),
+    ("medline/M4", 0x4fd15780b50afa2e, 0xb9b896331fac09da, 0x98039fc8d5ece6dd),
     // [12308, 233609, 520, 228376] [34149, 4557, 20279, 228645]
-    ("medline/M5", 0x5e7c8c520904ea82, 0xc4e41fea2b0e4735, 0xa1d5d171012afc6a),
+    ("medline/M5", 0x5e7c8c520904ea82, 0xd9f9727cfcf63e3a, 0xa1d5d171012afc6a),
     // [25728, 234997, 1872, 229690] [65740, 2580, 34818, 231133]
-    ("protein/multi", 0x83cdab74365b08df, 0x2fb96f430071b003, 0x5765868943c51459),
+    ("protein/multi", 0x83cdab74365b08df, 0x01802578b4e56460, 0x5765868943c51459),
     // [65, 196, 0, 0] [131, 65, 68, 108]
     ("rec-a/0", 0xeeb70cb2c5e42e54, 0xafd6dded5b94a725, 0xffcbfa974908982a),
     // [65, 196, 0, 0] [131, 65, 68, 108]
@@ -214,11 +214,11 @@ const PINNED: &[(&str, u64, u64, u64)] = &[
     // [48, 101, 5, 82] [77, 10, 28, 86]
     ("ambiguous/0", 0x37685905489b593f, 0xc012eadd3ca8ac25, 0x7935207a50417396),
     // [88, 81, 6, 46] [108, 18, 19, 54]
-    ("ambiguous/0-multi", 0x741d21dc7bc940ac, 0x5c695d0b6b6eb735, 0x383ab8977a04026e),
+    ("ambiguous/0-multi", 0x741d21dc7bc940ac, 0xc397e2b400e36bb4, 0x383ab8977a04026e),
     // [69, 146, 4, 118] [110, 14, 41, 124]
-    ("ambiguous/1", 0x283c18f6935ca0e3, 0xd2c944431a7485c4, 0x2ad7a619f260c9cd),
+    ("ambiguous/1", 0x283c18f6935ca0e3, 0xc512f070138db347, 0x2ad7a619f260c9cd),
     // [140, 97, 6, 46] [160, 26, 20, 62]
-    ("ambiguous/1-multi", 0xc137510361c58867, 0x05ccae5ace801de4, 0x08327730b80480ce),
+    ("ambiguous/1-multi", 0xc137510361c58867, 0xcb8386dfa43bde67, 0x08327730b80480ce),
     // [28, 72, 3, 56] [51, 8, 21, 56]
     ("ambiguous/2", 0x655682601d4c664f, 0x08a0f2eb78fed3bd, 0x9ad3634479756d90),
     // [42, 66, 4, 42] [60, 12, 16, 43]
@@ -226,13 +226,13 @@ const PINNED: &[(&str, u64, u64, u64)] = &[
     // [9002, 219624, 503, 215798] [29894, 2942, 20522, 215802]
     ("protein/P1", 0x8b3877c841189e81, 0x717eac74e3fd845f, 0xe54f2f6d4fea2130),
     // [12421, 240176, 931, 233750] [49016, 5124, 34004, 233911]
-    ("protein/P2", 0x7a5ac0f7b91e425c, 0x02cb4126e84163ac, 0x3502623e7e5deb57),
+    ("protein/P2", 0x7a5ac0f7b91e425c, 0xac259eb84aaee258, 0x3502623e7e5deb57),
     // [7385, 218448, 295, 215210] [34999, 2648, 25010, 215214]
     ("protein/P3", 0x3eb5846fe377edf7, 0xf718199360eba776, 0xe08fabc1e17eb1fa),
     // [6481, 259911, 526, 258819] [49443, 432, 39537, 258975]
-    ("protein/P4", 0x94972ceda328aa48, 0x089380fce7412997, 0xf1def386f52def52),
+    ("protein/P4", 0x94972ceda328aa48, 0x99ca9873be3d016d, 0xf1def386f52def52),
     // [14673, 222481, 957, 217771] [41890, 3384, 26754, 217923]
-    ("protein/P5", 0xc03d58eaffea9ea7, 0xc96059c36b919e6b, 0x6733b3cfdc23e6fb),
+    ("protein/P5", 0xc03d58eaffea9ea7, 0xa5718afa57fbb454, 0x6733b3cfdc23e6fb),
 ];
 
 #[test]

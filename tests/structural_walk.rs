@@ -8,8 +8,9 @@
 //!
 //! * on generated tag soup with quoted attribute values holding `>`, `/`
 //!   and the other quote, over SMP-shaped vocabularies with prefix pairs,
-//!   the walk of Boyer–Moore and Commentz–Walter sharing one block cache
-//!   finds what `find_at_scalar` finds, and the block-served tag end
+//!   the walk (`TagWalk`) sharing one block cache finds what its
+//!   specification — Boyer–Moore, Commentz–Walter — finds, and the
+//!   block-served tag end
 //!   equals the per-byte tag-end loop, token after token, from every start
 //!   — over the whole document, and over a window that grows by a few
 //!   bytes at a time and drops what lies behind the cursor (every block
@@ -21,8 +22,8 @@
 //!   release steps of 64 bytes, 4 KiB and the default, and from readers
 //!   at chunks around every block edge.
 //!
-//! Both force the vectorized mode (`memscan::force_accel`), which is
-//! process-global, so they take turns on one lock and run under
+//! The walk reads no scan mode; the prefilter runs compile a fresh
+//! prefilter per mode (`memscan::force_accel`), so they run under
 //! `SMPX_NO_SIMD=1` alike.
 
 #[allow(dead_code)] // only `Rand` and `TempDoc`
@@ -35,15 +36,7 @@ use smpx_datagen::{xmark, GenOptions};
 use smpx_dtd::Dtd;
 use smpx_paths::PathSet;
 use smpx_stringmatch::memscan::{self, Blocks};
-use smpx_stringmatch::{BoyerMoore, CommentzWalter, NoMetrics};
-use std::sync::{Mutex, MutexGuard};
-
-/// The scan mode is process-global: the two tests take turns, each
-/// forcing the mode it needs and restoring the environment's after.
-fn mode_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
+use smpx_stringmatch::{BoyerMoore, CommentzWalter, NoMetrics, TagWalk};
 
 /// The scan mode `SMPX_NO_SIMD` selects.
 fn env_accel() -> bool {
@@ -144,37 +137,39 @@ fn tag_end_scalar(hay: &[u8], pos: usize) -> Option<(usize, bool)> {
     None
 }
 
-/// One searcher of either kind, searched with a shared block cache.
-enum Searcher {
+/// A vocabulary's walk, searched with a shared block cache, and its
+/// specification: Boyer–Moore for one keyword, Commentz–Walter for more.
+struct Searcher {
+    walk: TagWalk,
+    spec: Spec,
+}
+
+enum Spec {
     Bm(Box<BoyerMoore>),
     Cw(Box<CommentzWalter>),
 }
 
 impl Searcher {
     fn new(vocabulary: &[Vec<u8>]) -> Searcher {
-        match vocabulary {
-            [one] => Searcher::Bm(Box::new(BoyerMoore::new(one))),
-            many => Searcher::Cw(Box::new(CommentzWalter::new(many))),
-        }
+        let spec = match vocabulary {
+            [one] => Spec::Bm(Box::new(BoyerMoore::new(one))),
+            many => Spec::Cw(Box::new(CommentzWalter::new(many))),
+        };
+        Searcher { walk: TagWalk::new(vocabulary), spec }
     }
 
     /// `(pattern length, start)` of the first occurrence at or after
-    /// `from`: through the block cache, and by the scalar specification.
+    /// `from`: by the walk through the block cache, and by the
+    /// specification.
     fn find(&self, hay: &[u8], from: usize, blocks: &mut Blocks) -> [Option<(usize, usize)>; 2] {
-        match self {
-            Searcher::Bm(bm) => {
-                let len = bm.pattern().len();
-                [
-                    bm.find_at_blocks(hay, from, blocks, &mut NoMetrics).map(|s| (len, s)),
-                    bm.find_at_scalar(hay, from, &mut NoMetrics).map(|s| (len, s)),
-                ]
+        let walk = self.walk.find_at(hay, from, blocks, &mut NoMetrics);
+        let spec = match &self.spec {
+            Spec::Bm(bm) => {
+                bm.find_at(hay, from, &mut NoMetrics).map(|s| (s, s + bm.pattern().len()))
             }
-            Searcher::Cw(cw) => [
-                cw.find_at_blocks(hay, from, blocks, &mut NoMetrics),
-                cw.find_at_scalar(hay, from, &mut NoMetrics),
-            ]
-            .map(|mm| mm.map(|mm| (mm.end - mm.start, mm.start))),
-        }
+            Spec::Cw(cw) => cw.find_at(hay, from, &mut NoMetrics).map(|mm| (mm.start, mm.end)),
+        };
+        [walk.map(|mm| (mm.start, mm.end)), spec].map(|hit| hit.map(|(s, e)| (e - s, s)))
     }
 }
 
@@ -236,8 +231,6 @@ fn walk_window(s: &Searcher, doc: &[u8], chunk: usize, at: &str) -> usize {
 
 #[test]
 fn block_served_walk_equals_the_scalar_loops_token_by_token() {
-    let _mode = mode_lock();
-    memscan::force_accel(true);
     let mut tokens = 0;
     for seed in 0..40u64 {
         let mut r = Rand::new(seed);
@@ -258,7 +251,6 @@ fn block_served_walk_equals_the_scalar_loops_token_by_token() {
             walk_window(&s, &doc, chunk, &format!("{at} chunk {chunk}"));
         }
     }
-    memscan::force_accel(env_accel());
     assert!(tokens > 10_000, "only {tokens} tokens walked");
 }
 
@@ -322,7 +314,6 @@ fn prefilter_runs_equal_the_scalar_specification_at_every_step_and_chunk() {
             adversarial_values(&doc, &mut r)
         })
         .collect();
-    let _mode = mode_lock();
     let mut engines: Vec<(String, Prefilter)> = path_sets
         .iter()
         .enumerate()
@@ -330,16 +321,19 @@ fn prefilter_runs_equal_the_scalar_specification_at_every_step_and_chunk() {
         .collect();
     engines
         .push(("registry".into(), Prefilter::from_tables(registry.prefilter().tables().clone())));
-    for (name, pf) in &mut engines {
+    for (name, pf) in &engines {
+        // A matcher keeps the mode it was built in: one prefilter per mode.
+        let fresh = || Prefilter::from_tables(pf.tables().clone());
         for (d, doc) in docs.iter().enumerate() {
             let at = format!("{name} doc {d}");
             memscan::force_accel(false);
-            let want = observe(pf, SliceSource::new(doc));
+            let want = observe(&mut fresh(), SliceSource::new(doc));
             assert!(want.exact[0] > 0, "{at}: no tokens");
             memscan::force_accel(true);
+            let mut pf = fresh();
             let tmp = TempDoc::new(doc);
             for step in [64usize, 4096, smpx_core::runtime::RELEASE_STEP] {
-                let mut cut = Prefilter::from_tables(pf.tables().clone()).with_release_step(step);
+                let mut cut = fresh().with_release_step(step);
                 let slice = observe(&mut cut, SliceSource::new(doc));
                 assert_eq!(slice, want, "{at}: slice, step {step}");
                 let mapped = MmapSource::map_with_step(tmp.path(), step).expect("map");
@@ -347,7 +341,7 @@ fn prefilter_runs_equal_the_scalar_specification_at_every_step_and_chunk() {
             }
             for chunk in [1usize, 31, 63, 64, 65, 127, 4096] {
                 let reader = ReaderSource::new(&doc[..], chunk);
-                assert_eq!(observe(pf, reader), want, "{at}: reader, chunk {chunk}");
+                assert_eq!(observe(&mut pf, reader), want, "{at}: reader, chunk {chunk}");
             }
         }
     }
