@@ -44,10 +44,13 @@ fn main() {
                 ("mem_bytes", Value::U(r.mem_bytes as u64)),
                 ("wall_secs", Value::F(r.timed.wall.as_secs_f64())),
                 ("cpu_secs", Value::F(r.timed.cpu.as_secs_f64())),
-                ("avg_shift", Value::F(r.stats.avg_shift())),
-                ("jump_pct", Value::F(r.stats.initial_jumps_pct())),
-                ("char_pct", Value::F(r.stats.char_comp_pct())),
-                ("scan_pct", Value::F(r.stats.scanned_pct())),
+                ("avg_shift", Value::F(r.paper.avg_shift())),
+                ("jump_pct", Value::F(r.paper.initial_jumps_pct())),
+                ("char_pct", Value::F(r.paper.char_comp_pct())),
+                ("scan_pct", Value::F(r.paper.scanned_pct())),
+                ("walk_avg_shift", Value::F(r.stats.avg_shift())),
+                ("walk_char_pct", Value::F(r.stats.char_comp_pct())),
+                ("walk_scan_pct", Value::F(r.stats.scanned_pct())),
                 ("stall_secs", r.stall_s.map_or(Value::Null, Value::F)),
             ]);
         }

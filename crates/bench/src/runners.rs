@@ -23,6 +23,8 @@ use smpx_dtd::Dtd;
 use smpx_engine::{InMemEngine, StreamEngine};
 use smpx_paths::xpath::XPath;
 use smpx_paths::PathSet;
+use smpx_stringmatch::memscan;
+use std::sync::{Mutex, MutexGuard};
 
 /// One dataset delivered through the `SMPX_SOURCE`-selected `DocSource`
 /// backend. For `mmap` and `reader` the generated document is written to
@@ -272,7 +274,13 @@ pub struct SmpRow {
     pub states: usize,
     pub cw: usize,
     pub bm: usize,
+    /// The timed run: the default (vector) search, whose effort counters
+    /// are the candidate walk's.
     pub stats: RunStats,
+    /// The same bytes searched by the paper's Boyer–Moore and
+    /// Commentz–Walter ([`paper_accounting`]): the run the paper's
+    /// `∅ Shift`, `Jump%` and `Char%` columns are read from.
+    pub paper: RunStats,
     /// Which `DocSource` backend produced the row (`Delivery::label`).
     pub source: String,
     /// Which executor produced the row: the `SMPX_THREADS` pool width
@@ -303,23 +311,51 @@ fn stall_nanos() -> Option<u64> {
     })
 }
 
+/// The lock every flip of the process-wide scan mode holds: a run that
+/// compares the counters of two prefilters takes it too, so that no
+/// [`paper_accounting`] pass flips the mode under it.
+pub fn mode_lock() -> MutexGuard<'static, ()> {
+    static MODE: Mutex<()> = Mutex::new(());
+    MODE.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Run `f` with the scalar specification forced on in-process
+/// (`memscan::force_accel(false)`, the effect of `SMPX_NO_SIMD=1`), then
+/// restore the mode. A prefilter compiled inside searches with the
+/// paper's Boyer–Moore and Commentz–Walter, so its counters are the
+/// paper's accounting.
+pub fn paper_accounting<T>(f: impl FnOnce() -> T) -> T {
+    let _mode = mode_lock();
+    let vector = memscan::accel_enabled();
+    memscan::force_accel(false);
+    let out = f();
+    memscan::force_accel(vector);
+    out
+}
+
 /// Run SMP once over a delivered document for `paths`, collecting a
-/// table row. A `Delivery` with `queries() > 1` replays the row's path
+/// table row, then once more under [`paper_accounting`] for the paper's
+/// columns. A `Delivery` with `queries() > 1` replays the row's path
 /// set as an N-query workload on one shared attributed automaton
 /// (`Prefilter::compile_multi`) — same pass, same projection, now also
 /// answering "which queries match" — so the whole experiment suite can
 /// exercise the registry runtime via `SMPX_QUERIES` without new binaries.
 pub fn smp_row(id: &str, dtd: &Dtd, paths: &PathSet, doc: &Delivery<'_>) -> SmpRow {
     let queries = doc.queries();
-    let mut pf = if queries > 1 {
-        let workload = vec![paths.clone(); queries];
-        Prefilter::compile_multi(dtd, &workload).expect("compile multi")
-    } else {
-        Prefilter::compile(dtd, paths).expect("compile")
+    let compile = || {
+        if queries > 1 {
+            let workload = vec![paths.clone(); queries];
+            Prefilter::compile_multi(dtd, &workload).expect("compile multi")
+        } else {
+            Prefilter::compile(dtd, paths).expect("compile")
+        }
     };
+    let mut pf = compile();
     let before = stall_nanos();
     let ((out, stats), timed) = time(|| doc.filter(&mut pf));
     let stall_s = before.zip(stall_nanos()).map(|(n0, n1)| n1.saturating_sub(n0) as f64 / 1e9);
+    let (paper_out, paper) = paper_accounting(|| doc.filter(&mut compile()));
+    assert!(paper_out == out, "{id}: the scalar specification projected other bytes");
     SmpRow {
         id: id.to_string(),
         proj_size: out.len() as u64,
@@ -335,6 +371,7 @@ pub fn smp_row(id: &str, dtd: &Dtd, paths: &PathSet, doc: &Delivery<'_>) -> SmpR
         cw: pf.tables().cw_states(),
         bm: pf.tables().bm_states(),
         stats,
+        paper,
         source: doc.label(),
         threads: doc.threads(),
         queries,
@@ -343,9 +380,14 @@ pub fn smp_row(id: &str, dtd: &Dtd, paths: &PathSet, doc: &Delivery<'_>) -> SmpR
     }
 }
 
+/// The paper's columns (`∅Shift`, `Jump%`, `Char%` beside the published
+/// value, and `Scan%`) come from the scalar specification's run; the
+/// `walk` columns are the default search's own effort: the mean distance
+/// between its candidates, the bytes it verified and the bytes its
+/// vector scans passed, per input byte.
 fn print_smp_header() {
     println!(
-        "{:<6} {:>10} {:>9} {:>9} {:>9} {:>14} {:>8}({:>6}) {:>8}({:>6}) {:>8}({:>6}) {:>7} {:>13} {:>4} {:>4} {:>3} {:>8}",
+        "{:<6} {:>10} {:>9} {:>9} {:>9} {:>14} {:>8}({:>6}) {:>8}({:>6}) {:>8}({:>6}) {:>7} {:>9} {:>8} {:>8} {:>13} {:>4} {:>4} {:>3} {:>8}",
         "query",
         "Proj.Size",
         "Mem",
@@ -359,6 +401,9 @@ fn print_smp_header() {
         "Char%",
         "paper",
         "Scan%",
+        "walk∅Sh",
+        "walkCh%",
+        "walkSc%",
         "Source",
         "Thr",
         "Qrys",
@@ -371,7 +416,7 @@ fn print_smp_row(r: &SmpRow, paper: Option<&(&str, f64, f64, f64)>) {
     let (p_shift, p_jump, p_char) =
         paper.map_or((f64::NAN, f64::NAN, f64::NAN), |p| (p.1, p.2, p.3));
     println!(
-        "{:<6} {:>10} {:>9} {:>9.3} {:>9.3} {:>7} ({:>2}+{:>3}) {:>8.2}({:>6.2}) {:>8.2}({:>6.2}) {:>8.2}({:>6.2}) {:>7.2} {:>13} {:>4} {:>4} {:>3} {:>8}",
+        "{:<6} {:>10} {:>9} {:>9.3} {:>9.3} {:>7} ({:>2}+{:>3}) {:>8.2}({:>6.2}) {:>8.2}({:>6.2}) {:>8.2}({:>6.2}) {:>7.2} {:>9.2} {:>8.2} {:>8.2} {:>13} {:>4} {:>4} {:>3} {:>8}",
         r.id,
         fmt_mb(r.proj_size),
         fmt_mb(r.mem_bytes as u64),
@@ -380,12 +425,15 @@ fn print_smp_row(r: &SmpRow, paper: Option<&(&str, f64, f64, f64)>) {
         r.states,
         r.cw,
         r.bm,
-        r.stats.avg_shift(),
+        r.paper.avg_shift(),
         p_shift,
-        r.stats.initial_jumps_pct(),
+        r.paper.initial_jumps_pct(),
         p_jump,
-        r.stats.char_comp_pct(),
+        r.paper.char_comp_pct(),
         p_char,
+        r.paper.scanned_pct(),
+        r.stats.avg_shift(),
+        r.stats.char_comp_pct(),
         r.stats.scanned_pct(),
         r.source,
         r.threads,
@@ -743,7 +791,11 @@ mod tests {
         let t1 = run_table1();
         assert_eq!(t1.len(), XMARK_QUERIES.len());
         for row in &t1 {
+            assert!(row.paper.char_comp_pct() < 100.0, "{} must skip input", row.id);
             assert!(row.stats.char_comp_pct() < 100.0, "{} must skip input", row.id);
+            // What the run found is the same in both accountings.
+            let found = |s: &RunStats| (s.tokens_matched, s.false_matches, s.initial_jump_chars);
+            assert_eq!(found(&row.paper), found(&row.stats), "{}", row.id);
         }
         let t2 = run_table2();
         assert_eq!(t2.len(), MEDLINE_QUERIES.len());
@@ -782,6 +834,7 @@ mod tests {
         // The pool is at most as wide as the machine; one CPU leaves the
         // "pooled" delivery on the sequential path.
         assert_eq!(par.threads(), smpx_core::Pool::new(4).threads());
+        let _mode = mode_lock();
         let mut pf_a = Prefilter::compile(&dtd, &paths).expect("compile");
         let mut pf_b = Prefilter::compile(&dtd, &paths).expect("compile");
         let (out_a, stats_a) = seq.filter(&mut pf_a);
@@ -818,6 +871,7 @@ mod tests {
         assert_eq!((row_s.queries, row_m.queries), (1, 8));
         assert_eq!(row_m.proj_size, row_s.proj_size, "union projection unchanged by registry");
 
+        let _mode = mode_lock();
         let mut reg = smpx_core::QueryRegistry::new(dtd.clone());
         for _ in 0..8 {
             reg.add_paths(paths.clone());
@@ -851,6 +905,7 @@ mod tests {
         let dtd = Dtd::parse(xmark::XMARK_DTD.as_bytes()).expect("DTD");
         let q13 = xmark_paths(XMARK_QUERIES.iter().find(|q| q.id == "XM13").expect("query"));
         let q1 = xmark_paths(XMARK_QUERIES.iter().find(|q| q.id == "XM1").expect("query"));
+        let _mode = mode_lock();
 
         let mut reg = smpx_core::QueryRegistry::new(dtd.clone());
         reg.add_paths(q13.clone());
