@@ -278,7 +278,7 @@ pub struct SmpRow {
     /// are the candidate walk's.
     pub stats: RunStats,
     /// The same bytes searched by the paper's Boyer–Moore and
-    /// Commentz–Walter ([`paper_accounting`]): the run the paper's
+    /// Commentz–Walter (a scalar run in-process): the run the paper's
     /// `∅ Shift`, `Jump%` and `Char%` columns are read from.
     pub paper: RunStats,
     /// Which `DocSource` backend produced the row (`Delivery::label`).
@@ -314,7 +314,7 @@ fn stall_nanos() -> Option<u64> {
 /// The lock every flip of the process-wide scan mode holds: a run that
 /// compares the counters of two prefilters takes it too, so that no
 /// [`paper_accounting`] pass flips the mode under it.
-pub fn mode_lock() -> MutexGuard<'static, ()> {
+fn mode_lock() -> MutexGuard<'static, ()> {
     static MODE: Mutex<()> = Mutex::new(());
     MODE.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -324,7 +324,7 @@ pub fn mode_lock() -> MutexGuard<'static, ()> {
 /// restore the mode. A prefilter compiled inside searches with the
 /// paper's Boyer–Moore and Commentz–Walter, so its counters are the
 /// paper's accounting.
-pub fn paper_accounting<T>(f: impl FnOnce() -> T) -> T {
+fn paper_accounting<T>(f: impl FnOnce() -> T) -> T {
     let _mode = mode_lock();
     let vector = memscan::accel_enabled();
     memscan::force_accel(false);

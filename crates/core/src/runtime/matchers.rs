@@ -177,13 +177,14 @@ mod tests {
     }
 
     #[test]
-    fn max_len_is_the_longest_keyword() {
-        for m in both(&["</a", "<longkeyword"]) {
-            assert_eq!(m.max_len(), 12);
-        }
-        for m in both(&["<item"]) {
-            assert_eq!(m.max_len(), 5);
-        }
+    fn min_and_max_len() {
+        // The overlap a refill re-scans is the longest keyword; the walk's
+        // candidates end where the shortest one no longer fits.
+        let [walk, cw] = both(&["</a", "<longkeyword"]);
+        let StateMatcher::Walk(w) = &walk else { panic!("vector mode builds the walk") };
+        assert_eq!((w.min_len(), w.max_len()), (3, 12));
+        assert_eq!((walk.max_len(), cw.max_len()), (12, 12));
+        assert_eq!(both(&["<item"]).map(|m| m.max_len()), [5, 5]);
         assert_eq!(both(&[]).map(|m| m.max_len()), [1, 1]);
     }
 

@@ -436,7 +436,7 @@ mod tests {
     use smpx_stringmatch::NoMetrics;
 
     /// The matcher of one keyword, in the current mode.
-    fn bm(pat: &[u8]) -> StateMatcher {
+    fn one_keyword(pat: &[u8]) -> StateMatcher {
         StateMatcher::build(&[pat], &TagUniverse::default())
     }
 
@@ -452,7 +452,7 @@ mod tests {
     fn slice_find_and_emit() {
         let doc = b"xx<item>yy</item>";
         let mut s = slice_input(doc);
-        let hit = s.find(&bm(b"<item"), 0, &mut NoMetrics).unwrap();
+        let hit = s.find(&one_keyword(b"<item"), 0, &mut NoMetrics).unwrap();
         assert_eq!(hit, Some((0, 2)));
         s.emit_range(2, 8).unwrap();
         s.emit_bytes(b"!").unwrap();
@@ -479,7 +479,7 @@ mod tests {
         // Chunk size 8 forces the keyword to straddle a refill.
         let doc = b"0123456<item attr='1'>xyz";
         let mut s = reader_input(doc, 8);
-        let hit = s.find(&bm(b"<item"), 0, &mut NoMetrics).unwrap();
+        let hit = s.find(&one_keyword(b"<item"), 0, &mut NoMetrics).unwrap();
         assert_eq!(hit, Some((0, 7)));
     }
 
@@ -523,7 +523,7 @@ mod tests {
         let doc = format!("<k>{body}</k>");
         let mut s = reader_input(doc.as_bytes(), 16);
         s.copy_on(0);
-        let hit = s.find(&bm(b"</k"), 3, &mut NoMetrics).unwrap();
+        let hit = s.find(&one_keyword(b"</k"), 3, &mut NoMetrics).unwrap();
         assert_eq!(hit, Some((0, 163)));
         assert!(s.emitted() >= 140, "flushed {} before the range closed", s.emitted());
         assert_eq!(s.byte(doc.len() - 1).unwrap(), Some(b'>'));
@@ -577,7 +577,7 @@ mod tests {
         let boxed: Box<dyn DocSource> = Box::new(SliceSource::new(doc));
         assert_eq!(boxed.kind(), SourceKind::Slice);
         let mut s = SourceInput::new(boxed, Vec::new());
-        let hit = s.find(&bm(b"<item"), 0, &mut NoMetrics).unwrap();
+        let hit = s.find(&one_keyword(b"<item"), 0, &mut NoMetrics).unwrap();
         assert_eq!(hit, Some((0, 2)));
     }
 

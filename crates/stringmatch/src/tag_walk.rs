@@ -112,11 +112,6 @@ impl TagWalk {
         TagWalk { filter, lmin, lmax, verify, patterns, longest_first }
     }
 
-    /// The keywords, in construction order.
-    pub fn patterns(&self) -> &[Vec<u8>] {
-        &self.patterns
-    }
-
     /// Length of the shortest keyword.
     pub fn min_len(&self) -> usize {
         self.lmin
