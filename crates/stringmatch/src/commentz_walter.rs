@@ -2,9 +2,9 @@
 //! 1979).
 //!
 //! The paper searches a frontier vocabulary of several keywords with
-//! Commentz–Walter (the `(CW)` branch of Fig. 4). Like Boyer–Moore it matches **right to left** and *skips*
-//! haystack characters; unlike Aho–Corasick it does not touch every input
-//! position.
+//! Commentz–Walter (the `(CW)` branch of Fig. 4). Like Boyer–Moore it
+//! matches **right to left** and *skips* haystack characters; unlike
+//! Aho–Corasick it does not touch every input position.
 //!
 //! # Algorithm
 //!

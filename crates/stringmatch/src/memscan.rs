@@ -33,8 +33,9 @@
 //!
 //! Setting `SMPX_NO_SIMD=1` in the environment forces the SWAR path (and
 //! the runtime searches with the classic Boyer–Moore and Commentz–Walter
-//! loops instead of the candidate walk; see [`accel_enabled`]). The choice is cached in an atomic after the
-//! first query; [`force_kind`] overrides it for benchmarks.
+//! loops instead of the candidate walk; see [`accel_enabled`]). The
+//! choice is cached in an atomic after the first query; [`force_kind`]
+//! overrides it for benchmarks.
 //!
 //! # Safety
 //!

@@ -10,9 +10,8 @@
 //!   and the other quote, over SMP-shaped vocabularies with prefix pairs,
 //!   the walk (`TagWalk`) sharing one block cache finds what its
 //!   specification — Boyer–Moore, Commentz–Walter — finds, and the
-//!   block-served tag end
-//!   equals the per-byte tag-end loop, token after token, from every start
-//!   — over the whole document, and over a window that grows by a few
+//!   block-served tag end equals the per-byte tag-end loop, token after
+//!   token, from every start — over the whole document, and over a window that grows by a few
 //!   bytes at a time and drops what lies behind the cursor (every block
 //!   cut short, every rebase);
 //! * on XMark documents whose attribute values are rewritten the same way
