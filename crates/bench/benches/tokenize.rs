@@ -1,8 +1,9 @@
 //! Tokenization throughput (the Fig. 7(c) comparison, Criterion-tracked):
 //! strict and lenient SAX parsing vs SMP prefiltering on both datasets,
 //! plus the tag-end scan microbench (`tokenize/tag_end`): the per-byte
-//! quote-aware loop — the pre-vectorization runtime's hot spot — against
-//! the windowed `memscan::scan_tag_end_window` hop that replaced it.
+//! quote-aware loop — the pre-vectorization runtime's hot spot, and the
+//! `SMPX_NO_SIMD=1` runtime's — against the block-mask walk
+//! `memscan::Blocks::tag_end` that the vectorized runtime runs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use smpx_baselines::sax;
@@ -10,7 +11,7 @@ use smpx_bench::queries::{medline_paths, xmark_paths, MEDLINE_QUERIES, XMARK_QUE
 use smpx_core::Prefilter;
 use smpx_datagen::{medline, xmark, GenOptions};
 use smpx_dtd::Dtd;
-use smpx_stringmatch::memscan;
+use smpx_stringmatch::memscan::Blocks;
 
 fn doc_bytes() -> usize {
     smpx_bench::measure::bench_doc_bytes(2 << 20)
@@ -87,15 +88,10 @@ fn scalar_tag_end(tag: &[u8], pos: usize) -> Option<(usize, bool)> {
     }
 }
 
-fn windowed_tag_end(tag: &[u8], pos: usize) -> Option<(usize, bool)> {
-    let mut st = memscan::TagScan::new();
-    memscan::scan_tag_end_window(tag, pos, &mut st)
-}
-
 fn bench_tag_end(c: &mut Criterion) {
     let n = doc_bytes().max(4096);
     // One tag whose quoted attribute value spans the whole buffer: the
-    // long-scan case the balanced/tag-end hop was built for.
+    // walk crosses every block of it.
     let mut long_tag = Vec::with_capacity(n);
     long_tag.extend_from_slice(b" id=\"");
     while long_tag.len() < n - 2 {
@@ -117,8 +113,8 @@ fn bench_tag_end(c: &mut Criterion) {
     g.bench_function("scalar_loop/long_attr", |b| {
         b.iter(|| scalar_tag_end(&long_tag, 0).expect("closed"))
     });
-    g.bench_function("windowed/long_attr", |b| {
-        b.iter(|| windowed_tag_end(&long_tag, 0).expect("closed"))
+    g.bench_function("block_masks/long_attr", |b| {
+        b.iter(|| Blocks::new().tag_end(&long_tag, 0).expect("closed"))
     });
     g.throughput(Throughput::Bytes(dense.len() as u64));
     g.bench_function("scalar_loop/dense_tags", |b| {
@@ -130,11 +126,14 @@ fn bench_tag_end(c: &mut Criterion) {
             ends
         })
     });
-    g.bench_function("windowed/dense_tags", |b| {
+    g.bench_function("block_masks/dense_tags", |b| {
         b.iter(|| {
+            // One cache over the buffer, as a run keeps one: each tag's
+            // end is read from the block its name ended in.
+            let mut blocks = Blocks::new();
             let mut ends = 0usize;
             for &s in &starts {
-                ends += windowed_tag_end(&dense, s).expect("closed").0;
+                ends += blocks.tag_end(&dense, s).expect("closed").0;
             }
             ends
         })

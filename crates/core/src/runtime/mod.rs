@@ -28,7 +28,7 @@ use crate::stats::{MultiVerdict, RunStats};
 use matchers::StateMatcher;
 use smpx_dtd::Dtd;
 use smpx_paths::PathSet;
-use smpx_stringmatch::memscan::{self, Fingerprint};
+use smpx_stringmatch::memscan::{self, Blocks, Fingerprint};
 use smpx_stringmatch::{Counters, Metrics};
 use source::{DocSource, ReaderSource, SliceSource, SourceInput};
 use std::io::{Read, Write};
@@ -40,8 +40,8 @@ use std::sync::Arc;
 pub const DEFAULT_CHUNK: usize = 8 * 4096;
 
 /// The release step: no loop of the runtime crosses more than this many
-/// bytes without raising the discard guard — a keyword search is cut at
-/// absolute multiples of it ([`source`]), the balanced scan likewise — and
+/// bytes without raising the discard guard — a keyword search, the
+/// balanced scan's too, is cut at absolute multiples of it ([`source`]) — and
 /// a mapped source hands the pages behind the guard back once this many
 /// have accumulated ([`MmapSource`](source::MmapSource)). A power of two;
 /// 32 streaming chunks, so the `madvise` calls of a mapped run cost less
@@ -60,7 +60,7 @@ pub struct Prefilter {
     /// (in the slot of its first state, [`CompiledTables::vocab`]) and
     /// shared by the other states that search for the same keywords.
     matchers: Vec<Option<StateMatcher>>,
-    /// Lazily built `{<e, </e}` searchers for the scalar balanced scan of
+    /// Lazily built `{<e, </e}` searchers for the balanced scan of
     /// recursive-element states, indexed like `matchers`.
     balanced_matchers: Vec<Option<StateMatcher>>,
     matchers_built: usize,
@@ -487,11 +487,11 @@ impl Prefilter {
     /// verified `<e` / `</e` tokens, counting depth up and down, until the
     /// matching close tag; returns its (start, end).
     ///
-    /// Accelerated mode hops the subtree with [`memscan::find_byte2`]
-    /// over `SourceInput::window` views; `SMPX_NO_SIMD=1` keeps the classic
-    /// Commentz–Walter-driven loop. Both find the identical token
-    /// sequence, and both route scan-consumed bytes through
-    /// [`Metrics::scanned`].
+    /// One loop in both modes: the `{<e, </e}` matcher is built like every
+    /// state's ([`StateMatcher::build`]) — the candidate walk, or
+    /// Commentz–Walter under `SMPX_NO_SIMD=1` — and searched through
+    /// `SourceInput::find`, which cuts it at the release steps; the tag
+    /// ends are [`scan_tag_end`]'s.
     fn balanced_scan<S: DocSource, W: Write, M: Metrics>(
         &mut self,
         open_state: u32,
@@ -503,9 +503,6 @@ impl Prefilter {
         let name: &str =
             &self.tables.states[open_state as usize].label.as_ref().expect("labeled state").0;
         let lookback = self.tables.max_kw_len.max(name.len() + 2) + 8;
-        if memscan::accel_enabled() {
-            return balanced_scan_windowed(name, lookback, input, from, m, stats);
-        }
         if self.balanced_matchers[open_state as usize].is_none() {
             let open_pat = format!("<{name}").into_bytes();
             let close_pat = format!("</{name}").into_bytes();
@@ -742,133 +739,6 @@ fn unexpected_close(tables: &CompiledTables, open: u32, pos: usize) -> CoreError
     CoreError::UnexpectedToken { name, close: true, pos }
 }
 
-/// Outcome of one windowed hop of the accelerated balanced scan.
-enum BalancedHop {
-    /// `win[second - 1] == '<'` and `win[second]` is the element name's
-    /// first byte or `/`: a candidate `<e` / `</e` token starting at
-    /// absolute position `second - 1`.
-    Candidate { second: usize, byte: u8 },
-    /// No candidate left in the window; the next possible candidate
-    /// second byte is `resume`.
-    Exhausted { resume: usize },
-}
-
-/// The vectorized balanced depth scan: hop the opaque subtree with a
-/// two-needle [`memscan::find_byte2`] scan for the element name's first
-/// byte and `/` at candidate *second*-byte positions (their `<` is checked
-/// with one load), verify the name and the tag-name boundary only at
-/// stops, and cross each verified tag with the windowed
-/// [`scan_tag_end`]. Token-for-token equivalent to the Commentz–Walter
-/// loop in [`Prefilter::balanced_scan`]; hop-consumed bytes are reported
-/// as [`Metrics::scanned`], keyed to absolute offsets so the counts are
-/// independent of the streaming chunk size and of the step cuts.
-fn balanced_scan_windowed<S: DocSource, W: Write, M: Metrics>(
-    name: &str,
-    lookback: usize,
-    input: &mut SourceInput<S, W>,
-    from: usize,
-    m: &mut M,
-    stats: &mut RunStats,
-) -> Result<(usize, usize), CoreError> {
-    let nb = name.as_bytes();
-    debug_assert!(!nb.is_empty() && nb[0] != b'/', "element names never start with '/'");
-    let first = nb[0];
-    let mut depth = 1u32;
-    // Absolute position of the next candidate second byte, and the
-    // accounting watermark: every byte below `acc` has been attributed to
-    // a metrics counter already.
-    let mut scan_at = from + 1;
-    let mut acc = from;
-    loop {
-        let hop = {
-            let base = scan_at - 1;
-            let cut = input.next_cut(scan_at);
-            let Some(win) = input.window(base)? else {
-                // The candidate position is at/past EOF: never closed.
-                m.scanned(base.saturating_sub(acc) as u64);
-                return Err(CoreError::UnexpectedEof {
-                    context: "balanced scan for a recursive element",
-                });
-            };
-            // One hop ends at the next step cut at the latest: nothing
-            // below advances the guard until a tag verifies, and a mapped
-            // window is the whole rest of the document.
-            let win = &win[..win.len().min(cut - base)];
-            let mut rel = scan_at - base;
-            loop {
-                match memscan::peek_find2(win, rel, first, b'/') {
-                    Some(j) => {
-                        m.scanned((base + j + 1 - acc) as u64);
-                        acc = base + j + 1;
-                        m.cmp(1);
-                        if win[j - 1] == b'<' {
-                            break BalancedHop::Candidate { second: base + j, byte: win[j] };
-                        }
-                        rel = j + 1;
-                    }
-                    None => break BalancedHop::Exhausted { resume: base + win.len() },
-                }
-            }
-        };
-        match hop {
-            BalancedHop::Exhausted { resume } => {
-                // Release the hopped bytes, then probe one byte past the
-                // window: refills the stream (the next window request
-                // reaches further) or confirms EOF.
-                input.advance(resume.saturating_sub(lookback))?;
-                if input.byte(resume)?.is_none() {
-                    m.scanned(resume.saturating_sub(acc) as u64);
-                    return Err(CoreError::UnexpectedEof {
-                        context: "balanced scan for a recursive element",
-                    });
-                }
-                scan_at = resume.max(scan_at);
-            }
-            BalancedHop::Candidate { second, byte } => {
-                let s = second - 1;
-                let is_close = byte == b'/';
-                // The hop confirmed `<` and the second byte; compare the
-                // remaining name bytes only.
-                let verified = if is_close {
-                    input.matches_at(second + 1, nb, m)?
-                } else {
-                    input.matches_at(second + 1, &nb[1..], m)?
-                };
-                if !verified {
-                    // Not a `<e` / `</e` occurrence at all (the windowed
-                    // CW loop would not have stopped): no false match.
-                    scan_at = second + 1;
-                    continue;
-                }
-                let plen = nb.len() + if is_close { 2 } else { 1 };
-                m.cmp(1);
-                match input.byte(s + plen)? {
-                    Some(c) if is_tag_name_end(c) => {
-                        let (end, bachelor) = scan_tag_end(input, s + plen, m)?;
-                        stats.tokens_matched += 1;
-                        if is_close {
-                            depth -= 1;
-                            if depth == 0 {
-                                return Ok((s, end));
-                            }
-                        } else if !bachelor {
-                            depth += 1;
-                        }
-                        acc = acc.max(end);
-                        scan_at = end + 1;
-                        input.advance(end.saturating_sub(lookback))?;
-                    }
-                    _ => {
-                        stats.false_matches += 1;
-                        scan_at = second + 1;
-                        input.advance((s + 1).saturating_sub(lookback))?;
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// May `c` follow a tag name inside a tag?
 #[inline]
 fn is_tag_name_end(c: u8) -> bool {
@@ -884,10 +754,10 @@ fn is_tag_name_end(c: u8) -> bool {
 /// `Char Comp.` column counts only genuine pattern comparisons and the
 /// `Scan%` column owns the tag traversal — identically in both modes.
 ///
-/// Vectorized, a tag is first read off the structural masks the search
-/// left cached (`SourceInput::tag_end_masked`); only a tag longer than
-/// two blocks, or one running past the resident bytes, takes the windowed
-/// hop.
+/// Vectorized, the tag is read off the structural masks
+/// ([`memscan::Blocks::tag_end`]) of the resident bytes, from the block the
+/// search left cached (`SourceInput::tag_end_masked`); only a tag running
+/// past the resident bytes goes on in the cold [`scan_tag_end_windowed`].
 #[inline(always)]
 fn scan_tag_end<S: DocSource, W: Write, M: Metrics>(
     input: &mut SourceInput<S, W>,
@@ -904,11 +774,10 @@ fn scan_tag_end<S: DocSource, W: Write, M: Metrics>(
     scan_tag_end_windowed(input, pos, m)
 }
 
-/// Vectorized tag-end scan for the tags the block masks cannot answer:
-/// hop `>`-to-`>` and quote-to-quote over `SourceInput::window` views with
-/// [`memscan::scan_tag_end_window`], instead of one `SourceInput::byte`
-/// call per character. The resumable [`memscan::TagScan`] state carries
-/// open quotes across window refills.
+/// The tag end of a tag running past the resident bytes: the same
+/// block-mask walk ([`memscan::Blocks::tag_end_resumed`]) over one
+/// `SourceInput::window` view after another, its [`memscan::TagScan`]
+/// state carrying an open quote and the last byte across each refill.
 #[cold]
 #[inline(never)]
 fn scan_tag_end_windowed<S: DocSource, W: Write, M: Metrics>(
@@ -930,7 +799,7 @@ fn scan_tag_end_windowed<S: DocSource, W: Write, M: Metrics>(
                     },
                 });
             };
-            if let Some((rel_end, bachelor)) = memscan::scan_tag_end_window(win, 0, &mut st) {
+            if let Some((rel_end, bachelor)) = Blocks::new().tag_end_resumed(win, 0, &mut st) {
                 let end = abs + rel_end;
                 m.scanned((end - pos) as u64);
                 return Ok((end, bachelor));
@@ -941,8 +810,8 @@ fn scan_tag_end_windowed<S: DocSource, W: Write, M: Metrics>(
     }
 }
 
-/// The classic per-byte tag-end loop: the reference oracle the windowed
-/// scan is pinned against (tokenizer edge-case tests), and the
+/// The classic per-byte tag-end loop: the specification the block-mask
+/// walk is pinned against (tokenizer edge-case tests), and the
 /// `SMPX_NO_SIMD=1` runtime path.
 fn scan_tag_end_scalar<S: DocSource, W: Write, M: Metrics>(
     input: &mut SourceInput<S, W>,
@@ -1170,9 +1039,9 @@ mod tests {
         assert!(matches!(res, Err(CoreError::UnexpectedEof { .. })));
     }
 
-    /// Tokenizer edge cases: the windowed tag-end scan pinned against the
-    /// scalar per-byte loop as the reference oracle, over whole slices and
-    /// over streams split at every lane-relevant chunk size.
+    /// Tokenizer edge cases: the windowed block-mask walk pinned against
+    /// the scalar per-byte loop as the reference oracle, over whole slices
+    /// and over streams split at every lane-relevant chunk size.
     mod tag_scan_oracle {
         use super::super::{scan_tag_end_scalar, scan_tag_end_windowed};
         use super::*;

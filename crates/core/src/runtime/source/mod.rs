@@ -184,14 +184,13 @@ forward_doc_source!(&mut S);
 /// discardable.
 ///
 /// Bounded memory needs more than the runtime advancing its cursor once
-/// per token: a single search or balanced scan can cross any distance
-/// between two tokens. Every loop that can therefore calls `advance`
-/// itself — before each refill *and* at every absolute multiple of the
-/// release step ([`RELEASE_STEP`](super::RELEASE_STEP)) it crosses —
-/// [`find`](Self::find) here, the balanced scan in the runtime. A streamed
-/// window then holds a chunk, the look-back and one tag, never a skip; a
-/// mapping sees its guard rise at least once per step and can hand the
-/// pages behind it back.
+/// per token: a single search — a state's or the balanced scan's — can
+/// cross any distance between two tokens. So [`find`](Self::find) calls
+/// `advance` itself, before each refill *and* at every absolute multiple
+/// of the release step ([`RELEASE_STEP`](super::RELEASE_STEP)) it
+/// crosses. A streamed window then holds a chunk, the look-back and one
+/// tag, never a skip; a mapping sees its guard rise at least once per step
+/// and can hand the pages behind it back.
 ///
 /// One token step reads the structural masks of one block twice: the
 /// search pops its `<` bits, the tag-end scan its `>` and quote bits. The
@@ -295,9 +294,10 @@ impl<S: DocSource, W: Write> SourceInput<S, W> {
     }
 
     /// The end of the tag whose name ends at absolute `pos`, from the
-    /// structural masks of the resident bytes ([`Blocks::tag_end`]):
-    /// `Some((end, bachelor))`, or `None` when the tag runs past two blocks
-    /// or past the resident region and the quote-aware window scan decides.
+    /// structural masks of the resident bytes ([`Blocks::tag_end`]),
+    /// starting with the block the search left cached:
+    /// `Some((end, bachelor))`, or `None` when the tag runs past the
+    /// resident region and the walk has to go on over refilled windows.
     #[inline]
     pub fn tag_end_masked(&mut self, pos: usize) -> Option<(usize, bool)> {
         let base = self.src.base();

@@ -2,23 +2,21 @@
 //!
 //! The paper's searchers win by *skipping* characters, but a scalar shift
 //! loop still pays one branch and one bounds check per alignment. This
-//! module turns the skip into a hardware scan: [`find_byte`] locates the
-//! next occurrence of a single byte (`memchr`-style), [`find_byte2`] /
-//! [`find_byte3`] the next occurrence of any of two / three needles
-//! (`memchr2/3`-style), and [`find_fingerprint`] the next *candidate*
-//! alignment of a keyword set — one keyword or many: an alignment that
-//! holds the set's first byte and some keyword's bytes at two shared
-//! offsets, all tested in the vector unit ([`Fingerprint`]). The offsets
-//! are fitted to the tags the documents can hold ([`TagUniverse`]), so
-//! that what stops the scan is the keywords and little else.
+//! module turns the skip into a hardware scan: [`find_fingerprint`] finds
+//! the next *candidate* alignment of a keyword set — one keyword or many:
+//! an alignment that holds the set's first byte and some keyword's bytes
+//! at two shared offsets, all tested in the vector unit ([`Fingerprint`]).
+//! The offsets are fitted to the tags the documents can hold
+//! ([`TagUniverse`]), so that what stops the scan is the keywords and
+//! little else.
 //!
-//! On top of the raw scans, [`Blocks`] holds the `<`, `>` and quote
-//! bitmasks of one block for the two scans of a token step — the
-//! candidate walk's near phase and the runtime's tag-end scan — and
-//! [`scan_tag_end_window`] drives the quote-aware search for a tag's
-//! closing `>` past what the masks answer: it hops `>`-to-`>` and
-//! quote-to-quote instead of stepping per byte, and its [`TagScan`] state
-//! is resumable across streaming-window refills.
+//! [`Blocks`] holds the `<`, `>` and quote bitmasks of one block for the
+//! two scans of a token step: the candidate walk's near phase pops the `<`
+//! bits, and [`Blocks::tag_end`] — the one vector tag-end walk — pops the
+//! `>` and quote bits to the tag's closing `>`, however far it is. Its
+//! [`TagScan`] state resumes the walk across streaming-window refills.
+//! [`find_byte`] (`memchr`-style) is no part of a run: it stays for the
+//! benchmark's scan-ceiling row.
 //!
 //! Three implementations are provided and selected once per process:
 //!
@@ -154,6 +152,10 @@ pub fn force_accel(on: bool) {
 
 /// Position of the first occurrence of `needle` in `hay[from..]`, as an
 /// absolute offset. Dispatches to the active [`ScanKind`].
+///
+/// No run calls it: it and its members stay only because the benchmark
+/// harness's `stringmatch.ceiling_mibs` row times it, and they go with
+/// that row (ROADMAP 11(a)).
 #[inline]
 pub fn find_byte(hay: &[u8], from: usize, needle: u8) -> Option<usize> {
     if from >= hay.len() {
@@ -167,44 +169,6 @@ pub fn find_byte(hay: &[u8], from: usize, needle: u8) -> Option<usize> {
         ScanKind::Avx2 => find_byte_avx2(hay, from, needle),
         #[cfg(not(target_arch = "x86_64"))]
         _ => find_byte_swar(hay, from, needle),
-    }
-}
-
-/// Position of the first occurrence of either needle in `hay[from..]`, as
-/// an absolute offset (`memchr2`-style). The needles need not be distinct.
-/// Dispatches to the active [`ScanKind`].
-#[inline]
-pub fn find_byte2(hay: &[u8], from: usize, n1: u8, n2: u8) -> Option<usize> {
-    if from >= hay.len() {
-        return None;
-    }
-    match kind() {
-        ScanKind::Swar => find_byte2_swar(hay, from, n1, n2),
-        #[cfg(target_arch = "x86_64")]
-        ScanKind::Sse2 => find_byte2_sse2(hay, from, n1, n2),
-        #[cfg(target_arch = "x86_64")]
-        ScanKind::Avx2 => find_byte2_avx2(hay, from, n1, n2),
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => find_byte2_swar(hay, from, n1, n2),
-    }
-}
-
-/// Position of the first occurrence of any of three needles in
-/// `hay[from..]`, as an absolute offset (`memchr3`-style). The needles
-/// need not be distinct. Dispatches to the active [`ScanKind`].
-#[inline]
-pub fn find_byte3(hay: &[u8], from: usize, n1: u8, n2: u8, n3: u8) -> Option<usize> {
-    if from >= hay.len() {
-        return None;
-    }
-    match kind() {
-        ScanKind::Swar => find_byte3_swar(hay, from, n1, n2, n3),
-        #[cfg(target_arch = "x86_64")]
-        ScanKind::Sse2 => find_byte3_sse2(hay, from, n1, n2, n3),
-        #[cfg(target_arch = "x86_64")]
-        ScanKind::Avx2 => find_byte3_avx2(hay, from, n1, n2, n3),
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => find_byte3_swar(hay, from, n1, n2, n3),
     }
 }
 
@@ -244,57 +208,6 @@ pub fn find_byte_swar(hay: &[u8], from: usize, needle: u8) -> Option<usize> {
         i += 8;
     }
     chunks.remainder().iter().position(|&b| b == needle).map(|p| i + p)
-}
-
-/// Two-needle word-at-a-time scan: 8 bytes per iteration, no `unsafe`.
-pub fn find_byte2_swar(hay: &[u8], from: usize, n1: u8, n2: u8) -> Option<usize> {
-    if from >= hay.len() {
-        return None;
-    }
-    let s1 = LO.wrapping_mul(n1 as u64);
-    let s2 = LO.wrapping_mul(n2 as u64);
-    let mut i = from;
-    let (head, rest) = hay[from..].split_at(hay[from..].len().min((8 - (from % 8)) % 8));
-    if let Some(p) = head.iter().position(|&b| b == n1 || b == n2) {
-        return Some(from + p);
-    }
-    i += head.len();
-    let mut chunks = rest.chunks_exact(8);
-    for chunk in &mut chunks {
-        let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-        let found = zero_bytes(word ^ s1) | zero_bytes(word ^ s2);
-        if found != 0 {
-            return Some(i + (found.trailing_zeros() / 8) as usize);
-        }
-        i += 8;
-    }
-    chunks.remainder().iter().position(|&b| b == n1 || b == n2).map(|p| i + p)
-}
-
-/// Three-needle word-at-a-time scan: 8 bytes per iteration, no `unsafe`.
-pub fn find_byte3_swar(hay: &[u8], from: usize, n1: u8, n2: u8, n3: u8) -> Option<usize> {
-    if from >= hay.len() {
-        return None;
-    }
-    let s1 = LO.wrapping_mul(n1 as u64);
-    let s2 = LO.wrapping_mul(n2 as u64);
-    let s3 = LO.wrapping_mul(n3 as u64);
-    let mut i = from;
-    let (head, rest) = hay[from..].split_at(hay[from..].len().min((8 - (from % 8)) % 8));
-    if let Some(p) = head.iter().position(|&b| b == n1 || b == n2 || b == n3) {
-        return Some(from + p);
-    }
-    i += head.len();
-    let mut chunks = rest.chunks_exact(8);
-    for chunk in &mut chunks {
-        let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-        let found = zero_bytes(word ^ s1) | zero_bytes(word ^ s2) | zero_bytes(word ^ s3);
-        if found != 0 {
-            return Some(i + (found.trailing_zeros() / 8) as usize);
-        }
-        i += 8;
-    }
-    chunks.remainder().iter().position(|&b| b == n1 || b == n2 || b == n3).map(|p| i + p)
 }
 
 // ---------------------------------------------------------------------------
@@ -361,256 +274,9 @@ pub fn find_byte_avx2(hay: &[u8], from: usize, needle: u8) -> Option<usize> {
     unsafe { imp(hay, from, needle) }
 }
 
-/// Two-needle scan, 16 bytes per iteration (`x86_64` baseline ISA).
-#[cfg(target_arch = "x86_64")]
-pub fn find_byte2_sse2(hay: &[u8], from: usize, n1: u8, n2: u8) -> Option<usize> {
-    use std::arch::x86_64::*;
-    if from >= hay.len() {
-        return None;
-    }
-    let len = hay.len();
-    let mut i = from;
-    // SAFETY: every `_mm_loadu_si128` below reads 16 bytes starting at
-    // `hay[i]` with `i + 16 <= len` checked by the loop condition; `loadu`
-    // has no alignment requirement.
-    unsafe {
-        let s1 = _mm_set1_epi8(n1 as i8);
-        let s2 = _mm_set1_epi8(n2 as i8);
-        while i + 16 <= len {
-            let v = _mm_loadu_si128(hay.as_ptr().add(i) as *const __m128i);
-            let eq = _mm_or_si128(_mm_cmpeq_epi8(v, s1), _mm_cmpeq_epi8(v, s2));
-            let mask = _mm_movemask_epi8(eq) as u32;
-            if mask != 0 {
-                return Some(i + mask.trailing_zeros() as usize);
-            }
-            i += 16;
-        }
-    }
-    hay[i..].iter().position(|&b| b == n1 || b == n2).map(|p| i + p)
-}
-
-/// Three-needle scan, 16 bytes per iteration (`x86_64` baseline ISA).
-#[cfg(target_arch = "x86_64")]
-pub fn find_byte3_sse2(hay: &[u8], from: usize, n1: u8, n2: u8, n3: u8) -> Option<usize> {
-    use std::arch::x86_64::*;
-    if from >= hay.len() {
-        return None;
-    }
-    let len = hay.len();
-    let mut i = from;
-    // SAFETY: as in `find_byte2_sse2` — 16-byte unaligned loads with
-    // `i + 16 <= len` checked by the loop condition.
-    unsafe {
-        let s1 = _mm_set1_epi8(n1 as i8);
-        let s2 = _mm_set1_epi8(n2 as i8);
-        let s3 = _mm_set1_epi8(n3 as i8);
-        while i + 16 <= len {
-            let v = _mm_loadu_si128(hay.as_ptr().add(i) as *const __m128i);
-            let eq = _mm_or_si128(
-                _mm_or_si128(_mm_cmpeq_epi8(v, s1), _mm_cmpeq_epi8(v, s2)),
-                _mm_cmpeq_epi8(v, s3),
-            );
-            let mask = _mm_movemask_epi8(eq) as u32;
-            if mask != 0 {
-                return Some(i + mask.trailing_zeros() as usize);
-            }
-            i += 16;
-        }
-    }
-    hay[i..].iter().position(|&b| b == n1 || b == n2 || b == n3).map(|p| i + p)
-}
-
-/// Two-needle scan, 32 bytes per iteration; callers must only dispatch
-/// here when AVX2 was detected at runtime (enforced by [`kind`]).
-#[cfg(target_arch = "x86_64")]
-pub fn find_byte2_avx2(hay: &[u8], from: usize, n1: u8, n2: u8) -> Option<usize> {
-    #[target_feature(enable = "avx2")]
-    unsafe fn imp(hay: &[u8], from: usize, n1: u8, n2: u8) -> Option<usize> {
-        use std::arch::x86_64::*;
-        if from >= hay.len() {
-            return None;
-        }
-        let len = hay.len();
-        let mut i = from;
-        // SAFETY: 32-byte unaligned loads with `i + 32 <= len` checked by
-        // the loop condition.
-        unsafe {
-            let s1 = _mm256_set1_epi8(n1 as i8);
-            let s2 = _mm256_set1_epi8(n2 as i8);
-            while i + 32 <= len {
-                let v = _mm256_loadu_si256(hay.as_ptr().add(i) as *const __m256i);
-                let eq = _mm256_or_si256(_mm256_cmpeq_epi8(v, s1), _mm256_cmpeq_epi8(v, s2));
-                let mask = _mm256_movemask_epi8(eq) as u32;
-                if mask != 0 {
-                    return Some(i + mask.trailing_zeros() as usize);
-                }
-                i += 32;
-            }
-        }
-        hay[i..].iter().position(|&b| b == n1 || b == n2).map(|p| i + p)
-    }
-    // SAFETY: dispatch reaches this function only after
-    // `is_x86_feature_detected!("avx2")` succeeded (see `detect_kind` /
-    // `force_kind`), so the target-feature precondition holds.
-    unsafe { imp(hay, from, n1, n2) }
-}
-
-/// Three-needle scan, 32 bytes per iteration; callers must only dispatch
-/// here when AVX2 was detected at runtime (enforced by [`kind`]).
-#[cfg(target_arch = "x86_64")]
-pub fn find_byte3_avx2(hay: &[u8], from: usize, n1: u8, n2: u8, n3: u8) -> Option<usize> {
-    #[target_feature(enable = "avx2")]
-    unsafe fn imp(hay: &[u8], from: usize, n1: u8, n2: u8, n3: u8) -> Option<usize> {
-        use std::arch::x86_64::*;
-        if from >= hay.len() {
-            return None;
-        }
-        let len = hay.len();
-        let mut i = from;
-        // SAFETY: 32-byte unaligned loads with `i + 32 <= len` checked by
-        // the loop condition.
-        unsafe {
-            let s1 = _mm256_set1_epi8(n1 as i8);
-            let s2 = _mm256_set1_epi8(n2 as i8);
-            let s3 = _mm256_set1_epi8(n3 as i8);
-            while i + 32 <= len {
-                let v = _mm256_loadu_si256(hay.as_ptr().add(i) as *const __m256i);
-                let eq = _mm256_or_si256(
-                    _mm256_or_si256(_mm256_cmpeq_epi8(v, s1), _mm256_cmpeq_epi8(v, s2)),
-                    _mm256_cmpeq_epi8(v, s3),
-                );
-                let mask = _mm256_movemask_epi8(eq) as u32;
-                if mask != 0 {
-                    return Some(i + mask.trailing_zeros() as usize);
-                }
-                i += 32;
-            }
-        }
-        hay[i..].iter().position(|&b| b == n1 || b == n2 || b == n3).map(|p| i + p)
-    }
-    // SAFETY: dispatch precondition as in `find_byte2_avx2`.
-    unsafe { imp(hay, from, n1, n2, n3) }
-}
-
 /// Plain byte loop, used as the oracle in tests.
 pub fn find_byte_scalar(hay: &[u8], from: usize, needle: u8) -> Option<usize> {
     hay.get(from..)?.iter().position(|&b| b == needle).map(|p| from + p)
-}
-
-/// Plain two-needle byte loop, used as the oracle in tests.
-pub fn find_byte2_scalar(hay: &[u8], from: usize, n1: u8, n2: u8) -> Option<usize> {
-    hay.get(from..)?.iter().position(|&b| b == n1 || b == n2).map(|p| from + p)
-}
-
-/// Plain three-needle byte loop, used as the oracle in tests.
-pub fn find_byte3_scalar(hay: &[u8], from: usize, n1: u8, n2: u8, n3: u8) -> Option<usize> {
-    hay.get(from..)?.iter().position(|&b| b == n1 || b == n2 || b == n3).map(|p| from + p)
-}
-
-// ---------------------------------------------------------------------------
-// Quote-aware tag-end scan
-// ---------------------------------------------------------------------------
-
-/// Resumable state of the quote-aware tag-end scan
-/// ([`scan_tag_end_window`]). A fresh scan starts from
-/// [`TagScan::new`]; when a window is exhausted without finding the
-/// closing `>`, the state carries the open-quote and last-consumed-byte
-/// context into the next window, so streaming inputs can refill between
-/// calls without losing track.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TagScan {
-    /// `Some(q)` while inside an attribute value opened by quote byte `q`.
-    quote: Option<u8>,
-    /// Last byte consumed before the current scan position (`0` before
-    /// anything was consumed) — needed to classify a closing `>` as a
-    /// bachelor tag (`/>`).
-    prev: u8,
-}
-
-impl TagScan {
-    /// Start state: outside any quote, nothing consumed yet.
-    pub fn new() -> TagScan {
-        TagScan { quote: None, prev: 0 }
-    }
-
-    /// Is the scan currently inside a quoted attribute value? (Exposed so
-    /// error paths can name the right context.)
-    pub fn in_quote(&self) -> bool {
-        self.quote.is_some()
-    }
-}
-
-impl Default for TagScan {
-    fn default() -> Self {
-        TagScan::new()
-    }
-}
-
-/// Length of the scalar peek [`peek_find2`] runs before paying for a
-/// vector call: in dense markup the next stop is usually a handful of
-/// bytes away, where vector setup costs more than it saves.
-const PEEK: usize = 16;
-
-/// Peek-then-hop two-needle scan: a [`PEEK`]-byte scalar peek before the
-/// [`find_byte2`] vector scan. The runtime's balanced depth scan calls it
-/// directly for its `<e`/`</e` candidate hop.
-#[inline]
-pub fn peek_find2(hay: &[u8], from: usize, n1: u8, n2: u8) -> Option<usize> {
-    if from >= hay.len() {
-        return None;
-    }
-    let end = hay.len().min(from + PEEK);
-    if let Some(p) = hay[from..end].iter().position(|&x| x == n1 || x == n2) {
-        return Some(from + p);
-    }
-    if end == hay.len() {
-        return None;
-    }
-    find_byte2(hay, end, n1, n2)
-}
-
-/// Scan `win[from..]` for the closing `>` of a tag, hopping `>`-to-`>` /
-/// quote-to-quote with [`find_byte3`] and [`find_byte`] instead of
-/// stepping per byte. `>` inside single- or double-quoted attribute
-/// values does not terminate the tag.
-///
-/// Returns `Some((end, bachelor))` — `end` is the window-relative offset
-/// one past the `>`, `bachelor` is true when the byte before the `>` was
-/// `/` — or `None` when the window is exhausted first; in that case `st`
-/// holds the resumption context and the caller continues with the next
-/// window (`from = 0`). Semantics are byte-identical to the scalar
-/// reference loop (`smpx_core`'s `scan_tag_end_scalar`), pinned by the
-/// tokenizer edge-case tests.
-///
-/// The runtime reaches it only for tags [`Blocks::tag_end`] cannot
-/// answer: longer than two blocks, or running past the resident bytes.
-pub fn scan_tag_end_window(win: &[u8], from: usize, st: &mut TagScan) -> Option<(usize, bool)> {
-    let mut i = from;
-    loop {
-        if let Some(q) = st.quote {
-            // Inside an attribute value: only its closing quote matters.
-            let j = find_byte(win, i, q)?;
-            st.quote = None;
-            st.prev = q;
-            i = j + 1;
-        }
-        match find_byte3(win, i, b'>', b'"', b'\'') {
-            Some(j) => {
-                if win[j] == b'>' {
-                    let prev = if j > i { win[j - 1] } else { st.prev };
-                    return Some((j + 1, prev == b'/'));
-                }
-                st.quote = Some(win[j]);
-                i = j + 1;
-            }
-            None => {
-                if i < win.len() {
-                    st.prev = win[win.len() - 1];
-                }
-                return None;
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -707,14 +373,29 @@ impl Blocks {
     }
 
     /// The end of the tag whose name ends at `pos` of `hay`, read from the
-    /// block masks: `Some((end, bachelor))` exactly as
-    /// [`scan_tag_end_window`] and the scalar reference loop report it —
+    /// block masks: `Some((end, bachelor))` exactly as the scalar
+    /// reference loop (`smpx_core`'s `scan_tag_end_scalar`) reports it —
     /// `>` inside a quoted attribute value does not end the tag, `end` is
     /// one past the `>`, `bachelor` says the byte before it was `/` — or
-    /// `None` when the tag runs past two blocks' worth of bytes or past
-    /// `hay`, and the quote-aware window scan has to decide.
+    /// `None` when `hay` ends first. [`tag_end_resumed`](Self::tag_end_resumed)
+    /// goes on from there.
     #[inline]
     pub fn tag_end(&mut self, hay: &[u8], pos: usize) -> Option<(usize, bool)> {
+        self.tag_end_resumed(hay, pos, &mut TagScan::new())
+    }
+
+    /// [`tag_end`](Self::tag_end) resumed from `st`, the state the walk
+    /// over the bytes before `hay` left: a tag cut into windows, each
+    /// walked from `pos` 0 with one state, ends where one walk over the
+    /// whole tag ends. When `hay` ends first, `st` keeps the open quote
+    /// and the last byte for the next window.
+    #[inline(always)]
+    pub fn tag_end_resumed(
+        &mut self,
+        hay: &[u8],
+        pos: usize,
+        st: &mut TagScan,
+    ) -> Option<(usize, bool)> {
         if pos >= hay.len() {
             return None;
         }
@@ -724,11 +405,11 @@ impl Blocks {
             self.len = 0;
         }
         let mut i = pos;
-        // The open quote byte, 0 outside a value.
-        let mut quote = 0u8;
+        let mut quote = st.quote;
         loop {
             if i.wrapping_sub(self.at) >= self.len {
-                if i >= hay.len() || i - pos >= 2 * BLOCK {
+                if i >= hay.len() {
+                    *st = TagScan { quote, prev: hay[hay.len() - 1] };
                     return None;
                 }
                 self.load(hay, i);
@@ -748,11 +429,37 @@ impl Blocks {
             if quote != 0 {
                 quote = 0;
             } else if hay[j] == b'>' {
-                return Some((j + 1, j > pos && hay[j - 1] == b'/'));
+                let prev = if j > pos { hay[j - 1] } else { st.prev };
+                return Some((j + 1, prev == b'/'));
             } else {
                 quote = hay[j];
             }
         }
+    }
+}
+
+/// Where a [`Blocks::tag_end_resumed`] walk stands when its haystack ends
+/// inside a tag: the open quote and the last byte it consumed. A walk
+/// starts from [`TagScan::new`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TagScan {
+    /// The quote byte of the attribute value the walk is in, 0 outside.
+    quote: u8,
+    /// The last byte consumed (0 before any): a `/` before a `>` at the
+    /// start of the next haystack makes the tag a bachelor.
+    prev: u8,
+}
+
+impl TagScan {
+    /// Outside any value, nothing consumed.
+    pub fn new() -> TagScan {
+        TagScan::default()
+    }
+
+    /// Is the walk inside a quoted attribute value? (Error paths name the
+    /// context by it.)
+    pub fn in_quote(&self) -> bool {
+        self.quote != 0
     }
 }
 
@@ -1617,142 +1324,44 @@ mod tests {
         assert_eq!(find_fingerprint(b"", 0, &fp), None);
     }
 
-    fn all_impls2(hay: &[u8], from: usize, n1: u8, n2: u8) -> Vec<(&'static str, Option<usize>)> {
-        let mut v = vec![
-            ("scalar", find_byte2_scalar(hay, from, n1, n2)),
-            ("swar", find_byte2_swar(hay, from, n1, n2)),
-        ];
-        #[cfg(target_arch = "x86_64")]
-        {
-            v.push(("sse2", find_byte2_sse2(hay, from, n1, n2)));
-            if std::arch::is_x86_feature_detected!("avx2") {
-                v.push(("avx2", find_byte2_avx2(hay, from, n1, n2)));
-            }
-        }
-        v
-    }
-
-    fn all_impls3(
-        hay: &[u8],
-        from: usize,
-        n1: u8,
-        n2: u8,
-        n3: u8,
-    ) -> Vec<(&'static str, Option<usize>)> {
-        let mut v = vec![
-            ("scalar", find_byte3_scalar(hay, from, n1, n2, n3)),
-            ("swar", find_byte3_swar(hay, from, n1, n2, n3)),
-        ];
-        #[cfg(target_arch = "x86_64")]
-        {
-            v.push(("sse2", find_byte3_sse2(hay, from, n1, n2, n3)));
-            if std::arch::is_x86_feature_detected!("avx2") {
-                v.push(("avx2", find_byte3_avx2(hay, from, n1, n2, n3)));
-            }
-        }
-        v
+    #[test]
+    fn block_tag_end_plain_and_bachelor() {
+        let end = |hay: &[u8]| Blocks::new().tag_end(hay, 0);
+        assert_eq!(end(b" a='1'>rest"), Some((7, false)));
+        assert_eq!(end(b" a='1'/>rest"), Some((8, true)));
+        // '>' as the very first byte: nothing consumed, not a bachelor.
+        assert_eq!(end(b">x"), Some((1, false)));
     }
 
     #[test]
-    fn multi_needle_impls_agree_on_lane_boundaries() {
-        // Each needle placed at every position of haystacks sized around
-        // the SWAR-word (8) and SSE/AVX lane (16/32) boundaries.
-        for len in [0usize, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65] {
-            for at in 0..len {
-                for needle in [b'<', b'>'] {
-                    let mut hay = vec![b'x'; len];
-                    hay[at] = needle;
-                    for from in 0..=len {
-                        let want2 = find_byte2_scalar(&hay, from, b'<', b'>');
-                        for (name, got) in all_impls2(&hay, from, b'<', b'>') {
-                            assert_eq!(got, want2, "{name} len={len} at={at} from={from}");
-                        }
-                        let want3 = find_byte3_scalar(&hay, from, b'<', b'>', b'"');
-                        for (name, got) in all_impls3(&hay, from, b'<', b'>', b'"') {
-                            assert_eq!(got, want3, "{name} len={len} at={at} from={from}");
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn multi_needle_finds_earliest_of_either() {
-        let hay = b"aaa>bb<cc>";
-        for (name, got) in all_impls2(hay, 0, b'<', b'>') {
-            assert_eq!(got, Some(3), "{name}");
-        }
-        for (name, got) in all_impls2(hay, 4, b'<', b'>') {
-            assert_eq!(got, Some(6), "{name}");
-        }
-        // Duplicate needles degrade to a single-byte scan.
-        for (name, got) in all_impls2(hay, 0, b'<', b'<') {
-            assert_eq!(got, Some(6), "{name}");
-        }
-        for (name, got) in all_impls3(b"..'..\">.", 0, b'>', b'"', b'\'') {
-            assert_eq!(got, Some(2), "{name}");
-        }
-    }
-
-    #[test]
-    fn multi_needle_missing_and_past_end() {
-        let hay = vec![b'q'; 100];
-        for (name, got) in all_impls2(&hay, 0, b'<', b'>') {
-            assert_eq!(got, None, "{name}");
-        }
-        for (name, got) in all_impls3(&hay, 0, b'<', b'>', b'"') {
-            assert_eq!(got, None, "{name}");
-        }
-        assert_eq!(find_byte2(b"abc", 100, b'a', b'b'), None);
-        assert_eq!(find_byte3(b"abc", 100, b'a', b'b', b'c'), None);
-        for (name, got) in all_impls2(b"abc", 100, b'a', b'b') {
-            assert_eq!(got, None, "{name}");
-        }
-        for (name, got) in all_impls3(b"abc", 100, b'a', b'b', b'c') {
-            assert_eq!(got, None, "{name}");
-        }
-    }
-
-    #[test]
-    fn tag_scan_plain_and_bachelor() {
-        let mut st = TagScan::new();
-        assert_eq!(scan_tag_end_window(b" a='1'>rest", 0, &mut st), Some((7, false)));
-        let mut st = TagScan::new();
-        assert_eq!(scan_tag_end_window(b" a='1'/>rest", 0, &mut st), Some((8, true)));
-        // '>' as the very first byte: prev is the initial 0, not bachelor.
-        let mut st = TagScan::new();
-        assert_eq!(scan_tag_end_window(b">x", 0, &mut st), Some((1, false)));
-    }
-
-    #[test]
-    fn tag_scan_quoted_gt_is_skipped() {
+    fn block_tag_end_skips_quoted_gt() {
         for tag in [&b" a=\"x>y\" >"[..], &b" a='x>y' >"[..], &b" a='>>>>' b=\">\">"[..]] {
-            let mut st = TagScan::new();
-            let (end, bachelor) = scan_tag_end_window(tag, 0, &mut st).unwrap();
+            let (end, bachelor) = Blocks::new().tag_end(tag, 0).unwrap();
             assert_eq!(end, tag.len(), "tag={}", String::from_utf8_lossy(tag));
             assert!(!bachelor);
         }
         // A quote closing right before the '>' is not a bachelor marker
         // even when the quoted value ends in '/'.
-        let mut st = TagScan::new();
-        assert_eq!(scan_tag_end_window(b" a='/'>", 0, &mut st), Some((7, false)));
+        assert_eq!(Blocks::new().tag_end(b" a='/'>", 0), Some((7, false)));
     }
 
     #[test]
-    fn tag_scan_resumes_across_windows() {
-        // Split " a='x>y' />rest" at every boundary; the reassembled scan
-        // must agree with the whole-slice scan.
-        let tag = b" a='x>y' q=\"//\" />rest";
-        let mut whole = TagScan::new();
-        let want = scan_tag_end_window(tag, 0, &mut whole).unwrap();
+    fn block_tag_end_resumes_across_windows() {
+        // Split the tag at every byte and past every block edge; the walk
+        // resumed on the second half must agree with the whole-slice walk.
+        let mut tag = b" a='x>y' q=\"//\" ".to_vec();
+        tag.extend(std::iter::repeat_n(b'v', 2 * BLOCK));
+        tag.extend_from_slice(b" b='>' />rest");
+        let want = Blocks::new().tag_end(&tag, 0).unwrap();
+        assert_eq!(want, (tag.len() - 4, true));
         for cut in 0..tag.len() {
             let mut st = TagScan::new();
-            match scan_tag_end_window(&tag[..cut], 0, &mut st) {
+            match Blocks::new().tag_end_resumed(&tag[..cut], 0, &mut st) {
                 Some(got) => assert_eq!(got, want, "cut={cut} (found early)"),
                 None => {
-                    let (end, bachelor) =
-                        scan_tag_end_window(&tag[cut..], 0, &mut st).expect("found in second half");
+                    let (end, bachelor) = Blocks::new()
+                        .tag_end_resumed(&tag[cut..], 0, &mut st)
+                        .expect("found in second half");
                     assert_eq!((end + cut, bachelor), want, "cut={cut}");
                 }
             }
@@ -1760,14 +1369,20 @@ mod tests {
     }
 
     #[test]
-    fn tag_scan_exhausted_window_keeps_state() {
+    fn block_tag_end_exhausted_window_keeps_state() {
         let mut st = TagScan::new();
-        assert_eq!(scan_tag_end_window(b" a='open", 0, &mut st), None);
+        let end = |hay: &[u8], st: &mut TagScan| Blocks::new().tag_end_resumed(hay, 0, st);
+        assert_eq!(end(b" a='open", &mut st), None);
         assert!(st.in_quote());
         // Still quoted: a '>' in the next window is consumed as value text.
-        assert_eq!(scan_tag_end_window(b">>still'", 0, &mut st), None);
+        assert_eq!(end(b">>still'", &mut st), None);
         assert!(!st.in_quote());
-        assert_eq!(scan_tag_end_window(b">", 0, &mut st), Some((1, false)));
+        assert_eq!(end(b">", &mut st), Some((1, false)));
+        // A '/' that ends one window makes a '>' opening the next a
+        // bachelor's.
+        let mut st = TagScan::new();
+        assert_eq!(end(b" a='1' /", &mut st), None);
+        assert_eq!(end(b">", &mut st), Some((1, true)));
     }
 
     #[test]
@@ -1818,7 +1433,7 @@ mod tests {
         assert_eq!(end(&long, 0), Some((107, true)));
         let mut longer = vec![b' '; 200];
         longer.push(b'>');
-        assert_eq!(end(&longer, 0), None, "past two blocks: the window scan decides");
+        assert_eq!(end(&longer, 0), Some((201, false)));
         // The haystack ends first, in a value or not.
         assert_eq!(end(b" a='>", 0), None);
         assert_eq!(end(b" a", 0), None);

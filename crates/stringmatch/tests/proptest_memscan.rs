@@ -58,36 +58,6 @@ fn memscan_impls(hay: &[u8], from: usize, needle: u8) -> Vec<(&'static str, Opti
     v
 }
 
-fn memscan_impls2(hay: &[u8], from: usize, n1: u8, n2: u8) -> Vec<(&'static str, Option<usize>)> {
-    let mut v = vec![("swar", memscan::find_byte2_swar(hay, from, n1, n2))];
-    #[cfg(target_arch = "x86_64")]
-    {
-        v.push(("sse2", memscan::find_byte2_sse2(hay, from, n1, n2)));
-        if std::arch::is_x86_feature_detected!("avx2") {
-            v.push(("avx2", memscan::find_byte2_avx2(hay, from, n1, n2)));
-        }
-    }
-    v
-}
-
-fn memscan_impls3(
-    hay: &[u8],
-    from: usize,
-    n1: u8,
-    n2: u8,
-    n3: u8,
-) -> Vec<(&'static str, Option<usize>)> {
-    let mut v = vec![("swar", memscan::find_byte3_swar(hay, from, n1, n2, n3))];
-    #[cfg(target_arch = "x86_64")]
-    {
-        v.push(("sse2", memscan::find_byte3_sse2(hay, from, n1, n2, n3)));
-        if std::arch::is_x86_feature_detected!("avx2") {
-            v.push(("avx2", memscan::find_byte3_avx2(hay, from, n1, n2, n3)));
-        }
-    }
-    v
-}
-
 fn fingerprint_impls(
     hay: &[u8],
     from: usize,
@@ -158,41 +128,6 @@ fn fingerprint_candidates_straddle_every_lane_edge() {
     }
 }
 
-/// Exhaustive needle-pair placement: for every haystack length around the
-/// lane edges (0..=65) and every ordered pair of needle positions, all
-/// multi-needle implementations must agree with the naive scan. This is
-/// deterministic, not property-sampled: the pair geometry (same word,
-/// adjacent words, straddling a lane head/tail) is the whole point.
-#[test]
-fn multi_needle_agrees_at_all_pair_positions() {
-    let lens: Vec<usize> = (0..=9)
-        .chain(15..=17)
-        .chain(23..=25)
-        .chain(31..=33)
-        .chain(47..=49)
-        .chain(63..=65)
-        .collect();
-    for &len in &lens {
-        for i in 0..len {
-            for j in 0..len {
-                let mut hay = vec![b'x'; len];
-                hay[i] = b'<';
-                hay[j] = b'>'; // j == i overwrites: single-needle degenerate
-                for from in [0usize, i.saturating_sub(1), i, i + 1, j, j + 1] {
-                    let want2 = memscan::find_byte2_scalar(&hay, from, b'<', b'>');
-                    for (name, got) in memscan_impls2(&hay, from, b'<', b'>') {
-                        assert_eq!(got, want2, "{name} len={len} i={i} j={j} from={from}");
-                    }
-                    let want3 = memscan::find_byte3_scalar(&hay, from, b'<', b'>', b'"');
-                    for (name, got) in memscan_impls3(&hay, from, b'<', b'>', b'"') {
-                        assert_eq!(got, want3, "{name} len={len} i={i} j={j} from={from}");
-                    }
-                }
-            }
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -216,54 +151,6 @@ proptest! {
         for from in 0..=len {
             let want = memscan::find_byte_scalar(&hay, from, b'<');
             for (name, got) in memscan_impls(&hay, from, b'<') {
-                prop_assert_eq!(got, want, "{} from={} hay={:?}", name, from, &hay);
-            }
-        }
-    }
-
-    #[test]
-    fn find_byte2_impls_agree_at_lane_edges(
-        len in edge_len(),
-        seed in 0u64..u64::MAX,
-    ) {
-        // Random dense/sparse mixtures of both needles around lane edges.
-        let hay: Vec<u8> = (0..len)
-            .map(|i| {
-                let mix = seed.rotate_left((i % 64) as u32) ^ i as u64;
-                match mix % 11 {
-                    0 => b'<',
-                    1 => b'>',
-                    _ => b'x',
-                }
-            })
-            .collect();
-        for from in 0..=len {
-            let want = memscan::find_byte2_scalar(&hay, from, b'<', b'>');
-            for (name, got) in memscan_impls2(&hay, from, b'<', b'>') {
-                prop_assert_eq!(got, want, "{} from={} hay={:?}", name, from, &hay);
-            }
-        }
-    }
-
-    #[test]
-    fn find_byte3_impls_agree_at_lane_edges(
-        len in edge_len(),
-        seed in 0u64..u64::MAX,
-    ) {
-        let hay: Vec<u8> = (0..len)
-            .map(|i| {
-                let mix = seed.rotate_left((i % 64) as u32) ^ i as u64;
-                match mix % 13 {
-                    0 => b'>',
-                    1 => b'"',
-                    2 => b'\'',
-                    _ => b'q',
-                }
-            })
-            .collect();
-        for from in 0..=len {
-            let want = memscan::find_byte3_scalar(&hay, from, b'>', b'"', b'\'');
-            for (name, got) in memscan_impls3(&hay, from, b'>', b'"', b'\'') {
                 prop_assert_eq!(got, want, "{} from={} hay={:?}", name, from, &hay);
             }
         }
@@ -346,16 +233,17 @@ proptest! {
     #[test]
     fn tag_scan_window_splits_are_seamless(
         seed in 0u64..u64::MAX,
-        len in 1usize..64,
-        cut in 0usize..64,
+        len in 1usize..192,
+        cut in 0usize..192,
     ) {
-        // Random in-tag byte soup (quotes, '>', '/', text); any split into
-        // two windows must agree with the whole-slice scan, and the scalar
-        // reference oracle is the byte loop below.
+        // Random in-tag byte soup (quotes, '>', '/', text) of up to three
+        // blocks; the block-mask walk over the whole, and the walk cut
+        // into two windows anywhere with its state carried across, must
+        // agree with the per-byte oracle below.
         let tag: Vec<u8> = (0..len)
             .map(|i| {
                 let mix = seed.rotate_left((i % 64) as u32) ^ (i as u64).wrapping_mul(7);
-                b"x> \"'/="[(mix % 7) as usize]
+                b"x> \"'/=xxxxxxxxxxxxxxxxxxxxxxxxx"[(mix % 32) as usize]
             })
             .collect();
         // Naive oracle.
@@ -380,15 +268,15 @@ proptest! {
                 },
             }
         }
-        // Whole-slice scan.
-        let mut st = memscan::TagScan::new();
-        prop_assert_eq!(memscan::scan_tag_end_window(&tag, 0, &mut st), oracle);
-        // Split scan.
+        // Whole-slice walk.
+        prop_assert_eq!(Blocks::new().tag_end(&tag, 0), oracle);
+        // Split walk: one state, a fresh block cache per window.
         let cut = cut.min(tag.len());
         let mut st = memscan::TagScan::new();
-        let got = match memscan::scan_tag_end_window(&tag[..cut], 0, &mut st) {
+        let got = match Blocks::new().tag_end_resumed(&tag[..cut], 0, &mut st) {
             Some(hit) => Some(hit),
-            None => memscan::scan_tag_end_window(&tag[cut..], 0, &mut st)
+            None => Blocks::new()
+                .tag_end_resumed(&tag[cut..], 0, &mut st)
                 .map(|(end, b)| (end + cut, b)),
         };
         prop_assert_eq!(got, oracle, "cut={} tag={:?}", cut, &tag);

@@ -18,9 +18,10 @@
 //! filter, multi-keyword and single-keyword.
 //!
 //! On `Char Comp.` accounting: the *scan layer* contributes identically
-//! in both modes — tag-end and balanced-scan traversal is routed through
-//! `bytes_scanned`, pinned byte-exactly by the `tag_scan_oracle` unit
-//! tests in `crates/core`. The *searchers* intentionally do not: the
+//! in both modes — tag-end traversal is routed through `bytes_scanned`,
+//! pinned byte-exactly by the `tag_scan_oracle` unit tests in
+//! `crates/core`. The *searchers*, the balanced scan's included,
+//! intentionally do not: the
 //! accelerated Boyer–Moore/Commentz–Walter report scan hops plus
 //! verification comparisons at candidates while the scalar loops report
 //! the classic per-alignment counts (see CHANGES.md, PRs 2, 17 and 18),
@@ -168,7 +169,7 @@ const REC_DTD: &[u8] =
     b"<!ELEMENT r (x|t)*> <!ELEMENT x (x?) > <!ELEMENT t (#PCDATA)> <!ATTLIST x a CDATA #IMPLIED>";
 
 /// A nested `x` subtree whose tags are full of quote/slash/gt traps for
-/// the windowed scans, plus bachelor forms.
+/// the tag-end walk, plus bachelor forms.
 fn push_x(doc: &mut Vec<u8>, r: &mut Rand, depth: usize) {
     match r.below(5) {
         0 | 1 if depth < 6 => {
@@ -225,7 +226,7 @@ fn recursive_documents_agree_across_modes_and_chunks() {
 
 #[test]
 fn deep_recursion_streams_at_tiny_chunks() {
-    // 120 levels with attribute traps: the balanced hop must keep its
+    // 120 levels with attribute traps: the balanced scan must keep its
     // depth across hundreds of window refills.
     let dtd = Dtd::parse(REC_DTD).expect("recursive DTD parses");
     let paths = PathSet::parse(&["/*", "/r/t#"]).expect("paths parse");
