@@ -18,7 +18,7 @@
 //! [`find_byte`] (`memchr`-style) is no part of a run: it stays for the
 //! benchmark's scan-ceiling row.
 //!
-//! Three implementations are provided and selected once per process:
+//! Four implementations are provided and selected once per process:
 //!
 //! * **SWAR** — portable `u64` word-at-a-time zero-byte detection
 //!   (Mycroft's trick), 8 bytes per iteration, no `unsafe`, works on every
@@ -28,22 +28,29 @@
 //!   runtime detection there.
 //! * **AVX2** — 32 bytes per iteration, used when
 //!   `is_x86_feature_detected!("avx2")` reports support at runtime.
+//! * **AVX-512** — 64 bytes per iteration, used over AVX2 when `avx512bw`
+//!   is detected too. It has two members, one per scan a run makes: the
+//!   fingerprint scan ([`find_fingerprint_avx512`]), whose lane tests
+//!   yield `__mmask64` results directly, and the block masks
+//!   ([`block_masks_avx512`]), one load and four compares whose masks are
+//!   the `u64` masks of [`Blocks`]. [`find_byte`] runs its AVX2 member.
 //!
 //! Setting `SMPX_NO_SIMD=1` in the environment forces the SWAR path (and
 //! the runtime searches with the classic Boyer–Moore and Commentz–Walter
 //! loops instead of the candidate walk; see [`accel_enabled`]). The
 //! choice is cached in an atomic after the first query; [`force_kind`]
-//! overrides it for benchmarks.
+//! overrides it for benchmarks and tests.
 //!
 //! # Safety
 //!
-//! This is the only module in the crate that uses `unsafe`: the SSE2/AVX2
-//! loads. Every unsafe block reads 16/32 bytes from within a slice whose
-//! bounds have been checked immediately before the load (for the
-//! fingerprint scan, which loads at two offsets past the alignment,
-//! `i + 32 + o2 <= len`); the pointers are unaligned-load (`loadu`) so no
-//! alignment invariant is required. The one prefetch hint takes an address
-//! formed with `wrapping_add` and dereferences nothing.
+//! This is the only module in the crate that uses `unsafe`: the
+//! SSE2/AVX2/AVX-512 loads. Every unsafe block reads 16/32/64 bytes from
+//! within a slice whose bounds have been checked immediately before the
+//! load (for the fingerprint scan, which loads at two offsets past the
+//! alignment, `i + 32 + o2 <= len` for AVX2 and `i + 64 + o2 <= len` for
+//! AVX-512); the pointers are unaligned-load (`loadu`) so no alignment
+//! invariant is required. The prefetch hints take an address formed with
+//! `wrapping_add` and dereference nothing.
 
 #![allow(unsafe_code)]
 #![warn(unsafe_op_in_unsafe_fn)]
@@ -60,9 +67,23 @@ pub enum ScanKind {
     Sse2,
     /// 32-byte AVX2 vectors (runtime-detected).
     Avx2,
+    /// 64-byte AVX-512BW vectors and `u64` lane masks (runtime-detected).
+    Avx512,
 }
 
-/// 0 = undecided, 1 = Swar, 2 = Sse2, 3 = Avx2.
+impl ScanKind {
+    /// The kind's name in lower case, as `smpx --stats` prints it.
+    pub fn name(self) -> &'static str {
+        match self {
+            ScanKind::Swar => "swar",
+            ScanKind::Sse2 => "sse2",
+            ScanKind::Avx2 => "avx2",
+            ScanKind::Avx512 => "avx512",
+        }
+    }
+}
+
+/// 0 = undecided, 1 = Swar, 2 = Sse2, 3 = Avx2, 4 = Avx512.
 static KIND: AtomicU8 = AtomicU8::new(0);
 /// 0 = undecided, 1 = accelerated, 2 = scalar-forced (`SMPX_NO_SIMD=1`).
 static ACCEL: AtomicU8 = AtomicU8::new(0);
@@ -74,18 +95,29 @@ fn detect_kind() -> ScanKind {
     native_kind()
 }
 
-#[cfg(target_arch = "x86_64")]
+/// The widest kind this CPU runs.
 fn native_kind() -> ScanKind {
-    if std::arch::is_x86_feature_detected!("avx2") {
-        ScanKind::Avx2
-    } else {
-        ScanKind::Sse2
+    [ScanKind::Avx512, ScanKind::Avx2, ScanKind::Sse2]
+        .into_iter()
+        .find(|&k| supported(k))
+        .unwrap_or(ScanKind::Swar)
+}
+
+/// Does this CPU run `k`'s members?
+#[cfg(target_arch = "x86_64")]
+fn supported(k: ScanKind) -> bool {
+    use std::arch::is_x86_feature_detected as has;
+    match k {
+        ScanKind::Swar | ScanKind::Sse2 => true,
+        ScanKind::Avx2 => has!("avx2"),
+        // The AVX-512 fingerprint member hands its tail to the AVX2 one.
+        ScanKind::Avx512 => has!("avx2") && has!("avx512bw"),
     }
 }
 
 #[cfg(not(target_arch = "x86_64"))]
-fn native_kind() -> ScanKind {
-    ScanKind::Swar
+fn supported(k: ScanKind) -> bool {
+    k == ScanKind::Swar
 }
 
 /// The active scanning implementation (detected once, then cached).
@@ -94,6 +126,7 @@ pub fn kind() -> ScanKind {
         1 => ScanKind::Swar,
         2 => ScanKind::Sse2,
         3 => ScanKind::Avx2,
+        4 => ScanKind::Avx512,
         _ => {
             let k = detect_kind();
             KIND.store(encode(k), Ordering::Relaxed);
@@ -103,17 +136,15 @@ pub fn kind() -> ScanKind {
 }
 
 /// Override the scanning implementation for this process (benchmark and
-/// test escape hatch; normal code never calls this). Forcing
-/// [`ScanKind::Avx2`] on a CPU without AVX2 is rejected (falls back to
-/// detection).
-pub fn force_kind(k: ScanKind) {
-    #[cfg(target_arch = "x86_64")]
-    let ok = k != ScanKind::Avx2 || std::arch::is_x86_feature_detected!("avx2");
-    #[cfg(not(target_arch = "x86_64"))]
-    let ok = k == ScanKind::Swar;
+/// test escape hatch; normal code never calls this). A kind this CPU does
+/// not run is rejected and the active one kept: the result says whether
+/// `k` took effect.
+pub fn force_kind(k: ScanKind) -> bool {
+    let ok = supported(k);
     if ok {
         KIND.store(encode(k), Ordering::Relaxed);
     }
+    ok
 }
 
 fn encode(k: ScanKind) -> u8 {
@@ -121,6 +152,7 @@ fn encode(k: ScanKind) -> u8 {
         ScanKind::Swar => 1,
         ScanKind::Sse2 => 2,
         ScanKind::Avx2 => 3,
+        ScanKind::Avx512 => 4,
     }
 }
 
@@ -155,7 +187,8 @@ pub fn force_accel(on: bool) {
 ///
 /// No run calls it: it and its members stay only because the benchmark
 /// harness's `stringmatch.ceiling_mibs` row times it, and they go with
-/// that row (ROADMAP 11(a)).
+/// that row (ROADMAP 11(a)). So it has no AVX-512 member: that kind runs
+/// the AVX2 one.
 #[inline]
 pub fn find_byte(hay: &[u8], from: usize, needle: u8) -> Option<usize> {
     if from >= hay.len() {
@@ -166,7 +199,7 @@ pub fn find_byte(hay: &[u8], from: usize, needle: u8) -> Option<usize> {
         #[cfg(target_arch = "x86_64")]
         ScanKind::Sse2 => find_byte_sse2(hay, from, needle),
         #[cfg(target_arch = "x86_64")]
-        ScanKind::Avx2 => find_byte_avx2(hay, from, needle),
+        ScanKind::Avx2 | ScanKind::Avx512 => find_byte_avx2(hay, from, needle),
         #[cfg(not(target_arch = "x86_64"))]
         _ => find_byte_swar(hay, from, needle),
     }
@@ -365,6 +398,8 @@ impl Blocks {
                 ScanKind::Sse2 => block_masks_sse2(bytes),
                 #[cfg(target_arch = "x86_64")]
                 ScanKind::Avx2 => block_masks_avx2(bytes),
+                #[cfg(target_arch = "x86_64")]
+                ScanKind::Avx512 => block_masks_avx512(bytes),
                 #[cfg(not(target_arch = "x86_64"))]
                 _ => block_masks_scalar(bytes),
             }
@@ -524,6 +559,28 @@ pub fn block_masks_avx2(bytes: &[u8]) -> [u64; 4] {
     }
     // SAFETY: dispatch reaches this function only after
     // `is_x86_feature_detected!("avx2")` succeeded (see `detect_kind` /
+    // `force_kind`), so the target-feature precondition holds.
+    unsafe { imp(bytes) }
+}
+
+/// [`block_masks_scalar`] over a whole block: one 64-byte load, four
+/// compares whose `__mmask64` results are the masks. Callers must only
+/// dispatch here when AVX-512BW was detected at runtime (enforced by
+/// [`kind`]).
+#[cfg(target_arch = "x86_64")]
+pub fn block_masks_avx512(bytes: &[u8]) -> [u64; 4] {
+    #[target_feature(enable = "avx512bw")]
+    unsafe fn imp(bytes: &[u8]) -> [u64; 4] {
+        use std::arch::x86_64::*;
+        assert!(bytes.len() >= BLOCK, "a whole block");
+        // SAFETY: the one 64-byte unaligned load reads `bytes[0..64]`, in
+        // bounds by the assert above.
+        let v = unsafe { _mm512_loadu_si512(bytes.as_ptr() as *const __m512i) };
+        let eq = |b: u8| _mm512_cmpeq_epi8_mask(v, _mm512_set1_epi8(b as i8));
+        [eq(b'<'), eq(b'>'), eq(b'"'), eq(b'\'')]
+    }
+    // SAFETY: dispatch reaches this function only after
+    // `is_x86_feature_detected!("avx512bw")` succeeded (see `supported` /
     // `force_kind`), so the target-feature precondition holds.
     unsafe { imp(bytes) }
 }
@@ -726,7 +783,8 @@ impl TagUniverse {
 /// Number of keyword buckets: one bit of a table byte each.
 const FP_BUCKETS: usize = 8;
 
-/// How far ahead of the block under test the AVX2 member prefetches.
+/// How far ahead of the block under test the AVX2 and AVX-512 members
+/// prefetch.
 #[cfg(target_arch = "x86_64")]
 const PREFETCH: usize = 2048;
 
@@ -737,7 +795,7 @@ const PREFETCH: usize = 2048;
 /// some bucket admits both `hay[i + o1]` and `hay[i + o2]`. A bucket's
 /// byte set at one offset is stored as a low-nibble and a high-nibble
 /// table of bucket bitmasks (`lo[b & 15] & hi[b >> 4]`), so the vector
-/// members test 16/32 alignments against all keywords with four table
+/// members test 16/32/64 alignments against all keywords with four table
 /// shuffles, whatever the size of the set. When the keywords share their
 /// first byte — the **anchor**, always `<` in SMP vocabularies — a
 /// candidate must hold it too (one more compare in the vector), and both
@@ -975,6 +1033,8 @@ pub fn find_fingerprint(hay: &[u8], from: usize, fp: &Fingerprint) -> Option<usi
         ScanKind::Sse2 => find_fingerprint_sse2(hay, from, fp),
         #[cfg(target_arch = "x86_64")]
         ScanKind::Avx2 => find_fingerprint_avx2(hay, from, fp),
+        #[cfg(target_arch = "x86_64")]
+        ScanKind::Avx512 => find_fingerprint_avx512(hay, from, fp),
         #[cfg(not(target_arch = "x86_64"))]
         _ => find_fingerprint_swar(hay, from, fp),
     }
@@ -1157,6 +1217,80 @@ pub fn find_fingerprint_avx2(hay: &[u8], from: usize, fp: &Fingerprint) -> Optio
     // SAFETY: dispatch reaches this function only after
     // `is_x86_feature_detected!("avx2")` succeeded (see `detect_kind` /
     // `force_kind`), so the target-feature precondition holds.
+    unsafe { imp(hay, from, fp) }
+}
+
+/// 64 alignments per iteration, each lane test a `__mmask64`: the exact
+/// compares are masked by the anchor compare, the table test by both.
+/// The tail goes to the AVX2 member. Callers must only dispatch here when
+/// AVX-512BW and AVX2 were detected at runtime (enforced by
+/// [`kind`]/[`force_kind`]).
+#[cfg(target_arch = "x86_64")]
+pub fn find_fingerprint_avx512(hay: &[u8], from: usize, fp: &Fingerprint) -> Option<usize> {
+    #[target_feature(enable = "avx512bw")]
+    unsafe fn imp(hay: &[u8], from: usize, fp: &Fingerprint) -> Option<usize> {
+        use std::arch::x86_64::*;
+        let (o1, o2) = fp.offsets();
+        let len = hay.len();
+        let mut i = from;
+        // SAFETY: the table loads read the four 16-byte arrays of `fp`
+        // (broadcast to all four lanes, which `vpshufb` indexes
+        // separately). Every haystack load reads 64 bytes at `hay[i + o]`
+        // with `o <= o2` and `i + 64 + o2 <= len` checked by the loop
+        // condition; `loadu` has no alignment requirement. The prefetch
+        // address is computed with `wrapping_add` and never dereferenced.
+        unsafe {
+            let table = |t: &[u8; 16]| {
+                _mm512_broadcast_i32x4(_mm_loadu_si128(t.as_ptr() as *const __m128i))
+            };
+            let (lo1, hi1) = (table(&fp.lo[0]), table(&fp.hi[0]));
+            let (lo2, hi2) = (table(&fp.lo[1]), table(&fp.hi[1]));
+            let nibble = _mm512_set1_epi8(0x0f);
+            let exact =
+                fp.exact.map(|[e1, e2]| (_mm512_set1_epi8(e1 as i8), _mm512_set1_epi8(e2 as i8)));
+            let anchor = _mm512_set1_epi8(fp.anchor.unwrap_or(0) as i8);
+            // Without an anchor every lane passes the anchor test.
+            let unanchored: __mmask64 = if fp.anchor.is_none() { !0 } else { 0 };
+            while i + 64 + o2 <= len {
+                // One line per iteration: ask for the one ahead, as the
+                // AVX2 member does.
+                _mm_prefetch::<_MM_HINT_T0>(hay.as_ptr().wrapping_add(i + PREFETCH) as *const i8);
+                let v0 = _mm512_loadu_si512(hay.as_ptr().add(i) as *const __m512i);
+                let v1 = _mm512_loadu_si512(hay.as_ptr().add(i + o1) as *const __m512i);
+                let v2 = _mm512_loadu_si512(hay.as_ptr().add(i + o2) as *const __m512i);
+                let anchored = _mm512_cmpeq_epi8_mask(v0, anchor) | unanchored;
+                let hit = match exact {
+                    Some((e1, e2)) => _mm512_mask_cmpeq_epi8_mask(
+                        _mm512_mask_cmpeq_epi8_mask(anchored, v1, e1),
+                        v2,
+                        e2,
+                    ),
+                    None => {
+                        let bucket = |v: __m512i, lo: __m512i, hi: __m512i| {
+                            _mm512_and_si512(
+                                _mm512_shuffle_epi8(lo, _mm512_and_si512(v, nibble)),
+                                _mm512_shuffle_epi8(
+                                    hi,
+                                    _mm512_and_si512(_mm512_srli_epi16::<4>(v), nibble),
+                                ),
+                            )
+                        };
+                        let (m1, m2) = (bucket(v1, lo1, hi1), bucket(v2, lo2, hi2));
+                        _mm512_mask_test_epi8_mask(anchored, m1, m2)
+                    }
+                };
+                if hit != 0 {
+                    return Some(i + hit.trailing_zeros() as usize);
+                }
+                i += 64;
+            }
+        }
+        find_fingerprint_avx2(hay, i, fp)
+    }
+    // SAFETY: dispatch reaches this function only after
+    // `is_x86_feature_detected!("avx512bw")` and `("avx2")` succeeded (see
+    // `supported` / `force_kind`), so the target-feature precondition
+    // holds, and so does the AVX2 member's for the tail.
     unsafe { imp(hay, from, fp) }
 }
 
@@ -1392,8 +1526,11 @@ mod tests {
             #[cfg(target_arch = "x86_64")]
             {
                 v.push(block_masks_sse2(block));
-                if std::arch::is_x86_feature_detected!("avx2") {
+                if supported(ScanKind::Avx2) {
                     v.push(block_masks_avx2(block));
+                }
+                if supported(ScanKind::Avx512) {
+                    v.push(block_masks_avx512(block));
                 }
             }
             v
@@ -1452,10 +1589,16 @@ mod tests {
     #[test]
     fn kind_is_cached_and_forcible() {
         let original = kind();
-        force_kind(ScanKind::Swar);
+        assert!(force_kind(ScanKind::Swar));
         assert_eq!(kind(), ScanKind::Swar);
         assert_eq!(find_byte(b"hello<world", 0, b'<'), Some(5));
-        force_kind(original);
+        // A kind the CPU lacks is refused and leaves the active one.
+        for k in [ScanKind::Sse2, ScanKind::Avx2, ScanKind::Avx512] {
+            assert_eq!(force_kind(k), supported(k), "{k:?}");
+            assert_eq!(kind(), if supported(k) { k } else { ScanKind::Swar });
+            force_kind(ScanKind::Swar);
+        }
+        assert!(force_kind(original));
         assert_eq!(kind(), original);
     }
 }

@@ -345,17 +345,21 @@ fn prefix_related_haystack() -> Vec<u8> {
     hay
 }
 
-/// The candidate walk under each [`ScanKind`] in turn — SWAR words, 16-
-/// and 32-byte vectors — so the `SMPX_NO_SIMD=1` leg drives the kernels
-/// too: the multi-keyword walk over the fixed corpus, and the
+/// The candidate walk under each [`ScanKind`] in turn — SWAR words, 16-,
+/// 32- and 64-byte vectors — so the `SMPX_NO_SIMD=1` leg drives the
+/// kernels too: the multi-keyword walk over the fixed corpus, and the
 /// single-keyword walk over its first keywords and over every tag of the
-/// prefix-related elements, with and without a universe.
+/// prefix-related elements, with and without a universe. A kind the CPU
+/// lacks cannot be forced and is skipped by name.
 #[test]
 fn every_scan_kind_agrees_with_the_windowed_loop() {
     let _guard = MODE.lock().unwrap();
     let kind = memscan::kind();
-    for forced in [ScanKind::Swar, ScanKind::Sse2, ScanKind::Avx2] {
-        memscan::force_kind(forced);
+    for forced in [ScanKind::Swar, ScanKind::Sse2, ScanKind::Avx2, ScanKind::Avx512] {
+        if !memscan::force_kind(forced) {
+            eprintln!("every_scan_kind_agrees_with_the_windowed_loop: skipped {forced:?}, not on this CPU");
+            continue;
+        }
         for (hay, pats) in fixed_corpus() {
             check_against_oracles(&hay, &pats).unwrap_or_else(|e| panic!("{forced:?}: {e}"));
             check_single_keyword(&hay, &pats[0]).unwrap_or_else(|e| panic!("{forced:?}: {e}"));

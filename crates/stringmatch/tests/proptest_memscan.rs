@@ -1,12 +1,12 @@
 //! Property tests for the vectorized skip-scan layer: every `memscan`
 //! implementation and the candidate walk built on them must agree with
 //! the naive oracle on haystacks engineered to straddle the SWAR-word
-//! (8-byte) and SSE/AVX-lane (16/32-byte) boundaries.
+//! (8-byte) and SSE/AVX-lane (16/32/64-byte) boundaries.
 //!
 //! The per-implementation functions are exercised directly (no process
 //! globals), so one test run covers scalar, SWAR and — where the CPU has
-//! them — SSE2/AVX2 simultaneously; the walk runs the active kind (SWAR
-//! on the `SMPX_NO_SIMD=1` CI leg).
+//! them — SSE2/AVX2/AVX-512 simultaneously; the walk runs the active kind
+//! (SWAR on the `SMPX_NO_SIMD=1` CI leg).
 
 use proptest::prelude::*;
 use smpx_stringmatch::memscan::{Blocks, Fingerprint};
@@ -14,9 +14,10 @@ use smpx_stringmatch::{
     memscan, naive, BoyerMoore, CommentzWalter, MultiMatch, NoMetrics, TagWalk,
 };
 
-/// Haystack lengths clustered around 0..64 and the 8/16/32-byte alignment
-/// edges, so every vector implementation hits its head, full-lane and tail
-/// code paths.
+/// Haystack lengths clustered around 0..64 and the 8/16/32/64-byte
+/// alignment edges, so every vector implementation hits its head,
+/// full-lane and tail code paths (the AVX-512 member's tail hands off to
+/// the AVX2 member's, which hands off to the scalar one).
 fn edge_len() -> impl Strategy<Value = usize> {
     prop_oneof![
         0usize..=9,
@@ -27,6 +28,8 @@ fn edge_len() -> impl Strategy<Value = usize> {
         39usize..=41,
         47usize..=49,
         63usize..=65,
+        95usize..=97,
+        127usize..=129,
     ]
 }
 
@@ -69,16 +72,20 @@ fn fingerprint_impls(
         v.push(("sse2", memscan::find_fingerprint_sse2(hay, from, fp)));
         if std::arch::is_x86_feature_detected!("avx2") {
             v.push(("avx2", memscan::find_fingerprint_avx2(hay, from, fp)));
+            if std::arch::is_x86_feature_detected!("avx512bw") {
+                v.push(("avx512", memscan::find_fingerprint_avx512(hay, from, fp)));
+            }
         }
     }
     v
 }
 
 /// One keyword of a vocabulary at every position of a keyword-free
-/// haystack, every haystack ending 0..=40 bytes after it: the keyword, its
-/// two fingerprint bytes and the vector loads (`i + 32 + o2 <= len`)
-/// straddle every 16/32-byte lane edge, and the tails are shorter than a
-/// vector plus the largest offset. Every member of the family must stop
+/// haystack, every haystack ending 0..=80 bytes after it: the keyword, its
+/// two fingerprint bytes and the vector loads (`i + 32 + o2 <= len`,
+/// `i + 64 + o2 <= len`) straddle every 16/32/64-byte lane edge, and the
+/// tails run from none to more than a 64-byte vector plus the largest
+/// offset, so both tail hand-offs are crossed. Every member of the family must stop
 /// exactly where the scalar predicate does, and the searcher built on it
 /// must report the keyword. The last four vocabularies take the exact
 /// lane test: single keywords with two offsets, one offset past the
@@ -101,8 +108,8 @@ fn fingerprint_candidates_straddle_every_lane_edge() {
         let walk = TagWalk::new(pats);
         let cw = CommentzWalter::new(pats);
         let longest = *pats.iter().max_by_key(|p| p.len()).unwrap();
-        for at in 0..70 {
-            for tail in 0..=40 {
+        for at in 0..140 {
+            for tail in 0..=80 {
                 let mut hay = vec![b'.'; at];
                 hay.extend_from_slice(longest);
                 hay.extend(std::iter::repeat_n(b'.', tail));

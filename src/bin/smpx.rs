@@ -120,6 +120,7 @@ use std::time::{Duration, Instant};
 
 use smpx::dtd::Dtd;
 use smpx::paths::{extract, PathSet};
+use smpx::stringmatch::memscan;
 
 struct Args {
     dtd: String,
@@ -592,15 +593,16 @@ fn total_tag<'a>(args: &'a Args, rows: &[Row]) -> &'a str {
     }
 }
 
-/// The `--stats` line of a compile: the automaton's size, the set-up's wall
-/// time and the static analysis's work counts.
-/// The whole set-up on one line: the DTD parse, then the compile (static
-/// analysis and tables) with what it did.
+/// The whole set-up as one `--stats` line: the DTD parse, the compile
+/// (the automaton's size, the static analysis's wall time and work
+/// counts), and the scan kernel the runs take (`scalar` under
+/// `SMPX_NO_SIMD=1`).
 fn compile_line(t: &CompiledTables, parse: Duration, wall: Duration) -> String {
     let c = t.compile_counts();
+    let scan = if memscan::accel_enabled() { memscan::kind().name() } else { "scalar" };
     format!(
         "DTD parsed in {:.2} ms, {} states ({} CW + {} BM), compiled in {:.2} ms: \
-         {} relevance steps, {} gap-search nodes, {} hazard-scan visits",
+         {} relevance steps, {} gap-search nodes, {} hazard-scan visits; scan {scan}",
         parse.as_secs_f64() * 1e3,
         t.state_count(),
         t.cw_states(),

@@ -10,6 +10,7 @@
 //! and a batch led or closed by its largest document is byte-identical.
 
 use smpx_datagen::{xmark, GenOptions};
+use smpx_stringmatch::memscan;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -255,7 +256,8 @@ fn stats_name_the_effective_width() {
     let one =
         stderr_of(&batch.smpx(&["--paths", "/*,//name#", "--stats", "--threads", "2", files[0]]));
     assert!(!one.contains("pool worker") && !one.contains("shard"), "{one}");
-    // The set-up line: the DTD parse, then the compile.
+    // The set-up line: the DTD parse, then the compile, then the scan
+    // kernel this CPU runs (the child detects it as this process does).
     let setup = one.lines().find(|l| l.starts_with("smpx: DTD parsed in "));
     assert!(
         setup.is_some_and(|l| l.contains(" ms, ")
@@ -264,4 +266,6 @@ fn stats_name_the_effective_width() {
             && l.contains(" relevance steps")),
         "{one}"
     );
+    let scan = if memscan::accel_enabled() { memscan::kind().name() } else { "scalar" };
+    assert!(setup.is_some_and(|l| l.ends_with(&format!("; scan {scan}"))), "{one}");
 }
