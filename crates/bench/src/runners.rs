@@ -23,8 +23,7 @@ use smpx_dtd::Dtd;
 use smpx_engine::{InMemEngine, StreamEngine};
 use smpx_paths::xpath::XPath;
 use smpx_paths::PathSet;
-use smpx_stringmatch::memscan;
-use std::sync::{Mutex, MutexGuard};
+use smpx_stringmatch::memscan::ScanMode;
 
 /// One dataset delivered through the `SMPX_SOURCE`-selected `DocSource`
 /// backend. For `mmap` and `reader` the generated document is written to
@@ -311,31 +310,11 @@ fn stall_nanos() -> Option<u64> {
     })
 }
 
-/// The lock every flip of the process-wide scan mode holds: a run that
-/// compares the counters of two prefilters takes it too, so that no
-/// [`paper_accounting`] pass flips the mode under it.
-fn mode_lock() -> MutexGuard<'static, ()> {
-    static MODE: Mutex<()> = Mutex::new(());
-    MODE.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Run `f` with the scalar specification forced on in-process
-/// (`memscan::force_accel(false)`, the effect of `SMPX_NO_SIMD=1`), then
-/// restore the mode. A prefilter compiled inside searches with the
-/// paper's Boyer–Moore and Commentz–Walter, so its counters are the
-/// paper's accounting.
-fn paper_accounting<T>(f: impl FnOnce() -> T) -> T {
-    let _mode = mode_lock();
-    let vector = memscan::accel_enabled();
-    memscan::force_accel(false);
-    let out = f();
-    memscan::force_accel(vector);
-    out
-}
-
 /// Run SMP once over a delivered document for `paths`, collecting a
-/// table row, then once more under [`paper_accounting`] for the paper's
-/// columns. A `Delivery` with `queries() > 1` replays the row's path
+/// table row, then once more on a prefilter of the same automaton in the
+/// scalar specification ([`ScanMode::Spec`], the effect of
+/// `SMPX_NO_SIMD=1`), whose Boyer–Moore and Commentz–Walter counters are
+/// the paper's columns. A `Delivery` with `queries() > 1` replays the row's path
 /// set as an N-query workload on one shared attributed automaton
 /// (`Prefilter::compile_multi`) — same pass, same projection, now also
 /// answering "which queries match" — so the whole experiment suite can
@@ -354,7 +333,7 @@ pub fn smp_row(id: &str, dtd: &Dtd, paths: &PathSet, doc: &Delivery<'_>) -> SmpR
     let before = stall_nanos();
     let ((out, stats), timed) = time(|| doc.filter(&mut pf));
     let stall_s = before.zip(stall_nanos()).map(|(n0, n1)| n1.saturating_sub(n0) as f64 / 1e9);
-    let (paper_out, paper) = paper_accounting(|| doc.filter(&mut compile()));
+    let (paper_out, paper) = doc.filter(&mut compile().with_mode(ScanMode::Spec));
     assert!(paper_out == out, "{id}: the scalar specification projected other bytes");
     SmpRow {
         id: id.to_string(),
@@ -834,7 +813,6 @@ mod tests {
         // The pool is at most as wide as the machine; one CPU leaves the
         // "pooled" delivery on the sequential path.
         assert_eq!(par.threads(), smpx_core::Pool::new(4).threads());
-        let _mode = mode_lock();
         let mut pf_a = Prefilter::compile(&dtd, &paths).expect("compile");
         let mut pf_b = Prefilter::compile(&dtd, &paths).expect("compile");
         let (out_a, stats_a) = seq.filter(&mut pf_a);
@@ -871,7 +849,6 @@ mod tests {
         assert_eq!((row_s.queries, row_m.queries), (1, 8));
         assert_eq!(row_m.proj_size, row_s.proj_size, "union projection unchanged by registry");
 
-        let _mode = mode_lock();
         let mut reg = smpx_core::QueryRegistry::new(dtd.clone());
         for _ in 0..8 {
             reg.add_paths(paths.clone());
@@ -905,7 +882,6 @@ mod tests {
         let dtd = Dtd::parse(xmark::XMARK_DTD.as_bytes()).expect("DTD");
         let q13 = xmark_paths(XMARK_QUERIES.iter().find(|q| q.id == "XM13").expect("query"));
         let q1 = xmark_paths(XMARK_QUERIES.iter().find(|q| q.id == "XM1").expect("query"));
-        let _mode = mode_lock();
 
         let mut reg = smpx_core::QueryRegistry::new(dtd.clone());
         reg.add_paths(q13.clone());

@@ -43,6 +43,7 @@ use crate::stats::{MultiVerdict, RunStats};
 use smpx_dtd::Dtd;
 use smpx_paths::extract::extract_from_text;
 use smpx_paths::PathSet;
+use smpx_stringmatch::memscan::ScanMode;
 use std::io::Write;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
@@ -52,7 +53,8 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 /// Internally the automaton is an ordinary multi-query compile of the
 /// live path sets in ascending external-id order; the generation carries
 /// the map from those dense *compiled* ids back to the stable *external*
-/// ids, so verdicts keep meaning the same thing while the set churns.
+/// ids, so verdicts keep meaning the same thing while the set churns. A
+/// recompile searches in its predecessor's [`ScanMode`].
 pub struct Generation {
     gen_no: u64,
     frozen: FrozenPrefilter,
@@ -229,6 +231,27 @@ impl SharedPrefilter {
         &self.inner.dtd
     }
 
+    /// Search in `mode` from now on: settle every pending edit, then
+    /// republish the current generation in `mode`; every later recompile
+    /// inherits it.
+    #[doc(hidden)]
+    pub fn with_mode(self, mode: ScanMode) -> SharedPrefilter {
+        let mut st = self.inner.state.lock().expect("lifecycle state");
+        while st.dirty || st.compiling {
+            st = self.inner.signal.wait(st).expect("lifecycle state");
+        }
+        let mut current = self.inner.current.write().expect("lifecycle generation");
+        let pf = current.frozen.worker().with_mode(mode);
+        *current = Arc::new(Generation {
+            gen_no: current.gen_no,
+            frozen: pf.freeze(),
+            extern_of: current.extern_of.clone(),
+            id_width: current.id_width,
+        });
+        drop((current, st));
+        self
+    }
+
     /// Register an XPath query. The id is allocated and returned
     /// immediately; the generation that *answers* for it publishes
     /// asynchronously (await it with [`settle`](Self::settle)).
@@ -399,12 +422,15 @@ fn compiler_loop(inner: &Inner) {
                 sets.push(paths.clone());
             }
         }
+        // Read under the state lock, which `with_mode` republishes under.
+        let mode = inner.current.read().expect("lifecycle generation").frozen.mode();
         drop(st);
         crate::obs::add(crate::obs::CounterId::LifecycleBurstEdits, burst);
         crate::obs::observe(crate::obs::HistId::LifecycleBurstSize, burst);
         // The expensive part — no lock held, the hot path is untouched.
         let t0 = crate::obs::enabled().then(std::time::Instant::now);
-        let compiled = Prefilter::compile_multi(&inner.dtd, &sets).map(|pf| pf.freeze());
+        let compiled =
+            Prefilter::compile_multi(&inner.dtd, &sets).map(|pf| pf.with_mode(mode).freeze());
         if let Some(t0) = t0 {
             let nanos = t0.elapsed().as_nanos();
             crate::obs::add_nanos(crate::obs::CounterId::LifecycleCompileNanos, nanos);

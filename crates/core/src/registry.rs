@@ -27,6 +27,7 @@ use crate::stats::{MultiVerdict, RunStats};
 use smpx_dtd::Dtd;
 use smpx_paths::extract::extract_from_text;
 use smpx_paths::PathSet;
+use smpx_stringmatch::memscan::ScanMode;
 use std::io::Write;
 use std::sync::Arc;
 
@@ -125,6 +126,14 @@ impl MultiPrefilter {
         &self.shared
     }
 
+    /// Search in `mode` from now on ([`Prefilter::with_mode`]); the
+    /// projections of [`project_query`](Self::project_query) inherit it.
+    #[doc(hidden)]
+    pub fn with_mode(mut self, mode: ScanMode) -> MultiPrefilter {
+        self.shared = self.shared.with_mode(mode);
+        self
+    }
+
     /// One pass over an in-memory document: the union projection, the
     /// per-query verdict, and the run statistics.
     pub fn filter_to_vec(
@@ -174,7 +183,7 @@ impl MultiPrefilter {
     /// pass itself never pays for N single-query compiles.
     pub fn project_query(&self, q: QueryId) -> Result<Prefilter, CoreError> {
         let paths = self.queries.get(q.0 as usize).ok_or(CoreError::NoPaths)?;
-        Prefilter::compile(&self.dtd, paths)
+        Ok(Prefilter::compile(&self.dtd, paths)?.with_mode(self.shared.mode()))
     }
 }
 

@@ -2,32 +2,24 @@
 //!
 //! The paper (Sec. V): "The data structures for string search are computed
 //! lazily, when an automaton-state is first entered." The one decision is
-//! made here, when a matcher is built, and it is the only place the
-//! keyword search reads [`memscan::accel_enabled`]:
+//! made here, when a matcher is built, from the prefilter's
+//! [`ScanMode`]:
 //!
-//! * **vector mode** (the default) builds a [`TagWalk`] for every
+//! * **the walk** (the default) builds a [`TagWalk`] for every
 //!   vocabulary, one keyword or many: the candidate walk of one fingerprint
-//!   fitted to the DTD's tags;
-//! * **scalar mode** (`SMPX_NO_SIMD=1`) builds the paper's Fig. 4
+//!   fitted to the DTD's tags, on the kernels of the run's [`Blocks`];
+//! * **the specification** (`SMPX_NO_SIMD=1`) builds the paper's Fig. 4
 //!   engines — Boyer–Moore for one keyword, Commentz–Walter for several
 //!   — whose counters are the paper's accounting.
 //!
-//! So the shift tables and the trie exist only when the scalar path runs.
-//! A matcher depends only on the state's keyword list and the universe, so
-//! it is built once per distinct vocabulary and shared, through reference
-//! counts, by every state that searches for the same keywords; the
-//! `ablations` bench compares this laziness against eager construction.
-//!
-//! A matcher keeps the mode it was built in. A [`Prefilter`] whose
-//! matchers were built before [`memscan::force_accel`] flipped keeps
-//! searching with them, while the tag-end and balanced scans follow the
-//! new mode: the run finds the same tokens and writes the same bytes, but
-//! its effort counters belong to neither mode. The tests compile a fresh
-//! prefilter per mode.
-//!
-//! [`Prefilter`]: super::Prefilter
+//! So the shift tables and the trie exist only when the specification
+//! runs. A matcher depends only on the state's keyword list, the universe
+//! and the mode, so it is built once per distinct vocabulary and shared,
+//! through reference counts, by every state that searches for the same
+//! keywords; the `ablations` bench compares this laziness against eager
+//! construction.
 
-use smpx_stringmatch::memscan::{self, Blocks, TagUniverse};
+use smpx_stringmatch::memscan::{Blocks, ScanMode, TagUniverse};
 use smpx_stringmatch::{BoyerMoore, CommentzWalter, Metrics, TagWalk};
 use std::sync::Arc;
 
@@ -36,11 +28,11 @@ use std::sync::Arc;
 pub(crate) enum StateMatcher {
     /// No keywords (final states): nothing to search.
     Empty,
-    /// Vector mode, every vocabulary.
+    /// The walk, every vocabulary.
     Walk(Arc<TagWalk>),
-    /// Scalar mode, one keyword → Boyer–Moore.
+    /// The specification, one keyword → Boyer–Moore.
     Bm(Arc<BoyerMoore>),
-    /// Scalar mode, several keywords → Commentz–Walter, and the keyword
+    /// The specification, several keywords → Commentz–Walter, and the keyword
     /// indices longest first (ties by index): the order a false match
     /// re-checks the vocabulary in.
     Cw(Arc<CommentzWalter>, Arc<[u32]>),
@@ -48,17 +40,15 @@ pub(crate) enum StateMatcher {
 
 impl StateMatcher {
     /// Build the matcher of a keyword list — a state's vocabulary, or the
-    /// `{<e, </e}` of a balanced scan — in the current mode, a walk's
-    /// filter fitted to `universe`: the tags of the DTD, which the search
-    /// has to pass over.
-    pub fn build<P: AsRef<[u8]>>(keywords: &[P], universe: &TagUniverse) -> StateMatcher {
-        StateMatcher::in_mode(keywords, universe, memscan::accel_enabled())
-    }
-
-    fn in_mode<P: AsRef<[u8]>>(keywords: &[P], universe: &TagUniverse, vector: bool) -> Self {
+    /// `{<e, </e}` of a balanced scan — in `mode`, a walk's filter fitted
+    /// to `universe`: the tags of the DTD, which the search has to pass
+    /// over.
+    pub fn build<P: AsRef<[u8]>>(keywords: &[P], universe: &TagUniverse, mode: ScanMode) -> Self {
         match keywords {
             [] => StateMatcher::Empty,
-            _ if vector => StateMatcher::Walk(Arc::new(TagWalk::with_universe(keywords, universe))),
+            _ if mode != ScanMode::Spec => {
+                StateMatcher::Walk(Arc::new(TagWalk::with_universe(keywords, universe)))
+            }
             [one] => StateMatcher::Bm(Arc::new(BoyerMoore::new(one.as_ref()))),
             many => {
                 let mut longest_first: Arc<[u32]> = (0..many.len() as u32).collect();
@@ -134,11 +124,12 @@ impl StateMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smpx_stringmatch::NoMetrics;
+    use smpx_stringmatch::{memscan, NoMetrics};
 
-    /// The matchers of `kws` in both modes, vector first.
+    /// The matchers of `kws` in both modes, the walk first.
     fn both(kws: &[&str]) -> [StateMatcher; 2] {
-        [true, false].map(|vector| StateMatcher::in_mode(kws, &TagUniverse::default(), vector))
+        [ScanMode::Walk(memscan::kind()), ScanMode::Spec]
+            .map(|mode| StateMatcher::build(kws, &TagUniverse::default(), mode))
     }
 
     fn find(m: &StateMatcher, hay: &[u8], from: usize) -> Option<(usize, usize)> {
@@ -181,7 +172,7 @@ mod tests {
         // The overlap a refill re-scans is the longest keyword; the walk's
         // candidates end where the shortest one no longer fits.
         let [walk, cw] = both(&["</a", "<longkeyword"]);
-        let StateMatcher::Walk(w) = &walk else { panic!("vector mode builds the walk") };
+        let StateMatcher::Walk(w) = &walk else { panic!("the walk mode builds the walk") };
         assert_eq!((w.min_len(), w.max_len()), (3, 12));
         assert_eq!((walk.max_len(), cw.max_len()), (12, 12));
         assert_eq!(both(&["<item"]).map(|m| m.max_len()), [5, 5]);

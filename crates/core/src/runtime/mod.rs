@@ -28,7 +28,7 @@ use crate::stats::{MultiVerdict, RunStats};
 use matchers::StateMatcher;
 use smpx_dtd::Dtd;
 use smpx_paths::PathSet;
-use smpx_stringmatch::memscan::{self, Blocks, Fingerprint};
+use smpx_stringmatch::memscan::{self, Fingerprint, ScanMode};
 use smpx_stringmatch::{Counters, Metrics};
 use source::{DocSource, ReaderSource, SliceSource, SourceInput};
 use std::io::{Read, Write};
@@ -54,8 +54,15 @@ pub const RELEASE_STEP: usize = 32 * DEFAULT_CHUNK;
 /// construction; only the lazily built matcher caches are per-instance
 /// mutable state. [`freeze`](Self::freeze) hands the shared tables to the
 /// [`parallel`] executor, where every worker owns its own caches.
+///
+/// How it searches is its [`ScanMode`], fixed when it is built
+/// ([`ScanMode::from_env`]; [`with_mode`](Self::with_mode)) and inherited
+/// by everything built from it: frozen handles and their workers,
+/// registry and lifecycle generations.
 pub struct Prefilter {
     tables: Arc<CompiledTables>,
+    /// The walk on one kernel tier, or the specification.
+    mode: ScanMode,
     /// Lazily filled matcher of every state: built once per vocabulary
     /// (in the slot of its first state, [`CompiledTables::vocab`]) and
     /// shared by the other states that search for the same keywords.
@@ -98,18 +105,19 @@ impl Prefilter {
         Ok(Prefilter::from_tables(compile_multi(dtd, queries)?))
     }
 
-    /// Wrap precompiled tables.
+    /// Wrap precompiled tables, in the default mode.
     pub fn from_tables(tables: CompiledTables) -> Prefilter {
-        Prefilter::from_shared(Arc::new(tables))
+        Prefilter::from_shared(Arc::new(tables), ScanMode::from_env())
     }
 
     /// Wrap tables already shared with other prefilter instances (the
-    /// [`parallel::FrozenPrefilter`] worker path): the automaton is common,
-    /// the matcher caches are this instance's own.
-    pub(crate) fn from_shared(tables: Arc<CompiledTables>) -> Prefilter {
+    /// [`parallel::FrozenPrefilter`] worker path): the automaton and the
+    /// mode are common, the matcher caches are this instance's own.
+    pub(crate) fn from_shared(tables: Arc<CompiledTables>, mode: ScanMode) -> Prefilter {
         let n = tables.states.len();
         Prefilter {
             tables,
+            mode,
             matchers: vec![None; n],
             balanced_matchers: vec![None; n],
             matchers_built: 0,
@@ -132,13 +140,32 @@ impl Prefilter {
         self
     }
 
+    /// Search in `mode` from now on — the walk on another kernel tier, or
+    /// the specification, whose counters are the paper's accounting —
+    /// dropping the matchers built so far. Panics on a mode this CPU does
+    /// not run ([`ScanMode::supported`]).
+    pub fn with_mode(mut self, mode: ScanMode) -> Prefilter {
+        assert!(mode.supported(), "this CPU does not run the {} scan mode", mode.name());
+        self.mode = mode;
+        self.matchers.fill(None);
+        self.balanced_matchers.fill(None);
+        self.matchers_built = 0;
+        self
+    }
+
+    /// How this prefilter searches.
+    pub fn mode(&self) -> ScanMode {
+        self.mode
+    }
+
     /// Share the compiled automaton immutably for parallel execution.
     ///
     /// The frozen handle can mint any number of worker prefilters, each
     /// with its own (lazily warmed) matcher caches and scratch state, all
-    /// reading the same tables — see [`parallel`].
+    /// reading the same tables and searching in this prefilter's mode —
+    /// see [`parallel`].
     pub fn freeze(&self) -> parallel::FrozenPrefilter {
-        parallel::FrozenPrefilter::new(self.tables.clone())
+        parallel::FrozenPrefilter::new(self.tables.clone(), self.mode)
     }
 
     /// Prefilter many documents concurrently through `threads` workers
@@ -337,7 +364,7 @@ impl Prefilter {
         self.hits.clear();
         self.entered.fill(0);
         self.copy_depth = 0;
-        let mut input = SourceInput::with_step(src, writer, self.step);
+        let mut input = SourceInput::with_step(src, writer, self.step, self.mode.blocks());
         self.run(&mut input, &mut counters, &mut stats)?;
         stats.chars_compared += counters.comparisons;
         stats.bytes_scanned = counters.scanned;
@@ -369,7 +396,7 @@ impl Prefilter {
         if self.matchers[v].is_none() {
             let tables = &self.tables;
             self.matchers[v] =
-                Some(StateMatcher::build(&tables.states[v].keywords, &tables.universe));
+                Some(StateMatcher::build(&tables.states[v].keywords, &tables.universe, self.mode));
             self.matchers_built += 1;
         }
         self.matchers[q as usize] = self.matchers[v].clone();
@@ -403,7 +430,7 @@ impl Prefilter {
             };
             let row = &rows[kw_idx];
             // Scan right for the end of the tag.
-            let (end, bachelor) = scan_tag_end(input, start + row.len as usize, m)?;
+            let (end, bachelor) = scan_tag_end(self.mode, input, start + row.len as usize, m)?;
             stats.tokens_matched += 1;
 
             if bachelor && !row.close {
@@ -489,7 +516,7 @@ impl Prefilter {
     ///
     /// One loop in both modes: the `{<e, </e}` matcher is built like every
     /// state's ([`StateMatcher::build`]) — the candidate walk, or
-    /// Commentz–Walter under `SMPX_NO_SIMD=1` — and searched through
+    /// Commentz–Walter in the specification — and searched through
     /// `SourceInput::find`, which cuts it at the release steps; the tag
     /// ends are [`scan_tag_end`]'s.
     fn balanced_scan<S: DocSource, W: Write, M: Metrics>(
@@ -507,7 +534,7 @@ impl Prefilter {
             let open_pat = format!("<{name}").into_bytes();
             let close_pat = format!("</{name}").into_bytes();
             self.balanced_matchers[open_state as usize] =
-                Some(StateMatcher::build(&[open_pat, close_pat], &self.tables.universe));
+                Some(StateMatcher::build(&[open_pat, close_pat], &self.tables.universe, self.mode));
         }
         let mut cursor = from;
         let mut depth = 1u32;
@@ -526,7 +553,7 @@ impl Prefilter {
             m.cmp(1);
             match input.byte(start + plen)? {
                 Some(c) if is_tag_name_end(c) => {
-                    let (end, bachelor) = scan_tag_end(input, start + plen, m)?;
+                    let (end, bachelor) = scan_tag_end(self.mode, input, start + plen, m)?;
                     stats.tokens_matched += 1;
                     if kw == 1 {
                         depth -= 1;
@@ -750,21 +777,22 @@ fn is_tag_name_end(c: u8) -> bool {
 /// `>`, bachelor?).
 ///
 /// Every byte the scan consumes is routed through [`Metrics::scanned`]
-/// (never `cmp`), in the vectorized *and* the scalar mode, so the paper's
+/// (never `cmp`), in the walk *and* the specification, so the paper's
 /// `Char Comp.` column counts only genuine pattern comparisons and the
 /// `Scan%` column owns the tag traversal — identically in both modes.
 ///
-/// Vectorized, the tag is read off the structural masks
+/// In the walk, the tag is read off the structural masks
 /// ([`memscan::Blocks::tag_end`]) of the resident bytes, from the block the
 /// search left cached (`SourceInput::tag_end_masked`); only a tag running
 /// past the resident bytes goes on in the cold [`scan_tag_end_windowed`].
 #[inline(always)]
 fn scan_tag_end<S: DocSource, W: Write, M: Metrics>(
+    mode: ScanMode,
     input: &mut SourceInput<S, W>,
     pos: usize,
     m: &mut M,
 ) -> Result<(usize, bool), CoreError> {
-    if !memscan::accel_enabled() {
+    if mode == ScanMode::Spec {
         return scan_tag_end_scalar(input, pos, m);
     }
     if let Some((end, bachelor)) = input.tag_end_masked(pos) {
@@ -786,6 +814,7 @@ fn scan_tag_end_windowed<S: DocSource, W: Write, M: Metrics>(
     m: &mut M,
 ) -> Result<(usize, bool), CoreError> {
     let mut st = memscan::TagScan::new();
+    let mut blocks = memscan::Blocks::with_kind(input.scan_kind());
     let mut abs = pos;
     loop {
         let consumed = {
@@ -799,7 +828,9 @@ fn scan_tag_end_windowed<S: DocSource, W: Write, M: Metrics>(
                     },
                 });
             };
-            if let Some((rel_end, bachelor)) = Blocks::new().tag_end_resumed(win, 0, &mut st) {
+            // Each window is a haystack of its own, starting at `abs`.
+            blocks.rebase(abs);
+            if let Some((rel_end, bachelor)) = blocks.tag_end_resumed(win, 0, &mut st) {
                 let end = abs + rel_end;
                 m.scanned((end - pos) as u64);
                 return Ok((end, bachelor));
@@ -812,7 +843,7 @@ fn scan_tag_end_windowed<S: DocSource, W: Write, M: Metrics>(
 
 /// The classic per-byte tag-end loop: the specification the block-mask
 /// walk is pinned against (tokenizer edge-case tests), and the
-/// `SMPX_NO_SIMD=1` runtime path.
+/// specification mode's runtime path.
 fn scan_tag_end_scalar<S: DocSource, W: Write, M: Metrics>(
     input: &mut SourceInput<S, W>,
     pos: usize,

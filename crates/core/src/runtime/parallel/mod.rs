@@ -39,6 +39,7 @@ use super::Prefilter;
 use crate::compile::CompiledTables;
 use crate::error::CoreError;
 use crate::stats::{MultiVerdict, RunStats};
+use smpx_stringmatch::memscan::ScanMode;
 use std::io::Write;
 use std::sync::Arc;
 
@@ -46,15 +47,16 @@ use std::sync::Arc;
 ///
 /// Create one with [`Prefilter::freeze`]. Cloning is cheap (one `Arc`
 /// bump); every clone and every [`worker`](Self::worker) reads the same
-/// tables.
+/// tables and searches in the frozen prefilter's [`ScanMode`].
 #[derive(Clone)]
 pub struct FrozenPrefilter {
     tables: Arc<CompiledTables>,
+    mode: ScanMode,
 }
 
 impl FrozenPrefilter {
-    pub(crate) fn new(tables: Arc<CompiledTables>) -> FrozenPrefilter {
-        FrozenPrefilter { tables }
+    pub(crate) fn new(tables: Arc<CompiledTables>, mode: ScanMode) -> FrozenPrefilter {
+        FrozenPrefilter { tables, mode }
     }
 
     /// The shared compiled tables.
@@ -62,11 +64,16 @@ impl FrozenPrefilter {
         &self.tables
     }
 
+    /// How every worker searches.
+    pub fn mode(&self) -> ScanMode {
+        self.mode
+    }
+
     /// A worker prefilter: shares this automaton, owns its matcher
     /// caches. Building one allocates only the empty cache vectors; the
     /// matchers themselves warm lazily as states are first entered.
     pub fn worker(&self) -> Prefilter {
-        Prefilter::from_shared(self.tables.clone())
+        Prefilter::from_shared(self.tables.clone(), self.mode)
     }
 
     /// Prefilter many documents concurrently through `threads` workers

@@ -18,14 +18,15 @@
 //! [`find_byte`] (`memchr`-style) is no part of a run: it stays for the
 //! benchmark's scan-ceiling row.
 //!
-//! Four implementations are provided and selected once per process:
+//! Four implementations are provided, one per [`ScanKind`]:
 //!
 //! * **SWAR** — portable `u64` word-at-a-time zero-byte detection
 //!   (Mycroft's trick), 8 bytes per iteration, no `unsafe`, works on every
 //!   target. This is the default off `x86_64`.
 //! * **SSE2** — 16 bytes per iteration via `_mm_cmpeq_epi8` /
-//!   `_mm_movemask_epi8`. Part of the `x86_64` baseline ISA, so it needs no
-//!   runtime detection there.
+//!   `_mm_movemask_epi8`. Part of the `x86_64` baseline ISA; the
+//!   fingerprint member's nibble lookup is SSSE3's `pshufb`, so the kind
+//!   needs SSSE3 (a CPU without it runs SWAR).
 //! * **AVX2** — 32 bytes per iteration, used when
 //!   `is_x86_feature_detected!("avx2")` reports support at runtime.
 //! * **AVX-512** — 64 bytes per iteration, used over AVX2 when `avx512bw`
@@ -35,11 +36,13 @@
 //!   ([`block_masks_avx512`]), one load and four compares whose masks are
 //!   the `u64` masks of [`Blocks`]. [`find_byte`] runs its AVX2 member.
 //!
-//! Setting `SMPX_NO_SIMD=1` in the environment forces the SWAR path (and
-//! the runtime searches with the classic Boyer–Moore and Commentz–Walter
-//! loops instead of the candidate walk; see [`accel_enabled`]). The
-//! choice is cached in an atomic after the first query; [`force_kind`]
-//! overrides it for benchmarks and tests.
+//! A run's kind is a value, not a process setting: a [`ScanMode`] fixed
+//! when a prefilter is built, carried into the [`Blocks`] of each run,
+//! whose two scans dispatch on it. [`kind`] is the widest kind this CPU
+//! runs, detected once; [`ScanMode::from_env`] walks with it unless
+//! `SMPX_NO_SIMD=1` asks for the specification — the paper's
+//! Boyer–Moore and Commentz–Walter loops. Prefilters of different modes
+//! and kinds run side by side in one process.
 //!
 //! # Safety
 //!
@@ -56,14 +59,14 @@
 #![warn(unsafe_op_in_unsafe_fn)]
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::OnceLock;
 
-/// Which scanning implementation the process is using.
+/// A scanning implementation: which vector kernels a walk runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanKind {
     /// Portable `u64` word-at-a-time (no `std::arch`).
     Swar,
-    /// 16-byte SSE2 vectors (`x86_64` baseline ISA).
+    /// 16-byte SSE2 vectors, SSSE3 for the nibble lookup (runtime-detected).
     Sse2,
     /// 32-byte AVX2 vectors (runtime-detected).
     Avx2,
@@ -83,107 +86,91 @@ impl ScanKind {
     }
 }
 
-/// 0 = undecided, 1 = Swar, 2 = Sse2, 3 = Avx2, 4 = Avx512.
-static KIND: AtomicU8 = AtomicU8::new(0);
-/// 0 = undecided, 1 = accelerated, 2 = scalar-forced (`SMPX_NO_SIMD=1`).
-static ACCEL: AtomicU8 = AtomicU8::new(0);
+/// How a prefilter searches, fixed when it is built: the candidate walk
+/// and block-mask tag ends on one kernel tier, or the specification —
+/// the paper's Boyer–Moore and Commentz–Walter loops and the per-byte
+/// tag-end loop, whose counters are the paper's accounting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScanMode {
+    /// The vector walk on this kind's kernels.
+    Walk(ScanKind),
+    /// The scalar specification.
+    Spec,
+}
 
-fn detect_kind() -> ScanKind {
-    if std::env::var_os("SMPX_NO_SIMD").is_some_and(|v| v == "1") {
-        return ScanKind::Swar;
+impl ScanMode {
+    /// The default mode: the specification when `SMPX_NO_SIMD=1`, the
+    /// walk on the widest kind this CPU runs ([`kind`]) otherwise.
+    pub fn from_env() -> ScanMode {
+        if std::env::var_os("SMPX_NO_SIMD").is_some_and(|v| v == "1") {
+            ScanMode::Spec
+        } else {
+            ScanMode::Walk(kind())
+        }
     }
-    native_kind()
+
+    /// The mode's name, as `smpx --stats` prints it: the kind's, or
+    /// `scalar` for the specification.
+    pub fn name(self) -> &'static str {
+        match self {
+            ScanMode::Walk(k) => k.name(),
+            ScanMode::Spec => "scalar",
+        }
+    }
+
+    /// Does this CPU run the mode?
+    pub fn supported(self) -> bool {
+        match self {
+            ScanMode::Walk(k) => supported(k),
+            ScanMode::Spec => true,
+        }
+    }
+
+    /// The structural block cache of one run in this mode, computed by
+    /// the walk's kind (the specification reads no masks: SWAR).
+    pub fn blocks(self) -> Blocks {
+        Blocks::with_kind(match self {
+            ScanMode::Walk(k) => k,
+            ScanMode::Spec => ScanKind::Swar,
+        })
+    }
 }
 
-/// The widest kind this CPU runs.
-fn native_kind() -> ScanKind {
-    [ScanKind::Avx512, ScanKind::Avx2, ScanKind::Sse2]
-        .into_iter()
-        .find(|&k| supported(k))
-        .unwrap_or(ScanKind::Swar)
-}
-
-/// Does this CPU run `k`'s members?
+/// Does this CPU run `k`'s members? The one check between a kind and its
+/// kernels: a [`Blocks`] makes it when it is built, and the dispatch
+/// trusts it from there.
 #[cfg(target_arch = "x86_64")]
-fn supported(k: ScanKind) -> bool {
+pub fn supported(k: ScanKind) -> bool {
     use std::arch::is_x86_feature_detected as has;
     match k {
-        ScanKind::Swar | ScanKind::Sse2 => true,
+        ScanKind::Swar => true,
+        // The fingerprint member's nibble lookup is `pshufb`.
+        ScanKind::Sse2 => has!("ssse3"),
         ScanKind::Avx2 => has!("avx2"),
         // The AVX-512 fingerprint member hands its tail to the AVX2 one.
         ScanKind::Avx512 => has!("avx2") && has!("avx512bw"),
     }
 }
 
+/// Does this CPU run `k`'s members? Off `x86_64`, SWAR only.
 #[cfg(not(target_arch = "x86_64"))]
-fn supported(k: ScanKind) -> bool {
+pub fn supported(k: ScanKind) -> bool {
     k == ScanKind::Swar
 }
 
-/// The active scanning implementation (detected once, then cached).
+/// The widest kind this CPU runs (detected once, then cached).
 pub fn kind() -> ScanKind {
-    match KIND.load(Ordering::Relaxed) {
-        1 => ScanKind::Swar,
-        2 => ScanKind::Sse2,
-        3 => ScanKind::Avx2,
-        4 => ScanKind::Avx512,
-        _ => {
-            let k = detect_kind();
-            KIND.store(encode(k), Ordering::Relaxed);
-            k
-        }
-    }
-}
-
-/// Override the scanning implementation for this process (benchmark and
-/// test escape hatch; normal code never calls this). A kind this CPU does
-/// not run is rejected and the active one kept: the result says whether
-/// `k` took effect.
-pub fn force_kind(k: ScanKind) -> bool {
-    let ok = supported(k);
-    if ok {
-        KIND.store(encode(k), Ordering::Relaxed);
-    }
-    ok
-}
-
-fn encode(k: ScanKind) -> u8 {
-    match k {
-        ScanKind::Swar => 1,
-        ScanKind::Sse2 => 2,
-        ScanKind::Avx2 => 3,
-        ScanKind::Avx512 => 4,
-    }
-}
-
-/// Is the vectorized skip-scan enabled for the runtime?
-///
-/// `SMPX_NO_SIMD=1` disables it: the runtime then builds the classic
-/// Boyer–Moore and Commentz–Walter loops instead of the candidate walk
-/// ([`TagWalk`](crate::TagWalk)), and scans tags byte by byte (the CI
-/// fallback leg runs the whole suite this way). Cached after the first
-/// call.
-pub fn accel_enabled() -> bool {
-    match ACCEL.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = std::env::var_os("SMPX_NO_SIMD").is_none_or(|v| v != "1");
-            ACCEL.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Force the acceleration on or off for this process (test/bench escape
-/// hatch, same effect as `SMPX_NO_SIMD`). A runtime matcher follows the
-/// mode it was built in.
-pub fn force_accel(on: bool) {
-    ACCEL.store(if on { 1 } else { 2 }, Ordering::Relaxed);
+    static KIND: OnceLock<ScanKind> = OnceLock::new();
+    *KIND.get_or_init(|| {
+        [ScanKind::Avx512, ScanKind::Avx2, ScanKind::Sse2]
+            .into_iter()
+            .find(|&k| supported(k))
+            .unwrap_or(ScanKind::Swar)
+    })
 }
 
 /// Position of the first occurrence of `needle` in `hay[from..]`, as an
-/// absolute offset. Dispatches to the active [`ScanKind`].
+/// absolute offset. Dispatches to [`kind`].
 ///
 /// No run calls it: it and its members stay only because the benchmark
 /// harness's `stringmatch.ceiling_mibs` row times it, and they go with
@@ -274,7 +261,7 @@ pub fn find_byte_sse2(hay: &[u8], from: usize, needle: u8) -> Option<usize> {
 }
 
 /// 32 bytes per iteration; callers must only dispatch here when AVX2 was
-/// detected at runtime (enforced by [`kind`]/[`force_kind`]).
+/// detected at runtime (enforced by [`supported`]).
 #[cfg(target_arch = "x86_64")]
 pub fn find_byte_avx2(hay: &[u8], from: usize, needle: u8) -> Option<usize> {
     #[target_feature(enable = "avx2")]
@@ -301,9 +288,9 @@ pub fn find_byte_avx2(hay: &[u8], from: usize, needle: u8) -> Option<usize> {
         }
         hay[i..].iter().position(|&b| b == needle).map(|p| i + p)
     }
-    // SAFETY: dispatch reaches this function only after
-    // `is_x86_feature_detected!("avx2")` succeeded (see `detect_kind` /
-    // `force_kind`), so the target-feature precondition holds.
+    // SAFETY: dispatch reaches this function only for a kind `supported`
+    // checked (AVX2 or AVX-512, both with `avx2` detected), so the
+    // target-feature precondition holds.
     unsafe { imp(hay, from, needle) }
 }
 
@@ -335,8 +322,14 @@ const BLOCK: usize = 64;
 /// one base must agree on the bytes they share, as prefixes of one
 /// resident region do. Bits of a block that runs past the end of the
 /// haystack it was computed from are clear, and its length says so.
-#[derive(Debug, Clone, Default)]
+///
+/// The cache carries the [`ScanKind`] whose members compute its masks
+/// and run the far phase of the walk reading it: checked against the CPU
+/// once, when it is built, and trusted by every load after.
+#[derive(Debug, Clone)]
 pub struct Blocks {
+    /// The kind whose members compute the masks and run the far phase.
+    kind: ScanKind,
     /// Absolute offset of the first byte of the haystack.
     base: usize,
     /// The cached block is `hay[at..at + len]`; `len == 0`: none.
@@ -349,9 +342,23 @@ pub struct Blocks {
 }
 
 impl Blocks {
-    /// No block cached, for a haystack at absolute offset 0.
+    /// No block cached, for a haystack at absolute offset 0, on the
+    /// widest kind this CPU runs ([`kind`]).
     pub fn new() -> Blocks {
-        Blocks::default()
+        Blocks::with_kind(kind())
+    }
+
+    /// No block cached, for a haystack at absolute offset 0, on `kind`'s
+    /// members. Panics on a kind this CPU does not run ([`supported`]).
+    pub fn with_kind(kind: ScanKind) -> Blocks {
+        assert!(supported(kind), "this CPU does not run the {} scan kind", kind.name());
+        Blocks { kind, base: 0, at: 0, len: 0, lt: 0, gt: 0, dq: 0, sq: 0 }
+    }
+
+    /// The kind whose members compute the masks.
+    #[inline]
+    pub fn kind(&self) -> ScanKind {
+        self.kind
     }
 
     /// The haystack now starts at absolute offset `base`: keep the cached
@@ -392,7 +399,7 @@ impl Blocks {
         let [lt, gt, dq, sq] = if bytes.len() < BLOCK {
             block_masks_scalar(bytes)
         } else {
-            match kind() {
+            match self.kind {
                 ScanKind::Swar => block_masks_scalar(bytes),
                 #[cfg(target_arch = "x86_64")]
                 ScanKind::Sse2 => block_masks_sse2(bytes),
@@ -404,7 +411,7 @@ impl Blocks {
                 _ => block_masks_scalar(bytes),
             }
         };
-        *self = Blocks { base: self.base, at, len: bytes.len(), lt, gt, dq, sq };
+        *self = Blocks { at, len: bytes.len(), lt, gt, dq, sq, ..*self };
     }
 
     /// The end of the tag whose name ends at `pos` of `hay`, read from the
@@ -473,6 +480,12 @@ impl Blocks {
     }
 }
 
+impl Default for Blocks {
+    fn default() -> Blocks {
+        Blocks::new()
+    }
+}
+
 /// Where a [`Blocks::tag_end_resumed`] walk stands when its haystack ends
 /// inside a tag: the open quote and the last byte it consumed. A walk
 /// starts from [`TagScan::new`].
@@ -537,7 +550,7 @@ pub fn block_masks_sse2(bytes: &[u8]) -> [u64; 4] {
 
 /// [`block_masks_scalar`] over a whole block: two 32-byte loads, four
 /// compares each. Callers must only dispatch here when AVX2 was detected
-/// at runtime (enforced by [`kind`]).
+/// at runtime (enforced by [`supported`]).
 #[cfg(target_arch = "x86_64")]
 pub fn block_masks_avx2(bytes: &[u8]) -> [u64; 4] {
     #[target_feature(enable = "avx2")]
@@ -557,16 +570,16 @@ pub fn block_masks_avx2(bytes: &[u8]) -> [u64; 4] {
             })
         }
     }
-    // SAFETY: dispatch reaches this function only after
-    // `is_x86_feature_detected!("avx2")` succeeded (see `detect_kind` /
-    // `force_kind`), so the target-feature precondition holds.
+    // SAFETY: dispatch reaches this function only for a kind `supported`
+    // checked (AVX2 or AVX-512, both with `avx2` detected), so the
+    // target-feature precondition holds.
     unsafe { imp(bytes) }
 }
 
 /// [`block_masks_scalar`] over a whole block: one 64-byte load, four
 /// compares whose `__mmask64` results are the masks. Callers must only
 /// dispatch here when AVX-512BW was detected at runtime (enforced by
-/// [`kind`]).
+/// [`supported`]).
 #[cfg(target_arch = "x86_64")]
 pub fn block_masks_avx512(bytes: &[u8]) -> [u64; 4] {
     #[target_feature(enable = "avx512bw")]
@@ -579,9 +592,9 @@ pub fn block_masks_avx512(bytes: &[u8]) -> [u64; 4] {
         let eq = |b: u8| _mm512_cmpeq_epi8_mask(v, _mm512_set1_epi8(b as i8));
         [eq(b'<'), eq(b'>'), eq(b'"'), eq(b'\'')]
     }
-    // SAFETY: dispatch reaches this function only after
-    // `is_x86_feature_detected!("avx512bw")` succeeded (see `supported` /
-    // `force_kind`), so the target-feature precondition holds.
+    // SAFETY: dispatch reaches this function only for the AVX-512 kind,
+    // which `supported` checked (`avx512bw` detected), so the
+    // target-feature precondition holds.
     unsafe { imp(bytes) }
 }
 
@@ -1019,15 +1032,20 @@ impl Fingerprint {
         }
         // An alignment is tested by reading up to `o2 < lmin` bytes past
         // it: cut the haystack so that none beyond `limit` is.
-        find_fingerprint(&hay[..limit + 1 + o2], from, self)
+        find_fingerprint_of(blocks.kind, &hay[..limit + 1 + o2], from, self)
     }
 }
 
 /// First candidate alignment `i >= from` of `fp` in `hay`
-/// ([`Fingerprint::admits_at`]). Dispatches to the active [`ScanKind`].
-#[inline]
+/// ([`Fingerprint::admits_at`]), on the widest kind this CPU runs.
 pub fn find_fingerprint(hay: &[u8], from: usize, fp: &Fingerprint) -> Option<usize> {
-    match kind() {
+    find_fingerprint_of(kind(), hay, from, fp)
+}
+
+/// [`find_fingerprint`] on `kind`'s member, a kind [`supported`] checked.
+#[inline]
+fn find_fingerprint_of(kind: ScanKind, hay: &[u8], from: usize, fp: &Fingerprint) -> Option<usize> {
+    match kind {
         ScanKind::Swar => find_fingerprint_swar(hay, from, fp),
         #[cfg(target_arch = "x86_64")]
         ScanKind::Sse2 => find_fingerprint_sse2(hay, from, fp),
@@ -1080,8 +1098,9 @@ pub fn find_fingerprint_swar(hay: &[u8], from: usize, fp: &Fingerprint) -> Optio
 }
 
 /// 16 alignments per iteration. The nibble lookup is `pshufb`, which is
-/// SSSE3, not SSE2: CPUs without it (none that has AVX2) take the SWAR
-/// member.
+/// SSSE3, not SSE2: callers must only dispatch here when SSSE3 was
+/// detected at runtime (enforced by [`supported`]; a CPU without it —
+/// none that has AVX2 — runs the SWAR kind).
 #[cfg(target_arch = "x86_64")]
 pub fn find_fingerprint_sse2(hay: &[u8], from: usize, fp: &Fingerprint) -> Option<usize> {
     #[target_feature(enable = "ssse3")]
@@ -1135,16 +1154,14 @@ pub fn find_fingerprint_sse2(hay: &[u8], from: usize, fp: &Fingerprint) -> Optio
         }
         find_fingerprint_scalar(hay, i, fp)
     }
-    if std::arch::is_x86_feature_detected!("ssse3") {
-        // SAFETY: SSSE3 was detected on the line above.
-        unsafe { imp(hay, from, fp) }
-    } else {
-        find_fingerprint_swar(hay, from, fp)
-    }
+    // SAFETY: dispatch reaches this function only for a kind `supported`
+    // checked, and every kind but SWAR requires SSSE3 there, so the
+    // target-feature precondition holds.
+    unsafe { imp(hay, from, fp) }
 }
 
 /// 32 alignments per iteration; callers must only dispatch here when AVX2
-/// was detected at runtime (enforced by [`kind`]/[`force_kind`]).
+/// was detected at runtime (enforced by [`supported`]).
 #[cfg(target_arch = "x86_64")]
 pub fn find_fingerprint_avx2(hay: &[u8], from: usize, fp: &Fingerprint) -> Option<usize> {
     #[target_feature(enable = "avx2")]
@@ -1214,9 +1231,9 @@ pub fn find_fingerprint_avx2(hay: &[u8], from: usize, fp: &Fingerprint) -> Optio
         }
         find_fingerprint_scalar(hay, i, fp)
     }
-    // SAFETY: dispatch reaches this function only after
-    // `is_x86_feature_detected!("avx2")` succeeded (see `detect_kind` /
-    // `force_kind`), so the target-feature precondition holds.
+    // SAFETY: dispatch reaches this function only for a kind `supported`
+    // checked (AVX2 or AVX-512, both with `avx2` detected), so the
+    // target-feature precondition holds.
     unsafe { imp(hay, from, fp) }
 }
 
@@ -1224,7 +1241,7 @@ pub fn find_fingerprint_avx2(hay: &[u8], from: usize, fp: &Fingerprint) -> Optio
 /// compares are masked by the anchor compare, the table test by both.
 /// The tail goes to the AVX2 member. Callers must only dispatch here when
 /// AVX-512BW and AVX2 were detected at runtime (enforced by
-/// [`kind`]/[`force_kind`]).
+/// [`supported`]).
 #[cfg(target_arch = "x86_64")]
 pub fn find_fingerprint_avx512(hay: &[u8], from: usize, fp: &Fingerprint) -> Option<usize> {
     #[target_feature(enable = "avx512bw")]
@@ -1287,10 +1304,10 @@ pub fn find_fingerprint_avx512(hay: &[u8], from: usize, fp: &Fingerprint) -> Opt
         }
         find_fingerprint_avx2(hay, i, fp)
     }
-    // SAFETY: dispatch reaches this function only after
-    // `is_x86_feature_detected!("avx512bw")` and `("avx2")` succeeded (see
-    // `supported` / `force_kind`), so the target-feature precondition
-    // holds, and so does the AVX2 member's for the tail.
+    // SAFETY: dispatch reaches this function only for the AVX-512 kind,
+    // which `supported` checked (`avx512bw` and `avx2` detected), so the
+    // target-feature precondition holds, and so does the AVX2 member's
+    // for the tail.
     unsafe { imp(hay, from, fp) }
 }
 
@@ -1587,18 +1604,20 @@ mod tests {
     }
 
     #[test]
-    fn kind_is_cached_and_forcible() {
-        let original = kind();
-        assert!(force_kind(ScanKind::Swar));
-        assert_eq!(kind(), ScanKind::Swar);
+    fn kind_is_cached_and_supported() {
+        assert_eq!(kind(), kind());
+        assert!(supported(kind()) && supported(ScanKind::Swar));
         assert_eq!(find_byte(b"hello<world", 0, b'<'), Some(5));
-        // A kind the CPU lacks is refused and leaves the active one.
-        for k in [ScanKind::Sse2, ScanKind::Avx2, ScanKind::Avx512] {
-            assert_eq!(force_kind(k), supported(k), "{k:?}");
-            assert_eq!(kind(), if supported(k) { k } else { ScanKind::Swar });
-            force_kind(ScanKind::Swar);
+        // Every kind this CPU runs builds a block cache of its own; one it
+        // lacks is refused before any kernel could run.
+        for k in [ScanKind::Swar, ScanKind::Sse2, ScanKind::Avx2, ScanKind::Avx512] {
+            if supported(k) {
+                let mut blocks = Blocks::with_kind(k);
+                assert_eq!(blocks.kind(), k);
+                assert_eq!(blocks.tag_end(b" a='>'/>", 0), Some((8, true)), "{k:?}");
+            } else {
+                assert!(std::panic::catch_unwind(|| Blocks::with_kind(k)).is_err(), "{k:?}");
+            }
         }
-        assert!(force_kind(original));
-        assert_eq!(kind(), original);
     }
 }

@@ -9,10 +9,6 @@ use smpx_stringmatch::memscan::{self, Blocks, ScanKind, TagUniverse};
 use smpx_stringmatch::{
     naive, AhoCorasick, BoyerMoore, CommentzWalter, Kmp, MultiMatch, NoMetrics, TagWalk,
 };
-use std::sync::Mutex;
-
-/// Serializes the tests that force a process-global scan kind.
-static MODE: Mutex<()> = Mutex::new(());
 
 /// Can `TagWalk` search `pats`: does every keyword start with `<` and hold
 /// no other?
@@ -49,9 +45,10 @@ fn smp_haystack() -> impl Strategy<Value = Vec<u8>> {
 }
 
 /// `find ≡` Aho–Corasick and `find_iter ≡` the naive occurrence set for
-/// Commentz–Walter; and on an SMP-shaped vocabulary, the walk fitted to
-/// each universe `≡` Commentz–Walter's `find_at` from every position.
-fn check_against_oracles(hay: &[u8], pats: &[Vec<u8>]) -> Result<(), String> {
+/// Commentz–Walter; and on an SMP-shaped vocabulary, the walk on `kind`
+/// fitted to each universe `≡` Commentz–Walter's `find_at` from every
+/// position.
+fn check_against_oracles(hay: &[u8], pats: &[Vec<u8>], kind: ScanKind) -> Result<(), String> {
     let refs: Vec<&[u8]> = pats.iter().map(|p| p.as_slice()).collect();
     let cw = CommentzWalter::new(&refs);
     prop_assert_eq!(cw.find(hay), AhoCorasick::new(&refs).find(hay));
@@ -66,7 +63,7 @@ fn check_against_oracles(hay: &[u8], pats: &[Vec<u8>]) -> Result<(), String> {
         let walk = TagWalk::with_universe(&refs, universe);
         for from in 0..=hay.len() + 1 {
             prop_assert_eq!(
-                walk.find_at(hay, from, &mut Blocks::new(), &mut NoMetrics),
+                walk.find_at(hay, from, &mut Blocks::with_kind(kind), &mut NoMetrics),
                 cw.find_at(hay, from, &mut NoMetrics),
                 "universe {} from={} hay={:?} pats={:?}",
                 u,
@@ -97,8 +94,8 @@ fn universes() -> [TagUniverse; 3] {
 }
 
 /// Boyer–Moore over `pat` `≡` naive from every position; and on an
-/// SMP-shaped keyword, the walk fitted to each universe too.
-fn check_single_keyword(hay: &[u8], pat: &[u8]) -> Result<(), String> {
+/// SMP-shaped keyword, the walk on `kind` fitted to each universe too.
+fn check_single_keyword(hay: &[u8], pat: &[u8], kind: ScanKind) -> Result<(), String> {
     let bm = BoyerMoore::new(pat);
     let walks: Vec<TagWalk> = if smp_shaped(&[pat.to_vec()]) {
         universes().iter().map(|u| TagWalk::with_universe(&[pat], u)).collect()
@@ -114,7 +111,7 @@ fn check_single_keyword(hay: &[u8], pat: &[u8]) -> Result<(), String> {
         );
         prop_assert_eq!(bm.find_at(hay, from, &mut NoMetrics), want, "bm {}", at);
         for (u, walk) in walks.iter().enumerate() {
-            let got = walk.find_at(hay, from, &mut Blocks::new(), &mut NoMetrics);
+            let got = walk.find_at(hay, from, &mut Blocks::with_kind(kind), &mut NoMetrics);
             prop_assert_eq!(got.map(|mm| mm.start), want, "walk, universe {} {}", u, at);
         }
     }
@@ -214,7 +211,7 @@ proptest! {
         // name, `<ab` / `<abc` / `<abcd` chains, `lmin` 2 (`<a`) and 3,
         // and past eight distinct fingerprints the buckets are shared.
         let pats: Vec<Vec<u8>> = sels.iter().map(|&s| smp_keyword(s)).collect();
-        check_against_oracles(&hay, &pats)?;
+        check_against_oracles(&hay, &pats, memscan::kind())?;
     }
 
     #[test]
@@ -224,7 +221,7 @@ proptest! {
     ) {
         // One keyword over a haystack in which it, the tags that extend
         // it (`<ab` for `<a`) and the tags it extends all occur.
-        check_single_keyword(&hay, &smp_keyword(sel))?;
+        check_single_keyword(&hay, &smp_keyword(sel), memscan::kind())?;
     }
 
     #[test]
@@ -244,7 +241,7 @@ proptest! {
             _ => bytes.iter().map(|&b| alphabet[b]).collect(),
         };
         let hay: Vec<u8> = hay_sel.iter().map(|&i| alphabet[i]).collect();
-        check_single_keyword(&hay, &pat)?;
+        check_single_keyword(&hay, &pat, memscan::kind())?;
     }
 
     #[test]
@@ -274,7 +271,7 @@ proptest! {
             .collect();
         let alphabet = [b'<', b'a', b'/', 0x00, 0xf1, b'b', b'<', b'a', pats[0][pats[0].len() - 1]];
         let hay: Vec<u8> = hay_sel.iter().map(|&i| alphabet[i]).collect();
-        check_against_oracles(&hay, &pats)?;
+        check_against_oracles(&hay, &pats, memscan::kind())?;
     }
 
     #[test]
@@ -345,32 +342,31 @@ fn prefix_related_haystack() -> Vec<u8> {
     hay
 }
 
-/// The candidate walk under each [`ScanKind`] in turn — SWAR words, 16-,
-/// 32- and 64-byte vectors — so the `SMPX_NO_SIMD=1` leg drives the
-/// kernels too: the multi-keyword walk over the fixed corpus, and the
-/// single-keyword walk over its first keywords and over every tag of the
-/// prefix-related elements, with and without a universe. A kind the CPU
-/// lacks cannot be forced and is skipped by name.
+/// The candidate walk on each [`ScanKind`] in turn — SWAR words, 16-,
+/// 32- and 64-byte vectors, each a block cache of its own kind: the
+/// multi-keyword walk over the fixed corpus, and the single-keyword walk
+/// over its first keywords and over every tag of the prefix-related
+/// elements, with and without a universe. A kind the CPU lacks is
+/// skipped by name.
 #[test]
 fn every_scan_kind_agrees_with_the_windowed_loop() {
-    let _guard = MODE.lock().unwrap();
-    let kind = memscan::kind();
-    for forced in [ScanKind::Swar, ScanKind::Sse2, ScanKind::Avx2, ScanKind::Avx512] {
-        if !memscan::force_kind(forced) {
-            eprintln!("every_scan_kind_agrees_with_the_windowed_loop: skipped {forced:?}, not on this CPU");
+    for kind in [ScanKind::Swar, ScanKind::Sse2, ScanKind::Avx2, ScanKind::Avx512] {
+        if !memscan::supported(kind) {
+            eprintln!(
+                "every_scan_kind_agrees_with_the_windowed_loop: skipped {kind:?}, not on this CPU"
+            );
             continue;
         }
         for (hay, pats) in fixed_corpus() {
-            check_against_oracles(&hay, &pats).unwrap_or_else(|e| panic!("{forced:?}: {e}"));
-            check_single_keyword(&hay, &pats[0]).unwrap_or_else(|e| panic!("{forced:?}: {e}"));
+            check_against_oracles(&hay, &pats, kind).unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+            check_single_keyword(&hay, &pats[0], kind).unwrap_or_else(|e| panic!("{kind:?}: {e}"));
         }
         let hay = prefix_related_haystack();
         for name in PREFIX_RELATED {
             for open in ["<", "</"] {
-                check_single_keyword(&hay, format!("{open}{name}").as_bytes())
-                    .unwrap_or_else(|e| panic!("{forced:?}: {e}"));
+                check_single_keyword(&hay, format!("{open}{name}").as_bytes(), kind)
+                    .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
             }
         }
     }
-    memscan::force_kind(kind);
 }

@@ -3,13 +3,13 @@
 //! the naive oracle on haystacks engineered to straddle the SWAR-word
 //! (8-byte) and SSE/AVX-lane (16/32/64-byte) boundaries.
 //!
-//! The per-implementation functions are exercised directly (no process
-//! globals), so one test run covers scalar, SWAR and — where the CPU has
-//! them — SSE2/AVX2/AVX-512 simultaneously; the walk runs the active kind
-//! (SWAR on the `SMPX_NO_SIMD=1` CI leg).
+//! The per-implementation functions are exercised directly, so one test
+//! run covers scalar, SWAR and — where the CPU has them — SSE2/AVX2/AVX-512
+//! simultaneously; the walk runs the widest kind the CPU has
+//! (`proptest_matchers` runs it on every kind).
 
 use proptest::prelude::*;
-use smpx_stringmatch::memscan::{Blocks, Fingerprint};
+use smpx_stringmatch::memscan::{Blocks, Fingerprint, ScanKind};
 use smpx_stringmatch::{
     memscan, naive, BoyerMoore, CommentzWalter, MultiMatch, NoMetrics, TagWalk,
 };
@@ -69,12 +69,14 @@ fn fingerprint_impls(
     let mut v = vec![("swar", memscan::find_fingerprint_swar(hay, from, fp))];
     #[cfg(target_arch = "x86_64")]
     {
-        v.push(("sse2", memscan::find_fingerprint_sse2(hay, from, fp)));
-        if std::arch::is_x86_feature_detected!("avx2") {
+        if memscan::supported(ScanKind::Sse2) {
+            v.push(("sse2", memscan::find_fingerprint_sse2(hay, from, fp)));
+        }
+        if memscan::supported(ScanKind::Avx2) {
             v.push(("avx2", memscan::find_fingerprint_avx2(hay, from, fp)));
-            if std::arch::is_x86_feature_detected!("avx512bw") {
-                v.push(("avx512", memscan::find_fingerprint_avx512(hay, from, fp)));
-            }
+        }
+        if memscan::supported(ScanKind::Avx512) {
+            v.push(("avx512", memscan::find_fingerprint_avx512(hay, from, fp)));
         }
     }
     v

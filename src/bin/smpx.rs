@@ -108,8 +108,8 @@ use smpx::core::runtime::source::{
 };
 use smpx::core::runtime::DEFAULT_CHUNK;
 use smpx::core::{
-    CompiledTables, CoreError, FrozenPrefilter, Generation, MultiVerdict, Pool, Prefilter, QueryId,
-    QueryRegistry, RunStats, SharedPrefilter,
+    CoreError, FrozenPrefilter, Generation, MultiVerdict, Pool, Prefilter, QueryId, QueryRegistry,
+    RunStats, SharedPrefilter,
 };
 use std::fs::File;
 use std::io::{BufWriter, Stdin, Write};
@@ -120,7 +120,6 @@ use std::time::{Duration, Instant};
 
 use smpx::dtd::Dtd;
 use smpx::paths::{extract, PathSet};
-use smpx::stringmatch::memscan;
 
 struct Args {
     dtd: String,
@@ -594,15 +593,16 @@ fn total_tag<'a>(args: &'a Args, rows: &[Row]) -> &'a str {
 }
 
 /// The whole set-up as one `--stats` line: the DTD parse, the compile
-/// (the automaton's size, the static analysis's wall time and work
-/// counts), and the scan kernel the runs take (`scalar` under
+/// (the automaton's size — its states by vocabulary size, whichever
+/// matcher the mode builds for them — the static analysis's wall time and
+/// work counts), and the scan mode the runs take (`scalar` under
 /// `SMPX_NO_SIMD=1`).
-fn compile_line(t: &CompiledTables, parse: Duration, wall: Duration) -> String {
+fn compile_line(frozen: &FrozenPrefilter, parse: Duration, wall: Duration) -> String {
+    let t = frozen.tables();
     let c = t.compile_counts();
-    let scan = if memscan::accel_enabled() { memscan::kind().name() } else { "scalar" };
     format!(
-        "DTD parsed in {:.2} ms, {} states ({} CW + {} BM), compiled in {:.2} ms: \
-         {} relevance steps, {} gap-search nodes, {} hazard-scan visits; scan {scan}",
+        "DTD parsed in {:.2} ms, {} states ({} multi-keyword + {} single-keyword), compiled in {:.2} ms: \
+         {} relevance steps, {} gap-search nodes, {} hazard-scan visits; scan {}",
         parse.as_secs_f64() * 1e3,
         t.state_count(),
         t.cw_states(),
@@ -610,7 +610,8 @@ fn compile_line(t: &CompiledTables, parse: Duration, wall: Duration) -> String {
         wall.as_secs_f64() * 1e3,
         c.relevance_steps,
         c.gap_nodes,
-        c.hazard_visits
+        c.hazard_visits,
+        frozen.mode().name()
     )
 }
 
@@ -801,7 +802,7 @@ fn run_lifecycle(args: &Args, dtd: Dtd, parse: Duration, query_sets: Vec<PathSet
         eprintln!(
             "smpx: lifecycle mode: {} seed queries, {}",
             g.live_queries(),
-            compile_line(g.frozen().tables(), parse, start.elapsed())
+            compile_line(g.frozen(), parse, start.elapsed())
         );
     }
     let Some(mut out) = open_sink(args.output.as_deref()) else {
@@ -995,7 +996,7 @@ fn run(args: Args) -> ExitCode {
         }
     };
     if args.stats {
-        let line = compile_line(frozen.tables(), parse_wall, compile_wall);
+        let line = compile_line(&frozen, parse_wall, compile_wall);
         eprintln!("smpx: projection paths: {paths}\nsmpx: {line}");
         if multi {
             eprintln!("smpx: {} registered queries on one shared automaton", query_sets.len());

@@ -10,7 +10,7 @@
 //! and a batch led or closed by its largest document is byte-identical.
 
 use smpx_datagen::{xmark, GenOptions};
-use smpx_stringmatch::memscan;
+use smpx_stringmatch::memscan::ScanMode;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -266,6 +266,6 @@ fn stats_name_the_effective_width() {
             && l.contains(" relevance steps")),
         "{one}"
     );
-    let scan = if memscan::accel_enabled() { memscan::kind().name() } else { "scalar" };
+    let scan = ScanMode::from_env().name();
     assert!(setup.is_some_and(|l| l.ends_with(&format!("; scan {scan}"))), "{one}");
 }

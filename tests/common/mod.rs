@@ -10,6 +10,7 @@ use rand::{Rng, SeedableRng};
 use smpx_core::{Action, CompiledTables, Entry, NO_CLOSE};
 use smpx_dtd::{ContentModel, Dtd, DtdAutomaton, Regex};
 use smpx_paths::PathSet;
+use smpx_stringmatch::memscan::{self, ScanMode};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -537,4 +538,11 @@ pub fn assert_rows_flatten_the_keywords(t: &CompiledTables, label: &str) -> (usi
         }
     }
     (found, missing)
+}
+
+/// The two scan modes an equivalence suite runs side by side: the walk on
+/// the widest kind this CPU runs, then the scalar specification.
+#[allow(dead_code)] // not every test target compares modes
+pub fn both_modes() -> [ScanMode; 2] {
+    [ScanMode::Walk(memscan::kind()), ScanMode::Spec]
 }

@@ -1,5 +1,6 @@
 //! Differential source-matrix suite: the vectorized prefilter vs the
-//! `SMPX_NO_SIMD=1` scalar fallback, crossed with every `DocSource`
+//! scalar specification (`ScanMode::Spec`, the `SMPX_NO_SIMD=1`
+//! default), crossed with every `DocSource`
 //! backend — `SliceSource`, `MmapSource` over a temp file, and
 //! `ReaderSource` swept across streaming chunk sizes.
 //!
@@ -29,43 +30,23 @@
 //! `chars_compared` equality across modes is not a meaningful invariant
 //! and is not asserted here.
 //!
-//! The mode toggle (`memscan::force_accel`) is process-global, so every
-//! test in this binary serializes on [`mode_lock`].
+//! Each comparison builds one prefilter per mode, side by side.
 
 mod common;
 
 use common::{
-    analysis_cases, assert_valid, copy_cases, random_doc, random_dtd, random_paths, AnalysisCase,
-    Rand, TempDoc,
+    analysis_cases, assert_valid, both_modes, copy_cases, random_doc, random_dtd, random_paths,
+    AnalysisCase, Rand, TempDoc,
 };
 use smpx_core::runtime::source::{DocSource, MmapSource, ReaderSource};
 use smpx_core::runtime::RELEASE_STEP;
 use smpx_core::{Prefilter, RunStats, SliceSource};
 use smpx_dtd::Dtd;
 use smpx_paths::PathSet;
-use smpx_stringmatch::memscan;
-use std::sync::{Mutex, OnceLock};
+use smpx_stringmatch::memscan::{self, ScanMode};
 
 /// Chunk sizes around every lane boundary: 1, 2, word±1, lane±1, page.
 const CHUNKS: &[usize] = &[1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 4096];
-
-fn mode_lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-}
-
-/// Run `f` once with the vectorized paths forced on and once forced off,
-/// restoring the environment-selected mode afterwards.
-fn with_both_modes<T>(mut f: impl FnMut(bool) -> T) -> (T, T) {
-    let _guard = mode_lock().lock().unwrap();
-    let env_accel = std::env::var_os("SMPX_NO_SIMD").is_none_or(|v| v != "1");
-    memscan::force_accel(true);
-    let accel = f(true);
-    memscan::force_accel(false);
-    let scalar = f(false);
-    memscan::force_accel(env_accel);
-    (accel, scalar)
-}
 
 /// The observable a differential run pins: exact output bytes plus the
 /// chunk- and mode-independent slice of the statistics.
@@ -148,9 +129,9 @@ fn random_documents_agree_across_modes_and_chunks() {
         let doc = random_doc(&dtd, &mut r);
         assert_valid(&dtd, &doc);
         let paths = random_paths(&dtd, &mut r);
-        let (accel, scalar) = with_both_modes(|mode| {
-            let mut pf = Prefilter::compile(&dtd, &paths).expect("compile");
-            sweep(&mut pf, &doc, &format!("seed {seed} accel={mode}")).0
+        let [accel, scalar] = both_modes().map(|mode| {
+            let mut pf = Prefilter::compile(&dtd, &paths).expect("compile").with_mode(mode);
+            sweep(&mut pf, &doc, &format!("seed {seed} {mode:?}")).0
         });
         assert_eq!(
             accel,
@@ -210,9 +191,9 @@ fn recursive_documents_agree_across_modes_and_chunks() {
         let paths = PathSet::parse(paths).expect("paths parse");
         for seed in 0..40u64 {
             let doc = rec_doc(seed);
-            let (accel, scalar) = with_both_modes(|mode| {
-                let mut pf = Prefilter::compile(&dtd, &paths).expect("compile");
-                sweep(&mut pf, &doc, &format!("rec seed {seed} accel={mode}")).0
+            let [accel, scalar] = both_modes().map(|mode| {
+                let mut pf = Prefilter::compile(&dtd, &paths).expect("compile").with_mode(mode);
+                sweep(&mut pf, &doc, &format!("rec seed {seed} {mode:?}")).0
             });
             assert_eq!(
                 accel,
@@ -239,9 +220,9 @@ fn deep_recursion_streams_at_tiny_chunks() {
         doc.extend_from_slice(b"</x>");
     }
     doc.extend_from_slice(b"<t>payload</t></r>");
-    let (accel, scalar) = with_both_modes(|mode| {
-        let mut pf = Prefilter::compile(&dtd, &paths).expect("compile");
-        sweep(&mut pf, &doc, &format!("deep accel={mode}")).0
+    let [accel, scalar] = both_modes().map(|mode| {
+        let mut pf = Prefilter::compile(&dtd, &paths).expect("compile").with_mode(mode);
+        sweep(&mut pf, &doc, &format!("deep {mode:?}")).0
     });
     assert_eq!(String::from_utf8_lossy(&accel.out), "<r><t>payload</t></r>");
     assert_eq!(accel, scalar);
@@ -263,9 +244,9 @@ fn tag_traversal_bytes_are_scanned_not_compared_in_both_modes() {
     let attr: String = "ab>cd/e ".repeat(2048); // 16 KiB inside quotes
     let doc = format!("<r><x a=\"{attr}\"><x/></x><t>k</t></r>").into_bytes();
     let attr_len = attr.len() as u64;
-    let ((accel_obs, accel_stats), (scalar_obs, scalar_stats)) = with_both_modes(|mode| {
-        let mut pf = Prefilter::compile(&dtd, &paths).expect("compile");
-        sweep(&mut pf, &doc, &format!("bigattr accel={mode}"))
+    let [(accel_obs, accel_stats), (scalar_obs, scalar_stats)] = both_modes().map(|mode| {
+        let mut pf = Prefilter::compile(&dtd, &paths).expect("compile").with_mode(mode);
+        sweep(&mut pf, &doc, &format!("bigattr {mode:?}"))
     });
     assert_eq!(accel_obs, scalar_obs);
     for (mode, stats) in [("accel", &accel_stats), ("scalar", &scalar_stats)] {
@@ -300,7 +281,6 @@ fn mmap_equals_slice_on_xmark_tempfile() {
     // searched in the same step-sized cuts, so even the comparison and
     // scan counters must agree byte-for-byte, although the mapping hands
     // its pages back behind the guard as it goes.
-    let _guard = mode_lock().lock().unwrap();
     let doc = smpx_datagen::xmark::generate(smpx_datagen::GenOptions::sized(7 * RELEASE_STEP / 2));
     assert!(doc.len() > 3 * RELEASE_STEP);
     let dtd = Dtd::parse(smpx_datagen::xmark::XMARK_DTD.as_bytes()).expect("XMark DTD");
@@ -332,7 +312,6 @@ fn run_batch_equals_sequential_runs() {
     // One compiled automaton over a batch of documents must produce
     // exactly what one-at-a-time runs produce, for in-memory and for
     // mapped delivery alike.
-    let _guard = mode_lock().lock().unwrap();
     let dtd = Dtd::parse(REC_DTD).expect("recursive DTD parses");
     let paths = PathSet::parse(&["/*", "/r/t#"]).expect("paths parse");
     let docs: Vec<Vec<u8>> = (0..6u64).map(rec_doc).collect();
@@ -436,8 +415,8 @@ fn benchmark_queries_agree_across_modes_on_every_source() {
         }
         let doc = generated(&case, 192 << 10);
         let tmp = TempDoc::new(&doc);
-        let (accel, scalar) = with_both_modes(|_| {
-            let mut pf = compile_case(&case);
+        let [accel, scalar] = both_modes().map(|mode| {
+            let mut pf = compile_case(&case).with_mode(mode);
             let mut cells = vec![
                 ("slice", pinned_run(&mut pf, SliceSource::new(&doc)).0),
                 ("mmap", pinned_run(&mut pf, MmapSource::open(tmp.path()).expect("map")).0),
@@ -455,21 +434,17 @@ fn benchmark_queries_agree_across_modes_on_every_source() {
 }
 
 /// Slice and streamed runs of `case` over `bytes` of its generated
-/// corpus with the accelerated path forced on: the stats of each, with
-/// the refills the streamed one took.
+/// corpus in the walk: the stats of each, with the refills the streamed
+/// one took.
 fn engagement_runs(case_name: &str, bytes: usize) -> (u64, u64, [(RunStats, u64); 2]) {
-    let _guard = mode_lock().lock().unwrap();
-    let env_accel = std::env::var_os("SMPX_NO_SIMD").is_none_or(|v| v != "1");
-    memscan::force_accel(true);
     let case = analysis_cases().into_iter().find(|c| c.name == case_name).expect("case");
     let doc = generated(&case, bytes);
     let input = doc.len() as u64;
-    let mut pf = compile_case(&case);
+    let mut pf = compile_case(&case).with_mode(ScanMode::Walk(memscan::kind()));
     let overlap = pf.tables().max_kw_len as u64;
     let (_, slice) = pinned_run(&mut pf, SliceSource::new(&doc));
     let chunk = 4096;
     let (_, streamed) = pinned_run(&mut pf, ReaderSource::new(&doc[..], chunk));
-    memscan::force_accel(env_accel);
     (input, overlap, [(slice, 0), (streamed, input / chunk as u64 + 2)])
 }
 

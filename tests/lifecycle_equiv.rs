@@ -19,42 +19,22 @@
 //! generation (never a torn mix), and edits complete with compile
 //! latency off the hot path — the whole churn loop is wall-clock
 //! bounded.
-//!
-//! The SIMD/scalar toggle (`memscan::force_accel`) is process-global, so
-//! mode-sweeping tests serialize on [`mode_lock`].
 
 mod common;
 
-use common::{random_doc, random_dtd, random_paths, Rand, TempDoc};
+use common::{both_modes, random_doc, random_dtd, random_paths, Rand, TempDoc};
 use smpx_core::lifecycle::{Generation, SharedPrefilter};
 use smpx_core::runtime::source::{MmapSource, ReaderSource, SliceSource};
 use smpx_core::{MultiVerdict, QueryId, QueryRegistry, RunStats};
 use smpx_dtd::Dtd;
 use smpx_paths::PathSet;
-use smpx_stringmatch::memscan;
+use smpx_stringmatch::memscan::ScanMode;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const THREADS: &[usize] = &[0, 1, 4];
 const CHUNK: usize = 64;
-
-fn mode_lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-}
-
-/// Run `f` once with the vectorized paths forced on and once forced off,
-/// restoring the environment-selected mode afterwards.
-fn with_both_modes(mut f: impl FnMut(bool)) {
-    let _guard = mode_lock().lock().unwrap();
-    let env_accel = std::env::var_os("SMPX_NO_SIMD").is_none_or(|v| v != "1");
-    memscan::force_accel(true);
-    f(true);
-    memscan::force_accel(false);
-    f(false);
-    memscan::force_accel(env_accel);
-}
 
 /// One scripted edit against the shared handle *and* a slot model the
 /// test keeps in parallel, so the expected live set is always known.
@@ -108,9 +88,13 @@ fn apply_edits(fx: &LifecycleFixture, shared: &SharedPrefilter) -> Vec<Option<Pa
     slots
 }
 
-/// A fresh `QueryRegistry` compile of the model's live set, plus the
-/// positional map from the fresh registry's dense ids to external ids.
-fn fresh_of_model(dtd: &Dtd, slots: &[Option<PathSet>]) -> (smpx_core::MultiPrefilter, Vec<u32>) {
+/// A fresh `QueryRegistry` compile of the model's live set in `mode`, plus
+/// the positional map from the fresh registry's dense ids to external ids.
+fn fresh_of_model(
+    dtd: &Dtd,
+    slots: &[Option<PathSet>],
+    mode: ScanMode,
+) -> (smpx_core::MultiPrefilter, Vec<u32>) {
     let mut reg = QueryRegistry::new(dtd.clone());
     let mut extern_of = Vec::new();
     for (i, slot) in slots.iter().enumerate() {
@@ -119,7 +103,7 @@ fn fresh_of_model(dtd: &Dtd, slots: &[Option<PathSet>]) -> (smpx_core::MultiPref
             extern_of.push(i as u32);
         }
     }
-    (reg.compile().expect("fresh compile of the live set"), extern_of)
+    (reg.compile().expect("fresh compile of the live set").with_mode(mode), extern_of)
 }
 
 /// Shared verdict (external ids, full width) vs fresh verdict (dense
@@ -153,7 +137,7 @@ fn assert_verdict_equiv(
 }
 
 /// The settled generation against the fresh registry across backends ×
-/// threads in the current SIMD/scalar mode: byte-identical projection,
+/// threads, both in one scan mode: byte-identical projection,
 /// equal stats, equivalent verdicts — sequential and pooled.
 fn sweep_equivalence(
     label: &str,
@@ -263,40 +247,35 @@ fn sweep_equivalence(
 fn edited_generation_equals_fresh_registry_across_backends_threads_and_modes() {
     for seed in [3u64, 17, 59] {
         let fx = random_lifecycle_fixture(seed);
-        let shared =
-            SharedPrefilter::new(fx.dtd.clone(), fx.initial.clone()).expect("seed compile");
-        let g0 = shared.generation();
-        assert_eq!(g0.gen_no(), 0);
+        for mode in both_modes() {
+            let shared = SharedPrefilter::new(fx.dtd.clone(), fx.initial.clone())
+                .expect("seed compile")
+                .with_mode(mode);
+            let g0 = shared.generation();
+            assert_eq!((g0.gen_no(), g0.frozen().mode()), (0, mode));
 
-        let slots = apply_edits(&fx, &shared);
-        let generation = shared.settle().expect("settle after script");
-        assert!(generation.gen_no() >= 1, "edits must publish a new generation");
-        assert_eq!(generation.id_width() as usize, slots.len());
+            let slots = apply_edits(&fx, &shared);
+            let generation = shared.settle().expect("settle after script");
+            assert!(generation.gen_no() >= 1, "edits must publish a new generation");
+            assert_eq!(generation.frozen().mode(), mode, "a recompile keeps the mode");
+            assert_eq!(generation.id_width() as usize, slots.len());
 
-        with_both_modes(|mode| {
-            // A matcher keeps the mode it was built in: a fresh compile
-            // per mode, as every generation run mints a fresh worker.
-            let (mut fresh, extern_of) = fresh_of_model(&fx.dtd, &slots);
-            sweep_equivalence(
-                &format!("seed {seed} accel={mode}"),
-                &fx,
-                &shared,
-                &generation,
-                &mut fresh,
-                &extern_of,
-            );
-        });
+            let (mut fresh, extern_of) = fresh_of_model(&fx.dtd, &slots, mode);
+            let label = format!("seed {seed} {mode:?}");
+            sweep_equivalence(&label, &fx, &shared, &generation, &mut fresh, &extern_of);
 
-        // The pre-edit generation is still whole: in-flight holders of
-        // its Arc keep producing generation-0 output after the swap.
-        let (mut pre, pre_ids) =
-            fresh_of_model(&fx.dtd, &fx.initial.iter().cloned().map(Some).collect::<Vec<_>>());
-        assert_eq!(pre_ids.len(), fx.initial.len());
-        for (di, d) in fx.docs.iter().enumerate() {
-            let (got, gv, gs) = g0.run_multi(SliceSource::new(d), Vec::new()).expect("old gen");
-            let (want, wv, ws) = pre.run_multi(SliceSource::new(d), Vec::new()).expect("fresh");
-            assert_eq!(got, want, "seed {seed} doc {di}: old generation bytes changed");
-            assert_eq!((gv, gs), (wv, ws), "seed {seed} doc {di}: old generation run changed");
+            // The pre-edit generation is still whole: in-flight holders of
+            // its Arc keep producing generation-0 output after the swap.
+            let initial: Vec<_> = fx.initial.iter().cloned().map(Some).collect();
+            let (mut pre, pre_ids) = fresh_of_model(&fx.dtd, &initial, mode);
+            assert_eq!(pre_ids.len(), fx.initial.len());
+            for (di, d) in fx.docs.iter().enumerate() {
+                let (got, gv, gs) = g0.run_multi(SliceSource::new(d), Vec::new()).expect("old gen");
+                let (want, wv, ws) =
+                    pre.run_multi(SliceSource::new(d), Vec::new()).expect("fresh");
+                assert_eq!(got, want, "{label} doc {di}: old generation bytes changed");
+                assert_eq!((gv, gs), (wv, ws), "{label} doc {di}: old generation run changed");
+            }
         }
     }
 }
@@ -329,6 +308,7 @@ fn concurrent_swaps_serve_whole_generations_within_bound() {
     let fx = random_lifecycle_fixture(47);
     let shared =
         Arc::new(SharedPrefilter::new(fx.dtd.clone(), fx.initial.clone()).expect("seed compile"));
+    let mode = shared.generation().frozen().mode();
 
     // Precompute, per generation the single-edit/settle schedule below
     // will publish, the expected (projection, verdict) of every document.
@@ -337,7 +317,7 @@ fn concurrent_swaps_serve_whole_generations_within_bound() {
     let mut slots: Vec<Option<PathSet>> = fx.initial.iter().cloned().map(Some).collect();
     let mut expected: Vec<Vec<(Vec<u8>, MultiVerdict)>> = Vec::new();
     let expect_for = |slots: &[Option<PathSet>]| {
-        let (mut fresh, extern_of) = fresh_of_model(&fx.dtd, slots);
+        let (mut fresh, extern_of) = fresh_of_model(&fx.dtd, slots, mode);
         let width = slots.len() as u32;
         fx.docs
             .iter()
@@ -428,13 +408,14 @@ fn pooled_batch_racing_a_swap_yields_whole_generation_results() {
     let fx = random_lifecycle_fixture(61);
     let shared =
         Arc::new(SharedPrefilter::new(fx.dtd.clone(), fx.initial.clone()).expect("seed compile"));
+    let mode = shared.generation().frozen().mode();
     let slots_pre: Vec<Option<PathSet>> = fx.initial.iter().cloned().map(Some).collect();
     let mut slots_post = slots_pre.clone();
     let added = random_paths(&fx.dtd, &mut Rand::new(62));
     slots_post.push(Some(added.clone()));
 
     let outs_for = |slots: &[Option<PathSet>]| {
-        let (mut fresh, _) = fresh_of_model(&fx.dtd, slots);
+        let (mut fresh, _) = fresh_of_model(&fx.dtd, slots, mode);
         fx.docs
             .iter()
             .map(|d| fresh.run_multi(SliceSource::new(d), Vec::new()).expect("reference").0)

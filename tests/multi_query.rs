@@ -13,14 +13,13 @@
 //!   byte-equal to the independent single-query run's output,
 //!
 //! across delivery backends {slice, mmap, reader} × threads {0, 1, 4} ×
-//! SIMD/scalar modes, and independent of query registration order. The
-//! SIMD/scalar toggle (`memscan::force_accel`) is process-global, so the
-//! mode-sweeping tests in this binary serialize on [`mode_lock`].
+//! SIMD/scalar modes, and independent of query registration order.
 
 mod common;
 
 use common::{
-    assert_rows_flatten_the_keywords, random_doc, random_dtd, random_paths, Rand, TempDoc,
+    assert_rows_flatten_the_keywords, both_modes, random_doc, random_dtd, random_paths, Rand,
+    TempDoc,
 };
 use smpx_core::runtime::source::{MmapSource, ReaderSource, SliceSource};
 use smpx_core::{MultiVerdict, Prefilter, QueryId, QueryRegistry, RunStats};
@@ -30,8 +29,7 @@ use smpx_engine::InMemEngine;
 use smpx_paths::extract::extract_paths;
 use smpx_paths::xpath::XPath;
 use smpx_paths::PathSet;
-use smpx_stringmatch::memscan;
-use std::sync::{Mutex, OnceLock};
+use smpx_stringmatch::memscan::ScanMode;
 
 const QUERIES: &[&str] = &[
     "/site/regions/australia/item/description",
@@ -43,23 +41,6 @@ const QUERIES: &[&str] = &[
 
 const THREADS: &[usize] = &[0, 1, 4];
 const CHUNK: usize = 64;
-
-fn mode_lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-}
-
-/// Run `f` once with the vectorized paths forced on and once forced off,
-/// restoring the environment-selected mode afterwards.
-fn with_both_modes(mut f: impl FnMut(bool)) {
-    let _guard = mode_lock().lock().unwrap();
-    let env_accel = std::env::var_os("SMPX_NO_SIMD").is_none_or(|v| v != "1");
-    memscan::force_accel(true);
-    f(true);
-    memscan::force_accel(false);
-    f(false);
-    memscan::force_accel(env_accel);
-}
 
 /// One registry fixture: a DTD, a query workload, a batch of documents.
 struct MultiFixture {
@@ -88,12 +69,12 @@ fn xmark_fixture() -> MultiFixture {
 }
 
 /// The N-independent-single-`Prefilter`s reference: per document, the
-/// per-query verdicts and the per-query projected bytes.
-fn single_query_reference(fx: &MultiFixture) -> Vec<(Vec<bool>, Vec<Vec<u8>>)> {
+/// per-query verdicts and the per-query projected bytes, in `mode`.
+fn single_query_reference(fx: &MultiFixture, mode: ScanMode) -> Vec<(Vec<bool>, Vec<Vec<u8>>)> {
     let mut singles: Vec<Prefilter> = fx
         .queries
         .iter()
-        .map(|p| Prefilter::compile(&fx.dtd, p).expect("single-query compile"))
+        .map(|p| Prefilter::compile(&fx.dtd, p).expect("single-query compile").with_mode(mode))
         .collect();
     fx.docs
         .iter()
@@ -130,13 +111,12 @@ fn assert_verdict(label: &str, doc_idx: usize, got: &MultiVerdict, want: &[bool]
     }
 }
 
-/// The full matrix for one fixture in the current SIMD/scalar mode:
-/// registry verdict ≡ N single-query runs, per-query projection
-/// byte-equality, and parallel ≡ sequential for the multi batch across
-/// backends × threads.
-fn sweep_multi_fixture(fx: &MultiFixture, label: &str) {
-    let want = single_query_reference(fx);
-    let mut mpf = compile_registry(fx);
+/// The full matrix for one fixture in `mode`: registry verdict ≡ N
+/// single-query runs, per-query projection byte-equality, and parallel ≡
+/// sequential for the multi batch across backends × threads.
+fn sweep_multi_fixture(fx: &MultiFixture, mode: ScanMode, label: &str) {
+    let want = single_query_reference(fx, mode);
+    let mut mpf = compile_registry(fx).with_mode(mode);
 
     // Sequential shared pass (slice): verdicts against the reference; the
     // outputs double as the parallel slice reference below.
@@ -228,14 +208,18 @@ fn sweep_multi_fixture(fx: &MultiFixture, label: &str) {
 fn registry_equals_single_queries_across_backends_threads_and_modes() {
     for seed in [5u64, 23, 71] {
         let fx = random_multi_fixture(seed);
-        with_both_modes(|mode| sweep_multi_fixture(&fx, &format!("seed {seed} accel={mode}")));
+        for mode in both_modes() {
+            sweep_multi_fixture(&fx, mode, &format!("seed {seed} {mode:?}"));
+        }
     }
 }
 
 #[test]
 fn registry_equals_single_queries_on_xmark() {
     let fx = xmark_fixture();
-    with_both_modes(|mode| sweep_multi_fixture(&fx, &format!("xmark accel={mode}")));
+    for mode in both_modes() {
+        sweep_multi_fixture(&fx, mode, &format!("xmark {mode:?}"));
+    }
 }
 
 #[test]

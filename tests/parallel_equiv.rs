@@ -22,40 +22,19 @@
 //!
 //! And `Prefilter::run_sharded`, which no longer splits a document, is
 //! pinned to the sequential run it now is, whatever its width arguments.
-//!
-//! The SIMD/scalar toggle (`memscan::force_accel`) is process-global, so
-//! every test in this binary serializes on [`mode_lock`].
 
 mod common;
 
-use common::{random_doc, random_dtd, random_paths, Rand, TempDoc};
+use common::{both_modes, random_doc, random_dtd, random_paths, Rand, TempDoc};
 use smpx_core::runtime::source::{MmapSource, ReaderSource, SliceSource};
 use smpx_core::{CoreError, Prefilter, RunStats};
 use smpx_dtd::Dtd;
 use smpx_paths::PathSet;
-use smpx_stringmatch::memscan;
-use std::sync::{Mutex, OnceLock};
+use smpx_stringmatch::memscan::ScanMode;
 
 const THREADS: &[usize] = &[0, 1, 2, 8];
 const CHUNK: usize = 64;
 const BATCH: usize = 9;
-
-fn mode_lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-}
-
-/// Run `f` once with the vectorized paths forced on and once forced off,
-/// restoring the environment-selected mode afterwards.
-fn with_both_modes(mut f: impl FnMut(bool)) {
-    let _guard = mode_lock().lock().unwrap();
-    let env_accel = std::env::var_os("SMPX_NO_SIMD").is_none_or(|v| v != "1");
-    memscan::force_accel(true);
-    f(true);
-    memscan::force_accel(false);
-    f(false);
-    memscan::force_accel(env_accel);
-}
 
 /// One fixture: a DTD, a path set, and a batch of valid documents.
 struct Fixture {
@@ -110,9 +89,10 @@ fn recursive_fixture() -> Fixture {
 /// express).
 fn sequential<S: smpx_core::DocSource>(
     fx: &Fixture,
+    mode: ScanMode,
     mut open: impl FnMut(&[u8]) -> S,
 ) -> Vec<(Vec<u8>, RunStats)> {
-    let mut pf = Prefilter::compile(&fx.dtd, &fx.paths).expect("compile");
+    let mut pf = Prefilter::compile(&fx.dtd, &fx.paths).expect("compile").with_mode(mode);
     fx.docs
         .iter()
         .map(|d| {
@@ -143,13 +123,14 @@ fn assert_equivalent(
     assert_eq!(got_total, want_total, "{label} t={threads}: accumulated totals diverged");
 }
 
-/// The full matrix for one fixture in the current SIMD/scalar mode.
-fn sweep_fixture(fx: &Fixture, label: &str) {
-    let pf = Prefilter::compile(&fx.dtd, &fx.paths).expect("compile");
+/// The full matrix for one fixture in `mode`.
+fn sweep_fixture(fx: &Fixture, mode: ScanMode, label: &str) {
+    let compile = || Prefilter::compile(&fx.dtd, &fx.paths).expect("compile").with_mode(mode);
+    let pf = compile();
 
     // Slice delivery.
     let want: Vec<(Vec<u8>, RunStats)> = {
-        let mut seq_pf = Prefilter::compile(&fx.dtd, &fx.paths).expect("compile");
+        let mut seq_pf = compile();
         fx.docs
             .iter()
             .map(|d| {
@@ -171,7 +152,7 @@ fn sweep_fixture(fx: &Fixture, label: &str) {
     // Mmap delivery over real temp files.
     let tmps: Vec<TempDoc> = fx.docs.iter().map(|d| TempDoc::new(d)).collect();
     let want: Vec<(Vec<u8>, RunStats)> = {
-        let mut seq_pf = Prefilter::compile(&fx.dtd, &fx.paths).expect("compile");
+        let mut seq_pf = compile();
         tmps.iter()
             .map(|tmp| {
                 let mut out = Vec::new();
@@ -194,7 +175,8 @@ fn sweep_fixture(fx: &Fixture, label: &str) {
 
     // Reader delivery (chunked window; same chunk on both sides, so even
     // the chunk-dependent stream counters must agree).
-    let want = sequential(fx, |d| ReaderSource::new(std::io::Cursor::new(d.to_vec()), CHUNK));
+    let want =
+        sequential(fx, mode, |d| ReaderSource::new(std::io::Cursor::new(d.to_vec()), CHUNK));
     for &t in THREADS {
         let got = pf
             .run_batch_parallel(
@@ -212,19 +194,22 @@ fn sweep_fixture(fx: &Fixture, label: &str) {
 fn parallel_equals_sequential_across_backends_threads_and_modes() {
     for seed in [3u64, 11, 42] {
         let fx = random_fixture(seed);
-        with_both_modes(|mode| sweep_fixture(&fx, &format!("seed {seed} accel={mode}")));
+        for mode in both_modes() {
+            sweep_fixture(&fx, mode, &format!("seed {seed} {mode:?}"));
+        }
     }
 }
 
 #[test]
 fn recursive_batch_equals_sequential_across_modes() {
     let fx = recursive_fixture();
-    with_both_modes(|mode| sweep_fixture(&fx, &format!("recursive accel={mode}")));
+    for mode in both_modes() {
+        sweep_fixture(&fx, mode, &format!("recursive {mode:?}"));
+    }
 }
 
 #[test]
 fn error_injection_cancels_names_the_input_and_poisons_nothing() {
-    let _guard = mode_lock().lock().unwrap();
     let fx = recursive_fixture();
     let pf = Prefilter::compile(&fx.dtd, &fx.paths).expect("compile");
     let frozen = pf.freeze();
@@ -269,7 +254,6 @@ fn error_injection_cancels_names_the_input_and_poisons_nothing() {
 /// slices and mapped files alike.
 #[test]
 fn run_sharded_is_the_sequential_run() {
-    let _guard = mode_lock().lock().unwrap();
     for fx in [random_fixture(7), recursive_fixture()] {
         let mut pf = Prefilter::compile(&fx.dtd, &fx.paths).expect("compile");
         for (i, doc) in fx.docs.iter().enumerate() {

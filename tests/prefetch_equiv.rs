@@ -19,43 +19,21 @@
 //!   the sync path;
 //! * **shutdown** — dropping the source early (consumer stops before
 //!   EOF) joins the I/O thread promptly: no deadlock, no thread leak.
-//!
-//! The SIMD/scalar toggle (`memscan::force_accel`) is process-global, so
-//! every test in this binary serializes on [`mode_lock`].
 
 mod common;
 
-use common::{random_doc, random_dtd, random_paths, Rand, TempDoc};
+use common::{both_modes, random_doc, random_dtd, random_paths, Rand, TempDoc};
 use smpx_core::runtime::source::{PrefetchSource, ReaderSource};
 use smpx_core::{CoreError, Prefilter, RunStats};
 use smpx_dtd::Dtd;
 use smpx_paths::PathSet;
-use smpx_stringmatch::memscan;
 use std::io::{Cursor, Read};
-use std::sync::{Mutex, OnceLock};
 
 /// The issue's chunk sweep: 1/2 (degenerate windows), 7 (odd, straddles
 /// everything), 64/65 (lane ± 1), 4096 (page-ish).
 const CHUNKS: &[usize] = &[1, 2, 7, 64, 65, 4096];
 const THREADS: &[usize] = &[0, 1, 4];
 const BATCH: usize = 6;
-
-fn mode_lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-}
-
-/// Run `f` once with the vectorized paths forced on and once forced off,
-/// restoring the environment-selected mode afterwards.
-fn with_both_modes(mut f: impl FnMut(bool)) {
-    let _guard = mode_lock().lock().unwrap();
-    let env_accel = std::env::var_os("SMPX_NO_SIMD").is_none_or(|v| v != "1");
-    memscan::force_accel(true);
-    f(true);
-    memscan::force_accel(false);
-    f(false);
-    memscan::force_accel(env_accel);
-}
 
 /// Stats with the delivery-owned buffer accounting masked: prefetch
 /// reports the window *plus both slot buffers* by design, so that one
@@ -132,17 +110,17 @@ fn prefetch_matches_sync_reader_across_chunks() {
     for seed in [3, 17, 92] {
         let fx = random_fixture(seed);
         let tmp = TempDoc::new(&fx.doc);
-        with_both_modes(|accel| {
-            let mut pf = Prefilter::compile(&fx.dtd, &fx.paths).expect("compile");
+        for mode in both_modes() {
+            let mut pf = Prefilter::compile(&fx.dtd, &fx.paths).expect("compile").with_mode(mode);
             for &chunk in CHUNKS {
-                let label = format!("seed {seed} accel {accel} chunk {chunk}");
+                let label = format!("seed {seed} {mode:?} chunk {chunk}");
                 let want = run_sync(&mut pf, &fx.doc, chunk);
                 let got = run_prefetch(&mut pf, &fx.doc, chunk);
                 assert_same_run(&format!("{label} pipe"), &want, &got);
                 let got = run_prefetch_file(&mut pf, &tmp, chunk);
                 assert_same_run(&format!("{label} readv"), &want, &got);
             }
-        });
+        }
     }
 }
 
@@ -153,11 +131,11 @@ fn pooled_prefetch_matches_sequential_sync() {
     let paths = random_paths(&dtd, &mut r);
     let docs: Vec<Vec<u8>> = (0..BATCH).map(|_| random_doc(&dtd, &mut r)).collect();
     const CHUNK: usize = 64;
-    with_both_modes(|accel| {
-        let mut seq = Prefilter::compile(&dtd, &paths).expect("compile");
+    for mode in both_modes() {
+        let mut seq = Prefilter::compile(&dtd, &paths).expect("compile").with_mode(mode);
         let want: Vec<(Vec<u8>, RunStats)> =
             docs.iter().map(|d| run_sync(&mut seq, d, CHUNK)).collect();
-        let pf = Prefilter::compile(&dtd, &paths).expect("compile");
+        let pf = Prefilter::compile(&dtd, &paths).expect("compile").with_mode(mode);
         for &t in THREADS {
             let got = pf
                 .run_batch_parallel(
@@ -168,10 +146,10 @@ fn pooled_prefetch_matches_sequential_sync() {
                 .expect("pooled prefetch batch");
             assert_eq!(got.len(), want.len());
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert_same_run(&format!("accel {accel} t={t} doc {i}"), w, g);
+                assert_same_run(&format!("{mode:?} t={t} doc {i}"), w, g);
             }
         }
-    });
+    }
 }
 
 #[test]
@@ -180,10 +158,11 @@ fn multi_query_prefetch_matches_sync() {
     let dtd = random_dtd(&mut r);
     let queries: Vec<PathSet> = (0..3).map(|_| random_paths(&dtd, &mut r)).collect();
     let doc = random_doc(&dtd, &mut r);
-    with_both_modes(|accel| {
-        let mut mpf = Prefilter::compile_multi(&dtd, &queries).expect("compile multi");
+    for mode in both_modes() {
+        let mut mpf =
+            Prefilter::compile_multi(&dtd, &queries).expect("compile multi").with_mode(mode);
         for &chunk in CHUNKS {
-            let label = format!("accel {accel} chunk {chunk}");
+            let label = format!("{mode:?} chunk {chunk}");
             let (want_out, want_v, want_s) = mpf
                 .run_multi(ReaderSource::new(Cursor::new(doc.clone()), chunk), Vec::new())
                 .expect("sync multi");
@@ -206,10 +185,10 @@ fn multi_query_prefetch_matches_sync() {
                 )
                 .expect("pooled prefetch multi");
             let (got_out, got_v, _) = &got[0];
-            assert_eq!(got_out, &want_out, "accel {accel} t={t}: pooled union diverged");
-            assert_eq!(got_v, &want_v, "accel {accel} t={t}: pooled verdict diverged");
+            assert_eq!(got_out, &want_out, "{mode:?} t={t}: pooled union diverged");
+            assert_eq!(got_v, &want_v, "{mode:?} t={t}: pooled verdict diverged");
         }
-    });
+    }
 }
 
 /// A reader that yields a prefix, then fails with a fixed message.

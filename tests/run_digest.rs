@@ -23,20 +23,21 @@
 //! says why; an effort digest changes only in a change that restates
 //! ARCHITECTURE §11 "What the counters mean" and records the new value.
 //!
-//! The scan mode (`memscan::force_accel`) is process-global, so the whole
-//! table is one test.
+//! The scan mode is the prefilter's: the two modes of a case run side by
+//! side on two threads, and the vector digests are reproduced on every
+//! scan kind the CPU runs.
 
-#[allow(dead_code)] // the case list, `random_doc` and `TempDoc`
+#[allow(dead_code)] // the case list, `random_doc`, `TempDoc` and `both_modes`
 mod common;
 
-use common::{analysis_cases, random_doc, AnalysisCase, Rand, TempDoc};
+use common::{analysis_cases, both_modes, random_doc, AnalysisCase, Rand, TempDoc};
 use smpx_bench::queries::PROTEIN_QUERIES;
 use smpx_core::runtime::source::{DocSource, MmapSource, ReaderSource};
 use smpx_core::{MultiVerdict, Prefilter, RunStats, SliceSource};
 use smpx_datagen::{medline, protein, xmark, GenOptions};
 use smpx_dtd::Dtd;
 use smpx_paths::PathSet;
-use smpx_stringmatch::memscan;
+use smpx_stringmatch::memscan::{self, ScanKind, ScanMode};
 
 /// Size of the generated XMark, MEDLINE and protein documents.
 const DOC_BYTES: usize = 256 << 10;
@@ -125,6 +126,50 @@ fn run(pf: &mut Prefilter, route: usize, doc: &[u8], file: &TempDoc) -> (u64, Ru
     (found.0, stats)
 }
 
+/// What the runs of a case in one mode found, and how hard they looked.
+struct ModeRuns {
+    /// What every route found (the same on each).
+    found: u64,
+    /// Each route's `io_window_bytes`.
+    windows: [u64; ROUTES.len()],
+    /// The effort digest.
+    effort: u64,
+    /// `[chars_compared, bytes_scanned, shifts, shift_total]` of the slice
+    /// run.
+    slice: [u64; 4],
+}
+
+/// Every route of `case` over `doc` on one prefilter in `mode`.
+fn mode_runs(case: &AnalysisCase, mode: ScanMode, doc: &[u8], file: &TempDoc) -> ModeRuns {
+    let mut pf = compile(case).with_mode(mode);
+    let mut first: Option<u64> = None;
+    let mut effort = Fnv::new();
+    let mut windows = [0; ROUTES.len()];
+    let mut slice = [0; 4];
+    for (route, name) in ROUTES.iter().enumerate() {
+        let (found, s) = run(&mut pf, route, doc, file);
+        let at = format!("{} {mode:?} {name}", case.name);
+        assert!(s.tokens_matched > 0, "{at}: the run finds no token");
+        assert_eq!(*first.get_or_insert(found), found, "{at}: not what the first run found");
+        windows[route] = s.io_window_bytes;
+        let counters = [s.chars_compared, s.bytes_scanned, s.shifts, s.shift_total];
+        counters.iter().for_each(|&n| effort.num(n));
+        if route == 0 {
+            slice = counters;
+        }
+    }
+    ModeRuns { found: first.expect("a run"), windows, effort: effort.0, slice }
+}
+
+/// The exact digest: each mode's windows, vector first, then what the runs
+/// found.
+fn exact(windows: [&[u64; ROUTES.len()]; 2], found: u64) -> u64 {
+    let mut exact = Fnv::new();
+    windows.iter().flat_map(|w| w.iter()).for_each(|&n| exact.num(n));
+    exact.num(found);
+    exact.0
+}
+
 /// A case's digests, and the effort counters of its slice runs.
 struct Digests {
     /// Exact, vector effort, scalar effort.
@@ -137,31 +182,13 @@ struct Digests {
 fn digests(case: &AnalysisCase) -> Digests {
     let doc = document(case);
     let file = TempDoc::new(&doc);
-    let mut first: Option<u64> = None;
-    let mut exact = Fnv::new();
-    let mut effort = [Fnv::new(), Fnv::new()];
-    let mut slice = [[0u64; 4]; 2];
-    let mut windows = [None; ROUTES.len()];
-    for (mode, vector) in [true, false].into_iter().enumerate() {
-        memscan::force_accel(vector);
-        let mut pf = compile(case);
-        for (route, name) in ROUTES.iter().enumerate() {
-            let (found, s) = run(&mut pf, route, &doc, &file);
-            let at = format!("{} vector {vector} {name}", case.name);
-            assert!(s.tokens_matched > 0, "{at}: the run finds no token");
-            assert_eq!(*first.get_or_insert(found), found, "{at}: not what the first run found");
-            let window = *windows[route].get_or_insert(s.io_window_bytes);
-            assert_eq!(s.io_window_bytes, window, "{at}: the window depends on the mode");
-            exact.num(s.io_window_bytes);
-            let counters = [s.chars_compared, s.bytes_scanned, s.shifts, s.shift_total];
-            counters.iter().for_each(|&n| effort[mode].num(n));
-            if route == 0 {
-                slice[mode] = counters;
-            }
-        }
+    let [walk, spec] = both_modes().map(|mode| mode_runs(case, mode, &doc, &file));
+    assert_eq!(walk.found, spec.found, "{}: the modes found different things", case.name);
+    assert_eq!(walk.windows, spec.windows, "{}: the window depends on the mode", case.name);
+    Digests {
+        pinned: (exact([&walk.windows, &spec.windows], walk.found), walk.effort, spec.effort),
+        slice: [walk.slice, spec.slice],
     }
-    exact.num(first.expect("a run"));
-    Digests { pinned: (exact.0, effort[0].0, effort[1].0), slice }
 }
 
 /// `(case, exact, vector effort, scalar effort)`, each row under the
@@ -239,10 +266,8 @@ const PINNED: &[(&str, u64, u64, u64)] = &[
 
 #[test]
 fn runs_reproduce_the_pinned_digests() {
-    let env_accel = std::env::var_os("SMPX_NO_SIMD").is_none_or(|v| v != "1");
     let got: Vec<(String, Digests)> =
         cases().iter().map(|c| (c.name.clone(), digests(c))).collect();
-    memscan::force_accel(env_accel);
     // The current table, in the layout of `PINNED`.
     let listing: String = got
         .iter()
@@ -259,4 +284,69 @@ fn runs_reproduce_the_pinned_digests() {
         assert_eq!(*v, pv, "{name}: the vector effort moved; current digests:\n{listing}");
         assert_eq!(*s, ps, "{name}: the scalar effort moved; current digests:\n{listing}");
     }
+}
+
+/// The pinned row of `name`.
+fn pinned(name: &str) -> (u64, u64, u64) {
+    let &(_, e, v, s) = PINNED.iter().find(|p| p.0 == name).expect("a pinned case");
+    (e, v, s)
+}
+
+#[test]
+fn walk_and_specification_run_side_by_side() {
+    // Two prefilters of one case, one per mode, on two threads at once:
+    // each run is in its own prefilter's mode, whatever the other does.
+    for name in ["xmark/XM7", "medline/M5", "rec-parlist/0"] {
+        let case = cases().into_iter().find(|c| c.name == name).expect("case");
+        let doc = document(&case);
+        let file = TempDoc::new(&doc);
+        let [walk, spec] = std::thread::scope(|s| {
+            both_modes()
+                .map(|mode| {
+                    let (case, doc, file) = (&case, &doc, &file);
+                    s.spawn(move || mode_runs(case, mode, doc, file))
+                })
+                .map(|run| run.join().expect("mode thread"))
+        });
+        let (e, v, s) = pinned(name);
+        assert_eq!(walk.effort, v, "{name}: the vector effort moved");
+        assert_eq!(spec.effort, s, "{name}: the scalar effort moved");
+        assert_eq!(exact([&walk.windows, &spec.windows], walk.found), e, "{name}: what it found");
+    }
+}
+
+#[test]
+fn every_scan_kind_reproduces_the_vector_digests() {
+    // One thread per kind this CPU runs, side by side: each walks every
+    // case on its own kernels and must find what the pinned table says and
+    // look exactly as hard (the windows are the same in both modes, so a
+    // walk's own reproduce the exact digest).
+    let kinds = [ScanKind::Swar, ScanKind::Sse2, ScanKind::Avx2, ScanKind::Avx512];
+    let cases = cases();
+    let docs: Vec<(Vec<u8>, TempDoc)> = cases
+        .iter()
+        .map(|c| {
+            let doc = document(c);
+            let file = TempDoc::new(&doc);
+            (doc, file)
+        })
+        .collect();
+    std::thread::scope(|s| {
+        for kind in kinds {
+            if !memscan::supported(kind) {
+                eprintln!("every_scan_kind_reproduces_the_vector_digests: skipped {kind:?}, not on this CPU");
+                continue;
+            }
+            let (cases, docs) = (&cases, &docs);
+            s.spawn(move || {
+                for (case, (doc, file)) in cases.iter().zip(docs) {
+                    let walk = mode_runs(case, ScanMode::Walk(kind), doc, file);
+                    let (e, v, _) = pinned(&case.name);
+                    let at = format!("{} {kind:?}", case.name);
+                    assert_eq!(walk.effort, v, "{at}: the vector effort moved");
+                    assert_eq!(exact([&walk.windows; 2], walk.found), e, "{at}: what it found");
+                }
+            });
+        }
+    });
 }

@@ -15,15 +15,15 @@
 //!   drift by at most what re-searching one overlap (`max_kw_len - 1`
 //!   bytes) per boundary costs.
 
-#[allow(dead_code)] // only `TempDoc`
+#[allow(dead_code)] // only `TempDoc` and `both_modes`
 mod common;
 
-use common::TempDoc;
+use common::{both_modes, TempDoc};
 use smpx_core::runtime::source::{MmapSource, SliceSource};
 use smpx_core::{MultiVerdict, Prefilter, RunStats};
 use smpx_dtd::Dtd;
 use smpx_paths::PathSet;
-use smpx_stringmatch::memscan;
+use smpx_stringmatch::memscan::ScanMode;
 
 const STEP: usize = 4096;
 /// No document here reaches it: a run that is never cut.
@@ -124,29 +124,27 @@ fn exact(s: &RunStats) -> [u64; 8] {
     ]
 }
 
-/// One test, so the process-global SIMD toggle is never raced.
 #[test]
 fn step_boundaries_change_nothing_a_run_reports() {
     let dtd = Dtd::parse(DTD.as_bytes()).expect("dtd");
     let paths = |p: &[&str]| PathSet::parse(p).expect("paths");
-    let compile = |multi: bool, step: usize| {
+    let compile = |multi: bool, step: usize, mode: ScanMode| {
         let pf = if multi {
             Prefilter::compile_multi(&dtd, &[paths(&["/a/keep#"]), paths(&["/a/x#"])])
         } else {
             Prefilter::compile(&dtd, &paths(&["/*", "/a/keep#"]))
         };
-        pf.expect("compile").with_release_step(step)
+        pf.expect("compile").with_release_step(step).with_mode(mode)
     };
-    let env_accel = std::env::var_os("SMPX_NO_SIMD").is_none_or(|v| v != "1");
-    for accel in [true, false] {
-        memscan::force_accel(accel);
+    for mode in both_modes() {
+        let accel = mode != ScanMode::Spec;
         for multi in [false, true] {
-            let mut cut = compile(multi, STEP);
-            let mut uncut = compile(multi, UNCUT);
+            let mut cut = compile(multi, STEP, mode);
+            let mut uncut = compile(multi, UNCUT, mode);
             let overlap = cut.tables().max_kw_len as u64;
             for (feature, records) in features() {
                 for shift in 0..SHIFTS {
-                    let label = format!("{feature} shift {shift} multi {multi} accel {accel}");
+                    let label = format!("{feature} shift {shift} multi {multi} {mode:?}");
                     let doc = document(&records, shift);
                     let tmp = TempDoc::new(&doc);
                     let slice = run(&mut cut, multi, SliceSource::new(&doc));
@@ -190,5 +188,4 @@ fn step_boundaries_change_nothing_a_run_reports() {
             }
         }
     }
-    memscan::force_accel(env_accel);
 }

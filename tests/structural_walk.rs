@@ -17,13 +17,12 @@
 //! * on XMark documents whose attribute values are rewritten the same way
 //!   (some longer than two blocks, so a tag often crosses a reader's
 //!   refill and the walk resumes on the next window), the
-//!   prefilter's output and exact counters in vectorized mode equal the
-//!   `SMPX_NO_SIMD=1` specification's, from a slice and a mapping at
-//!   release steps of 64 bytes, 4 KiB and the default, and from readers
-//!   at chunks around every block edge.
+//!   prefilter's output and exact counters in the walk equal the scalar
+//!   specification's, from a slice and a mapping at release steps of 64
+//!   bytes, 4 KiB and the default, and from readers at chunks around
+//!   every block edge.
 //!
-//! The walk reads no scan mode; the prefilter runs compile a fresh
-//! prefilter per mode (`memscan::force_accel`), so they run under
+//! The prefilter runs build one prefilter per mode, so they run under
 //! `SMPX_NO_SIMD=1` alike.
 
 #[allow(dead_code)] // only `Rand` and `TempDoc`
@@ -35,13 +34,8 @@ use smpx_core::{Prefilter, QueryRegistry, RunStats};
 use smpx_datagen::{xmark, GenOptions};
 use smpx_dtd::Dtd;
 use smpx_paths::PathSet;
-use smpx_stringmatch::memscan::{self, Blocks};
+use smpx_stringmatch::memscan::{self, Blocks, ScanMode};
 use smpx_stringmatch::{BoyerMoore, CommentzWalter, NoMetrics, TagWalk};
-
-/// The scan mode `SMPX_NO_SIMD` selects.
-fn env_accel() -> bool {
-    std::env::var_os("SMPX_NO_SIMD").is_none_or(|v| v != "1")
-}
 
 /// Tag names with prefix pairs, so lookalikes of every keyword abound.
 const NAMES: &[&str] = &["a", "ab", "abc", "item", "items", "Abstract", "AbstractText"];
@@ -319,18 +313,16 @@ fn prefilter_runs_equal_the_scalar_specification_at_every_step_and_chunk() {
     engines
         .push(("registry".into(), Prefilter::from_tables(registry.prefilter().tables().clone())));
     for (name, pf) in &engines {
-        // A matcher keeps the mode it was built in: one prefilter per mode.
-        let fresh = || Prefilter::from_tables(pf.tables().clone());
+        let fresh = |mode| Prefilter::from_tables(pf.tables().clone()).with_mode(mode);
+        let walk = ScanMode::Walk(memscan::kind());
         for (d, doc) in docs.iter().enumerate() {
             let at = format!("{name} doc {d}");
-            memscan::force_accel(false);
-            let want = observe(&mut fresh(), SliceSource::new(doc));
+            let want = observe(&mut fresh(ScanMode::Spec), SliceSource::new(doc));
             assert!(want.exact[0] > 0, "{at}: no tokens");
-            memscan::force_accel(true);
-            let mut pf = fresh();
+            let mut pf = fresh(walk);
             let tmp = TempDoc::new(doc);
             for step in [64usize, 4096, smpx_core::runtime::RELEASE_STEP] {
-                let mut cut = fresh().with_release_step(step);
+                let mut cut = fresh(walk).with_release_step(step);
                 let slice = observe(&mut cut, SliceSource::new(doc));
                 assert_eq!(slice, want, "{at}: slice, step {step}");
                 let mapped = MmapSource::map_with_step(tmp.path(), step).expect("map");
@@ -342,5 +334,4 @@ fn prefilter_runs_equal_the_scalar_specification_at_every_step_and_chunk() {
             }
         }
     }
-    memscan::force_accel(env_accel());
 }

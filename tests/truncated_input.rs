@@ -9,17 +9,16 @@
 //! many bytes reached the sink before an error may differ; which error
 //! surfaces may not.
 
-#[allow(dead_code)] // only `TempDoc`
+#[allow(dead_code)] // only `TempDoc` and `both_modes`
 mod common;
 
-use common::TempDoc;
+use common::{both_modes, TempDoc};
 use smpx_core::runtime::source::{
     DocSource, MmapSource, PrefetchSource, ReaderSource, SliceSource,
 };
 use smpx_core::{CoreError, Prefilter};
 use smpx_dtd::Dtd;
 use smpx_paths::PathSet;
-use smpx_stringmatch::memscan;
 use std::io::Cursor;
 
 const CHUNKS: &[usize] = &[1, 7, 4096];
@@ -55,25 +54,22 @@ fn eof(context: &'static str) -> Result<Vec<u8>, String> {
     Err(format!("{:?}", CoreError::UnexpectedEof { context }))
 }
 
-/// One test, so the process-global SIMD toggle is never raced.
 #[test]
 fn every_prefix_ends_the_same_way_on_every_path() {
     let dtd = Dtd::parse(DTD).expect("dtd");
     let paths = PathSet::parse(&["/*", "/a/b#"]).expect("paths");
-    let mut pf = Prefilter::compile(&dtd, &paths).expect("compile");
     let doc = DOC.as_bytes();
-    let env_accel = std::env::var_os("SMPX_NO_SIMD").is_none_or(|v| v != "1");
-    for accel in [true, false] {
-        memscan::force_accel(accel);
+    for mode in both_modes() {
+        let mut pf = Prefilter::compile(&dtd, &paths).expect("compile").with_mode(mode);
         for cut in 0..=doc.len() {
             let prefix = &doc[..cut];
             let want = outcome(&mut pf, SliceSource::new(prefix));
             for &chunk in CHUNKS {
                 let got = outcome(&mut pf, ReaderSource::new(prefix, chunk));
-                assert_eq!(got, want, "accel {accel} cut {cut} reader/{chunk}");
+                assert_eq!(got, want, "{mode:?} cut {cut} reader/{chunk}");
                 let src = PrefetchSource::new(Cursor::new(prefix.to_vec()), chunk);
                 let got = outcome(&mut pf, src);
-                assert_eq!(got, want, "accel {accel} cut {cut} prefetch/{chunk}");
+                assert_eq!(got, want, "{mode:?} cut {cut} prefetch/{chunk}");
             }
         }
         // The named cases, so the sweep cannot pass by agreeing on nonsense.
@@ -84,7 +80,7 @@ fn every_prefix_ends_the_same_way_on_every_path() {
             let file = TempDoc::new(&doc[..cut]);
             let mapped = MmapSource::map_with_step(file.path(), 4096).expect("map");
             assert!(mapped.is_mapped() || !cfg!(all(unix, target_pointer_width = "64")));
-            assert_eq!(outcome(pf, mapped), want, "accel {accel} cut {cut} mmap");
+            assert_eq!(outcome(pf, mapped), want, "{mode:?} cut {cut} mmap");
             want
         };
         assert_eq!(cut_run(&mut pf, at("skipped te")), Ok(b"<a>".to_vec()), "inside a skip");
@@ -99,5 +95,4 @@ fn every_prefix_ends_the_same_way_on_every_path() {
                      <b>last</b></a>";
         assert_eq!(cut_run(&mut pf, doc.len()), Ok(whole.as_bytes().to_vec()));
     }
-    memscan::force_accel(env_accel);
 }

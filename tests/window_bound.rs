@@ -26,17 +26,16 @@
 //! must be positive (pages did go back) and inside the whole bound;
 //! `tests/mapped_residency.rs` asks the kernel.
 
-#[allow(dead_code)] // only `TempDoc`
+#[allow(dead_code)] // only `TempDoc` and `both_modes`
 mod common;
 
-use common::TempDoc;
+use common::{both_modes, TempDoc};
 use smpx_core::runtime::source::{DocSource, MmapSource, PrefetchSource, ReaderSource};
 use smpx_core::runtime::RELEASE_STEP;
 use smpx_core::{Prefilter, RunStats};
 use smpx_datagen::{xmark, GenOptions};
 use smpx_dtd::Dtd;
 use smpx_paths::PathSet;
-use smpx_stringmatch::memscan;
 use std::io::Cursor;
 
 const CHUNKS: &[usize] = &[64, 4096, 32768];
@@ -69,54 +68,50 @@ fn run<S: DocSource>(pf: &mut Prefilter, src: S) -> (Vec<u8>, RunStats) {
 /// scalar balanced scan reaches the guard step through `find`).
 fn assert_bounded(label: &str, dtd: &str, paths: &[&str], doc: &[u8]) {
     let dtd = Dtd::parse(dtd.as_bytes()).expect("dtd");
-    let compile =
-        || Prefilter::compile(&dtd, &PathSet::parse(paths).expect("paths")).expect("compile");
-    let mut pf = compile();
-    let span = pf.tables().max_kw_len + 8 + longest_tag(doc);
+    let paths = PathSet::parse(paths).expect("paths");
+    let compile = |mode| Prefilter::compile(&dtd, &paths).expect("compile").with_mode(mode);
     let file = TempDoc::new(doc);
-    let env_accel = std::env::var_os("SMPX_NO_SIMD").is_none_or(|v| v != "1");
-    for accel in [true, false] {
-        memscan::force_accel(accel);
+    for mode in both_modes() {
+        let mut pf = compile(mode);
+        let span = pf.tables().max_kw_len + 8 + longest_tag(doc);
         let (want, _) = pf.filter_to_vec(doc).expect("slice run");
         assert!(!want.is_empty(), "{label}: the path set must select something");
         for &chunk in CHUNKS {
             let bound = (2 * (chunk + span)) as u64;
             let (out, stats) = run(&mut pf, ReaderSource::new(doc, chunk));
-            assert!(out == want, "{label} accel {accel} reader/{chunk}: output diverged");
+            assert!(out == want, "{label} {mode:?} reader/{chunk}: output diverged");
             assert!(
                 stats.io_window_bytes <= bound,
-                "{label} accel {accel} reader/{chunk}: window {} > {bound}",
+                "{label} {mode:?} reader/{chunk}: window {} > {bound}",
                 stats.io_window_bytes
             );
             let (out, stats) = run(&mut pf, PrefetchSource::new(Cursor::new(doc.to_vec()), chunk));
-            assert!(out == want, "{label} accel {accel} prefetch/{chunk}: output diverged");
+            assert!(out == want, "{label} {mode:?} prefetch/{chunk}: output diverged");
             let bound = bound + 2 * chunk as u64;
             assert!(
                 stats.io_window_bytes <= bound,
-                "{label} accel {accel} prefetch/{chunk}: window {} > {bound}",
+                "{label} {mode:?} prefetch/{chunk}: window {} > {bound}",
                 stats.io_window_bytes
             );
         }
         for &step in STEPS {
-            let mut cut = compile().with_release_step(step);
+            let mut cut = compile(mode).with_release_step(step);
             let mut src = MmapSource::map_with_step(file.path(), step).expect("map");
             let (out, stats) = run(&mut cut, &mut src);
-            assert!(out == want, "{label} accel {accel} mmap/{step}: output diverged");
+            assert!(out == want, "{label} {mode:?} mmap/{step}: output diverged");
             if src.is_mapped() {
                 assert_eq!(stats.io_window_bytes, 0, "a mapping owns no buffer");
                 let (resident, bound) = (src.peak_resident_bytes(), 2 * step.max(PAGE) + span);
                 // Not zero: pages did go back (the account is sampled then).
                 assert!(
                     0 < resident && resident <= bound,
-                    "{label} accel {accel} mmap/{step}: {resident} bytes resident, bound {bound}"
+                    "{label} {mode:?} mmap/{step}: {resident} bytes resident, bound {bound}"
                 );
             }
         }
     }
-    memscan::force_accel(env_accel);
 }
 
-/// One test, so the process-global SIMD toggle is never raced.
 #[test]
 fn window_is_bounded_whatever_the_document_skip_or_copy_length() {
     let doc = xmark::generate(GenOptions::sized(4 << 20).with_seed(12));
