@@ -102,7 +102,7 @@ fn count(mut find_at: impl FnMut(usize) -> Option<MultiMatch>) -> usize {
 
 /// [`count`] for the walk, one block cache across the searches.
 fn count_walk(m: &TagWalk, hay: &[u8]) -> usize {
-    let mut blocks = Blocks::new();
+    let mut blocks = Blocks::default();
     count(|from| m.find_at(hay, from, &mut blocks, &mut NoMetrics))
 }
 

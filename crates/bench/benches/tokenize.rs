@@ -114,7 +114,7 @@ fn bench_tag_end(c: &mut Criterion) {
         b.iter(|| scalar_tag_end(&long_tag, 0).expect("closed"))
     });
     g.bench_function("block_masks/long_attr", |b| {
-        b.iter(|| Blocks::new().tag_end(&long_tag, 0).expect("closed"))
+        b.iter(|| Blocks::default().tag_end(&long_tag, 0).expect("closed"))
     });
     g.throughput(Throughput::Bytes(dense.len() as u64));
     g.bench_function("scalar_loop/dense_tags", |b| {
@@ -130,7 +130,7 @@ fn bench_tag_end(c: &mut Criterion) {
         b.iter(|| {
             // One cache over the buffer, as a run keeps one: each tag's
             // end is read from the block its name ended in.
-            let mut blocks = Blocks::new();
+            let mut blocks = Blocks::default();
             let mut ends = 0usize;
             for &s in &starts {
                 ends += blocks.tag_end(&dense, s).expect("closed").0;

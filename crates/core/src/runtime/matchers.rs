@@ -133,7 +133,7 @@ mod tests {
     }
 
     fn find(m: &StateMatcher, hay: &[u8], from: usize) -> Option<(usize, usize)> {
-        m.find_in(hay, from, &mut Blocks::new(), &mut NoMetrics)
+        m.find_in(hay, from, &mut Blocks::default(), &mut NoMetrics)
     }
 
     #[test]

@@ -142,10 +142,9 @@ impl Prefilter {
 
     /// Search in `mode` from now on — the walk on another kernel tier, or
     /// the specification, whose counters are the paper's accounting —
-    /// dropping the matchers built so far. Panics on a mode this CPU does
-    /// not run ([`ScanMode::supported`]).
+    /// dropping the matchers built so far. A run in a kind this CPU does
+    /// not run panics ([`memscan::Blocks::with_kind`]).
     pub fn with_mode(mut self, mode: ScanMode) -> Prefilter {
-        assert!(mode.supported(), "this CPU does not run the {} scan mode", mode.name());
         self.mode = mode;
         self.matchers.fill(None);
         self.balanced_matchers.fill(None);
@@ -799,22 +798,23 @@ fn scan_tag_end<S: DocSource, W: Write, M: Metrics>(
         m.scanned((end - pos) as u64);
         return Ok((end, bachelor));
     }
-    scan_tag_end_windowed(input, pos, m)
+    scan_tag_end_windowed(input, pos, mode.blocks(), m)
 }
 
 /// The tag end of a tag running past the resident bytes: the same
-/// block-mask walk ([`memscan::Blocks::tag_end_resumed`]) over one
-/// `SourceInput::window` view after another, its [`memscan::TagScan`]
-/// state carrying an open quote and the last byte across each refill.
+/// block-mask walk ([`memscan::Blocks::tag_end_resumed`], on the masks of
+/// `blocks`, empty) over one `SourceInput::window` view after another, its
+/// [`memscan::TagScan`] state carrying an open quote and the last byte
+/// across each refill.
 #[cold]
 #[inline(never)]
 fn scan_tag_end_windowed<S: DocSource, W: Write, M: Metrics>(
     input: &mut SourceInput<S, W>,
     pos: usize,
+    mut blocks: memscan::Blocks,
     m: &mut M,
 ) -> Result<(usize, bool), CoreError> {
     let mut st = memscan::TagScan::new();
-    let mut blocks = memscan::Blocks::with_kind(input.scan_kind());
     let mut abs = pos;
     loop {
         let consumed = {
@@ -1077,6 +1077,7 @@ mod tests {
         use super::super::{scan_tag_end_scalar, scan_tag_end_windowed};
         use super::*;
         use crate::runtime::source::{ReaderSource, SliceSource, SourceInput};
+        use smpx_stringmatch::memscan::Blocks;
         use smpx_stringmatch::Counters;
 
         /// Scan documents that start mid-tag at `pos = 0`, exactly as the
@@ -1114,7 +1115,7 @@ mod tests {
         fn windowed_on_slice(doc: &[u8]) -> (Result<(usize, bool), CoreError>, Counters) {
             let mut c = Counters::default();
             let mut input = SourceInput::new(SliceSource::new(doc), Vec::new());
-            (scan_tag_end_windowed(&mut input, 0, &mut c), c)
+            (scan_tag_end_windowed(&mut input, 0, Blocks::default(), &mut c), c)
         }
 
         fn scalar_on_slice(doc: &[u8]) -> (Result<(usize, bool), CoreError>, Counters) {
@@ -1172,7 +1173,7 @@ mod tests {
                     let mut out = Vec::new();
                     let mut input =
                         SourceInput::new(ReaderSource::new(tag.as_bytes(), chunk), &mut out);
-                    let got = scan_tag_end_windowed(&mut input, 0, &mut c)
+                    let got = scan_tag_end_windowed(&mut input, 0, Blocks::default(), &mut c)
                         .unwrap_or_else(|e| panic!("tag={tag:?} chunk={chunk}: {e}"));
                     assert_eq!(got, want, "tag={tag:?} chunk={chunk}");
                     assert_eq!(c.scanned, wc.scanned, "tag={tag:?} chunk={chunk}");
@@ -1185,7 +1186,7 @@ mod tests {
                     let mut out = Vec::new();
                     let mut input =
                         SourceInput::new(ReaderSource::new(tag.as_bytes(), chunk), &mut out);
-                    let got = scan_tag_end_windowed(&mut input, 0, &mut c);
+                    let got = scan_tag_end_windowed(&mut input, 0, Blocks::default(), &mut c);
                     assert!(
                         matches!(got, Err(CoreError::UnexpectedEof { .. })),
                         "tag={tag:?} chunk={chunk}"
@@ -1203,7 +1204,7 @@ mod tests {
             for pos in [2usize, 6, 7] {
                 let mut cw = Counters::default();
                 let mut iw = SourceInput::new(SliceSource::new(doc), Vec::new());
-                let got = scan_tag_end_windowed(&mut iw, pos, &mut cw).unwrap();
+                let got = scan_tag_end_windowed(&mut iw, pos, Blocks::default(), &mut cw).unwrap();
                 let mut cs = Counters::default();
                 let mut is = SourceInput::new(SliceSource::new(doc), Vec::new());
                 let want = scan_tag_end_scalar(&mut is, pos, &mut cs).unwrap();

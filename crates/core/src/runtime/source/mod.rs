@@ -50,7 +50,7 @@ pub use slice::SliceSource;
 
 use super::matchers::StateMatcher;
 use crate::error::CoreError;
-use smpx_stringmatch::memscan::{Blocks, ScanKind};
+use smpx_stringmatch::memscan::Blocks;
 use smpx_stringmatch::Metrics;
 use std::io::Write;
 
@@ -211,17 +211,12 @@ pub(crate) struct SourceInput<S: DocSource, W: Write> {
 impl<S: DocSource, W: Write> SourceInput<S, W> {
     #[cfg(test)]
     pub fn new(src: S, out: W) -> Self {
-        Self::with_step(src, out, super::RELEASE_STEP, Blocks::new())
+        Self::with_step(src, out, super::RELEASE_STEP, Blocks::default())
     }
 
     /// `blocks` is the run's empty block cache, of the run's scan kind.
     pub fn with_step(src: S, out: W, step: usize, blocks: Blocks) -> Self {
         SourceInput { src, out, copy_from: None, written: 0, step, blocks }
-    }
-
-    /// The scan kind of the run's block cache.
-    pub fn scan_kind(&self) -> ScanKind {
-        self.blocks.kind()
     }
 
     /// The first absolute multiple of the release step above `pos`: where

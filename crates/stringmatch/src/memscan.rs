@@ -2,7 +2,7 @@
 //!
 //! The paper's searchers win by *skipping* characters, but a scalar shift
 //! loop still pays one branch and one bounds check per alignment. This
-//! module turns the skip into a hardware scan: [`find_fingerprint`] finds
+//! module turns the skip into a hardware scan: `find_fingerprint` finds
 //! the next *candidate* alignment of a keyword set — one keyword or many:
 //! an alignment that holds the set's first byte and some keyword's bytes
 //! at two shared offsets, all tested in the vector unit ([`Fingerprint`]).
@@ -115,14 +115,6 @@ impl ScanMode {
         match self {
             ScanMode::Walk(k) => k.name(),
             ScanMode::Spec => "scalar",
-        }
-    }
-
-    /// Does this CPU run the mode?
-    pub fn supported(self) -> bool {
-        match self {
-            ScanMode::Walk(k) => supported(k),
-            ScanMode::Spec => true,
         }
     }
 
@@ -342,23 +334,11 @@ pub struct Blocks {
 }
 
 impl Blocks {
-    /// No block cached, for a haystack at absolute offset 0, on the
-    /// widest kind this CPU runs ([`kind`]).
-    pub fn new() -> Blocks {
-        Blocks::with_kind(kind())
-    }
-
     /// No block cached, for a haystack at absolute offset 0, on `kind`'s
     /// members. Panics on a kind this CPU does not run ([`supported`]).
     pub fn with_kind(kind: ScanKind) -> Blocks {
         assert!(supported(kind), "this CPU does not run the {} scan kind", kind.name());
         Blocks { kind, base: 0, at: 0, len: 0, lt: 0, gt: 0, dq: 0, sq: 0 }
-    }
-
-    /// The kind whose members compute the masks.
-    #[inline]
-    pub fn kind(&self) -> ScanKind {
-        self.kind
     }
 
     /// The haystack now starts at absolute offset `base`: keep the cached
@@ -481,8 +461,10 @@ impl Blocks {
 }
 
 impl Default for Blocks {
+    /// No block cached, for a haystack at absolute offset 0, on the widest
+    /// kind this CPU runs ([`kind`]).
     fn default() -> Blocks {
-        Blocks::new()
+        Blocks::with_kind(kind())
     }
 }
 
@@ -823,7 +805,7 @@ const PREFETCH: usize = 2048;
 /// (nibble cross products, shared buckets past eight distinct pairs, and
 /// other tags holding the same bytes) are the verifier's business.
 /// [`Fingerprint::admits_at`] is the scalar statement of the predicate;
-/// [`find_fingerprint`] the scan.
+/// [`Fingerprint::next_candidate`] the scan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fingerprint {
     /// The byte every keyword starts with, when they agree on one.
@@ -1000,8 +982,8 @@ impl Fingerprint {
     /// `<` bits of the structural block holding `from` ([`Blocks`]) and
     /// states the lane test at each (the *near phase*: in dense markup the
     /// next token is in the block already, and the tag-end scan reads the
-    /// same masks); only an exhausted block hands the rest to
-    /// [`find_fingerprint`] (the *far phase*), as does every other filter
+    /// same masks); only an exhausted block hands the rest to the scan on
+    /// the kind of `blocks` (the *far phase*), as does every other filter
     /// at once.
     #[inline]
     pub fn next_candidate(
@@ -1032,19 +1014,15 @@ impl Fingerprint {
         }
         // An alignment is tested by reading up to `o2 < lmin` bytes past
         // it: cut the haystack so that none beyond `limit` is.
-        find_fingerprint_of(blocks.kind, &hay[..limit + 1 + o2], from, self)
+        find_fingerprint(blocks.kind, &hay[..limit + 1 + o2], from, self)
     }
 }
 
 /// First candidate alignment `i >= from` of `fp` in `hay`
-/// ([`Fingerprint::admits_at`]), on the widest kind this CPU runs.
-pub fn find_fingerprint(hay: &[u8], from: usize, fp: &Fingerprint) -> Option<usize> {
-    find_fingerprint_of(kind(), hay, from, fp)
-}
-
-/// [`find_fingerprint`] on `kind`'s member, a kind [`supported`] checked.
+/// ([`Fingerprint::admits_at`]), on `kind`'s member: a kind [`supported`]
+/// checked.
 #[inline]
-fn find_fingerprint_of(kind: ScanKind, hay: &[u8], from: usize, fp: &Fingerprint) -> Option<usize> {
+fn find_fingerprint(kind: ScanKind, hay: &[u8], from: usize, fp: &Fingerprint) -> Option<usize> {
     match kind {
         ScanKind::Swar => find_fingerprint_swar(hay, from, fp),
         #[cfg(target_arch = "x86_64")]
@@ -1468,16 +1446,16 @@ mod tests {
         // The candidate's second byte is the last byte of the haystack.
         let mut hay = vec![b'.'; 40];
         hay.extend_from_slice(&b"</ab"[..=o2]);
-        assert_eq!(find_fingerprint(&hay, 0, &fp), Some(40));
-        assert_eq!(find_fingerprint(&hay[..hay.len() - 1], 0, &fp), None);
-        assert_eq!(find_fingerprint(&hay, 41, &fp), None);
-        assert_eq!(find_fingerprint(&hay, 1000, &fp), None);
-        assert_eq!(find_fingerprint(b"", 0, &fp), None);
+        assert_eq!(find_fingerprint(kind(), &hay, 0, &fp), Some(40));
+        assert_eq!(find_fingerprint(kind(), &hay[..hay.len() - 1], 0, &fp), None);
+        assert_eq!(find_fingerprint(kind(), &hay, 41, &fp), None);
+        assert_eq!(find_fingerprint(kind(), &hay, 1000, &fp), None);
+        assert_eq!(find_fingerprint(kind(), b"", 0, &fp), None);
     }
 
     #[test]
     fn block_tag_end_plain_and_bachelor() {
-        let end = |hay: &[u8]| Blocks::new().tag_end(hay, 0);
+        let end = |hay: &[u8]| Blocks::default().tag_end(hay, 0);
         assert_eq!(end(b" a='1'>rest"), Some((7, false)));
         assert_eq!(end(b" a='1'/>rest"), Some((8, true)));
         // '>' as the very first byte: nothing consumed, not a bachelor.
@@ -1487,13 +1465,13 @@ mod tests {
     #[test]
     fn block_tag_end_skips_quoted_gt() {
         for tag in [&b" a=\"x>y\" >"[..], &b" a='x>y' >"[..], &b" a='>>>>' b=\">\">"[..]] {
-            let (end, bachelor) = Blocks::new().tag_end(tag, 0).unwrap();
+            let (end, bachelor) = Blocks::default().tag_end(tag, 0).unwrap();
             assert_eq!(end, tag.len(), "tag={}", String::from_utf8_lossy(tag));
             assert!(!bachelor);
         }
         // A quote closing right before the '>' is not a bachelor marker
         // even when the quoted value ends in '/'.
-        assert_eq!(Blocks::new().tag_end(b" a='/'>", 0), Some((7, false)));
+        assert_eq!(Blocks::default().tag_end(b" a='/'>", 0), Some((7, false)));
     }
 
     #[test]
@@ -1503,14 +1481,14 @@ mod tests {
         let mut tag = b" a='x>y' q=\"//\" ".to_vec();
         tag.extend(std::iter::repeat_n(b'v', 2 * BLOCK));
         tag.extend_from_slice(b" b='>' />rest");
-        let want = Blocks::new().tag_end(&tag, 0).unwrap();
+        let want = Blocks::default().tag_end(&tag, 0).unwrap();
         assert_eq!(want, (tag.len() - 4, true));
         for cut in 0..tag.len() {
             let mut st = TagScan::new();
-            match Blocks::new().tag_end_resumed(&tag[..cut], 0, &mut st) {
+            match Blocks::default().tag_end_resumed(&tag[..cut], 0, &mut st) {
                 Some(got) => assert_eq!(got, want, "cut={cut} (found early)"),
                 None => {
-                    let (end, bachelor) = Blocks::new()
+                    let (end, bachelor) = Blocks::default()
                         .tag_end_resumed(&tag[cut..], 0, &mut st)
                         .expect("found in second half");
                     assert_eq!((end + cut, bachelor), want, "cut={cut}");
@@ -1522,7 +1500,7 @@ mod tests {
     #[test]
     fn block_tag_end_exhausted_window_keeps_state() {
         let mut st = TagScan::new();
-        let end = |hay: &[u8], st: &mut TagScan| Blocks::new().tag_end_resumed(hay, 0, st);
+        let end = |hay: &[u8], st: &mut TagScan| Blocks::default().tag_end_resumed(hay, 0, st);
         assert_eq!(end(b" a='open", &mut st), None);
         assert!(st.in_quote());
         // Still quoted: a '>' in the next window is consumed as value text.
@@ -1573,7 +1551,7 @@ mod tests {
 
     #[test]
     fn block_tag_end_reads_quotes_bachelors_and_the_next_block() {
-        let end = |hay: &[u8], pos: usize| Blocks::new().tag_end(hay, pos);
+        let end = |hay: &[u8], pos: usize| Blocks::default().tag_end(hay, pos);
         assert_eq!(end(b" a='1'>rest", 0), Some((7, false)));
         assert_eq!(end(b" a='1'/>rest", 0), Some((8, true)));
         assert_eq!(end(b"/>", 0), Some((2, true)));
@@ -1596,7 +1574,7 @@ mod tests {
         // and a shorter prefix of the haystack is not answered from bytes
         // past its end.
         let hay = b"<a x='>'><b/></a>";
-        let mut blocks = Blocks::new();
+        let mut blocks = Blocks::default();
         assert_eq!(blocks.tag_end(hay, 2), Some((9, false)));
         assert_eq!(blocks.tag_end(hay, 11), Some((13, true)));
         assert_eq!(blocks.tag_end(&hay[..12], 11), None);
@@ -1613,7 +1591,7 @@ mod tests {
         for k in [ScanKind::Swar, ScanKind::Sse2, ScanKind::Avx2, ScanKind::Avx512] {
             if supported(k) {
                 let mut blocks = Blocks::with_kind(k);
-                assert_eq!(blocks.kind(), k);
+                assert_eq!(blocks.kind, k);
                 assert_eq!(blocks.tag_end(b" a='>'/>", 0), Some((8, true)), "{k:?}");
             } else {
                 assert!(std::panic::catch_unwind(|| Blocks::with_kind(k)).is_err(), "{k:?}");

@@ -27,9 +27,9 @@
 //!   computed once and shared with the runtime's tag-end scan) and states
 //!   the lane test at each. In dense markup the next token is in that
 //!   block, which the vector loop cannot help and must not hurt.
-//! * **Far phase.** Past an exhausted block,
-//!   [`memscan::find_fingerprint`](crate::memscan::find_fingerprint)
-//!   tests 16/32 alignments per iteration against all keywords at once.
+//! * **Far phase.** Past an exhausted block, the fingerprint scan on the
+//!   kind of the [`Blocks`] tests 8–64 alignments per iteration against
+//!   all keywords at once.
 //! * **Verification.** A candidate's two bytes are the key into a table
 //!   of `(key, keyword)` rows sorted by `(key, len, index)`: the rows of
 //!   one key are the keywords that can start there, shortest first, so
@@ -130,7 +130,7 @@ impl TagWalk {
 
     /// First match in `hay`, uninstrumented.
     pub fn find(&self, hay: &[u8]) -> Option<MultiMatch> {
-        self.find_at(hay, 0, &mut Blocks::new(), &mut NoMetrics)
+        self.find_at(hay, 0, &mut Blocks::default(), &mut NoMetrics)
     }
 
     /// First match starting at or after `from`, by end and then by
@@ -264,7 +264,7 @@ mod tests {
         hay.extend_from_slice(b"<name>");
         let walk = TagWalk::new(&[&b"<description"[..], b"<name", b"</item"]);
         let mut c = Counters::default();
-        let hit = walk.find_at(&hay, 0, &mut Blocks::new(), &mut c).unwrap();
+        let hit = walk.find_at(&hay, 0, &mut Blocks::default(), &mut c).unwrap();
         assert_eq!((hit.pattern, hit.start), (1, 4096));
         assert_eq!(c.scanned, 4097);
         assert_eq!(c.comparisons, 5);
@@ -282,7 +282,7 @@ mod tests {
         let mut hay = b"tt<name".to_vec();
         hay[2 + wrong] = b'x';
         let mut c = Counters::default();
-        assert_eq!(walk.find_at(&hay, 0, &mut Blocks::new(), &mut c), None);
+        assert_eq!(walk.find_at(&hay, 0, &mut Blocks::default(), &mut c), None);
         assert_eq!(
             (c.scanned, c.comparisons, c.shifts, c.shift_total),
             (7, wrong as u64 + 1, 1, 2)
@@ -290,11 +290,11 @@ mod tests {
         // One alignment short of the end, the walk ends with a shift of one.
         hay.push(b't');
         let mut c = Counters::default();
-        assert_eq!(walk.find_at(&hay, 0, &mut Blocks::new(), &mut c), None);
+        assert_eq!(walk.find_at(&hay, 0, &mut Blocks::default(), &mut c), None);
         assert_eq!((c.scanned, c.shifts, c.shift_total), (8, 2, 3));
         // No candidate at all: the whole haystack, one shift.
         let mut c = Counters::default();
-        assert_eq!(walk.find_at(b"tttttttt", 0, &mut Blocks::new(), &mut c), None);
+        assert_eq!(walk.find_at(b"tttttttt", 0, &mut Blocks::default(), &mut c), None);
         assert_eq!((c.scanned, c.shifts, c.shift_total), (8, 1, 4));
     }
 
@@ -316,7 +316,7 @@ mod tests {
             let walk = TagWalk::new(pats);
             let spec = CommentzWalter::new(pats);
             for from in 0..=hay.len() {
-                let got = walk.find_at(hay, from, &mut Blocks::new(), &mut NoMetrics);
+                let got = walk.find_at(hay, from, &mut Blocks::default(), &mut NoMetrics);
                 assert_eq!(got, spec.find_at(hay, from, &mut NoMetrics), "{pats:?} from {from}");
             }
         }

@@ -124,7 +124,7 @@ fn fingerprint_candidates_straddle_every_lane_edge() {
                         assert_eq!(got, want, "{name} at={at} tail={tail} from={from}");
                     }
                 }
-                let hit = walk.find_at(&hay, 0, &mut Blocks::new(), &mut NoMetrics);
+                let hit = walk.find_at(&hay, 0, &mut Blocks::default(), &mut NoMetrics);
                 assert_eq!(hit, cw.find_at(&hay, 0, &mut NoMetrics));
                 assert_eq!(hit.map(|m| m.start), Some(at), "at={at} tail={tail}");
                 if let [keyword] = pats {
@@ -278,13 +278,13 @@ proptest! {
             }
         }
         // Whole-slice walk.
-        prop_assert_eq!(Blocks::new().tag_end(&tag, 0), oracle);
+        prop_assert_eq!(Blocks::default().tag_end(&tag, 0), oracle);
         // Split walk: one state, a fresh block cache per window.
         let cut = cut.min(tag.len());
         let mut st = memscan::TagScan::new();
-        let got = match Blocks::new().tag_end_resumed(&tag[..cut], 0, &mut st) {
+        let got = match Blocks::default().tag_end_resumed(&tag[..cut], 0, &mut st) {
             Some(hit) => Some(hit),
-            None => Blocks::new()
+            None => Blocks::default()
                 .tag_end_resumed(&tag[cut..], 0, &mut st)
                 .map(|(end, b)| (end + cut, b)),
         };
@@ -302,7 +302,7 @@ proptest! {
         let keyword = tag_shaped(&pat);
         let walk = TagWalk::new(&[&keyword]);
         let want = naive::find_at(&hay, &keyword, from, &mut NoMetrics);
-        let got = walk.find_at(&hay, from, &mut Blocks::new(), &mut NoMetrics);
+        let got = walk.find_at(&hay, from, &mut Blocks::default(), &mut NoMetrics);
         prop_assert_eq!(got.map(|m| m.start), want, "walk hay={:?} pat={:?}", &hay, &keyword);
         let want = naive::find_at(&hay, &pat, from, &mut NoMetrics);
         let bm = BoyerMoore::new(&pat);
@@ -320,7 +320,7 @@ proptest! {
         let keywords: Vec<Vec<u8>> = pats.iter().map(|p| tag_shaped(p)).collect();
         let walk = TagWalk::new(&keywords);
         prop_assert_eq!(
-            walk.find_at(&hay, from, &mut Blocks::new(), &mut NoMetrics),
+            walk.find_at(&hay, from, &mut Blocks::default(), &mut NoMetrics),
             CommentzWalter::new(&keywords).find_at(&hay, from, &mut NoMetrics),
             "hay={:?} keywords={:?}", &hay, &keywords
         );

@@ -271,8 +271,7 @@ fn edited_generation_equals_fresh_registry_across_backends_threads_and_modes() {
             assert_eq!(pre_ids.len(), fx.initial.len());
             for (di, d) in fx.docs.iter().enumerate() {
                 let (got, gv, gs) = g0.run_multi(SliceSource::new(d), Vec::new()).expect("old gen");
-                let (want, wv, ws) =
-                    pre.run_multi(SliceSource::new(d), Vec::new()).expect("fresh");
+                let (want, wv, ws) = pre.run_multi(SliceSource::new(d), Vec::new()).expect("fresh");
                 assert_eq!(got, want, "{label} doc {di}: old generation bytes changed");
                 assert_eq!((gv, gs), (wv, ws), "{label} doc {di}: old generation run changed");
             }

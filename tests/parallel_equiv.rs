@@ -175,8 +175,7 @@ fn sweep_fixture(fx: &Fixture, mode: ScanMode, label: &str) {
 
     // Reader delivery (chunked window; same chunk on both sides, so even
     // the chunk-dependent stream counters must agree).
-    let want =
-        sequential(fx, mode, |d| ReaderSource::new(std::io::Cursor::new(d.to_vec()), CHUNK));
+    let want = sequential(fx, mode, |d| ReaderSource::new(std::io::Cursor::new(d.to_vec()), CHUNK));
     for &t in THREADS {
         let got = pf
             .run_batch_parallel(

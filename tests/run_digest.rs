@@ -23,14 +23,15 @@
 //! says why; an effort digest changes only in a change that restates
 //! ARCHITECTURE §11 "What the counters mean" and records the new value.
 //!
-//! The scan mode is the prefilter's: the two modes of a case run side by
-//! side on two threads, and the vector digests are reproduced on every
-//! scan kind the CPU runs.
+//! The scan mode is the prefilter's: the modes of a case run side by side
+//! on threads of their own — the specification, and the walk on every
+//! scan kind the CPU runs, each of which must reproduce the vector
+//! digests.
 
-#[allow(dead_code)] // the case list, `random_doc`, `TempDoc` and `both_modes`
+#[allow(dead_code)] // the case list, `random_doc` and `TempDoc`
 mod common;
 
-use common::{analysis_cases, both_modes, random_doc, AnalysisCase, Rand, TempDoc};
+use common::{analysis_cases, random_doc, AnalysisCase, Rand, TempDoc};
 use smpx_bench::queries::PROTEIN_QUERIES;
 use smpx_core::runtime::source::{DocSource, MmapSource, ReaderSource};
 use smpx_core::{MultiVerdict, Prefilter, RunStats, SliceSource};
@@ -161,15 +162,6 @@ fn mode_runs(case: &AnalysisCase, mode: ScanMode, doc: &[u8], file: &TempDoc) ->
     ModeRuns { found: first.expect("a run"), windows, effort: effort.0, slice }
 }
 
-/// The exact digest: each mode's windows, vector first, then what the runs
-/// found.
-fn exact(windows: [&[u64; ROUTES.len()]; 2], found: u64) -> u64 {
-    let mut exact = Fnv::new();
-    windows.iter().flat_map(|w| w.iter()).for_each(|&n| exact.num(n));
-    exact.num(found);
-    exact.0
-}
-
 /// A case's digests, and the effort counters of its slice runs.
 struct Digests {
     /// Exact, vector effort, scalar effort.
@@ -179,16 +171,39 @@ struct Digests {
     slice: [[u64; 4]; 2],
 }
 
-fn digests(case: &AnalysisCase) -> Digests {
+/// The modes a case runs in: the walk on every kind this CPU runs, the
+/// widest first, then the specification.
+fn modes() -> Vec<ScanMode> {
+    let kinds = [ScanKind::Avx512, ScanKind::Avx2, ScanKind::Sse2, ScanKind::Swar];
+    let walks = kinds.into_iter().filter(|&k| memscan::supported(k)).map(ScanMode::Walk);
+    walks.chain([ScanMode::Spec]).collect()
+}
+
+/// Every mode of `modes` on a prefilter and a thread of its own, side by
+/// side: each kind must find what the widest finds, as hard; the
+/// specification what it finds.
+fn digests(case: &AnalysisCase, modes: &[ScanMode]) -> Digests {
     let doc = document(case);
     let file = TempDoc::new(&doc);
-    let [walk, spec] = both_modes().map(|mode| mode_runs(case, mode, &doc, &file));
-    assert_eq!(walk.found, spec.found, "{}: the modes found different things", case.name);
-    assert_eq!(walk.windows, spec.windows, "{}: the window depends on the mode", case.name);
-    Digests {
-        pinned: (exact([&walk.windows, &spec.windows], walk.found), walk.effort, spec.effort),
-        slice: [walk.slice, spec.slice],
+    let runs: Vec<ModeRuns> = std::thread::scope(|s| {
+        let (doc, file) = (&doc, &file);
+        let threads: Vec<_> =
+            modes.iter().map(|&mode| s.spawn(move || mode_runs(case, mode, doc, file))).collect();
+        threads.into_iter().map(|t| t.join().expect("a mode's runs")).collect()
+    });
+    let (walk, spec) = (&runs[0], &runs[runs.len() - 1]);
+    for (mode, run) in modes.iter().zip(&runs) {
+        let at = format!("{} {mode:?}", case.name);
+        assert_eq!(run.found, walk.found, "{at}: not what the widest walk found");
+        assert_eq!(run.windows, walk.windows, "{at}: the window depends on the mode");
+        if *mode != ScanMode::Spec {
+            assert_eq!(run.effort, walk.effort, "{at}: the vector effort depends on the kind");
+        }
     }
+    let mut exact = Fnv::new();
+    walk.windows.iter().chain(&spec.windows).for_each(|&n| exact.num(n));
+    exact.num(walk.found);
+    Digests { pinned: (exact.0, walk.effort, spec.effort), slice: [walk.slice, spec.slice] }
 }
 
 /// `(case, exact, vector effort, scalar effort)`, each row under the
@@ -266,8 +281,14 @@ const PINNED: &[(&str, u64, u64, u64)] = &[
 
 #[test]
 fn runs_reproduce_the_pinned_digests() {
+    let modes = modes();
+    for kind in [ScanKind::Avx512, ScanKind::Avx2, ScanKind::Sse2] {
+        if !modes.contains(&ScanMode::Walk(kind)) {
+            eprintln!("runs_reproduce_the_pinned_digests: skipped {kind:?}, not on this CPU");
+        }
+    }
     let got: Vec<(String, Digests)> =
-        cases().iter().map(|c| (c.name.clone(), digests(c))).collect();
+        cases().iter().map(|c| (c.name.clone(), digests(c, &modes))).collect();
     // The current table, in the layout of `PINNED`.
     let listing: String = got
         .iter()
@@ -284,69 +305,4 @@ fn runs_reproduce_the_pinned_digests() {
         assert_eq!(*v, pv, "{name}: the vector effort moved; current digests:\n{listing}");
         assert_eq!(*s, ps, "{name}: the scalar effort moved; current digests:\n{listing}");
     }
-}
-
-/// The pinned row of `name`.
-fn pinned(name: &str) -> (u64, u64, u64) {
-    let &(_, e, v, s) = PINNED.iter().find(|p| p.0 == name).expect("a pinned case");
-    (e, v, s)
-}
-
-#[test]
-fn walk_and_specification_run_side_by_side() {
-    // Two prefilters of one case, one per mode, on two threads at once:
-    // each run is in its own prefilter's mode, whatever the other does.
-    for name in ["xmark/XM7", "medline/M5", "rec-parlist/0"] {
-        let case = cases().into_iter().find(|c| c.name == name).expect("case");
-        let doc = document(&case);
-        let file = TempDoc::new(&doc);
-        let [walk, spec] = std::thread::scope(|s| {
-            both_modes()
-                .map(|mode| {
-                    let (case, doc, file) = (&case, &doc, &file);
-                    s.spawn(move || mode_runs(case, mode, doc, file))
-                })
-                .map(|run| run.join().expect("mode thread"))
-        });
-        let (e, v, s) = pinned(name);
-        assert_eq!(walk.effort, v, "{name}: the vector effort moved");
-        assert_eq!(spec.effort, s, "{name}: the scalar effort moved");
-        assert_eq!(exact([&walk.windows, &spec.windows], walk.found), e, "{name}: what it found");
-    }
-}
-
-#[test]
-fn every_scan_kind_reproduces_the_vector_digests() {
-    // One thread per kind this CPU runs, side by side: each walks every
-    // case on its own kernels and must find what the pinned table says and
-    // look exactly as hard (the windows are the same in both modes, so a
-    // walk's own reproduce the exact digest).
-    let kinds = [ScanKind::Swar, ScanKind::Sse2, ScanKind::Avx2, ScanKind::Avx512];
-    let cases = cases();
-    let docs: Vec<(Vec<u8>, TempDoc)> = cases
-        .iter()
-        .map(|c| {
-            let doc = document(c);
-            let file = TempDoc::new(&doc);
-            (doc, file)
-        })
-        .collect();
-    std::thread::scope(|s| {
-        for kind in kinds {
-            if !memscan::supported(kind) {
-                eprintln!("every_scan_kind_reproduces_the_vector_digests: skipped {kind:?}, not on this CPU");
-                continue;
-            }
-            let (cases, docs) = (&cases, &docs);
-            s.spawn(move || {
-                for (case, (doc, file)) in cases.iter().zip(docs) {
-                    let walk = mode_runs(case, ScanMode::Walk(kind), doc, file);
-                    let (e, v, _) = pinned(&case.name);
-                    let at = format!("{} {kind:?}", case.name);
-                    assert_eq!(walk.effort, v, "{at}: the vector effort moved");
-                    assert_eq!(exact([&walk.windows; 2], walk.found), e, "{at}: what it found");
-                }
-            });
-        }
-    });
 }

@@ -178,7 +178,7 @@ fn assert_tag_end(blocks: &mut Blocks, hay: &[u8], pos: usize, at: &str) -> Opti
 
 /// Token after token from `from` over the whole of `doc`.
 fn walk_whole(s: &Searcher, doc: &[u8], from: usize, at: &str) -> usize {
-    let mut blocks = Blocks::new();
+    let mut blocks = Blocks::default();
     let (mut cursor, mut tokens) = (from, 0);
     loop {
         let [got, want] = s.find(doc, cursor, &mut blocks);
@@ -196,7 +196,7 @@ fn walk_whole(s: &Searcher, doc: &[u8], from: usize, at: &str) -> usize {
 /// blocks computed from it are partial — and moves its base up to the
 /// cursor whenever it grows (a compaction: the cache is dropped).
 fn walk_window(s: &Searcher, doc: &[u8], chunk: usize, at: &str) -> usize {
-    let mut blocks = Blocks::new();
+    let mut blocks = Blocks::default();
     let (mut base, mut end) = (0, chunk.min(doc.len()));
     let (mut cursor, mut tokens) = (0, 0);
     loop {
