@@ -798,23 +798,24 @@ fn scan_tag_end<S: DocSource, W: Write, M: Metrics>(
         m.scanned((end - pos) as u64);
         return Ok((end, bachelor));
     }
-    scan_tag_end_windowed(input, pos, mode.blocks(), m)
+    scan_tag_end_windowed(mode, input, pos, m)
 }
 
 /// The tag end of a tag running past the resident bytes: the same
-/// block-mask walk ([`memscan::Blocks::tag_end_resumed`], on the masks of
-/// `blocks`, empty) over one `SourceInput::window` view after another, its
+/// block-mask walk ([`memscan::Blocks::tag_end_resumed`], on the kind of
+/// the walk `mode`) over one `SourceInput::window` view after another, its
 /// [`memscan::TagScan`] state carrying an open quote and the last byte
 /// across each refill.
 #[cold]
 #[inline(never)]
 fn scan_tag_end_windowed<S: DocSource, W: Write, M: Metrics>(
+    mode: ScanMode,
     input: &mut SourceInput<S, W>,
     pos: usize,
-    mut blocks: memscan::Blocks,
     m: &mut M,
 ) -> Result<(usize, bool), CoreError> {
     let mut st = memscan::TagScan::new();
+    let mut blocks = mode.blocks();
     let mut abs = pos;
     loop {
         let consumed = {
@@ -1077,8 +1078,12 @@ mod tests {
         use super::super::{scan_tag_end_scalar, scan_tag_end_windowed};
         use super::*;
         use crate::runtime::source::{ReaderSource, SliceSource, SourceInput};
-        use smpx_stringmatch::memscan::Blocks;
         use smpx_stringmatch::Counters;
+
+        /// The walk on the widest kind this CPU runs.
+        fn walk() -> ScanMode {
+            ScanMode::Walk(memscan::kind())
+        }
 
         /// Scan documents that start mid-tag at `pos = 0`, exactly as the
         /// runtime scans from just past a keyword.
@@ -1115,7 +1120,7 @@ mod tests {
         fn windowed_on_slice(doc: &[u8]) -> (Result<(usize, bool), CoreError>, Counters) {
             let mut c = Counters::default();
             let mut input = SourceInput::new(SliceSource::new(doc), Vec::new());
-            (scan_tag_end_windowed(&mut input, 0, Blocks::default(), &mut c), c)
+            (scan_tag_end_windowed(walk(), &mut input, 0, &mut c), c)
         }
 
         fn scalar_on_slice(doc: &[u8]) -> (Result<(usize, bool), CoreError>, Counters) {
@@ -1173,7 +1178,7 @@ mod tests {
                     let mut out = Vec::new();
                     let mut input =
                         SourceInput::new(ReaderSource::new(tag.as_bytes(), chunk), &mut out);
-                    let got = scan_tag_end_windowed(&mut input, 0, Blocks::default(), &mut c)
+                    let got = scan_tag_end_windowed(walk(), &mut input, 0, &mut c)
                         .unwrap_or_else(|e| panic!("tag={tag:?} chunk={chunk}: {e}"));
                     assert_eq!(got, want, "tag={tag:?} chunk={chunk}");
                     assert_eq!(c.scanned, wc.scanned, "tag={tag:?} chunk={chunk}");
@@ -1186,7 +1191,7 @@ mod tests {
                     let mut out = Vec::new();
                     let mut input =
                         SourceInput::new(ReaderSource::new(tag.as_bytes(), chunk), &mut out);
-                    let got = scan_tag_end_windowed(&mut input, 0, Blocks::default(), &mut c);
+                    let got = scan_tag_end_windowed(walk(), &mut input, 0, &mut c);
                     assert!(
                         matches!(got, Err(CoreError::UnexpectedEof { .. })),
                         "tag={tag:?} chunk={chunk}"
@@ -1204,7 +1209,7 @@ mod tests {
             for pos in [2usize, 6, 7] {
                 let mut cw = Counters::default();
                 let mut iw = SourceInput::new(SliceSource::new(doc), Vec::new());
-                let got = scan_tag_end_windowed(&mut iw, pos, Blocks::default(), &mut cw).unwrap();
+                let got = scan_tag_end_windowed(walk(), &mut iw, pos, &mut cw).unwrap();
                 let mut cs = Counters::default();
                 let mut is = SourceInput::new(SliceSource::new(doc), Vec::new());
                 let want = scan_tag_end_scalar(&mut is, pos, &mut cs).unwrap();
