@@ -15,15 +15,15 @@
 //!   drift by at most what re-searching one overlap (`max_kw_len - 1`
 //!   bytes) per boundary costs.
 
-#[allow(dead_code)] // only `TempDoc` and `both_modes`
+#[allow(dead_code)] // only `TempDoc`
 mod common;
 
-use common::{both_modes, TempDoc};
+use common::TempDoc;
 use smpx_core::runtime::source::{MmapSource, SliceSource};
 use smpx_core::{MultiVerdict, Prefilter, RunStats};
 use smpx_dtd::Dtd;
 use smpx_paths::PathSet;
-use smpx_stringmatch::memscan::ScanMode;
+use smpx_stringmatch::memscan::{self, ScanMode};
 
 const STEP: usize = 4096;
 /// No document here reaches it: a run that is never cut.
@@ -126,9 +126,20 @@ fn exact(s: &RunStats) -> [u64; 8] {
 
 #[test]
 fn step_boundaries_change_nothing_a_run_reports() {
+    step_boundaries_in(ScanMode::Walk(memscan::kind()));
+}
+
+#[test]
+fn step_boundaries_change_nothing_in_the_specification_either() {
+    step_boundaries_in(ScanMode::Spec);
+}
+
+/// The cut, mapped and uncut runs of every feature document in `mode`: one
+/// test per mode, so the two run side by side.
+fn step_boundaries_in(mode: ScanMode) {
     let dtd = Dtd::parse(DTD.as_bytes()).expect("dtd");
     let paths = |p: &[&str]| PathSet::parse(p).expect("paths");
-    let compile = |multi: bool, step: usize, mode: ScanMode| {
+    let compile = |multi: bool, step: usize| {
         let pf = if multi {
             Prefilter::compile_multi(&dtd, &[paths(&["/a/keep#"]), paths(&["/a/x#"])])
         } else {
@@ -136,55 +147,53 @@ fn step_boundaries_change_nothing_a_run_reports() {
         };
         pf.expect("compile").with_release_step(step).with_mode(mode)
     };
-    for mode in both_modes() {
-        let accel = mode != ScanMode::Spec;
-        for multi in [false, true] {
-            let mut cut = compile(multi, STEP, mode);
-            let mut uncut = compile(multi, UNCUT, mode);
-            let overlap = cut.tables().max_kw_len as u64;
-            for (feature, records) in features() {
-                for shift in 0..SHIFTS {
-                    let label = format!("{feature} shift {shift} multi {multi} {mode:?}");
-                    let doc = document(&records, shift);
-                    let tmp = TempDoc::new(&doc);
-                    let slice = run(&mut cut, multi, SliceSource::new(&doc));
-                    let mapped = MmapSource::map_with_step(tmp.path(), STEP).expect("map");
-                    assert!(
-                        mapped.is_mapped() || !cfg!(all(unix, target_pointer_width = "64")),
-                        "{label}: expected a real mapping"
-                    );
-                    let map = run(&mut cut, multi, mapped);
-                    assert!(map.out == slice.out, "{label}: mapped output diverged");
-                    assert_eq!(map.verdict, slice.verdict, "{label}");
-                    assert_eq!(map.stats, slice.stats, "{label}: slice and mapping are cut alike");
+    let accel = mode != ScanMode::Spec;
+    for multi in [false, true] {
+        let mut cut = compile(multi, STEP);
+        let mut uncut = compile(multi, UNCUT);
+        let overlap = cut.tables().max_kw_len as u64;
+        for (feature, records) in features() {
+            for shift in 0..SHIFTS {
+                let label = format!("{feature} shift {shift} multi {multi} {mode:?}");
+                let doc = document(&records, shift);
+                let tmp = TempDoc::new(&doc);
+                let slice = run(&mut cut, multi, SliceSource::new(&doc));
+                let mapped = MmapSource::map_with_step(tmp.path(), STEP).expect("map");
+                assert!(
+                    mapped.is_mapped() || !cfg!(all(unix, target_pointer_width = "64")),
+                    "{label}: expected a real mapping"
+                );
+                let map = run(&mut cut, multi, mapped);
+                assert!(map.out == slice.out, "{label}: mapped output diverged");
+                assert_eq!(map.verdict, slice.verdict, "{label}");
+                assert_eq!(map.stats, slice.stats, "{label}: slice and mapping are cut alike");
 
-                    let whole = run(&mut uncut, multi, SliceSource::new(&doc));
-                    assert!(whole.out == slice.out, "{label}: the cuts changed the output");
-                    assert_eq!(whole.verdict, slice.verdict, "{label}");
-                    assert_eq!(exact(&whole.stats), exact(&slice.stats), "{label}");
-                    assert!(slice.out.ends_with(b"<keep>last</keep></a>"), "{label}: selects");
-                    // The candidate walk passes every alignment once, so a
-                    // boundary costs one overlap searched again: that many
-                    // bytes scanned, the shift that closes the miss and the
-                    // one back to a candidate in the overlap, that candidate
-                    // compared twice. The scalar shift loops restart their
-                    // alignment phase at a cut, so what they compare from
-                    // there to the next token depends on the text: a loose
-                    // relative bound, against searching anything twice.
-                    let cuts = (doc.len() / STEP) as u64;
-                    let drift = |a: u64, b: u64, per_cut: u64, what: &str| {
-                        let slack = if accel { 0 } else { b / 4 + cuts * overlap * overlap };
-                        assert!(
-                            a.abs_diff(b) <= cuts * per_cut + slack,
-                            "{label}: {what} {a} cut, {b} uncut, {cuts} boundaries"
-                        );
-                    };
-                    let (c, u) = (&slice.stats, &whole.stats);
-                    drift(c.bytes_scanned, u.bytes_scanned, overlap - 1, "bytes_scanned");
-                    drift(c.shifts, u.shifts, 2, "shifts");
-                    drift(c.shift_total, u.shift_total, overlap, "shift_total");
-                    drift(c.chars_compared, u.chars_compared, overlap * overlap, "chars_compared");
-                }
+                let whole = run(&mut uncut, multi, SliceSource::new(&doc));
+                assert!(whole.out == slice.out, "{label}: the cuts changed the output");
+                assert_eq!(whole.verdict, slice.verdict, "{label}");
+                assert_eq!(exact(&whole.stats), exact(&slice.stats), "{label}");
+                assert!(slice.out.ends_with(b"<keep>last</keep></a>"), "{label}: selects");
+                // The candidate walk passes every alignment once, so a
+                // boundary costs one overlap searched again: that many
+                // bytes scanned, the shift that closes the miss and the
+                // one back to a candidate in the overlap, that candidate
+                // compared twice. The scalar shift loops restart their
+                // alignment phase at a cut, so what they compare from
+                // there to the next token depends on the text: a loose
+                // relative bound, against searching anything twice.
+                let cuts = (doc.len() / STEP) as u64;
+                let drift = |a: u64, b: u64, per_cut: u64, what: &str| {
+                    let slack = if accel { 0 } else { b / 4 + cuts * overlap * overlap };
+                    assert!(
+                        a.abs_diff(b) <= cuts * per_cut + slack,
+                        "{label}: {what} {a} cut, {b} uncut, {cuts} boundaries"
+                    );
+                };
+                let (c, u) = (&slice.stats, &whole.stats);
+                drift(c.bytes_scanned, u.bytes_scanned, overlap - 1, "bytes_scanned");
+                drift(c.shifts, u.shifts, 2, "shifts");
+                drift(c.shift_total, u.shift_total, overlap, "shift_total");
+                drift(c.chars_compared, u.chars_compared, overlap * overlap, "chars_compared");
             }
         }
     }

@@ -26,16 +26,17 @@
 //! must be positive (pages did go back) and inside the whole bound;
 //! `tests/mapped_residency.rs` asks the kernel.
 
-#[allow(dead_code)] // only `TempDoc` and `both_modes`
+#[allow(dead_code)] // only `TempDoc`
 mod common;
 
-use common::{both_modes, TempDoc};
+use common::TempDoc;
 use smpx_core::runtime::source::{DocSource, MmapSource, PrefetchSource, ReaderSource};
 use smpx_core::runtime::RELEASE_STEP;
 use smpx_core::{Prefilter, RunStats};
 use smpx_datagen::{xmark, GenOptions};
 use smpx_dtd::Dtd;
 use smpx_paths::PathSet;
+use smpx_stringmatch::memscan::{self, ScanMode};
 use std::io::Cursor;
 
 const CHUNKS: &[usize] = &[64, 4096, 32768];
@@ -64,63 +65,72 @@ fn run<S: DocSource>(pf: &mut Prefilter, src: S) -> (Vec<u8>, RunStats) {
     (out, stats)
 }
 
-/// Every route × chunk (or step) over `doc`, vectorized and scalar (the
-/// scalar balanced scan reaches the guard step through `find`).
-fn assert_bounded(label: &str, dtd: &str, paths: &[&str], doc: &[u8]) {
+/// Every route × chunk (or step) over `doc` in `mode` (the scalar
+/// balanced scan reaches the guard step through `find`).
+fn assert_bounded(mode: ScanMode, label: &str, dtd: &str, paths: &[&str], doc: &[u8]) {
     let dtd = Dtd::parse(dtd.as_bytes()).expect("dtd");
     let paths = PathSet::parse(paths).expect("paths");
-    let compile = |mode| Prefilter::compile(&dtd, &paths).expect("compile").with_mode(mode);
+    let compile = || Prefilter::compile(&dtd, &paths).expect("compile").with_mode(mode);
     let file = TempDoc::new(doc);
-    for mode in both_modes() {
-        let mut pf = compile(mode);
-        let span = pf.tables().max_kw_len + 8 + longest_tag(doc);
-        let (want, _) = pf.filter_to_vec(doc).expect("slice run");
-        assert!(!want.is_empty(), "{label}: the path set must select something");
-        for &chunk in CHUNKS {
-            let bound = (2 * (chunk + span)) as u64;
-            let (out, stats) = run(&mut pf, ReaderSource::new(doc, chunk));
-            assert!(out == want, "{label} {mode:?} reader/{chunk}: output diverged");
+    let mut pf = compile();
+    let span = pf.tables().max_kw_len + 8 + longest_tag(doc);
+    let (want, _) = pf.filter_to_vec(doc).expect("slice run");
+    assert!(!want.is_empty(), "{label}: the path set must select something");
+    for &chunk in CHUNKS {
+        let bound = (2 * (chunk + span)) as u64;
+        let (out, stats) = run(&mut pf, ReaderSource::new(doc, chunk));
+        assert!(out == want, "{label} {mode:?} reader/{chunk}: output diverged");
+        assert!(
+            stats.io_window_bytes <= bound,
+            "{label} {mode:?} reader/{chunk}: window {} > {bound}",
+            stats.io_window_bytes
+        );
+        let (out, stats) = run(&mut pf, PrefetchSource::new(Cursor::new(doc.to_vec()), chunk));
+        assert!(out == want, "{label} {mode:?} prefetch/{chunk}: output diverged");
+        let bound = bound + 2 * chunk as u64;
+        assert!(
+            stats.io_window_bytes <= bound,
+            "{label} {mode:?} prefetch/{chunk}: window {} > {bound}",
+            stats.io_window_bytes
+        );
+    }
+    for &step in STEPS {
+        let mut cut = compile().with_release_step(step);
+        let mut src = MmapSource::map_with_step(file.path(), step).expect("map");
+        let (out, stats) = run(&mut cut, &mut src);
+        assert!(out == want, "{label} {mode:?} mmap/{step}: output diverged");
+        if src.is_mapped() {
+            assert_eq!(stats.io_window_bytes, 0, "a mapping owns no buffer");
+            let (resident, bound) = (src.peak_resident_bytes(), 2 * step.max(PAGE) + span);
+            // Not zero: pages did go back (the account is sampled then).
             assert!(
-                stats.io_window_bytes <= bound,
-                "{label} {mode:?} reader/{chunk}: window {} > {bound}",
-                stats.io_window_bytes
+                0 < resident && resident <= bound,
+                "{label} {mode:?} mmap/{step}: {resident} bytes resident, bound {bound}"
             );
-            let (out, stats) = run(&mut pf, PrefetchSource::new(Cursor::new(doc.to_vec()), chunk));
-            assert!(out == want, "{label} {mode:?} prefetch/{chunk}: output diverged");
-            let bound = bound + 2 * chunk as u64;
-            assert!(
-                stats.io_window_bytes <= bound,
-                "{label} {mode:?} prefetch/{chunk}: window {} > {bound}",
-                stats.io_window_bytes
-            );
-        }
-        for &step in STEPS {
-            let mut cut = compile(mode).with_release_step(step);
-            let mut src = MmapSource::map_with_step(file.path(), step).expect("map");
-            let (out, stats) = run(&mut cut, &mut src);
-            assert!(out == want, "{label} {mode:?} mmap/{step}: output diverged");
-            if src.is_mapped() {
-                assert_eq!(stats.io_window_bytes, 0, "a mapping owns no buffer");
-                let (resident, bound) = (src.peak_resident_bytes(), 2 * step.max(PAGE) + span);
-                // Not zero: pages did go back (the account is sampled then).
-                assert!(
-                    0 < resident && resident <= bound,
-                    "{label} {mode:?} mmap/{step}: {resident} bytes resident, bound {bound}"
-                );
-            }
         }
     }
 }
 
 #[test]
 fn window_is_bounded_whatever_the_document_skip_or_copy_length() {
+    bounded_in(ScanMode::Walk(memscan::kind()));
+}
+
+#[test]
+fn window_is_bounded_in_the_specification_too() {
+    bounded_in(ScanMode::Spec);
+}
+
+/// The four documents of the bound, in `mode`: one test per mode, so the
+/// two run side by side.
+fn bounded_in(mode: ScanMode) {
     let doc = xmark::generate(GenOptions::sized(4 << 20).with_seed(12));
     assert!(doc.len() >= 4 << 20);
     // XM5: nearly the whole document is one skip after another.
     let xm5 = ["/*", "/site/closed_auctions/closed_auction/price#"];
-    assert_bounded("skip-heavy", xmark::XMARK_DTD, &xm5, &doc);
+    assert_bounded(mode, "skip-heavy", xmark::XMARK_DTD, &xm5, &doc);
     // Copied subtrees of many windows each.
-    assert_bounded("copy-heavy", xmark::XMARK_DTD, &["/*", "/site/regions//item#"], &doc);
+    assert_bounded(mode, "copy-heavy", xmark::XMARK_DTD, &["/*", "/site/regions//item#"], &doc);
 
     // A recursive element is opaque: its subtree is crossed by the balanced
     // scan, here over `<`-free text of ten and more windows, once skipped
@@ -134,6 +144,6 @@ fn window_is_bounded_whatever_the_document_skip_or_copy_length() {
     }
     rec += "</r>";
     assert!(text.len() >= 10 * 32768);
-    assert_bounded("opaque-skip", rec_dtd, &["/*", "/r/t#"], rec.as_bytes());
-    assert_bounded("opaque-copy", rec_dtd, &["/*", "/r/x#"], rec.as_bytes());
+    assert_bounded(mode, "opaque-skip", rec_dtd, &["/*", "/r/t#"], rec.as_bytes());
+    assert_bounded(mode, "opaque-copy", rec_dtd, &["/*", "/r/x#"], rec.as_bytes());
 }
