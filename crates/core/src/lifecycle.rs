@@ -241,10 +241,9 @@ impl SharedPrefilter {
             st = self.inner.signal.wait(st).expect("lifecycle state");
         }
         let mut current = self.inner.current.write().expect("lifecycle generation");
-        let pf = current.frozen.worker().with_mode(mode);
         *current = Arc::new(Generation {
             gen_no: current.gen_no,
-            frozen: pf.freeze(),
+            frozen: current.frozen.worker().with_mode(mode).freeze(),
             extern_of: current.extern_of.clone(),
             id_width: current.id_width,
         });

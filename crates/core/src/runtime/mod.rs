@@ -144,12 +144,8 @@ impl Prefilter {
     /// the specification, whose counters are the paper's accounting —
     /// dropping the matchers built so far. A run in a kind this CPU does
     /// not run panics ([`memscan::Blocks::with_kind`]).
-    pub fn with_mode(mut self, mode: ScanMode) -> Prefilter {
-        self.mode = mode;
-        self.matchers.fill(None);
-        self.balanced_matchers.fill(None);
-        self.matchers_built = 0;
-        self
+    pub fn with_mode(self, mode: ScanMode) -> Prefilter {
+        Prefilter { step: self.step, ..Prefilter::from_shared(self.tables, mode) }
     }
 
     /// How this prefilter searches.
